@@ -241,8 +241,8 @@ def detect_multi_backlog(
     earlier sprint retroactively.
     """
     settings = config.for_metric(cfg.MULTI_BACKLOG)
-    backlog = [s for s in history.stories if s.team == team and sprint.id in s.sprint_memberships]
-    slice_like = SprintSlice(team=team, sprint=sprint, commits=(), stories=tuple(backlog), pulls=())
+    backlog = history.backlog(team, sprint.id)
+    slice_like = SprintSlice(team=team, sprint=sprint, commits=(), stories=backlog, pulls=())
     if not backlog:
         return _not_applicable(cfg.MULTI_BACKLOG, slice_like, "no stories in this sprint's backlog")
     violations = []
@@ -483,9 +483,7 @@ def unfinished_stories(history: ProjectHistory, sprint_id: str, now: float) -> U
     sprint = history.sprint(sprint_id)
     if sprint.due_on >= now:
         return None
-    backlog = [
-        s for s in history.stories if s.team == sprint.team and sprint_id in s.sprint_memberships
-    ]
+    backlog = history.backlog(sprint.team, sprint_id)
     open_numbers = tuple(sorted(s.number for s in backlog if s.state.value == "open"))
     total = len(backlog)
     percent = len(open_numbers) / total if total else None

@@ -9,7 +9,7 @@ an optimal band and falls off on both sides). All outputs are clamped into
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -151,15 +151,20 @@ def run_all(
     registry: MetricRegistry,
     history: ProjectHistory,
     config: MetricConfig,
+    sprint_ids: Collection[str] | None = None,
 ) -> list[MetricResult]:
     """Evaluate every enabled metric for every (team, sprint).
 
-    Output order is deterministic: team id, then sprint due date, then metric
+    `sprint_ids`, when given, limits the run to those sprints; a cell's
+    results never depend on which other sprints are evaluated. Output order
+    is deterministic: team id, then sprint due date, then metric
     registration order.
     """
     results: list[MetricResult] = []
     for team in history.teams:
         for sprint in history.sprints_of(team):
+            if sprint_ids is not None and sprint.id not in sprint_ids:
+                continue
             slice_ = window(history, team, sprint.id)
             for name in registry.names():
                 result = evaluate(registry, name, history, team, sprint.id, config, slice_=slice_)

@@ -462,9 +462,10 @@ def write_pulls(path: str | Path, pulls: Iterable[PullRequest]) -> None:
 
 
 def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
-    lines = [",".join(STATS_HEADER)]
-    lines.extend(f"{s.commit_id},{s.coverage_percent!r},{s.complexity!r}" for s in stats)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(STATS_HEADER)
+        writer.writerows((s.commit_id, repr(s.coverage_percent), repr(s.complexity)) for s in stats)
 
 
 # --- snapshot (the validated single-file form the CLI passes between steps) -

@@ -8,7 +8,8 @@ Timestamps are floats of UTC epoch seconds throughout.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -262,6 +263,26 @@ class MetricResult:
         return self.score is not None
 
 
+class _TimeIndex:
+    """Records sorted by a timestamp, for cutting out closed time intervals."""
+
+    def __init__(self, records: Sequence, stamp: Callable[[object], float]) -> None:
+        self._records = records
+        stamps = [stamp(record) for record in records]
+        # NaN compares false against every bound, so it can never fall in an
+        # interval; leaving it out keeps the sorted order well defined.
+        self._order = sorted(
+            (i for i, t in enumerate(stamps) if not math.isnan(t)), key=stamps.__getitem__
+        )
+        self._stamps = [stamps[i] for i in self._order]
+
+    def between(self, lo: float, hi: float) -> tuple:
+        """Records stamped within [lo, hi], in their original order."""
+        cut = self._order[bisect_left(self._stamps, lo) : bisect_right(self._stamps, hi)]
+        cut.sort()
+        return tuple(self._records[i] for i in cut)
+
+
 @dataclass(frozen=True)
 class SprintSlice:
     """The artifacts attributable to one team within one sprint window."""
@@ -288,27 +309,40 @@ class ProjectHistory:
 
     _sprint_by_id: dict[str, Sprint] = field(init=False, repr=False, compare=False)
     _stats_by_commit: dict[str, BuildStats] = field(init=False, repr=False, compare=False)
-    _commit_by_id: dict[str, Commit] = field(init=False, repr=False, compare=False)
+    _sprints_by_team: dict[str, tuple[Sprint, ...]] = field(init=False, repr=False, compare=False)
+    _backlogs: dict[tuple[str, str], tuple[UserStory, ...]] = field(init=False, repr=False, compare=False)
     _commits_by_team: dict[str, tuple[Commit, ...]] = field(init=False, repr=False, compare=False)
-    _stories_by_team: dict[str, tuple[UserStory, ...]] = field(init=False, repr=False, compare=False)
     _pulls_by_team: dict[str, tuple[PullRequest, ...]] = field(init=False, repr=False, compare=False)
+    # team -> (commit time index, pull time index), filled by the team's first window()
+    _time_indexes: dict[str, tuple[_TimeIndex, _TimeIndex]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_sprint_by_id", {s.id: s for s in self.sprints})
         object.__setattr__(self, "_stats_by_commit", {s.commit_id: s for s in self.build_stats})
-        object.__setattr__(self, "_commit_by_id", {c.id: c for c in self.commits})
+        sprints_by_team: dict[str, list[Sprint]] = {}
+        for sprint in self.sprints:
+            sprints_by_team.setdefault(sprint.team, []).append(sprint)
+        object.__setattr__(
+            self,
+            "_sprints_by_team",
+            {t: tuple(sorted(v, key=lambda s: (s.due_on, s.id))) for t, v in sprints_by_team.items()},
+        )
+        backlogs: dict[tuple[str, str], list[UserStory]] = {}
+        for story in self.stories:
+            for membership in story.milestones:
+                backlogs.setdefault((story.team, membership.sprint_id), []).append(story)
+        object.__setattr__(self, "_backlogs", {k: tuple(v) for k, v in backlogs.items()})
         by_team: dict[str, list[Commit]] = {t: [] for t in self.teams}
         for commit in self.commits:
             by_team[commit.team].append(commit)
         object.__setattr__(self, "_commits_by_team", {t: tuple(v) for t, v in by_team.items()})
-        s_by_team: dict[str, list[UserStory]] = {t: [] for t in self.teams}
-        for story in self.stories:
-            s_by_team[story.team].append(story)
-        object.__setattr__(self, "_stories_by_team", {t: tuple(v) for t, v in s_by_team.items()})
         p_by_team: dict[str, list[PullRequest]] = {t: [] for t in self.teams}
         for pull in self.pulls:
             p_by_team[pull.team].append(pull)
         object.__setattr__(self, "_pulls_by_team", {t: tuple(v) for t, v in p_by_team.items()})
+        object.__setattr__(self, "_time_indexes", {})
 
     @property
     def stats_by_commit(self) -> Mapping[str, BuildStats]:
@@ -322,10 +356,21 @@ class ProjectHistory:
 
     def sprints_of(self, team: str) -> tuple[Sprint, ...]:
         """Sprints of one team, ordered by due date (ties broken by id)."""
-        return tuple(sorted((s for s in self.sprints if s.team == team), key=lambda s: (s.due_on, s.id)))
+        return self._sprints_by_team.get(team, ())
 
-    def commit(self, commit_id: str) -> Commit:
-        return self._commit_by_id[commit_id]
+    def backlog(self, team: str, sprint_id: str) -> tuple[UserStory, ...]:
+        """The team's stories that list `sprint_id` as a membership, in `stories` order."""
+        return self._backlogs.get((team, sprint_id), ())
+
+    def _team_time_indexes(self, team: str) -> tuple[_TimeIndex, _TimeIndex]:
+        indexes = self._time_indexes.get(team)
+        if indexes is None:
+            indexes = (
+                _TimeIndex(self._commits_by_team.get(team, ()), lambda c: c.authored_at),
+                _TimeIndex(self._pulls_by_team.get(team, ()), lambda p: p.opened_at),
+            )
+            self._time_indexes[team] = indexes
+        return indexes
 
 
 def build_history(
@@ -421,22 +466,23 @@ def build_history(
 
 
 def window(history: ProjectHistory, team: str, sprint_id: str) -> SprintSlice:
-    """Filter the history down to one team-sprint.
+    """Cut the history down to one team-sprint.
 
     Commits and pull requests are attributed by timestamp within the closed
-    interval [starts_at, due_on]; stories by backlog membership.
+    interval [starts_at, due_on], so a record stamped at the instant where
+    two back-to-back sprints meet belongs to both; stories by backlog
+    membership. Each team's commits and pulls are indexed by time on the
+    team's first window, so every later window is two binary searches. All
+    three tuples keep the order of the history's own collections.
     """
     sprint = history.sprint(sprint_id)
     if sprint.team != team:
         raise UnknownSprintError(f"sprint {sprint_id!r} belongs to {sprint.team!r}, not {team!r}")
-    lo, hi = sprint.starts_at, sprint.due_on
-    commits = tuple(
-        c for c in history._commits_by_team.get(team, ()) if lo <= c.authored_at <= hi
+    commit_index, pull_index = history._team_time_indexes(team)
+    return SprintSlice(
+        team=team,
+        sprint=sprint,
+        commits=commit_index.between(sprint.starts_at, sprint.due_on),
+        stories=history.backlog(team, sprint_id),
+        pulls=pull_index.between(sprint.starts_at, sprint.due_on),
     )
-    stories = tuple(
-        s for s in history._stories_by_team.get(team, ()) if sprint_id in s.sprint_memberships
-    )
-    pulls = tuple(
-        p for p in history._pulls_by_team.get(team, ()) if lo <= p.opened_at <= hi
-    )
-    return SprintSlice(team=team, sprint=sprint, commits=commits, stories=stories, pulls=pulls)

@@ -65,7 +65,7 @@ def build_report(
     """Lint the whole history and assemble the report.
 
     `sprint_title` narrows the report to sprints with that title (across all
-    teams); unknown titles are an error.
+    teams), and only those sprints are evaluated; unknown titles are an error.
     """
     if now is None:
         now = history_horizon(history)
@@ -76,9 +76,7 @@ def build_report(
     else:
         matching = None
 
-    results = run_all(registry, history, config)
-    if matching is not None:
-        results = [r for r in results if r.sprint in matching]
+    results = run_all(registry, history, config, sprint_ids=matching)
     scores = aggregate_all(results, registry, config)
 
     unfinished: list[tuple[str, UnfinishedStories]] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -177,11 +178,17 @@ def trend(
 def trend_csv(series: Iterable[TrendSeries]) -> str:
     """Render trend series as CSV: team,metric,sprint_title,due_on,score."""
     out = io.StringIO()
-    out.write("team,metric,sprint_title,due_on,score\n")
-    for one in series:
-        for point in one.points:
-            score = "" if point.score is None else f"{point.score:.1f}"
-            out.write(
-                f"{one.team},{one.metric},{point.sprint_title},{format_iso_utc(point.due_on)},{score}\n"
-            )
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("team", "metric", "sprint_title", "due_on", "score"))
+    writer.writerows(
+        (
+            one.team,
+            one.metric,
+            point.sprint_title,
+            format_iso_utc(point.due_on),
+            "" if point.score is None else f"{point.score:.1f}",
+        )
+        for one in series
+        for point in one.points
+    )
     return out.getvalue()

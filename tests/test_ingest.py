@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from sprintlint import ParseError, build_history, count_checkboxes, story_text_length
+from sprintlint import BuildStats, ParseError, build_history, count_checkboxes, story_text_length
 from sprintlint.ingest import (
     IngestManifest,
     commit_to_dict,
@@ -187,6 +187,15 @@ def test_read_stats_unknown_commit_deferred_to_build(tmp_path):
     commits = [make_commit("c1", T0), make_commit("c2", T0 + 1)]
     with pytest.raises(Exception, match="ghost"):
         build_history(commits=commits, build_stats=records)
+
+
+def test_stats_commit_id_with_a_comma_round_trips(tmp_path):
+    path = tmp_path / "stats.csv"
+    row = BuildStats(commit_id="abc,def", coverage_percent=81.5, complexity=120.0)
+    write_stats(path, [row])
+    records, issues = read_stats(path)
+    assert issues == []
+    assert records == [row]
 
 
 def test_read_stats_requires_header(tmp_path):

@@ -5,15 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sprintlint import (
     BuildStats,
     HistoryError,
+    MetricConfig,
     MetricResult,
     RecordError,
+    StoryState,
     UnknownSprintError,
     build_history,
+    detect_multi_backlog,
+    unfinished_stories,
     window,
 )
 from conftest import DAY, T0, TEAM, change, make_commit, make_pull, make_sprint, make_story
@@ -144,6 +148,139 @@ def test_window_is_subset_of_history(offsets):
     assert set(slice_.commits) <= set(history.commits)
     brute = {c.id for c in commits if sprint.starts_at <= c.authored_at <= sprint.due_on}
     assert {c.id for c in slice_.commits} == brute
+
+
+# --- the indexed per-sprint lookups against linear scans of the whole history --
+
+SPRINT_DAYS = 2.0
+TEAMS = ("a", "b")
+
+
+def scan_window(history, team, sprint_id):
+    sprint = history.sprint(sprint_id)
+    lo, hi = sprint.starts_at, sprint.due_on
+    return (
+        tuple(c for c in history.commits if c.team == team and lo <= c.authored_at <= hi),
+        tuple(s for s in history.stories if s.team == team and sprint_id in s.sprint_memberships),
+        tuple(p for p in history.pulls if p.team == team and lo <= p.opened_at <= hi),
+    )
+
+
+def scan_multi_backlog(history, sprint, threshold):
+    """(backlog size, [(artifact, memberships up to this sprint)] over the limit)."""
+    backlog = [
+        s for s in history.stories if s.team == sprint.team and sprint.id in s.sprint_memberships
+    ]
+    flagged = []
+    for story in backlog:
+        count = sum(
+            1 for sid in story.sprint_memberships if history.sprint(sid).due_on <= sprint.due_on
+        )
+        if count > threshold:
+            flagged.append((f"#{story.number}", count))
+    return len(backlog), flagged
+
+
+def scan_unfinished(history, sprint_id, now):
+    sprint = history.sprint(sprint_id)
+    if sprint.due_on >= now:
+        return None
+    backlog = [
+        s for s in history.stories if s.team == sprint.team and sprint_id in s.sprint_memberships
+    ]
+    open_numbers = tuple(sorted(s.number for s in backlog if s.state is StoryState.OPEN))
+    return len(open_numbers), open_numbers, len(backlog)
+
+
+# Half-day steps put many records on one instant, and every sprint boundary
+# (back-to-back sprints share one) is a step; the offsets add near misses.
+instants = st.builds(
+    lambda step, offset: T0 + step * DAY / 2 + offset,
+    st.integers(min_value=-2, max_value=14),
+    st.sampled_from((-1.0, 0.0, 0.0, 0.0, 1.0)),
+)
+
+
+@st.composite
+def histories(draw):
+    sprints = [
+        make_sprint(f"{team}{k}", team=team, start=T0 + k * SPRINT_DAYS * DAY, days=SPRINT_DAYS)
+        for team in TEAMS
+        for k in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    sprint_ids = [s.id for s in sprints]
+    commits = [
+        make_commit(f"c{i:02d}", when, team=team)
+        for i, (team, when) in enumerate(
+            draw(st.lists(st.tuples(st.sampled_from(TEAMS), instants), max_size=30))
+        )
+    ]
+    pulls = [
+        make_pull(i + 1, when, team=team)
+        for i, (team, when) in enumerate(
+            draw(st.lists(st.tuples(st.sampled_from(TEAMS), instants), max_size=15))
+        )
+    ]
+    # a story may list sprints of the other team, which must not put it in their backlog
+    stories = [
+        make_story(
+            i + 1,
+            sprints=tuple(members),
+            team=team,
+            state=state,
+        )
+        for i, (team, members, state) in enumerate(
+            draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(TEAMS),
+                        st.lists(st.sampled_from(sprint_ids), unique=True, max_size=4),
+                        st.sampled_from(("open", "closed")),
+                    ),
+                    max_size=12,
+                )
+            )
+        )
+    ]
+    return build_history(commits=commits, stories=stories, sprints=sprints, pulls=pulls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=histories())
+def test_indexed_lookups_match_linear_scans(history):
+    config = MetricConfig()
+    threshold = config.multi_backlog.threshold_amount
+    nows = (T0 + 3 * DAY, T0 + 100 * DAY)
+    for team in history.teams:
+        assert history.sprints_of(team) == tuple(
+            sorted((s for s in history.sprints if s.team == team), key=lambda s: (s.due_on, s.id))
+        )
+        for sprint in history.sprints_of(team):
+            slice_ = window(history, team, sprint.id)
+            assert (slice_.commits, slice_.stories, slice_.pulls) == scan_window(history, team, sprint.id)
+
+            result = detect_multi_backlog(history, team, sprint, config)
+            got = [(v.artifacts[0], v.numeric_detail["sprint_count"]) for v in result.violations]
+            assert (result.inputs_echo.get("total_stories", 0), got) == scan_multi_backlog(
+                history, sprint, threshold
+            )
+
+            for now in nows:
+                block = unfinished_stories(history, sprint.id, now)
+                got = None if block is None else (block.amount, block.story_numbers, block.total)
+                assert got == scan_unfinished(history, sprint.id, now)
+
+
+def test_window_shares_the_meeting_instant_of_back_to_back_sprints():
+    first = make_sprint("s1", start=T0, days=SPRINT_DAYS)
+    second = make_sprint("s2", start=first.due_on, days=SPRINT_DAYS)
+    commits = [make_commit("c-meet", first.due_on), make_commit("c-start", T0)]
+    pulls = [make_pull(1, first.due_on), make_pull(2, second.due_on)]
+    history = build_history(commits=commits, sprints=[first, second], pulls=pulls)
+    assert [c.id for c in window(history, TEAM, "s1").commits] == ["c-meet", "c-start"]
+    assert [c.id for c in window(history, TEAM, "s2").commits] == ["c-meet"]
+    assert [p.number for p in window(history, TEAM, "s1").pulls] == [1]
+    assert [p.number for p in window(history, TEAM, "s2").pulls] == [1, 2]
 
 
 def test_metric_result_rejects_out_of_range_score():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 
 import pytest
@@ -200,3 +201,11 @@ def test_trend_csv_format_and_gaps():
     assert lines[1] == "alpha,huge-stories,Sprint 1,2015-01-19T00:00:00Z,80.0"
     assert lines[2].endswith(",")  # gap renders as an empty score cell
     assert lines[3].endswith(",70.5")
+
+
+def test_trend_csv_quotes_a_title_with_a_comma():
+    history = build_history(sprints=[make_sprint(title="Sprint 1, hotfix")])
+    text = trend_csv(trend(history, [_result("huge-stories", 80.0)]))
+    rows = list(csv.reader(text.splitlines()))
+    assert all(len(row) == 5 for row in rows)
+    assert rows[1][2] == "Sprint 1, hotfix"
