@@ -1,0 +1,68 @@
+"""Byte-identity guard: the default config digest and the rendered outputs.
+
+The expected values were computed once and must not move with refactors.
+A change that alters a report, a trend CSV or the config document on
+purpose updates them here, and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from sprintlint import (
+    MetricConfig,
+    aggregate_all,
+    build_report,
+    default_registry,
+    render_json,
+    render_markdown,
+    run_all,
+    trend,
+    trend_csv,
+)
+from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
+
+# every directive, so each of the nine checks emits or moves something
+ALL_DIRECTIVES = InjectionSpec(
+    hot_files=(2, 12, 1),
+    tdd_regressions=2,
+    huge_stories=(1, 12.0),
+    neverending_stories=(1, 3),
+    duplicate_stories=2,
+    last_minute_commits=3,
+    idle_developers=1,
+    backlog_overflow=1,
+    silent_fast_pulls=2,
+)
+
+EXPECTED_CONFIG_DIGEST = "5bfc7f0506f4fcb80ea1290e96bb646faf89755cd3390be3d7199ad41076eda6"
+EXPECTED_SHA256 = {
+    "json": "c0e9af6b5670f29554b2d0ca403b474fa13a2eba5e002ea4ea1a9dfcaf4a538d",
+    "markdown": "d469aaab8624b8e8999fe10c9ce01845c83c791a5c4f6c093473b0e1eb608e38",
+    "trend_csv": "7cb3cea8d2451ca899574c0ae449e46149fd0209fa5b29ead31cfac174cd7d8b",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_default_config_digest_is_pinned():
+    assert MetricConfig().digest() == EXPECTED_CONFIG_DIGEST
+
+
+def test_rendered_outputs_are_pinned():
+    spec = FixtureSpec(teams=2, sprints=4)
+    clean, _ = generate(spec)
+    history, _ = inject(clean, ALL_DIRECTIVES, spec.seed)
+    registry = default_registry()
+    config = MetricConfig()
+    report = build_report(history, registry, config)
+    results = run_all(registry, history, config)
+    scores = aggregate_all(results, registry, config)
+    actual = {
+        "json": _sha256(render_json(report, history)),
+        "markdown": _sha256(render_markdown(report, history, registry)),
+        "trend_csv": _sha256(trend_csv(trend(history, results, scores))),
+    }
+    assert actual == EXPECTED_SHA256
