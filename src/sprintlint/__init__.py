@@ -7,6 +7,9 @@ by severity into per-sprint team grades. A seeded fixture generator and
 violation injector provide exact oracles for testing the detectors.
 """
 
+# defined before the submodule imports, which read it back from the package
+__version__ = "0.1.0"
+
 from .catalog import (
     DESCRIPTORS,
     FileEditProfile,
@@ -26,8 +29,6 @@ from .catalog import (
 from .config import METRIC_NAMES, MetricConfig, config_from_dict, load_config
 from .engine import (
     MetricRegistry,
-    RatingFunction,
-    RatingKind,
     capped_linear,
     cutoff_parabola,
     evaluate,
@@ -75,5 +76,3 @@ from .model import (
 )
 from .report import RunReport, build_report, render_json, render_markdown
 from .scoring import TeamSprintScore, TrendSeries, aggregate, aggregate_all, trend, trend_csv
-
-__version__ = "0.1.0"

@@ -10,15 +10,13 @@ so absence of data never masquerades as conformance or violation.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import config as cfg
 from .config import MetricConfig
 from .engine import (
+    Detector,
     MetricRegistry,
-    RatingFunction,
-    RatingKind,
     RegisteredMetric,
     capped_linear,
     cutoff_parabola,
@@ -27,14 +25,12 @@ from .engine import (
 )
 from .ingest import count_checkboxes, story_text_length
 from .model import (
-    BuildStats,
     DataSource,
     Effort,
     MetricDescriptor,
     MetricResult,
     ProjectHistory,
     Severity,
-    Sprint,
     SprintSlice,
     Violation,
 )
@@ -119,15 +115,14 @@ def detect_collective_ownership(slice_: SprintSlice, config: MetricConfig) -> Me
     )
 
 
-def detect_test_later(
-    slice_: SprintSlice, stats_by_commit: Mapping[str, BuildStats], config: MetricConfig
-) -> MetricResult:
+def detect_test_later(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
     """Flag commits that raised complexity while coverage fell against their parent.
 
     Merge commits and commits without stats for both sides are skipped;
     comparisons only make sense along a single parent edge.
     """
     settings = config.for_metric(cfg.TEST_LATER)
+    stats_by_commit = slice_.stats_by_commit
     with_stats = [c for c in slice_.commits if c.id in stats_by_commit]
     if not with_stats:
         return _not_applicable(cfg.TEST_LATER, slice_, "no commit in this sprint has build stats")
@@ -231,9 +226,7 @@ def detect_huge_stories(slice_: SprintSlice, config: MetricConfig) -> MetricResu
     )
 
 
-def detect_multi_backlog(
-    history: ProjectHistory, team: str, sprint: Sprint, config: MetricConfig
-) -> MetricResult:
+def detect_multi_backlog(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
     """Flag stories that have been carried through too many sprint backlogs.
 
     Membership is counted over the story's whole assignment history up to and
@@ -241,23 +234,24 @@ def detect_multi_backlog(
     earlier sprint retroactively.
     """
     settings = config.for_metric(cfg.MULTI_BACKLOG)
-    backlog = history.backlog(team, sprint.id)
-    slice_like = SprintSlice(team=team, sprint=sprint, commits=(), stories=backlog, pulls=())
+    backlog = slice_.stories
     if not backlog:
-        return _not_applicable(cfg.MULTI_BACKLOG, slice_like, "no stories in this sprint's backlog")
+        return _not_applicable(cfg.MULTI_BACKLOG, slice_, "no stories in this sprint's backlog")
+    due_on = slice_.sprint.due_on
+    sprints_by_id = slice_.sprints_by_id
     violations = []
     counts = []
     for story in backlog:
         memberships = sum(
-            1 for sid in story.sprint_memberships if history.sprint(sid).due_on <= sprint.due_on
+            1 for sid in story.sprint_memberships if sprints_by_id[sid].due_on <= due_on
         )
         if memberships > settings.threshold_amount:
             counts.append(memberships)
             violations.append(
                 Violation(
                     metric=cfg.MULTI_BACKLOG,
-                    team=team,
-                    sprint=sprint.id,
+                    team=slice_.team,
+                    sprint=slice_.sprint.id,
                     artifacts=(story_ref(story.number),),
                     detail=f"story #{story.number} has been in {memberships} sprint backlogs",
                     numeric_detail={"sprint_count": memberships},
@@ -266,8 +260,8 @@ def detect_multi_backlog(
     avg_in_sprints = sum(counts) / len(counts) if counts else 1.0
     return MetricResult(
         metric=cfg.MULTI_BACKLOG,
-        team=team,
-        sprint=sprint.id,
+        team=slice_.team,
+        sprint=slice_.sprint.id,
         violations=tuple(violations),
         score=ratio_linear(len(violations), len(backlog), settings.weight, avg_in_sprints),
         inputs_echo={
@@ -350,15 +344,14 @@ def detect_last_minute(slice_: SprintSlice, config: MetricConfig) -> MetricResul
     )
 
 
-def detect_no_committing(
-    slice_: SprintSlice, team_developers: frozenset[str], config: MetricConfig
-) -> MetricResult:
+def detect_no_committing(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
     """Score the team's average commits per developer; name anyone who committed nothing.
 
     The score comes from the average alone. The zero-committer list is an
     informational violation for the humans doing context analysis.
     """
     settings = config.for_metric(cfg.COMMIT_ACTIVITY)
+    team_developers = slice_.developers
     if not team_developers:
         return _not_applicable(cfg.COMMIT_ACTIVITY, slice_, "team has no known developers")
     committed = {c.author for c in slice_.commits}
@@ -391,9 +384,7 @@ def detect_no_committing(
     )
 
 
-def detect_daily_story_quota(
-    slice_: SprintSlice, team_developer_count: int, config: MetricConfig
-) -> MetricResult:
+def detect_daily_story_quota(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
     """Rate the sprint's staffing quota (developers per backlog story per day).
 
     The quota feeds the cut-off parabola: an optimal band scores 100, both
@@ -404,6 +395,7 @@ def detect_daily_story_quota(
     backlog_size = len(slice_.stories)
     if backlog_size == 0:
         return _not_applicable(cfg.DAILY_STORY_LOAD, slice_, "no stories in this sprint's backlog")
+    team_developer_count = len(slice_.developers)
     length_days = slice_.sprint.length_days
     quota = team_developer_count / backlog_size / length_days
     return MetricResult(
@@ -664,43 +656,22 @@ DESCRIPTORS: dict[str, MetricDescriptor] = {
     ),
 }
 
-RATING_FUNCTIONS: dict[str, RatingFunction] = {
-    cfg.COLLECTIVE_OWNERSHIP: RatingFunction(RatingKind.THRESHOLD_LINEAR, {"weight": 10.0}),
-    cfg.TEST_LATER: RatingFunction(RatingKind.RATIO_LINEAR, {"weight": 2.0}),
-    cfg.HUGE_STORIES: RatingFunction(RatingKind.THRESHOLD_LINEAR, {"weight": 25.0}),
-    cfg.MULTI_BACKLOG: RatingFunction(RatingKind.RATIO_LINEAR, {"weight": 1.0}),
-    cfg.DUPLICATE_STORIES: RatingFunction(RatingKind.RATIO_LINEAR, {"weight": 1.0}),
-    cfg.LAST_MINUTE: RatingFunction(RatingKind.RATIO_LINEAR, {"weight": 1.0}),
-    cfg.COMMIT_ACTIVITY: RatingFunction(RatingKind.CAPPED_LINEAR, {"weight": 10.0}),
-    cfg.DAILY_STORY_LOAD: RatingFunction(
-        RatingKind.CUTOFF_PARABOLA, {"weight_a": 200.0, "weight_b": 100.0}
-    ),
-    cfg.FAST_PULLS: RatingFunction(RatingKind.RATIO_LINEAR, {"weight": 1.0}),
+DETECTORS: dict[str, Detector] = {
+    cfg.COLLECTIVE_OWNERSHIP: detect_collective_ownership,
+    cfg.TEST_LATER: detect_test_later,
+    cfg.HUGE_STORIES: detect_huge_stories,
+    cfg.MULTI_BACKLOG: detect_multi_backlog,
+    cfg.DUPLICATE_STORIES: detect_duplicates,
+    cfg.LAST_MINUTE: detect_last_minute,
+    cfg.COMMIT_ACTIVITY: detect_no_committing,
+    cfg.DAILY_STORY_LOAD: detect_daily_story_quota,
+    cfg.FAST_PULLS: detect_fast_pulls,
 }
 
 
 def default_registry() -> MetricRegistry:
-    """All nine built-in metrics, in their canonical order."""
+    """All nine built-in metrics, in the order of `config.METRIC_NAMES`."""
     registry = MetricRegistry()
-
-    def adapt(name, call):
-        registry.register(
-            RegisteredMetric(descriptor=DESCRIPTORS[name], rating=RATING_FUNCTIONS[name], detector=call)
-        )
-
-    adapt(cfg.COLLECTIVE_OWNERSHIP, lambda h, s, c: detect_collective_ownership(s, c))
-    adapt(cfg.TEST_LATER, lambda h, s, c: detect_test_later(s, h.stats_by_commit, c))
-    adapt(cfg.HUGE_STORIES, lambda h, s, c: detect_huge_stories(s, c))
-    adapt(cfg.MULTI_BACKLOG, lambda h, s, c: detect_multi_backlog(h, s.team, s.sprint, c))
-    adapt(cfg.DUPLICATE_STORIES, lambda h, s, c: detect_duplicates(s, c))
-    adapt(cfg.LAST_MINUTE, lambda h, s, c: detect_last_minute(s, c))
-    adapt(
-        cfg.COMMIT_ACTIVITY,
-        lambda h, s, c: detect_no_committing(s, h.developers.get(s.team, frozenset()), c),
-    )
-    adapt(
-        cfg.DAILY_STORY_LOAD,
-        lambda h, s, c: detect_daily_story_quota(s, len(h.developers.get(s.team, frozenset())), c),
-    )
-    adapt(cfg.FAST_PULLS, lambda h, s, c: detect_fast_pulls(s, c))
+    for name in cfg.METRIC_NAMES:
+        registry.register(RegisteredMetric(descriptor=DESCRIPTORS[name], detector=DETECTORS[name]))
     return registry

@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import __version__
 from .catalog import default_registry
 from .config import MetricConfig, load_config
 from .engine import run_all
@@ -37,7 +38,7 @@ from .ingest import (
     write_sprints,
     write_stats,
 )
-from .report import TOOL_VERSION, build_report, render_json, render_markdown
+from .report import build_report, render_json, render_markdown
 from .scoring import aggregate_all, trend, trend_csv
 from .serialize import canonical_json, parse_iso_utc
 
@@ -72,6 +73,13 @@ def _read_json_file(path: str) -> dict:
     return raw
 
 
+def _string_map(raw: dict, key: str, path: str) -> dict[str, str]:
+    value = raw.get(key, {})
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise SprintLintError(f"{path}: {key} must be an object mapping names to strings")
+    return value
+
+
 def _manifest_from_args(args: argparse.Namespace) -> IngestManifest:
     team_map: dict[str, str] = {}
     alias_map: dict[str, str] = {}
@@ -83,9 +91,11 @@ def _manifest_from_args(args: argparse.Namespace) -> IngestManifest:
         base = Path(args.manifest).parent
         for key in paths:
             if raw.get(key) is not None:
+                if not isinstance(raw[key], str):
+                    raise SprintLintError(f"{args.manifest}: {key} must be a file path string")
                 paths[key] = base / raw[key]
-        team_map = dict(raw.get("team_map", {}))
-        alias_map = dict(raw.get("alias_map", {}))
+        team_map = _string_map(raw, "team_map", args.manifest)
+        alias_map = _string_map(raw, "alias_map", args.manifest)
     for key in paths:
         value = getattr(args, key)
         if value is not None:
@@ -204,7 +214,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="sprintlint",
         description="Detect agile-process violations in exported development data.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {TOOL_VERSION}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse export files into a validated snapshot")

@@ -49,73 +49,63 @@ DEFAULT_SEVERITY_WEIGHTS: dict[Severity, float] = {
 
 
 @dataclass(frozen=True)
-class CollectiveOwnershipSettings:
+class MetricSettings:
+    """The switches every metric has; each subclass adds that metric's knobs."""
+
     enabled: bool = True
     severity_override: Severity | None = None
+
+
+@dataclass(frozen=True)
+class CollectiveOwnershipSettings(MetricSettings):
     weight: float = 10.0
     threshold_e: int = 10
     threshold_a: int = 2
 
 
 @dataclass(frozen=True)
-class TestLaterSettings:
-    enabled: bool = True
-    severity_override: Severity | None = None
+class TestLaterSettings(MetricSettings):
     weight: float = 2.0
 
 
 @dataclass(frozen=True)
-class HugeStoriesSettings:
-    enabled: bool = True
-    severity_override: Severity | None = None
+class HugeStoriesSettings(MetricSettings):
     weight: float = 25.0
     threshold_length: float = 3.0
     threshold_check: float = 3.0
 
 
 @dataclass(frozen=True)
-class MultiBacklogSettings:
-    enabled: bool = True
-    severity_override: Severity | None = None
+class MultiBacklogSettings(MetricSettings):
     weight: float = 1.0
     threshold_amount: int = 1
 
 
 @dataclass(frozen=True)
-class DuplicateStoriesSettings:
-    enabled: bool = True
-    severity_override: Severity | None = None
+class DuplicateStoriesSettings(MetricSettings):
     weight: float = 1.0
     duplicate_label: str = "duplicate"
 
 
 @dataclass(frozen=True)
-class LastMinuteSettings:
-    enabled: bool = True
-    severity_override: Severity | None = None
+class LastMinuteSettings(MetricSettings):
     weight: float = 1.0
     last_minute_window_minutes: float = 120.0
 
 
 @dataclass(frozen=True)
-class CommitActivitySettings:
-    enabled: bool = True
-    severity_override: Severity | None = None
+class CommitActivitySettings(MetricSettings):
     weight: float = 10.0
 
 
 @dataclass(frozen=True)
-class DailyStoryLoadSettings:
-    enabled: bool = True
-    severity_override: Severity | None = None
+class DailyStoryLoadSettings(MetricSettings):
     weight_a: float = 200.0
     weight_b: float = 100.0
 
 
 @dataclass(frozen=True)
-class FastPullsSettings:
-    enabled: bool = True
-    severity_override: Severity | None = None
+class FastPullsSettings(MetricSettings):
     fast_pr_window_minutes: float = 60.0
 
 

@@ -9,9 +9,8 @@ an optimal band and falls off on both sides). All outputs are clamped into
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass
-from enum import Enum
 
 from .config import MetricConfig
 from .errors import SprintLintError
@@ -22,24 +21,6 @@ from .model import (
     SprintSlice,
     window,
 )
-
-
-class RatingKind(str, Enum):
-    THRESHOLD_LINEAR = "threshold_linear"
-    RATIO_LINEAR = "ratio_linear"
-    CAPPED_LINEAR = "capped_linear"
-    CUTOFF_PARABOLA = "cutoff_parabola"
-
-
-@dataclass(frozen=True)
-class RatingFunction:
-    """Declarative description of how a metric maps its operands to a score."""
-
-    kind: RatingKind
-    parameters: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parameters", dict(self.parameters))
 
 
 class ZeroTotalError(SprintLintError):
@@ -76,13 +57,12 @@ def cutoff_parabola(quota: float, weight_a: float, weight_b: float) -> float:
     return clamp_score(weight_a * quota - weight_b * quota * quota)
 
 
-Detector = Callable[[ProjectHistory, SprintSlice, MetricConfig], MetricResult]
+Detector = Callable[[SprintSlice, MetricConfig], MetricResult]
 
 
 @dataclass(frozen=True)
 class RegisteredMetric:
     descriptor: MetricDescriptor
-    rating: RatingFunction
     detector: Detector
 
 
@@ -135,7 +115,7 @@ def evaluate(
     if slice_ is None:
         slice_ = window(history, team, sprint_id)
     try:
-        return metric.detector(history, slice_, config)
+        return metric.detector(slice_, config)
     except Exception as exc:  # single-metric failures must not abort a run
         return MetricResult(
             metric=name,
@@ -143,7 +123,7 @@ def evaluate(
             sprint=sprint_id,
             violations=(),
             score=None,
-            diagnostic=f"detector failed: {exc}",
+            diagnostic=f"detector failed: {type(exc).__name__}: {exc}",
         )
 
 

@@ -113,6 +113,18 @@ class InjectionSpec:
     backlog_overflow: int = 0
     silent_fast_pulls: int = 0
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            for i, part in enumerate(value if isinstance(value, tuple) else (value,)):
+                kinds = (int, float) if (f.name, i) == ("huge_stories", 1) else int
+                if isinstance(part, bool) or not isinstance(part, kinds) or not 0 <= part < math.inf:
+                    raise InfeasibleFixtureError(
+                        f"{f.name} must hold finite non-negative numbers, got {value!r}"
+                    )
+
     def empty(self) -> bool:
         return all(
             getattr(self, f.name) in (None, 0) for f in fields(self)
@@ -141,17 +153,21 @@ class InjectionSpec:
 
 
 def injection_from_dict(raw: Mapping) -> InjectionSpec:
-    def triple(entry: Mapping, keys: tuple[str, ...]):
+    def triple(key: str, entry: object, keys: tuple[str, ...]):
+        if not isinstance(entry, Mapping) or set(entry) != set(keys):
+            raise InfeasibleFixtureError(
+                f"injection directive {key!r} must be an object with keys {', '.join(keys)}"
+            )
         return tuple(entry[k] for k in keys)
 
     kwargs: dict[str, object] = {}
     for key, value in raw.items():
         if key == "hot_files":
-            kwargs[key] = triple(value, ("count", "edits", "authors"))
+            kwargs[key] = triple(key, value, ("count", "edits", "authors"))
         elif key == "huge_stories":
-            kwargs[key] = triple(value, ("count", "length_multiplier"))
+            kwargs[key] = triple(key, value, ("count", "length_multiplier"))
         elif key == "neverending_stories":
-            kwargs[key] = triple(value, ("count", "sprints_each"))
+            kwargs[key] = triple(key, value, ("count", "sprints_each"))
         elif key in ("tdd_regressions", "duplicate_stories", "last_minute_commits",
                      "idle_developers", "backlog_overflow", "silent_fast_pulls"):
             kwargs[key] = value

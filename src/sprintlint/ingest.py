@@ -16,6 +16,7 @@ write-then-read of any valid record set is the identity.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from collections.abc import Iterable, Mapping, Sequence
@@ -327,13 +328,14 @@ def read_stats(path: str | Path) -> tuple[list[BuildStats], list[ParseIssue]]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    reader = csv.reader(text.splitlines())
-    rows = list(reader)
-    if not rows or tuple(rows[0]) != STATS_HEADER:
+    # the reader sees the raw text, so a quoted field may span lines
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if tuple(next(reader, ())) != STATS_HEADER:
         raise ParseError(f"{path} must start with header {','.join(STATS_HEADER)!r}")
     records: list[BuildStats] = []
     issues: list[ParseIssue] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for row in reader:
+        lineno = reader.line_num
         if not row:
             continue
         if len(row) != 3:

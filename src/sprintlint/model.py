@@ -285,13 +285,20 @@ class _TimeIndex:
 
 @dataclass(frozen=True)
 class SprintSlice:
-    """The artifacts attributable to one team within one sprint window."""
+    """Everything a detector sees of one team-sprint.
+
+    The team's artifacts in the sprint window and its developers, plus the
+    history's own build-stats and sprint lookups, shared rather than copied.
+    """
 
     team: str
     sprint: Sprint
     commits: tuple[Commit, ...]
     stories: tuple[UserStory, ...]
     pulls: tuple[PullRequest, ...]
+    developers: frozenset[str]
+    stats_by_commit: Mapping[str, BuildStats] = field(repr=False, compare=False)
+    sprints_by_id: Mapping[str, Sprint] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -343,10 +350,6 @@ class ProjectHistory:
             p_by_team[pull.team].append(pull)
         object.__setattr__(self, "_pulls_by_team", {t: tuple(v) for t, v in p_by_team.items()})
         object.__setattr__(self, "_time_indexes", {})
-
-    @property
-    def stats_by_commit(self) -> Mapping[str, BuildStats]:
-        return self._stats_by_commit
 
     def sprint(self, sprint_id: str) -> Sprint:
         try:
@@ -485,4 +488,7 @@ def window(history: ProjectHistory, team: str, sprint_id: str) -> SprintSlice:
         commits=commit_index.between(sprint.starts_at, sprint.due_on),
         stories=history.backlog(team, sprint_id),
         pulls=pull_index.between(sprint.starts_at, sprint.due_on),
+        developers=history.developers.get(team, frozenset()),
+        stats_by_commit=history._stats_by_commit,
+        sprints_by_id=history._sprint_by_id,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from . import __version__
 from .catalog import UnfinishedStories, unfinished_stories
 from .config import MetricConfig
 from .engine import MetricRegistry, run_all
@@ -21,7 +22,6 @@ from .scoring import TeamSprintScore, aggregate_all
 from .serialize import canonical_json, format_iso_utc
 
 TOOL_NAME = "sprintlint"
-TOOL_VERSION = "0.1.0"
 
 
 def history_horizon(history: ProjectHistory) -> float:
@@ -89,7 +89,7 @@ def build_report(
                 unfinished.append((team, block))
 
     return RunReport(
-        version=TOOL_VERSION,
+        version=__version__,
         config_digest=config.digest(),
         config=config,
         now=now,

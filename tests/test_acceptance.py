@@ -162,16 +162,16 @@ def _detectors_bounded_on_random_slices(samples: int = 300) -> bool:
             opened = rng.uniform(sprint.starts_at, sprint.due_on)
             closed = opened + rng.uniform(0.0, 4 * 3600.0) if rng.random() < 0.8 else None
             pulls.append(make_pull(i + 1, opened, closed=closed, comments=rng.randrange(0, 3)))
-        slice_ = make_slice(sprint, commits=commits, stories=stories, pulls=pulls)
         devs = frozenset({f"d{k}@a" for k in range(3)})
+        slice_ = make_slice(sprint, commits=commits, stories=stories, pulls=pulls, developers=devs)
         results = [
             detect_collective_ownership(slice_, CONFIG),
-            detect_test_later(slice_, {}, CONFIG),
+            detect_test_later(slice_, CONFIG),
             detect_huge_stories(slice_, CONFIG),
             detect_duplicates(slice_, CONFIG),
             detect_last_minute(slice_, CONFIG),
-            detect_no_committing(slice_, devs, CONFIG),
-            detect_daily_story_quota(slice_, len(devs), CONFIG),
+            detect_no_committing(slice_, CONFIG),
+            detect_daily_story_quota(slice_, CONFIG),
             detect_fast_pulls(slice_, CONFIG),
         ]
         for result in results:

@@ -105,7 +105,7 @@ def test_test_later_equal_complexity_is_not_a_violation():
         make_commit("c", T0 + 60, parents=("p",)),
     ]
     stats = _stats([("p", 80.0, 10.0), ("c", 70.0, 10.0)])  # coverage fell, complexity flat
-    result = detect_test_later(make_slice(make_sprint(), commits=commits), stats, CONFIG)
+    result = detect_test_later(make_slice(make_sprint(), commits=commits, stats=stats), CONFIG)
     assert result.violations == () and result.score == 100.0
 
 
@@ -120,7 +120,7 @@ def test_test_later_two_of_eight_regressions():
             pairs.append((f"c{i}", pairs[-1][1] - 2.0, pairs[-1][2] + 1.0))
         else:
             pairs.append((f"c{i}", pairs[-1][1] + 1.0, pairs[-1][2] + 1.0))
-    result = detect_test_later(make_slice(make_sprint(), commits=commits), _stats(pairs), config)
+    result = detect_test_later(make_slice(make_sprint(), commits=commits, stats=_stats(pairs)), config)
     assert sorted(v.artifacts[0] for v in result.violations) == ["c3", "c5"]
     assert result.score == 50.0  # 100 - 2/8 * 100 * 2
 
@@ -132,13 +132,13 @@ def test_test_later_merge_commit_skipped():
         make_commit("m", T0 + 120, parents=("a", "b")),
     ]
     stats = _stats([("a", 90.0, 10.0), ("b", 80.0, 12.0), ("m", 10.0, 99.0)])
-    result = detect_test_later(make_slice(make_sprint(), commits=commits), stats, CONFIG)
+    result = detect_test_later(make_slice(make_sprint(), commits=commits, stats=stats), CONFIG)
     assert result.violations == ()
 
 
 def test_test_later_without_stats_is_not_applicable():
     commits = [make_commit("c1", T0)]
-    result = detect_test_later(make_slice(make_sprint(), commits=commits), {}, CONFIG)
+    result = detect_test_later(make_slice(make_sprint(), commits=commits), CONFIG)
     assert result.score is None and "stats" in result.diagnostic
 
 
@@ -220,13 +220,13 @@ def _membership_history(counts):
 
 def test_multi_backlog_fresh_stories_score_100():
     history, sprint = _membership_history([1] * 10)
-    result = detect_multi_backlog(history, TEAM, sprint, CONFIG)
+    result = detect_multi_backlog(window(history, TEAM, sprint.id), CONFIG)
     assert result.violations == () and result.score == 100.0
 
 
 def test_multi_backlog_two_of_ten_in_three_sprints():
     history, sprint = _membership_history([3, 3] + [1] * 8)
-    result = detect_multi_backlog(history, TEAM, sprint, CONFIG)
+    result = detect_multi_backlog(window(history, TEAM, sprint.id), CONFIG)
     assert sorted(v.artifacts[0] for v in result.violations) == ["#1", "#2"]
     assert result.inputs_echo["avg_in_sprints"] == 3.0
     assert result.score == 40.0  # 100 - 2/10 * 100 * 3 * 1
@@ -234,7 +234,7 @@ def test_multi_backlog_two_of_ten_in_three_sprints():
 
 def test_multi_backlog_one_of_ten_in_two_sprints():
     history, sprint = _membership_history([2] + [1] * 9)
-    result = detect_multi_backlog(history, TEAM, sprint, CONFIG)
+    result = detect_multi_backlog(window(history, TEAM, sprint.id), CONFIG)
     assert result.score == 80.0  # 100 - 1/10 * 100 * 2
 
 
@@ -245,9 +245,9 @@ def test_multi_backlog_counts_only_up_to_evaluated_sprint():
     ]
     story = make_story(1, sprints=("s1", "s2", "s3"))
     history = build_history(stories=[story], sprints=sprints)
-    early = detect_multi_backlog(history, TEAM, sprints[0], CONFIG)
+    early = detect_multi_backlog(window(history, TEAM, sprints[0].id), CONFIG)
     assert early.violations == () and early.score == 100.0
-    late = detect_multi_backlog(history, TEAM, sprints[2], CONFIG)
+    late = detect_multi_backlog(window(history, TEAM, sprints[2].id), CONFIG)
     assert len(late.violations) == 1
     assert late.violations[0].numeric_detail["sprint_count"] == 3
 
@@ -255,7 +255,7 @@ def test_multi_backlog_counts_only_up_to_evaluated_sprint():
 def test_multi_backlog_threshold_is_configurable():
     history, sprint = _membership_history([2] + [1] * 9)
     config = MetricConfig(multi_backlog=MultiBacklogSettings(threshold_amount=2))
-    result = detect_multi_backlog(history, TEAM, sprint, config)
+    result = detect_multi_backlog(window(history, TEAM, sprint.id), config)
     assert result.violations == () and result.score == 100.0
 
 
@@ -325,7 +325,7 @@ def test_last_minute_no_commits_not_applicable():
 
 def test_no_committing_zero_commits_scores_zero():
     devs = frozenset({f"d{i}@a" for i in range(5)})
-    result = detect_no_committing(make_slice(make_sprint()), devs, CONFIG)
+    result = detect_no_committing(make_slice(make_sprint(), developers=devs), CONFIG)
     assert result.score == 0.0
     assert result.violations[0].artifacts == tuple(sorted(devs))
 
@@ -333,7 +333,7 @@ def test_no_committing_zero_commits_scores_zero():
 def test_no_committing_thirty_commits_five_devs():
     devs = frozenset({f"d{i}@a" for i in range(5)})
     commits = [make_commit(f"c{i}", T0 + i, author=f"d{i % 5}@a") for i in range(30)]
-    result = detect_no_committing(make_slice(make_sprint(), commits=commits), devs, CONFIG)
+    result = detect_no_committing(make_slice(make_sprint(), commits=commits, developers=devs), CONFIG)
     assert result.score == 60.0  # 30/5 * 10
     assert result.violations == ()
 
@@ -341,29 +341,33 @@ def test_no_committing_thirty_commits_five_devs():
 def test_no_committing_caps_at_100():
     devs = frozenset({f"d{i}@a" for i in range(5)})
     commits = [make_commit(f"c{i}", T0 + i, author=f"d{i % 5}@a") for i in range(80)]
-    result = detect_no_committing(make_slice(make_sprint(), commits=commits), devs, CONFIG)
+    result = detect_no_committing(make_slice(make_sprint(), commits=commits, developers=devs), CONFIG)
     assert result.score == 100.0  # 80/5 * 10 = 160, capped
 
 
 def test_no_committing_names_silent_developers():
     devs = frozenset({"busy@a", "idle@a"})
     commits = [make_commit("c1", T0, author="busy@a")]
-    result = detect_no_committing(make_slice(make_sprint(), commits=commits), devs, CONFIG)
+    result = detect_no_committing(make_slice(make_sprint(), commits=commits, developers=devs), CONFIG)
     assert result.violations[0].artifacts == ("idle@a",)
 
 
 def test_no_committing_without_developers_not_applicable():
-    result = detect_no_committing(make_slice(make_sprint()), frozenset(), CONFIG)
+    result = detect_no_committing(make_slice(make_sprint()), CONFIG)
     assert result.score is None
 
 
 # --- daily story quota -----------------------------------------------------------
 
 
+def _devs(count):
+    return {f"d{i}@a" for i in range(count)}
+
+
 def test_daily_quota_echoes_operands():
     sprint = make_sprint(days=14.0)
     stories = [make_story(i + 1) for i in range(16)]
-    result = detect_daily_story_quota(make_slice(sprint, stories=stories), 8, CONFIG)
+    result = detect_daily_story_quota(make_slice(sprint, stories=stories, developers=_devs(8)), CONFIG)
     assert result.inputs_echo["quota"] == 8 / 16 / 14.0
     assert result.inputs_echo["quota"] == pytest.approx(0.0357142857, rel=1e-9)
     assert result.violations == ()
@@ -372,19 +376,19 @@ def test_daily_quota_echoes_operands():
 def test_daily_quota_at_vertex_is_perfect():
     sprint = make_sprint(days=2.0)
     stories = [make_story(i + 1) for i in range(3)]  # 6 devs / 3 stories / 2 days = 1
-    result = detect_daily_story_quota(make_slice(sprint, stories=stories), 6, CONFIG)
+    result = detect_daily_story_quota(make_slice(sprint, stories=stories, developers=_devs(6)), CONFIG)
     assert result.score == 100.0
 
 
 def test_daily_quota_half_scores_75():
     sprint = make_sprint(days=1.0)
     stories = [make_story(i + 1) for i in range(4)]  # 2 devs / 4 stories / 1 day = 0.5
-    result = detect_daily_story_quota(make_slice(sprint, stories=stories), 2, CONFIG)
+    result = detect_daily_story_quota(make_slice(sprint, stories=stories, developers=_devs(2)), CONFIG)
     assert result.score == 75.0
 
 
 def test_daily_quota_empty_backlog_not_applicable():
-    result = detect_daily_story_quota(make_slice(make_sprint()), 5, CONFIG)
+    result = detect_daily_story_quota(make_slice(make_sprint(), developers=_devs(5)), CONFIG)
     assert result.score is None
 
 

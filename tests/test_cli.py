@@ -221,6 +221,26 @@ def test_generate_infeasible_spec_exits_2(tmp_path):
     assert main(["generate", "--spec", str(spec_path), "--out-dir", str(tmp_path / "f")]) == 2
 
 
+def test_generate_malformed_injection_exits_2(tmp_path, capsys):
+    inject_path = tmp_path / "inject.json"
+    inject_path.write_text(json.dumps({"hot_files": 3}), encoding="utf-8")
+    argv = ["generate", "--inject", str(inject_path), "--out-dir", str(tmp_path / "f")]
+    assert main(argv) == 2
+    assert "hot_files" in capsys.readouterr().err
+
+
+def test_ingest_malformed_manifest_maps_exit_2(tmp_path, capsys):
+    out_dir = _generate(tmp_path)
+    for bad in ({"team_map": [1]}, {"alias_map": {"ann": 7}}):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"commits": str(out_dir / "commits.ndjson"), **bad}), encoding="utf-8"
+        )
+        code = main(["ingest", "--manifest", str(manifest), "--out", str(tmp_path / "snap.json")])
+        assert code == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+
+
 def test_injected_ledger_refound_by_lint(tmp_path):
     out_dir = _generate(tmp_path, inject={"last_minute_commits": 2})
     snapshot = _ingest(tmp_path, out_dir)

@@ -142,16 +142,17 @@ def test_evaluate_detector_failure_becomes_diagnostic():
     registry = default_registry()
     broken = registry.get("duplicate-stories")
 
-    def boom(h, s, c):
+    def boom(s, c):
         raise RuntimeError("kaput")
 
     custom = MetricRegistry()
-    custom.register(RegisteredMetric(broken.descriptor, broken.rating, boom))
+    custom.register(RegisteredMetric(broken.descriptor, boom))
     sprint = history.sprints[0]
     result = evaluate(custom, "duplicate-stories", history, sprint.team, sprint.id, MetricConfig())
     assert result is not None
     assert result.score is None
     assert "kaput" in result.diagnostic
+    assert "RuntimeError" in result.diagnostic
 
 
 def test_run_all_cardinality():

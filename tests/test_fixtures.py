@@ -188,6 +188,21 @@ def test_injection_feasibility_checks():
         inject(base, InjectionSpec(neverending_stories=(1, 1)), seed=1)
 
 
+@pytest.mark.parametrize(
+    "directive",
+    [
+        {"silent_fast_pulls": -2},
+        {"tdd_regressions": -1},
+        {"hot_files": (-1, 12, 1)},
+        {"huge_stories": (-1, 12.0)},
+        {"neverending_stories": (2, -3)},
+    ],
+)
+def test_injection_spec_rejects_negative_counts(directive):
+    with pytest.raises(InfeasibleFixtureError, match="non-negative"):
+        InjectionSpec(**directive)
+
+
 def test_injection_spec_json_round_trip():
     spec = InjectionSpec(hot_files=(1, 12, 2), duplicate_stories=3, huge_stories=(2, 12.0))
     assert injection_from_dict(spec.to_dict()) == spec

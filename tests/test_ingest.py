@@ -176,6 +176,16 @@ def test_read_stats_rejects_out_of_range_coverage(tmp_path):
     assert len(issues) == 1 and "abc" in issues[0].message
 
 
+def test_read_stats_issue_line_counts_a_quoted_newline(tmp_path):
+    path = tmp_path / "stats.csv"
+    path.write_text(
+        'commit_id,coverage_percent,complexity\n"a\nb",50,5\nabc,101,5\n', encoding="utf-8"
+    )
+    records, issues = read_stats(path)
+    assert [r.commit_id for r in records] == ["a\nb"]
+    assert [i.location for i in issues] == [4]
+
+
 def test_read_stats_unknown_commit_deferred_to_build(tmp_path):
     path = tmp_path / "stats.csv"
     path.write_text(
@@ -191,11 +201,12 @@ def test_read_stats_unknown_commit_deferred_to_build(tmp_path):
 
 def test_stats_commit_id_with_a_comma_round_trips(tmp_path):
     path = tmp_path / "stats.csv"
-    row = BuildStats(commit_id="abc,def", coverage_percent=81.5, complexity=120.0)
-    write_stats(path, [row])
-    records, issues = read_stats(path)
-    assert issues == []
-    assert records == [row]
+    for commit_id in ("abc,def", "a\nb"):
+        row = BuildStats(commit_id=commit_id, coverage_percent=81.5, complexity=120.0)
+        write_stats(path, [row])
+        records, issues = read_stats(path)
+        assert issues == []
+        assert records == [row]
 
 
 def test_read_stats_requires_header(tmp_path):

@@ -259,7 +259,7 @@ def test_indexed_lookups_match_linear_scans(history):
             slice_ = window(history, team, sprint.id)
             assert (slice_.commits, slice_.stories, slice_.pulls) == scan_window(history, team, sprint.id)
 
-            result = detect_multi_backlog(history, team, sprint, config)
+            result = detect_multi_backlog(slice_, config)
             got = [(v.artifacts[0], v.numeric_detail["sprint_count"]) for v in result.violations]
             assert (result.inputs_echo.get("total_stories", 0), got) == scan_multi_backlog(
                 history, sprint, threshold
