@@ -7,9 +7,11 @@ Exit codes follow lint-tool convention: 0 for success, 1 when a policy gate
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +82,25 @@ def _string_map(raw: dict, key: str, path: str) -> dict[str, str]:
     return value
 
 
+def _load(load: Callable, source: object):
+    """Run one history load with the cyclic collector paused.
+
+    A load builds an acyclic record for every exported item, so collector
+    passes during it free nothing and only cost time. The loaded history
+    lives until the process exits, so after a successful load it is frozen
+    out of every later pass. The collector's prior state is restored.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loaded = load(source)
+        gc.freeze()
+        return loaded
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _manifest_from_args(args: argparse.Namespace) -> IngestManifest:
     team_map: dict[str, str] = {}
     alias_map: dict[str, str] = {}
@@ -113,13 +134,13 @@ def _manifest_from_args(args: argparse.Namespace) -> IngestManifest:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args(args)
-    history, diagnostics = load_history(manifest)
+    history, diagnostics = _load(load_history, manifest)
     parse_problems = [d for d in diagnostics if not d.endswith("(shallow history?)")]
     if parse_problems:
         for problem in parse_problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_INPUT
-    write_snapshot(args.out, history, diagnostics)
+    write_snapshot(args.out, history)
     print(f"snapshot written to {args.out}")
     print(f"  teams:     {len(history.teams)}")
     print(f"  sprints:   {len(history.sprints)}")
@@ -133,7 +154,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    history = load_snapshot(args.project)
+    history = _load(load_snapshot, args.project)
     config = _resolve_config(args.config)
     registry = default_registry()
     now = parse_iso_utc(args.now, "--now") if args.now else None
@@ -163,7 +184,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    history = load_snapshot(args.project)
+    history = _load(load_snapshot, args.project)
     config = _resolve_config(args.config)
     registry = default_registry()
     results = run_all(registry, history, config)

@@ -94,6 +94,13 @@ def spec_from_dict(raw: Mapping) -> FixtureSpec:
     return FixtureSpec(**{k: raw[k] for k in raw})
 
 
+def _planted(directive: int | tuple | None) -> int:
+    """How many violations a directive plants: its count, the first member of a tuple."""
+    if isinstance(directive, tuple):
+        return directive[0]
+    return directive or 0
+
+
 @dataclass(frozen=True)
 class InjectionSpec:
     """How many violations to plant, per metric.
@@ -126,9 +133,7 @@ class InjectionSpec:
                     )
 
     def empty(self) -> bool:
-        return all(
-            getattr(self, f.name) in (None, 0) for f in fields(self)
-        )
+        return not any(_planted(getattr(self, f.name)) for f in fields(self))
 
     def to_dict(self) -> dict:
         out: dict[str, object] = {}
@@ -713,15 +718,15 @@ def inject(
         builders.append(builder)
         ledger[record.metric] = record
 
-    if injection.hot_files is not None:
+    if _planted(injection.hot_files):
         count, edits, authors = injection.hot_files
         apply(_inject_hot_files(rng, config, count, edits, authors))
     if injection.tdd_regressions:
         apply(_inject_tdd_regressions(rng, config, injection.tdd_regressions))
-    if injection.huge_stories is not None:
+    if _planted(injection.huge_stories):
         count, multiplier = injection.huge_stories
         apply(_inject_huge_stories(rng, config, count, multiplier))
-    if injection.neverending_stories is not None:
+    if _planted(injection.neverending_stories):
         count, sprints_each = injection.neverending_stories
         apply(_inject_neverending(rng, config, count, sprints_each))
     if injection.duplicate_stories:

@@ -44,18 +44,7 @@ class DataSource(str, Enum):
     COVERAGE_STATS = "coverage_stats"
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise RecordError(message)
-
-
-def _finite_ts(value: float, what: str) -> float:
-    value = float(value)
-    _require(math.isfinite(value), f"{what} must be a finite timestamp")
-    return value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileChange:
     """One file touched by a commit."""
 
@@ -64,12 +53,15 @@ class FileChange:
     lines_deleted: int
 
     def __post_init__(self) -> None:
-        _require(bool(self.path), "file change path must be non-empty")
-        _require(self.lines_added >= 0, f"lines_added < 0 for {self.path}")
-        _require(self.lines_deleted >= 0, f"lines_deleted < 0 for {self.path}")
+        if not self.path:
+            raise RecordError("file change path must be non-empty")
+        if not self.lines_added >= 0:
+            raise RecordError(f"lines_added < 0 for {self.path}")
+        if not self.lines_deleted >= 0:
+            raise RecordError(f"lines_deleted < 0 for {self.path}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Commit:
     id: str
     author: str
@@ -80,16 +72,22 @@ class Commit:
     team: str
 
     def __post_init__(self) -> None:
-        _require(bool(self.id), "commit id must be non-empty")
-        _require(bool(self.team), f"commit {self.id} has no team")
-        _require(bool(self.author), f"commit {self.id} has no author")
+        if not self.id:
+            raise RecordError("commit id must be non-empty")
+        if not self.team:
+            raise RecordError(f"commit {self.id} has no team")
+        if not self.author:
+            raise RecordError(f"commit {self.id} has no author")
         object.__setattr__(self, "author", self.author.lower())
-        object.__setattr__(self, "authored_at", _finite_ts(self.authored_at, f"commit {self.id} authored_at"))
+        authored_at = float(self.authored_at)
+        if not math.isfinite(authored_at):
+            raise RecordError(f"commit {self.id} authored_at must be a finite timestamp")
+        object.__setattr__(self, "authored_at", authored_at)
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "files", tuple(self.files))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildStats:
     """Per-commit coverage and complexity produced by external tooling."""
 
@@ -98,15 +96,15 @@ class BuildStats:
     complexity: float
 
     def __post_init__(self) -> None:
-        _require(bool(self.commit_id), "build stats row has no commit id")
-        _require(
-            0.0 <= self.coverage_percent <= 100.0,
-            f"coverage_percent out of [0,100] for commit {self.commit_id}",
-        )
-        _require(self.complexity >= 0.0, f"complexity < 0 for commit {self.commit_id}")
+        if not self.commit_id:
+            raise RecordError("build stats row has no commit id")
+        if not 0.0 <= self.coverage_percent <= 100.0:
+            raise RecordError(f"coverage_percent out of [0,100] for commit {self.commit_id}")
+        if not self.complexity >= 0.0:
+            raise RecordError(f"complexity < 0 for commit {self.commit_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SprintMembership:
     """One entry of a story's backlog-assignment history."""
 
@@ -114,11 +112,15 @@ class SprintMembership:
     assigned_at: float
 
     def __post_init__(self) -> None:
-        _require(bool(self.sprint_id), "membership has no sprint id")
-        object.__setattr__(self, "assigned_at", _finite_ts(self.assigned_at, "membership assigned_at"))
+        if not self.sprint_id:
+            raise RecordError("membership has no sprint id")
+        assigned_at = float(self.assigned_at)
+        if not math.isfinite(assigned_at):
+            raise RecordError("membership assigned_at must be a finite timestamp")
+        object.__setattr__(self, "assigned_at", assigned_at)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserStory:
     number: int
     title: str
@@ -132,20 +134,21 @@ class UserStory:
     team: str
 
     def __post_init__(self) -> None:
-        _require(self.number > 0, f"story number must be positive, got {self.number}")
-        _require(bool(self.team), f"story #{self.number} has no team")
+        if not self.number > 0:
+            raise RecordError(f"story number must be positive, got {self.number}")
+        if not self.team:
+            raise RecordError(f"story #{self.number} has no team")
         object.__setattr__(self, "labels", frozenset(self.labels))
         object.__setattr__(self, "milestones", tuple(self.milestones))
         object.__setattr__(self, "assignees", frozenset(a.lower() for a in self.assignees))
         seen = [m.sprint_id for m in self.milestones]
-        _require(
-            len(seen) == len(set(seen)),
-            f"story #{self.number} ({self.team}) has duplicate sprint memberships",
-        )
+        if len(seen) != len(set(seen)):
+            raise RecordError(f"story #{self.number} ({self.team}) has duplicate sprint memberships")
         if self.state is StoryState.CLOSED:
-            _require(self.closed_at is not None, f"closed story #{self.number} lacks closed_at")
-        else:
-            _require(self.closed_at is None, f"open story #{self.number} carries closed_at")
+            if self.closed_at is None:
+                raise RecordError(f"closed story #{self.number} lacks closed_at")
+        elif self.closed_at is not None:
+            raise RecordError(f"open story #{self.number} carries closed_at")
 
     @property
     def sprint_memberships(self) -> tuple[str, ...]:
@@ -153,7 +156,7 @@ class UserStory:
         return tuple(m.sprint_id for m in self.milestones)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sprint:
     id: str
     title: str
@@ -162,19 +165,19 @@ class Sprint:
     team: str
 
     def __post_init__(self) -> None:
-        _require(bool(self.id), "sprint id must be non-empty")
-        _require(bool(self.team), f"sprint {self.id} has no team")
-        _require(
-            self.starts_at < self.due_on,
-            f"sprint {self.id} must start before it is due",
-        )
+        if not self.id:
+            raise RecordError("sprint id must be non-empty")
+        if not self.team:
+            raise RecordError(f"sprint {self.id} has no team")
+        if not self.starts_at < self.due_on:
+            raise RecordError(f"sprint {self.id} must start before it is due")
 
     @property
     def length_days(self) -> float:
         return (self.due_on - self.starts_at) / SECONDS_PER_DAY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PullRequest:
     number: int
     opened_at: float
@@ -184,16 +187,16 @@ class PullRequest:
     team: str
 
     def __post_init__(self) -> None:
-        _require(self.number > 0, f"pull request number must be positive, got {self.number}")
-        _require(bool(self.team), f"pull request #{self.number} has no team")
-        _require(self.comment_count >= 0, f"pull request #{self.number} comment_count < 0")
-        if self.merged:
-            _require(self.closed_at is not None, f"merged pull request #{self.number} lacks closed_at")
-        if self.closed_at is not None:
-            _require(
-                self.closed_at >= self.opened_at,
-                f"pull request #{self.number} closed before it was opened",
-            )
+        if not self.number > 0:
+            raise RecordError(f"pull request number must be positive, got {self.number}")
+        if not self.team:
+            raise RecordError(f"pull request #{self.number} has no team")
+        if not self.comment_count >= 0:
+            raise RecordError(f"pull request #{self.number} comment_count < 0")
+        if self.merged and self.closed_at is None:
+            raise RecordError(f"merged pull request #{self.number} lacks closed_at")
+        if self.closed_at is not None and not self.closed_at >= self.opened_at:
+            raise RecordError(f"pull request #{self.number} closed before it was opened")
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,8 @@ class MetricDescriptor:
     pitfalls: str
 
     def __post_init__(self) -> None:
-        _require(bool(self.name), "metric descriptor needs a name")
+        if not self.name:
+            raise RecordError("metric descriptor needs a name")
         object.__setattr__(self, "data_sources", frozenset(self.data_sources))
         object.__setattr__(self, "categories", frozenset(self.categories))
 
@@ -228,7 +232,8 @@ class Violation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "artifacts", tuple(self.artifacts))
-        _require(bool(self.artifacts), f"violation of {self.metric} carries no artifacts")
+        if not self.artifacts:
+            raise RecordError(f"violation of {self.metric} carries no artifacts")
         object.__setattr__(self, "numeric_detail", dict(self.numeric_detail))
 
 
@@ -252,11 +257,8 @@ class MetricResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "violations", tuple(self.violations))
         object.__setattr__(self, "inputs_echo", dict(self.inputs_echo))
-        if self.score is not None:
-            _require(
-                0.0 <= self.score <= 100.0,
-                f"{self.metric} score {self.score} out of [0,100]",
-            )
+        if self.score is not None and not 0.0 <= self.score <= 100.0:
+            raise RecordError(f"{self.metric} score {self.score} out of [0,100]")
 
     @property
     def applicable(self) -> bool:

@@ -17,10 +17,21 @@ def canonical_json(value: object) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+# The instants `format_iso_utc` can write back: from 0001-01-01T00:00:00Z up
+# to, but not including, 10000-01-01T00:00:00Z (later instants of year 9999
+# round up to it as floats).
+_FIRST_TS = -62135596800.0
+_END_TS = 253402300800.0
+
+
 def parse_iso_utc(text: str, what: str = "timestamp") -> float:
-    """Parse an ISO-8601 timestamp with explicit offset into UTC epoch seconds."""
+    """Parse an ISO-8601 timestamp with explicit offset into UTC epoch seconds.
+
+    Only instants that `format_iso_utc` can write back are accepted.
+    """
     if not isinstance(text, str) or not text:
         raise ParseError(f"{what} must be an ISO-8601 string, got {text!r}")
+    # replaced by hand: fromisoformat reads a "Z" suffix only from Python 3.11
     raw = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
         parsed = datetime.fromisoformat(raw)
@@ -28,7 +39,11 @@ def parse_iso_utc(text: str, what: str = "timestamp") -> float:
         raise ParseError(f"{what} is not valid ISO-8601: {text!r} ({exc})") from None
     if parsed.tzinfo is None:
         raise ParseError(f"{what} lacks a timezone offset: {text!r}")
-    return parsed.astimezone(timezone.utc).timestamp()
+    # an aware datetime's timestamp() applies its offset exactly
+    moment = parsed.timestamp()
+    if not _FIRST_TS <= moment < _END_TS:
+        raise ParseError(f"{what} is out of range (years 1 to 9999 in UTC): {text!r}")
+    return moment
 
 
 def format_iso_utc(ts: float) -> str:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
+from sprintlint import cli
 from sprintlint.cli import main
+from sprintlint.ingest import load_snapshot
 
 DEFAULT_SPEC = {
     "seed": 13,
@@ -280,3 +283,66 @@ def test_lint_now_flag_controls_past_due(tmp_path):
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["unfinished_stories"] == []  # nothing is past due that early
     assert report["now"] == "2015-01-01T00:00:00Z"
+
+
+OUT_OF_RANGE_INSTANTS = ("0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00")
+
+
+def test_ingest_out_of_range_instant_exits_2_with_position(tmp_path, capsys):
+    out_dir = _generate(tmp_path)
+    commits = out_dir / "commits.ndjson"
+    lines = commits.read_text(encoding="utf-8").splitlines()
+    for instant in OUT_OF_RANGE_INSTANTS:
+        record = json.loads(lines[1])
+        record["authored_at"] = instant
+        commits.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n",
+                           encoding="utf-8")
+        capsys.readouterr()
+        code = main(["ingest", "--commits", str(commits), "--out", str(tmp_path / "snap.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {commits}:2: authored_at is out of range (years 1 to 9999 in UTC): "
+            f"{instant!r} (field authored_at)\n"
+        )
+
+
+def test_lint_snapshot_with_out_of_range_instant_exits_2(tmp_path, capsys):
+    snapshot = _ingest(tmp_path, _generate(tmp_path))
+    doc = json.loads(snapshot.read_text(encoding="utf-8"))
+    for instant in OUT_OF_RANGE_INSTANTS:
+        doc["commits"][0]["authored_at"] = instant
+        snapshot.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 2
+        assert "holds a malformed snapshot: authored_at is out of range" in capsys.readouterr().err
+
+
+def test_ingest_oversized_stats_field_exits_2(tmp_path, capsys):
+    out_dir = _generate(tmp_path)
+    stats = out_dir / "stats.csv"
+    text = stats.read_text(encoding="utf-8")
+    stats.write_text(text + f'"{"c" * 200_000}",50,5\n', encoding="utf-8")
+    code = main(["ingest", "--commits", str(out_dir / "commits.ndjson"), "--stats", str(stats),
+                 "--out", str(tmp_path / "snap.json")])
+    assert code == 2
+    line = text.count("\n") + 1
+    assert f"error: {stats}:{line}: field larger than field limit" in capsys.readouterr().err
+
+
+def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypatch):
+    snapshot = _ingest(tmp_path, _generate(tmp_path))
+    seen = []
+
+    def load_and_look(path):
+        seen.append(gc.isenabled())
+        return load_snapshot(path)
+
+    monkeypatch.setattr(cli, "load_snapshot", load_and_look)
+    assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+    snapshot.write_text('{"commits": [{"id": ""}]}', encoding="utf-8")
+    assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 2
+    assert seen == [False, False]
+    assert gc.isenabled()

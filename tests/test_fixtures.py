@@ -220,3 +220,21 @@ def test_multiple_directives_in_one_injection():
         if result.metric in ledger:
             continue
         assert result.score == 100.0
+
+
+@pytest.mark.parametrize(
+    "directive",
+    [
+        {"hot_files": (0, 12, 1)},
+        {"huge_stories": (0, 12.0)},
+        {"neverending_stories": (0, 3)},
+    ],
+)
+def test_zero_count_tuple_directive_plants_nothing(directive):
+    base, _ = generate(SMALL)
+    injection = InjectionSpec(**directive)
+    assert injection.empty()
+    assert inject(base, injection, seed=1) == (base, {})
+    history, ledger = inject(base, InjectionSpec(duplicate_stories=1, **directive), seed=1)
+    assert set(ledger) == {"duplicate-stories"}
+    assert len(history.teams) == len(base.teams) + 1

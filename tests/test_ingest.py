@@ -24,7 +24,7 @@ from sprintlint.ingest import (
     write_sprints,
     write_stats,
 )
-from sprintlint.serialize import canonical_json
+from sprintlint.serialize import canonical_json, format_iso_utc, parse_iso_utc
 from conftest import DAY, T0, change, make_commit, make_pull, make_sprint, make_story
 
 
@@ -209,6 +209,16 @@ def test_stats_commit_id_with_a_comma_round_trips(tmp_path):
         assert records == [row]
 
 
+def test_read_stats_oversized_field_is_a_positioned_parse_error(tmp_path):
+    path = tmp_path / "stats.csv"
+    path.write_text(
+        f'commit_id,coverage_percent,complexity\nc1,50,5\n"{"x" * 200_000}",50,5\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match=r"stats\.csv:3: field larger than field limit"):
+        read_stats(path)
+
+
 def test_read_stats_requires_header(tmp_path):
     path = tmp_path / "stats.csv"
     path.write_text("a,b,c\n", encoding="utf-8")
@@ -296,6 +306,48 @@ def test_snapshot_round_trip(tmp_path):
     first = (tmp_path / "snap.json").read_bytes()
     write_snapshot(tmp_path / "snap2.json", original)
     assert (tmp_path / "snap2.json").read_bytes() == first
+
+
+def test_snapshot_without_diagnostics_and_with_a_stale_diagnostics_key(tmp_path):
+    commits, stories, sprints, pulls, stats = _sample_records()
+    original = build_history(commits, stories, sprints, pulls, stats)
+    path = tmp_path / "snap.json"
+    write_snapshot(path, original)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert "diagnostics" not in doc
+    # snapshots written before the field was dropped still load
+    doc["diagnostics"] = ["commit c0 parent c9 not in export (shallow history?)"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_snapshot(path) == original
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("2015-01-12T14:03:00Z", 1421071380.0),
+        ("2015-01-12T16:03:00+02:00", 1421071380.0),
+        ("2015-01-12T14:03:00.250000-00:30", 1421073180.25),
+        ("0001-01-01T00:00:00Z", -62135596800.0),
+        ("9999-12-31T23:59:59Z", 253402300799.0),
+        ("9999-12-31T23:59:59.999900Z", 253402300799.9999),
+    ],
+)
+def test_parse_iso_utc_reads_every_instant_format_iso_utc_writes(text, expected):
+    assert parse_iso_utc(text) == expected
+    assert parse_iso_utc(format_iso_utc(expected)) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0001-01-01T00:00:00+01:00",
+        "9999-12-31T23:59:59-01:00",
+        "9999-12-31T23:59:59.999999Z",  # rounds up to year 10000 as a float
+    ],
+)
+def test_parse_iso_utc_rejects_instants_format_iso_utc_cannot_write(text):
+    with pytest.raises(ParseError, match=r"authored_at is out of range \(years 1 to 9999 in UTC\)"):
+        parse_iso_utc(text, "authored_at")
 
 
 def test_unknown_extra_fields_ignored(tmp_path):

@@ -5,7 +5,9 @@ wrong JSON type, an empty string where a non-empty one is required, or a
 value out of range. The export readers must report it as one positioned
 `ParseIssue`; a snapshot carrying it must make `lint` exit 2 with
 ``<path> holds a malformed snapshot: <message>``. The messages are part of
-the tool's interface and must not change when the loaders do.
+the tool's interface and must not change when the loaders do. Last, any
+JSON value at any position of a snapshot must end `lint` with an exit
+code, never a traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sprintlint.cli import main
 from sprintlint.ingest import ParseIssue, read_commits, read_issues, read_pulls, read_sprints, read_stats
@@ -309,3 +312,36 @@ def test_snapshot_stats_rejects(tmp_path, capsys, path, value, message):
     code, err = _lint_snapshot(tmp_path, capsys, _snapshot(stats=_broken(STAT, path, value)))
     assert code == 2
     assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n"
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON document: each object key and each array index."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+SNAPSHOT_PATHS = list(_paths(_snapshot()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(SNAPSHOT_PATHS), value=JSON_VALUES)
+@example(path=("stats", 0, "coverage_percent"), value=10**400)  # too large for a float
+def test_any_value_in_any_snapshot_field_ends_in_an_exit_code(tmp_path_factory, path, value):
+    work = tmp_path_factory.mktemp("fuzz")
+    snapshot = work / "snap.json"
+    snapshot.write_text(json.dumps(_broken(_snapshot(), path, value)), encoding="utf-8")
+    code = main(["lint", "--project", str(snapshot), "--out", str(work / "report.json")])
+    assert code in (0, 1, 2)
