@@ -11,7 +11,6 @@ violation injector provide exact oracles for testing the detectors.
 __version__ = "0.1.0"
 
 from .catalog import (
-    DESCRIPTORS,
     FileEditProfile,
     UnfinishedStories,
     default_registry,
@@ -57,8 +56,6 @@ from .ingest import IngestManifest, count_checkboxes, load_history, story_text_l
 from .model import (
     BuildStats,
     Commit,
-    DataSource,
-    Effort,
     FileChange,
     MetricDescriptor,
     MetricResult,

@@ -1,4 +1,4 @@
-"""The built-in conformance checks and their descriptors.
+"""The built-in conformance checks, one row each in `CHECKS`.
 
 Each detector inspects one team-sprint slice, emits violations that point at
 the offending artifacts (commit ids, story numbers, pull request numbers,
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from . import config as cfg
 from .config import MetricConfig
 from .engine import (
-    Detector,
     MetricRegistry,
     RegisteredMetric,
     capped_linear,
@@ -25,8 +24,6 @@ from .engine import (
 )
 from .ingest import count_checkboxes, story_text_length
 from .model import (
-    DataSource,
-    Effort,
     MetricDescriptor,
     MetricResult,
     ProjectHistory,
@@ -34,10 +31,6 @@ from .model import (
     SprintSlice,
     Violation,
 )
-
-XP_PRACTICES = "XP Practices"
-BACKLOG_MAINTENANCE = "Backlog Maintenance"
-DEVELOPER_PRODUCTIVITY = "Developer Productivity"
 
 
 def story_ref(number: int) -> str:
@@ -89,9 +82,6 @@ def detect_collective_ownership(slice_: SprintSlice, config: MetricConfig) -> Me
         if profile.edits >= settings.threshold_e and len(profile.authors) <= settings.threshold_a:
             violations.append(
                 Violation(
-                    metric=cfg.COLLECTIVE_OWNERSHIP,
-                    team=slice_.team,
-                    sprint=slice_.sprint.id,
                     artifacts=(profile.path,),
                     detail=(
                         f"{profile.path} was edited {profile.edits} times by only "
@@ -137,9 +127,6 @@ def detect_test_later(slice_: SprintSlice, config: MetricConfig) -> MetricResult
         if own.complexity > parent_stats.complexity and own.coverage_percent < parent_stats.coverage_percent:
             violations.append(
                 Violation(
-                    metric=cfg.TEST_LATER,
-                    team=slice_.team,
-                    sprint=slice_.sprint.id,
                     artifacts=(commit.id,),
                     detail=(
                         f"commit {commit.id} raised complexity "
@@ -195,9 +182,6 @@ def detect_huge_stories(slice_: SprintSlice, config: MetricConfig) -> MetricResu
                 reasons.append(f"{checkboxes[story.number]} tasks vs average {avg_checkboxes:.1f}")
             violations.append(
                 Violation(
-                    metric=cfg.HUGE_STORIES,
-                    team=slice_.team,
-                    sprint=slice_.sprint.id,
                     artifacts=(story_ref(story.number),),
                     detail=f"story #{story.number} is outsized: " + "; ".join(reasons),
                     numeric_detail={
@@ -249,9 +233,6 @@ def detect_multi_backlog(slice_: SprintSlice, config: MetricConfig) -> MetricRes
             counts.append(memberships)
             violations.append(
                 Violation(
-                    metric=cfg.MULTI_BACKLOG,
-                    team=slice_.team,
-                    sprint=slice_.sprint.id,
                     artifacts=(story_ref(story.number),),
                     detail=f"story #{story.number} has been in {memberships} sprint backlogs",
                     numeric_detail={"sprint_count": memberships},
@@ -286,9 +267,6 @@ def detect_duplicates(slice_: SprintSlice, config: MetricConfig) -> MetricResult
         if any(l.lower() == label for l in story.labels):
             violations.append(
                 Violation(
-                    metric=cfg.DUPLICATE_STORIES,
-                    team=slice_.team,
-                    sprint=slice_.sprint.id,
                     artifacts=(story_ref(story.number),),
                     detail=f"story #{story.number} is tagged as a duplicate",
                 )
@@ -321,9 +299,6 @@ def detect_last_minute(slice_: SprintSlice, config: MetricConfig) -> MetricResul
             minutes_left = (due - commit.authored_at) / 60.0
             violations.append(
                 Violation(
-                    metric=cfg.LAST_MINUTE,
-                    team=slice_.team,
-                    sprint=slice_.sprint.id,
                     artifacts=(commit.id,),
                     detail=f"commit {commit.id} landed {minutes_left:.0f} min before the deadline",
                     numeric_detail={"minutes_before_due": minutes_left},
@@ -360,9 +335,6 @@ def detect_no_committing(slice_: SprintSlice, config: MetricConfig) -> MetricRes
     if silent:
         violations = (
             Violation(
-                metric=cfg.COMMIT_ACTIVITY,
-                team=slice_.team,
-                sprint=slice_.sprint.id,
                 artifacts=tuple(silent),
                 detail=f"{len(silent)} developer(s) made no commits this sprint: " + ", ".join(silent),
                 numeric_detail={"zero_commit_developers": len(silent)},
@@ -428,9 +400,6 @@ def detect_fast_pulls(slice_: SprintSlice, config: MetricConfig) -> MetricResult
         if open_seconds < window_seconds and pull.comment_count == 0:
             violations.append(
                 Violation(
-                    metric=cfg.FAST_PULLS,
-                    team=slice_.team,
-                    sprint=slice_.sprint.id,
                     artifacts=(pull_ref(pull.number),),
                     detail=(
                         f"pull request #{pull.number} was closed after "
@@ -489,183 +458,94 @@ def unfinished_stories(history: ProjectHistory, sprint_id: str, now: float) -> U
     )
 
 
-# --- descriptors and the default registry -----------------------------------
+# --- the checks and the default registry -------------------------------------
 
-DESCRIPTORS: dict[str, MetricDescriptor] = {
-    cfg.COLLECTIVE_OWNERSHIP: MetricDescriptor(
-        name=cfg.COLLECTIVE_OWNERSHIP,
-        synopsis="Files edited heavily by only a few developers.",
-        description=(
-            "When any developer may change any part of the system, knowledge spreads and "
-            "nobody becomes a single point of failure. A file that accumulates many edits "
-            "from one or two people is a sign of siloed ownership: losing those people "
-            "would stall that component. Each such file in a sprint counts as a violation."
+# one row per check: its name, severity, pitfalls and detector
+CHECKS: dict[str, RegisteredMetric] = {
+    check.descriptor.name: check
+    for check in (
+        RegisteredMetric(
+            MetricDescriptor(
+                cfg.COLLECTIVE_OWNERSHIP,
+                Severity.NORMAL,
+                "Edit counts say nothing about who understands the code; a generated or asset "
+                "file touched by one person repeatedly is a common false positive.",
+            ),
+            detect_collective_ownership,
         ),
-        data_sources=frozenset({DataSource.VERSION_CONTROL}),
-        categories=frozenset({XP_PRACTICES}),
-        effort=Effort.LOW,
-        severity=Severity.NORMAL,
-        pitfalls=(
-            "Edit counts say nothing about who understands the code; a generated or asset "
-            "file touched by one person repeatedly is a common false positive."
+        RegisteredMetric(
+            MetricDescriptor(
+                cfg.TEST_LATER,
+                Severity.NORMAL,
+                "Coverage deltas depend on external tooling and can dip for unrelated reasons "
+                "(deleted tests, config changes); merge commits are excluded entirely.",
+            ),
+            detect_test_later,
         ),
-    ),
-    cfg.TEST_LATER: MetricDescriptor(
-        name=cfg.TEST_LATER,
-        synopsis="Commits growing complexity while coverage drops.",
-        description=(
-            "Writing tests first keeps coverage moving with the code. A commit that adds "
-            "complexity while its coverage falls relative to the parent commit suggests "
-            "production code was written without accompanying tests. Each such commit is "
-            "a violation; the score is their share of all commits with stats."
+        RegisteredMetric(
+            MetricDescriptor(
+                cfg.HUGE_STORIES,
+                Severity.LOW,
+                "Length is a proxy: a long story may simply be well documented, and a terse "
+                "one may still hide too much work.",
+            ),
+            detect_huge_stories,
         ),
-        data_sources=frozenset({DataSource.VERSION_CONTROL, DataSource.COVERAGE_STATS}),
-        categories=frozenset({XP_PRACTICES}),
-        effort=Effort.MEDIUM,
-        severity=Severity.NORMAL,
-        pitfalls=(
-            "Coverage deltas depend on external tooling and can dip for unrelated reasons "
-            "(deleted tests, config changes); merge commits are excluded entirely."
+        RegisteredMetric(
+            MetricDescriptor(
+                cfg.MULTI_BACKLOG,
+                Severity.HIGH,
+                "Deliberately re-planned work (a story consciously moved once) looks the same "
+                "as a neverending story; the assignment history needs human review.",
+            ),
+            detect_multi_backlog,
         ),
-    ),
-    cfg.HUGE_STORIES: MetricDescriptor(
-        name=cfg.HUGE_STORIES,
-        synopsis="User stories far larger than their sprint's average.",
-        description=(
-            "A story should be small enough to skim and estimate. Stories whose text is a "
-            "multiple of the sprint average, or which carry a multiple of the average "
-            "task-checkbox count, were likely hard to estimate and should have been split."
+        RegisteredMetric(
+            MetricDescriptor(
+                cfg.DUPLICATE_STORIES,
+                Severity.VERY_LOW,
+                "Only tagged duplicates are counted; untagged overlaps stay invisible, so a "
+                "perfect score does not mean the backlog is duplicate-free.",
+            ),
+            detect_duplicates,
         ),
-        data_sources=frozenset({DataSource.STORY_TRACKER}),
-        categories=frozenset({XP_PRACTICES}),
-        effort=Effort.LOW,
-        severity=Severity.LOW,
-        pitfalls=(
-            "Length is a proxy: a long story may simply be well documented, and a terse "
-            "one may still hide too much work."
+        RegisteredMetric(
+            MetricDescriptor(
+                cfg.LAST_MINUTE,
+                Severity.NORMAL,
+                "Timestamps reflect when code was committed, not when it was written; a "
+                "deadline push of long-finished work is indistinguishable from a crunch.",
+            ),
+            detect_last_minute,
         ),
-    ),
-    cfg.MULTI_BACKLOG: MetricDescriptor(
-        name=cfg.MULTI_BACKLOG,
-        synopsis="Stories carried across multiple sprint backlogs.",
-        description=(
-            "A sprint backlog should only hold work the team can finish. A story that "
-            "keeps reappearing sprint after sprint was either too big, blocked, or "
-            "mis-prioritized, and it can block other teams that depend on it. The score "
-            "weighs how many backlog stories are repeat offenders and how long they have "
-            "been dragging on."
+        RegisteredMetric(
+            MetricDescriptor(
+                cfg.COMMIT_ACTIVITY,
+                Severity.NORMAL,
+                "Commit counts are not value: squashed branches, pairing, and non-code work "
+                "all lower the count without meaning anyone was idle.",
+            ),
+            detect_no_committing,
         ),
-        data_sources=frozenset({DataSource.STORY_TRACKER}),
-        categories=frozenset({BACKLOG_MAINTENANCE}),
-        effort=Effort.LOW,
-        severity=Severity.HIGH,
-        pitfalls=(
-            "Deliberately re-planned work (a story consciously moved once) looks the same "
-            "as a neverending story; the assignment history needs human review."
+        RegisteredMetric(
+            MetricDescriptor(
+                cfg.DAILY_STORY_LOAD,
+                Severity.LOW,
+                "Stories are counted, not sized; five small stories and five epics produce "
+                "the same quota.",
+            ),
+            detect_daily_story_quota,
         ),
-    ),
-    cfg.DUPLICATE_STORIES: MetricDescriptor(
-        name=cfg.DUPLICATE_STORIES,
-        synopsis="Stories tagged as suspected duplicates.",
-        description=(
-            "Overlapping stories risk the same feature being built twice by different "
-            "people. This check counts backlog stories that developers or staff tagged "
-            "with the duplicate label."
+        RegisteredMetric(
+            MetricDescriptor(
+                cfg.FAST_PULLS,
+                Severity.HIGH,
+                "Review can happen out of band (pairing, chat) and leave no comments; "
+                "trivial changes legitimately merge fast.",
+            ),
+            detect_fast_pulls,
         ),
-        data_sources=frozenset({DataSource.STORY_TRACKER}),
-        categories=frozenset({BACKLOG_MAINTENANCE}),
-        effort=Effort.LOW,
-        severity=Severity.VERY_LOW,
-        pitfalls=(
-            "Only tagged duplicates are counted; untagged overlaps stay invisible, so a "
-            "perfect score does not mean the backlog is duplicate-free."
-        ),
-    ),
-    cfg.LAST_MINUTE: MetricDescriptor(
-        name=cfg.LAST_MINUTE,
-        synopsis="Commits made shortly before the sprint deadline.",
-        description=(
-            "Work should proceed at a steady, sustainable pace. Code that lands in the "
-            "final minutes before the deadline cannot be reviewed, integrated, or "
-            "discussed in time, and often signals a last-minute crunch. Commits inside "
-            "the configured window before the due date count against the sprint's total."
-        ),
-        data_sources=frozenset({DataSource.VERSION_CONTROL}),
-        categories=frozenset({DEVELOPER_PRODUCTIVITY}),
-        effort=Effort.LOW,
-        severity=Severity.NORMAL,
-        pitfalls=(
-            "Timestamps reflect when code was committed, not when it was written; a "
-            "deadline push of long-finished work is indistinguishable from a crunch."
-        ),
-    ),
-    cfg.COMMIT_ACTIVITY: MetricDescriptor(
-        name=cfg.COMMIT_ACTIVITY,
-        synopsis="Average commits per developer over the sprint.",
-        description=(
-            "Committing early and often keeps integration cheap and makes work visible "
-            "to the rest of the team. This check scores the team's average commit count "
-            "per developer and, as informational output, names developers who did not "
-            "commit at all during the sprint."
-        ),
-        data_sources=frozenset({DataSource.VERSION_CONTROL}),
-        categories=frozenset({DEVELOPER_PRODUCTIVITY}),
-        effort=Effort.LOW,
-        severity=Severity.NORMAL,
-        pitfalls=(
-            "Commit counts are not value: squashed branches, pairing, and non-code work "
-            "all lower the count without meaning anyone was idle."
-        ),
-    ),
-    cfg.DAILY_STORY_LOAD: MetricDescriptor(
-        name=cfg.DAILY_STORY_LOAD,
-        synopsis="Staffing quota of developers per backlog story per day.",
-        description=(
-            "The sprint backlog should match the team's capacity. This check computes "
-            "developers divided by backlog size divided by sprint length and rates it on "
-            "a parabola: an optimal band scores best, while an overfull backlog (tiny "
-            "quota) or a near-empty one (huge quota) both fall off. It emits no "
-            "violations; the quota itself is the signal."
-        ),
-        data_sources=frozenset({DataSource.STORY_TRACKER}),
-        categories=frozenset({DEVELOPER_PRODUCTIVITY}),
-        effort=Effort.LOW,
-        severity=Severity.LOW,
-        pitfalls=(
-            "Stories are counted, not sized; five small stories and five epics produce "
-            "the same quota."
-        ),
-    ),
-    cfg.FAST_PULLS: MetricDescriptor(
-        name=cfg.FAST_PULLS,
-        synopsis="Pull requests closed quickly without comments.",
-        description=(
-            "Pull requests exist to let peers review and discuss changes before they "
-            "land. One that is opened and closed within minutes, with no comments at "
-            "all, almost certainly skipped review. The score is the share of such "
-            "speedy, silent pulls among all closed pull requests in the sprint."
-        ),
-        data_sources=frozenset({DataSource.PULL_REQUESTS}),
-        categories=frozenset({DEVELOPER_PRODUCTIVITY}),
-        effort=Effort.LOW,
-        severity=Severity.HIGH,
-        pitfalls=(
-            "Review can happen out of band (pairing, chat) and leave no comments; "
-            "trivial changes legitimately merge fast."
-        ),
-    ),
-}
-
-DETECTORS: dict[str, Detector] = {
-    cfg.COLLECTIVE_OWNERSHIP: detect_collective_ownership,
-    cfg.TEST_LATER: detect_test_later,
-    cfg.HUGE_STORIES: detect_huge_stories,
-    cfg.MULTI_BACKLOG: detect_multi_backlog,
-    cfg.DUPLICATE_STORIES: detect_duplicates,
-    cfg.LAST_MINUTE: detect_last_minute,
-    cfg.COMMIT_ACTIVITY: detect_no_committing,
-    cfg.DAILY_STORY_LOAD: detect_daily_story_quota,
-    cfg.FAST_PULLS: detect_fast_pulls,
+    )
 }
 
 
@@ -673,5 +553,5 @@ def default_registry() -> MetricRegistry:
     """All nine built-in metrics, in the order of `config.METRIC_NAMES`."""
     registry = MetricRegistry()
     for name in cfg.METRIC_NAMES:
-        registry.register(RegisteredMetric(descriptor=DESCRIPTORS[name], detector=DETECTORS[name]))
+        registry.register(CHECKS[name])
     return registry

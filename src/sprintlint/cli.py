@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from collections.abc import Callable
@@ -42,7 +41,7 @@ from .ingest import (
 )
 from .report import build_report, render_json, render_markdown
 from .scoring import aggregate_all, trend, trend_csv
-from .serialize import canonical_json, parse_iso_utc
+from .serialize import canonical_json, parse_iso_utc, read_json
 
 CONFIG_ENV_VAR = "SPRINTLINT_CONFIG"
 
@@ -64,12 +63,7 @@ def _resolve_config(path_arg: str | None) -> MetricConfig:
 
 
 def _read_json_file(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SprintLintError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SprintLintError(f"{path} is not valid JSON: {exc}") from None
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise SprintLintError(f"{path} must contain a JSON object")
     return raw
@@ -134,8 +128,7 @@ def _manifest_from_args(args: argparse.Namespace) -> IngestManifest:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args(args)
-    history, diagnostics = _load(load_history, manifest)
-    parse_problems = [d for d in diagnostics if not d.endswith("(shallow history?)")]
+    history, parse_problems = _load(load_history, manifest)
     if parse_problems:
         for problem in parse_problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -148,8 +141,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     print(f"  stories:   {len(history.stories)}")
     print(f"  pulls:     {len(history.pulls)}")
     print(f"  stats:     {len(history.build_stats)}")
-    if diagnostics:
-        print(f"  flags:     {len(diagnostics)}")
+    if history.diagnostics:
+        print(f"  flags:     {len(history.diagnostics)}")
     return EXIT_OK
 
 

@@ -8,14 +8,13 @@ changes leave an audit trail.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .model import Severity
-from .serialize import canonical_json
+from .serialize import canonical_json, read_json
 
 COLLECTIVE_OWNERSHIP = "collective-ownership"
 TEST_LATER = "test-later"
@@ -263,9 +262,8 @@ def config_from_dict(raw: Mapping) -> MetricConfig:
 
 def load_config(path: str | Path) -> MetricConfig:
     """Read a config JSON file; missing fields fall back to defaults."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raw = read_json(path)
+    except ParseError as exc:
+        raise ConfigError(f"config file {exc}") from None
     return config_from_dict(raw)

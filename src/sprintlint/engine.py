@@ -90,9 +90,6 @@ class MetricRegistry:
     def __iter__(self) -> Iterator[RegisteredMetric]:
         return iter(self._by_name.values())
 
-    def __len__(self) -> int:
-        return len(self._by_name)
-
 
 def evaluate(
     registry: MetricRegistry,

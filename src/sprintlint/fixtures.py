@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields
 
 from . import config as cfg
@@ -105,9 +105,8 @@ def _planted(directive: int | tuple | None) -> int:
 class InjectionSpec:
     """How many violations to plant, per metric.
 
-    Tuple directives carry their extra shape parameters: hot_files is
-    (count, edits, authors), huge_stories is (count, length_multiplier),
-    neverending_stories is (count, sprints_each).
+    Tuple directives carry their extra shape parameters, in the order of
+    their keys in `_DIRECTIVES`; the count comes first.
     """
 
     hot_files: tuple[int, int, int] | None = None
@@ -137,47 +136,26 @@ class InjectionSpec:
 
     def to_dict(self) -> dict:
         out: dict[str, object] = {}
-        if self.hot_files is not None:
-            out["hot_files"] = {
-                "count": self.hot_files[0], "edits": self.hot_files[1], "authors": self.hot_files[2]
-            }
-        if self.huge_stories is not None:
-            out["huge_stories"] = {
-                "count": self.huge_stories[0], "length_multiplier": self.huge_stories[1]
-            }
-        if self.neverending_stories is not None:
-            out["neverending_stories"] = {
-                "count": self.neverending_stories[0], "sprints_each": self.neverending_stories[1]
-            }
-        for name in ("tdd_regressions", "duplicate_stories", "last_minute_commits",
-                     "idle_developers", "backlog_overflow", "silent_fast_pulls"):
+        for name, (keys, _) in _DIRECTIVES.items():
             value = getattr(self, name)
             if value:
-                out[name] = value
+                out[name] = dict(zip(keys, value)) if keys else value
         return out
 
 
 def injection_from_dict(raw: Mapping) -> InjectionSpec:
-    def triple(key: str, entry: object, keys: tuple[str, ...]):
-        if not isinstance(entry, Mapping) or set(entry) != set(keys):
-            raise InfeasibleFixtureError(
-                f"injection directive {key!r} must be an object with keys {', '.join(keys)}"
-            )
-        return tuple(entry[k] for k in keys)
-
     kwargs: dict[str, object] = {}
     for key, value in raw.items():
-        if key == "hot_files":
-            kwargs[key] = triple(key, value, ("count", "edits", "authors"))
-        elif key == "huge_stories":
-            kwargs[key] = triple(key, value, ("count", "length_multiplier"))
-        elif key == "neverending_stories":
-            kwargs[key] = triple(key, value, ("count", "sprints_each"))
-        elif key in ("tdd_regressions", "duplicate_stories", "last_minute_commits",
-                     "idle_developers", "backlog_overflow", "silent_fast_pulls"):
-            kwargs[key] = value
-        else:
+        if key not in _DIRECTIVES:
             raise InfeasibleFixtureError(f"unknown injection directive {key!r}")
+        keys = _DIRECTIVES[key][0]
+        if keys is not None:
+            if not isinstance(value, Mapping) or set(value) != set(keys):
+                raise InfeasibleFixtureError(
+                    f"injection directive {key!r} must be an object with keys {', '.join(keys)}"
+                )
+            value = tuple(value[k] for k in keys)
+        kwargs[key] = value
     return InjectionSpec(**kwargs)
 
 
@@ -695,6 +673,24 @@ def _inject_fast_pulls(rng, config, count: int) -> tuple[_TeamBuilder, Injection
     return builder, InjectionRecord(cfg.FAST_PULLS, builder.team, sprint.id, tuple(refs))
 
 
+# directive -> (the keys of its JSON object, or None for a plain count; its
+# injector), in InjectionSpec field order. `inject` plants the directives in
+# this order and every injector draws from one shared random stream, so
+# reordering the rows changes every injected fixture.
+_Injector = Callable[..., tuple[_TeamBuilder, InjectionRecord]]
+_DIRECTIVES: dict[str, tuple[tuple[str, ...] | None, _Injector]] = {
+    "hot_files": (("count", "edits", "authors"), _inject_hot_files),
+    "tdd_regressions": (None, _inject_tdd_regressions),
+    "huge_stories": (("count", "length_multiplier"), _inject_huge_stories),
+    "neverending_stories": (("count", "sprints_each"), _inject_neverending),
+    "duplicate_stories": (None, _inject_duplicates),
+    "last_minute_commits": (None, _inject_last_minute),
+    "idle_developers": (None, _inject_idle_developers),
+    "backlog_overflow": (None, _inject_backlog_overflow),
+    "silent_fast_pulls": (None, _inject_fast_pulls),
+}
+
+
 def inject(
     history: ProjectHistory,
     injection: InjectionSpec,
@@ -712,33 +708,12 @@ def inject(
     rng = random.Random(seed)
     builders: list[_TeamBuilder] = []
     ledger: dict[str, InjectionRecord] = {}
-
-    def apply(result: tuple[_TeamBuilder, InjectionRecord]) -> None:
-        builder, record = result
-        builders.append(builder)
-        ledger[record.metric] = record
-
-    if _planted(injection.hot_files):
-        count, edits, authors = injection.hot_files
-        apply(_inject_hot_files(rng, config, count, edits, authors))
-    if injection.tdd_regressions:
-        apply(_inject_tdd_regressions(rng, config, injection.tdd_regressions))
-    if _planted(injection.huge_stories):
-        count, multiplier = injection.huge_stories
-        apply(_inject_huge_stories(rng, config, count, multiplier))
-    if _planted(injection.neverending_stories):
-        count, sprints_each = injection.neverending_stories
-        apply(_inject_neverending(rng, config, count, sprints_each))
-    if injection.duplicate_stories:
-        apply(_inject_duplicates(rng, config, injection.duplicate_stories))
-    if injection.last_minute_commits:
-        apply(_inject_last_minute(rng, config, injection.last_minute_commits))
-    if injection.idle_developers:
-        apply(_inject_idle_developers(rng, config, injection.idle_developers))
-    if injection.backlog_overflow:
-        apply(_inject_backlog_overflow(rng, config, injection.backlog_overflow))
-    if injection.silent_fast_pulls:
-        apply(_inject_fast_pulls(rng, config, injection.silent_fast_pulls))
+    for name, (keys, injector) in _DIRECTIVES.items():
+        directive = getattr(injection, name)
+        if _planted(directive):
+            builder, record = injector(rng, config, *(directive if keys else (directive,)))
+            builders.append(builder)
+            ledger[record.metric] = record
 
     return _assemble(builders, base=history), ledger
 

@@ -36,7 +36,7 @@ from .model import (
     UserStory,
     build_history,
 )
-from .serialize import canonical_json, format_iso_utc, parse_iso_utc
+from .serialize import canonical_json, format_iso_utc, parse_iso_utc, read_json, read_text
 
 _CHECKBOX_LINE = re.compile(r"^[ \t]*[-*] \[[ xX]\]")
 
@@ -246,11 +246,7 @@ def read_commits(
     alias_map = alias_map or {}
     records: list[Commit] = []
     issues: list[ParseIssue] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -260,6 +256,8 @@ def read_commits(
             records.append(_commit_from_dict(raw, team_map, alias_map))
         except json.JSONDecodeError as exc:
             issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc.msg}"))
+        except RecursionError as exc:
+            issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc}"))
         except (_FieldError, ValueError) as exc:
             field_name = exc.field_name if isinstance(exc, _FieldError) else None
             issues.append(ParseIssue(lineno, field_name or None, str(exc)))
@@ -267,14 +265,7 @@ def read_commits(
 
 
 def _read_json_array(path: str | Path, what: str) -> list:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, list):
         raise ParseError(f"{path} must contain a JSON array of {what}")
     return data
@@ -322,12 +313,8 @@ STATS_HEADER = ("commit_id", "coverage_percent", "complexity")
 
 def read_stats(path: str | Path) -> tuple[list[BuildStats], list[ParseIssue]]:
     """Read the per-commit stats table; rows with out-of-range coverage are rejected."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
     # the reader sees the raw text, so a quoted field may span lines
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     records: list[BuildStats] = []
     issues: list[ParseIssue] = []
     try:
@@ -361,9 +348,9 @@ def read_stats(path: str | Path) -> tuple[list[BuildStats], list[ParseIssue]]:
 def load_history(manifest: IngestManifest) -> tuple[ProjectHistory, list[str]]:
     """Read every file named by the manifest and build the validated history.
 
-    Returns the history plus rendered diagnostics (parse issues with their
-    file positions, and any shallow-parent flags from assembly). Raises on
-    unreadable files or cross-reference failures.
+    Returns the history plus the rendered parse issues, each with its file
+    position; shallow-parent flags from assembly stay in the history's
+    `diagnostics`. Raises on unreadable files or cross-reference failures.
     """
     diagnostics: list[str] = []
     commits: list[Commit] = []
@@ -388,8 +375,7 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory, list[str]]:
         stats, issues = read_stats(manifest.stats_path)
         diagnostics.extend(i.render(manifest.stats_path) for i in issues)
 
-    history = build_history(commits, stories, sprints, pulls, stats)
-    return history, diagnostics + list(history.diagnostics)
+    return build_history(commits, stories, sprints, pulls, stats), diagnostics
 
 
 # --- writers ---------------------------------------------------------------
@@ -494,12 +480,7 @@ def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
 
 
 def load_snapshot(path: str | Path) -> ProjectHistory:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    raw = read_json(path)
     if not isinstance(raw, Mapping):
         raise ParseError(f"{path} must contain a snapshot object")
     try:

@@ -31,19 +31,6 @@ class Severity(str, Enum):
     HIGH = "high"
 
 
-class Effort(str, Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-
-
-class DataSource(str, Enum):
-    VERSION_CONTROL = "version_control"
-    STORY_TRACKER = "story_tracker"
-    PULL_REQUESTS = "pull_requests"
-    COVERAGE_STATS = "coverage_stats"
-
-
 @dataclass(frozen=True, slots=True)
 class FileChange:
     """One file touched by a commit."""
@@ -204,28 +191,18 @@ class MetricDescriptor:
     """The reusable definition of one conformance check, independent of any run."""
 
     name: str
-    synopsis: str
-    description: str
-    data_sources: frozenset[DataSource]
-    categories: frozenset[str]
-    effort: Effort
     severity: Severity
     pitfalls: str
 
     def __post_init__(self) -> None:
         if not self.name:
             raise RecordError("metric descriptor needs a name")
-        object.__setattr__(self, "data_sources", frozenset(self.data_sources))
-        object.__setattr__(self, "categories", frozenset(self.categories))
 
 
 @dataclass(frozen=True)
 class Violation:
     """A pattern in the data that does not comply with the checked practice."""
 
-    metric: str
-    team: str
-    sprint: str
     artifacts: tuple[str, ...]
     detail: str
     numeric_detail: Mapping[str, float] = field(default_factory=dict)
@@ -233,7 +210,7 @@ class Violation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "artifacts", tuple(self.artifacts))
         if not self.artifacts:
-            raise RecordError(f"violation of {self.metric} carries no artifacts")
+            raise RecordError("violation carries no artifacts")
         object.__setattr__(self, "numeric_detail", dict(self.numeric_detail))
 
 
@@ -259,10 +236,6 @@ class MetricResult:
         object.__setattr__(self, "inputs_echo", dict(self.inputs_echo))
         if self.score is not None and not 0.0 <= self.score <= 100.0:
             raise RecordError(f"{self.metric} score {self.score} out of [0,100]")
-
-    @property
-    def applicable(self) -> bool:
-        return self.score is not None
 
 
 class _TimeIndex:

@@ -19,13 +19,16 @@ from .engine import MetricRegistry, run_all
 from .errors import SprintLintError
 from .model import MetricResult, ProjectHistory
 from .scoring import TeamSprintScore, aggregate_all
-from .serialize import canonical_json, format_iso_utc
+from .serialize import END_TS, canonical_json, format_iso_utc
 
 TOOL_NAME = "sprintlint"
 
 
 def history_horizon(history: ProjectHistory) -> float:
-    """One second past the last event in the history; the default 'now' for reports."""
+    """One second past the last event in the history; the default 'now' for reports.
+
+    Raises when that instant is past the last one reports can write.
+    """
     moments = [0.0]
     for sprint in history.sprints:
         moments.append(sprint.due_on)
@@ -39,7 +42,13 @@ def history_horizon(history: ProjectHistory) -> float:
         moments.append(pull.opened_at)
         if pull.closed_at is not None:
             moments.append(pull.closed_at)
-    return max(moments) + 1.0
+    horizon = max(moments) + 1.0
+    if horizon >= END_TS:
+        raise SprintLintError(
+            "one second past the last event is after 9999-12-31T23:59:59Z, so there is no "
+            "default reference time; give one with --now"
+        )
+    return horizon
 
 
 @dataclass(frozen=True)

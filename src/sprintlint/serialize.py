@@ -1,13 +1,15 @@
-"""Canonical JSON and timestamp formatting helpers.
+"""Canonical JSON, input file reading and timestamp formatting helpers.
 
 All serialized output in this package goes through `canonical_json` so that
-identical runs produce byte-identical files.
+identical runs produce byte-identical files, and every input file is read
+through `read_text` or `read_json`.
 """
 
 from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from pathlib import Path
 
 from .errors import ParseError
 
@@ -17,11 +19,30 @@ def canonical_json(value: object) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 file; an unreadable or undecodable one is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def read_json(path: str | Path) -> object:
+    """Read one UTF-8 JSON document; any failure to read or decode it is a ParseError."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    # ValueError covers JSONDecodeError and integers over the digit limit;
+    # RecursionError, documents nested too deeply for the decoder
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+
+
 # The instants `format_iso_utc` can write back: from 0001-01-01T00:00:00Z up
 # to, but not including, 10000-01-01T00:00:00Z (later instants of year 9999
 # round up to it as floats).
-_FIRST_TS = -62135596800.0
-_END_TS = 253402300800.0
+FIRST_TS = -62135596800.0
+END_TS = 253402300800.0
 
 
 def parse_iso_utc(text: str, what: str = "timestamp") -> float:
@@ -41,7 +62,7 @@ def parse_iso_utc(text: str, what: str = "timestamp") -> float:
         raise ParseError(f"{what} lacks a timezone offset: {text!r}")
     # an aware datetime's timestamp() applies its offset exactly
     moment = parsed.timestamp()
-    if not _FIRST_TS <= moment < _END_TS:
+    if not FIRST_TS <= moment < END_TS:
         raise ParseError(f"{what} is out of range (years 1 to 9999 in UTC): {text!r}")
     return moment
 

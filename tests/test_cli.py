@@ -5,6 +5,9 @@ from __future__ import annotations
 import gc
 import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from sprintlint import cli
 from sprintlint.cli import main
 from sprintlint.ingest import load_snapshot
@@ -346,3 +349,154 @@ def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypat
     assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 2
     assert seen == [False, False]
     assert gc.isenabled()
+
+
+# --- inputs that end in exit 2 and one `error:` line, never a traceback ------
+
+EXPORTS = {
+    "commits": "commits.ndjson",
+    "issues": "issues.json",
+    "sprints": "sprints.json",
+    "pulls": "pulls.json",
+    "stats": "stats.csv",
+}
+INPUT_KINDS = (*EXPORTS, "snapshot", "config", "manifest", "spec", "inject")
+
+
+def _argv_reading(tmp_path, kind, content: bytes):
+    """Write `content` as the input of `kind`; return the command that reads it and its path."""
+    out_dir = _generate(tmp_path)
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(content)
+    if kind in EXPORTS:
+        files = {k: out_dir / name for k, name in EXPORTS.items()}
+        files[kind] = bad
+        sources = [arg for k, path in files.items() for arg in (f"--{k}", str(path))]
+        return ["ingest", *sources, "--out", str(tmp_path / "snap.json")], bad
+    if kind == "snapshot":
+        return ["lint", "--project", str(bad)], bad
+    if kind == "config":
+        return ["lint", "--project", str(_ingest(tmp_path, out_dir)), "--config", str(bad)], bad
+    if kind == "manifest":
+        return ["ingest", "--manifest", str(bad), "--out", str(tmp_path / "snap.json")], bad
+    return ["generate", f"--{kind}", str(bad), "--out-dir", str(tmp_path / "gen")], bad
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, kind):
+    argv, bad = _argv_reading(tmp_path, kind, b'{"id": "\xff"}\n')
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in _one_error_line(capsys)
+
+
+UNDECODABLE_JSON = {
+    "nested-too-deeply": b"[" * 200_000,
+    "integer-over-the-digit-limit": b"[" + b"1" * 5000 + b"]",
+}
+
+
+# a commits line is decoded on its own; see the positioned test below
+@pytest.mark.parametrize("kind", [k for k in INPUT_KINDS if k not in ("commits", "stats")])
+@pytest.mark.parametrize("content", UNDECODABLE_JSON.values(), ids=list(UNDECODABLE_JSON))
+def test_json_input_the_decoder_cannot_build_exits_2(tmp_path, capsys, kind, content):
+    argv, bad = _argv_reading(tmp_path, kind, content)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(bad) in _one_error_line(capsys)
+
+
+def test_commits_line_nested_too_deeply_is_a_positioned_error(tmp_path, capsys):
+    commits = _generate(tmp_path) / "commits.ndjson"
+    lines = commits.read_text(encoding="utf-8").splitlines()
+    lines[1] = "[" * 200_000
+    commits.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["ingest", "--commits", str(commits), "--out", str(tmp_path / "snap.json")]) == 2
+    err = _one_error_line(capsys)
+    assert err.startswith(f"error: {commits}:2: invalid JSON: maximum recursion depth exceeded")
+
+
+SHALLOW_SUFFIX_RECORDS = {
+    "stats": (
+        "commit_id,coverage_percent,complexity\nx (shallow history?),150,1\n",
+        "2: coverage_percent out of [0,100] for commit x (shallow history?)",
+    ),
+    "commits": (
+        json.dumps({
+            "id": "c1", "author": "ann", "authored_at": "2015-01-05T10:00:00Z", "parents": [],
+            "message": "", "files": [{"path": "a (shallow history?)", "added": -1, "deleted": 0}],
+            "team": "alpha",
+        }) + "\n",
+        "1: lines_added < 0 for a (shallow history?)",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", SHALLOW_SUFFIX_RECORDS)
+def test_ingest_rejects_a_record_whose_message_ends_like_a_shallow_flag(tmp_path, capsys, kind):
+    text, message = SHALLOW_SUFFIX_RECORDS[kind]
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_text(text, encoding="utf-8")
+    commits = bad if kind == "commits" else _generate(tmp_path) / "commits.ndjson"
+    argv = ["ingest", "--commits", str(commits), "--out", str(tmp_path / "snap.json")]
+    if kind == "stats":
+        argv += ["--stats", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{message}\n"
+
+
+def test_ingest_counts_shallow_parent_flags_and_exits_0(tmp_path, capsys):
+    commits = tmp_path / "commits.ndjson"
+    commits.write_text(json.dumps({
+        "id": "c1", "author": "ann", "authored_at": "2015-01-05T10:00:00Z", "parents": ["c0"],
+        "message": "", "files": [], "team": "alpha",
+    }) + "\n", encoding="utf-8")
+    assert main(["ingest", "--commits", str(commits), "--out", str(tmp_path / "snap.json")]) == 0
+    assert "flags:     1" in capsys.readouterr().out
+
+
+def test_lint_needs_now_when_the_history_ends_at_the_last_writable_second(tmp_path, capsys):
+    snapshot = tmp_path / "snap.json"
+    snapshot.write_text(json.dumps({"commits": [{
+        "id": "c1", "author": "ann", "authored_at": "9999-12-31T23:59:59Z", "parents": [],
+        "message": "", "files": [], "team": "alpha",
+    }]}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["lint", "--project", str(snapshot)]) == 2
+    assert "--now" in _one_error_line(capsys)
+    assert main(["lint", "--project", str(snapshot), "--now", "9999-12-31T23:59:59Z",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["now"] == "9999-12-31T23:59:59Z"
+
+
+@pytest.fixture(scope="module")
+def small_exports(tmp_path_factory):
+    """The five export files of a one-team, one-sprint fixture, as bytes."""
+    work = tmp_path_factory.mktemp("exports")
+    spec = _write_spec(work, developers_per_team=3, sprints=1, stories_per_sprint=1,
+                       commits_per_dev_per_sprint=1, pulls_per_sprint=1)
+    assert main(["generate", "--spec", str(spec), "--out-dir", str(work)]) == 0
+    return {kind: (work / name).read_bytes() for kind, name in EXPORTS.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(EXPORTS)), data=st.data())
+def test_any_bytes_in_any_export_file_end_in_exit_0_or_2(tmp_path_factory, small_exports, kind, data):
+    original = small_exports[kind]
+    start = data.draw(st.integers(0, len(original)), label="start")
+    end = data.draw(st.integers(start, len(original)), label="end")
+    spliced = original[:start] + data.draw(st.binary(max_size=64), label="bytes") + original[end:]
+    work = tmp_path_factory.mktemp("fuzz")
+    sources = []
+    for k, name in EXPORTS.items():
+        (work / name).write_bytes(spliced if k == kind else small_exports[k])
+        sources += [f"--{k}", str(work / name)]
+    assert main(["ingest", *sources, "--out", str(work / "snap.json")]) in (0, 2)
