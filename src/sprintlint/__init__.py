@@ -57,6 +57,7 @@ from .model import (
     BuildStats,
     Commit,
     FileChange,
+    Finding,
     MetricDescriptor,
     MetricResult,
     ProjectHistory,

@@ -1,11 +1,12 @@
 """The built-in conformance checks, one row each in `CHECKS`.
 
-Each detector inspects one team-sprint slice, emits violations that point at
-the offending artifacts (commit ids, story numbers, pull request numbers,
-file paths, developer ids), and maps its operand counts through the metric's
-rating function. A detector returns a result with no score when its inputs
-simply are not present in the sprint (no stories, no closed pull requests),
-so absence of data never masquerades as conformance or violation.
+Each detector inspects one team-sprint slice with its own check's settings,
+emits violations that point at the offending artifacts (commit ids, story
+numbers, pull request numbers, file paths, developer ids), and scores them.
+It returns a `Finding`; the engine adds the metric, team and sprint. A
+detector returns a finding with no score when its inputs simply are not
+present in the sprint (no stories, no closed pull requests), so absence of
+data never masquerades as conformance or violation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config as cfg
-from .config import MetricConfig
 from .engine import (
     MetricRegistry,
     RegisteredMetric,
@@ -24,8 +24,8 @@ from .engine import (
 )
 from .ingest import count_checkboxes, story_text_length
 from .model import (
+    Finding,
     MetricDescriptor,
-    MetricResult,
     ProjectHistory,
     Severity,
     SprintSlice,
@@ -41,15 +41,8 @@ def pull_ref(number: int) -> str:
     return f"PR#{number}"
 
 
-def _not_applicable(name: str, slice_: SprintSlice, reason: str) -> MetricResult:
-    return MetricResult(
-        metric=name,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
-        violations=(),
-        score=None,
-        diagnostic=reason,
-    )
+def _not_applicable(reason: str) -> Finding:
+    return Finding(violations=(), score=None, diagnostic=reason)
 
 
 @dataclass(frozen=True)
@@ -74,9 +67,8 @@ def file_edit_profiles(slice_: SprintSlice) -> list[FileEditProfile]:
     ]
 
 
-def detect_collective_ownership(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
+def detect_collective_ownership(slice_: SprintSlice, settings: cfg.CollectiveOwnershipSettings) -> Finding:
     """Flag files that absorbed many edits from too few people."""
-    settings = config.for_metric(cfg.COLLECTIVE_OWNERSHIP)
     violations = []
     for profile in file_edit_profiles(slice_):
         if profile.edits >= settings.threshold_e and len(profile.authors) <= settings.threshold_a:
@@ -90,10 +82,7 @@ def detect_collective_ownership(slice_: SprintSlice, config: MetricConfig) -> Me
                     numeric_detail={"edits": profile.edits, "authors": len(profile.authors)},
                 )
             )
-    return MetricResult(
-        metric=cfg.COLLECTIVE_OWNERSHIP,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
+    return Finding(
         violations=tuple(violations),
         score=threshold_linear(len(violations), settings.weight),
         inputs_echo={
@@ -105,17 +94,16 @@ def detect_collective_ownership(slice_: SprintSlice, config: MetricConfig) -> Me
     )
 
 
-def detect_test_later(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
+def detect_test_later(slice_: SprintSlice, settings: cfg.TestLaterSettings) -> Finding:
     """Flag commits that raised complexity while coverage fell against their parent.
 
     Merge commits and commits without stats for both sides are skipped;
     comparisons only make sense along a single parent edge.
     """
-    settings = config.for_metric(cfg.TEST_LATER)
     stats_by_commit = slice_.stats_by_commit
     with_stats = [c for c in slice_.commits if c.id in stats_by_commit]
     if not with_stats:
-        return _not_applicable(cfg.TEST_LATER, slice_, "no commit in this sprint has build stats")
+        return _not_applicable("no commit in this sprint has build stats")
     violations = []
     for commit in with_stats:
         if len(commit.parents) != 1:
@@ -139,10 +127,7 @@ def detect_test_later(slice_: SprintSlice, config: MetricConfig) -> MetricResult
                     },
                 )
             )
-    return MetricResult(
-        metric=cfg.TEST_LATER,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
+    return Finding(
         violations=tuple(violations),
         score=ratio_linear(len(violations), len(with_stats), settings.weight),
         inputs_echo={
@@ -153,16 +138,15 @@ def detect_test_later(slice_: SprintSlice, config: MetricConfig) -> MetricResult
     )
 
 
-def detect_huge_stories(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
+def detect_huge_stories(slice_: SprintSlice, settings: cfg.HugeStoriesSettings) -> Finding:
     """Flag stories far above the sprint's average size or task count.
 
     Averages include the candidate stories themselves. A sprint with no
     checkboxes anywhere disables the task-count comparison.
     """
-    settings = config.for_metric(cfg.HUGE_STORIES)
     stories = slice_.stories
     if not stories:
-        return _not_applicable(cfg.HUGE_STORIES, slice_, "no stories in this sprint's backlog")
+        return _not_applicable("no stories in this sprint's backlog")
     lengths = {s.number: story_text_length(s.title, s.body) for s in stories}
     checkboxes = {s.number: count_checkboxes(s.body) for s in stories}
     avg_length = sum(lengths.values()) / len(stories)
@@ -192,10 +176,7 @@ def detect_huge_stories(slice_: SprintSlice, config: MetricConfig) -> MetricResu
                     },
                 )
             )
-    return MetricResult(
-        metric=cfg.HUGE_STORIES,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
+    return Finding(
         violations=tuple(violations),
         score=threshold_linear(len(violations), settings.weight),
         inputs_echo={
@@ -210,17 +191,16 @@ def detect_huge_stories(slice_: SprintSlice, config: MetricConfig) -> MetricResu
     )
 
 
-def detect_multi_backlog(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
+def detect_multi_backlog(slice_: SprintSlice, settings: cfg.MultiBacklogSettings) -> Finding:
     """Flag stories that have been carried through too many sprint backlogs.
 
     Membership is counted over the story's whole assignment history up to and
     including the sprint under evaluation, so later churn never penalizes an
     earlier sprint retroactively.
     """
-    settings = config.for_metric(cfg.MULTI_BACKLOG)
     backlog = slice_.stories
     if not backlog:
-        return _not_applicable(cfg.MULTI_BACKLOG, slice_, "no stories in this sprint's backlog")
+        return _not_applicable("no stories in this sprint's backlog")
     due_on = slice_.sprint.due_on
     sprints_by_id = slice_.sprints_by_id
     violations = []
@@ -239,10 +219,7 @@ def detect_multi_backlog(slice_: SprintSlice, config: MetricConfig) -> MetricRes
                 )
             )
     avg_in_sprints = sum(counts) / len(counts) if counts else 1.0
-    return MetricResult(
-        metric=cfg.MULTI_BACKLOG,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
+    return Finding(
         violations=tuple(violations),
         score=ratio_linear(len(violations), len(backlog), settings.weight, avg_in_sprints),
         inputs_echo={
@@ -255,12 +232,11 @@ def detect_multi_backlog(slice_: SprintSlice, config: MetricConfig) -> MetricRes
     )
 
 
-def detect_duplicates(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
+def detect_duplicates(slice_: SprintSlice, settings: cfg.DuplicateStoriesSettings) -> Finding:
     """Flag stories developers tagged with the duplicate label (case-insensitive)."""
-    settings = config.for_metric(cfg.DUPLICATE_STORIES)
     stories = slice_.stories
     if not stories:
-        return _not_applicable(cfg.DUPLICATE_STORIES, slice_, "no stories in this sprint's backlog")
+        return _not_applicable("no stories in this sprint's backlog")
     label = settings.duplicate_label.lower()
     violations = []
     for story in stories:
@@ -271,10 +247,7 @@ def detect_duplicates(slice_: SprintSlice, config: MetricConfig) -> MetricResult
                     detail=f"story #{story.number} is tagged as a duplicate",
                 )
             )
-    return MetricResult(
-        metric=cfg.DUPLICATE_STORIES,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
+    return Finding(
         violations=tuple(violations),
         score=ratio_linear(len(violations), len(stories), settings.weight),
         inputs_echo={
@@ -285,12 +258,11 @@ def detect_duplicates(slice_: SprintSlice, config: MetricConfig) -> MetricResult
     )
 
 
-def detect_last_minute(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
+def detect_last_minute(slice_: SprintSlice, settings: cfg.LastMinuteSettings) -> Finding:
     """Flag commits crammed into the final stretch before the sprint deadline."""
-    settings = config.for_metric(cfg.LAST_MINUTE)
     commits = slice_.commits
     if not commits:
-        return _not_applicable(cfg.LAST_MINUTE, slice_, "no commits in this sprint")
+        return _not_applicable("no commits in this sprint")
     due = slice_.sprint.due_on
     window_start = due - settings.last_minute_window_minutes * 60.0
     violations = []
@@ -304,10 +276,7 @@ def detect_last_minute(slice_: SprintSlice, config: MetricConfig) -> MetricResul
                     numeric_detail={"minutes_before_due": minutes_left},
                 )
             )
-    return MetricResult(
-        metric=cfg.LAST_MINUTE,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
+    return Finding(
         violations=tuple(violations),
         score=ratio_linear(len(violations), len(commits), settings.weight),
         inputs_echo={
@@ -319,16 +288,15 @@ def detect_last_minute(slice_: SprintSlice, config: MetricConfig) -> MetricResul
     )
 
 
-def detect_no_committing(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
+def detect_no_committing(slice_: SprintSlice, settings: cfg.CommitActivitySettings) -> Finding:
     """Score the team's average commits per developer; name anyone who committed nothing.
 
     The score comes from the average alone. The zero-committer list is an
     informational violation for the humans doing context analysis.
     """
-    settings = config.for_metric(cfg.COMMIT_ACTIVITY)
     team_developers = slice_.developers
     if not team_developers:
-        return _not_applicable(cfg.COMMIT_ACTIVITY, slice_, "team has no known developers")
+        return _not_applicable("team has no known developers")
     committed = {c.author for c in slice_.commits}
     silent = sorted(team_developers - committed)
     violations = ()
@@ -341,10 +309,7 @@ def detect_no_committing(slice_: SprintSlice, config: MetricConfig) -> MetricRes
             ),
         )
     per_dev = len(slice_.commits) / len(team_developers)
-    return MetricResult(
-        metric=cfg.COMMIT_ACTIVITY,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
+    return Finding(
         violations=violations,
         score=capped_linear(per_dev, settings.weight),
         inputs_echo={
@@ -356,24 +321,20 @@ def detect_no_committing(slice_: SprintSlice, config: MetricConfig) -> MetricRes
     )
 
 
-def detect_daily_story_quota(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
+def detect_daily_story_quota(slice_: SprintSlice, settings: cfg.DailyStoryLoadSettings) -> Finding:
     """Rate the sprint's staffing quota (developers per backlog story per day).
 
     The quota feeds the cut-off parabola: an optimal band scores 100, both
     an overfull and a thin backlog fall away from it. This metric produces
     no violation artifacts; the score and echoed quota are the signal.
     """
-    settings = config.for_metric(cfg.DAILY_STORY_LOAD)
     backlog_size = len(slice_.stories)
     if backlog_size == 0:
-        return _not_applicable(cfg.DAILY_STORY_LOAD, slice_, "no stories in this sprint's backlog")
+        return _not_applicable("no stories in this sprint's backlog")
     team_developer_count = len(slice_.developers)
     length_days = slice_.sprint.length_days
     quota = team_developer_count / backlog_size / length_days
-    return MetricResult(
-        metric=cfg.DAILY_STORY_LOAD,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
+    return Finding(
         violations=(),
         score=cutoff_parabola(quota, settings.weight_a, settings.weight_b),
         inputs_echo={
@@ -387,12 +348,11 @@ def detect_daily_story_quota(slice_: SprintSlice, config: MetricConfig) -> Metri
     )
 
 
-def detect_fast_pulls(slice_: SprintSlice, config: MetricConfig) -> MetricResult:
+def detect_fast_pulls(slice_: SprintSlice, settings: cfg.FastPullsSettings) -> Finding:
     """Flag pull requests closed quickly with nobody commenting."""
-    settings = config.for_metric(cfg.FAST_PULLS)
     closed = [p for p in slice_.pulls if p.closed_at is not None]
     if not closed:
-        return _not_applicable(cfg.FAST_PULLS, slice_, "no closed pull requests in this sprint")
+        return _not_applicable("no closed pull requests in this sprint")
     window_seconds = settings.fast_pr_window_minutes * 60.0
     violations = []
     for pull in closed:
@@ -409,10 +369,7 @@ def detect_fast_pulls(slice_: SprintSlice, config: MetricConfig) -> MetricResult
                 )
             )
     # the rating for speedy pulls carries no weight knob, only the time window
-    return MetricResult(
-        metric=cfg.FAST_PULLS,
-        team=slice_.team,
-        sprint=slice_.sprint.id,
+    return Finding(
         violations=tuple(violations),
         score=ratio_linear(len(violations), len(closed), 1.0),
         inputs_echo={

@@ -41,7 +41,7 @@ from .ingest import (
 )
 from .report import build_report, render_json, render_markdown
 from .scoring import aggregate_all, trend, trend_csv
-from .serialize import canonical_json, parse_iso_utc, read_json
+from .serialize import canonical_json, parse_iso_utc, read_json, write_text
 
 CONFIG_ENV_VAR = "SPRINTLINT_CONFIG"
 
@@ -158,7 +158,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     else:
         rendered = render_markdown(report, history, registry)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        write_text(args.out, rendered)
     else:
         sys.stdout.write(rendered)
     if args.fail_below is not None:
@@ -184,7 +184,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     scores = aggregate_all(results, registry, config)
     csv_text = trend_csv(trend(history, results, scores))
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        write_text(args.out, csv_text)
         print(f"trend written to {args.out}")
     else:
         sys.stdout.write(csv_text)
@@ -214,7 +214,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "certificate": certificate.to_dict(),
         "ledger": ledger_to_dict(ledger, spec.seed),
     }
-    (out_dir / "ledger.json").write_text(canonical_json(ledger_doc) + "\n", encoding="utf-8")
+    write_text(out_dir / "ledger.json", canonical_json(ledger_doc) + "\n")
     print(f"fixture written to {out_dir}")
     print(f"  commits: {len(history.commits)}, stories: {len(history.stories)}, "
           f"sprints: {len(history.sprints)}, pulls: {len(history.pulls)}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
@@ -25,18 +25,6 @@ LAST_MINUTE = "last-minute-commits"
 COMMIT_ACTIVITY = "commit-activity"
 DAILY_STORY_LOAD = "daily-story-load"
 FAST_PULLS = "fast-pull-requests"
-
-METRIC_NAMES = (
-    COLLECTIVE_OWNERSHIP,
-    TEST_LATER,
-    HUGE_STORIES,
-    MULTI_BACKLOG,
-    DUPLICATE_STORIES,
-    LAST_MINUTE,
-    COMMIT_ACTIVITY,
-    DAILY_STORY_LOAD,
-    FAST_PULLS,
-)
 
 DEFAULT_SEVERITY_WEIGHTS: dict[Severity, float] = {
     Severity.INFORMATIONAL: 0.0,
@@ -120,19 +108,27 @@ _POSITIVE_FIELDS = {
 _NON_NEGATIVE_FIELDS = {"weight", "weight_a", "weight_b"}
 
 
+# one row per check, in report order: its name and its settings class
+SETTINGS: dict[str, type[MetricSettings]] = {
+    COLLECTIVE_OWNERSHIP: CollectiveOwnershipSettings,
+    TEST_LATER: TestLaterSettings,
+    HUGE_STORIES: HugeStoriesSettings,
+    MULTI_BACKLOG: MultiBacklogSettings,
+    DUPLICATE_STORIES: DuplicateStoriesSettings,
+    LAST_MINUTE: LastMinuteSettings,
+    COMMIT_ACTIVITY: CommitActivitySettings,
+    DAILY_STORY_LOAD: DailyStoryLoadSettings,
+    FAST_PULLS: FastPullsSettings,
+}
+
+METRIC_NAMES = tuple(SETTINGS)
+
+
 @dataclass(frozen=True)
 class MetricConfig:
     """One settings record per metric plus the severity weighting table."""
 
-    collective_ownership: CollectiveOwnershipSettings = CollectiveOwnershipSettings()
-    test_later: TestLaterSettings = TestLaterSettings()
-    huge_stories: HugeStoriesSettings = HugeStoriesSettings()
-    multi_backlog: MultiBacklogSettings = MultiBacklogSettings()
-    duplicate_stories: DuplicateStoriesSettings = DuplicateStoriesSettings()
-    last_minute: LastMinuteSettings = LastMinuteSettings()
-    commit_activity: CommitActivitySettings = CommitActivitySettings()
-    daily_story_load: DailyStoryLoadSettings = DailyStoryLoadSettings()
-    fast_pulls: FastPullsSettings = FastPullsSettings()
+    metrics: Mapping[str, MetricSettings] = field(default_factory=dict)
     severity_weights: Mapping[Severity, float] = field(
         default_factory=lambda: dict(DEFAULT_SEVERITY_WEIGHTS)
     )
@@ -144,35 +140,36 @@ class MetricConfig:
                 raise ConfigError(f"severity_weights missing entry for {severity.value!r}")
             if self.severity_weights[severity] < 0:
                 raise ConfigError(f"severity weight for {severity.value!r} must be >= 0")
-        for name in METRIC_NAMES:
-            settings = self.for_metric(name)
+        # absent checks get their defaults; the mapping keeps `SETTINGS` order
+        metrics = {name: kind() for name, kind in SETTINGS.items()} | dict(self.metrics)
+        for name, settings in metrics.items():
+            kind = SETTINGS.get(name)
+            if kind is None:
+                raise ConfigError(f"unknown metric {name!r}")
+            if type(settings) is not kind:
+                raise ConfigError(
+                    f"settings for {name} must be {kind.__name__}, got {type(settings).__name__}"
+                )
             for f in fields(settings):
                 value = getattr(settings, f.name)
                 if f.name in _POSITIVE_FIELDS and not value > 0:
                     raise ConfigError(f"{name}.{f.name} must be > 0, got {value!r}")
                 if f.name in _NON_NEGATIVE_FIELDS and value < 0:
                     raise ConfigError(f"{name}.{f.name} must be >= 0, got {value!r}")
+        object.__setattr__(self, "metrics", metrics)
 
-    def for_metric(self, name: str):
+    def for_metric(self, name: str) -> MetricSettings:
         try:
-            return getattr(self, _ATTR_BY_NAME[name])
+            return self.metrics[name]
         except KeyError:
             raise ConfigError(f"unknown metric {name!r}") from None
 
-    def severity_weight(self, severity: Severity) -> float:
-        return self.severity_weights[severity]
-
     def to_dict(self) -> dict:
         metrics: dict[str, dict] = {}
-        for name in METRIC_NAMES:
-            settings = self.for_metric(name)
-            entry: dict[str, object] = {}
-            for f in fields(settings):
-                value = getattr(settings, f.name)
-                if isinstance(value, Severity):
-                    value = value.value
-                entry[f.name] = value
-            metrics[name] = entry
+        for name, settings in self.metrics.items():
+            metrics[name] = entry = asdict(settings)
+            if settings.severity_override is not None:
+                entry["severity_override"] = settings.severity_override.value
         return {
             "metrics": metrics,
             "severity_weights": {s.value: w for s, w in self.severity_weights.items()},
@@ -183,22 +180,9 @@ class MetricConfig:
         return hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8")).hexdigest()
 
 
-_ATTR_BY_NAME = {
-    COLLECTIVE_OWNERSHIP: "collective_ownership",
-    TEST_LATER: "test_later",
-    HUGE_STORIES: "huge_stories",
-    MULTI_BACKLOG: "multi_backlog",
-    DUPLICATE_STORIES: "duplicate_stories",
-    LAST_MINUTE: "last_minute",
-    COMMIT_ACTIVITY: "commit_activity",
-    DAILY_STORY_LOAD: "daily_story_load",
-    FAST_PULLS: "fast_pulls",
-}
-
-
-def _settings_from_dict(name: str, defaults, raw: Mapping) -> object:
-    known = {f.name: f for f in fields(defaults)}
-    unknown = sorted(set(raw) - set(known))
+def _settings_from_dict(name: str, kind: type[MetricSettings], raw: Mapping) -> MetricSettings:
+    known = {f.name for f in fields(kind)}
+    unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown setting(s) for {name}: {', '.join(unknown)}")
     updates: dict[str, object] = {}
@@ -219,7 +203,7 @@ def _settings_from_dict(name: str, defaults, raw: Mapping) -> object:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
         updates[key] = value
-    return replace(defaults, **updates)
+    return kind(**updates)
 
 
 def config_from_dict(raw: Mapping) -> MetricConfig:
@@ -230,18 +214,16 @@ def config_from_dict(raw: Mapping) -> MetricConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config key(s): {', '.join(unknown)}")
 
-    base = MetricConfig()
-    updates: dict[str, object] = {}
+    metrics: dict[str, MetricSettings] = {}
     metrics_raw = raw.get("metrics", {})
     if not isinstance(metrics_raw, Mapping):
         raise ConfigError("'metrics' must be an object keyed by metric name")
     for name, settings_raw in metrics_raw.items():
-        if name not in _ATTR_BY_NAME:
+        if name not in SETTINGS:
             raise ConfigError(f"unknown metric {name!r} in config")
         if not isinstance(settings_raw, Mapping):
             raise ConfigError(f"settings for {name} must be an object")
-        attr = _ATTR_BY_NAME[name]
-        updates[attr] = _settings_from_dict(name, getattr(base, attr), settings_raw)
+        metrics[name] = _settings_from_dict(name, SETTINGS[name], settings_raw)
 
     weights_raw = raw.get("severity_weights", {})
     if not isinstance(weights_raw, Mapping):
@@ -255,9 +237,8 @@ def config_from_dict(raw: Mapping) -> MetricConfig:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"severity weight for {key!r} must be a number")
         weights[severity] = float(value)
-    updates["severity_weights"] = weights
 
-    return replace(base, **updates)
+    return MetricConfig(metrics, weights)
 
 
 def load_config(path: str | Path) -> MetricConfig:

@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass
 
-from .config import MetricConfig
+from .config import MetricConfig, MetricSettings
 from .errors import SprintLintError
 from .model import (
+    Finding,
     MetricDescriptor,
     MetricResult,
     ProjectHistory,
@@ -57,7 +58,7 @@ def cutoff_parabola(quota: float, weight_a: float, weight_b: float) -> float:
     return clamp_score(weight_a * quota - weight_b * quota * quota)
 
 
-Detector = Callable[[SprintSlice, MetricConfig], MetricResult]
+Detector = Callable[[SprintSlice, MetricSettings], Finding]
 
 
 @dataclass(frozen=True)
@@ -102,26 +103,22 @@ def evaluate(
 ) -> MetricResult | None:
     """Run one metric over one team-sprint.
 
-    Returns None when the metric is disabled in the config. Detector failures
-    (including undefined denominators that escaped a detector) surface as a
-    result with no score and a diagnostic, never as an exception.
+    Returns None when the metric is disabled in the config. The detector
+    gets only the metric's own settings. Detector failures (including
+    undefined denominators that escaped a detector) surface as a result with
+    no score and a diagnostic, never as an exception.
     """
     metric = registry.get(name)
-    if not config.for_metric(name).enabled:
+    settings = config.for_metric(name)
+    if not settings.enabled:
         return None
     if slice_ is None:
         slice_ = window(history, team, sprint_id)
     try:
-        return metric.detector(slice_, config)
+        return MetricResult(name, team, sprint_id, *metric.detector(slice_, settings))
     except Exception as exc:  # single-metric failures must not abort a run
-        return MetricResult(
-            metric=name,
-            team=team,
-            sprint=sprint_id,
-            violations=(),
-            score=None,
-            diagnostic=f"detector failed: {type(exc).__name__}: {exc}",
-        )
+        failure = Finding((), None, diagnostic=f"detector failed: {type(exc).__name__}: {exc}")
+        return MetricResult(name, team, sprint_id, *failure)
 
 
 def run_all(

@@ -36,7 +36,15 @@ from .model import (
     UserStory,
     build_history,
 )
-from .serialize import canonical_json, format_iso_utc, parse_iso_utc, read_json, read_text
+from .serialize import (
+    canonical_json,
+    check_unicode,
+    format_iso_utc,
+    parse_iso_utc,
+    read_json,
+    read_text,
+    write_text,
+)
 
 _CHECKBOX_LINE = re.compile(r"^[ \t]*[-*] \[[ xX]\]")
 
@@ -251,6 +259,7 @@ def read_commits(
             continue
         try:
             raw = json.loads(line)
+            check_unicode(line, raw)
             if not isinstance(raw, dict):
                 raise _FieldError("", "line is not a JSON object")
             records.append(_commit_from_dict(raw, team_map, alias_map))
@@ -345,12 +354,14 @@ def read_stats(path: str | Path) -> tuple[list[BuildStats], list[ParseIssue]]:
     return records, issues
 
 
-def load_history(manifest: IngestManifest) -> tuple[ProjectHistory, list[str]]:
+def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[str]]:
     """Read every file named by the manifest and build the validated history.
 
     Returns the history plus the rendered parse issues, each with its file
     position; shallow-parent flags from assembly stay in the history's
-    `diagnostics`. Raises on unreadable files or cross-reference failures.
+    `diagnostics`. When any record failed to parse, the history is None: its
+    cross-references are not checked, since they may name a rejected record.
+    Raises on unreadable files or cross-reference failures.
     """
     diagnostics: list[str] = []
     commits: list[Commit] = []
@@ -375,6 +386,8 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory, list[str]]:
         stats, issues = read_stats(manifest.stats_path)
         diagnostics.extend(i.render(manifest.stats_path) for i in issues)
 
+    if diagnostics:
+        return None, diagnostics
     return build_history(commits, stories, sprints, pulls, stats), diagnostics
 
 
@@ -437,26 +450,27 @@ def pull_to_dict(pull: PullRequest) -> dict:
 
 def write_commits(path: str | Path, commits: Iterable[Commit]) -> None:
     lines = [canonical_json(commit_to_dict(c)) for c in commits]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_issues(path: str | Path, stories: Iterable[UserStory]) -> None:
-    Path(path).write_text(canonical_json([story_to_dict(s) for s in stories]) + "\n", encoding="utf-8")
+    write_text(path, canonical_json([story_to_dict(s) for s in stories]) + "\n")
 
 
 def write_sprints(path: str | Path, sprints: Iterable[Sprint]) -> None:
-    Path(path).write_text(canonical_json([sprint_to_dict(s) for s in sprints]) + "\n", encoding="utf-8")
+    write_text(path, canonical_json([sprint_to_dict(s) for s in sprints]) + "\n")
 
 
 def write_pulls(path: str | Path, pulls: Iterable[PullRequest]) -> None:
-    Path(path).write_text(canonical_json([pull_to_dict(p) for p in pulls]) + "\n", encoding="utf-8")
+    write_text(path, canonical_json([pull_to_dict(p) for p in pulls]) + "\n")
 
 
 def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(STATS_HEADER)
-        writer.writerows((s.commit_id, repr(s.coverage_percent), repr(s.complexity)) for s in stats)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(STATS_HEADER)
+    writer.writerows((s.commit_id, repr(s.coverage_percent), repr(s.complexity)) for s in stats)
+    write_text(path, out.getvalue())
 
 
 # --- snapshot (the validated single-file form the CLI passes between steps) -
@@ -476,7 +490,7 @@ def snapshot_to_dict(history: ProjectHistory) -> dict:
 
 
 def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
-    Path(path).write_text(canonical_json(snapshot_to_dict(history)) + "\n", encoding="utf-8")
+    write_text(path, canonical_json(snapshot_to_dict(history)) + "\n")
 
 
 def load_snapshot(path: str | Path) -> ProjectHistory:

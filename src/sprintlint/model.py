@@ -12,6 +12,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import HistoryError, RecordError, UnknownSprintError
 
@@ -212,6 +213,18 @@ class Violation:
         if not self.artifacts:
             raise RecordError("violation carries no artifacts")
         object.__setattr__(self, "numeric_detail", dict(self.numeric_detail))
+
+
+class Finding(NamedTuple):
+    """What one detector found in one team-sprint.
+
+    The fields are `MetricResult`'s after `sprint`, in order; the engine adds the rest.
+    """
+
+    violations: tuple[Violation, ...]
+    score: float | None
+    inputs_echo: Mapping[str, float] = {}
+    diagnostic: str | None = None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ to the exact thresholds that produced it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import __version__
@@ -69,7 +68,6 @@ def build_report(
     config: MetricConfig,
     now: float | None = None,
     sprint_title: str | None = None,
-    diagnostics: Iterable[str] = (),
 ) -> RunReport:
     """Lint the whole history and assemble the report.
 
@@ -105,7 +103,7 @@ def build_report(
         results=tuple(results),
         scores=tuple(scores),
         unfinished=tuple(unfinished),
-        diagnostics=tuple(diagnostics) + tuple(history.diagnostics),
+        diagnostics=tuple(history.diagnostics),
     )
 
 

@@ -75,12 +75,12 @@ def aggregate(
         if r.score is None
     )
 
+    severities = {r.metric: effective_severity(registry, config, r.metric) for r in scored}
     weights: dict[str, float] = {}
-    for result in scored:
-        severity = effective_severity(registry, config, result.metric)
+    for metric, severity in severities.items():
         if severity not in config.severity_weights:
             raise ConfigError(f"no severity weight configured for {severity.value!r}")
-        weights[result.metric] = config.severity_weight(severity)
+        weights[metric] = config.severity_weights[severity]
 
     total_weight = sum(weights.values())
     overall: float | None = None
@@ -91,7 +91,7 @@ def aggregate(
         Contribution(
             metric=r.metric,
             score=r.score,
-            severity=effective_severity(registry, config, r.metric),
+            severity=severities[r.metric],
             weight=weights[r.metric],
             weighted_share=(weights[r.metric] * r.score / total_weight) if total_weight > 0 else 0.0,
         )

@@ -1,13 +1,15 @@
 """Canonical JSON, input file reading and timestamp formatting helpers.
 
 All serialized output in this package goes through `canonical_json` so that
-identical runs produce byte-identical files, and every input file is read
-through `read_text` or `read_json`.
+identical runs produce byte-identical files. Every input file is read
+through `read_text` or `read_json`, and every output file is written through
+`write_text`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,15 +29,58 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, whole or not at all.
+
+    The bytes go to a temporary file beside `path`, which then replaces it,
+    so a failed write leaves an earlier file at `path` as it was and no
+    temporary file behind. A path that names something other than a regular
+    file (a device, a pipe, a symbolic link) is written through instead.
+    """
+    path = Path(path)
+    data = text.encode("utf-8")
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        path.write_bytes(data)
+        return
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(temp, "xb") as out:
+            out.write(data)
+        os.replace(temp, path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temp) and exc.filename2 is None:
+            # name the file the caller asked for, not the temporary
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
+def check_unicode(text: str, value: object) -> None:
+    """Raise ValueError if `value`, decoded from the JSON `text`, holds a lone surrogate.
+
+    Decoded UTF-8 never holds a surrogate; only a JSON escape from \\uD800 to
+    \\uDFFF can make one, so text without such an escape is not walked.
+    """
+    if "\\ud" not in text and "\\uD" not in text:
+        return
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(exc.object[exc.start])
+        raise ValueError(f"lone surrogate \\u{code:04x} is not valid Unicode text") from None
+
+
 def read_json(path: str | Path) -> object:
     """Read one UTF-8 JSON document; any failure to read or decode it is a ParseError."""
     text = read_text(path)
     try:
-        return json.loads(text)
-    # ValueError covers JSONDecodeError and integers over the digit limit;
-    # RecursionError, documents nested too deeply for the decoder
+        value = json.loads(text)
+        check_unicode(text, value)
+    # ValueError covers JSONDecodeError, integers over the digit limit and
+    # lone surrogates; RecursionError, documents nested too deeply for the decoder
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    return value
 
 
 # The instants `format_iso_utc` can write back: from 0001-01-01T00:00:00Z up

@@ -34,16 +34,7 @@ from sprintlint.ingest import (
 from sprintlint.scoring import aggregate, aggregate_all
 from sprintlint.model import MetricResult
 from conftest import DAY, T0, make_commit, make_pull, make_slice, make_sprint, make_story, sized_story
-from sprintlint.catalog import (
-    detect_collective_ownership,
-    detect_daily_story_quota,
-    detect_duplicates,
-    detect_fast_pulls,
-    detect_huge_stories,
-    detect_last_minute,
-    detect_no_committing,
-    detect_test_later,
-)
+from sprintlint.catalog import CHECKS
 
 REGISTRY = default_registry()
 CONFIG = MetricConfig()
@@ -165,20 +156,15 @@ def _detectors_bounded_on_random_slices(samples: int = 300) -> bool:
         devs = frozenset({f"d{k}@a" for k in range(3)})
         slice_ = make_slice(sprint, commits=commits, stories=stories, pulls=pulls, developers=devs)
         results = [
-            detect_collective_ownership(slice_, CONFIG),
-            detect_test_later(slice_, CONFIG),
-            detect_huge_stories(slice_, CONFIG),
-            detect_duplicates(slice_, CONFIG),
-            detect_last_minute(slice_, CONFIG),
-            detect_no_committing(slice_, CONFIG),
-            detect_daily_story_quota(slice_, CONFIG),
-            detect_fast_pulls(slice_, CONFIG),
+            (name, check.detector(slice_, CONFIG.for_metric(name)))
+            for name, check in CHECKS.items()
+            if name != "multi-backlog-stories"
         ]
-        for result in results:
+        for metric, result in results:
             if result.score is not None and not (0.0 <= result.score <= 100.0):
                 return False
             if (
-                result.metric in MAX_FORM_METRICS
+                metric in MAX_FORM_METRICS
                 and result.score is not None
                 and not result.violations
                 and result.score != 100.0

@@ -500,3 +500,53 @@ def test_any_bytes_in_any_export_file_end_in_exit_0_or_2(tmp_path_factory, small
         (work / name).write_bytes(spliced if k == kind else small_exports[k])
         sources += [f"--{k}", str(work / name)]
     assert main(["ingest", *sources, "--out", str(work / "snap.json")]) in (0, 2)
+
+
+def test_positioned_commits_error_is_not_hidden_by_stats_for_its_commits(tmp_path, capsys):
+    out_dir = _generate(tmp_path)
+    commits = out_dir / "commits.ndjson"
+    commits.write_text("[[[\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["ingest", "--commits", str(commits), "--stats", str(out_dir / "stats.csv"),
+            "--out", str(tmp_path / "snap.json")]
+    assert main(argv) == 2
+    assert _one_error_line(capsys).startswith(f"error: {commits}:1: invalid JSON")
+
+
+LONE_SURROGATE = "\ud800"
+
+
+def _with_lone_surrogate(kind, tmp_path):
+    """An otherwise valid document of `kind` with one lone surrogate escape in it."""
+    out_dir = _generate(tmp_path / "source")
+    if kind == "commits":
+        lines = (out_dir / EXPORTS[kind]).read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["message"] = LONE_SURROGATE
+        return "\n".join([json.dumps(first), *lines[1:]]) + "\n"
+    if kind in EXPORTS:
+        doc = json.loads((out_dir / EXPORTS[kind]).read_text(encoding="utf-8"))
+        doc[0]["team"] = LONE_SURROGATE
+    elif kind == "snapshot":
+        doc = json.loads(_ingest(tmp_path, out_dir).read_text(encoding="utf-8"))
+        doc["commits"][0]["message"] = LONE_SURROGATE
+    elif kind == "config":
+        doc = {"metrics": {"duplicate-stories": {"duplicate_label": LONE_SURROGATE}}}
+    elif kind == "manifest":
+        doc = {"commits": str(out_dir / EXPORTS["commits"]), "team_map": {"alpha": LONE_SURROGATE}}
+    else:  # a spec and an injection hold no strings, so the escape goes in a key
+        doc = {LONE_SURROGATE: 1}
+    return json.dumps(doc)  # ensure_ascii writes the surrogate as the escape \ud800
+
+
+@pytest.mark.parametrize("kind", [k for k in INPUT_KINDS if k != "stats"])
+def test_lone_surrogate_escape_in_json_input_exits_2(tmp_path, capsys, kind):
+    text = _with_lone_surrogate(kind, tmp_path)
+    assert "\\ud800" in text
+    argv, bad = _argv_reading(tmp_path, kind, text.encode("ascii"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    where = f"{bad}:1: " if kind == "commits" else f"{bad} is not valid JSON: "
+    assert f"{where}lone surrogate \\ud800 is not valid Unicode text" in _one_error_line(capsys)
+    if argv[0] == "ingest":
+        assert not (tmp_path / "snap.json").exists()  # not even an empty one

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from sprintlint import ConfigError, MetricConfig, Severity, config_from_dict, load_config
-from sprintlint.config import METRIC_NAMES
+from sprintlint import config as config_mod
+from sprintlint.catalog import CHECKS
+from sprintlint.config import METRIC_NAMES, HugeStoriesSettings
 
 
 def test_defaults_cover_all_metrics():
@@ -25,9 +27,9 @@ def test_round_trip_through_dict():
 
 def test_partial_document_gets_defaults():
     config = config_from_dict({"metrics": {"collective-ownership": {"weight": 20}}})
-    assert config.collective_ownership.weight == 20
-    assert config.collective_ownership.threshold_e == 10  # untouched default
-    assert config.huge_stories.weight == 25.0
+    assert config.for_metric("collective-ownership").weight == 20
+    assert config.for_metric("collective-ownership").threshold_e == 10  # untouched default
+    assert config.for_metric("huge-stories").weight == 25.0
 
 
 def test_unknown_metric_rejected():
@@ -57,7 +59,7 @@ def test_severity_override_parsed():
     config = config_from_dict(
         {"metrics": {"duplicate-stories": {"severity_override": "high"}}}
     )
-    assert config.duplicate_stories.severity_override is Severity.HIGH
+    assert config.for_metric("duplicate-stories").severity_override is Severity.HIGH
 
 
 def test_severity_weights_must_be_complete():
@@ -80,7 +82,7 @@ def test_load_config_file(tmp_path):
         encoding="utf-8",
     )
     config = load_config(path)
-    assert config.last_minute.last_minute_window_minutes == 30
+    assert config.for_metric("last-minute-commits").last_minute_window_minutes == 30
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -88,3 +90,24 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{nope", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_each_check_is_declared_once_in_report_order():
+    assert tuple(config_mod.SETTINGS) == METRIC_NAMES == tuple(CHECKS)
+
+
+def test_metric_settings_must_name_a_check_and_match_its_class():
+    with pytest.raises(ConfigError, match="unknown metric 'nope'"):
+        MetricConfig(metrics={"nope": HugeStoriesSettings()})
+    with pytest.raises(ConfigError, match="huge-stories must be HugeStoriesSettings"):
+        MetricConfig(metrics={"huge-stories": config_mod.TestLaterSettings()})
+
+
+def test_partial_metrics_mapping_keeps_the_other_defaults():
+    override = HugeStoriesSettings(threshold_length=4.0)
+    config = MetricConfig(metrics={"huge-stories": override})
+    assert tuple(config.metrics) == METRIC_NAMES
+    assert config.for_metric("huge-stories") is override
+    for name, kind in config_mod.SETTINGS.items():
+        if name != "huge-stories":
+            assert config.for_metric(name) == kind()

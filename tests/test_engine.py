@@ -131,7 +131,7 @@ def test_registry_iteration_order_is_registration_order():
 
 def test_evaluate_disabled_metric_is_skipped():
     history, _ = generate(FixtureSpec(teams=1, sprints=1))
-    config = MetricConfig(duplicate_stories=DuplicateStoriesSettings(enabled=False))
+    config = MetricConfig({"duplicate-stories": DuplicateStoriesSettings(enabled=False)})
     registry = default_registry()
     sprint = history.sprints[0]
     assert evaluate(registry, "duplicate-stories", history, sprint.team, sprint.id, config) is None
@@ -163,7 +163,7 @@ def test_run_all_cardinality():
 
 def test_run_all_disabled_metric_drops_results():
     history, _ = generate(FixtureSpec(teams=2, sprints=3))
-    config = MetricConfig(duplicate_stories=DuplicateStoriesSettings(enabled=False))
+    config = MetricConfig({"duplicate-stories": DuplicateStoriesSettings(enabled=False)})
     results = run_all(default_registry(), history, config)
     assert len(results) == 2 * 3 * 8
     assert all(r.metric != "duplicate-stories" for r in results)

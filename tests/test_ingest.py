@@ -24,6 +24,7 @@ from sprintlint.ingest import (
     write_sprints,
     write_stats,
 )
+from sprintlint import serialize
 from sprintlint.serialize import canonical_json, format_iso_utc, parse_iso_utc
 from conftest import DAY, T0, change, make_commit, make_pull, make_sprint, make_story
 
@@ -319,6 +320,47 @@ def test_snapshot_without_diagnostics_and_with_a_stale_diagnostics_key(tmp_path)
     doc["diagnostics"] = ["commit c0 parent c9 not in export (shallow history?)"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_snapshot(path) == original
+
+
+def test_failed_snapshot_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "snap.json"
+    write_snapshot(path, build_history(*_sample_records()))
+    before = path.read_bytes()
+    bad = build_history(commits=[make_commit("c1", T0, message="\ud800")], sprints=[make_sprint()])
+    with pytest.raises(UnicodeEncodeError):
+        write_snapshot(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+
+
+def test_write_text_removes_its_temporary_when_the_replace_fails(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_text("old", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(serialize.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        serialize.write_text(path, "new")
+    assert path.read_text(encoding="utf-8") == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_text_into_a_missing_directory_names_the_path_asked_for(tmp_path):
+    path = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        serialize.write_text(path, "text")
+    assert info.value.filename == str(path)
+
+
+def test_write_text_writes_through_a_symbolic_link(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    serialize.write_text(link, "new")
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "new"
 
 
 @pytest.mark.parametrize(

@@ -248,8 +248,8 @@ def histories(draw):
 @settings(max_examples=150, deadline=None)
 @given(history=histories())
 def test_indexed_lookups_match_linear_scans(history):
-    config = MetricConfig()
-    threshold = config.multi_backlog.threshold_amount
+    check_settings = MetricConfig().for_metric("multi-backlog-stories")
+    threshold = check_settings.threshold_amount
     nows = (T0 + 3 * DAY, T0 + 100 * DAY)
     for team in history.teams:
         assert history.sprints_of(team) == tuple(
@@ -259,7 +259,7 @@ def test_indexed_lookups_match_linear_scans(history):
             slice_ = window(history, team, sprint.id)
             assert (slice_.commits, slice_.stories, slice_.pulls) == scan_window(history, team, sprint.id)
 
-            result = detect_multi_backlog(slice_, config)
+            result = detect_multi_backlog(slice_, check_settings)
             got = [(v.artifacts[0], v.numeric_detail["sprint_count"]) for v in result.violations]
             assert (result.inputs_echo.get("total_stories", 0), got) == scan_multi_backlog(
                 history, sprint, threshold

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import sprintlint.cli  # noqa: F401  (loads every module, as the tracer does)
-from sprintlint import default_registry
+from sprintlint import config, default_registry
+from sprintlint.catalog import CHECKS
+from conftest import DAY, T0, change, make_commit, make_pull, make_slice, make_sprint, make_story
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +47,18 @@ def test_every_registered_check_has_what_the_tracer_reads(tracing):
         # and re-registers each check with its detector wrapped
         assert callable(metric.detector)
         assert replace(metric, detector=print).detector is print
+
+
+def test_every_detector_returns_what_the_tracer_counts(tracing):
+    sprint = make_sprint()
+    slice_ = make_slice(
+        sprint,
+        commits=[make_commit("c1", T0 + DAY, files=[change("a.py")])],
+        stories=[make_story(1)],
+        pulls=[make_pull(1, T0 + DAY, closed=T0 + DAY + 60.0)],
+        developers={"ann@example.org", "bob@example.org"},
+    )
+    for name, check in CHECKS.items():
+        finding = check.detector(slice_, config.SETTINGS[name]())
+        # `_count_violations` reads the violations and each one's artifacts
+        assert all(v.artifacts for v in finding.violations), name
