@@ -1,13 +1,14 @@
-"""Byte-identity guard: the default config digest and the rendered outputs.
+"""Byte-identity guard: the default config digest, the rendered outputs and the fixture files.
 
 The expected values were computed once and must not move with refactors.
-A change that alters a report, a trend CSV or the config document on
-purpose updates them here, and says why.
+A change that alters a report, a trend CSV, a generated export or the
+config document on purpose updates them here, and says why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 from sprintlint import (
     MetricConfig,
@@ -20,6 +21,7 @@ from sprintlint import (
     trend,
     trend_csv,
 )
+from sprintlint.cli import main
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
 
 # every directive, so each of the nine checks emits or moves something
@@ -40,6 +42,15 @@ EXPECTED_SHA256 = {
     "json": "c0e9af6b5670f29554b2d0ca403b474fa13a2eba5e002ea4ea1a9dfcaf4a538d",
     "markdown": "d469aaab8624b8e8999fe10c9ce01845c83c791a5c4f6c093473b0e1eb608e38",
     "trend_csv": "7cb3cea8d2451ca899574c0ae449e46149fd0209fa5b29ead31cfac174cd7d8b",
+}
+
+EXPECTED_GENERATE_SHA256 = {
+    "commits.ndjson": "a7af2bb0a16f99d3239798f483a90260323405bb16f0ea64b7304ad7b6b0e565",
+    "issues.json": "0ff1de4aea0e6d76982ea34207963d7ae8461522f1a3d7f9daa3b21b6ddcf4eb",
+    "sprints.json": "a6e3355182ae015d889999eb8834522f39d5f04dffd2862186f132b72f956e5f",
+    "pulls.json": "1e02b64976dca992eaa8d56efcc02f844dd0484845b1d2e50919542bd05d588c",
+    "stats.csv": "e8cc50007398d1324cf0985be79d42dd33e7be083a88d4108f55744493c54f98",
+    "ledger.json": "0697e4719e65f77c6b6cb887d3bde3aba6ea1b3182022de2b4654fe2edf46390",
 }
 
 
@@ -66,3 +77,19 @@ def test_rendered_outputs_are_pinned():
         "trend_csv": _sha256(trend_csv(trend(history, results, scores))),
     }
     assert actual == EXPECTED_SHA256
+
+
+def test_generate_output_bytes_are_pinned(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FixtureSpec(teams=2, sprints=4).to_dict()), encoding="utf-8")
+    inject_path = tmp_path / "inject.json"
+    inject_path.write_text(json.dumps(ALL_DIRECTIVES.to_dict()), encoding="utf-8")
+    out_dir = tmp_path / "fixture"
+    argv = ["generate", "--spec", str(spec_path), "--inject", str(inject_path),
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    actual = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in EXPECTED_GENERATE_SHA256
+    }
+    assert actual == EXPECTED_GENERATE_SHA256
