@@ -93,32 +93,25 @@ class MetricRegistry:
 
 
 def evaluate(
-    registry: MetricRegistry,
-    name: str,
-    history: ProjectHistory,
-    team: str,
-    sprint_id: str,
-    config: MetricConfig,
-    slice_: SprintSlice | None = None,
+    check: RegisteredMetric, slice_: SprintSlice, config: MetricConfig
 ) -> MetricResult | None:
-    """Run one metric over one team-sprint.
+    """Run one check over one team-sprint; the result is labelled with the slice's sprint.
 
-    Returns None when the metric is disabled in the config. The detector
-    gets only the metric's own settings. Detector failures (including
+    Returns None when the check is disabled in the config. The detector
+    gets only the check's own settings. Detector failures (including
     undefined denominators that escaped a detector) surface as a result with
     no score and a diagnostic, never as an exception.
     """
-    metric = registry.get(name)
+    name = check.descriptor.name
     settings = config.for_metric(name)
     if not settings.enabled:
         return None
-    if slice_ is None:
-        slice_ = window(history, team, sprint_id)
+    sprint = slice_.sprint
     try:
-        return MetricResult(name, team, sprint_id, *metric.detector(slice_, settings))
+        return MetricResult(name, sprint.team, sprint.id, *check.detector(slice_, settings))
     except Exception as exc:  # single-metric failures must not abort a run
         failure = Finding((), None, diagnostic=f"detector failed: {type(exc).__name__}: {exc}")
-        return MetricResult(name, team, sprint_id, *failure)
+        return MetricResult(name, sprint.team, sprint.id, *failure)
 
 
 def run_all(
@@ -140,8 +133,8 @@ def run_all(
             if sprint_ids is not None and sprint.id not in sprint_ids:
                 continue
             slice_ = window(history, team, sprint.id)
-            for name in registry.names():
-                result = evaluate(registry, name, history, team, sprint.id, config, slice_=slice_)
+            for check in registry:
+                result = evaluate(check, slice_, config)
                 if result is not None:
                     results.append(result)
     return results

@@ -1,8 +1,8 @@
 """Synthetic project histories: a violation-free generator and a violation injector.
 
 The generator builds teams whose every artifact passes every built-in check
-at default configuration (the returned certificate is the tool's own lint
-run proving it). The injector adds precisely specified violations and
+at the default settings (the returned certificate is the tool's own lint
+run proving it); fixtures are always built for those settings. The injector adds precisely specified violations and
 returns a ledger of the injected artifact ids per metric, giving detector
 tests an exact expected answer.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import config as cfg
 from .catalog import default_registry, story_ref, pull_ref
@@ -49,6 +49,10 @@ EPOCH = 1420416000.0  # 2015-01-05T00:00:00Z, a Monday
 MARGIN_SECONDS = 3600.0
 BASE_STORY_LENGTH = 200
 BASE_STORY_CHECKBOXES = 3
+
+# the settings every fixture is built for and certified against
+_CONFIG = MetricConfig()
+_LAST_MINUTE_SECONDS = _CONFIG.for_metric(cfg.LAST_MINUTE).last_minute_window_minutes * 60.0
 
 
 @dataclass(frozen=True)
@@ -181,14 +185,7 @@ class FixtureCertificate:
     config_digest: str
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rng_algorithm": self.rng_algorithm,
-            "cells_checked": self.cells_checked,
-            "violation_free": self.violation_free,
-            "all_applicable_scores_100": self.all_applicable_scores_100,
-            "config_digest": self.config_digest,
-        }
+        return asdict(self)
 
 
 def _story_body(title: str, length: int, checkboxes: int) -> str:
@@ -214,11 +211,9 @@ class _TeamBuilder:
     slowly and always carry comments.
     """
 
-    def __init__(self, rng: random.Random, team_id: str, n_devs: int, idle_devs: int,
-                 config: MetricConfig) -> None:
+    def __init__(self, rng: random.Random, team_id: str, n_devs: int, idle_devs: int) -> None:
         self.rng = rng
         self.team = team_id
-        self.config = config
         self.devs = [f"dev{i:02d}@{team_id}.example" for i in range(n_devs)]
         self.idle_devs = [f"idle{i:02d}@{team_id}.example" for i in range(idle_devs)]
         self.sprints: list[Sprint] = []
@@ -238,11 +233,10 @@ class _TeamBuilder:
     def add_sprint(self, index: int, duration_seconds: float) -> Sprint:
         # whole seconds keep timestamps exact through the ISO-8601 round trip
         duration_seconds = float(round(duration_seconds))
-        lm_seconds = self.config.for_metric(cfg.LAST_MINUTE).last_minute_window_minutes * 60.0
-        if duration_seconds <= lm_seconds + 2 * MARGIN_SECONDS:
+        if duration_seconds <= _LAST_MINUTE_SECONDS + 2 * MARGIN_SECONDS:
             raise InfeasibleFixtureError(
                 f"sprint of {duration_seconds:.0f}s leaves no room outside the "
-                f"{lm_seconds:.0f}s deadline window plus margins"
+                f"{_LAST_MINUTE_SECONDS:.0f}s deadline window plus margins"
             )
         starts = EPOCH + sum(s.due_on - s.starts_at for s in self.sprints)
         sprint = Sprint(
@@ -256,8 +250,7 @@ class _TeamBuilder:
         return sprint
 
     def _interior(self, sprint: Sprint) -> tuple[float, float]:
-        lm_seconds = self.config.for_metric(cfg.LAST_MINUTE).last_minute_window_minutes * 60.0
-        return sprint.starts_at + MARGIN_SECONDS, sprint.due_on - lm_seconds - MARGIN_SECONDS
+        return sprint.starts_at + MARGIN_SECONDS, sprint.due_on - _LAST_MINUTE_SECONDS - MARGIN_SECONDS
 
     # -- stories --------------------------------------------------------
 
@@ -348,12 +341,8 @@ class _TeamBuilder:
     def head_stats(self) -> tuple[float, float]:
         return self._coverage, self._complexity
 
-    @property
-    def head(self) -> str | None:
-        return self._head
-
     def _file_pool(self, total_commits: int) -> list[str]:
-        threshold_a = self.config.for_metric(cfg.COLLECTIVE_OWNERSHIP).threshold_a
+        threshold_a = _CONFIG.for_metric(cfg.COLLECTIVE_OWNERSHIP).threshold_a
         needed_authors = threshold_a + 1
         n_devs = len(self.devs)
         if n_devs < needed_authors:
@@ -407,16 +396,14 @@ class _TeamBuilder:
         return pull
 
     def fill_sprint_pulls(self, sprint: Sprint, count: int) -> None:
-        fast_minutes = self.config.for_metric(cfg.FAST_PULLS).fast_pr_window_minutes
+        fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS).fast_pr_window_minutes
         for _ in range(count):
             open_minutes = fast_minutes + 60.0 + self.rng.uniform(0.0, 600.0)
             self.add_pull(sprint, open_minutes, comments=1 + self.rng.randrange(0, 4))
 
 
-def _build_clean_team(
-    rng: random.Random, team_id: str, spec: FixtureSpec, config: MetricConfig
-) -> _TeamBuilder:
-    builder = _TeamBuilder(rng, team_id, spec.developers_per_team, 0, config)
+def _build_clean_team(rng: random.Random, team_id: str, spec: FixtureSpec) -> _TeamBuilder:
+    builder = _TeamBuilder(rng, team_id, spec.developers_per_team, 0)
     if spec.developers_per_team > 0 and spec.sprints > 0:
         if spec.commits_per_dev_per_sprint == 0 and spec.stories_per_sprint > 0:
             raise InfeasibleFixtureError(
@@ -447,30 +434,25 @@ def _assemble(builders: list[_TeamBuilder], base: ProjectHistory | None = None) 
     return build_history(commits, stories, sprints, pulls, stats)
 
 
-def self_lint(history: ProjectHistory, config: MetricConfig, seed: int) -> FixtureCertificate:
-    """Run the tool's own checks over a history and certify the outcome."""
-    results = run_all(default_registry(), history, config)
+def self_lint(history: ProjectHistory, seed: int) -> FixtureCertificate:
+    """Run the tool's own checks at the default settings over a history and certify the outcome."""
+    results = run_all(default_registry(), history, _CONFIG)
     return FixtureCertificate(
         seed=seed,
         rng_algorithm=RNG_ALGORITHM,
         cells_checked=len(results),
         violation_free=all(not r.violations for r in results),
         all_applicable_scores_100=all(r.score == 100.0 for r in results if r.score is not None),
-        config_digest=config.digest(),
+        config_digest=_CONFIG.digest(),
     )
 
 
-def generate(
-    spec: FixtureSpec, config: MetricConfig | None = None
-) -> tuple[ProjectHistory, FixtureCertificate]:
+def generate(spec: FixtureSpec) -> tuple[ProjectHistory, FixtureCertificate]:
     """Build a violation-free history for `spec` plus its self-lint certificate."""
-    config = config or MetricConfig()
     rng = random.Random(spec.seed)
-    builders = [
-        _build_clean_team(rng, f"team-{t + 1:02d}", spec, config) for t in range(spec.teams)
-    ]
+    builders = [_build_clean_team(rng, f"team-{t + 1:02d}", spec) for t in range(spec.teams)]
     history = _assemble(builders)
-    certificate = self_lint(history, config, spec.seed)
+    certificate = self_lint(history, spec.seed)
     if not certificate.violation_free:
         raise InfeasibleFixtureError(
             "generated history failed its own lint; the spec cannot satisfy the "
@@ -490,7 +472,6 @@ _INJECT_PULLS = 3
 def _injection_team(
     rng: random.Random,
     metric: str,
-    config: MetricConfig,
     n_sprints: int = 1,
     extra_backlog: int = 0,
     idle_devs: int = 0,
@@ -502,7 +483,7 @@ def _injection_team(
     on the parabola's peak; `quota_backlog` overrides the backlog size used
     for that balancing when the directive deliberately wants it off-peak.
     """
-    builder = _TeamBuilder(rng, f"zz-{metric}", _INJECT_DEVS, idle_devs, config)
+    builder = _TeamBuilder(rng, f"zz-{metric}", _INJECT_DEVS, idle_devs)
     backlog = _INJECT_STORIES + extra_backlog
     balanced = quota_backlog if quota_backlog is not None else backlog
     total_devs = _INJECT_DEVS + idle_devs
@@ -520,8 +501,8 @@ def _payload_time(builder: _TeamBuilder, sprint: Sprint) -> float:
     return builder.rng.uniform(lo, hi)
 
 
-def _inject_hot_files(rng, config, count: int, edits: int, authors: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    settings = config.for_metric(cfg.COLLECTIVE_OWNERSHIP)
+def _inject_hot_files(rng, count: int, edits: int, authors: int) -> tuple[_TeamBuilder, InjectionRecord]:
+    settings = _CONFIG.for_metric(cfg.COLLECTIVE_OWNERSHIP)
     if authors < 1 or authors > settings.threshold_a:
         raise InfeasibleFixtureError(
             f"hot files need 1..{settings.threshold_a} authors to violate, got {authors}"
@@ -532,7 +513,7 @@ def _inject_hot_files(rng, config, count: int, edits: int, authors: int) -> tupl
         )
     if edits < authors:
         raise InfeasibleFixtureError("a file cannot have fewer edits than authors")
-    builder = _injection_team(rng, cfg.COLLECTIVE_OWNERSHIP, config)
+    builder = _injection_team(rng, cfg.COLLECTIVE_OWNERSHIP)
     sprint = builder.sprints[-1]
     paths = []
     for i in range(count):
@@ -549,8 +530,8 @@ def _inject_hot_files(rng, config, count: int, edits: int, authors: int) -> tupl
     return builder, InjectionRecord(cfg.COLLECTIVE_OWNERSHIP, builder.team, sprint.id, tuple(paths))
 
 
-def _inject_tdd_regressions(rng, config, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    builder = _injection_team(rng, cfg.TEST_LATER, config)
+def _inject_tdd_regressions(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
+    builder = _injection_team(rng, cfg.TEST_LATER)
     sprint = builder.sprints[-1]
     head_coverage, head_complexity = builder.head_stats()
     if head_coverage - count * 1.0 < 0:
@@ -568,8 +549,8 @@ def _inject_tdd_regressions(rng, config, count: int) -> tuple[_TeamBuilder, Inje
     return builder, InjectionRecord(cfg.TEST_LATER, builder.team, sprint.id, tuple(ids))
 
 
-def _inject_huge_stories(rng, config, count: int, multiplier: float) -> tuple[_TeamBuilder, InjectionRecord]:
-    t = config.for_metric(cfg.HUGE_STORIES).threshold_length
+def _inject_huge_stories(rng, count: int, multiplier: float) -> tuple[_TeamBuilder, InjectionRecord]:
+    t = _CONFIG.for_metric(cfg.HUGE_STORIES).threshold_length
     n, c = _INJECT_STORIES, count
     headroom = n + c * (1.0 - t)
     if headroom <= 0:
@@ -583,7 +564,7 @@ def _inject_huge_stories(rng, config, count: int, multiplier: float) -> tuple[_T
             f"length multiplier must exceed {minimum:.2f} for {c} huge stories among {n} "
             f"regular ones at threshold {t}, got {multiplier}"
         )
-    builder = _injection_team(rng, cfg.HUGE_STORIES, config, extra_backlog=count)
+    builder = _injection_team(rng, cfg.HUGE_STORIES, extra_backlog=count)
     sprint = builder.sprints[-1]
     refs = []
     for _ in range(count):
@@ -592,15 +573,15 @@ def _inject_huge_stories(rng, config, count: int, multiplier: float) -> tuple[_T
     return builder, InjectionRecord(cfg.HUGE_STORIES, builder.team, sprint.id, tuple(refs))
 
 
-def _inject_neverending(rng, config, count: int, sprints_each: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    threshold = config.for_metric(cfg.MULTI_BACKLOG).threshold_amount
+def _inject_neverending(rng, count: int, sprints_each: int) -> tuple[_TeamBuilder, InjectionRecord]:
+    threshold = _CONFIG.for_metric(cfg.MULTI_BACKLOG).threshold_amount
     if sprints_each <= threshold:
         raise InfeasibleFixtureError(
             f"neverending stories need more than {threshold} sprint memberships to violate, "
             f"got {sprints_each}"
         )
     builder = _injection_team(
-        rng, cfg.MULTI_BACKLOG, config, n_sprints=sprints_each, extra_backlog=count
+        rng, cfg.MULTI_BACKLOG, n_sprints=sprints_each, extra_backlog=count
     )
     refs = []
     for _ in range(count):
@@ -610,9 +591,9 @@ def _inject_neverending(rng, config, count: int, sprints_each: int) -> tuple[_Te
     return builder, InjectionRecord(cfg.MULTI_BACKLOG, builder.team, target.id, tuple(refs))
 
 
-def _inject_duplicates(rng, config, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    label = config.for_metric(cfg.DUPLICATE_STORIES).duplicate_label
-    builder = _injection_team(rng, cfg.DUPLICATE_STORIES, config, extra_backlog=count)
+def _inject_duplicates(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
+    label = _CONFIG.for_metric(cfg.DUPLICATE_STORIES).duplicate_label
+    builder = _injection_team(rng, cfg.DUPLICATE_STORIES, extra_backlog=count)
     sprint = builder.sprints[-1]
     refs = []
     for _ in range(count):
@@ -621,13 +602,12 @@ def _inject_duplicates(rng, config, count: int) -> tuple[_TeamBuilder, Injection
     return builder, InjectionRecord(cfg.DUPLICATE_STORIES, builder.team, sprint.id, tuple(refs))
 
 
-def _inject_last_minute(rng, config, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    window_seconds = config.for_metric(cfg.LAST_MINUTE).last_minute_window_minutes * 60.0
-    builder = _injection_team(rng, cfg.LAST_MINUTE, config)
+def _inject_last_minute(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
+    builder = _injection_team(rng, cfg.LAST_MINUTE)
     sprint = builder.sprints[-1]
     ids = []
     for i in range(count):
-        when = sprint.due_on - window_seconds * (i + 1) / (count + 1)
+        when = sprint.due_on - _LAST_MINUTE_SECONDS * (i + 1) / (count + 1)
         commit = builder.add_commit(
             when,
             builder.devs[i % len(builder.devs)],
@@ -639,21 +619,21 @@ def _inject_last_minute(rng, config, count: int) -> tuple[_TeamBuilder, Injectio
     return builder, InjectionRecord(cfg.LAST_MINUTE, builder.team, sprint.id, tuple(ids))
 
 
-def _inject_idle_developers(rng, config, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
+def _inject_idle_developers(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
     if count > _INJECT_STORIES:
         raise InfeasibleFixtureError(
             f"at most {_INJECT_STORIES} idle developers can be attached to the scaffold stories"
         )
-    builder = _injection_team(rng, cfg.COMMIT_ACTIVITY, config, idle_devs=count)
+    builder = _injection_team(rng, cfg.COMMIT_ACTIVITY, idle_devs=count)
     target = builder.sprints[-1]
     return builder, InjectionRecord(
         cfg.COMMIT_ACTIVITY, builder.team, target.id, tuple(sorted(builder.idle_devs))
     )
 
 
-def _inject_backlog_overflow(rng, config, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
+def _inject_backlog_overflow(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
     builder = _injection_team(
-        rng, cfg.DAILY_STORY_LOAD, config, extra_backlog=count, quota_backlog=_INJECT_STORIES
+        rng, cfg.DAILY_STORY_LOAD, extra_backlog=count, quota_backlog=_INJECT_STORIES
     )
     sprint = builder.sprints[-1]
     for _ in range(count):
@@ -662,9 +642,9 @@ def _inject_backlog_overflow(rng, config, count: int) -> tuple[_TeamBuilder, Inj
     return builder, InjectionRecord(cfg.DAILY_STORY_LOAD, builder.team, sprint.id, ())
 
 
-def _inject_fast_pulls(rng, config, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    fast_minutes = config.for_metric(cfg.FAST_PULLS).fast_pr_window_minutes
-    builder = _injection_team(rng, cfg.FAST_PULLS, config)
+def _inject_fast_pulls(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
+    fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS).fast_pr_window_minutes
+    builder = _injection_team(rng, cfg.FAST_PULLS)
     sprint = builder.sprints[-1]
     refs = []
     for _ in range(count):
@@ -692,10 +672,7 @@ _DIRECTIVES: dict[str, tuple[tuple[str, ...] | None, _Injector]] = {
 
 
 def inject(
-    history: ProjectHistory,
-    injection: InjectionSpec,
-    seed: int,
-    config: MetricConfig | None = None,
+    history: ProjectHistory, injection: InjectionSpec, seed: int
 ) -> tuple[ProjectHistory, dict[str, InjectionRecord]]:
     """Plant the requested violations and return the exact expected artifact ids.
 
@@ -704,14 +681,13 @@ def inject(
     """
     if injection.empty():
         return history, {}
-    config = config or MetricConfig()
     rng = random.Random(seed)
     builders: list[_TeamBuilder] = []
     ledger: dict[str, InjectionRecord] = {}
     for name, (keys, injector) in _DIRECTIVES.items():
         directive = getattr(injection, name)
         if _planted(directive):
-            builder, record = injector(rng, config, *(directive if keys else (directive,)))
+            builder, record = injector(rng, *(directive if keys else (directive,)))
             builders.append(builder)
             ledger[record.metric] = record
 

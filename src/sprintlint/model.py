@@ -126,6 +126,10 @@ class UserStory:
             raise RecordError(f"story number must be positive, got {self.number}")
         if not self.team:
             raise RecordError(f"story #{self.number} has no team")
+        if not math.isfinite(self.created_at):
+            raise RecordError(f"story #{self.number} created_at must be a finite timestamp")
+        if self.closed_at is not None and not math.isfinite(self.closed_at):
+            raise RecordError(f"story #{self.number} closed_at must be a finite timestamp")
         object.__setattr__(self, "labels", frozenset(self.labels))
         object.__setattr__(self, "milestones", tuple(self.milestones))
         object.__setattr__(self, "assignees", frozenset(a.lower() for a in self.assignees))
@@ -157,6 +161,10 @@ class Sprint:
             raise RecordError("sprint id must be non-empty")
         if not self.team:
             raise RecordError(f"sprint {self.id} has no team")
+        if not math.isfinite(self.starts_at):
+            raise RecordError(f"sprint {self.id} starts_at must be a finite timestamp")
+        if not math.isfinite(self.due_on):
+            raise RecordError(f"sprint {self.id} due_on must be a finite timestamp")
         if not self.starts_at < self.due_on:
             raise RecordError(f"sprint {self.id} must start before it is due")
 
@@ -179,6 +187,10 @@ class PullRequest:
             raise RecordError(f"pull request number must be positive, got {self.number}")
         if not self.team:
             raise RecordError(f"pull request #{self.number} has no team")
+        if not math.isfinite(self.opened_at):
+            raise RecordError(f"pull request #{self.number} opened_at must be a finite timestamp")
+        if self.closed_at is not None and not math.isfinite(self.closed_at):
+            raise RecordError(f"pull request #{self.number} closed_at must be a finite timestamp")
         if not self.comment_count >= 0:
             raise RecordError(f"pull request #{self.number} comment_count < 0")
         if self.merged and self.closed_at is None:
@@ -257,11 +269,7 @@ class _TimeIndex:
     def __init__(self, records: Sequence, stamp: Callable[[object], float]) -> None:
         self._records = records
         stamps = [stamp(record) for record in records]
-        # NaN compares false against every bound, so it can never fall in an
-        # interval; leaving it out keeps the sorted order well defined.
-        self._order = sorted(
-            (i for i, t in enumerate(stamps) if not math.isnan(t)), key=stamps.__getitem__
-        )
+        self._order = sorted(range(len(records)), key=stamps.__getitem__)
         self._stamps = [stamps[i] for i in self._order]
 
     def between(self, lo: float, hi: float) -> tuple:
@@ -275,11 +283,11 @@ class _TimeIndex:
 class SprintSlice:
     """Everything a detector sees of one team-sprint.
 
-    The team's artifacts in the sprint window and its developers, plus the
-    history's own build-stats and sprint lookups, shared rather than copied.
+    The sprint (its `team` is the slice's team), the team's artifacts in the
+    sprint window and its developers, plus the history's own build-stats and
+    sprint lookups, shared rather than copied.
     """
 
-    team: str
     sprint: Sprint
     commits: tuple[Commit, ...]
     stories: tuple[UserStory, ...]
@@ -471,7 +479,6 @@ def window(history: ProjectHistory, team: str, sprint_id: str) -> SprintSlice:
         raise UnknownSprintError(f"sprint {sprint_id!r} belongs to {sprint.team!r}, not {team!r}")
     commit_index, pull_index = history._team_time_indexes(team)
     return SprintSlice(
-        team=team,
         sprint=sprint,
         commits=commit_index.between(sprint.starts_at, sprint.due_on),
         stories=history.backlog(team, sprint_id),

@@ -52,14 +52,11 @@ def history_horizon(history: ProjectHistory) -> float:
 
 @dataclass(frozen=True)
 class RunReport:
-    version: str
-    config_digest: str
     config: MetricConfig
     now: float
     results: tuple[MetricResult, ...]
     scores: tuple[TeamSprintScore, ...]
     unfinished: tuple[tuple[str, UnfinishedStories], ...]  # (team, block) pairs
-    diagnostics: tuple[str, ...]
 
 
 def build_report(
@@ -96,14 +93,11 @@ def build_report(
                 unfinished.append((team, block))
 
     return RunReport(
-        version=__version__,
-        config_digest=config.digest(),
         config=config,
         now=now,
         results=tuple(results),
         scores=tuple(scores),
         unfinished=tuple(unfinished),
-        diagnostics=tuple(history.diagnostics),
     )
 
 
@@ -167,11 +161,11 @@ def report_to_dict(report: RunReport, history: ProjectHistory) -> dict:
     ]
     return {
         "tool": TOOL_NAME,
-        "version": report.version,
-        "config_digest": report.config_digest,
+        "version": __version__,
+        "config_digest": report.config.digest(),
         "config": report.config.to_dict(),
         "now": format_iso_utc(report.now),
-        "diagnostics": list(report.diagnostics),
+        "diagnostics": list(history.diagnostics),
         "results": results,
         "scores": scores,
         "unfinished_stories": unfinished,
@@ -197,14 +191,14 @@ def render_markdown(report: RunReport, history: ProjectHistory, registry: Metric
     lines: list[str] = []
     lines.append("# Process conformance report")
     lines.append("")
-    lines.append(f"- tool: {TOOL_NAME} {report.version}")
-    lines.append(f"- config digest: `{report.config_digest}`")
+    lines.append(f"- tool: {TOOL_NAME} {__version__}")
+    lines.append(f"- config digest: `{report.config.digest()}`")
     lines.append(f"- reference time: {format_iso_utc(report.now)}")
     lines.append("")
-    if report.diagnostics:
+    if history.diagnostics:
         lines.append("## Diagnostics")
         lines.append("")
-        for diagnostic in report.diagnostics:
+        for diagnostic in history.diagnostics:
             lines.append(f"- {diagnostic}")
         lines.append("")
 

@@ -79,7 +79,7 @@ def make_pull(number, opened, closed=None, comments=0, merged=False, team=TEAM) 
 
 def make_slice(sprint, commits=(), stories=(), pulls=(), developers=(), stats=None) -> SprintSlice:
     return SprintSlice(
-        team=sprint.team, sprint=sprint,
+        sprint=sprint,
         commits=tuple(commits), stories=tuple(stories), pulls=tuple(pulls),
         developers=frozenset(developers), stats_by_commit=dict(stats or {}),
         sprints_by_id={sprint.id: sprint},

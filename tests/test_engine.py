@@ -17,6 +17,7 @@ from sprintlint import (
     ratio_linear,
     run_all,
     threshold_linear,
+    window,
 )
 from sprintlint.config import DuplicateStoriesSettings
 from sprintlint.engine import RegisteredMetric, ZeroTotalError
@@ -134,7 +135,8 @@ def test_evaluate_disabled_metric_is_skipped():
     config = MetricConfig({"duplicate-stories": DuplicateStoriesSettings(enabled=False)})
     registry = default_registry()
     sprint = history.sprints[0]
-    assert evaluate(registry, "duplicate-stories", history, sprint.team, sprint.id, config) is None
+    slice_ = window(history, sprint.team, sprint.id)
+    assert evaluate(registry.get("duplicate-stories"), slice_, config) is None
 
 
 def test_evaluate_detector_failure_becomes_diagnostic():
@@ -148,11 +150,20 @@ def test_evaluate_detector_failure_becomes_diagnostic():
     custom = MetricRegistry()
     custom.register(RegisteredMetric(broken.descriptor, boom))
     sprint = history.sprints[0]
-    result = evaluate(custom, "duplicate-stories", history, sprint.team, sprint.id, MetricConfig())
+    slice_ = window(history, sprint.team, sprint.id)
+    result = evaluate(custom.get("duplicate-stories"), slice_, MetricConfig())
     assert result is not None
     assert result.score is None
     assert "kaput" in result.diagnostic
     assert "RuntimeError" in result.diagnostic
+
+
+def test_evaluate_labels_each_result_with_its_slice():
+    history, _ = generate(FixtureSpec(teams=2, sprints=2))
+    check = default_registry().get("huge-stories")
+    for sprint in history.sprints:
+        result = evaluate(check, window(history, sprint.team, sprint.id), MetricConfig())
+        assert (result.metric, result.team, result.sprint) == ("huge-stories", sprint.team, sprint.id)
 
 
 def test_run_all_cardinality():
@@ -190,6 +201,7 @@ def test_evaluate_is_pure():
     registry = default_registry()
     config = MetricConfig()
     sprint = history.sprints[0]
-    first = evaluate(registry, "huge-stories", history, sprint.team, sprint.id, config)
-    second = evaluate(registry, "huge-stories", history, sprint.team, sprint.id, config)
+    slice_ = window(history, sprint.team, sprint.id)
+    first = evaluate(registry.get("huge-stories"), slice_, config)
+    second = evaluate(registry.get("huge-stories"), slice_, config)
     assert first == second

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from sprintlint import (
     MetricConfig,
     MetricResult,
     RecordError,
+    Sprint,
     StoryState,
     UnknownSprintError,
     build_history,
@@ -307,6 +309,26 @@ def test_record_level_invariants():
         make_pull(1, opened=T0, closed=T0 - 1.0)
     with pytest.raises(RecordError):
         change("src/a.py", added=-1)
+
+
+# (how the message names the record, field, a builder putting a value in that field)
+NON_FINITE_CASES = {
+    "UserStory.created_at": ("story #1", lambda t: make_story(1, sprints=(), created=t)),
+    "UserStory.closed_at": ("story #1", lambda t: make_story(1, closed=t)),
+    "PullRequest.opened_at": ("pull request #1", lambda t: make_pull(1, opened=t)),
+    "PullRequest.closed_at": ("pull request #1", lambda t: make_pull(1, opened=T0, closed=t)),
+    "Sprint.starts_at": ("sprint s1", lambda t: Sprint("s1", "S", t, T0, TEAM)),
+    "Sprint.due_on": ("sprint s1", lambda t: Sprint("s1", "S", T0, t, TEAM)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_records_reject_non_finite_timestamps(case, value):
+    record, build = NON_FINITE_CASES[case]
+    field_name = case.partition(".")[2]
+    with pytest.raises(RecordError, match=f"^{record} {field_name} must be a finite timestamp$"):
+        build(value)
 
 
 def test_author_is_lowercased():

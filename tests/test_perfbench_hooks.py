@@ -6,15 +6,18 @@ this reads the tracer's tables and checks them against the package.
 
 from __future__ import annotations
 
+import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import sprintlint.cli  # noqa: F401  (loads every module, as the tracer does)
-from sprintlint import config, default_registry
+from sprintlint import cli, config, default_registry
 from sprintlint.catalog import CHECKS
+from sprintlint.fixtures import FixtureSpec
 from conftest import DAY, T0, change, make_commit, make_pull, make_slice, make_sprint, make_story
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -62,3 +65,24 @@ def test_every_detector_returns_what_the_tracer_counts(tracing):
         finding = check.detector(slice_, config.SETTINGS[name]())
         # `_count_violations` reads the violations and each one's artifacts
         assert all(v.artifacts for v in finding.violations), name
+
+
+def test_a_traced_lint_times_every_check_once_per_cell(tracing, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(FixtureSpec(teams=1, sprints=2).to_dict()), encoding="utf-8")
+    assert cli.main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+    exports = {"commits": "commits.ndjson", "issues": "issues.json", "sprints": "sprints.json",
+               "pulls": "pulls.json", "stats": "stats.csv"}
+    sources = [arg for kind, name in exports.items() for arg in (f"--{kind}", str(tmp_path / name))]
+    assert cli.main(["ingest", *sources, "--out", str(tmp_path / "snap.json")]) == 0
+
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        lint = ["lint", "--project", str(tmp_path / "snap.json"), "--out", str(tmp_path / "r.json")]
+        assert cli.main(lint) == 0
+    results = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["results"]
+    cells = {(r["team"], r["sprint"]) for r in results}
+    spans = Counter(span.name for span in tracer.spans)
+    assert len(cells) == 2
+    assert {name: spans[f"catalog.{name}"] for name in CHECKS} == {name: len(cells) for name in CHECKS}
+    assert tracer.counts[(tracer.run, "engine.cells")] == len(results)
