@@ -2,9 +2,10 @@
 
 The generator builds teams whose every artifact passes every built-in check
 at the default settings (the returned certificate is the tool's own lint
-run proving it); fixtures are always built for those settings. The injector adds precisely specified violations and
-returns a ledger of the injected artifact ids per metric, giving detector
-tests an exact expected answer.
+run proving it); fixtures are always built for those settings. The
+injector adds precisely specified violations and returns a ledger of the
+injected artifact ids per metric, giving detector tests an exact expected
+answer.
 
 Injected violations live in their own additional team, constructed with the
 same violation-free scaffolding and then seeded with the requested bad
@@ -250,7 +251,8 @@ class _TeamBuilder:
         return sprint
 
     def _interior(self, sprint: Sprint) -> tuple[float, float]:
-        return sprint.starts_at + MARGIN_SECONDS, sprint.due_on - _LAST_MINUTE_SECONDS - MARGIN_SECONDS
+        lo = sprint.starts_at + MARGIN_SECONDS
+        return lo, sprint.due_on - _LAST_MINUTE_SECONDS - MARGIN_SECONDS
 
     # -- stories --------------------------------------------------------
 

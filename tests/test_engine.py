@@ -163,7 +163,8 @@ def test_evaluate_labels_each_result_with_its_slice():
     check = default_registry().get("huge-stories")
     for sprint in history.sprints:
         result = evaluate(check, window(history, sprint.team, sprint.id), MetricConfig())
-        assert (result.metric, result.team, result.sprint) == ("huge-stories", sprint.team, sprint.id)
+        expected = ("huge-stories", sprint.team, sprint.id)
+        assert (result.metric, result.team, result.sprint) == expected
 
 
 def test_run_all_cardinality():

@@ -16,19 +16,11 @@ from hypothesis import given, settings, strategies as st
 from sprintlint import MetricConfig, build_report, default_registry, render_json
 from sprintlint.cli import main
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
+from test_cli import EXPORTS
 from test_golden import ALL_DIRECTIVES
-
-EXPORTS = {
-    "commits": "commits.ndjson",
-    "issues": "issues.json",
-    "sprints": "sprints.json",
-    "pulls": "pulls.json",
-    "stats": "stats.csv",
-}
 
 
 def _generate(work, spec: FixtureSpec, injection: InjectionSpec):
-    work.mkdir(parents=True, exist_ok=True)
     (work / "spec.json").write_text(json.dumps(spec.to_dict()), encoding="utf-8")
     (work / "inject.json").write_text(json.dumps(injection.to_dict()), encoding="utf-8")
     assert main(["generate", "--spec", str(work / "spec.json"), "--inject",

@@ -1,7 +1,8 @@
 """The names the benchmark's tracer (`perfbench/tracing.py`) wraps still exist.
 
 `perfbench/tests` notices a renamed layer too, but it takes tens of seconds;
-this reads the tracer's tables and checks them against the package.
+this reads the tracer's tables and checks them against the package, and
+runs one small traced `lint` to see that the tracer still times every check.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from sprintlint import cli, config, default_registry
 from sprintlint.catalog import CHECKS
 from sprintlint.fixtures import FixtureSpec
 from conftest import DAY, T0, change, make_commit, make_pull, make_slice, make_sprint, make_story
+from test_cli import EXPORTS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -71,9 +73,7 @@ def test_a_traced_lint_times_every_check_once_per_cell(tracing, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(FixtureSpec(teams=1, sprints=2).to_dict()), encoding="utf-8")
     assert cli.main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
-    exports = {"commits": "commits.ndjson", "issues": "issues.json", "sprints": "sprints.json",
-               "pulls": "pulls.json", "stats": "stats.csv"}
-    sources = [arg for kind, name in exports.items() for arg in (f"--{kind}", str(tmp_path / name))]
+    sources = [arg for kind, name in EXPORTS.items() for arg in (f"--{kind}", str(tmp_path / name))]
     assert cli.main(["ingest", *sources, "--out", str(tmp_path / "snap.json")]) == 0
 
     tracer = tracing.Tracer()
@@ -84,5 +84,6 @@ def test_a_traced_lint_times_every_check_once_per_cell(tracing, tmp_path):
     cells = {(r["team"], r["sprint"]) for r in results}
     spans = Counter(span.name for span in tracer.spans)
     assert len(cells) == 2
-    assert {name: spans[f"catalog.{name}"] for name in CHECKS} == {name: len(cells) for name in CHECKS}
+    timed = {name: spans[f"catalog.{name}"] for name in CHECKS}
+    assert timed == dict.fromkeys(CHECKS, len(cells))
     assert tracer.counts[(tracer.run, "engine.cells")] == len(results)
