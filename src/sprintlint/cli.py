@@ -28,17 +28,8 @@ from .fixtures import (
     ledger_to_dict,
     spec_from_dict,
 )
-from .ingest import (
-    IngestManifest,
-    load_history,
-    load_snapshot,
-    write_commits,
-    write_issues,
-    write_pulls,
-    write_snapshot,
-    write_sprints,
-    write_stats,
-)
+from . import ingest
+from .ingest import EXPORTS, IngestManifest, load_history, load_snapshot, write_snapshot
 from .report import build_report, render_json, render_markdown
 from .scoring import aggregate_all, trend, trend_csv
 from .serialize import canonical_json, parse_iso_utc, read_json, write_text
@@ -69,13 +60,6 @@ def _read_json_file(path: str) -> dict:
     return raw
 
 
-def _string_map(raw: dict, key: str, path: str) -> dict[str, str]:
-    value = raw.get(key, {})
-    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
-        raise SprintLintError(f"{path}: {key} must be an object mapping names to strings")
-    return value
-
-
 def _load(load: Callable, source: object):
     """Run one history load with the cyclic collector paused.
 
@@ -96,34 +80,25 @@ def _load(load: Callable, source: object):
 
 
 def _manifest_from_args(args: argparse.Namespace) -> IngestManifest:
-    team_map: dict[str, str] = {}
-    alias_map: dict[str, str] = {}
-    paths: dict[str, Path | None] = {
-        "commits": None, "issues": None, "sprints": None, "pulls": None, "stats": None,
-    }
+    paths: dict[str, Path] = {}
+    maps: dict[str, object] = {}
     if args.manifest:
         raw = _read_json_file(args.manifest)
+        maps = {key: raw[key] for key in ("team_map", "alias_map") if key in raw}
+        unknown = [key for key in raw if key not in EXPORTS and key not in maps]
+        if unknown:
+            raise SprintLintError(f"{args.manifest}: unknown manifest key {unknown[0]!r}")
         base = Path(args.manifest).parent
-        for key in paths:
-            if raw.get(key) is not None:
-                if not isinstance(raw[key], str):
-                    raise SprintLintError(f"{args.manifest}: {key} must be a file path string")
-                paths[key] = base / raw[key]
-        team_map = _string_map(raw, "team_map", args.manifest)
-        alias_map = _string_map(raw, "alias_map", args.manifest)
-    for key in paths:
-        value = getattr(args, key)
+        for kind in EXPORTS:
+            if raw.get(kind) is not None:
+                if not isinstance(raw[kind], str):
+                    raise SprintLintError(f"{args.manifest}: {kind} must be a file path string")
+                paths[kind] = base / raw[kind]
+    for kind in EXPORTS:
+        value = getattr(args, kind)
         if value is not None:
-            paths[key] = Path(value)
-    return IngestManifest(
-        commits_path=paths["commits"],
-        issues_path=paths["issues"],
-        sprints_path=paths["sprints"],
-        pulls_path=paths["pulls"],
-        stats_path=paths["stats"],
-        team_map=team_map,
-        alias_map=alias_map,
-    )
+            paths[kind] = Path(value)
+    return IngestManifest(paths, **maps)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -203,11 +178,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_commits(out_dir / "commits.ndjson", history.commits)
-    write_issues(out_dir / "issues.json", history.stories)
-    write_sprints(out_dir / "sprints.json", history.sprints)
-    write_pulls(out_dir / "pulls.json", history.pulls)
-    write_stats(out_dir / "stats.csv", history.build_stats)
+    # in `EXPORTS` order, which is `build_history`'s
+    records = (history.commits, history.stories, history.sprints, history.pulls, history.build_stats)
+    for (kind, name), rows in zip(EXPORTS.items(), records):
+        # looked up by name on each call, so a tracer that swaps the module's writers sees it
+        getattr(ingest, f"write_{kind}")(out_dir / name, rows)
     ledger_doc = {
         "spec": spec.to_dict(),
         "injection": injection.to_dict(),

@@ -8,8 +8,10 @@ changes leave an audit trail.
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import suppress
+from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
@@ -96,15 +98,7 @@ class FastPullsSettings(MetricSettings):
     fast_pr_window_minutes: float = 60.0
 
 
-_POSITIVE_FIELDS = {
-    "threshold_e",
-    "threshold_a",
-    "threshold_length",
-    "threshold_check",
-    "threshold_amount",
-    "last_minute_window_minutes",
-    "fast_pr_window_minutes",
-}
+# the numeric settings that may be 0; every other one must be > 0
 _NON_NEGATIVE_FIELDS = {"weight", "weight_a", "weight_b"}
 
 
@@ -134,12 +128,16 @@ class MetricConfig:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "severity_weights", dict(self.severity_weights))
+        weights = dict(self.severity_weights)
         for severity in Severity:
-            if severity not in self.severity_weights:
+            if severity not in weights:
                 raise ConfigError(f"severity_weights missing entry for {severity.value!r}")
-            if self.severity_weights[severity] < 0:
-                raise ConfigError(f"severity weight for {severity.value!r} must be >= 0")
+            _check_number(f"severity weight for {severity.value!r}", weights[severity], zero_ok=True)
+        unknown = [key for key in weights if key not in set(Severity)]
+        if unknown:
+            raise ConfigError(f"unknown severity {unknown[0]!r} in severity_weights")
+        # stored as floats, so a document's `8` and `8.0` give one digest
+        object.__setattr__(self, "severity_weights", {s: float(weights[s]) for s in Severity})
         # absent checks get their defaults; the mapping keeps `SETTINGS` order
         metrics = {name: kind() for name, kind in SETTINGS.items()} | dict(self.metrics)
         for name, settings in metrics.items():
@@ -151,11 +149,7 @@ class MetricConfig:
                     f"settings for {name} must be {kind.__name__}, got {type(settings).__name__}"
                 )
             for f in fields(settings):
-                value = getattr(settings, f.name)
-                if f.name in _POSITIVE_FIELDS and not value > 0:
-                    raise ConfigError(f"{name}.{f.name} must be > 0, got {value!r}")
-                if f.name in _NON_NEGATIVE_FIELDS and value < 0:
-                    raise ConfigError(f"{name}.{f.name} must be >= 0, got {value!r}")
+                _check_setting(f"{name}.{f.name}", f, getattr(settings, f.name))
         object.__setattr__(self, "metrics", metrics)
 
     def for_metric(self, name: str) -> MetricSettings:
@@ -180,29 +174,39 @@ class MetricConfig:
         return hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8")).hexdigest()
 
 
+def _check_number(label: str, value: object, zero_ok: bool) -> None:
+    # a bool is no number here, and an int must fit in a float
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{label} must be a finite number, got {value!r}")
+    if value < 0 or (value == 0 and not zero_ok):
+        raise ConfigError(f"{label} must be {'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
+def _check_setting(label: str, f: Field, value: object) -> None:
+    """Check one setting against the kind of its default."""
+    if isinstance(f.default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{label} must be a boolean")
+    elif isinstance(f.default, str):
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{label} must be a non-empty string")
+    elif f.default is None:  # severity_override
+        if value is not None and not isinstance(value, Severity):
+            raise ConfigError(f"{label}: invalid severity {value!r}")
+    else:
+        _check_number(label, value, zero_ok=f.name in _NON_NEGATIVE_FIELDS)
+
+
 def _settings_from_dict(name: str, kind: type[MetricSettings], raw: Mapping) -> MetricSettings:
-    known = {f.name for f in fields(kind)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
     if unknown:
         raise ConfigError(f"unknown setting(s) for {name}: {', '.join(unknown)}")
-    updates: dict[str, object] = {}
-    for key, value in raw.items():
-        if key == "severity_override":
-            if value is not None:
-                try:
-                    value = Severity(value)
-                except ValueError:
-                    raise ConfigError(f"{name}.severity_override: invalid severity {value!r}") from None
-        elif key == "enabled":
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name}.enabled must be a boolean")
-        elif key == "duplicate_label":
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"{name}.duplicate_label must be a non-empty string")
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
-        updates[key] = value
+    updates = dict(raw)
+    if "severity_override" in updates:
+        # a value that names no severity stays as it is, for `MetricConfig` to reject
+        with suppress(ValueError):
+            updates["severity_override"] = Severity(updates["severity_override"])
     return kind(**updates)
 
 
@@ -231,12 +235,9 @@ def config_from_dict(raw: Mapping) -> MetricConfig:
     weights = dict(DEFAULT_SEVERITY_WEIGHTS)
     for key, value in weights_raw.items():
         try:
-            severity = Severity(key)
+            weights[Severity(key)] = value
         except ValueError:
             raise ConfigError(f"unknown severity {key!r} in severity_weights") from None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"severity weight for {key!r} must be a number")
-        weights[severity] = float(value)
 
     return MetricConfig(metrics, weights)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass
 
-from .config import MetricConfig, MetricSettings
+from .config import SETTINGS, MetricConfig, MetricSettings
 from .errors import SprintLintError
 from .model import (
     Finding,
@@ -77,6 +77,9 @@ class MetricRegistry:
         name = metric.descriptor.name
         if name in self._by_name:
             raise SprintLintError(f"metric {name!r} registered twice")
+        if name not in SETTINGS:
+            # `evaluate` reads the check's settings from the config
+            raise SprintLintError(f"metric {name!r} has no row in config.SETTINGS")
         self._by_name[name] = metric
 
     def get(self, name: str) -> RegisteredMetric:

@@ -16,6 +16,7 @@ write-then-read of any valid record set is the identity.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import re
@@ -80,24 +81,37 @@ class ParseIssue:
         return f"{path}:{self.location}: {self.message}{suffix}"
 
 
+# export kind -> the file name `generate` writes it under, in `build_history` argument order
+EXPORTS = {
+    "commits": "commits.ndjson",
+    "issues": "issues.json",
+    "sprints": "sprints.json",
+    "pulls": "pulls.json",
+    "stats": "stats.csv",
+}
+
+
 @dataclass(frozen=True)
 class IngestManifest:
-    """Which export files to read and how to normalize identities."""
+    """Which export files to read (export kind -> path) and how to normalize identities."""
 
-    commits_path: Path | None = None
-    issues_path: Path | None = None
-    sprints_path: Path | None = None
-    pulls_path: Path | None = None
-    stats_path: Path | None = None
+    paths: Mapping[str, Path] = field(default_factory=dict)
     team_map: Mapping[str, str] = field(default_factory=dict)
     alias_map: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.commits_path is None and self.issues_path is None:
+        unknown = [kind for kind in self.paths if kind not in EXPORTS]
+        if unknown:
+            raise ParseError(f"unknown export kind {unknown[0]!r} in manifest")
+        for key in ("team_map", "alias_map"):
+            value = getattr(self, key)
+            if not isinstance(value, Mapping) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+            ):
+                raise ParseError(f"{key} must be an object mapping names to strings")
+        if "commits" not in self.paths and "issues" not in self.paths:
             raise ParseError("manifest needs at least a commits or an issues file")
-        paths = [p for p in (self.commits_path, self.issues_path, self.sprints_path,
-                             self.pulls_path, self.stats_path) if p is not None]
-        if len(paths) != len(set(paths)):
+        if len(set(self.paths.values())) != len(self.paths):
             raise ParseError("manifest paths must be distinct")
 
 
@@ -363,32 +377,24 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[
     cross-references are not checked, since they may name a rejected record.
     Raises on unreadable files or cross-reference failures.
     """
+    maps = {"team_map": manifest.team_map, "alias_map": manifest.alias_map}
+    records: list[list] = []
     diagnostics: list[str] = []
-    commits: list[Commit] = []
-    stories: list[UserStory] = []
-    sprints: list[Sprint] = []
-    pulls: list[PullRequest] = []
-    stats: list[BuildStats] = []
-
-    if manifest.commits_path is not None:
-        commits, issues = read_commits(manifest.commits_path, manifest.team_map, manifest.alias_map)
-        diagnostics.extend(i.render(manifest.commits_path) for i in issues)
-    if manifest.issues_path is not None:
-        stories, issues = read_issues(manifest.issues_path, manifest.team_map, manifest.alias_map)
-        diagnostics.extend(i.render(manifest.issues_path) for i in issues)
-    if manifest.sprints_path is not None:
-        sprints, issues = read_sprints(manifest.sprints_path, manifest.team_map)
-        diagnostics.extend(i.render(manifest.sprints_path) for i in issues)
-    if manifest.pulls_path is not None:
-        pulls, issues = read_pulls(manifest.pulls_path, manifest.team_map)
-        diagnostics.extend(i.render(manifest.pulls_path) for i in issues)
-    if manifest.stats_path is not None:
-        stats, issues = read_stats(manifest.stats_path)
-        diagnostics.extend(i.render(manifest.stats_path) for i in issues)
+    for kind in EXPORTS:
+        path = manifest.paths.get(kind)
+        if path is None:
+            records.append([])
+            continue
+        # looked up by name on each call, so a tracer that swaps the module's readers sees it
+        reader = globals()[f"read_{kind}"]
+        accepted = inspect.signature(reader).parameters
+        found, issues = reader(path, **{k: v for k, v in maps.items() if k in accepted})
+        records.append(found)
+        diagnostics.extend(i.render(path) for i in issues)
 
     if diagnostics:
         return None, diagnostics
-    return build_history(commits, stories, sprints, pulls, stats), diagnostics
+    return build_history(*records), diagnostics
 
 
 # --- writers ---------------------------------------------------------------

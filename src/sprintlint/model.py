@@ -90,6 +90,8 @@ class BuildStats:
             raise RecordError(f"coverage_percent out of [0,100] for commit {self.commit_id}")
         if not self.complexity >= 0.0:
             raise RecordError(f"complexity < 0 for commit {self.commit_id}")
+        if self.complexity == math.inf:
+            raise RecordError(f"complexity is not finite for commit {self.commit_id}")
 
 
 @dataclass(frozen=True, slots=True)

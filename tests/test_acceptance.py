@@ -23,6 +23,7 @@ from sprintlint import (
 )
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
 from sprintlint.ingest import (
+    EXPORTS,
     IngestManifest,
     load_history,
     write_commits,
@@ -322,13 +323,7 @@ def test_criterion_7_end_to_end_determinism_and_scale(tmp_path):
         write_sprints(run_dir / "sprints.json", history.sprints)
         write_pulls(run_dir / "pulls.json", history.pulls)
         write_stats(run_dir / "stats.csv", history.build_stats)
-        manifest = IngestManifest(
-            commits_path=run_dir / "commits.ndjson",
-            issues_path=run_dir / "issues.json",
-            sprints_path=run_dir / "sprints.json",
-            pulls_path=run_dir / "pulls.json",
-            stats_path=run_dir / "stats.csv",
-        )
+        manifest = IngestManifest({kind: run_dir / name for kind, name in EXPORTS.items()})
         ingested, _ = load_history(manifest)
         report = build_report(ingested, REGISTRY, CONFIG)
         return len(ingested.commits), len(ingested.stories), render_json(report, ingested)

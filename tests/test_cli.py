@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sprintlint import cli
 from sprintlint.cli import main
-from sprintlint.ingest import load_snapshot
+from sprintlint.ingest import EXPORTS, load_snapshot
 
 DEFAULT_SPEC = {
     "seed": 13,
@@ -353,13 +353,6 @@ def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypat
 
 # --- inputs that end in exit 2 and one `error:` line, never a traceback ------
 
-EXPORTS = {
-    "commits": "commits.ndjson",
-    "issues": "issues.json",
-    "sprints": "sprints.json",
-    "pulls": "pulls.json",
-    "stats": "stats.csv",
-}
 INPUT_KINDS = (*EXPORTS, "snapshot", "config", "manifest", "spec", "inject")
 
 
@@ -386,6 +379,38 @@ def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+NON_FINITE_CONFIGS = {
+    "infinite-weight": '{"metrics": {"huge-stories": {"weight": Infinity}}}',
+    "nan-severity-weight": '{"severity_weights": {"high": NaN}}',
+}
+
+
+@pytest.mark.parametrize("document", NON_FINITE_CONFIGS.values(), ids=list(NON_FINITE_CONFIGS))
+def test_config_holding_a_non_finite_number_exits_2(tmp_path, capsys, document):
+    argv, _ = _argv_reading(tmp_path, "config", document.encode("utf-8"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "must be a finite number, got " in _one_error_line(capsys)
+
+
+def test_manifest_with_an_unknown_key_exits_2(tmp_path, capsys):
+    doc = {"commits": "fixture/commits.ndjson", "pull": "fixture/pulls.json"}
+    argv, bad = _argv_reading(tmp_path, "manifest", json.dumps(doc).encode("utf-8"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: {bad}: unknown manifest key 'pull'\n"
+
+
+def test_manifest_naming_every_key_ingests_like_the_flags(tmp_path):
+    out_dir = _generate(tmp_path)
+    manifest = out_dir / "manifest.json"
+    identity = {"team_map": {"nobody": "none"}, "alias_map": {"nobody": "none"}}
+    manifest.write_text(json.dumps({**EXPORTS, **identity}), encoding="utf-8")
+    snapshot = tmp_path / "from-manifest.json"
+    assert main(["ingest", "--manifest", str(manifest), "--out", str(snapshot)]) == 0
+    assert snapshot.read_bytes() == _ingest(tmp_path, out_dir).read_bytes()
 
 
 @pytest.mark.parametrize("kind", INPUT_KINDS)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +113,76 @@ def test_partial_metrics_mapping_keeps_the_other_defaults():
     for name, kind in config_mod.SETTINGS.items():
         if name != "huge-stories":
             assert config.for_metric(name) == kind()
+
+
+NAN, INF = float("nan"), float("inf")
+ZERO_ALLOWED = {"weight", "weight_a", "weight_b"}
+
+
+def _rejected_values(f) -> list:
+    """A wrong type, NaN, +inf, -inf and (where there is a range) a value below it."""
+    if isinstance(f.default, bool):
+        return ["yes", 1, NAN, INF, -INF]
+    if isinstance(f.default, str):
+        return [7, NAN, INF, -INF, ""]
+    if f.default is None:  # severity_override
+        return [7, "catastrophic", NAN, INF, -INF]
+    return ["x", True, NAN, INF, -INF, -1 if f.name in ZERO_ALLOWED else 0]
+
+
+def _message(build) -> str:
+    with pytest.raises(ConfigError) as caught:
+        build()
+    return str(caught.value)
+
+
+def test_a_document_and_a_constructor_reject_each_value_alike():
+    zero_accepted = set()
+    for name, kind in config_mod.SETTINGS.items():
+        for f in fields(kind):
+            for value in _rejected_values(f):
+                from_document = _message(lambda: config_from_dict({"metrics": {name: {f.name: value}}}))
+                from_code = _message(lambda: MetricConfig(metrics={name: kind(**{f.name: value})}))
+                assert from_document == from_code, (name, f.name, value)
+                assert from_document.startswith(f"{name}.{f.name}"), from_document
+            try:
+                config_from_dict({"metrics": {name: {f.name: 0}}})
+                MetricConfig(metrics={name: kind(**{f.name: 0})})
+                zero_accepted.add(f.name)
+            except ConfigError:
+                pass
+    assert zero_accepted == ZERO_ALLOWED
+
+    defaults = config_mod.DEFAULT_SEVERITY_WEIGHTS
+    for severity in Severity:
+        for value in ["x", True, NAN, INF, -INF, -1]:
+            from_document = _message(
+                lambda: config_from_dict({"severity_weights": {severity.value: value}})
+            )
+            from_code = _message(lambda: MetricConfig(severity_weights={**defaults, severity: value}))
+            assert from_document == from_code, (severity, value)
+            assert from_document.startswith(f"severity weight for {severity.value!r}")
+        assert MetricConfig(severity_weights={**defaults, severity: 0}).severity_weights[severity] == 0
+
+
+def test_document_weights_are_stored_as_floats():
+    config = config_from_dict({"severity_weights": {"high": 8}})
+    assert config == MetricConfig()
+    assert config.digest() == MetricConfig().digest()
+    assert all(type(w) is float for w in config.severity_weights.values())
+
+
+def test_unknown_severity_weight_key_rejected_in_code():
+    weights = {**config_mod.DEFAULT_SEVERITY_WEIGHTS, "catastrophic": 9.0}
+    with pytest.raises(ConfigError, match="unknown severity 'catastrophic'"):
+        MetricConfig(severity_weights=weights)
+
+
+# the digest of the README's example config, as computed before the checks moved
+README_CONFIG_DIGEST = "e707828f715f2488255cafd9f188357f22a87e8bb3e886e7520be7c85ddb919d"
+
+
+def test_readme_example_config_keeps_its_digest():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    document = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    assert config_from_dict(document).digest() == README_CONFIG_DIGEST

@@ -1,8 +1,9 @@
-"""Smoke test: every script under demos/ runs to completion against this source tree."""
+"""Smoke tests: every script under demos/ and the README's Python session run against this tree."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,12 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_python_blocks_run_in_order_as_one_session():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

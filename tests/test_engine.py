@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,6 +115,13 @@ def test_registry_rejects_duplicate_names():
     metric = next(iter(registry))
     with pytest.raises(SprintLintError):
         registry.register(metric)
+
+
+def test_registry_rejects_a_check_with_no_settings_row():
+    huge = default_registry().get("huge-stories")
+    renamed = replace(huge, descriptor=replace(huge.descriptor, name="my-check"))
+    with pytest.raises(SprintLintError, match="'my-check' has no row in config.SETTINGS"):
+        MetricRegistry().register(renamed)
 
 
 def test_registry_iteration_order_is_registration_order():

@@ -19,6 +19,7 @@ from sprintlint.fixtures import (
     spec_from_dict,
 )
 from sprintlint.ingest import (
+    EXPORTS,
     IngestManifest,
     load_history,
     write_commits,
@@ -77,13 +78,7 @@ def test_generated_fixture_round_trips_through_ingest(tmp_path):
     write_sprints(tmp_path / "sprints.json", history.sprints)
     write_pulls(tmp_path / "pulls.json", history.pulls)
     write_stats(tmp_path / "stats.csv", history.build_stats)
-    manifest = IngestManifest(
-        commits_path=tmp_path / "commits.ndjson",
-        issues_path=tmp_path / "issues.json",
-        sprints_path=tmp_path / "sprints.json",
-        pulls_path=tmp_path / "pulls.json",
-        stats_path=tmp_path / "stats.csv",
-    )
+    manifest = IngestManifest({kind: tmp_path / name for kind, name in EXPORTS.items()})
     reread, diagnostics = load_history(manifest)
     assert diagnostics == []
     assert reread == history

@@ -8,6 +8,7 @@ import pytest
 
 from sprintlint import BuildStats, ParseError, build_history, count_checkboxes, story_text_length
 from sprintlint.ingest import (
+    EXPORTS,
     IngestManifest,
     commit_to_dict,
     load_history,
@@ -235,7 +236,19 @@ def test_manifest_requires_a_source():
 def test_manifest_rejects_duplicate_paths(tmp_path):
     path = tmp_path / "same.json"
     with pytest.raises(ParseError):
-        IngestManifest(commits_path=path, issues_path=path)
+        IngestManifest({"commits": path, "issues": path})
+
+
+def test_manifest_checks_its_kinds_and_maps(tmp_path):
+    path = tmp_path / "commits.ndjson"
+    with pytest.raises(ParseError, match="team_map must be an object mapping names to strings"):
+        IngestManifest({"commits": path}, team_map={"t": 7})
+    with pytest.raises(ParseError, match="alias_map"):
+        IngestManifest({"commits": path}, alias_map={7: "ann@example.org"})
+    with pytest.raises(ParseError, match="unknown export kind 'pull'"):
+        IngestManifest({"commits": path, "pull": tmp_path / "pulls.json"})
+    with pytest.raises(ParseError, match="commits or an issues file"):
+        IngestManifest({"sprints": path})
 
 
 def test_alias_and_team_maps_applied(tmp_path):
@@ -245,7 +258,7 @@ def test_alias_and_team_maps_applied(tmp_path):
     raw["team"] = "repo-alpha"
     commits.write_text(json.dumps(raw) + "\n", encoding="utf-8")
     manifest = IngestManifest(
-        commits_path=commits,
+        {"commits": commits},
         team_map={"repo-alpha": "alpha"},
         alias_map={"ann": "ann@example.org"},
     )
@@ -286,13 +299,7 @@ def test_write_then_read_is_identity(tmp_path):
     write_sprints(tmp_path / "sprints.json", original.sprints)
     write_pulls(tmp_path / "pulls.json", original.pulls)
     write_stats(tmp_path / "stats.csv", original.build_stats)
-    manifest = IngestManifest(
-        commits_path=tmp_path / "commits.ndjson",
-        issues_path=tmp_path / "issues.json",
-        sprints_path=tmp_path / "sprints.json",
-        pulls_path=tmp_path / "pulls.json",
-        stats_path=tmp_path / "stats.csv",
-    )
+    manifest = IngestManifest({kind: tmp_path / name for kind, name in EXPORTS.items()})
     reread, diagnostics = load_history(manifest)
     assert diagnostics == []
     assert reread == original

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from sprintlint import MetricConfig, build_report, default_registry, render_json
 from sprintlint.cli import main
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
-from test_cli import EXPORTS
+from sprintlint.ingest import EXPORTS
 from test_golden import ALL_DIRECTIVES
 
 

@@ -19,8 +19,8 @@ import sprintlint.cli  # noqa: F401  (loads every module, as the tracer does)
 from sprintlint import cli, config, default_registry
 from sprintlint.catalog import CHECKS
 from sprintlint.fixtures import FixtureSpec
+from sprintlint.ingest import EXPORTS
 from conftest import DAY, T0, change, make_commit, make_pull, make_slice, make_sprint, make_story
-from test_cli import EXPORTS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -87,3 +87,24 @@ def test_a_traced_lint_times_every_check_once_per_cell(tracing, tmp_path):
     timed = {name: spans[f"catalog.{name}"] for name in CHECKS}
     assert timed == dict.fromkeys(CHECKS, len(cells))
     assert tracer.counts[(tracer.run, "engine.cells")] == len(results)
+
+
+def test_a_traced_generate_and_ingest_time_every_export_kind_once(tracing, tmp_path):
+    assert set(tracing.READERS) == {f"read_{kind}" for kind in EXPORTS}
+    assert set(tracing.EXPORT_WRITERS) == {f"write_{kind}" for kind in EXPORTS}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(FixtureSpec(teams=1, sprints=2).to_dict()), encoding="utf-8")
+    sources = [arg for kind, name in EXPORTS.items() for arg in (f"--{kind}", str(tmp_path / name))]
+
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert cli.main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        assert cli.main(["ingest", *sources, "--out", str(tmp_path / "snap.json")]) == 0
+    spans = Counter(span.name for span in tracer.spans)
+    for layer in ("write", "read"):
+        timed = {kind: spans[f"ingest.{layer}_{kind}"] for kind in EXPORTS}
+        assert timed == dict.fromkeys(EXPORTS, 1), layer
+    snapshot = json.loads((tmp_path / "snap.json").read_text(encoding="utf-8"))
+    records = sum(len(snapshot[kind]) for kind in EXPORTS)
+    assert records > 0
+    assert tracer.counts[(tracer.run, "ingest.records")] == records

@@ -280,6 +280,7 @@ STATS_CASES = [
     (",50,5", "build stats row has no commit id"),
     ("c1,50", "expected 3 columns, got 2"),
     ("c1,50,5,7", "expected 3 columns, got 4"),
+    ("c1,50,inf", "complexity is not finite for commit c1"),
 ]
 
 
@@ -304,6 +305,7 @@ SNAPSHOT_STATS_CASES = [
     (("complexity",), "abc", "could not convert string to float: 'abc'"),
     (("complexity",), {}, "float() argument must be a string or a real number, not 'dict'"),
     (("complexity",), -1, "complexity < 0 for commit c1"),
+    (("complexity",), float("inf"), "complexity is not finite for commit c1"),  # JSON `Infinity`
 ]
 
 
