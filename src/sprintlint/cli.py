@@ -178,9 +178,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # in `EXPORTS` order, which is `build_history`'s
-    records = (history.commits, history.stories, history.sprints, history.pulls, history.build_stats)
-    for (kind, name), rows in zip(EXPORTS.items(), records):
+    # `EXPORTS` order is the order of `records()`
+    for (kind, name), rows in zip(EXPORTS.items(), history.records()):
         # looked up by name on each call, so a tracer that swaps the module's writers sees it
         getattr(ingest, f"write_{kind}")(out_dir / name, rows)
     ledger_doc = {

@@ -25,6 +25,7 @@ import math
 import random
 from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 from . import config as cfg
 from .catalog import default_registry, story_ref, pull_ref
@@ -229,6 +230,10 @@ class _TeamBuilder:
         self._coverage = 60.0
         self._complexity = 100.0
 
+    def records(self) -> tuple[list, list, list, list, list]:
+        """The team's records in `ProjectHistory.records()` order."""
+        return self.commits, self.stories, self.sprints, self.pulls, self.stats
+
     # -- schedule -------------------------------------------------------
 
     def add_sprint(self, index: int, duration_seconds: float) -> Sprint:
@@ -421,19 +426,10 @@ def _build_clean_team(rng: random.Random, team_id: str, spec: FixtureSpec) -> _T
     return builder
 
 
-def _assemble(builders: list[_TeamBuilder], base: ProjectHistory | None = None) -> ProjectHistory:
-    commits = list(base.commits) if base else []
-    stories = list(base.stories) if base else []
-    sprints = list(base.sprints) if base else []
-    pulls = list(base.pulls) if base else []
-    stats = list(base.build_stats) if base else []
-    for b in builders:
-        commits.extend(b.commits)
-        stories.extend(b.stories)
-        sprints.extend(b.sprints)
-        pulls.extend(b.pulls)
-        stats.extend(b.stats)
-    return build_history(commits, stories, sprints, pulls, stats)
+def _assemble(builders: list[_TeamBuilder], base: ProjectHistory = ProjectHistory()) -> ProjectHistory:
+    # per collection: the base's records, then each builder's
+    collections = zip(base.records(), *(b.records() for b in builders))
+    return build_history(*(chain.from_iterable(c) for c in collections))
 
 
 def self_lint(history: ProjectHistory, seed: int) -> FixtureCertificate:
@@ -693,7 +689,7 @@ def inject(
             builders.append(builder)
             ledger[record.metric] = record
 
-    return _assemble(builders, base=history), ledger
+    return _assemble(builders, history), ledger
 
 
 def ledger_to_dict(ledger: Mapping[str, InjectionRecord], seed: int) -> dict:

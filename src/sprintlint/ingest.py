@@ -19,8 +19,9 @@ import csv
 import inspect
 import io
 import json
+import math
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,6 +168,19 @@ def _as_opt_ts(obj: Mapping, key: str) -> float | None:
         raise _FieldError(key, str(exc)) from None
 
 
+def _as_number(obj: Mapping, key: str) -> float:
+    value = _need(obj, key)
+    # a type test, not isinstance: it excludes bool, and it costs less per row
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise _FieldError(key, f"{key!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # read as infinite, as a stats CSV reads such a number
+        return math.inf if value > 0 else -math.inf
+
+
 def _as_str_list(obj: Mapping, key: str) -> list[str]:
     value = _need(obj, key)
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -258,6 +272,12 @@ def _pull_from_dict(raw: Mapping, team_map: Mapping[str, str]) -> PullRequest:
     )
 
 
+def _stats_from_dict(raw: Mapping) -> BuildStats:
+    return BuildStats(
+        _as_str(raw, "commit_id"), _as_number(raw, "coverage_percent"), _as_number(raw, "complexity")
+    )
+
+
 def read_commits(
     path: str | Path,
     team_map: Mapping[str, str] | None = None,
@@ -287,17 +307,11 @@ def read_commits(
     return records, issues
 
 
-def _read_json_array(path: str | Path, what: str) -> list:
-    data = read_json(path)
-    if not isinstance(data, list):
-        raise ParseError(f"{path} must contain a JSON array of {what}")
-    return data
-
-
-def _read_array_records(path, what, parser) -> tuple[list, list[ParseIssue]]:
+def _read_array_records(rows: list, what: str, parser: Callable) -> tuple[list, list[ParseIssue]]:
+    """Parse each entry of a decoded JSON array, collecting bad ones by their index."""
     records = []
     issues: list[ParseIssue] = []
-    for index, raw in enumerate(_read_json_array(path, what)):
+    for index, raw in enumerate(rows):
         try:
             if not isinstance(raw, dict):
                 raise _FieldError("", f"{what} entry is not an object")
@@ -308,27 +322,34 @@ def _read_array_records(path, what, parser) -> tuple[list, list[ParseIssue]]:
     return records, issues
 
 
+def _read_array_file(path: str | Path, what: str, parser: Callable) -> tuple[list, list[ParseIssue]]:
+    data = read_json(path)
+    if not isinstance(data, list):
+        raise ParseError(f"{path} must contain a JSON array of {what}")
+    return _read_array_records(data, what, parser)
+
+
 def read_issues(
     path: str | Path,
     team_map: Mapping[str, str] | None = None,
     alias_map: Mapping[str, str] | None = None,
 ) -> tuple[list[UserStory], list[ParseIssue]]:
     tm, am = team_map or {}, alias_map or {}
-    return _read_array_records(path, "stories", lambda raw: _story_from_dict(raw, tm, am))
+    return _read_array_file(path, "stories", lambda raw: _story_from_dict(raw, tm, am))
 
 
 def read_sprints(
     path: str | Path, team_map: Mapping[str, str] | None = None
 ) -> tuple[list[Sprint], list[ParseIssue]]:
     tm = team_map or {}
-    return _read_array_records(path, "sprints", lambda raw: _sprint_from_dict(raw, tm))
+    return _read_array_file(path, "sprints", lambda raw: _sprint_from_dict(raw, tm))
 
 
 def read_pulls(
     path: str | Path, team_map: Mapping[str, str] | None = None
 ) -> tuple[list[PullRequest], list[ParseIssue]]:
     tm = team_map or {}
-    return _read_array_records(path, "pull requests", lambda raw: _pull_from_dict(raw, tm))
+    return _read_array_file(path, "pull requests", lambda raw: _pull_from_dict(raw, tm))
 
 
 STATS_HEADER = ("commit_id", "coverage_percent", "complexity")
@@ -454,6 +475,11 @@ def pull_to_dict(pull: PullRequest) -> dict:
     }
 
 
+def stats_to_dict(stat: BuildStats) -> dict:
+    return {"commit_id": stat.commit_id, "coverage_percent": stat.coverage_percent,
+            "complexity": stat.complexity}
+
+
 def write_commits(path: str | Path, commits: Iterable[Commit]) -> None:
     lines = [canonical_json(commit_to_dict(c)) for c in commits]
     write_text(path, "\n".join(lines) + ("\n" if lines else ""))
@@ -482,17 +508,22 @@ def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
 # --- snapshot (the validated single-file form the CLI passes between steps) -
 
 
+# export kind -> (what its entries are called, snapshot record parser, record writer)
+_SNAPSHOT_RECORDS: dict[str, tuple[str, Callable[[dict], object], Callable[[object], dict]]] = {
+    "commits": ("commits", lambda raw: _commit_from_dict(raw, {}, {}), commit_to_dict),
+    "issues": ("stories", lambda raw: _story_from_dict(raw, {}, {}), story_to_dict),
+    "sprints": ("sprints", lambda raw: _sprint_from_dict(raw, {}), sprint_to_dict),
+    "pulls": ("pull requests", lambda raw: _pull_from_dict(raw, {}), pull_to_dict),
+    "stats": ("stats", _stats_from_dict, stats_to_dict),
+}
+
+
 def snapshot_to_dict(history: ProjectHistory) -> dict:
-    return {
-        "commits": [commit_to_dict(c) for c in history.commits],
-        "issues": [story_to_dict(s) for s in history.stories],
-        "sprints": [sprint_to_dict(s) for s in history.sprints],
-        "pulls": [pull_to_dict(p) for p in history.pulls],
-        "stats": [
-            {"commit_id": s.commit_id, "coverage_percent": s.coverage_percent, "complexity": s.complexity}
-            for s in history.build_stats
-        ],
-    }
+    doc = {}
+    for kind, records in zip(EXPORTS, history.records()):
+        _, _, writer = _SNAPSHOT_RECORDS[kind]
+        doc[kind] = [writer(record) for record in records]
+    return doc
 
 
 def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
@@ -500,22 +531,18 @@ def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
 
 
 def load_snapshot(path: str | Path) -> ProjectHistory:
+    """Read a snapshot through the export readers' record loop and record checks."""
     raw = read_json(path)
     if not isinstance(raw, Mapping):
         raise ParseError(f"{path} must contain a snapshot object")
-    try:
-        commits = [_commit_from_dict(r, {}, {}) for r in raw.get("commits", [])]
-        stories = [_story_from_dict(r, {}, {}) for r in raw.get("issues", [])]
-        sprints = [_sprint_from_dict(r, {}) for r in raw.get("sprints", [])]
-        pulls = [_pull_from_dict(r, {}) for r in raw.get("pulls", [])]
-        stats = [
-            BuildStats(
-                _as_str(r, "commit_id"),
-                float(_need(r, "coverage_percent")),
-                float(_need(r, "complexity")),
-            )
-            for r in raw.get("stats", [])
-        ]
-    except (_FieldError, ValueError, TypeError, OverflowError) as exc:
-        raise ParseError(f"{path} holds a malformed snapshot: {exc}") from None
-    return build_history(commits, stories, sprints, pulls, stats)
+    records = []
+    for kind in EXPORTS:
+        what, parser, _ = _SNAPSHOT_RECORDS[kind]
+        rows = raw.get(kind, [])
+        if not isinstance(rows, list):
+            raise ParseError(f"{path} holds a malformed snapshot: {kind!r} must be an array")
+        found, issues = _read_array_records(rows, what, parser)
+        if issues:
+            raise ParseError(f"{path} holds a malformed snapshot: {issues[0].message}")
+        records.append(found)
+    return build_history(*records)

@@ -12,6 +12,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import HistoryError, RecordError, UnknownSprintError
@@ -212,6 +213,8 @@ class MetricDescriptor:
     def __post_init__(self) -> None:
         if not self.name:
             raise RecordError("metric descriptor needs a name")
+        if not isinstance(self.severity, Severity):
+            raise RecordError(f"metric {self.name} severity must be a Severity, got {self.severity!r}")
 
 
 @dataclass(frozen=True)
@@ -299,18 +302,53 @@ class SprintSlice:
     sprints_by_id: Mapping[str, Sprint] = field(repr=False, compare=False)
 
 
+# collection -> (primary key, message naming a duplicate), in the order duplicates are reported
+_PRIMARY_KEYS: dict[str, tuple[Callable, str]] = {
+    "commits": (attrgetter("id"), "duplicate commit id {0.id!r}"),
+    "sprints": (attrgetter("id"), "duplicate sprint id {0.id!r}"),
+    "stories": (attrgetter("team", "number"), "duplicate story #{0.number} for team {0.team!r}"),
+    "pulls": (attrgetter("team", "number"), "duplicate pull request #{0.number} for team {0.team!r}"),
+    "build_stats": (attrgetter("commit_id"), "duplicate build stats for commit {0.commit_id!r}"),
+}
+
+
+def _sorted_unique(records: Iterable, key: Callable, duplicate: str) -> tuple:
+    """`records` sorted by their primary key; raises on the smallest key held twice."""
+    ordered = sorted(records, key=key)
+    keys = list(map(key, ordered))
+    if len(set(keys)) != len(keys):
+        # sorting put equal keys side by side
+        first = next(i for i in range(1, len(keys)) if keys[i] == keys[i - 1])
+        raise HistoryError(duplicate.format(ordered[first]))
+    return tuple(ordered)
+
+
+def _by_team(records: Iterable, teams: Iterable[str]) -> dict[str, tuple]:
+    """`records` grouped by their `team`, keeping their order; every team gets a group."""
+    groups: dict[str, list] = {t: [] for t in teams}
+    for record in records:
+        groups[record.team].append(record)
+    return {t: tuple(v) for t, v in groups.items()}
+
+
 @dataclass(frozen=True)
 class ProjectHistory:
-    """Validated, immutable snapshot of every record in an export."""
+    """Validated, immutable snapshot of every record in an export.
 
-    teams: tuple[str, ...]
-    developers: Mapping[str, frozenset[str]]
-    sprints: tuple[Sprint, ...]
-    commits: tuple[Commit, ...]
-    stories: tuple[UserStory, ...]
-    pulls: tuple[PullRequest, ...]
-    build_stats: tuple[BuildStats, ...]
-    diagnostics: tuple[str, ...] = ()
+    The constructor sorts each collection by its primary key, so input order
+    does not matter; checks keys and cross-references; and derives `teams`,
+    `developers` and `diagnostics`, which flag unknown commit parents (a
+    shallow export) without rejecting them.
+    """
+
+    commits: tuple[Commit, ...] = ()
+    stories: tuple[UserStory, ...] = ()
+    sprints: tuple[Sprint, ...] = ()
+    pulls: tuple[PullRequest, ...] = ()
+    build_stats: tuple[BuildStats, ...] = ()
+    teams: tuple[str, ...] = field(init=False)
+    developers: Mapping[str, frozenset[str]] = field(init=False)
+    diagnostics: tuple[str, ...] = field(init=False)
 
     _sprint_by_id: dict[str, Sprint] = field(init=False, repr=False, compare=False)
     _stats_by_commit: dict[str, BuildStats] = field(init=False, repr=False, compare=False)
@@ -324,30 +362,51 @@ class ProjectHistory:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_sprint_by_id", {s.id: s for s in self.sprints})
-        object.__setattr__(self, "_stats_by_commit", {s.commit_id: s for s in self.build_stats})
-        sprints_by_team: dict[str, list[Sprint]] = {}
-        for sprint in self.sprints:
-            sprints_by_team.setdefault(sprint.team, []).append(sprint)
-        object.__setattr__(
-            self,
-            "_sprints_by_team",
-            {t: tuple(sorted(v, key=lambda s: (s.due_on, s.id))) for t, v in sprints_by_team.items()},
-        )
+        for name, (key, duplicate) in _PRIMARY_KEYS.items():
+            object.__setattr__(self, name, _sorted_unique(getattr(self, name), key, duplicate))
+        commits, stories, sprints, pulls, build_stats = self.records()
+
+        sprint_by_id = {s.id: s for s in sprints}
         backlogs: dict[tuple[str, str], list[UserStory]] = {}
-        for story in self.stories:
+        for story in stories:
             for membership in story.milestones:
+                if membership.sprint_id not in sprint_by_id:
+                    raise HistoryError(
+                        f"story #{story.number} ({story.team}) references unknown sprint "
+                        f"{membership.sprint_id!r}"
+                    )
                 backlogs.setdefault((story.team, membership.sprint_id), []).append(story)
+        commit_ids = {c.id for c in commits}
+        for stat in build_stats:
+            if stat.commit_id not in commit_ids:
+                raise HistoryError(f"build stats reference unknown commit {stat.commit_id!r}")
+        diagnostics = tuple(
+            f"commit {commit.id} parent {parent} not in export (shallow history?)"
+            for commit in commits
+            for parent in commit.parents
+            if parent not in commit_ids
+        )
+
+        teams = tuple(sorted({r.team for records in (commits, stories, sprints, pulls) for r in records}))
+        commits_by_team = _by_team(commits, teams)
+        developers = {t: {c.author for c in v} for t, v in commits_by_team.items()}
+        for story in stories:
+            developers[story.team].update(story.assignees)
+        object.__setattr__(self, "teams", teams)
+        object.__setattr__(self, "diagnostics", diagnostics)
+        object.__setattr__(self, "developers", {t: frozenset(d) for t, d in developers.items()})
+        object.__setattr__(self, "_sprint_by_id", sprint_by_id)
+        object.__setattr__(self, "_stats_by_commit", {s.commit_id: s for s in build_stats})
+        by_due_date = sorted(sprints, key=lambda s: (s.due_on, s.id))
+        object.__setattr__(self, "_sprints_by_team", _by_team(by_due_date, teams))
         object.__setattr__(self, "_backlogs", {k: tuple(v) for k, v in backlogs.items()})
-        by_team: dict[str, list[Commit]] = {t: [] for t in self.teams}
-        for commit in self.commits:
-            by_team[commit.team].append(commit)
-        object.__setattr__(self, "_commits_by_team", {t: tuple(v) for t, v in by_team.items()})
-        p_by_team: dict[str, list[PullRequest]] = {t: [] for t in self.teams}
-        for pull in self.pulls:
-            p_by_team[pull.team].append(pull)
-        object.__setattr__(self, "_pulls_by_team", {t: tuple(v) for t, v in p_by_team.items()})
+        object.__setattr__(self, "_commits_by_team", commits_by_team)
+        object.__setattr__(self, "_pulls_by_team", _by_team(pulls, teams))
         object.__setattr__(self, "_time_indexes", {})
+
+    def records(self) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+        """The five collections in constructor order: ``ProjectHistory(*h.records()) == h``."""
+        return self.commits, self.stories, self.sprints, self.pulls, self.build_stats
 
     def sprint(self, sprint_id: str) -> Sprint:
         try:
@@ -381,89 +440,8 @@ def build_history(
     pulls: Iterable[PullRequest] = (),
     build_stats: Iterable[BuildStats] = (),
 ) -> ProjectHistory:
-    """Validate raw records and assemble the immutable snapshot.
-
-    Checks primary-key uniqueness and cross-references, derives the team set
-    and per-team developer sets, and canonicalizes collection order so the
-    result is independent of input record order. Unknown commit parents are
-    tolerated (shallow exports) but flagged in the diagnostics.
-    """
-    commits = sorted(commits, key=lambda c: c.id)
-    stories = sorted(stories, key=lambda s: (s.team, s.number))
-    sprints = sorted(sprints, key=lambda s: s.id)
-    pulls = sorted(pulls, key=lambda p: (p.team, p.number))
-    build_stats = sorted(build_stats, key=lambda b: b.commit_id)
-
-    commit_ids: set[str] = set()
-    for commit in commits:
-        if commit.id in commit_ids:
-            raise HistoryError(f"duplicate commit id {commit.id!r}")
-        commit_ids.add(commit.id)
-
-    sprint_ids: set[str] = set()
-    for sprint in sprints:
-        if sprint.id in sprint_ids:
-            raise HistoryError(f"duplicate sprint id {sprint.id!r}")
-        sprint_ids.add(sprint.id)
-
-    story_keys: set[tuple[str, int]] = set()
-    for story in stories:
-        key = (story.team, story.number)
-        if key in story_keys:
-            raise HistoryError(f"duplicate story #{story.number} for team {story.team!r}")
-        story_keys.add(key)
-        for membership in story.milestones:
-            if membership.sprint_id not in sprint_ids:
-                raise HistoryError(
-                    f"story #{story.number} ({story.team}) references unknown sprint "
-                    f"{membership.sprint_id!r}"
-                )
-
-    pull_keys: set[tuple[str, int]] = set()
-    for pull in pulls:
-        key = (pull.team, pull.number)
-        if key in pull_keys:
-            raise HistoryError(f"duplicate pull request #{pull.number} for team {pull.team!r}")
-        pull_keys.add(key)
-
-    stat_ids: set[str] = set()
-    for stat in build_stats:
-        if stat.commit_id in stat_ids:
-            raise HistoryError(f"duplicate build stats for commit {stat.commit_id!r}")
-        stat_ids.add(stat.commit_id)
-        if stat.commit_id not in commit_ids:
-            raise HistoryError(f"build stats reference unknown commit {stat.commit_id!r}")
-
-    diagnostics: list[str] = []
-    for commit in commits:
-        for parent in commit.parents:
-            if parent not in commit_ids:
-                diagnostics.append(
-                    f"commit {commit.id} parent {parent} not in export (shallow history?)"
-                )
-
-    teams = sorted(
-        {c.team for c in commits}
-        | {s.team for s in stories}
-        | {s.team for s in sprints}
-        | {p.team for p in pulls}
-    )
-    developers: dict[str, set[str]] = {t: set() for t in teams}
-    for commit in commits:
-        developers[commit.team].add(commit.author)
-    for story in stories:
-        developers[story.team].update(story.assignees)
-
-    return ProjectHistory(
-        teams=tuple(teams),
-        developers={t: frozenset(d) for t, d in developers.items()},
-        sprints=tuple(sprints),
-        commits=tuple(commits),
-        stories=tuple(stories),
-        pulls=tuple(pulls),
-        build_stats=tuple(build_stats),
-        diagnostics=tuple(diagnostics),
-    )
+    """Validate raw records and assemble the immutable snapshot; see `ProjectHistory`."""
+    return ProjectHistory(commits, stories, sprints, pulls, build_stats)
 
 
 def window(history: ProjectHistory, team: str, sprint_id: str) -> SprintSlice:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .config import MetricConfig
 from .engine import MetricRegistry
-from .errors import ConfigError, SprintLintError
+from .errors import SprintLintError
 from .model import MetricResult, ProjectHistory, Severity
 from .serialize import format_iso_utc
 
@@ -76,11 +76,7 @@ def aggregate(
     )
 
     severities = {r.metric: effective_severity(registry, config, r.metric) for r in scored}
-    weights: dict[str, float] = {}
-    for metric, severity in severities.items():
-        if severity not in config.severity_weights:
-            raise ConfigError(f"no severity weight configured for {severity.value!r}")
-        weights[metric] = config.severity_weights[severity]
+    weights = {metric: config.severity_weights[severity] for metric, severity in severities.items()}
 
     total_weight = sum(weights.values())
     overall: float | None = None

@@ -12,7 +12,9 @@ from sprintlint import (
     BuildStats,
     HistoryError,
     MetricConfig,
+    MetricDescriptor,
     MetricResult,
+    ProjectHistory,
     RecordError,
     Sprint,
     StoryState,
@@ -22,7 +24,9 @@ from sprintlint import (
     unfinished_stories,
     window,
 )
+from sprintlint.fixtures import FixtureSpec, generate, inject
 from conftest import DAY, T0, TEAM, change, make_commit, make_pull, make_sprint, make_story
+from test_golden import ALL_DIRECTIVES
 
 
 def test_empty_history():
@@ -37,6 +41,33 @@ def test_single_commit_derives_team_and_developer():
     history = build_history(commits=[commit])
     assert history.teams == ("A",)
     assert history.developers["A"] == frozenset({"ann@example.org"})
+
+
+def test_constructor_rejects_duplicate_keys():
+    commit, sprint = make_commit("c1", T0), make_sprint()
+    with pytest.raises(HistoryError, match="^duplicate commit id 'c1'$"):
+        ProjectHistory(commits=(commit, commit))
+    with pytest.raises(HistoryError, match="^duplicate sprint id 's1'$"):
+        ProjectHistory(sprints=(sprint, sprint))
+
+
+def test_constructor_reports_a_duplicate_before_a_dangling_reference():
+    stories = (make_story(1, sprints=("ghost",)), make_story(2), make_story(2))
+    with pytest.raises(HistoryError, match="^duplicate story #2 for team"):
+        ProjectHistory(stories=stories, sprints=(make_sprint(),))
+
+
+def test_constructor_derives_teams_and_developers():
+    commit = make_commit("c1", T0, author="Ann@Example.ORG", team="A")
+    history = ProjectHistory(commits=(commit,))
+    assert history.teams == ("A",)
+    assert history.developers == {"A": frozenset({"ann@example.org"})}
+
+
+def test_records_rebuild_the_same_history():
+    spec = FixtureSpec(teams=2, sprints=2)
+    history, _ = inject(generate(spec)[0], ALL_DIRECTIVES, spec.seed)
+    assert ProjectHistory(*history.records()) == history == build_history(*history.records())
 
 
 def test_listing_style_fixture_counts_ten_stories(past_due_backlog):
@@ -309,6 +340,8 @@ def test_record_level_invariants():
         make_pull(1, opened=T0, closed=T0 - 1.0)
     with pytest.raises(RecordError):
         change("src/a.py", added=-1)
+    with pytest.raises(RecordError, match="severity must be a Severity, got 'bogus'"):
+        MetricDescriptor("huge-stories", "bogus", "")
 
 
 # (how the message names the record, field, a builder putting a value in that field)

@@ -4,10 +4,11 @@ Each case breaks one field of an otherwise valid record: a missing field, a
 wrong JSON type, an empty string where a non-empty one is required, or a
 value out of range. The export readers must report it as one positioned
 `ParseIssue`; a snapshot carrying it must make `lint` exit 2 with
-``<path> holds a malformed snapshot: <message>``. The messages are part of
-the tool's interface and must not change when the loaders do. Last, any
-JSON value at any position of a snapshot must end `lint` with an exit
-code, never a traceback.
+``<path> holds a malformed snapshot: <message>``. A snapshot collection
+that is not an array of objects is rejected the same way. The messages are
+part of the tool's interface: they change only on purpose, and each change
+is listed in `CHANGES.md`. Last, any JSON value at any position of a
+snapshot must end `lint` with an exit code, never a traceback.
 """
 
 from __future__ import annotations
@@ -296,16 +297,26 @@ def test_stats_reader_rejects(tmp_path, row, message):
 SNAPSHOT_STATS_CASES = [
     *[(("commit_id",), value, message) for _, _, value, _, message in _required_str("stat", "commit_id")],
     (("coverage_percent",), MISSING, "missing field 'coverage_percent'"),
-    (("coverage_percent",), "abc", "could not convert string to float: 'abc'"),
-    (("coverage_percent",), None, "float() argument must be a string or a real number, not 'NoneType'"),
-    (("coverage_percent",), [50], "float() argument must be a string or a real number, not 'list'"),
+    (("coverage_percent",), "abc", "'coverage_percent' must be a number"),
+    (("coverage_percent",), None, "'coverage_percent' must be a number"),
+    (("coverage_percent",), [50], "'coverage_percent' must be a number"),
     (("coverage_percent",), 101, "coverage_percent out of [0,100] for commit c1"),
     (("coverage_percent",), -0.5, "coverage_percent out of [0,100] for commit c1"),
     (("complexity",), MISSING, "missing field 'complexity'"),
-    (("complexity",), "abc", "could not convert string to float: 'abc'"),
-    (("complexity",), {}, "float() argument must be a string or a real number, not 'dict'"),
+    (("complexity",), "abc", "'complexity' must be a number"),
+    (("complexity",), {}, "'complexity' must be a number"),
     (("complexity",), -1, "complexity < 0 for commit c1"),
     (("complexity",), float("inf"), "complexity is not finite for commit c1"),  # JSON `Infinity`
+    (("coverage_percent",), True, "'coverage_percent' must be a number"),
+    (("coverage_percent",), "50", "'coverage_percent' must be a number"),
+    (("coverage_percent",), " 50 ", "'coverage_percent' must be a number"),
+    (("complexity",), True, "'complexity' must be a number"),
+    (("complexity",), "5", "'complexity' must be a number"),
+    (("complexity",), " 5 ", "'complexity' must be a number"),
+    # integers beyond float range read as infinite, as in a stats CSV
+    pytest.param(("coverage_percent",), 10**400, "coverage_percent out of [0,100] for commit c1",
+                 id="coverage_percent=10**400"),
+    pytest.param(("complexity",), 10**400, "complexity is not finite for commit c1", id="complexity=10**400"),
 ]
 
 
@@ -314,6 +325,32 @@ def test_snapshot_stats_rejects(tmp_path, capsys, path, value, message):
     code, err = _lint_snapshot(tmp_path, capsys, _snapshot(stats=_broken(STAT, path, value)))
     assert code == 2
     assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n"
+
+
+@pytest.mark.parametrize("value", [{}, "", 5], ids=json.dumps)
+@pytest.mark.parametrize("key", ["commits", "issues", "sprints", "pulls", "stats"])
+def test_snapshot_collection_must_be_an_array(tmp_path, capsys, key, value):
+    code, err = _lint_snapshot(tmp_path, capsys, _snapshot() | {key: value})
+    assert code == 2
+    assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {key!r} must be an array\n"
+
+
+# snapshot key -> what the array readers call its entries
+ENTRY_NAMES = {"commits": "commits", "issues": "stories", "sprints": "sprints", "pulls": "pull requests",
+               "stats": "stats"}
+
+
+@pytest.mark.parametrize("key", list(ENTRY_NAMES))
+def test_snapshot_entry_must_be_an_object(tmp_path, capsys, key):
+    message = f"{ENTRY_NAMES[key]} entry is not an object"
+    code, err = _lint_snapshot(tmp_path, capsys, _snapshot() | {key: [5]})
+    assert code == 2
+    assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n"
+    readers = {snapshot_key: reader for _, snapshot_key, reader in KINDS.values()}
+    if key in ("issues", "sprints", "pulls"):  # the other two exports are not JSON arrays
+        export = tmp_path / "export.json"
+        export.write_text("[5]", encoding="utf-8")
+        assert readers[key](export) == ([], [ParseIssue(0, None, message)])
 
 
 def _paths(value, prefix=()):
