@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -122,6 +123,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    if args.fail_below is not None and not math.isfinite(args.fail_below):
+        raise SprintLintError(f"--fail-below must be a finite number, got {args.fail_below}")
     history = _load(load_snapshot, args.project)
     config = _resolve_config(args.config)
     registry = default_registry()

@@ -22,10 +22,12 @@ import json
 import math
 import re
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain, starmap
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, RecordError
 from .model import (
     BuildStats,
     Commit,
@@ -39,6 +41,8 @@ from .model import (
     build_history,
 )
 from .serialize import (
+    END_TS,
+    FIRST_TS,
     canonical_json,
     check_unicode,
     format_iso_utc,
@@ -168,6 +172,13 @@ def _as_opt_ts(obj: Mapping, key: str) -> float | None:
         raise _FieldError(key, str(exc)) from None
 
 
+def _int_as_float(value: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # read as infinite, as a stats CSV reads such a number
+        return math.inf if value > 0 else -math.inf
+
+
 def _as_number(obj: Mapping, key: str) -> float:
     value = _need(obj, key)
     # a type test, not isinstance: it excludes bool, and it costs less per row
@@ -175,10 +186,7 @@ def _as_number(obj: Mapping, key: str) -> float:
         return value
     if type(value) is not int:
         raise _FieldError(key, f"{key!r} must be a number")
-    try:
-        return float(value)
-    except OverflowError:  # read as infinite, as a stats CSV reads such a number
-        return math.inf if value > 0 else -math.inf
+    return _int_as_float(value)
 
 
 def _as_str_list(obj: Mapping, key: str) -> list[str]:
@@ -506,23 +514,230 @@ def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
 
 
 # --- snapshot (the validated single-file form the CLI passes between steps) -
+#
+# `write_snapshot` writes format 2: ``{"format": 2, "commits": {...}, ...}``,
+# each collection an object of equal-length columns named like the export
+# fields, every timestamp a JSON number of epoch seconds (written as the
+# float's repr, so it reads back exactly), each commit's files a list of
+# ``[path, added, deleted]`` triples and each story's milestone history a
+# list of ``[sprint_id, assigned_at]`` pairs. A document without a "format"
+# key is format 1: one object per record, in the export files' schemas.
+
+SNAPSHOT_FORMAT = 2
 
 
-# export kind -> (what its entries are called, snapshot record parser, record writer)
-_SNAPSHOT_RECORDS: dict[str, tuple[str, Callable[[dict], object], Callable[[object], dict]]] = {
-    "commits": ("commits", lambda raw: _commit_from_dict(raw, {}, {}), commit_to_dict),
-    "issues": ("stories", lambda raw: _story_from_dict(raw, {}, {}), story_to_dict),
-    "sprints": ("sprints", lambda raw: _sprint_from_dict(raw, {}), sprint_to_dict),
-    "pulls": ("pull requests", lambda raw: _pull_from_dict(raw, {}), pull_to_dict),
-    "stats": ("stats", _stats_from_dict, stats_to_dict),
+class _Malformed(Exception):
+    """A format-2 snapshot fails a check; `where` positions a failing cell in its column, as ``[17]``."""
+
+    def __init__(self, message: str, where: str = "") -> None:
+        super().__init__(message)
+        self.where = where
+
+
+def _all_of(cls: type, values: Iterable) -> bool:
+    return set(map(type, values)) <= {cls}
+
+
+def _reject_first(values: list, check: Callable[[object], None]) -> None:
+    """Raise for the first of `values` that `check` rejects, prefixed with its index."""
+    for index, value in enumerate(values):
+        try:
+            check(value)
+        except _Malformed as exc:
+            raise _Malformed(str(exc), f"[{index}]{exc.where}") from None
+
+
+def _typed_column(cls: type, expected: str) -> Callable[[list], list]:
+    def check(value: object) -> None:
+        if type(value) is not cls:  # a type test, so a bool is no integer
+            raise _Malformed(f"must be {expected}, got {value!r}")
+
+    def load(values: list) -> list:
+        if not _all_of(cls, values):
+            _reject_first(values, check)
+        return values
+
+    return load
+
+
+def _within_range(stamps: list) -> bool:
+    """Whether every float of `stamps` lies in [FIRST_TS, END_TS)."""
+    # a finite sum means no stamp is NaN or infinite, so min and max are exact
+    return not stamps or (math.isfinite(sum(stamps)) and FIRST_TS <= min(stamps) and max(stamps) < END_TS)
+
+
+def _is_number(value: object) -> bool:
+    return type(value) is float or type(value) is int  # a type test, so a bool is no number
+
+
+def _is_epoch(value: object) -> bool:
+    return _is_number(value) and FIRST_TS <= value < END_TS
+
+
+def _check_epoch(value: object) -> None:
+    if not _is_number(value):
+        raise _Malformed(f"must be a number of epoch seconds, got {value!r}")
+    if not FIRST_TS <= value < END_TS:
+        raise _Malformed(f"out of range (years 1 to 9999 in UTC): {value!r}")
+
+
+def _load_epochs(values: list) -> list:
+    if _all_of(float, values) and _within_range(values):
+        return values
+    _reject_first(values, _check_epoch)
+    return list(map(float, values))
+
+
+def _check_optional_epoch(value: object) -> None:
+    if value is not None:
+        _check_epoch(value)
+
+
+def _load_optional_epochs(values: list) -> list:
+    present = [v for v in values if v is not None]
+    if _all_of(float, present) and _within_range(present):
+        return values
+    _reject_first(values, _check_optional_epoch)
+    return [None if v is None else float(v) for v in values]
+
+
+def _check_number(value: object) -> None:
+    if not _is_number(value):
+        raise _Malformed(f"must be a number, got {value!r}")
+
+
+def _load_numbers(values: list) -> list:
+    if _all_of(float, values):
+        return values
+    _reject_first(values, _check_number)
+    return [v if type(v) is float else _int_as_float(v) for v in values]
+
+
+def _check_str_list(value: object) -> None:
+    if type(value) is not list or not _all_of(str, value):
+        raise _Malformed(f"must be an array of strings, got {value!r}")
+
+
+def _load_str_lists(values: list) -> list:
+    if not (_all_of(list, values) and _all_of(str, chain.from_iterable(values))):
+        _reject_first(values, _check_str_list)
+    return values
+
+
+_STATES = {state.value: state for state in StoryState}
+
+
+def _check_state(value: object) -> None:
+    if type(value) is not str or value not in _STATES:
+        raise _Malformed(f"must be 'open' or 'closed', got {value!r}")
+
+
+def _load_states(values: list) -> list:
+    if not (_all_of(str, values) and set(values) <= _STATES.keys()):
+        _reject_first(values, _check_state)
+    return list(map(_STATES.__getitem__, values))
+
+
+def _nested_column(entry_name: str, entry_types: str, entries_ok: Callable[[list], bool],
+                   build: Callable) -> Callable[[list], Iterable]:
+    """A column whose cells are arrays of fixed-length entries, each the arguments of `build`.
+
+    `entries_ok` checks a list of entries. The records are built lazily, as
+    the records holding them are, so a constructor failure is reported at
+    its record's index.
+    """
+
+    def check(cell: object) -> None:
+        if type(cell) is not list:
+            raise _Malformed(f"must be an array of {entry_name}s, got {cell!r}")
+        for index, entry in enumerate(cell):
+            if not entries_ok([entry]):
+                raise _Malformed(f"must be a {entry_name} of {entry_types}, got {entry!r}", f"[{index}]")
+
+    def load(values: list) -> Iterable:
+        if not (_all_of(list, values) and entries_ok(list(chain.from_iterable(values)))):
+            _reject_first(values, check)
+        return (tuple(starmap(build, cell)) for cell in values)
+
+    return load
+
+
+def _triples_ok(entries: list) -> bool:
+    return (_all_of(list, entries) and set(map(len, entries)) <= {3}
+            and _all_of(str, map(itemgetter(0), entries))
+            and _all_of(int, map(itemgetter(1), entries))
+            and _all_of(int, map(itemgetter(2), entries)))
+
+
+def _pairs_ok(entries: list) -> bool:
+    return (_all_of(list, entries) and set(map(len, entries)) <= {2}
+            and _all_of(str, map(itemgetter(0), entries))
+            and all(map(_is_epoch, map(itemgetter(1), entries))))
+
+
+@dataclass(frozen=True)
+class _Column:
+    """How one kind of snapshot column is checked on load and written."""
+
+    # the column's cells -> the record constructor's arguments; raises _Malformed
+    load: Callable[[list], Iterable]
+    # the records' attribute values -> the column's cells
+    dump: Callable[[Iterable], list] = list
+
+
+_STR = _Column(_typed_column(str, "a string"))
+_INT = _Column(_typed_column(int, "an integer"))
+_BOOL = _Column(_typed_column(bool, "a boolean"))
+_NUMBER = _Column(_load_numbers)
+_EPOCH = _Column(_load_epochs)
+_OPTIONAL_EPOCH = _Column(_load_optional_epochs)
+_STATE = _Column(_load_states, lambda states: [s.value for s in states])
+_STR_LIST = _Column(_load_str_lists, lambda lists: list(map(list, lists)))
+_STR_SET = _Column(_load_str_lists, lambda sets: list(map(sorted, sets)))
+_FILES = _Column(
+    _nested_column("[path, added, deleted] triple", "a string and two integers", _triples_ok,
+                   FileChange),
+    lambda files: [[[f.path, f.lines_added, f.lines_deleted] for f in cell] for cell in files],
+)
+_MEMBERSHIPS = _Column(
+    _nested_column("[sprint_id, assigned_at] pair", "a string and epoch seconds in years 1 to 9999 (UTC)",
+                   _pairs_ok, SprintMembership),
+    lambda histories: [[[m.sprint_id, m.assigned_at] for m in cell] for cell in histories],
+)
+
+# export kind -> (record class, format-2 columns in the order of the class's fields);
+# the column names are the export field names
+_SNAPSHOT_COLUMNS: dict[str, tuple[type, dict[str, _Column]]] = {
+    "commits": (Commit, {"id": _STR, "author": _STR, "authored_at": _EPOCH, "parents": _STR_LIST,
+                         "message": _STR, "files": _FILES, "team": _STR}),
+    "issues": (UserStory, {"number": _INT, "title": _STR, "body": _STR, "state": _STATE,
+                           "labels": _STR_SET, "milestone_history": _MEMBERSHIPS, "assignees": _STR_SET,
+                           "created_at": _EPOCH, "closed_at": _OPTIONAL_EPOCH, "team": _STR}),
+    "sprints": (Sprint, {"id": _STR, "title": _STR, "starts_at": _EPOCH, "due_on": _EPOCH, "team": _STR}),
+    "pulls": (PullRequest, {"number": _INT, "opened_at": _EPOCH, "closed_at": _OPTIONAL_EPOCH,
+                            "merged": _BOOL, "comments": _INT, "team": _STR}),
+    "stats": (BuildStats, {"commit_id": _STR, "coverage_percent": _NUMBER, "complexity": _NUMBER}),
+}
+
+# export kind -> (what its entries are called, format-1 record parser)
+_SNAPSHOT_RECORDS: dict[str, tuple[str, Callable[[dict], object]]] = {
+    "commits": ("commits", lambda raw: _commit_from_dict(raw, {}, {})),
+    "issues": ("stories", lambda raw: _story_from_dict(raw, {}, {})),
+    "sprints": ("sprints", lambda raw: _sprint_from_dict(raw, {})),
+    "pulls": ("pull requests", lambda raw: _pull_from_dict(raw, {})),
+    "stats": ("stats", _stats_from_dict),
 }
 
 
 def snapshot_to_dict(history: ProjectHistory) -> dict:
-    doc = {}
+    """The format-2 snapshot document of `history`."""
+    doc: dict = {"format": SNAPSHOT_FORMAT}
     for kind, records in zip(EXPORTS, history.records()):
-        _, _, writer = _SNAPSHOT_RECORDS[kind]
-        doc[kind] = [writer(record) for record in records]
+        record_class, columns = _SNAPSHOT_COLUMNS[kind]
+        doc[kind] = {
+            name: column.dump(map(attrgetter(attribute.name), records))
+            for (name, column), attribute in zip(columns.items(), fields(record_class), strict=True)
+        }
     return doc
 
 
@@ -530,14 +745,54 @@ def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
     write_text(path, canonical_json(snapshot_to_dict(history)) + "\n")
 
 
-def load_snapshot(path: str | Path) -> ProjectHistory:
-    """Read a snapshot through the export readers' record loop and record checks."""
-    raw = read_json(path)
-    if not isinstance(raw, Mapping):
-        raise ParseError(f"{path} must contain a snapshot object")
+def _records_from_columns(kind: str, table: object) -> list:
+    """Check one format-2 collection column by column, then build its records."""
+    record_class, columns = _SNAPSHOT_COLUMNS[kind]
+    if not isinstance(table, dict):
+        raise _Malformed(f"{kind!r} must be an object of columns")
+    unknown = [name for name in table if name not in columns]
+    if unknown:
+        raise _Malformed(f"unknown column {kind}.{unknown[0]}")
+    arguments = []
+    length = None
+    for name, column in columns.items():
+        if name not in table:
+            raise _Malformed(f"missing column {kind}.{name}")
+        values = table[name]
+        if not isinstance(values, list):
+            raise _Malformed(f"{kind}.{name} must be an array")
+        if length is None:
+            length, first = len(values), name
+        elif len(values) != length:
+            raise _Malformed(f"{kind}.{name} has {len(values)} entries, {kind}.{first} has {length}")
+        try:
+            arguments.append(column.load(values))
+        except _Malformed as exc:
+            raise _Malformed(f"{kind}.{name}{exc.where}: {exc}") from None
+    records: list = []
+    try:
+        for record in map(record_class, *arguments):
+            records.append(record)
+    except RecordError as exc:
+        raise _Malformed(f"{kind}[{len(records)}]: {exc}") from None
+    return records
+
+
+def _records_of_format_two(raw: Mapping) -> list[list]:
+    unknown = [key for key in raw if key != "format" and key not in EXPORTS]
+    if unknown:
+        raise _Malformed(f"unknown key {unknown[0]!r}")
+    missing = [kind for kind in EXPORTS if kind not in raw]
+    if missing:
+        raise _Malformed(f"missing collection {missing[0]!r}")
+    return [_records_from_columns(kind, raw[kind]) for kind in EXPORTS]
+
+
+def _records_of_format_one(raw: Mapping, path: str | Path) -> list[list]:
+    """Each collection through the export readers' record loop and record checks."""
     records = []
     for kind in EXPORTS:
-        what, parser, _ = _SNAPSHOT_RECORDS[kind]
+        what, parser = _SNAPSHOT_RECORDS[kind]
         rows = raw.get(kind, [])
         if not isinstance(rows, list):
             raise ParseError(f"{path} holds a malformed snapshot: {kind!r} must be an array")
@@ -545,4 +800,21 @@ def load_snapshot(path: str | Path) -> ProjectHistory:
         if issues:
             raise ParseError(f"{path} holds a malformed snapshot: {issues[0].message}")
         records.append(found)
+    return records
+
+
+def load_snapshot(path: str | Path) -> ProjectHistory:
+    """Read and re-validate a snapshot of either format; every record constructor runs."""
+    raw = read_json(path)
+    if not isinstance(raw, Mapping):
+        raise ParseError(f"{path} must contain a snapshot object")
+    if "format" not in raw:
+        return build_history(*_records_of_format_one(raw, path))
+    version = raw["format"]
+    if type(version) is not int or version != SNAPSHOT_FORMAT:
+        raise ParseError(f"{path}: unsupported snapshot format {version!r}")
+    try:
+        records = _records_of_format_two(raw)
+    except _Malformed as exc:
+        raise ParseError(f"{path} holds a malformed snapshot: {exc}") from None
     return build_history(*records)

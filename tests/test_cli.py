@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sprintlint import cli
 from sprintlint.cli import main
 from sprintlint.ingest import EXPORTS, load_snapshot
+from sprintlint.serialize import END_TS, FIRST_TS
 
 DEFAULT_SPEC = {
     "seed": 13,
@@ -126,6 +127,19 @@ def test_lint_injected_fixture_fails_policy_gate(tmp_path):
     code = main(["lint", "--project", str(snapshot), "--fail-below", "100",
                  "--out", str(tmp_path / "report.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+def test_lint_rejects_a_fail_below_that_is_not_finite(tmp_path, capsys, bound):
+    # NaN and -inf could never trip the gate, and inf always would
+    snapshot = _ingest(tmp_path, _generate(tmp_path, inject={"silent_fast_pulls": 1}))
+    capsys.readouterr()
+    # `=` keeps argparse from reading "-inf" as an option
+    code = main(["lint", "--project", str(snapshot), f"--fail-below={bound}",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert _one_error_line(capsys) == f"error: --fail-below must be a finite number, got {float(bound)}\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_lint_reports_are_byte_identical(tmp_path):
@@ -312,12 +326,14 @@ def test_ingest_out_of_range_instant_exits_2_with_position(tmp_path, capsys):
 def test_lint_snapshot_with_out_of_range_instant_exits_2(tmp_path, capsys):
     snapshot = _ingest(tmp_path, _generate(tmp_path))
     doc = json.loads(snapshot.read_text(encoding="utf-8"))
-    for instant in OUT_OF_RANGE_INSTANTS:
-        doc["commits"][0]["authored_at"] = instant
+    # the instants of OUT_OF_RANGE_INSTANTS, as the snapshot's epoch seconds
+    for instant in (FIRST_TS - 3600, END_TS + 3599):
+        doc["commits"]["authored_at"][0] = instant
         snapshot.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 2
-        assert "holds a malformed snapshot: authored_at is out of range" in capsys.readouterr().err
+        assert ("holds a malformed snapshot: commits.authored_at[0]: out of range"
+                in capsys.readouterr().err)
 
 
 def test_ingest_oversized_stats_field_exits_2(tmp_path, capsys):
@@ -554,7 +570,7 @@ def _with_lone_surrogate(kind, tmp_path):
         doc[0]["team"] = LONE_SURROGATE
     elif kind == "snapshot":
         doc = json.loads(_ingest(tmp_path, out_dir).read_text(encoding="utf-8"))
-        doc["commits"][0]["message"] = LONE_SURROGATE
+        doc["commits"]["message"][0] = LONE_SURROGATE
     elif kind == "config":
         doc = {"metrics": {"duplicate-stories": {"duplicate_label": LONE_SURROGATE}}}
     elif kind == "manifest":

@@ -25,9 +25,11 @@ from sprintlint.ingest import (
     write_sprints,
     write_stats,
 )
-from sprintlint import serialize
+from sprintlint import ingest, serialize
+from sprintlint.fixtures import FixtureSpec, generate, inject
 from sprintlint.serialize import canonical_json, format_iso_utc, parse_iso_utc
-from conftest import DAY, T0, change, make_commit, make_pull, make_sprint, make_story
+from conftest import DAY, T0, change, format_one_snapshot, make_commit, make_pull, make_sprint, make_story
+from test_golden import ALL_DIRECTIVES
 
 
 def test_count_checkboxes_empty():
@@ -316,6 +318,48 @@ def test_snapshot_round_trip(tmp_path):
     assert (tmp_path / "snap2.json").read_bytes() == first
 
 
+@pytest.fixture
+def iso_calls(monkeypatch):
+    """Counts of the calls `ingest` makes to the ISO timestamp parser and formatter."""
+    calls = {"parse_iso_utc": 0, "format_iso_utc": 0}
+
+    def counted(name):
+        original = getattr(ingest, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(ingest, name, counted(name))
+    return calls
+
+
+def _injected_history():
+    return inject(generate(FixtureSpec(teams=2, sprints=2))[0], ALL_DIRECTIVES, seed=7)[0]
+
+
+# snapshot timestamps are epoch seconds, so neither direction formats or parses ISO text
+def test_write_snapshot_formats_no_iso_timestamp(tmp_path, iso_calls):
+    history = _injected_history()
+    write_snapshot(tmp_path / "snap.json", history)
+    assert iso_calls["format_iso_utc"] == 0
+    ingest.commit_to_dict(history.commits[0])
+    assert iso_calls["format_iso_utc"] == 1  # the counter sees the module's own calls
+
+
+def test_load_snapshot_parses_no_iso_timestamp(tmp_path, iso_calls):
+    history = _injected_history()
+    write_snapshot(tmp_path / "snap.json", history)
+    assert load_snapshot(tmp_path / "snap.json") == history
+    assert iso_calls["parse_iso_utc"] == 0
+    write_sprints(tmp_path / "sprints.json", history.sprints[:1])
+    read_sprints(tmp_path / "sprints.json")
+    assert iso_calls["parse_iso_utc"] == 2  # the counter sees the module's own calls
+
+
 def test_snapshot_without_diagnostics_and_with_a_stale_diagnostics_key(tmp_path):
     commits, stories, sprints, pulls, stats = _sample_records()
     original = build_history(commits, stories, sprints, pulls, stats)
@@ -323,7 +367,8 @@ def test_snapshot_without_diagnostics_and_with_a_stale_diagnostics_key(tmp_path)
     write_snapshot(path, original)
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert "diagnostics" not in doc
-    # snapshots written before the field was dropped still load
+    # format-1 snapshots written before the field was dropped still load
+    doc = format_one_snapshot(original)
     doc["diagnostics"] = ["commit c0 parent c9 not in export (shallow history?)"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_snapshot(path) == original

@@ -1,8 +1,8 @@
 """Metamorphic properties of the whole pipeline, each bounded to a few examples.
 
-Record order in the exports carries no meaning, and the command line adds
-nothing to what the library computes, so both must leave the output bytes
-as they are.
+Record order in the exports carries no meaning, the command line adds
+nothing to what the library computes, and a snapshot's format does not
+change the history it holds, so none of them may change the output bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from sprintlint import MetricConfig, build_report, default_registry, render_json
 from sprintlint.cli import main
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
-from sprintlint.ingest import EXPORTS
+from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
+from conftest import format_one_snapshot
 from test_golden import ALL_DIRECTIVES
 
 
@@ -87,3 +88,27 @@ def test_the_command_line_writes_the_report_the_library_builds(tmp_path_factory,
     history, _ = inject(generate(spec)[0], injection, spec.seed)
     built = render_json(build_report(history, default_registry(), MetricConfig()), history)
     assert written == built.encode("utf-8")
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    teams=st.integers(1, 2),
+    directives=st.sets(st.sampled_from(sorted(ALL_DIRECTIVES.to_dict()))),
+)
+def test_both_snapshot_formats_hold_the_same_history(tmp_path_factory, seed, teams, directives):
+    spec = FixtureSpec(seed=seed, teams=teams, sprints=2)
+    injection = InjectionSpec(**{name: getattr(ALL_DIRECTIVES, name) for name in directives})
+    history, _ = inject(generate(spec)[0], injection, spec.seed)
+    work = tmp_path_factory.mktemp("formats")
+    write_snapshot(work / "columns.json", history)
+    assert load_snapshot(work / "columns.json") == history
+    (work / "records.json").write_text(json.dumps(format_one_snapshot(history)), encoding="utf-8")
+
+    outputs = []
+    for snapshot in ("columns.json", "records.json"):
+        report, trend = work / f"{snapshot}.report", work / f"{snapshot}.trend"
+        assert main(["lint", "--project", str(work / snapshot), "--out", str(report)]) == 0
+        assert main(["score", "--project", str(work / snapshot), "--out", str(trend)]) == 0
+        outputs.append((report.read_bytes(), trend.read_bytes()))
+    assert outputs[0] == outputs[1]

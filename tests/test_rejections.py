@@ -9,6 +9,12 @@ that is not an array of objects is rejected the same way. The messages are
 part of the tool's interface: they change only on purpose, and each change
 is listed in `CHANGES.md`. Last, any JSON value at any position of a
 snapshot must end `lint` with an exit code, never a traceback.
+
+The snapshots above are format 1 (one object per record). The cases after
+them break a format-2 snapshot (equal-length columns of epoch seconds): a
+cell of the wrong type or out of range is named by its column and index, a
+record check that fails by its collection and index, and a document of the
+wrong shape or of an unknown format is rejected as a whole.
 """
 
 from __future__ import annotations
@@ -20,7 +26,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sprintlint.cli import main
-from sprintlint.ingest import ParseIssue, read_commits, read_issues, read_pulls, read_sprints, read_stats
+from sprintlint.ingest import (
+    ParseIssue,
+    load_snapshot,
+    read_commits,
+    read_issues,
+    read_pulls,
+    read_sprints,
+    read_stats,
+    snapshot_to_dict,
+)
+from sprintlint.serialize import END_TS, FIRST_TS, parse_iso_utc
 
 COMMIT = {
     "id": "c1",
@@ -382,5 +398,251 @@ def test_any_value_in_any_snapshot_field_ends_in_an_exit_code(tmp_path_factory, 
     work = tmp_path_factory.mktemp("fuzz")
     snapshot = work / "snap.json"
     snapshot.write_text(json.dumps(_broken(_snapshot(), path, value)), encoding="utf-8")
+    code = main(["lint", "--project", str(snapshot), "--out", str(work / "report.json")])
+    assert code in (0, 1, 2)
+
+
+# --- format 2: equal-length columns, timestamps as epoch seconds --------------
+
+
+def _epoch(text: str) -> float:
+    return parse_iso_utc(text)
+
+
+COLUMNS = {
+    "format": 2,
+    "commits": {
+        "id": ["c1"], "author": ["ann@example.org"], "authored_at": [_epoch("2015-01-12T14:03:00Z")],
+        "parents": [[]], "message": ["first"], "files": [[["src/a.py", 3, 1]]], "team": ["alpha"],
+    },
+    "issues": {
+        "number": [1], "title": ["Story 1"], "body": [""], "state": ["closed"], "labels": [[]],
+        "milestone_history": [[["s1", _epoch("2015-01-05T00:00:00Z")]]],
+        "assignees": [["ann@example.org"]], "created_at": [_epoch("2015-01-04T00:00:00Z")],
+        "closed_at": [_epoch("2015-01-18T00:00:00Z")], "team": ["alpha"],
+    },
+    "sprints": {
+        "id": ["s1"], "title": ["Sprint 1"], "starts_at": [_epoch("2015-01-05T00:00:00Z")],
+        "due_on": [_epoch("2015-01-19T00:00:00Z")], "team": ["alpha"],
+    },
+    "pulls": {
+        "number": [1], "opened_at": [_epoch("2015-01-06T00:00:00Z")],
+        "closed_at": [_epoch("2015-01-07T00:00:00Z")], "merged": [True], "comments": [2], "team": ["alpha"],
+    },
+    "stats": {"commit_id": ["c1"], "coverage_percent": [50.0], "complexity": [5.0]},
+}
+
+TRIPLE = "[path, added, deleted] triple of a string and two integers"
+PAIR = "[sprint_id, assigned_at] pair of a string and epoch seconds in years 1 to 9999 (UTC)"
+OUT_OF_RANGE = "out of range (years 1 to 9999 in UTC)"
+
+
+def _wrong_epoch(column: str) -> list:
+    return [
+        (column, "2015-01-12T14:03:00Z",
+         "must be a number of epoch seconds, got '2015-01-12T14:03:00Z'"),
+        (column, True, "must be a number of epoch seconds, got True"),
+        (column, float("nan"), f"{OUT_OF_RANGE}: nan"),  # JSON `NaN`
+        (column, float("inf"), f"{OUT_OF_RANGE}: inf"),  # JSON `Infinity`
+        (column, FIRST_TS - 1, f"{OUT_OF_RANGE}: {FIRST_TS - 1!r}"),
+        (column, END_TS, f"{OUT_OF_RANGE}: {END_TS!r}"),
+        (column, 10**400, f"{OUT_OF_RANGE}: {10**400!r}"),
+    ]
+
+
+# (collection.column, value of its first cell, message after ``<collection>.<column>[0]``)
+COLUMN_CASES = [
+    # strings
+    ("commits.id", 7, ": must be a string, got 7"),
+    ("commits.message", None, ": must be a string, got None"),
+    ("issues.title", ["x"], ": must be a string, got ['x']"),
+    ("stats.commit_id", 1.5, ": must be a string, got 1.5"),
+    # integers
+    ("issues.number", "1", ": must be an integer, got '1'"),
+    ("issues.number", True, ": must be an integer, got True"),
+    ("pulls.comments", 1.5, ": must be an integer, got 1.5"),
+    # booleans
+    ("pulls.merged", 1, ": must be a boolean, got 1"),
+    ("pulls.merged", None, ": must be a boolean, got None"),
+    # epochs
+    *[(column, value, f": {message}") for column in ("commits.authored_at", "issues.created_at",
+                                                      "sprints.starts_at", "sprints.due_on",
+                                                      "pulls.opened_at")
+      for column, value, message in _wrong_epoch(column)],
+    ("commits.authored_at", None, ": must be a number of epoch seconds, got None"),
+    # optional epochs
+    *[(column, value, f": {message}") for column in ("issues.closed_at", "pulls.closed_at")
+      for column, value, message in _wrong_epoch(column)],
+    # numbers
+    ("stats.coverage_percent", "50", ": must be a number, got '50'"),
+    ("stats.coverage_percent", True, ": must be a number, got True"),
+    ("stats.complexity", None, ": must be a number, got None"),
+    # string lists
+    ("commits.parents", "abc", ": must be an array of strings, got 'abc'"),
+    ("commits.parents", [1], ": must be an array of strings, got [1]"),
+    ("issues.labels", [None], ": must be an array of strings, got [None]"),
+    ("issues.assignees", {"a": "b"}, ": must be an array of strings, got {'a': 'b'}"),
+    # story states
+    ("issues.state", "pending", ": must be 'open' or 'closed', got 'pending'"),
+    ("issues.state", ["open"], ": must be 'open' or 'closed', got ['open']"),
+    # file triples
+    ("commits.files", "abc", ": must be an array of [path, added, deleted] triples, got 'abc'"),
+    ("commits.files", [["src/a.py", 3]], f"[0]: must be a {TRIPLE}, got ['src/a.py', 3]"),
+    ("commits.files", [["src/a.py", 3, 1, 0]], f"[0]: must be a {TRIPLE}, got ['src/a.py', 3, 1, 0]"),
+    ("commits.files", [["src/a.py", 3, 1], ["src/b.py", 3, True]],
+     f"[1]: must be a {TRIPLE}, got ['src/b.py', 3, True]"),
+    ("commits.files", [[5, 3, 1]], f"[0]: must be a {TRIPLE}, got [5, 3, 1]"),
+    ("commits.files", [["src/a.py", "3", 1]], f"[0]: must be a {TRIPLE}, got ['src/a.py', '3', 1]"),
+    ("commits.files", [{"path": "src/a.py", "added": 3, "deleted": 1}],
+     f"[0]: must be a {TRIPLE}, got {{'path': 'src/a.py', 'added': 3, 'deleted': 1}}"),
+    # membership pairs
+    ("issues.milestone_history", "s1", ": must be an array of [sprint_id, assigned_at] pairs, got 's1'"),
+    ("issues.milestone_history", [["s1"]], f"[0]: must be a {PAIR}, got ['s1']"),
+    ("issues.milestone_history", [[1, 1.0]], f"[0]: must be a {PAIR}, got [1, 1.0]"),
+    ("issues.milestone_history", [["s1", "2015-01-05T00:00:00Z"]],
+     f"[0]: must be a {PAIR}, got ['s1', '2015-01-05T00:00:00Z']"),
+    ("issues.milestone_history", [["s1", float("nan")]], f"[0]: must be a {PAIR}, got ['s1', nan]"),
+    ("issues.milestone_history", [["s1", True]], f"[0]: must be a {PAIR}, got ['s1', True]"),
+    ("issues.milestone_history", [["s1", END_TS]], f"[0]: must be a {PAIR}, got ['s1', {END_TS!r}]"),
+]
+
+# (collection.column, value of its first cell, the record constructor's message)
+CONSTRUCTOR_CASES = [
+    ("commits.id", "", "commit id must be non-empty"),
+    ("commits.author", "", "commit c1 has no author"),
+    ("commits.team", "", "commit c1 has no team"),
+    ("commits.files", [["", 3, 1]], "file change path must be non-empty"),
+    ("commits.files", [["src/a.py", -1, 1]], "lines_added < 0 for src/a.py"),
+    ("issues.number", 0, "story number must be positive, got 0"),
+    ("issues.state", "open", "open story #1 carries closed_at"),
+    ("issues.closed_at", None, "closed story #1 lacks closed_at"),
+    ("issues.milestone_history", [["", 0.0]], "membership has no sprint id"),
+    ("issues.milestone_history", [["s1", 0.0], ["s1", 1.0]], "story #1 (alpha) has duplicate sprint memberships"),
+    ("sprints.id", "", "sprint id must be non-empty"),
+    ("sprints.due_on", _epoch("2015-01-05T00:00:00Z"), "sprint s1 must start before it is due"),
+    ("pulls.number", -2, "pull request number must be positive, got -2"),
+    ("pulls.closed_at", None, "merged pull request #1 lacks closed_at"),
+    ("pulls.comments", -1, "pull request #1 comment_count < 0"),
+    ("stats.commit_id", "", "build stats row has no commit id"),
+    ("stats.coverage_percent", 101, "coverage_percent out of [0,100] for commit c1"),
+    ("stats.coverage_percent", float("nan"), "coverage_percent out of [0,100] for commit c1"),
+    ("stats.complexity", 10**400, "complexity is not finite for commit c1"),
+]
+
+
+def _columns_with(column: str, value) -> dict:
+    doc = copy.deepcopy(COLUMNS)
+    kind, name = column.split(".")
+    doc[kind][name][0] = value
+    return doc
+
+
+def _cell_id(case) -> str:
+    column, value, _ = case
+    return f"{column}={value!r}"[:80]
+
+
+def test_columnar_base_loads_like_the_record_base(tmp_path, capsys):
+    for name, doc in (("records.json", _snapshot()), ("columns.json", COLUMNS)):
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    history = load_snapshot(tmp_path / "columns.json")
+    assert history == load_snapshot(tmp_path / "records.json")
+    assert snapshot_to_dict(history) == COLUMNS  # the layout `write_snapshot` writes
+    assert _lint_snapshot(tmp_path, capsys, COLUMNS) == (0, "")
+
+
+@pytest.mark.parametrize("case", COLUMN_CASES, ids=_cell_id)
+def test_columnar_snapshot_rejects_a_cell(tmp_path, capsys, case):
+    column, value, message = case
+    code, err = _lint_snapshot(tmp_path, capsys, _columns_with(column, value))
+    assert code == 2
+    assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {column}[0]{message}\n"
+
+
+@pytest.mark.parametrize("case", CONSTRUCTOR_CASES, ids=_cell_id)
+def test_columnar_snapshot_reports_a_record_check_by_index(tmp_path, capsys, case):
+    column, value, message = case
+    code, err = _lint_snapshot(tmp_path, capsys, _columns_with(column, value))
+    assert code == 2
+    kind = column.split(".")[0]
+    assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {kind}[0]: {message}\n"
+
+
+def test_columnar_snapshot_names_the_first_bad_cell_and_record(tmp_path, capsys):
+    doc = copy.deepcopy(COLUMNS)
+    commits = doc["commits"]
+    for name, cells in commits.items():
+        cells.append(cells[0])
+    commits["id"] = ["c0", ""]
+    code, err = _lint_snapshot(tmp_path, capsys, doc)
+    assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: "
+                              "commits[1]: commit id must be non-empty\n")
+    commits["authored_at"][1] = "yesterday"
+    code, err = _lint_snapshot(tmp_path, capsys, doc)
+    assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: "
+                              "commits.authored_at[1]: must be a number of epoch seconds, got 'yesterday'\n")
+
+
+def test_columnar_snapshot_reads_integer_epochs_as_floats(tmp_path):
+    doc = copy.deepcopy(COLUMNS)
+    for kind, name in (("commits", "authored_at"), ("sprints", "starts_at"), ("pulls", "closed_at"),
+                       ("stats", "complexity")):
+        doc[kind][name][0] = int(doc[kind][name][0])
+    doc["issues"]["milestone_history"][0][0][1] = int(doc["issues"]["milestone_history"][0][0][1])
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    history = load_snapshot(path)
+    assert snapshot_to_dict(history) == COLUMNS
+    assert type(history.sprints[0].starts_at) is float and type(history.pulls[0].closed_at) is float
+
+
+def _without(kind: str, name: str | None = None):
+    def edit(doc):
+        del (doc[kind] if name else doc)[name or kind]
+    return edit
+
+
+def _setting(kind: str, name: str | None, value):
+    def edit(doc):
+        (doc[kind] if name else doc)[name or kind] = value
+    return edit
+
+
+# edit of the base document -> the message after ``<path> holds a malformed snapshot: ``
+DOCUMENT_CASES = {
+    "missing-collection": (_without("pulls"), "missing collection 'pulls'"),
+    "missing-column": (_without("commits", "files"), "missing column commits.files"),
+    "unknown-key": (_setting("diagnostics", None, []), "unknown key 'diagnostics'"),
+    "unknown-column": (_setting("commits", "extra", ["x"]), "unknown column commits.extra"),
+    "unequal-lengths": (_setting("commits", "team", ["alpha", "beta"]), "commits.team has 2 entries, commits.id has 1"),
+    "collection-as-array": (_setting("pulls", None, []), "'pulls' must be an object of columns"),
+    "column-as-string": (_setting("stats", "commit_id", "c1"), "stats.commit_id must be an array"),
+}
+
+
+@pytest.mark.parametrize("edit, message", DOCUMENT_CASES.values(), ids=list(DOCUMENT_CASES))
+def test_columnar_snapshot_rejects_a_document_shape(tmp_path, capsys, edit, message):
+    doc = copy.deepcopy(COLUMNS)
+    edit(doc)
+    code, err = _lint_snapshot(tmp_path, capsys, doc)
+    assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n")
+
+
+@pytest.mark.parametrize("version", [3, 1, "2", 2.0, True, None])
+def test_snapshot_of_an_unknown_format_exits_2(tmp_path, capsys, version):
+    for doc in (COLUMNS | {"format": version}, {"format": version, "commits": []}):
+        code, err = _lint_snapshot(tmp_path, capsys, doc)
+        assert (code, err) == (2, f"error: {tmp_path / 'snap.json'}: unsupported snapshot format {version!r}\n")
+
+
+COLUMN_PATHS = list(_paths(COLUMNS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(COLUMN_PATHS), value=JSON_VALUES)
+def test_any_value_in_any_columnar_snapshot_field_ends_in_an_exit_code(tmp_path_factory, path, value):
+    work = tmp_path_factory.mktemp("fuzz")
+    snapshot = work / "snap.json"
+    snapshot.write_text(json.dumps(_broken(COLUMNS, path, value)), encoding="utf-8")
     code = main(["lint", "--project", str(snapshot), "--out", str(work / "report.json")])
     assert code in (0, 1, 2)
