@@ -8,9 +8,9 @@ Formats:
   stats    -- CSV with header ``commit_id,coverage_percent,complexity``
 
 Readers collect malformed records as positioned issues instead of aborting,
-so one bad line does not hide the rest of a file. Unknown extra fields are
-ignored for forward compatibility. Writers emit the same schemas back out;
-write-then-read of any valid record set is the identity.
+so one bad line does not hide the rest of a file. Unknown extra fields in
+an export file are ignored for forward compatibility. Writers emit the same
+schemas back out; write-then-read of any valid record set is the identity.
 """
 
 from __future__ import annotations
@@ -179,16 +179,6 @@ def _int_as_float(value: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _as_number(obj: Mapping, key: str) -> float:
-    value = _need(obj, key)
-    # a type test, not isinstance: it excludes bool, and it costs less per row
-    if type(value) is float:
-        return value
-    if type(value) is not int:
-        raise _FieldError(key, f"{key!r} must be a number")
-    return _int_as_float(value)
-
-
 def _as_str_list(obj: Mapping, key: str) -> list[str]:
     value = _need(obj, key)
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -280,12 +270,6 @@ def _pull_from_dict(raw: Mapping, team_map: Mapping[str, str]) -> PullRequest:
     )
 
 
-def _stats_from_dict(raw: Mapping) -> BuildStats:
-    return BuildStats(
-        _as_str(raw, "commit_id"), _as_number(raw, "coverage_percent"), _as_number(raw, "complexity")
-    )
-
-
 def read_commits(
     path: str | Path,
     team_map: Mapping[str, str] | None = None,
@@ -315,8 +299,11 @@ def read_commits(
     return records, issues
 
 
-def _read_array_records(rows: list, what: str, parser: Callable) -> tuple[list, list[ParseIssue]]:
-    """Parse each entry of a decoded JSON array, collecting bad ones by their index."""
+def _read_array_file(path: str | Path, what: str, parser: Callable) -> tuple[list, list[ParseIssue]]:
+    """Parse each entry of a JSON array file, collecting bad ones by their index."""
+    rows = read_json(path)
+    if not isinstance(rows, list):
+        raise ParseError(f"{path} must contain a JSON array of {what}")
     records = []
     issues: list[ParseIssue] = []
     for index, raw in enumerate(rows):
@@ -328,13 +315,6 @@ def _read_array_records(rows: list, what: str, parser: Callable) -> tuple[list, 
             field_name = exc.field_name if isinstance(exc, _FieldError) else None
             issues.append(ParseIssue(index, field_name or None, str(exc)))
     return records, issues
-
-
-def _read_array_file(path: str | Path, what: str, parser: Callable) -> tuple[list, list[ParseIssue]]:
-    data = read_json(path)
-    if not isinstance(data, list):
-        raise ParseError(f"{path} must contain a JSON array of {what}")
-    return _read_array_records(data, what, parser)
 
 
 def read_issues(
@@ -483,11 +463,6 @@ def pull_to_dict(pull: PullRequest) -> dict:
     }
 
 
-def stats_to_dict(stat: BuildStats) -> dict:
-    return {"commit_id": stat.commit_id, "coverage_percent": stat.coverage_percent,
-            "complexity": stat.complexity}
-
-
 def write_commits(path: str | Path, commits: Iterable[Commit]) -> None:
     lines = [canonical_json(commit_to_dict(c)) for c in commits]
     write_text(path, "\n".join(lines) + ("\n" if lines else ""))
@@ -520,8 +495,7 @@ def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
 # fields, every timestamp a JSON number of epoch seconds (written as the
 # float's repr, so it reads back exactly), each commit's files a list of
 # ``[path, added, deleted]`` triples and each story's milestone history a
-# list of ``[sprint_id, assigned_at]`` pairs. A document without a "format"
-# key is format 1: one object per record, in the export files' schemas.
+# list of ``[sprint_id, assigned_at]`` pairs.
 
 SNAPSHOT_FORMAT = 2
 
@@ -719,16 +693,6 @@ _SNAPSHOT_COLUMNS: dict[str, tuple[type, dict[str, _Column]]] = {
     "stats": (BuildStats, {"commit_id": _STR, "coverage_percent": _NUMBER, "complexity": _NUMBER}),
 }
 
-# export kind -> (what its entries are called, format-1 record parser)
-_SNAPSHOT_RECORDS: dict[str, tuple[str, Callable[[dict], object]]] = {
-    "commits": ("commits", lambda raw: _commit_from_dict(raw, {}, {})),
-    "issues": ("stories", lambda raw: _story_from_dict(raw, {}, {})),
-    "sprints": ("sprints", lambda raw: _sprint_from_dict(raw, {})),
-    "pulls": ("pull requests", lambda raw: _pull_from_dict(raw, {})),
-    "stats": ("stats", _stats_from_dict),
-}
-
-
 def snapshot_to_dict(history: ProjectHistory) -> dict:
     """The format-2 snapshot document of `history`."""
     doc: dict = {"format": SNAPSHOT_FORMAT}
@@ -788,28 +752,16 @@ def _records_of_format_two(raw: Mapping) -> list[list]:
     return [_records_from_columns(kind, raw[kind]) for kind in EXPORTS]
 
 
-def _records_of_format_one(raw: Mapping, path: str | Path) -> list[list]:
-    """Each collection through the export readers' record loop and record checks."""
-    records = []
-    for kind in EXPORTS:
-        what, parser = _SNAPSHOT_RECORDS[kind]
-        rows = raw.get(kind, [])
-        if not isinstance(rows, list):
-            raise ParseError(f"{path} holds a malformed snapshot: {kind!r} must be an array")
-        found, issues = _read_array_records(rows, what, parser)
-        if issues:
-            raise ParseError(f"{path} holds a malformed snapshot: {issues[0].message}")
-        records.append(found)
-    return records
-
-
 def load_snapshot(path: str | Path) -> ProjectHistory:
-    """Read and re-validate a snapshot of either format; every record constructor runs."""
+    """Read and re-validate a format-2 snapshot; every record constructor runs."""
     raw = read_json(path)
     if not isinstance(raw, Mapping):
         raise ParseError(f"{path} must contain a snapshot object")
     if "format" not in raw:
-        return build_history(*_records_of_format_one(raw, path))
+        raise ParseError(
+            f'{path}: snapshot has no "format" key; '
+            f"re-run `sprintlint ingest` to write format {SNAPSHOT_FORMAT}"
+        )
     version = raw["format"]
     if type(version) is not int or version != SNAPSHOT_FORMAT:
         raise ParseError(f"{path}: unsupported snapshot format {version!r}")

@@ -16,14 +16,6 @@ from sprintlint import (
     UserStory,
     build_history,
 )
-from sprintlint.ingest import (
-    EXPORTS,
-    commit_to_dict,
-    pull_to_dict,
-    sprint_to_dict,
-    stats_to_dict,
-    story_to_dict,
-)
 
 T0 = 1_420_416_000.0  # 2015-01-05T00:00:00Z
 DAY = 86400.0
@@ -92,15 +84,6 @@ def make_slice(sprint, commits=(), stories=(), pulls=(), developers=(), stats=No
         developers=frozenset(developers), stats_by_commit=dict(stats or {}),
         sprints_by_id={sprint.id: sprint},
     )
-
-
-def format_one_snapshot(history: ProjectHistory) -> dict:
-    """`history` as a format-1 snapshot: one object per record, in the export schemas."""
-    writers = (commit_to_dict, story_to_dict, sprint_to_dict, pull_to_dict, stats_to_dict)
-    return {
-        kind: [writer(record) for record in records]
-        for kind, writer, records in zip(EXPORTS, writers, history.records(), strict=True)
-    }
 
 
 @pytest.fixture

@@ -8,10 +8,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprintlint import cli
+from sprintlint import build_history, cli
 from sprintlint.cli import main
-from sprintlint.ingest import EXPORTS, load_snapshot
+from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
 from sprintlint.serialize import END_TS, FIRST_TS
+from conftest import make_commit
 
 DEFAULT_SPEC = {
     "seed": 13,
@@ -278,8 +279,6 @@ def test_injected_ledger_refound_by_lint(tmp_path):
 
 
 def test_lint_reports_unfinished_stories_block(tmp_path, past_due_backlog):
-    from sprintlint.ingest import write_snapshot
-
     snapshot = tmp_path / "snap.json"
     write_snapshot(snapshot, past_due_backlog)
     assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 0
@@ -361,7 +360,9 @@ def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypat
     assert seen == [False]
     assert gc.isenabled()
 
-    snapshot.write_text('{"commits": [{"id": ""}]}', encoding="utf-8")
+    doc = json.loads(snapshot.read_text(encoding="utf-8"))
+    doc["commits"]["id"][0] = ""  # fails the commit's own check
+    snapshot.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 2
     assert seen == [False, False]
     assert gc.isenabled()
@@ -506,10 +507,7 @@ def test_ingest_counts_shallow_parent_flags_and_exits_0(tmp_path, capsys):
 
 def test_lint_needs_now_when_the_history_ends_at_the_last_writable_second(tmp_path, capsys):
     snapshot = tmp_path / "snap.json"
-    snapshot.write_text(json.dumps({"commits": [{
-        "id": "c1", "author": "ann", "authored_at": "9999-12-31T23:59:59Z", "parents": [],
-        "message": "", "files": [], "team": "alpha",
-    }]}), encoding="utf-8")
+    write_snapshot(snapshot, build_history(commits=[make_commit("c1", END_TS - 1)]))
     capsys.readouterr()
     assert main(["lint", "--project", str(snapshot)]) == 2
     assert "--now" in _one_error_line(capsys)

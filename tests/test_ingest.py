@@ -28,7 +28,7 @@ from sprintlint.ingest import (
 from sprintlint import ingest, serialize
 from sprintlint.fixtures import FixtureSpec, generate, inject
 from sprintlint.serialize import canonical_json, format_iso_utc, parse_iso_utc
-from conftest import DAY, T0, change, format_one_snapshot, make_commit, make_pull, make_sprint, make_story
+from conftest import DAY, T0, change, make_commit, make_pull, make_sprint, make_story
 from test_golden import ALL_DIRECTIVES
 
 
@@ -360,18 +360,11 @@ def test_load_snapshot_parses_no_iso_timestamp(tmp_path, iso_calls):
     assert iso_calls["parse_iso_utc"] == 2  # the counter sees the module's own calls
 
 
-def test_snapshot_without_diagnostics_and_with_a_stale_diagnostics_key(tmp_path):
-    commits, stories, sprints, pulls, stats = _sample_records()
-    original = build_history(commits, stories, sprints, pulls, stats)
+def test_snapshot_carries_no_diagnostics(tmp_path):
     path = tmp_path / "snap.json"
-    write_snapshot(path, original)
+    write_snapshot(path, build_history(*_sample_records()))
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert "diagnostics" not in doc
-    # format-1 snapshots written before the field was dropped still load
-    doc = format_one_snapshot(original)
-    doc["diagnostics"] = ["commit c0 parent c9 not in export (shallow history?)"]
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert load_snapshot(path) == original
 
 
 def test_failed_snapshot_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):

@@ -1,8 +1,9 @@
 """Metamorphic properties of the whole pipeline, each bounded to a few examples.
 
-Record order in the exports carries no meaning, the command line adds
-nothing to what the library computes, and a snapshot's format does not
-change the history it holds, so none of them may change the output bytes.
+Record order in the exports carries no meaning and the command line adds
+nothing to what the library computes, so neither may change the output
+bytes. A snapshot holds the history it was written from, so writing what
+it loads writes it again byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from sprintlint import MetricConfig, build_report, default_registry, render_json
 from sprintlint.cli import main
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
 from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
-from conftest import format_one_snapshot
 from test_golden import ALL_DIRECTIVES
 
 
@@ -96,19 +96,13 @@ def test_the_command_line_writes_the_report_the_library_builds(tmp_path_factory,
     teams=st.integers(1, 2),
     directives=st.sets(st.sampled_from(sorted(ALL_DIRECTIVES.to_dict()))),
 )
-def test_both_snapshot_formats_hold_the_same_history(tmp_path_factory, seed, teams, directives):
+def test_snapshot_round_trip_holds_the_same_history(tmp_path_factory, seed, teams, directives):
     spec = FixtureSpec(seed=seed, teams=teams, sprints=2)
     injection = InjectionSpec(**{name: getattr(ALL_DIRECTIVES, name) for name in directives})
     history, _ = inject(generate(spec)[0], injection, spec.seed)
-    work = tmp_path_factory.mktemp("formats")
-    write_snapshot(work / "columns.json", history)
-    assert load_snapshot(work / "columns.json") == history
-    (work / "records.json").write_text(json.dumps(format_one_snapshot(history)), encoding="utf-8")
-
-    outputs = []
-    for snapshot in ("columns.json", "records.json"):
-        report, trend = work / f"{snapshot}.report", work / f"{snapshot}.trend"
-        assert main(["lint", "--project", str(work / snapshot), "--out", str(report)]) == 0
-        assert main(["score", "--project", str(work / snapshot), "--out", str(trend)]) == 0
-        outputs.append((report.read_bytes(), trend.read_bytes()))
-    assert outputs[0] == outputs[1]
+    work = tmp_path_factory.mktemp("snapshots")
+    write_snapshot(work / "first.json", history)
+    reloaded = load_snapshot(work / "first.json")
+    assert reloaded == history
+    write_snapshot(work / "second.json", reloaded)
+    assert (work / "second.json").read_bytes() == (work / "first.json").read_bytes()

@@ -1,20 +1,20 @@
 """Every field check, pinned with its message, in export files and in snapshots.
 
-Each case breaks one field of an otherwise valid record: a missing field, a
-wrong JSON type, an empty string where a non-empty one is required, or a
-value out of range. The export readers must report it as one positioned
-`ParseIssue`; a snapshot carrying it must make `lint` exit 2 with
-``<path> holds a malformed snapshot: <message>``. A snapshot collection
-that is not an array of objects is rejected the same way. The messages are
-part of the tool's interface: they change only on purpose, and each change
-is listed in `CHANGES.md`. Last, any JSON value at any position of a
-snapshot must end `lint` with an exit code, never a traceback.
+Each export case breaks one field of an otherwise valid record: a missing
+field, a wrong JSON type, an empty string where a non-empty one is
+required, or a value out of range. The export readers must report it as one
+positioned `ParseIssue`.
 
-The snapshots above are format 1 (one object per record). The cases after
-them break a format-2 snapshot (equal-length columns of epoch seconds): a
-cell of the wrong type or out of range is named by its column and index, a
-record check that fails by its collection and index, and a document of the
-wrong shape or of an unknown format is rejected as a whole.
+Each snapshot case breaks the format-2 snapshot of the same records
+(equal-length columns of epoch seconds) and must make `lint` exit 2 with
+``<path> holds a malformed snapshot: <message>``: a cell of the wrong type
+or out of range is named by its column and index, a record check that
+fails by its collection and index, and a document of the wrong shape is
+rejected as a whole. A document of an unknown format, or with no `format`
+key, exits 2 before any collection is read. The messages are part of the
+tool's interface: they change only on purpose, and each change is listed
+in `CHANGES.md`. Last, any JSON value at any position of a snapshot must
+end `lint` with an exit code, never a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +27,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from sprintlint.cli import main
 from sprintlint.ingest import (
+    EXPORTS,
+    IngestManifest,
     ParseIssue,
+    load_history,
     load_snapshot,
     read_commits,
     read_issues,
@@ -76,7 +79,7 @@ PULL = {
 }
 STAT = {"commit_id": "c1", "coverage_percent": 50.0, "complexity": 5.0}
 
-# record kind -> (base record, snapshot key, export reader)
+# record kind -> (base record, export kind, export reader)
 KINDS = {
     "commit": (COMMIT, "commits", read_commits),
     "story": (STORY, "issues", read_issues),
@@ -235,12 +238,6 @@ def _broken(record: dict, path: tuple, value) -> dict:
     return broken
 
 
-def _snapshot(**replace) -> dict:
-    doc = {"commits": [COMMIT], "issues": [STORY], "sprints": [SPRINT], "pulls": [PULL], "stats": [STAT]}
-    doc.update({key: [record] for key, record in replace.items()})
-    return copy.deepcopy(doc)
-
-
 def _lint_snapshot(tmp_path, capsys, doc: dict) -> tuple[int, str]:
     path = tmp_path / "snap.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -256,7 +253,7 @@ def test_base_records_are_valid(tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         records, issues = reader(path)
         assert issues == [] and len(records) == 1
-    assert _lint_snapshot(tmp_path, capsys, _snapshot()) == (0, "")
+    assert _lint_snapshot(tmp_path, capsys, COLUMNS) == (0, "")
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -275,15 +272,6 @@ def test_export_reader_rejects(tmp_path, case):
     records, issues = reader(export)
     assert issues == [ParseIssue(location, field_name, message)]
     assert len(records) == (1 if kind == "commit" else 0)
-
-
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_snapshot_rejects(tmp_path, capsys, case):
-    kind, path, value, _, message = case
-    base, key, _ = KINDS[kind]
-    code, err = _lint_snapshot(tmp_path, capsys, _snapshot(**{key: _broken(base, path, value)}))
-    assert code == 2
-    assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n"
 
 
 STATS_CASES = [
@@ -310,63 +298,16 @@ def test_stats_reader_rejects(tmp_path, row, message):
     assert [r.commit_id for r in records] == ["c0"]
 
 
-SNAPSHOT_STATS_CASES = [
-    *[(("commit_id",), value, message) for _, _, value, _, message in _required_str("stat", "commit_id")],
-    (("coverage_percent",), MISSING, "missing field 'coverage_percent'"),
-    (("coverage_percent",), "abc", "'coverage_percent' must be a number"),
-    (("coverage_percent",), None, "'coverage_percent' must be a number"),
-    (("coverage_percent",), [50], "'coverage_percent' must be a number"),
-    (("coverage_percent",), 101, "coverage_percent out of [0,100] for commit c1"),
-    (("coverage_percent",), -0.5, "coverage_percent out of [0,100] for commit c1"),
-    (("complexity",), MISSING, "missing field 'complexity'"),
-    (("complexity",), "abc", "'complexity' must be a number"),
-    (("complexity",), {}, "'complexity' must be a number"),
-    (("complexity",), -1, "complexity < 0 for commit c1"),
-    (("complexity",), float("inf"), "complexity is not finite for commit c1"),  # JSON `Infinity`
-    (("coverage_percent",), True, "'coverage_percent' must be a number"),
-    (("coverage_percent",), "50", "'coverage_percent' must be a number"),
-    (("coverage_percent",), " 50 ", "'coverage_percent' must be a number"),
-    (("complexity",), True, "'complexity' must be a number"),
-    (("complexity",), "5", "'complexity' must be a number"),
-    (("complexity",), " 5 ", "'complexity' must be a number"),
-    # integers beyond float range read as infinite, as in a stats CSV
-    pytest.param(("coverage_percent",), 10**400, "coverage_percent out of [0,100] for commit c1",
-                 id="coverage_percent=10**400"),
-    pytest.param(("complexity",), 10**400, "complexity is not finite for commit c1", id="complexity=10**400"),
-]
-
-
-@pytest.mark.parametrize(("path", "value", "message"), SNAPSHOT_STATS_CASES)
-def test_snapshot_stats_rejects(tmp_path, capsys, path, value, message):
-    code, err = _lint_snapshot(tmp_path, capsys, _snapshot(stats=_broken(STAT, path, value)))
-    assert code == 2
-    assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n"
-
-
-@pytest.mark.parametrize("value", [{}, "", 5], ids=json.dumps)
-@pytest.mark.parametrize("key", ["commits", "issues", "sprints", "pulls", "stats"])
-def test_snapshot_collection_must_be_an_array(tmp_path, capsys, key, value):
-    code, err = _lint_snapshot(tmp_path, capsys, _snapshot() | {key: value})
-    assert code == 2
-    assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {key!r} must be an array\n"
-
-
-# snapshot key -> what the array readers call its entries
-ENTRY_NAMES = {"commits": "commits", "issues": "stories", "sprints": "sprints", "pulls": "pull requests",
-               "stats": "stats"}
+# export kind of a JSON array file -> what its reader calls its entries
+ENTRY_NAMES = {"issues": "stories", "sprints": "sprints", "pulls": "pull requests"}
 
 
 @pytest.mark.parametrize("key", list(ENTRY_NAMES))
-def test_snapshot_entry_must_be_an_object(tmp_path, capsys, key):
-    message = f"{ENTRY_NAMES[key]} entry is not an object"
-    code, err = _lint_snapshot(tmp_path, capsys, _snapshot() | {key: [5]})
-    assert code == 2
-    assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n"
-    readers = {snapshot_key: reader for _, snapshot_key, reader in KINDS.values()}
-    if key in ("issues", "sprints", "pulls"):  # the other two exports are not JSON arrays
-        export = tmp_path / "export.json"
-        export.write_text("[5]", encoding="utf-8")
-        assert readers[key](export) == ([], [ParseIssue(0, None, message)])
+def test_array_export_entry_must_be_an_object(tmp_path, key):
+    readers = {export_kind: reader for _, export_kind, reader in KINDS.values()}
+    export = tmp_path / "export.json"
+    export.write_text("[5]", encoding="utf-8")
+    assert readers[key](export) == ([], [ParseIssue(0, None, f"{ENTRY_NAMES[key]} entry is not an object")])
 
 
 def _paths(value, prefix=()):
@@ -382,7 +323,6 @@ def _paths(value, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-SNAPSHOT_PATHS = list(_paths(_snapshot()))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(),
@@ -391,18 +331,7 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(path=st.sampled_from(SNAPSHOT_PATHS), value=JSON_VALUES)
-@example(path=("stats", 0, "coverage_percent"), value=10**400)  # too large for a float
-def test_any_value_in_any_snapshot_field_ends_in_an_exit_code(tmp_path_factory, path, value):
-    work = tmp_path_factory.mktemp("fuzz")
-    snapshot = work / "snap.json"
-    snapshot.write_text(json.dumps(_broken(_snapshot(), path, value)), encoding="utf-8")
-    code = main(["lint", "--project", str(snapshot), "--out", str(work / "report.json")])
-    assert code in (0, 1, 2)
-
-
-# --- format 2: equal-length columns, timestamps as epoch seconds --------------
+# --- snapshots: equal-length columns, timestamps as epoch seconds ------------
 
 
 def _epoch(text: str) -> float:
@@ -526,7 +455,10 @@ CONSTRUCTOR_CASES = [
     ("stats.commit_id", "", "build stats row has no commit id"),
     ("stats.coverage_percent", 101, "coverage_percent out of [0,100] for commit c1"),
     ("stats.coverage_percent", float("nan"), "coverage_percent out of [0,100] for commit c1"),
+    # integers beyond float range read as infinite, as in a stats CSV
+    ("stats.coverage_percent", 10**400, "coverage_percent out of [0,100] for commit c1"),
     ("stats.complexity", 10**400, "complexity is not finite for commit c1"),
+    ("stats.complexity", float("inf"), "complexity is not finite for commit c1"),  # JSON `Infinity`
 ]
 
 
@@ -543,10 +475,16 @@ def _cell_id(case) -> str:
 
 
 def test_columnar_base_loads_like_the_record_base(tmp_path, capsys):
-    for name, doc in (("records.json", _snapshot()), ("columns.json", COLUMNS)):
-        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "columns.json").write_text(json.dumps(COLUMNS), encoding="utf-8")
+    exports = {kind: tmp_path / name for kind, name in EXPORTS.items()}
+    exports["commits"].write_text(json.dumps(COMMIT) + "\n", encoding="utf-8")
+    for record, kind, _ in KINDS.values():
+        if kind != "commits":
+            exports[kind].write_text(json.dumps([record]), encoding="utf-8")
+    exports["stats"].write_text(f"commit_id,coverage_percent,complexity\nc1,{STAT['coverage_percent']},"
+                                f"{STAT['complexity']}\n", encoding="utf-8")
     history = load_snapshot(tmp_path / "columns.json")
-    assert history == load_snapshot(tmp_path / "records.json")
+    assert load_history(IngestManifest(paths=exports)) == (history, [])
     assert snapshot_to_dict(history) == COLUMNS  # the layout `write_snapshot` writes
     assert _lint_snapshot(tmp_path, capsys, COLUMNS) == (0, "")
 
@@ -635,11 +573,31 @@ def test_snapshot_of_an_unknown_format_exits_2(tmp_path, capsys, version):
         assert (code, err) == (2, f"error: {tmp_path / 'snap.json'}: unsupported snapshot format {version!r}\n")
 
 
+# documents without a "format" key, as earlier versions wrote them or as a hand edit leaves them
+UNVERSIONED = {
+    "empty": {},
+    "misspelt-collection": {"comits": []},
+    "empty-collection": {"commits": []},
+    "records": {"commits": [COMMIT], "issues": [STORY], "sprints": [SPRINT], "pulls": [PULL], "stats": [STAT]},
+}
+
+
+@pytest.mark.parametrize("doc", UNVERSIONED.values(), ids=list(UNVERSIONED))
+def test_snapshot_without_a_format_key_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "snap.json"
+    expected = (f'error: {path}: snapshot has no "format" key; '
+                "re-run `sprintlint ingest` to write format 2\n")
+    assert _lint_snapshot(tmp_path, capsys, doc) == (2, expected)
+    assert main(["score", "--project", str(path), "--out", str(tmp_path / "trend.csv")]) == 2
+    assert capsys.readouterr().err == expected
+
+
 COLUMN_PATHS = list(_paths(COLUMNS))
 
 
 @settings(max_examples=200, deadline=None)
 @given(path=st.sampled_from(COLUMN_PATHS), value=JSON_VALUES)
+@example(path=("stats", "coverage_percent", 0), value=10**400)  # too large for a float
 def test_any_value_in_any_columnar_snapshot_field_ends_in_an_exit_code(tmp_path_factory, path, value):
     work = tmp_path_factory.mktemp("fuzz")
     snapshot = work / "snap.json"
