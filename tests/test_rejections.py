@@ -3,7 +3,9 @@
 Each export case breaks one field of an otherwise valid record: a missing
 field, a wrong JSON type, an empty string where a non-empty one is
 required, or a value out of range. The export readers must report it as one
-positioned `ParseIssue`.
+positioned `ParseIssue`, and the same broken record written into a format-2
+snapshot must make `lint` exit 2 with one line that names its collection
+and its column or record.
 
 Each snapshot case breaks the format-2 snapshot of the same records
 (equal-length columns of epoch seconds) and must make `lint` exit 2 with
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sprintlint.cli import main
+from sprintlint.errors import ParseError
 from sprintlint.ingest import (
     EXPORTS,
     IngestManifest,
@@ -462,6 +465,35 @@ CONSTRUCTOR_CASES = [
 ]
 
 
+EPOCH_FIELDS = {"authored_at", "created_at", "closed_at", "starts_at", "due_on", "opened_at", "assigned_at"}
+
+
+def _cell(name: str, value):
+    """An export field's value as a snapshot cell; a break in the export stays a break in the cell.
+
+    Timestamps that parse become epoch seconds; one that does not stays
+    text (JSON text for a non-string, since a number is an epoch), and a
+    null stays null. Objects in an array become arrays of their values, as
+    in the [path, added, deleted] triples and [sprint_id, assigned_at] pairs.
+    """
+    if name in EPOCH_FIELDS and value is not None:
+        try:
+            return parse_iso_utc(value)
+        except ParseError:
+            return value if isinstance(value, str) else json.dumps(value)
+    if isinstance(value, list):
+        return [[_cell(key, part) for key, part in entry.items()] if isinstance(entry, dict) else entry
+                for entry in value]
+    return value
+
+
+def _snapshot_with(key: str, record: dict) -> dict:
+    """The base snapshot with collection `key` holding `record`, an export record, as its one row."""
+    doc = copy.deepcopy(COLUMNS)
+    doc[key] = {name: [_cell(name, value)] for name, value in record.items()}
+    return doc
+
+
 def _columns_with(column: str, value) -> dict:
     doc = copy.deepcopy(COLUMNS)
     kind, name = column.split(".")
@@ -485,6 +517,7 @@ def test_columnar_base_loads_like_the_record_base(tmp_path, capsys):
                                 f"{STAT['complexity']}\n", encoding="utf-8")
     history = load_snapshot(tmp_path / "columns.json")
     assert load_history(IngestManifest(paths=exports)) == (history, [])
+    assert all(_snapshot_with(key, record) == COLUMNS for record, key, _ in KINDS.values())
     assert snapshot_to_dict(history) == COLUMNS  # the layout `write_snapshot` writes
     assert _lint_snapshot(tmp_path, capsys, COLUMNS) == (0, "")
 
@@ -504,6 +537,22 @@ def test_columnar_snapshot_reports_a_record_check_by_index(tmp_path, capsys, cas
     assert code == 2
     kind = column.split(".")[0]
     assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {kind}[0]: {message}\n"
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_snapshot_rejects(tmp_path, capsys, case):
+    kind, path, value, field_name, message = case
+    base, key, _ = KINDS[kind]
+    code, err = _lint_snapshot(tmp_path, capsys, _snapshot_with(key, _broken(base, path, value)))
+    prefix = f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: "
+    assert code == 2 and err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+    reason = err[len(prefix):-1]
+    if value is MISSING and len(path) == 1:
+        assert reason == f"missing column {key}.{path[0]}"
+    elif field_name is None:  # a record check: the snapshot runs the export readers' own
+        assert reason == f"{key}[0]: {message}"
+    else:
+        assert reason.startswith((f"{key}.{path[0]}[0]: ", f"{key}.{path[0]}[0][", f"{key}[0]: "))
 
 
 def test_columnar_snapshot_names_the_first_bad_cell_and_record(tmp_path, capsys):
