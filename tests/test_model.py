@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 
@@ -10,15 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 from sprintlint import (
     BuildStats,
+    Commit,
+    FileChange,
     HistoryError,
     MetricConfig,
     MetricDescriptor,
     MetricResult,
     ProjectHistory,
     RecordError,
+    PullRequest,
     Sprint,
+    SprintMembership,
     StoryState,
     UnknownSprintError,
+    UserStory,
     build_history,
     detect_multi_backlog,
     unfinished_stories,
@@ -367,3 +373,48 @@ def test_records_reject_non_finite_timestamps(case, value):
 def test_author_is_lowercased():
     commit = make_commit("c1", T0, author="MiXeD@Case.Org")
     assert commit.author == "mixed@case.org"
+
+
+# one record of each export kind, built from arguments its constructor normalises
+RECORDS = {
+    FileChange: lambda: FileChange("src/a.py", 3, 1),
+    Commit: lambda: Commit("c1", "Ann@Example.ORG", int(T0), ["p0"], "m", [FileChange("src/a.py", 3, 1)], TEAM),
+    BuildStats: lambda: BuildStats("c1", 50.0, 2.0),
+    SprintMembership: lambda: SprintMembership("s1", int(T0)),
+    UserStory: lambda: UserStory(
+        1, "t", "b", StoryState.CLOSED, ["bug"], [SprintMembership("s1", T0)], ["Ann"], T0, T0 + DAY, TEAM,
+    ),
+    Sprint: lambda: make_sprint(),
+    PullRequest: lambda: make_pull(1, T0, T0 + DAY, comments=2, merged=True),
+}
+
+
+def field_names(cls) -> list[str]:
+    return list(inspect.signature(cls).parameters)
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    record, names = RECORDS[cls](), field_names(cls)
+    values = tuple(getattr(record, name) for name in names)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    twin = RECORDS[cls]()
+    assert record == twin and not record != twin and hash(record) == hash(twin)
+    assert record != values and values != record and not record == values and not values == record
+    assert cls(**dict(zip(names, values))) == record
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+
+
+def test_records_of_two_kinds_never_compare_equal():
+    change_, stats = FileChange("x", 1, 2), BuildStats("x", 1, 2)
+    assert change_ != stats and stats != change_
+    assert not change_ == stats and not stats == change_
+
+
+def test_record_repr_names_each_field():
+    assert repr(RECORDS[Commit]()) == (
+        "Commit(id='c1', author='ann@example.org', authored_at=1420416000.0, parents=('p0',), "
+        "message='m', files=(FileChange(path='src/a.py', lines_added=3, lines_deleted=1),), team='alpha')"
+    )
