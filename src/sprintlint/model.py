@@ -3,12 +3,18 @@
 Everything here is constructed once (usually by the ingest module) and then
 shared read-only by the detectors, the engine, and the scoring layer.
 Timestamps are floats of UTC epoch seconds throughout.
+
+The seven export records, `FileChange` to `PullRequest`, are checked tuples:
+named tuples whose `__new__` checks and normalises the fields, as a load
+builds one or more per row and a tuple is the cheapest immutable object to
+build. A record equals only a record of its own class, never a plain tuple.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,117 +39,114 @@ class Severity(str, Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True, slots=True)
-class FileChange:
+class _Record(tuple):
+    """Base of the export records: equal only to a record of its own class with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class FileChange(_Record, namedtuple("FileChange", "path lines_added lines_deleted")):
     """One file touched by a commit."""
 
-    path: str
-    lines_added: int
-    lines_deleted: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.path:
+    def __new__(cls, path: str, lines_added: int, lines_deleted: int) -> FileChange:
+        if not path:
             raise RecordError("file change path must be non-empty")
-        if not self.lines_added >= 0:
-            raise RecordError(f"lines_added < 0 for {self.path}")
-        if not self.lines_deleted >= 0:
-            raise RecordError(f"lines_deleted < 0 for {self.path}")
+        if not lines_added >= 0:
+            raise RecordError(f"lines_added < 0 for {path}")
+        if not lines_deleted >= 0:
+            raise RecordError(f"lines_deleted < 0 for {path}")
+        return tuple.__new__(cls, (path, lines_added, lines_deleted))
 
 
-@dataclass(frozen=True, slots=True)
-class Commit:
-    id: str
-    author: str
-    authored_at: float
-    parents: tuple[str, ...]
-    message: str
-    files: tuple[FileChange, ...]
-    team: str
+class Commit(_Record, namedtuple("Commit", "id author authored_at parents message files team")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(cls, id: str, author: str, authored_at: float, parents: Iterable[str], message: str,
+                files: Iterable[FileChange], team: str) -> Commit:
+        if not id:
             raise RecordError("commit id must be non-empty")
-        if not self.team:
-            raise RecordError(f"commit {self.id} has no team")
-        if not self.author:
-            raise RecordError(f"commit {self.id} has no author")
-        object.__setattr__(self, "author", self.author.lower())
-        authored_at = float(self.authored_at)
+        if not team:
+            raise RecordError(f"commit {id} has no team")
+        if not author:
+            raise RecordError(f"commit {id} has no author")
+        author = author.lower()
+        authored_at = float(authored_at)
         if not math.isfinite(authored_at):
-            raise RecordError(f"commit {self.id} authored_at must be a finite timestamp")
-        object.__setattr__(self, "authored_at", authored_at)
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "files", tuple(self.files))
+            raise RecordError(f"commit {id} authored_at must be a finite timestamp")
+        return tuple.__new__(cls, (id, author, authored_at, tuple(parents), message, tuple(files), team))
 
 
-@dataclass(frozen=True, slots=True)
-class BuildStats:
+class BuildStats(_Record, namedtuple("BuildStats", "commit_id coverage_percent complexity")):
     """Per-commit coverage and complexity produced by external tooling."""
 
-    commit_id: str
-    coverage_percent: float
-    complexity: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.commit_id:
+    def __new__(cls, commit_id: str, coverage_percent: float, complexity: float) -> BuildStats:
+        if not commit_id:
             raise RecordError("build stats row has no commit id")
-        if not 0.0 <= self.coverage_percent <= 100.0:
-            raise RecordError(f"coverage_percent out of [0,100] for commit {self.commit_id}")
-        if not self.complexity >= 0.0:
-            raise RecordError(f"complexity < 0 for commit {self.commit_id}")
-        if self.complexity == math.inf:
-            raise RecordError(f"complexity is not finite for commit {self.commit_id}")
+        if not 0.0 <= coverage_percent <= 100.0:
+            raise RecordError(f"coverage_percent out of [0,100] for commit {commit_id}")
+        if not complexity >= 0.0:
+            raise RecordError(f"complexity < 0 for commit {commit_id}")
+        if complexity == math.inf:
+            raise RecordError(f"complexity is not finite for commit {commit_id}")
+        return tuple.__new__(cls, (commit_id, coverage_percent, complexity))
 
 
-@dataclass(frozen=True, slots=True)
-class SprintMembership:
+class SprintMembership(_Record, namedtuple("SprintMembership", "sprint_id assigned_at")):
     """One entry of a story's backlog-assignment history."""
 
-    sprint_id: str
-    assigned_at: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.sprint_id:
+    def __new__(cls, sprint_id: str, assigned_at: float) -> SprintMembership:
+        if not sprint_id:
             raise RecordError("membership has no sprint id")
-        assigned_at = float(self.assigned_at)
+        assigned_at = float(assigned_at)
         if not math.isfinite(assigned_at):
             raise RecordError("membership assigned_at must be a finite timestamp")
-        object.__setattr__(self, "assigned_at", assigned_at)
+        return tuple.__new__(cls, (sprint_id, assigned_at))
 
 
-@dataclass(frozen=True, slots=True)
-class UserStory:
-    number: int
-    title: str
-    body: str
-    state: StoryState
-    labels: frozenset[str]
-    milestones: tuple[SprintMembership, ...]
-    assignees: frozenset[str]
-    created_at: float
-    closed_at: float | None
-    team: str
+class UserStory(_Record, namedtuple(
+    "UserStory", "number title body state labels milestones assignees created_at closed_at team"
+)):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.number > 0:
-            raise RecordError(f"story number must be positive, got {self.number}")
-        if not self.team:
-            raise RecordError(f"story #{self.number} has no team")
-        if not math.isfinite(self.created_at):
-            raise RecordError(f"story #{self.number} created_at must be a finite timestamp")
-        if self.closed_at is not None and not math.isfinite(self.closed_at):
-            raise RecordError(f"story #{self.number} closed_at must be a finite timestamp")
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        object.__setattr__(self, "milestones", tuple(self.milestones))
-        object.__setattr__(self, "assignees", frozenset(a.lower() for a in self.assignees))
-        seen = [m.sprint_id for m in self.milestones]
+    def __new__(cls, number: int, title: str, body: str, state: StoryState, labels: Iterable[str],
+                milestones: Iterable[SprintMembership], assignees: Iterable[str], created_at: float,
+                closed_at: float | None, team: str) -> UserStory:
+        if not number > 0:
+            raise RecordError(f"story number must be positive, got {number}")
+        if not team:
+            raise RecordError(f"story #{number} has no team")
+        if not math.isfinite(created_at):
+            raise RecordError(f"story #{number} created_at must be a finite timestamp")
+        if closed_at is not None and not math.isfinite(closed_at):
+            raise RecordError(f"story #{number} closed_at must be a finite timestamp")
+        labels = frozenset(labels)
+        milestones = tuple(milestones)
+        assignees = frozenset(a.lower() for a in assignees)
+        seen = [m.sprint_id for m in milestones]
         if len(seen) != len(set(seen)):
-            raise RecordError(f"story #{self.number} ({self.team}) has duplicate sprint memberships")
-        if self.state is StoryState.CLOSED:
-            if self.closed_at is None:
-                raise RecordError(f"closed story #{self.number} lacks closed_at")
-        elif self.closed_at is not None:
-            raise RecordError(f"open story #{self.number} carries closed_at")
+            raise RecordError(f"story #{number} ({team}) has duplicate sprint memberships")
+        if state is StoryState.CLOSED:
+            if closed_at is None:
+                raise RecordError(f"closed story #{number} lacks closed_at")
+        elif closed_at is not None:
+            raise RecordError(f"open story #{number} carries closed_at")
+        return tuple.__new__(
+            cls, (number, title, body, state, labels, milestones, assignees, created_at, closed_at, team)
+        )
 
     @property
     def sprint_memberships(self) -> tuple[str, ...]:
@@ -151,55 +154,47 @@ class UserStory:
         return tuple(m.sprint_id for m in self.milestones)
 
 
-@dataclass(frozen=True, slots=True)
-class Sprint:
-    id: str
-    title: str
-    starts_at: float
-    due_on: float
-    team: str
+class Sprint(_Record, namedtuple("Sprint", "id title starts_at due_on team")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(cls, id: str, title: str, starts_at: float, due_on: float, team: str) -> Sprint:
+        if not id:
             raise RecordError("sprint id must be non-empty")
-        if not self.team:
-            raise RecordError(f"sprint {self.id} has no team")
-        if not math.isfinite(self.starts_at):
-            raise RecordError(f"sprint {self.id} starts_at must be a finite timestamp")
-        if not math.isfinite(self.due_on):
-            raise RecordError(f"sprint {self.id} due_on must be a finite timestamp")
-        if not self.starts_at < self.due_on:
-            raise RecordError(f"sprint {self.id} must start before it is due")
+        if not team:
+            raise RecordError(f"sprint {id} has no team")
+        if not math.isfinite(starts_at):
+            raise RecordError(f"sprint {id} starts_at must be a finite timestamp")
+        if not math.isfinite(due_on):
+            raise RecordError(f"sprint {id} due_on must be a finite timestamp")
+        if not starts_at < due_on:
+            raise RecordError(f"sprint {id} must start before it is due")
+        return tuple.__new__(cls, (id, title, starts_at, due_on, team))
 
     @property
     def length_days(self) -> float:
         return (self.due_on - self.starts_at) / SECONDS_PER_DAY
 
 
-@dataclass(frozen=True, slots=True)
-class PullRequest:
-    number: int
-    opened_at: float
-    closed_at: float | None
-    merged: bool
-    comment_count: int
-    team: str
+class PullRequest(_Record, namedtuple("PullRequest", "number opened_at closed_at merged comment_count team")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.number > 0:
-            raise RecordError(f"pull request number must be positive, got {self.number}")
-        if not self.team:
-            raise RecordError(f"pull request #{self.number} has no team")
-        if not math.isfinite(self.opened_at):
-            raise RecordError(f"pull request #{self.number} opened_at must be a finite timestamp")
-        if self.closed_at is not None and not math.isfinite(self.closed_at):
-            raise RecordError(f"pull request #{self.number} closed_at must be a finite timestamp")
-        if not self.comment_count >= 0:
-            raise RecordError(f"pull request #{self.number} comment_count < 0")
-        if self.merged and self.closed_at is None:
-            raise RecordError(f"merged pull request #{self.number} lacks closed_at")
-        if self.closed_at is not None and not self.closed_at >= self.opened_at:
-            raise RecordError(f"pull request #{self.number} closed before it was opened")
+    def __new__(cls, number: int, opened_at: float, closed_at: float | None, merged: bool,
+                comment_count: int, team: str) -> PullRequest:
+        if not number > 0:
+            raise RecordError(f"pull request number must be positive, got {number}")
+        if not team:
+            raise RecordError(f"pull request #{number} has no team")
+        if not math.isfinite(opened_at):
+            raise RecordError(f"pull request #{number} opened_at must be a finite timestamp")
+        if closed_at is not None and not math.isfinite(closed_at):
+            raise RecordError(f"pull request #{number} closed_at must be a finite timestamp")
+        if not comment_count >= 0:
+            raise RecordError(f"pull request #{number} comment_count < 0")
+        if merged and closed_at is None:
+            raise RecordError(f"merged pull request #{number} lacks closed_at")
+        if closed_at is not None and not closed_at >= opened_at:
+            raise RecordError(f"pull request #{number} closed before it was opened")
+        return tuple.__new__(cls, (number, opened_at, closed_at, merged, comment_count, team))
 
 
 @dataclass(frozen=True)
