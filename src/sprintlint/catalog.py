@@ -1,8 +1,10 @@
 """The built-in conformance checks, one row each in `CHECKS`.
 
-Each detector inspects one team-sprint slice with its own check's settings,
-emits violations that point at the offending artifacts (commit ids, story
-numbers, pull request numbers, file paths, developer ids), and scores them.
+Each detector inspects one team-sprint slice with its own check's settings
+(a read-only mapping of its row of `config.SETTINGS`, read as
+`settings["weight"]`), emits violations that point at the offending
+artifacts (commit ids, story numbers, pull request numbers, file paths,
+developer ids), and scores them.
 It returns a `Finding`; the engine adds the metric, team and sprint. A
 detector returns a finding with no score when its inputs simply are not
 present in the sprint (no stories, no closed pull requests), so absence of
@@ -11,7 +13,9 @@ data never masquerades as conformance or violation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Any
 
 from . import config as cfg
 from .engine import (
@@ -67,11 +71,11 @@ def file_edit_profiles(slice_: SprintSlice) -> list[FileEditProfile]:
     ]
 
 
-def detect_collective_ownership(slice_: SprintSlice, settings: cfg.CollectiveOwnershipSettings) -> Finding:
+def detect_collective_ownership(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag files that absorbed many edits from too few people."""
     violations = []
     for profile in file_edit_profiles(slice_):
-        if profile.edits >= settings.threshold_e and len(profile.authors) <= settings.threshold_a:
+        if profile.edits >= settings["threshold_e"] and len(profile.authors) <= settings["threshold_a"]:
             violations.append(
                 Violation(
                     artifacts=(profile.path,),
@@ -84,17 +88,17 @@ def detect_collective_ownership(slice_: SprintSlice, settings: cfg.CollectiveOwn
             )
     return Finding(
         violations=tuple(violations),
-        score=threshold_linear(len(violations), settings.weight),
+        score=threshold_linear(len(violations), settings["weight"]),
         inputs_echo={
             "violations": len(violations),
-            "weight": settings.weight,
-            "threshold_e": settings.threshold_e,
-            "threshold_a": settings.threshold_a,
+            "weight": settings["weight"],
+            "threshold_e": settings["threshold_e"],
+            "threshold_a": settings["threshold_a"],
         },
     )
 
 
-def detect_test_later(slice_: SprintSlice, settings: cfg.TestLaterSettings) -> Finding:
+def detect_test_later(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag commits that raised complexity while coverage fell against their parent.
 
     Merge commits and commits without stats for both sides are skipped;
@@ -129,16 +133,16 @@ def detect_test_later(slice_: SprintSlice, settings: cfg.TestLaterSettings) -> F
             )
     return Finding(
         violations=tuple(violations),
-        score=ratio_linear(len(violations), len(with_stats), settings.weight),
+        score=ratio_linear(len(violations), len(with_stats), settings["weight"]),
         inputs_echo={
             "violations": len(violations),
             "commits_with_stats": len(with_stats),
-            "weight": settings.weight,
+            "weight": settings["weight"],
         },
     )
 
 
-def detect_huge_stories(slice_: SprintSlice, settings: cfg.HugeStoriesSettings) -> Finding:
+def detect_huge_stories(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag stories far above the sprint's average size or task count.
 
     Averages include the candidate stories themselves. A sprint with no
@@ -153,10 +157,10 @@ def detect_huge_stories(slice_: SprintSlice, settings: cfg.HugeStoriesSettings) 
     avg_checkboxes = sum(checkboxes.values()) / len(stories)
     violations = []
     for story in stories:
-        too_long = lengths[story.number] > settings.threshold_length * avg_length
+        too_long = lengths[story.number] > settings["threshold_length"] * avg_length
         too_many_tasks = (
             avg_checkboxes > 0
-            and checkboxes[story.number] > settings.threshold_check * avg_checkboxes
+            and checkboxes[story.number] > settings["threshold_check"] * avg_checkboxes
         )
         if too_long or too_many_tasks:
             reasons = []
@@ -178,20 +182,20 @@ def detect_huge_stories(slice_: SprintSlice, settings: cfg.HugeStoriesSettings) 
             )
     return Finding(
         violations=tuple(violations),
-        score=threshold_linear(len(violations), settings.weight),
+        score=threshold_linear(len(violations), settings["weight"]),
         inputs_echo={
             "violations": len(violations),
             "stories": len(stories),
             "avg_length": avg_length,
             "avg_checkboxes": avg_checkboxes,
-            "threshold_length": settings.threshold_length,
-            "threshold_check": settings.threshold_check,
-            "weight": settings.weight,
+            "threshold_length": settings["threshold_length"],
+            "threshold_check": settings["threshold_check"],
+            "weight": settings["weight"],
         },
     )
 
 
-def detect_multi_backlog(slice_: SprintSlice, settings: cfg.MultiBacklogSettings) -> Finding:
+def detect_multi_backlog(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag stories that have been carried through too many sprint backlogs.
 
     Membership is counted over the story's whole assignment history up to and
@@ -209,7 +213,7 @@ def detect_multi_backlog(slice_: SprintSlice, settings: cfg.MultiBacklogSettings
         memberships = sum(
             1 for sid in story.sprint_memberships if sprints_by_id[sid].due_on <= due_on
         )
-        if memberships > settings.threshold_amount:
+        if memberships > settings["threshold_amount"]:
             counts.append(memberships)
             violations.append(
                 Violation(
@@ -221,23 +225,23 @@ def detect_multi_backlog(slice_: SprintSlice, settings: cfg.MultiBacklogSettings
     avg_in_sprints = sum(counts) / len(counts) if counts else 1.0
     return Finding(
         violations=tuple(violations),
-        score=ratio_linear(len(violations), len(backlog), settings.weight, avg_in_sprints),
+        score=ratio_linear(len(violations), len(backlog), settings["weight"], avg_in_sprints),
         inputs_echo={
             "violations": len(violations),
             "total_stories": len(backlog),
             "avg_in_sprints": avg_in_sprints,
-            "threshold_amount": settings.threshold_amount,
-            "weight": settings.weight,
+            "threshold_amount": settings["threshold_amount"],
+            "weight": settings["weight"],
         },
     )
 
 
-def detect_duplicates(slice_: SprintSlice, settings: cfg.DuplicateStoriesSettings) -> Finding:
+def detect_duplicates(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag stories developers tagged with the duplicate label (case-insensitive)."""
     stories = slice_.stories
     if not stories:
         return _not_applicable("no stories in this sprint's backlog")
-    label = settings.duplicate_label.lower()
+    label = settings["duplicate_label"].lower()
     violations = []
     for story in stories:
         if any(l.lower() == label for l in story.labels):
@@ -249,22 +253,22 @@ def detect_duplicates(slice_: SprintSlice, settings: cfg.DuplicateStoriesSetting
             )
     return Finding(
         violations=tuple(violations),
-        score=ratio_linear(len(violations), len(stories), settings.weight),
+        score=ratio_linear(len(violations), len(stories), settings["weight"]),
         inputs_echo={
             "duplicates": len(violations),
             "total_stories": len(stories),
-            "weight": settings.weight,
+            "weight": settings["weight"],
         },
     )
 
 
-def detect_last_minute(slice_: SprintSlice, settings: cfg.LastMinuteSettings) -> Finding:
+def detect_last_minute(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag commits crammed into the final stretch before the sprint deadline."""
     commits = slice_.commits
     if not commits:
         return _not_applicable("no commits in this sprint")
     due = slice_.sprint.due_on
-    window_start = due - settings.last_minute_window_minutes * 60.0
+    window_start = due - settings["last_minute_window_minutes"] * 60.0
     violations = []
     for commit in commits:
         if window_start <= commit.authored_at <= due:
@@ -278,17 +282,17 @@ def detect_last_minute(slice_: SprintSlice, settings: cfg.LastMinuteSettings) ->
             )
     return Finding(
         violations=tuple(violations),
-        score=ratio_linear(len(violations), len(commits), settings.weight),
+        score=ratio_linear(len(violations), len(commits), settings["weight"]),
         inputs_echo={
             "violations": len(violations),
             "total_commits": len(commits),
-            "window_minutes": settings.last_minute_window_minutes,
-            "weight": settings.weight,
+            "window_minutes": settings["last_minute_window_minutes"],
+            "weight": settings["weight"],
         },
     )
 
 
-def detect_no_committing(slice_: SprintSlice, settings: cfg.CommitActivitySettings) -> Finding:
+def detect_no_committing(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Score the team's average commits per developer; name anyone who committed nothing.
 
     The score comes from the average alone. The zero-committer list is an
@@ -311,17 +315,17 @@ def detect_no_committing(slice_: SprintSlice, settings: cfg.CommitActivitySettin
     per_dev = len(slice_.commits) / len(team_developers)
     return Finding(
         violations=violations,
-        score=capped_linear(per_dev, settings.weight),
+        score=capped_linear(per_dev, settings["weight"]),
         inputs_echo={
             "commits": len(slice_.commits),
             "developers": len(team_developers),
             "commits_per_developer": per_dev,
-            "weight": settings.weight,
+            "weight": settings["weight"],
         },
     )
 
 
-def detect_daily_story_quota(slice_: SprintSlice, settings: cfg.DailyStoryLoadSettings) -> Finding:
+def detect_daily_story_quota(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Rate the sprint's staffing quota (developers per backlog story per day).
 
     The quota feeds the cut-off parabola: an optimal band scores 100, both
@@ -336,24 +340,24 @@ def detect_daily_story_quota(slice_: SprintSlice, settings: cfg.DailyStoryLoadSe
     quota = team_developer_count / backlog_size / length_days
     return Finding(
         violations=(),
-        score=cutoff_parabola(quota, settings.weight_a, settings.weight_b),
+        score=cutoff_parabola(quota, settings["weight_a"], settings["weight_b"]),
         inputs_echo={
             "developers": team_developer_count,
             "backlog_size": backlog_size,
             "sprint_length_days": length_days,
             "quota": quota,
-            "weight_a": settings.weight_a,
-            "weight_b": settings.weight_b,
+            "weight_a": settings["weight_a"],
+            "weight_b": settings["weight_b"],
         },
     )
 
 
-def detect_fast_pulls(slice_: SprintSlice, settings: cfg.FastPullsSettings) -> Finding:
+def detect_fast_pulls(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag pull requests closed quickly with nobody commenting."""
     closed = [p for p in slice_.pulls if p.closed_at is not None]
     if not closed:
         return _not_applicable("no closed pull requests in this sprint")
-    window_seconds = settings.fast_pr_window_minutes * 60.0
+    window_seconds = settings["fast_pr_window_minutes"] * 60.0
     violations = []
     for pull in closed:
         open_seconds = pull.closed_at - pull.opened_at
@@ -375,7 +379,7 @@ def detect_fast_pulls(slice_: SprintSlice, settings: cfg.FastPullsSettings) -> F
         inputs_echo={
             "violations": len(violations),
             "total_closed_pulls": len(closed),
-            "window_minutes": settings.fast_pr_window_minutes,
+            "window_minutes": settings["fast_pr_window_minutes"],
         },
     )
 

@@ -48,8 +48,9 @@ def _fail(message: str) -> int:
 
 
 def _resolve_config(path_arg: str | None) -> MetricConfig:
+    # an empty flag or variable counts as unset
     path = path_arg or os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
+    if not path:
         return MetricConfig()
     return load_config(path)
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import hashlib
 import sys
 from collections.abc import Mapping
-from contextlib import suppress
-from dataclasses import Field, asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Any
 
 from .errors import ConfigError, ParseError
 from .model import Severity
@@ -37,122 +38,81 @@ DEFAULT_SEVERITY_WEIGHTS: dict[Severity, float] = {
 }
 
 
-@dataclass(frozen=True)
-class MetricSettings:
-    """The switches every metric has; each subclass adds that metric's knobs."""
+# The settings every check has, then one row per check in report order: the
+# check's name and the defaults of its own settings. A config names only the
+# values it changes; each value must have the kind of its default.
+COMMON_SETTINGS: dict[str, object] = {"enabled": True, "severity_override": None}
 
-    enabled: bool = True
-    severity_override: Severity | None = None
-
-
-@dataclass(frozen=True)
-class CollectiveOwnershipSettings(MetricSettings):
-    weight: float = 10.0
-    threshold_e: int = 10
-    threshold_a: int = 2
-
-
-@dataclass(frozen=True)
-class TestLaterSettings(MetricSettings):
-    weight: float = 2.0
-
-
-@dataclass(frozen=True)
-class HugeStoriesSettings(MetricSettings):
-    weight: float = 25.0
-    threshold_length: float = 3.0
-    threshold_check: float = 3.0
-
-
-@dataclass(frozen=True)
-class MultiBacklogSettings(MetricSettings):
-    weight: float = 1.0
-    threshold_amount: int = 1
-
-
-@dataclass(frozen=True)
-class DuplicateStoriesSettings(MetricSettings):
-    weight: float = 1.0
-    duplicate_label: str = "duplicate"
-
-
-@dataclass(frozen=True)
-class LastMinuteSettings(MetricSettings):
-    weight: float = 1.0
-    last_minute_window_minutes: float = 120.0
-
-
-@dataclass(frozen=True)
-class CommitActivitySettings(MetricSettings):
-    weight: float = 10.0
-
-
-@dataclass(frozen=True)
-class DailyStoryLoadSettings(MetricSettings):
-    weight_a: float = 200.0
-    weight_b: float = 100.0
-
-
-@dataclass(frozen=True)
-class FastPullsSettings(MetricSettings):
-    fast_pr_window_minutes: float = 60.0
-
-
-# the numeric settings that may be 0; every other one must be > 0
-_NON_NEGATIVE_FIELDS = {"weight", "weight_a", "weight_b"}
-
-
-# one row per check, in report order: its name and its settings class
-SETTINGS: dict[str, type[MetricSettings]] = {
-    COLLECTIVE_OWNERSHIP: CollectiveOwnershipSettings,
-    TEST_LATER: TestLaterSettings,
-    HUGE_STORIES: HugeStoriesSettings,
-    MULTI_BACKLOG: MultiBacklogSettings,
-    DUPLICATE_STORIES: DuplicateStoriesSettings,
-    LAST_MINUTE: LastMinuteSettings,
-    COMMIT_ACTIVITY: CommitActivitySettings,
-    DAILY_STORY_LOAD: DailyStoryLoadSettings,
-    FAST_PULLS: FastPullsSettings,
+SETTINGS: dict[str, dict[str, object]] = {
+    COLLECTIVE_OWNERSHIP: {"weight": 10.0, "threshold_e": 10, "threshold_a": 2},
+    TEST_LATER: {"weight": 2.0},
+    HUGE_STORIES: {"weight": 25.0, "threshold_length": 3.0, "threshold_check": 3.0},
+    MULTI_BACKLOG: {"weight": 1.0, "threshold_amount": 1},
+    DUPLICATE_STORIES: {"weight": 1.0, "duplicate_label": "duplicate"},
+    LAST_MINUTE: {"weight": 1.0, "last_minute_window_minutes": 120.0},
+    COMMIT_ACTIVITY: {"weight": 10.0},
+    DAILY_STORY_LOAD: {"weight_a": 200.0, "weight_b": 100.0},
+    FAST_PULLS: {"fast_pr_window_minutes": 60.0},
 }
 
 METRIC_NAMES = tuple(SETTINGS)
 
+# the numeric settings that may be 0; every other one must be > 0
+_NON_NEGATIVE_SETTINGS = {"weight", "weight_a", "weight_b"}
+
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """One settings record per metric plus the severity weighting table."""
+    """Each check's settings plus the severity weighting table.
 
-    metrics: Mapping[str, MetricSettings] = field(default_factory=dict)
+    `metrics` maps a check's name to the settings it changes, as a config
+    document's `metrics` object does; every other value keeps its default.
+    A severity may be given by name. After construction each check has a
+    read-only mapping of all its settings, in `SETTINGS` order.
+    """
+
+    metrics: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     severity_weights: Mapping[Severity, float] = field(
         default_factory=lambda: dict(DEFAULT_SEVERITY_WEIGHTS)
     )
 
     def __post_init__(self) -> None:
-        weights = dict(self.severity_weights)
+        weights: dict[Severity, float] = {}
+        for key, value in self.severity_weights.items():
+            try:
+                severity = Severity(key)
+            except ValueError:
+                raise ConfigError(f"unknown severity {key!r} in severity_weights") from None
+            _check_number(f"severity weight for {severity.value!r}", value, zero_ok=True)
+            # stored as floats, so a document's `8` and `8.0` give one digest
+            weights[severity] = float(value)
         for severity in Severity:
             if severity not in weights:
                 raise ConfigError(f"severity_weights missing entry for {severity.value!r}")
-            _check_number(f"severity weight for {severity.value!r}", weights[severity], zero_ok=True)
-        unknown = [key for key in weights if key not in set(Severity)]
-        if unknown:
-            raise ConfigError(f"unknown severity {unknown[0]!r} in severity_weights")
-        # stored as floats, so a document's `8` and `8.0` give one digest
-        object.__setattr__(self, "severity_weights", {s: float(weights[s]) for s in Severity})
-        # absent checks get their defaults; the mapping keeps `SETTINGS` order
-        metrics = {name: kind() for name, kind in SETTINGS.items()} | dict(self.metrics)
-        for name, settings in metrics.items():
-            kind = SETTINGS.get(name)
-            if kind is None:
-                raise ConfigError(f"unknown metric {name!r}")
-            if type(settings) is not kind:
-                raise ConfigError(
-                    f"settings for {name} must be {kind.__name__}, got {type(settings).__name__}"
-                )
-            for f in fields(settings):
-                _check_setting(f"{name}.{f.name}", f, getattr(settings, f.name))
+        object.__setattr__(self, "severity_weights", {s: weights[s] for s in Severity})
+
+        if not isinstance(self.metrics, Mapping):
+            raise ConfigError("'metrics' must be an object keyed by metric name")
+        for name in self.metrics:
+            if name not in SETTINGS:
+                raise ConfigError(f"unknown metric {name!r} in config")
+        metrics = {}
+        for name, own in SETTINGS.items():
+            changed = self.metrics.get(name, {})
+            if not isinstance(changed, Mapping):
+                raise ConfigError(f"settings for {name} must be an object")
+            defaults = COMMON_SETTINGS | own
+            unknown = sorted(str(key) for key in changed if key not in defaults)
+            if unknown:
+                raise ConfigError(f"unknown setting(s) for {name}: {', '.join(unknown)}")
+            settings = defaults | changed
+            for key, default in defaults.items():
+                settings[key] = _checked(name, key, default, settings[key])
+            metrics[name] = MappingProxyType(settings)
         object.__setattr__(self, "metrics", metrics)
 
-    def for_metric(self, name: str) -> MetricSettings:
+    def for_metric(self, name: str) -> Mapping[str, Any]:
+        """One check's settings, as a read-only mapping."""
         try:
             return self.metrics[name]
         except KeyError:
@@ -161,9 +121,9 @@ class MetricConfig:
     def to_dict(self) -> dict:
         metrics: dict[str, dict] = {}
         for name, settings in self.metrics.items():
-            metrics[name] = entry = asdict(settings)
-            if settings.severity_override is not None:
-                entry["severity_override"] = settings.severity_override.value
+            metrics[name] = entry = dict(settings)
+            if entry["severity_override"] is not None:
+                entry["severity_override"] = entry["severity_override"].value
         return {
             "metrics": metrics,
             "severity_weights": {s.value: w for s, w in self.severity_weights.items()},
@@ -183,31 +143,24 @@ def _check_number(label: str, value: object, zero_ok: bool) -> None:
         raise ConfigError(f"{label} must be {'>=' if zero_ok else '>'} 0, got {value!r}")
 
 
-def _check_setting(label: str, f: Field, value: object) -> None:
-    """Check one setting against the kind of its default."""
-    if isinstance(f.default, bool):
+def _checked(name: str, key: str, default: object, value: object) -> object:
+    """Check one setting against the kind of its default; a severity name becomes a `Severity`."""
+    label = f"{name}.{key}"
+    if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{label} must be a boolean")
-    elif isinstance(f.default, str):
+    elif isinstance(default, str):
         if not isinstance(value, str) or not value:
             raise ConfigError(f"{label} must be a non-empty string")
-    elif f.default is None:  # severity_override
-        if value is not None and not isinstance(value, Severity):
-            raise ConfigError(f"{label}: invalid severity {value!r}")
+    elif default is None:  # severity_override
+        if value is not None:
+            try:
+                return Severity(value)
+            except ValueError:
+                raise ConfigError(f"{label}: invalid severity {value!r}") from None
     else:
-        _check_number(label, value, zero_ok=f.name in _NON_NEGATIVE_FIELDS)
-
-
-def _settings_from_dict(name: str, kind: type[MetricSettings], raw: Mapping) -> MetricSettings:
-    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
-    if unknown:
-        raise ConfigError(f"unknown setting(s) for {name}: {', '.join(unknown)}")
-    updates = dict(raw)
-    if "severity_override" in updates:
-        # a value that names no severity stays as it is, for `MetricConfig` to reject
-        with suppress(ValueError):
-            updates["severity_override"] = Severity(updates["severity_override"])
-    return kind(**updates)
+        _check_number(label, value, zero_ok=key in _NON_NEGATIVE_SETTINGS)
+    return value
 
 
 def config_from_dict(raw: Mapping) -> MetricConfig:
@@ -217,29 +170,11 @@ def config_from_dict(raw: Mapping) -> MetricConfig:
     unknown = sorted(set(raw) - {"metrics", "severity_weights"})
     if unknown:
         raise ConfigError(f"unknown top-level config key(s): {', '.join(unknown)}")
-
-    metrics: dict[str, MetricSettings] = {}
-    metrics_raw = raw.get("metrics", {})
-    if not isinstance(metrics_raw, Mapping):
-        raise ConfigError("'metrics' must be an object keyed by metric name")
-    for name, settings_raw in metrics_raw.items():
-        if name not in SETTINGS:
-            raise ConfigError(f"unknown metric {name!r} in config")
-        if not isinstance(settings_raw, Mapping):
-            raise ConfigError(f"settings for {name} must be an object")
-        metrics[name] = _settings_from_dict(name, SETTINGS[name], settings_raw)
-
-    weights_raw = raw.get("severity_weights", {})
-    if not isinstance(weights_raw, Mapping):
+    weights = raw.get("severity_weights", {})
+    if not isinstance(weights, Mapping):
         raise ConfigError("'severity_weights' must be an object")
-    weights = dict(DEFAULT_SEVERITY_WEIGHTS)
-    for key, value in weights_raw.items():
-        try:
-            weights[Severity(key)] = value
-        except ValueError:
-            raise ConfigError(f"unknown severity {key!r} in severity_weights") from None
-
-    return MetricConfig(metrics, weights)
+    defaults = {severity.value: weight for severity, weight in DEFAULT_SEVERITY_WEIGHTS.items()}
+    return MetricConfig(raw.get("metrics", {}), defaults | dict(weights))
 
 
 def load_config(path: str | Path) -> MetricConfig:

@@ -9,10 +9,11 @@ an optimal band and falls off on both sides). All outputs are clamped into
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterator
+from collections.abc import Callable, Collection, Iterator, Mapping
 from dataclasses import dataclass
+from typing import Any
 
-from .config import SETTINGS, MetricConfig, MetricSettings
+from .config import SETTINGS, MetricConfig
 from .errors import SprintLintError
 from .model import (
     Finding,
@@ -58,7 +59,8 @@ def cutoff_parabola(quota: float, weight_a: float, weight_b: float) -> float:
     return clamp_score(weight_a * quota - weight_b * quota * quota)
 
 
-Detector = Callable[[SprintSlice, MetricSettings], Finding]
+# a detector sees one team-sprint slice and its own check's settings, `config.for_metric(name)`
+Detector = Callable[[SprintSlice, Mapping[str, Any]], Finding]
 
 
 @dataclass(frozen=True)
@@ -101,13 +103,14 @@ def evaluate(
     """Run one check over one team-sprint; the result is labelled with the slice's sprint.
 
     Returns None when the check is disabled in the config. The detector
-    gets only the check's own settings. Detector failures (including
+    gets only the check's own settings, as the read-only mapping
+    `config.for_metric(name)`. Detector failures (including
     undefined denominators that escaped a detector) surface as a result with
     no score and a diagnostic, never as an exception.
     """
     name = check.descriptor.name
     settings = config.for_metric(name)
-    if not settings.enabled:
+    if not settings["enabled"]:
         return None
     sprint = slice_.sprint
     try:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
@@ -45,6 +46,7 @@ from .model import (
     UserStory,
     build_history,
 )
+from .serialize import END_TS
 
 RNG_ALGORITHM = "mt19937"
 EPOCH = 1420416000.0  # 2015-01-05T00:00:00Z, a Monday
@@ -54,7 +56,7 @@ BASE_STORY_CHECKBOXES = 3
 
 # the settings every fixture is built for and certified against
 _CONFIG = MetricConfig()
-_LAST_MINUTE_SECONDS = _CONFIG.for_metric(cfg.LAST_MINUTE).last_minute_window_minutes * 60.0
+_LAST_MINUTE_SECONDS = _CONFIG.for_metric(cfg.LAST_MINUTE)["last_minute_window_minutes"] * 60.0
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,14 @@ class _TeamBuilder:
     # -- schedule -------------------------------------------------------
 
     def add_sprint(self, index: int, duration_seconds: float) -> Sprint:
+        starts = EPOCH + sum(s.due_on - s.starts_at for s in self.sprints)
+        # no export can write an instant after year 9999, and pull requests
+        # close up to a day after their sprint's deadline
+        if not starts + duration_seconds < END_TS - 86400.0:
+            raise InfeasibleFixtureError(
+                f"sprint {index + 1} ({duration_seconds / 86400.0:g} days) would end after "
+                "9999-12-31T00:00:00Z, the last deadline a fixture can have"
+            )
         # whole seconds keep timestamps exact through the ISO-8601 round trip
         duration_seconds = float(round(duration_seconds))
         if duration_seconds <= _LAST_MINUTE_SECONDS + 2 * MARGIN_SECONDS:
@@ -244,7 +254,6 @@ class _TeamBuilder:
                 f"sprint of {duration_seconds:.0f}s leaves no room outside the "
                 f"{_LAST_MINUTE_SECONDS:.0f}s deadline window plus margins"
             )
-        starts = EPOCH + sum(s.due_on - s.starts_at for s in self.sprints)
         sprint = Sprint(
             id=f"{self.team}-s{index:02d}",
             title=f"Sprint {index + 1}",
@@ -349,7 +358,7 @@ class _TeamBuilder:
         return self._coverage, self._complexity
 
     def _file_pool(self, total_commits: int) -> list[str]:
-        threshold_a = _CONFIG.for_metric(cfg.COLLECTIVE_OWNERSHIP).threshold_a
+        threshold_a = _CONFIG.for_metric(cfg.COLLECTIVE_OWNERSHIP)["threshold_a"]
         needed_authors = threshold_a + 1
         n_devs = len(self.devs)
         if n_devs < needed_authors:
@@ -403,7 +412,7 @@ class _TeamBuilder:
         return pull
 
     def fill_sprint_pulls(self, sprint: Sprint, count: int) -> None:
-        fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS).fast_pr_window_minutes
+        fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS)["fast_pr_window_minutes"]
         for _ in range(count):
             open_minutes = fast_minutes + 60.0 + self.rng.uniform(0.0, 600.0)
             self.add_pull(sprint, open_minutes, comments=1 + self.rng.randrange(0, 4))
@@ -501,13 +510,13 @@ def _payload_time(builder: _TeamBuilder, sprint: Sprint) -> float:
 
 def _inject_hot_files(rng, count: int, edits: int, authors: int) -> tuple[_TeamBuilder, InjectionRecord]:
     settings = _CONFIG.for_metric(cfg.COLLECTIVE_OWNERSHIP)
-    if authors < 1 or authors > settings.threshold_a:
+    if authors < 1 or authors > settings["threshold_a"]:
         raise InfeasibleFixtureError(
-            f"hot files need 1..{settings.threshold_a} authors to violate, got {authors}"
+            f"hot files need 1..{settings['threshold_a']} authors to violate, got {authors}"
         )
-    if edits < settings.threshold_e:
+    if edits < settings["threshold_e"]:
         raise InfeasibleFixtureError(
-            f"hot files need at least {settings.threshold_e} edits to violate, got {edits}"
+            f"hot files need at least {settings['threshold_e']} edits to violate, got {edits}"
         )
     if edits < authors:
         raise InfeasibleFixtureError("a file cannot have fewer edits than authors")
@@ -548,7 +557,7 @@ def _inject_tdd_regressions(rng, count: int) -> tuple[_TeamBuilder, InjectionRec
 
 
 def _inject_huge_stories(rng, count: int, multiplier: float) -> tuple[_TeamBuilder, InjectionRecord]:
-    t = _CONFIG.for_metric(cfg.HUGE_STORIES).threshold_length
+    t = _CONFIG.for_metric(cfg.HUGE_STORIES)["threshold_length"]
     n, c = _INJECT_STORIES, count
     headroom = n + c * (1.0 - t)
     if headroom <= 0:
@@ -562,6 +571,10 @@ def _inject_huge_stories(rng, count: int, multiplier: float) -> tuple[_TeamBuild
             f"length multiplier must exceed {minimum:.2f} for {c} huge stories among {n} "
             f"regular ones at threshold {t}, got {multiplier}"
         )
+    if not multiplier * BASE_STORY_LENGTH < sys.maxsize:
+        raise InfeasibleFixtureError(
+            f"length multiplier {multiplier} asks for stories longer than a string can hold"
+        )
     builder = _injection_team(rng, cfg.HUGE_STORIES, extra_backlog=count)
     sprint = builder.sprints[-1]
     refs = []
@@ -572,7 +585,7 @@ def _inject_huge_stories(rng, count: int, multiplier: float) -> tuple[_TeamBuild
 
 
 def _inject_neverending(rng, count: int, sprints_each: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    threshold = _CONFIG.for_metric(cfg.MULTI_BACKLOG).threshold_amount
+    threshold = _CONFIG.for_metric(cfg.MULTI_BACKLOG)["threshold_amount"]
     if sprints_each <= threshold:
         raise InfeasibleFixtureError(
             f"neverending stories need more than {threshold} sprint memberships to violate, "
@@ -590,7 +603,7 @@ def _inject_neverending(rng, count: int, sprints_each: int) -> tuple[_TeamBuilde
 
 
 def _inject_duplicates(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    label = _CONFIG.for_metric(cfg.DUPLICATE_STORIES).duplicate_label
+    label = _CONFIG.for_metric(cfg.DUPLICATE_STORIES)["duplicate_label"]
     builder = _injection_team(rng, cfg.DUPLICATE_STORIES, extra_backlog=count)
     sprint = builder.sprints[-1]
     refs = []
@@ -641,7 +654,7 @@ def _inject_backlog_overflow(rng, count: int) -> tuple[_TeamBuilder, InjectionRe
 
 
 def _inject_fast_pulls(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS).fast_pr_window_minutes
+    fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS)["fast_pr_window_minutes"]
     builder = _injection_team(rng, cfg.FAST_PULLS)
     sprint = builder.sprints[-1]
     refs = []

@@ -46,7 +46,7 @@ class TeamSprintScore:
 
 
 def effective_severity(registry: MetricRegistry, config: MetricConfig, metric: str) -> Severity:
-    override = config.for_metric(metric).severity_override
+    override = config.for_metric(metric)["severity_override"]
     if override is not None:
         return override
     return registry.get(metric).descriptor.severity

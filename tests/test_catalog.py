@@ -22,17 +22,7 @@ from sprintlint.catalog import (
     detect_test_later,
     file_edit_profiles,
 )
-from sprintlint import config as config_mod
-from sprintlint.config import (
-    CollectiveOwnershipSettings,
-    CommitActivitySettings,
-    DailyStoryLoadSettings,
-    DuplicateStoriesSettings,
-    FastPullsSettings,
-    HugeStoriesSettings,
-    LastMinuteSettings,
-    MultiBacklogSettings,
-)
+from sprintlint.config import MetricConfig
 from conftest import (
     DAY,
     T0,
@@ -46,16 +36,22 @@ from conftest import (
     sized_story,
 )
 
+
+def _settings(name: str, **changes):
+    """One check's settings: its defaults with `changes` applied."""
+    return MetricConfig({name: changes}).for_metric(name)
+
+
 # each check's default settings
-OWNERSHIP = CollectiveOwnershipSettings()
-TEST_LATER = config_mod.TestLaterSettings()
-HUGE = HugeStoriesSettings()
-MULTI_BACKLOG = MultiBacklogSettings()
-DUPLICATES = DuplicateStoriesSettings()
-LAST_MINUTE = LastMinuteSettings()
-ACTIVITY = CommitActivitySettings()
-DAILY_LOAD = DailyStoryLoadSettings()
-FAST_PULLS = FastPullsSettings()
+OWNERSHIP = _settings("collective-ownership")
+TEST_LATER = _settings("test-later")
+HUGE = _settings("huge-stories")
+MULTI_BACKLOG = _settings("multi-backlog-stories")
+DUPLICATES = _settings("duplicate-stories")
+LAST_MINUTE = _settings("last-minute-commits")
+ACTIVITY = _settings("commit-activity")
+DAILY_LOAD = _settings("daily-story-load")
+FAST_PULLS = _settings("fast-pull-requests")
 
 
 # --- collective ownership (files dominated by few authors) -------------------
@@ -67,7 +63,7 @@ def test_ownership_no_commits_scores_100():
 
 
 def test_ownership_single_author_hot_file():
-    settings = CollectiveOwnershipSettings(weight=20.0, threshold_e=10, threshold_a=2)
+    settings = _settings("collective-ownership", weight=20.0, threshold_e=10, threshold_a=2)
     commits = [
         make_commit(f"c{i}", T0 + i, author="solo@a", files=[change("src/core.py")])
         for i in range(12)
@@ -78,7 +74,7 @@ def test_ownership_single_author_hot_file():
 
 
 def test_ownership_enough_authors_is_clean():
-    settings = CollectiveOwnershipSettings(weight=20.0, threshold_e=10, threshold_a=2)
+    settings = _settings("collective-ownership", weight=20.0, threshold_e=10, threshold_a=2)
     commits = [
         make_commit(f"c{i}", T0 + i, author=f"dev{i % 3}@a", files=[change("src/core.py")])
         for i in range(12)
@@ -119,7 +115,7 @@ def test_test_later_equal_complexity_is_not_a_violation():
 
 
 def test_test_later_two_of_eight_regressions():
-    settings = config_mod.TestLaterSettings(weight=2.0)
+    settings = _settings("test-later", weight=2.0)
     commits = [make_commit("c0", T0)]
     for i in range(1, 8):
         commits.append(make_commit(f"c{i}", T0 + i * 60, parents=(f"c{i - 1}",)))
@@ -170,7 +166,7 @@ def test_huge_stories_self_inclusion_effect():
 
 def test_huge_stories_outlier_flagged():
     # lengths {100,100,100,1300}: avg 400, 1300 > 1200 -> one violation at weight 25
-    settings = HugeStoriesSettings(weight=25.0, threshold_length=3.0)
+    settings = _settings("huge-stories", weight=25.0, threshold_length=3.0)
     stories = [sized_story(1, 100), sized_story(2, 100), sized_story(3, 100), sized_story(4, 1300)]
     result = detect_huge_stories(make_slice(make_sprint(), stories=stories), settings)
     assert [v.artifacts for v in result.violations] == [("#4",)]
@@ -203,7 +199,7 @@ def test_huge_stories_empty_backlog_not_applicable():
 
 @pytest.mark.parametrize("threshold", [1.01, 1.5, 2.0, 3.0, 10.0])
 def test_huge_stories_equal_sizes_never_violate_for_any_threshold_above_one(threshold):
-    settings = HugeStoriesSettings(threshold_length=threshold, threshold_check=threshold)
+    settings = _settings("huge-stories", threshold_length=threshold, threshold_check=threshold)
     stories = [sized_story(i + 1, 250, checkboxes=2) for i in range(6)]
     result = detect_huge_stories(make_slice(make_sprint(), stories=stories), settings)
     assert result.violations == () and result.score == 100.0
@@ -261,7 +257,7 @@ def test_multi_backlog_counts_only_up_to_evaluated_sprint():
 
 def test_multi_backlog_threshold_is_configurable():
     history, sprint = _membership_history([2] + [1] * 9)
-    settings = MultiBacklogSettings(threshold_amount=2)
+    settings = _settings("multi-backlog-stories", threshold_amount=2)
     result = detect_multi_backlog(window(history, TEAM, sprint.id), settings)
     assert result.violations == () and result.score == 100.0
 

@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprintlint import build_history, cli
+from sprintlint import MetricConfig, build_history, cli
 from sprintlint.cli import main
 from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
 from sprintlint.serialize import END_TS, FIRST_TS
@@ -197,6 +197,15 @@ def test_lint_respects_config_and_env_var(tmp_path, monkeypatch):
     assert via_env["config_digest"] == explicit["config_digest"]
 
 
+def test_an_empty_config_variable_counts_as_unset(tmp_path, monkeypatch):
+    snapshot = _ingest(tmp_path, _generate(tmp_path))
+    monkeypatch.setenv("SPRINTLINT_CONFIG", "")
+    assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["config_digest"] == MetricConfig().digest()
+    assert main(["score", "--project", str(snapshot), "--out", str(tmp_path / "t.csv")]) == 0
+
+
 def test_config_digest_tracks_effective_changes(tmp_path):
     out_dir = _generate(tmp_path)
     snapshot = _ingest(tmp_path, out_dir)
@@ -248,6 +257,23 @@ def test_generate_malformed_injection_exits_2(tmp_path, capsys):
     argv = ["generate", "--inject", str(inject_path), "--out-dir", str(tmp_path / "f")]
     assert main(argv) == 2
     assert "hot_files" in capsys.readouterr().err
+
+
+# numbers that pass the spec and injection checks but do not fit the timeline
+# or a string; a large finite multiplier is left out, as it would allocate
+TOO_LARGE = {
+    "infinite-sprint": ("spec", {"sprint_length_days": 1e308}),
+    "sprints-past-year-9999": ("spec", {"sprint_length_days": 1e300, "sprints": 2}),
+    "infinite-story": ("inject", {"huge_stories": {"count": 1, "length_multiplier": 1e308}}),
+}
+
+
+@pytest.mark.parametrize("kind, document", TOO_LARGE.values(), ids=list(TOO_LARGE))
+def test_generate_with_a_number_too_large_exits_2(tmp_path, capsys, kind, document):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["generate", f"--{kind}", str(path), "--out-dir", str(tmp_path / "f")]) == 2
+    _one_error_line(capsys)
 
 
 def test_ingest_malformed_manifest_maps_exit_2(tmp_path, capsys):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,15 +10,15 @@ import pytest
 from sprintlint import ConfigError, MetricConfig, Severity, config_from_dict, load_config
 from sprintlint import config as config_mod
 from sprintlint.catalog import CHECKS
-from sprintlint.config import METRIC_NAMES, HugeStoriesSettings
+from sprintlint.config import COMMON_SETTINGS, METRIC_NAMES, SETTINGS
 
 
 def test_defaults_cover_all_metrics():
     config = MetricConfig()
     for name in METRIC_NAMES:
         settings = config.for_metric(name)
-        assert settings.enabled is True
-        assert settings.severity_override is None
+        assert settings["enabled"] is True
+        assert settings["severity_override"] is None
 
 
 def test_round_trip_through_dict():
@@ -29,9 +28,9 @@ def test_round_trip_through_dict():
 
 def test_partial_document_gets_defaults():
     config = config_from_dict({"metrics": {"collective-ownership": {"weight": 20}}})
-    assert config.for_metric("collective-ownership").weight == 20
-    assert config.for_metric("collective-ownership").threshold_e == 10  # untouched default
-    assert config.for_metric("huge-stories").weight == 25.0
+    assert config.for_metric("collective-ownership")["weight"] == 20
+    assert config.for_metric("collective-ownership")["threshold_e"] == 10  # untouched default
+    assert config.for_metric("huge-stories")["weight"] == 25.0
 
 
 def test_unknown_metric_rejected():
@@ -61,7 +60,7 @@ def test_severity_override_parsed():
     config = config_from_dict(
         {"metrics": {"duplicate-stories": {"severity_override": "high"}}}
     )
-    assert config.for_metric("duplicate-stories").severity_override is Severity.HIGH
+    assert config.for_metric("duplicate-stories")["severity_override"] is Severity.HIGH
 
 
 def test_severity_weights_must_be_complete():
@@ -84,7 +83,7 @@ def test_load_config_file(tmp_path):
         encoding="utf-8",
     )
     config = load_config(path)
-    assert config.for_metric("last-minute-commits").last_minute_window_minutes == 30
+    assert config.for_metric("last-minute-commits")["last_minute_window_minutes"] == 30
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -95,39 +94,56 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 
 def test_each_check_is_declared_once_in_report_order():
-    assert tuple(config_mod.SETTINGS) == METRIC_NAMES == tuple(CHECKS)
+    assert tuple(SETTINGS) == METRIC_NAMES == tuple(CHECKS)
 
 
-def test_metric_settings_must_name_a_check_and_match_its_class():
-    with pytest.raises(ConfigError, match="unknown metric 'nope'"):
-        MetricConfig(metrics={"nope": HugeStoriesSettings()})
-    with pytest.raises(ConfigError, match="huge-stories must be HugeStoriesSettings"):
-        MetricConfig(metrics={"huge-stories": config_mod.TestLaterSettings()})
+def test_metric_settings_must_name_a_check_and_be_an_object():
+    for build in (MetricConfig, lambda metrics: config_from_dict({"metrics": metrics})):
+        with pytest.raises(ConfigError, match="^unknown metric 'nope' in config$"):
+            build({"nope": {}})
+        with pytest.raises(ConfigError, match="^settings for huge-stories must be an object$"):
+            build({"huge-stories": 4.0})
+        with pytest.raises(ConfigError, match="^unknown setting\\(s\\) for huge-stories: wieght$"):
+            build({"huge-stories": {"wieght": 3}})
+        with pytest.raises(ConfigError, match="^'metrics' must be an object keyed by metric name$"):
+            build([])
 
 
 def test_partial_metrics_mapping_keeps_the_other_defaults():
-    override = HugeStoriesSettings(threshold_length=4.0)
-    config = MetricConfig(metrics={"huge-stories": override})
+    config = MetricConfig(metrics={"huge-stories": {"threshold_length": 4.0}})
     assert tuple(config.metrics) == METRIC_NAMES
-    assert config.for_metric("huge-stories") is override
-    for name, kind in config_mod.SETTINGS.items():
+    huge = COMMON_SETTINGS | SETTINGS["huge-stories"] | {"threshold_length": 4.0}
+    assert dict(config.for_metric("huge-stories")) == huge
+    assert list(config.for_metric("huge-stories")) == list(huge)
+    for name, defaults in SETTINGS.items():
         if name != "huge-stories":
-            assert config.for_metric(name) == kind()
+            assert dict(config.for_metric(name)) == COMMON_SETTINGS | defaults
+
+
+def test_settings_of_a_check_are_read_only():
+    config = MetricConfig()
+    settings = config.for_metric("huge-stories")
+    with pytest.raises(TypeError):
+        settings["weight"] = 0.0
+    with pytest.raises(TypeError):
+        del settings["enabled"]
+    assert config.for_metric("huge-stories")["weight"] == 25.0
+    assert SETTINGS["huge-stories"]["weight"] == 25.0
 
 
 NAN, INF = float("nan"), float("inf")
 ZERO_ALLOWED = {"weight", "weight_a", "weight_b"}
 
 
-def _rejected_values(f) -> list:
+def _rejected_values(key, default) -> list:
     """A wrong type, NaN, +inf, -inf and (where there is a range) a value below it."""
-    if isinstance(f.default, bool):
+    if isinstance(default, bool):
         return ["yes", 1, NAN, INF, -INF]
-    if isinstance(f.default, str):
+    if isinstance(default, str):
         return [7, NAN, INF, -INF, ""]
-    if f.default is None:  # severity_override
+    if default is None:  # severity_override
         return [7, "catastrophic", NAN, INF, -INF]
-    return ["x", True, NAN, INF, -INF, -1 if f.name in ZERO_ALLOWED else 0]
+    return ["x", True, NAN, INF, -INF, -1 if key in ZERO_ALLOWED else 0]
 
 
 def _message(build) -> str:
@@ -138,17 +154,17 @@ def _message(build) -> str:
 
 def test_a_document_and_a_constructor_reject_each_value_alike():
     zero_accepted = set()
-    for name, kind in config_mod.SETTINGS.items():
-        for f in fields(kind):
-            for value in _rejected_values(f):
-                from_document = _message(lambda: config_from_dict({"metrics": {name: {f.name: value}}}))
-                from_code = _message(lambda: MetricConfig(metrics={name: kind(**{f.name: value})}))
-                assert from_document == from_code, (name, f.name, value)
-                assert from_document.startswith(f"{name}.{f.name}"), from_document
+    for name, own in SETTINGS.items():
+        for key, default in (COMMON_SETTINGS | own).items():
+            for value in _rejected_values(key, default):
+                from_document = _message(lambda: config_from_dict({"metrics": {name: {key: value}}}))
+                from_code = _message(lambda: MetricConfig(metrics={name: {key: value}}))
+                assert from_document == from_code, (name, key, value)
+                assert from_document.startswith(f"{name}.{key}"), from_document
             try:
-                config_from_dict({"metrics": {name: {f.name: 0}}})
-                MetricConfig(metrics={name: kind(**{f.name: 0})})
-                zero_accepted.add(f.name)
+                config_from_dict({"metrics": {name: {key: 0}}})
+                MetricConfig(metrics={name: {key: 0}})
+                zero_accepted.add(key)
             except ConfigError:
                 pass
     assert zero_accepted == ZERO_ALLOWED
@@ -186,3 +202,13 @@ def test_readme_example_config_keeps_its_digest():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     document = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
     assert config_from_dict(document).digest() == README_CONFIG_DIGEST
+
+
+def test_a_constructor_takes_what_a_document_holds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    document = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    assert document["metrics"]["huge-stories"] == {"severity_override": "high"}
+    config = MetricConfig(metrics=document["metrics"])
+    assert config == config_from_dict(document)
+    assert config.digest() == README_CONFIG_DIGEST
+    assert config.for_metric("huge-stories")["severity_override"] is Severity.HIGH

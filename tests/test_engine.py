@@ -21,7 +21,6 @@ from sprintlint import (
     threshold_linear,
     window,
 )
-from sprintlint.config import DuplicateStoriesSettings
 from sprintlint.engine import RegisteredMetric, ZeroTotalError
 from sprintlint.fixtures import FixtureSpec, generate
 
@@ -141,7 +140,7 @@ def test_registry_iteration_order_is_registration_order():
 
 def test_evaluate_disabled_metric_is_skipped():
     history, _ = generate(FixtureSpec(teams=1, sprints=1))
-    config = MetricConfig({"duplicate-stories": DuplicateStoriesSettings(enabled=False)})
+    config = MetricConfig({"duplicate-stories": {"enabled": False}})
     registry = default_registry()
     sprint = history.sprints[0]
     slice_ = window(history, sprint.team, sprint.id)
@@ -184,7 +183,7 @@ def test_run_all_cardinality():
 
 def test_run_all_disabled_metric_drops_results():
     history, _ = generate(FixtureSpec(teams=2, sprints=3))
-    config = MetricConfig({"duplicate-stories": DuplicateStoriesSettings(enabled=False)})
+    config = MetricConfig({"duplicate-stories": {"enabled": False}})
     results = run_all(default_registry(), history, config)
     assert len(results) == 2 * 3 * 8
     assert all(r.metric != "duplicate-stories" for r in results)

@@ -11,6 +11,7 @@ from sprintlint import (
     run_all,
 )
 from sprintlint.fixtures import (
+    EPOCH,
     FixtureSpec,
     InjectionSpec,
     generate,
@@ -28,6 +29,7 @@ from sprintlint.ingest import (
     write_sprints,
     write_stats,
 )
+from sprintlint.serialize import END_TS
 
 SMALL = FixtureSpec(seed=1, teams=1, developers_per_team=4, sprints=1,
                     sprint_length_days=2.0, stories_per_sprint=2,
@@ -97,6 +99,17 @@ def test_assignees_without_commits_infeasible():
 def test_sprint_shorter_than_deadline_window_infeasible():
     with pytest.raises(InfeasibleFixtureError, match="window"):
         generate(FixtureSpec(teams=1, sprint_length_days=0.05))
+
+
+def test_the_last_sprint_a_fixture_can_hold_ends_a_day_before_year_10000(tmp_path):
+    last_deadline = END_TS - 86400.0
+    days = (last_deadline - EPOCH) / 86400.0
+    history, _ = generate(FixtureSpec(teams=1, sprints=1, sprint_length_days=days - 0.01))
+    # every instant, the late-closing pull requests' too, can be written
+    write_sprints(tmp_path / "sprints.json", history.sprints)
+    write_pulls(tmp_path / "pulls.json", history.pulls)
+    with pytest.raises(InfeasibleFixtureError, match="9999-12-31T00:00:00Z"):
+        generate(FixtureSpec(teams=1, sprints=1, sprint_length_days=days))
 
 
 def test_spec_validation():

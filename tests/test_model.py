@@ -289,7 +289,7 @@ def histories(draw):
 @given(history=histories())
 def test_indexed_lookups_match_linear_scans(history):
     check_settings = MetricConfig().for_metric("multi-backlog-stories")
-    threshold = check_settings.threshold_amount
+    threshold = check_settings["threshold_amount"]
     nows = (T0 + 3 * DAY, T0 + 100 * DAY)
     for team in history.teams:
         assert history.sprints_of(team) == tuple(

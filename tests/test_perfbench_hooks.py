@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import sprintlint.cli  # noqa: F401  (loads every module, as the tracer does)
-from sprintlint import cli, config, default_registry
+from sprintlint import MetricConfig, cli, default_registry
 from sprintlint.catalog import CHECKS
 from sprintlint.fixtures import FixtureSpec
 from sprintlint.ingest import EXPORTS
@@ -64,7 +64,7 @@ def test_every_detector_returns_what_the_tracer_counts(tracing):
         developers={"ann@example.org", "bob@example.org"},
     )
     for name, check in CHECKS.items():
-        finding = check.detector(slice_, config.SETTINGS[name]())
+        finding = check.detector(slice_, MetricConfig().for_metric(name))
         # `_count_violations` reads the violations and each one's artifacts
         assert all(v.artifacts for v in finding.violations), name
 

@@ -19,7 +19,6 @@ from sprintlint import (
     trend,
     trend_csv,
 )
-from sprintlint.config import CommitActivitySettings, FastPullsSettings, HugeStoriesSettings
 from sprintlint.scoring import OVERALL
 from conftest import DAY, T0, TEAM, make_sprint
 
@@ -49,8 +48,8 @@ def test_weighted_mean_high_eight_low_two():
 def test_all_informational_yields_not_applicable():
     config = MetricConfig(
         {
-            "fast-pull-requests": FastPullsSettings(severity_override=Severity.INFORMATIONAL),
-            "huge-stories": HugeStoriesSettings(severity_override=Severity.INFORMATIONAL),
+            "fast-pull-requests": {"severity_override": Severity.INFORMATIONAL},
+            "huge-stories": {"severity_override": Severity.INFORMATIONAL},
         }
     )
     results = [_result("fast-pull-requests", 100.0), _result("huge-stories", 50.0)]
@@ -59,7 +58,7 @@ def test_all_informational_yields_not_applicable():
 
 
 def test_severity_override_changes_weighting():
-    config = MetricConfig({"huge-stories": HugeStoriesSettings(severity_override=Severity.HIGH)})
+    config = MetricConfig({"huge-stories": {"severity_override": Severity.HIGH}})
     results = [_result("fast-pull-requests", 100.0), _result("huge-stories", 50.0)]
     score = aggregate(results, REGISTRY, config)
     assert score.overall == pytest.approx(75.0)  # both at weight 8 now
@@ -137,7 +136,7 @@ def test_aggregate_rejects_mixed_cells():
 
 def test_informational_contributions_have_zero_weight_but_appear():
     config = MetricConfig(
-        {"commit-activity": CommitActivitySettings(severity_override=Severity.INFORMATIONAL)}
+        {"commit-activity": {"severity_override": Severity.INFORMATIONAL}}
     )
     results = [_result("fast-pull-requests", 80.0), _result("commit-activity", 10.0)]
     score = aggregate(results, REGISTRY, config)
