@@ -7,6 +7,10 @@ Formats:
   pulls    -- JSON array of pull requests
   stats    -- CSV with header ``commit_id,coverage_percent,complexity``
 
+`_SCHEMA` defines the formats: one row per export kind, naming each field
+and the kind of column it is, which says how the field is read from an
+export, written back, and checked and written in a snapshot.
+
 Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
 an export file are ignored for forward compatibility. Writers emit the same
@@ -22,7 +26,7 @@ import json
 import math
 import re
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, starmap
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -120,382 +124,105 @@ class IngestManifest:
             raise ParseError("manifest paths must be distinct")
 
 
+# --- export fields ---------------------------------------------------------
+#
+# Each read takes a field's value in an export object (`_ABSENT` when the
+# field is missing), the field's name and the manifest's ``team_map`` and
+# ``alias_map``, and returns the record constructor's argument. A value
+# read from JSON has an exact type, so a type test stands in for isinstance.
+
+
 class _FieldError(Exception):
     def __init__(self, field_name: str, message: str) -> None:
         super().__init__(message)
         self.field_name = field_name
 
 
-def _need(obj: Mapping, key: str):
-    try:
-        return obj[key]
-    except KeyError:
-        raise _FieldError(key, f"missing field {key!r}") from None
+_ABSENT = object()
 
 
-def _as_str(obj: Mapping, key: str, allow_empty: bool = False) -> str:
-    value = _need(obj, key)
-    if not isinstance(value, str) or (not allow_empty and not value):
-        raise _FieldError(key, f"{key!r} must be a non-empty string")
+def _rejected(value: object, key: str, message: str) -> _FieldError:
+    """The error for field `key` holding `value`, which failed a check saying `message`."""
+    return _FieldError(key, f"missing field {key!r}" if value is _ABSENT else message)
+
+
+def _read_id(value: object, key: str, maps: Mapping) -> str:
+    if type(value) is not str or not value:
+        raise _rejected(value, key, f"{key!r} must be a non-empty string")
     return value
 
 
-def _as_int(obj: Mapping, key: str) -> int:
-    value = _need(obj, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _FieldError(key, f"{key!r} must be an integer")
+def _read_text(value: object, key: str, maps: Mapping) -> str:
+    if type(value) is not str:
+        raise _rejected(value, key, f"{key!r} must be a string")
     return value
 
 
-def _as_bool(obj: Mapping, key: str) -> bool:
-    value = _need(obj, key)
-    if not isinstance(value, bool):
-        raise _FieldError(key, f"{key!r} must be a boolean")
+def _read_team(value: object, key: str, maps: Mapping) -> str:
+    team = _read_id(value, key, maps)
+    return maps["team_map"].get(team, team)
+
+
+def _read_author(value: object, key: str, maps: Mapping) -> str:
+    author = _read_id(value, key, maps)
+    return maps["alias_map"].get(author, author)
+
+
+def _read_int(value: object, key: str, maps: Mapping) -> int:
+    if type(value) is not int:  # a type test, so a bool is no integer
+        raise _rejected(value, key, f"{key!r} must be an integer")
     return value
 
 
-def _as_ts(obj: Mapping, key: str) -> float:
-    value = _need(obj, key)
+def _read_bool(value: object, key: str, maps: Mapping) -> bool:
+    if type(value) is not bool:
+        raise _rejected(value, key, f"{key!r} must be a boolean")
+    return value
+
+
+def _read_epoch(value: object, key: str, maps: Mapping) -> float:
     try:
         return parse_iso_utc(value, key)
     except ParseError as exc:
-        raise _FieldError(key, str(exc)) from None
+        raise _rejected(value, key, str(exc)) from None
 
 
-def _as_opt_ts(obj: Mapping, key: str) -> float | None:
-    value = obj.get(key)
-    if value is None:
+def _read_optional_epoch(value: object, key: str, maps: Mapping) -> float | None:
+    if value is None or value is _ABSENT:
         return None
-    try:
-        return parse_iso_utc(value, key)
-    except ParseError as exc:
-        raise _FieldError(key, str(exc)) from None
+    return _read_epoch(value, key, maps)
 
 
-def _int_as_float(value: int) -> float:
-    try:
-        return float(value)
-    except OverflowError:  # read as infinite, as a stats CSV reads such a number
-        return math.inf if value > 0 else -math.inf
-
-
-def _as_str_list(obj: Mapping, key: str) -> list[str]:
-    value = _need(obj, key)
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise _FieldError(key, f"{key!r} must be an array of strings")
+def _read_str_list(value: object, key: str, maps: Mapping) -> list[str]:
+    if type(value) is not list or not _all_of(str, value):
+        raise _rejected(value, key, f"{key!r} must be an array of strings")
     return value
 
 
-def _commit_from_dict(raw: Mapping, team_map: Mapping[str, str], alias_map: Mapping[str, str]) -> Commit:
-    files = []
-    raw_files = _need(raw, "files")
-    if not isinstance(raw_files, list):
-        raise _FieldError("files", "'files' must be an array")
-    for i, entry in enumerate(raw_files):
-        # json.loads builds every object as a dict; a Mapping test costs ten times more
-        if not isinstance(entry, dict):
-            raise _FieldError("files", f"files[{i}] must be an object")
-        # FileChange, Commit and BuildStats, built per row, take positional arguments:
-        # a keyword call costs 0.3-0.9 us more, as much as the positional call itself
-        files.append(FileChange(_as_str(entry, "path"), _as_int(entry, "added"), _as_int(entry, "deleted")))
-    author = _as_str(raw, "author")
-    author = alias_map.get(author, author)
-    team = _as_str(raw, "team")
-    return Commit(
-        _as_str(raw, "id"),
-        author,
-        _as_ts(raw, "authored_at"),
-        _as_str_list(raw, "parents"),
-        _as_str(raw, "message", allow_empty=True),
-        files,
-        team_map.get(team, team),
-    )
+def _read_assignees(value: object, key: str, maps: Mapping) -> list[str]:
+    alias_map = maps["alias_map"]
+    return [alias_map.get(a, a) for a in _read_str_list(value, key, maps)]
 
 
-def _story_from_dict(raw: Mapping, team_map: Mapping[str, str], alias_map: Mapping[str, str]) -> UserStory:
-    state_raw = _as_str(raw, "state")
+_STATES = {state.value: state for state in StoryState}
+
+
+def _read_state(value: object, key: str, maps: Mapping) -> StoryState:
     try:
-        state = StoryState(state_raw)
-    except ValueError:
-        raise _FieldError("state", f"state must be 'open' or 'closed', got {state_raw!r}") from None
-    memberships = []
-    raw_history = _need(raw, "milestone_history")
-    if not isinstance(raw_history, list):
-        raise _FieldError("milestone_history", "'milestone_history' must be an array")
-    for i, entry in enumerate(raw_history):
-        if not isinstance(entry, dict):
-            raise _FieldError("milestone_history", f"milestone_history[{i}] must be an object")
-        memberships.append(
-            SprintMembership(
-                sprint_id=_as_str(entry, "sprint_id"),
-                assigned_at=_as_ts(entry, "assigned_at"),
-            )
-        )
-    team = _as_str(raw, "team")
-    assignees = [alias_map.get(a, a) for a in _as_str_list(raw, "assignees")]
-    return UserStory(
-        number=_as_int(raw, "number"),
-        title=_as_str(raw, "title", allow_empty=True),
-        body=_as_str(raw, "body", allow_empty=True),
-        state=state,
-        labels=_as_str_list(raw, "labels"),
-        milestones=memberships,
-        assignees=assignees,
-        created_at=_as_ts(raw, "created_at"),
-        closed_at=_as_opt_ts(raw, "closed_at"),
-        team=team_map.get(team, team),
-    )
+        return _STATES[_read_id(value, key, maps)]
+    except KeyError:
+        raise _FieldError(key, f"{key} must be 'open' or 'closed', got {value!r}") from None
 
 
-def _sprint_from_dict(raw: Mapping, team_map: Mapping[str, str]) -> Sprint:
-    team = _as_str(raw, "team")
-    return Sprint(
-        id=_as_str(raw, "id"),
-        title=_as_str(raw, "title", allow_empty=True),
-        starts_at=_as_ts(raw, "starts_at"),
-        due_on=_as_ts(raw, "due_on"),
-        team=team_map.get(team, team),
-    )
-
-
-def _pull_from_dict(raw: Mapping, team_map: Mapping[str, str]) -> PullRequest:
-    team = _as_str(raw, "team")
-    return PullRequest(
-        number=_as_int(raw, "number"),
-        opened_at=_as_ts(raw, "opened_at"),
-        closed_at=_as_opt_ts(raw, "closed_at"),
-        merged=_as_bool(raw, "merged"),
-        comment_count=_as_int(raw, "comments"),
-        team=team_map.get(team, team),
-    )
-
-
-def read_commits(
-    path: str | Path,
-    team_map: Mapping[str, str] | None = None,
-    alias_map: Mapping[str, str] | None = None,
-) -> tuple[list[Commit], list[ParseIssue]]:
-    """Read newline-delimited commit records, collecting bad lines with their numbers."""
-    team_map = team_map or {}
-    alias_map = alias_map or {}
-    records: list[Commit] = []
-    issues: list[ParseIssue] = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            check_unicode(line, raw)
-            if not isinstance(raw, dict):
-                raise _FieldError("", "line is not a JSON object")
-            records.append(_commit_from_dict(raw, team_map, alias_map))
-        except json.JSONDecodeError as exc:
-            issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc.msg}"))
-        except RecursionError as exc:
-            issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc}"))
-        except (_FieldError, ValueError) as exc:
-            field_name = exc.field_name if isinstance(exc, _FieldError) else None
-            issues.append(ParseIssue(lineno, field_name or None, str(exc)))
-    return records, issues
-
-
-def _read_array_file(path: str | Path, what: str, parser: Callable) -> tuple[list, list[ParseIssue]]:
-    """Parse each entry of a JSON array file, collecting bad ones by their index."""
-    rows = read_json(path)
-    if not isinstance(rows, list):
-        raise ParseError(f"{path} must contain a JSON array of {what}")
-    records = []
-    issues: list[ParseIssue] = []
-    for index, raw in enumerate(rows):
-        try:
-            if not isinstance(raw, dict):
-                raise _FieldError("", f"{what} entry is not an object")
-            records.append(parser(raw))
-        except (_FieldError, ValueError) as exc:
-            field_name = exc.field_name if isinstance(exc, _FieldError) else None
-            issues.append(ParseIssue(index, field_name or None, str(exc)))
-    return records, issues
-
-
-def read_issues(
-    path: str | Path,
-    team_map: Mapping[str, str] | None = None,
-    alias_map: Mapping[str, str] | None = None,
-) -> tuple[list[UserStory], list[ParseIssue]]:
-    tm, am = team_map or {}, alias_map or {}
-    return _read_array_file(path, "stories", lambda raw: _story_from_dict(raw, tm, am))
-
-
-def read_sprints(
-    path: str | Path, team_map: Mapping[str, str] | None = None
-) -> tuple[list[Sprint], list[ParseIssue]]:
-    tm = team_map or {}
-    return _read_array_file(path, "sprints", lambda raw: _sprint_from_dict(raw, tm))
-
-
-def read_pulls(
-    path: str | Path, team_map: Mapping[str, str] | None = None
-) -> tuple[list[PullRequest], list[ParseIssue]]:
-    tm = team_map or {}
-    return _read_array_file(path, "pull requests", lambda raw: _pull_from_dict(raw, tm))
-
-
-STATS_HEADER = ("commit_id", "coverage_percent", "complexity")
-
-
-def read_stats(path: str | Path) -> tuple[list[BuildStats], list[ParseIssue]]:
-    """Read the per-commit stats table; rows with out-of-range coverage are rejected."""
-    # the reader sees the raw text, so a quoted field may span lines
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    records: list[BuildStats] = []
-    issues: list[ParseIssue] = []
-    try:
-        if tuple(next(reader, ())) != STATS_HEADER:
-            raise ParseError(f"{path} must start with header {','.join(STATS_HEADER)!r}")
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != 3:
-                issues.append(ParseIssue(lineno, None, f"expected 3 columns, got {len(row)}"))
-                continue
-            commit_id = row[0]
-            try:
-                coverage = float(row[1])
-                complexity = float(row[2])
-            except ValueError:
-                issues.append(ParseIssue(lineno, None, f"non-numeric stats for commit {commit_id!r}"))
-                continue
-            try:
-                records.append(BuildStats(commit_id, coverage, complexity))
-            except ValueError as exc:
-                issues.append(ParseIssue(lineno, None, str(exc)))
-    except csv.Error as exc:
-        # e.g. a field over csv.field_size_limit(); the field may be quoted across
-        # lines, so no row after it can be trusted
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return records, issues
-
-
-def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[str]]:
-    """Read every file named by the manifest and build the validated history.
-
-    Returns the history plus the rendered parse issues, each with its file
-    position; shallow-parent flags from assembly stay in the history's
-    `diagnostics`. When any record failed to parse, the history is None: its
-    cross-references are not checked, since they may name a rejected record.
-    Raises on unreadable files or cross-reference failures.
-    """
-    maps = {"team_map": manifest.team_map, "alias_map": manifest.alias_map}
-    records: list[list] = []
-    diagnostics: list[str] = []
-    for kind in EXPORTS:
-        path = manifest.paths.get(kind)
-        if path is None:
-            records.append([])
-            continue
-        # looked up by name on each call, so a tracer that swaps the module's readers sees it
-        reader = globals()[f"read_{kind}"]
-        accepted = inspect.signature(reader).parameters
-        found, issues = reader(path, **{k: v for k, v in maps.items() if k in accepted})
-        records.append(found)
-        diagnostics.extend(i.render(path) for i in issues)
-
-    if diagnostics:
-        return None, diagnostics
-    return build_history(*records), diagnostics
-
-
-# --- writers ---------------------------------------------------------------
-
-
-def commit_to_dict(commit: Commit) -> dict:
-    return {
-        "id": commit.id,
-        "author": commit.author,
-        "authored_at": format_iso_utc(commit.authored_at),
-        "parents": list(commit.parents),
-        "message": commit.message,
-        "files": [
-            {"path": f.path, "added": f.lines_added, "deleted": f.lines_deleted}
-            for f in commit.files
-        ],
-        "team": commit.team,
-    }
-
-
-def story_to_dict(story: UserStory) -> dict:
-    return {
-        "number": story.number,
-        "title": story.title,
-        "body": story.body,
-        "state": story.state.value,
-        "labels": sorted(story.labels),
-        "milestone_history": [
-            {"sprint_id": m.sprint_id, "assigned_at": format_iso_utc(m.assigned_at)}
-            for m in story.milestones
-        ],
-        "assignees": sorted(story.assignees),
-        "created_at": format_iso_utc(story.created_at),
-        "closed_at": None if story.closed_at is None else format_iso_utc(story.closed_at),
-        "team": story.team,
-    }
-
-
-def sprint_to_dict(sprint: Sprint) -> dict:
-    return {
-        "id": sprint.id,
-        "title": sprint.title,
-        "starts_at": format_iso_utc(sprint.starts_at),
-        "due_on": format_iso_utc(sprint.due_on),
-        "team": sprint.team,
-    }
-
-
-def pull_to_dict(pull: PullRequest) -> dict:
-    return {
-        "number": pull.number,
-        "opened_at": format_iso_utc(pull.opened_at),
-        "closed_at": None if pull.closed_at is None else format_iso_utc(pull.closed_at),
-        "merged": pull.merged,
-        "comments": pull.comment_count,
-        "team": pull.team,
-    }
-
-
-def write_commits(path: str | Path, commits: Iterable[Commit]) -> None:
-    lines = [canonical_json(commit_to_dict(c)) for c in commits]
-    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def write_issues(path: str | Path, stories: Iterable[UserStory]) -> None:
-    write_text(path, canonical_json([story_to_dict(s) for s in stories]) + "\n")
-
-
-def write_sprints(path: str | Path, sprints: Iterable[Sprint]) -> None:
-    write_text(path, canonical_json([sprint_to_dict(s) for s in sprints]) + "\n")
-
-
-def write_pulls(path: str | Path, pulls: Iterable[PullRequest]) -> None:
-    write_text(path, canonical_json([pull_to_dict(p) for p in pulls]) + "\n")
-
-
-def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(STATS_HEADER)
-    writer.writerows((s.commit_id, repr(s.coverage_percent), repr(s.complexity)) for s in stats)
-    write_text(path, out.getvalue())
-
-
-# --- snapshot (the validated single-file form the CLI passes between steps) -
+# --- snapshot columns ------------------------------------------------------
 #
 # `write_snapshot` writes format 2: ``{"format": 2, "commits": {...}, ...}``,
 # each collection an object of equal-length columns named like the export
 # fields, every timestamp a JSON number of epoch seconds (written as the
 # float's repr, so it reads back exactly), each commit's files a list of
 # ``[path, added, deleted]`` triples and each story's milestone history a
-# list of ``[sprint_id, assigned_at]`` pairs.
+# list of ``[sprint_id, assigned_at]`` pairs. Each load takes a column's
+# cells and returns the record constructor's arguments.
 
 SNAPSHOT_FORMAT = 2
 
@@ -575,6 +302,13 @@ def _load_optional_epochs(values: list) -> list:
     return [None if v is None else float(v) for v in values]
 
 
+def _int_as_float(value: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # read as infinite, as a stats CSV reads such a number
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_number(value: object) -> None:
     if not _is_number(value):
         raise _Malformed(f"must be a number, got {value!r}")
@@ -598,9 +332,6 @@ def _load_str_lists(values: list) -> list:
     return values
 
 
-_STATES = {state.value: state for state in StoryState}
-
-
 def _check_state(value: object) -> None:
     if type(value) is not str or value not in _STATES:
         raise _Malformed(f"must be 'open' or 'closed', got {value!r}")
@@ -610,30 +341,6 @@ def _load_states(values: list) -> list:
     if not (_all_of(str, values) and set(values) <= _STATES.keys()):
         _reject_first(values, _check_state)
     return list(map(_STATES.__getitem__, values))
-
-
-def _nested_column(entry_name: str, entry_types: str, entries_ok: Callable[[list], bool],
-                   build: Callable) -> Callable[[list], Iterable]:
-    """A column whose cells are arrays of fixed-length entries, each the arguments of `build`.
-
-    `entries_ok` checks a list of entries. The records are built lazily, as
-    the records holding them are, so a constructor failure is reported at
-    its record's index.
-    """
-
-    def check(cell: object) -> None:
-        if type(cell) is not list:
-            raise _Malformed(f"must be an array of {entry_name}s, got {cell!r}")
-        for index, entry in enumerate(cell):
-            if not entries_ok([entry]):
-                raise _Malformed(f"must be a {entry_name} of {entry_types}, got {entry!r}", f"[{index}]")
-
-    def load(values: list) -> Iterable:
-        if not (_all_of(list, values) and entries_ok(list(chain.from_iterable(values)))):
-            _reject_first(values, check)
-        return (tuple(starmap(build, cell)) for cell in values)
-
-    return load
 
 
 def _triples_ok(entries: list) -> bool:
@@ -649,58 +356,306 @@ def _pairs_ok(entries: list) -> bool:
             and all(map(_is_epoch, map(itemgetter(1), entries))))
 
 
+# --- the schema --------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class _Column:
-    """How one kind of snapshot column is checked on load and written."""
+    """One kind of export field: how it is read and written in an export, and loaded and dumped in a snapshot."""
 
+    # export value, field name, maps -> the record constructor's argument; raises _FieldError
+    read: Callable[[object, str, Mapping], object] | None
+    # the record's value -> the export value; None writes the value as it is
+    write: Callable[[object], object] | None
     # the column's cells -> the record constructor's arguments; raises _Malformed
     load: Callable[[list], Iterable]
-    # the records' attribute values -> the column's cells
+    # the records' values -> the column's cells
     dump: Callable[[Iterable], list] = list
 
 
-_STR = _Column(_typed_column(str, "a string"))
-_INT = _Column(_typed_column(int, "an integer"))
-_BOOL = _Column(_typed_column(bool, "a boolean"))
-_NUMBER = _Column(_load_numbers)
-_EPOCH = _Column(_load_epochs)
-_OPTIONAL_EPOCH = _Column(_load_optional_epochs)
-_STATE = _Column(_load_states, lambda states: [s.value for s in states])
-_STR_LIST = _Column(_load_str_lists, lambda lists: list(map(list, lists)))
-_STR_SET = _Column(_load_str_lists, lambda sets: list(map(sorted, sets)))
-_FILES = _Column(
-    _nested_column("[path, added, deleted] triple", "a string and two integers", _triples_ok,
-                   FileChange),
-    lambda files: [[[f.path, f.lines_added, f.lines_deleted] for f in cell] for cell in files],
-)
-_MEMBERSHIPS = _Column(
-    _nested_column("[sprint_id, assigned_at] pair", "a string and epoch seconds in years 1 to 9999 (UTC)",
-                   _pairs_ok, SprintMembership),
-    lambda histories: [[[m.sprint_id, m.assigned_at] for m in cell] for cell in histories],
-)
+def _reads(fields: Mapping[str, _Column]) -> tuple:
+    return tuple((name, column.read) for name, column in fields.items())
 
-# export kind -> (record class, format-2 columns in the order of the class's fields);
-# the column names are the export field names
-_SNAPSHOT_COLUMNS: dict[str, tuple[type, dict[str, _Column]]] = {
-    "commits": (Commit, {"id": _STR, "author": _STR, "authored_at": _EPOCH, "parents": _STR_LIST,
-                         "message": _STR, "files": _FILES, "team": _STR}),
-    "issues": (UserStory, {"number": _INT, "title": _STR, "body": _STR, "state": _STATE,
-                           "labels": _STR_SET, "milestone_history": _MEMBERSHIPS, "assignees": _STR_SET,
-                           "created_at": _EPOCH, "closed_at": _OPTIONAL_EPOCH, "team": _STR}),
-    "sprints": (Sprint, {"id": _STR, "title": _STR, "starts_at": _EPOCH, "due_on": _EPOCH, "team": _STR}),
+
+def _writes(fields: Mapping[str, _Column]) -> tuple:
+    return tuple((name, column.write) for name, column in fields.items())
+
+
+def _record_from_dict(record_class: type, reads: tuple, raw: Mapping, maps: Mapping):
+    """The record that the export object `raw` holds, its fields read by `reads`."""
+    return record_class._make([read(raw.get(name, _ABSENT), name, maps) for name, read in reads])
+
+
+def _record_to_dict(writes: tuple, record: tuple) -> dict:
+    """The export object of `record`, a tuple of its fields in the order of `writes`."""
+    return {name: value if write is None else write(value) for (name, write), value in zip(writes, record)}
+
+
+def _entries(record_class: type, fields: dict[str, _Column], entry_types: str,
+             entries_ok: Callable[[list], bool]) -> _Column:
+    """A column whose cells are arrays of `record_class` records, each an object of `fields` in an export.
+
+    In a snapshot each entry is the array of its fields' values, checked in
+    bulk by `entries_ok`; `entry_types` names their types. The entries are
+    built lazily, as the records holding them are, so a constructor failure
+    is reported at its record's index.
+    """
+    reads, writes = _reads(fields), _writes(fields)
+    entry_name = f"[{', '.join(fields)}] {({2: 'pair', 3: 'triple'})[len(fields)]}"
+
+    def read(value: object, key: str, maps: Mapping) -> list:
+        if type(value) is not list:
+            raise _rejected(value, key, f"{key!r} must be an array")
+        entries = []
+        for index, entry in enumerate(value):
+            if type(entry) is not dict:
+                raise _FieldError(key, f"{key}[{index}] must be an object")
+            entries.append(_record_from_dict(record_class, reads, entry, maps))
+        return entries
+
+    def check(cell: object) -> None:
+        if type(cell) is not list:
+            raise _Malformed(f"must be an array of {entry_name}s, got {cell!r}")
+        for index, entry in enumerate(cell):
+            if not entries_ok([entry]):
+                raise _Malformed(f"must be a {entry_name} of {entry_types}, got {entry!r}", f"[{index}]")
+
+    def load(values: list) -> Iterable:
+        if not (_all_of(list, values) and entries_ok(list(chain.from_iterable(values)))):
+            _reject_first(values, check)
+        return (tuple(starmap(record_class, cell)) for cell in values)
+
+    return _Column(
+        read,
+        lambda cell: [_record_to_dict(writes, entry) for entry in cell],
+        load,
+        lambda cells: [list(map(list, cell)) for cell in cells],
+    )
+
+
+_ID = _Column(_read_id, None, _typed_column(str, "a string"))
+_TEXT = replace(_ID, read=_read_text)
+_TEAM = replace(_ID, read=_read_team)
+_AUTHOR = replace(_ID, read=_read_author)
+_INT = _Column(_read_int, None, _typed_column(int, "an integer"))
+_BOOL = _Column(_read_bool, None, _typed_column(bool, "a boolean"))
+_NUMBER = _Column(None, None, _load_numbers)  # only in the stats CSV, which has its own reader
+# format_iso_utc is looked up on each call, so a caller that swaps the module's copy sees it
+_EPOCH = _Column(_read_epoch, lambda stamp: format_iso_utc(stamp), _load_epochs)
+_OPTIONAL_EPOCH = _Column(
+    _read_optional_epoch, lambda stamp: None if stamp is None else format_iso_utc(stamp), _load_optional_epochs
+)
+_STATE = _Column(_read_state, attrgetter("value"), _load_states, lambda states: [s.value for s in states])
+_STR_LIST = _Column(_read_str_list, list, _load_str_lists, lambda lists: list(map(list, lists)))
+_STR_SET = _Column(_read_str_list, sorted, _load_str_lists, lambda sets: list(map(sorted, sets)))
+_ASSIGNEES = replace(_STR_SET, read=_read_assignees)
+_FILES = _entries(FileChange, {"path": _ID, "added": _INT, "deleted": _INT}, "a string and two integers",
+                  _triples_ok)
+_MEMBERSHIPS = _entries(SprintMembership, {"sprint_id": _ID, "assigned_at": _EPOCH},
+                        "a string and epoch seconds in years 1 to 9999 (UTC)", _pairs_ok)
+
+# export kind -> (record class, {export field: column kind} in the order of the class's fields);
+# a snapshot's columns are named like the export fields
+_SCHEMA: dict[str, tuple[type, dict[str, _Column]]] = {
+    "commits": (Commit, {"id": _ID, "author": _AUTHOR, "authored_at": _EPOCH, "parents": _STR_LIST,
+                         "message": _TEXT, "files": _FILES, "team": _TEAM}),
+    "issues": (UserStory, {"number": _INT, "title": _TEXT, "body": _TEXT, "state": _STATE,
+                           "labels": _STR_SET, "milestone_history": _MEMBERSHIPS, "assignees": _ASSIGNEES,
+                           "created_at": _EPOCH, "closed_at": _OPTIONAL_EPOCH, "team": _TEAM}),
+    "sprints": (Sprint, {"id": _ID, "title": _TEXT, "starts_at": _EPOCH, "due_on": _EPOCH, "team": _TEAM}),
     "pulls": (PullRequest, {"number": _INT, "opened_at": _EPOCH, "closed_at": _OPTIONAL_EPOCH,
-                            "merged": _BOOL, "comments": _INT, "team": _STR}),
-    "stats": (BuildStats, {"commit_id": _STR, "coverage_percent": _NUMBER, "complexity": _NUMBER}),
+                            "merged": _BOOL, "comments": _INT, "team": _TEAM}),
+    "stats": (BuildStats, {"commit_id": _ID, "coverage_percent": _NUMBER, "complexity": _NUMBER}),
 }
+_READS = {kind: (record_class, _reads(fields)) for kind, (record_class, fields) in _SCHEMA.items()}
+_WRITES = {kind: _writes(fields) for kind, (_, fields) in _SCHEMA.items()}
+
+STATS_HEADER = tuple(_SCHEMA["stats"][1])
+
+
+# --- readers ---------------------------------------------------------------
+
+
+def read_commits(
+    path: str | Path,
+    team_map: Mapping[str, str] | None = None,
+    alias_map: Mapping[str, str] | None = None,
+) -> tuple[list[Commit], list[ParseIssue]]:
+    """Read newline-delimited commit records, collecting bad lines with their numbers."""
+    maps = {"team_map": team_map or {}, "alias_map": alias_map or {}}
+    record_class, reads = _READS["commits"]
+    records: list[Commit] = []
+    issues: list[ParseIssue] = []
+    # split at "\n" only: JSON allows U+2028, U+2029 and U+0085 raw inside a string
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+            check_unicode(line, raw)
+            if not isinstance(raw, dict):
+                raise _FieldError("", "line is not a JSON object")
+            records.append(_record_from_dict(record_class, reads, raw, maps))
+        except json.JSONDecodeError as exc:
+            issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc.msg}"))
+        except RecursionError as exc:
+            issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc}"))
+        except (_FieldError, ValueError) as exc:
+            field_name = exc.field_name if isinstance(exc, _FieldError) else None
+            issues.append(ParseIssue(lineno, field_name or None, str(exc)))
+    return records, issues
+
+
+def _read_array_file(
+    path: str | Path, kind: str, what: str, team_map: Mapping[str, str] | None,
+    alias_map: Mapping[str, str] | None = None,
+) -> tuple[list, list[ParseIssue]]:
+    """Read each entry of a JSON array file of `what`, collecting bad ones by their index."""
+    rows = read_json(path)
+    if not isinstance(rows, list):
+        raise ParseError(f"{path} must contain a JSON array of {what}")
+    maps = {"team_map": team_map or {}, "alias_map": alias_map or {}}
+    record_class, reads = _READS[kind]
+    records = []
+    issues: list[ParseIssue] = []
+    for index, raw in enumerate(rows):
+        try:
+            if not isinstance(raw, dict):
+                raise _FieldError("", f"{what} entry is not an object")
+            records.append(_record_from_dict(record_class, reads, raw, maps))
+        except (_FieldError, ValueError) as exc:
+            field_name = exc.field_name if isinstance(exc, _FieldError) else None
+            issues.append(ParseIssue(index, field_name or None, str(exc)))
+    return records, issues
+
+
+def read_issues(
+    path: str | Path,
+    team_map: Mapping[str, str] | None = None,
+    alias_map: Mapping[str, str] | None = None,
+) -> tuple[list[UserStory], list[ParseIssue]]:
+    return _read_array_file(path, "issues", "stories", team_map, alias_map)
+
+
+def read_sprints(
+    path: str | Path, team_map: Mapping[str, str] | None = None
+) -> tuple[list[Sprint], list[ParseIssue]]:
+    return _read_array_file(path, "sprints", "sprints", team_map)
+
+
+def read_pulls(
+    path: str | Path, team_map: Mapping[str, str] | None = None
+) -> tuple[list[PullRequest], list[ParseIssue]]:
+    return _read_array_file(path, "pulls", "pull requests", team_map)
+
+
+def read_stats(path: str | Path) -> tuple[list[BuildStats], list[ParseIssue]]:
+    """Read the per-commit stats table; rows with out-of-range coverage are rejected."""
+    # the reader sees the raw text, so a quoted field may span lines
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    records: list[BuildStats] = []
+    issues: list[ParseIssue] = []
+    try:
+        if tuple(next(reader, ())) != STATS_HEADER:
+            raise ParseError(f"{path} must start with header {','.join(STATS_HEADER)!r}")
+        for row in reader:
+            lineno = reader.line_num
+            if not row:
+                continue
+            if len(row) != 3:
+                issues.append(ParseIssue(lineno, None, f"expected 3 columns, got {len(row)}"))
+                continue
+            commit_id = row[0]
+            try:
+                coverage = float(row[1])
+                complexity = float(row[2])
+            except ValueError:
+                issues.append(ParseIssue(lineno, None, f"non-numeric stats for commit {commit_id!r}"))
+                continue
+            try:
+                records.append(BuildStats(commit_id, coverage, complexity))
+            except ValueError as exc:
+                issues.append(ParseIssue(lineno, None, str(exc)))
+    except csv.Error as exc:
+        # e.g. a field over csv.field_size_limit(); the field may be quoted across
+        # lines, so no row after it can be trusted
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    return records, issues
+
+
+def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[str]]:
+    """Read every file named by the manifest and build the validated history.
+
+    Returns the history plus the rendered parse issues, each with its file
+    position; shallow-parent flags from assembly stay in the history's
+    `diagnostics`. When any record failed to parse, the history is None: its
+    cross-references are not checked, since they may name a rejected record.
+    Raises on unreadable files or cross-reference failures.
+    """
+    maps = {"team_map": manifest.team_map, "alias_map": manifest.alias_map}
+    records: list[list] = []
+    diagnostics: list[str] = []
+    for kind in EXPORTS:
+        path = manifest.paths.get(kind)
+        if path is None:
+            records.append([])
+            continue
+        # looked up by name on each call, so a tracer that swaps the module's readers sees it
+        reader = globals()[f"read_{kind}"]
+        accepted = inspect.signature(reader).parameters
+        found, issues = reader(path, **{k: v for k, v in maps.items() if k in accepted})
+        records.append(found)
+        diagnostics.extend(i.render(path) for i in issues)
+
+    if diagnostics:
+        return None, diagnostics
+    return build_history(*records), diagnostics
+
+
+# --- writers ---------------------------------------------------------------
+
+
+def write_commits(path: str | Path, commits: Iterable[Commit]) -> None:
+    writes = _WRITES["commits"]
+    lines = [canonical_json(_record_to_dict(writes, c)) for c in commits]
+    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+def _write_array(path: str | Path, kind: str, records: Iterable) -> None:
+    writes = _WRITES[kind]
+    write_text(path, canonical_json([_record_to_dict(writes, r) for r in records]) + "\n")
+
+
+def write_issues(path: str | Path, stories: Iterable[UserStory]) -> None:
+    _write_array(path, "issues", stories)
+
+
+def write_sprints(path: str | Path, sprints: Iterable[Sprint]) -> None:
+    _write_array(path, "sprints", sprints)
+
+
+def write_pulls(path: str | Path, pulls: Iterable[PullRequest]) -> None:
+    _write_array(path, "pulls", pulls)
+
+
+def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(STATS_HEADER)
+    writer.writerows((s.commit_id, repr(s.coverage_percent), repr(s.complexity)) for s in stats)
+    write_text(path, out.getvalue())
+
+
+# --- snapshot (the validated single-file form the CLI passes between steps) -
+
 
 def snapshot_to_dict(history: ProjectHistory) -> dict:
     """The format-2 snapshot document of `history`."""
     doc: dict = {"format": SNAPSHOT_FORMAT}
     for kind, records in zip(EXPORTS, history.records()):
-        record_class, columns = _SNAPSHOT_COLUMNS[kind]
         doc[kind] = {
-            name: column.dump(map(attrgetter(attribute), records))
-            for (name, column), attribute in zip(columns.items(), record_class._fields, strict=True)
+            name: column.dump(map(itemgetter(index), records))
+            for index, (name, column) in enumerate(_SCHEMA[kind][1].items())
         }
     return doc
 
@@ -711,7 +666,7 @@ def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
 
 def _records_from_columns(kind: str, table: object) -> list:
     """Check one format-2 collection column by column, then build its records."""
-    record_class, columns = _SNAPSHOT_COLUMNS[kind]
+    record_class, columns = _SCHEMA[kind]
     if not isinstance(table, dict):
         raise _Malformed(f"{kind!r} must be an object of columns")
     unknown = [name for name in table if name not in columns]

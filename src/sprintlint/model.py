@@ -7,7 +7,8 @@ Timestamps are floats of UTC epoch seconds throughout.
 The seven export records, `FileChange` to `PullRequest`, are checked tuples:
 named tuples whose `__new__` checks and normalises the fields, as a load
 builds one or more per row and a tuple is the cheapest immutable object to
-build. A record equals only a record of its own class, never a plain tuple.
+build. A record equals only a record of its own class, never a plain tuple,
+and `_make` and `_replace` run the same checks as the constructor.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class _Record(tuple):
         return not self == other
 
     __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> _Record:
+        # namedtuple's own `_make` (which `_replace` calls) skips `__new__` and its checks
+        return cls(*iterable)
 
 
 class FileChange(_Record, namedtuple("FileChange", "path lines_added lines_deleted")):

@@ -77,11 +77,15 @@ def aggregate(
 
     severities = {r.metric: effective_severity(registry, config, r.metric) for r in scored}
     weights = {metric: config.severity_weights[severity] for metric, severity in severities.items()}
+    # weights relative to the largest, so that finite weights cannot sum to infinity;
+    # dividing by a power of two, as every default weight is, changes no bit of the result
+    largest = max(weights.values(), default=0.0)
+    relative = {metric: weight / largest for metric, weight in weights.items()} if largest > 0 else {}
 
-    total_weight = sum(weights.values())
+    total = sum(relative.values())
     overall: float | None = None
-    if scored and total_weight > 0:
-        overall = sum(weights[r.metric] * r.score for r in scored) / total_weight
+    if total > 0:
+        overall = sum(relative[r.metric] * r.score for r in scored) / total
 
     contributions = tuple(
         Contribution(
@@ -89,7 +93,7 @@ def aggregate(
             score=r.score,
             severity=severities[r.metric],
             weight=weights[r.metric],
-            weighted_share=(weights[r.metric] * r.score / total_weight) if total_weight > 0 else 0.0,
+            weighted_share=(relative[r.metric] * r.score / total) if total > 0 else 0.0,
         )
         for r in scored
     )

@@ -130,6 +130,23 @@ def test_lint_injected_fixture_fails_policy_gate(tmp_path):
     assert code == 1
 
 
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_weights_whose_sum_overflows_still_score_and_gate(tmp_path):
+    snapshot = _ingest(tmp_path, _generate(tmp_path, inject={"silent_fast_pulls": 1}))
+    config_path = tmp_path / "config.json"
+    weights = {"informational": 0, "very_low": 1e308, "low": 1e308, "normal": 1e308, "high": 1e308}
+    config_path.write_text(json.dumps({"severity_weights": weights}), encoding="utf-8")
+    code = main(["lint", "--project", str(snapshot), "--config", str(config_path), "--fail-below", "100",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"), parse_constant=_no_constant)
+    overalls = [s["overall"] for s in report["scores"]]
+    assert overalls and all(0.0 <= o <= 100.0 for o in overalls)
+
 @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
 def test_lint_rejects_a_fail_below_that_is_not_finite(tmp_path, capsys, bound):
     # NaN and -inf could never trip the gate, and inf always would

@@ -424,3 +424,20 @@ def test_record_repr_names_each_field():
         "Commit(id='c1', author='ann@example.org', authored_at=1420416000.0, parents=('p0',), "
         "message='m', files=(FileChange(path='src/a.py', lines_added=3, lines_deleted=1),), team='alpha')"
     )
+
+
+def test_replace_and_make_run_the_constructor_checks():
+    with pytest.raises(RecordError, match="^lines_added < 0 for a$"):
+        FileChange("a", 1, 1)._replace(lines_added=-5)
+    commit = RECORDS[Commit]()
+    assert commit._replace(author="ANN").author == "ann"
+    assert commit._replace(parents=["p1"]).parents == ("p1",)
+    assert Commit._make(commit) == commit
+    with pytest.raises(RecordError, match="^commit id must be non-empty$"):
+        Commit._make(("", *commit[1:]))
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_replace_with_no_change_rebuilds_an_equal_record(cls):
+    record = RECORDS[cls]()
+    assert record._replace() == record and type(record._replace()) is cls

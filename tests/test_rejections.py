@@ -107,8 +107,8 @@ def _optional_str(kind, key):
     # may be empty, but must be present and a string
     return [
         (kind, (key,), MISSING, key, f"missing field {key!r}"),
-        (kind, (key,), 7, key, f"{key!r} must be a non-empty string"),
-        (kind, (key,), ["x"], key, f"{key!r} must be a non-empty string"),
+        (kind, (key,), 7, key, f"{key!r} must be a string"),
+        (kind, (key,), ["x"], key, f"{key!r} must be a string"),
     ]
 
 

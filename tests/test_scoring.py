@@ -15,6 +15,7 @@ from sprintlint import (
     aggregate,
     aggregate_all,
     build_history,
+    config_from_dict,
     default_registry,
     trend,
     trend_csv,
@@ -44,6 +45,17 @@ def test_weighted_mean_high_eight_low_two():
     score = aggregate(results, REGISTRY, CONFIG)
     assert score.overall == pytest.approx(90.0, abs=1e-12)  # (800 + 100) / 10
 
+
+
+def test_weights_whose_sum_overflows_give_the_unweighted_mean():
+    # each weight is finite, but two of them sum to infinity
+    config = config_from_dict(
+        {"severity_weights": {"informational": 0, "very_low": 1e308, "low": 1e308, "normal": 1e308, "high": 1e308}}
+    )
+    results = [_result("fast-pull-requests", 100.0), _result("huge-stories", 50.0)]
+    score = aggregate(results, REGISTRY, config)
+    assert score.overall == 75.0
+    assert [(c.weight, c.weighted_share) for c in score.contributions] == [(1e308, 50.0), (1e308, 25.0)]
 
 def test_all_informational_yields_not_applicable():
     config = MetricConfig(
