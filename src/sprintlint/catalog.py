@@ -13,8 +13,8 @@ data never masquerades as conformance or violation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Any
 
 from . import config as cfg
@@ -34,6 +34,7 @@ from .model import (
     Severity,
     SprintSlice,
     Violation,
+    _Record,
 )
 
 
@@ -49,13 +50,10 @@ def _not_applicable(reason: str) -> Finding:
     return Finding(violations=(), score=None, diagnostic=reason)
 
 
-@dataclass(frozen=True)
-class FileEditProfile:
-    """Edit pressure on one file within a sprint: how often, by how many people."""
+class FileEditProfile(_Record, namedtuple("FileEditProfile", "path edits authors")):
+    """Edit pressure on one file within a sprint: how often (`edits`), by whom (a frozenset of `authors`)."""
 
-    path: str
-    edits: int
-    authors: frozenset[str]
+    __slots__ = ()
 
 
 def file_edit_profiles(slice_: SprintSlice) -> list[FileEditProfile]:
@@ -384,16 +382,12 @@ def detect_fast_pulls(slice_: SprintSlice, settings: Mapping[str, Any]) -> Findi
     )
 
 
-@dataclass(frozen=True)
-class UnfinishedStories:
-    """Stories still open in a sprint whose deadline has passed."""
+class UnfinishedStories(_Record, namedtuple(
+    "UnfinishedStories", "sprint_id sprint_title amount story_numbers total percent"
+)):
+    """Stories still open in a sprint whose deadline has passed: `amount` of the backlog's `total`."""
 
-    sprint_id: str
-    sprint_title: str
-    amount: int
-    story_numbers: tuple[int, ...]
-    total: int
-    percent: float | None
+    __slots__ = ()
 
 
 def unfinished_stories(history: ProjectHistory, sprint_id: str, now: float) -> UnfinishedStories | None:

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any
 
 from .errors import ConfigError, ParseError
-from .model import Severity
+from .model import Severity, _Record
 from .serialize import canonical_json, read_json
 
 COLLECTIVE_OWNERSHIP = "collective-ownership"
@@ -61,8 +61,7 @@ METRIC_NAMES = tuple(SETTINGS)
 _NON_NEGATIVE_SETTINGS = {"weight", "weight_a", "weight_b"}
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(_Record, namedtuple("MetricConfig", "metrics severity_weights")):
     """Each check's settings plus the severity weighting table.
 
     `metrics` maps a check's name to the settings it changes, as a config
@@ -71,14 +70,12 @@ class MetricConfig:
     read-only mapping of all its settings, in `SETTINGS` order.
     """
 
-    metrics: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
-    severity_weights: Mapping[Severity, float] = field(
-        default_factory=lambda: dict(DEFAULT_SEVERITY_WEIGHTS)
-    )
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, metrics: Mapping[str, Mapping[str, object]] = {},
+                severity_weights: Mapping[Severity, float] = DEFAULT_SEVERITY_WEIGHTS) -> MetricConfig:
         weights: dict[Severity, float] = {}
-        for key, value in self.severity_weights.items():
+        for key, value in severity_weights.items():
             try:
                 severity = Severity(key)
             except ValueError:
@@ -89,16 +86,15 @@ class MetricConfig:
         for severity in Severity:
             if severity not in weights:
                 raise ConfigError(f"severity_weights missing entry for {severity.value!r}")
-        object.__setattr__(self, "severity_weights", {s: weights[s] for s in Severity})
 
-        if not isinstance(self.metrics, Mapping):
+        if not isinstance(metrics, Mapping):
             raise ConfigError("'metrics' must be an object keyed by metric name")
-        for name in self.metrics:
+        for name in metrics:
             if name not in SETTINGS:
                 raise ConfigError(f"unknown metric {name!r} in config")
-        metrics = {}
+        resolved = {}
         for name, own in SETTINGS.items():
-            changed = self.metrics.get(name, {})
+            changed = metrics.get(name, {})
             if not isinstance(changed, Mapping):
                 raise ConfigError(f"settings for {name} must be an object")
             defaults = COMMON_SETTINGS | own
@@ -108,8 +104,8 @@ class MetricConfig:
             settings = defaults | changed
             for key, default in defaults.items():
                 settings[key] = _checked(name, key, default, settings[key])
-            metrics[name] = MappingProxyType(settings)
-        object.__setattr__(self, "metrics", metrics)
+            resolved[name] = MappingProxyType(settings)
+        return tuple.__new__(cls, (resolved, {s: weights[s] for s in Severity}))
 
     def for_metric(self, name: str) -> Mapping[str, Any]:
         """One check's settings, as a read-only mapping."""

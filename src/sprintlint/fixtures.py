@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 
 from . import config as cfg
@@ -44,6 +45,7 @@ from .model import (
     SprintMembership,
     StoryState,
     UserStory,
+    _Record,
     build_history,
 )
 from .serialize import END_TS
@@ -167,29 +169,22 @@ def injection_from_dict(raw: Mapping) -> InjectionSpec:
     return InjectionSpec(**kwargs)
 
 
-@dataclass(frozen=True)
-class InjectionRecord:
+class InjectionRecord(_Record, namedtuple("InjectionRecord", "metric team sprint_id artifacts")):
     """Where the violations for one metric were planted and what to expect back."""
 
-    metric: str
-    team: str
-    sprint_id: str
-    artifacts: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FixtureCertificate:
+class FixtureCertificate(_Record, namedtuple(
+    "FixtureCertificate",
+    "seed rng_algorithm cells_checked violation_free all_applicable_scores_100 config_digest",
+)):
     """Self-lint evidence attached to a generated history."""
 
-    seed: int
-    rng_algorithm: str
-    cells_checked: int
-    violation_free: bool
-    all_applicable_scores_100: bool
-    config_digest: str
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _story_body(title: str, length: int, checkboxes: int) -> str:

@@ -25,8 +25,8 @@ import io
 import json
 import math
 import re
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field, replace
 from itertools import chain, starmap
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -42,6 +42,7 @@ from .model import (
     SprintMembership,
     StoryState,
     UserStory,
+    _Record,
     build_history,
 )
 from .serialize import (
@@ -77,13 +78,10 @@ def story_text_length(title: str, body: str) -> int:
     return len(head) + len(tail)
 
 
-@dataclass(frozen=True)
-class ParseIssue:
-    """One malformed record, positioned within its source file."""
+class ParseIssue(_Record, namedtuple("ParseIssue", "location field message")):
+    """One malformed record, positioned within its source file; `field` may be None."""
 
-    location: int
-    field: str | None
-    message: str
+    __slots__ = ()
 
     def render(self, path: str | Path) -> str:
         suffix = f" (field {self.field})" if self.field else ""
@@ -100,28 +98,26 @@ EXPORTS = {
 }
 
 
-@dataclass(frozen=True)
-class IngestManifest:
+class IngestManifest(_Record, namedtuple("IngestManifest", "paths team_map alias_map")):
     """Which export files to read (export kind -> path) and how to normalize identities."""
 
-    paths: Mapping[str, Path] = field(default_factory=dict)
-    team_map: Mapping[str, str] = field(default_factory=dict)
-    alias_map: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        unknown = [kind for kind in self.paths if kind not in EXPORTS]
+    def __new__(cls, paths: Mapping[str, Path] = {}, team_map: Mapping[str, str] = {},
+                alias_map: Mapping[str, str] = {}) -> IngestManifest:
+        unknown = [kind for kind in paths if kind not in EXPORTS]
         if unknown:
             raise ParseError(f"unknown export kind {unknown[0]!r} in manifest")
-        for key in ("team_map", "alias_map"):
-            value = getattr(self, key)
+        for key, value in (("team_map", team_map), ("alias_map", alias_map)):
             if not isinstance(value, Mapping) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in value.items()
             ):
                 raise ParseError(f"{key} must be an object mapping names to strings")
-        if "commits" not in self.paths and "issues" not in self.paths:
+        if "commits" not in paths and "issues" not in paths:
             raise ParseError("manifest needs at least a commits or an issues file")
-        if len(set(self.paths.values())) != len(self.paths):
+        if len(set(paths.values())) != len(paths):
             raise ParseError("manifest paths must be distinct")
+        return tuple.__new__(cls, (paths, team_map, alias_map))
 
 
 # --- export fields ---------------------------------------------------------
@@ -359,18 +355,16 @@ def _pairs_ok(entries: list) -> bool:
 # --- the schema --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Column:
-    """One kind of export field: how it is read and written in an export, and loaded and dumped in a snapshot."""
+class _Column(_Record, namedtuple("_Column", "read write load dump", defaults=(list,))):
+    """One kind of export field: how it is read and written in an export, and loaded and dumped in a snapshot.
 
-    # export value, field name, maps -> the record constructor's argument; raises _FieldError
-    read: Callable[[object, str, Mapping], object] | None
-    # the record's value -> the export value; None writes the value as it is
-    write: Callable[[object], object] | None
-    # the column's cells -> the record constructor's arguments; raises _Malformed
-    load: Callable[[list], Iterable]
-    # the records' values -> the column's cells
-    dump: Callable[[Iterable], list] = list
+    read: export value, field name, maps -> the record constructor's argument; raises _FieldError
+    write: the record's value -> the export value; None writes the value as it is
+    load: the column's cells -> the record constructor's arguments; raises _Malformed
+    dump: the records' values -> the column's cells; `list` by default
+    """
+
+    __slots__ = ()
 
 
 def _reads(fields: Mapping[str, _Column]) -> tuple:
@@ -434,9 +428,9 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str,
 
 
 _ID = _Column(_read_id, None, _typed_column(str, "a string"))
-_TEXT = replace(_ID, read=_read_text)
-_TEAM = replace(_ID, read=_read_team)
-_AUTHOR = replace(_ID, read=_read_author)
+_TEXT = _ID._replace(read=_read_text)
+_TEAM = _ID._replace(read=_read_team)
+_AUTHOR = _ID._replace(read=_read_author)
 _INT = _Column(_read_int, None, _typed_column(int, "an integer"))
 _BOOL = _Column(_read_bool, None, _typed_column(bool, "a boolean"))
 _NUMBER = _Column(None, None, _load_numbers)  # only in the stats CSV, which has its own reader
@@ -448,7 +442,7 @@ _OPTIONAL_EPOCH = _Column(
 _STATE = _Column(_read_state, attrgetter("value"), _load_states, lambda states: [s.value for s in states])
 _STR_LIST = _Column(_read_str_list, list, _load_str_lists, lambda lists: list(map(list, lists)))
 _STR_SET = _Column(_read_str_list, sorted, _load_str_lists, lambda sets: list(map(sorted, sets)))
-_ASSIGNEES = replace(_STR_SET, read=_read_assignees)
+_ASSIGNEES = _STR_SET._replace(read=_read_assignees)
 _FILES = _entries(FileChange, {"path": _ID, "added": _INT, "deleted": _INT}, "a string and two integers",
                   _triples_ok)
 _MEMBERSHIPS = _entries(SprintMembership, {"sprint_id": _ID, "assigned_at": _EPOCH},
@@ -551,7 +545,7 @@ def read_pulls(
 
 def read_stats(path: str | Path) -> tuple[list[BuildStats], list[ParseIssue]]:
     """Read the per-commit stats table; rows with out-of-range coverage are rejected."""
-    # the reader sees the raw text, so a quoted field may span lines
+    # the reader sees the file's own line breaks, so a quoted field may span lines or hold a "\r"
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     records: list[BuildStats] = []
     issues: list[ParseIssue] = []
@@ -641,8 +635,15 @@ def write_pulls(path: str | Path, pulls: Iterable[PullRequest]) -> None:
 def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    # csv quotes a field holding the line terminator, "\n", but may leave a "\r" bare, which a
+    # reader takes for a line break; QUOTE_NONNUMERIC quotes only the id and writes floats by repr
+    quoting_id = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
     writer.writerow(STATS_HEADER)
-    writer.writerows((s.commit_id, repr(s.coverage_percent), repr(s.complexity)) for s in stats)
+    for s in stats:
+        if "\r" in s.commit_id:
+            quoting_id.writerow((s.commit_id, s.coverage_percent, s.complexity))
+        else:
+            writer.writerow((s.commit_id, repr(s.coverage_percent), repr(s.complexity)))
     write_text(path, out.getvalue())
 
 

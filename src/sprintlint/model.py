@@ -4,11 +4,14 @@ Everything here is constructed once (usually by the ingest module) and then
 shared read-only by the detectors, the engine, and the scoring layer.
 Timestamps are floats of UTC epoch seconds throughout.
 
-The seven export records, `FileChange` to `PullRequest`, are checked tuples:
-named tuples whose `__new__` checks and normalises the fields, as a load
-builds one or more per row and a tuple is the cheapest immutable object to
-build. A record equals only a record of its own class, never a plain tuple,
-and `_make` and `_replace` run the same checks as the constructor.
+The seven export records, `FileChange` to `PullRequest`, and the result and
+value objects built from them (`Violation`, `MetricResult`, and those of the
+other modules) are checked tuples: named tuples whose `__new__`, where a
+class has one, checks and normalises the fields, as a load builds one or
+more per row, a lint one per violation, and a tuple is the cheapest
+immutable object to build. A checked tuple equals only one of its own
+class, never a plain tuple, and `_make` and `_replace` run the same checks
+as the constructor.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class Severity(str, Enum):
 
 
 class _Record(tuple):
-    """Base of the export records: equal only to a record of its own class with equal fields."""
+    """Base of the checked tuples: equal only to one of its own class with equal fields."""
 
     __slots__ = ()
 
@@ -203,34 +206,30 @@ class PullRequest(_Record, namedtuple("PullRequest", "number opened_at closed_at
         return tuple.__new__(cls, (number, opened_at, closed_at, merged, comment_count, team))
 
 
-@dataclass(frozen=True)
-class MetricDescriptor:
+class MetricDescriptor(_Record, namedtuple("MetricDescriptor", "name severity pitfalls")):
     """The reusable definition of one conformance check, independent of any run."""
 
-    name: str
-    severity: Severity
-    pitfalls: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, severity: Severity, pitfalls: str) -> MetricDescriptor:
+        if not name:
             raise RecordError("metric descriptor needs a name")
-        if not isinstance(self.severity, Severity):
-            raise RecordError(f"metric {self.name} severity must be a Severity, got {self.severity!r}")
+        if not isinstance(severity, Severity):
+            raise RecordError(f"metric {name} severity must be a Severity, got {severity!r}")
+        return tuple.__new__(cls, (name, severity, pitfalls))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record, namedtuple("Violation", "artifacts detail numeric_detail")):
     """A pattern in the data that does not comply with the checked practice."""
 
-    artifacts: tuple[str, ...]
-    detail: str
-    numeric_detail: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "artifacts", tuple(self.artifacts))
-        if not self.artifacts:
+    def __new__(cls, artifacts: Iterable[str], detail: str,
+                numeric_detail: Mapping[str, float] = {}) -> Violation:
+        artifacts = tuple(artifacts)
+        if not artifacts:
             raise RecordError("violation carries no artifacts")
-        object.__setattr__(self, "numeric_detail", dict(self.numeric_detail))
+        return tuple.__new__(cls, (artifacts, detail, dict(numeric_detail)))
 
 
 class Finding(NamedTuple):
@@ -245,8 +244,9 @@ class Finding(NamedTuple):
     diagnostic: str | None = None
 
 
-@dataclass(frozen=True)
-class MetricResult:
+class MetricResult(_Record, namedtuple(
+    "MetricResult", "metric team sprint violations score inputs_echo diagnostic"
+)):
     """Outcome of one metric for one team-sprint.
 
     `score` is None when the metric was not applicable (e.g. no stories in
@@ -254,19 +254,16 @@ class MetricResult:
     reports round for display.
     """
 
-    metric: str
-    team: str
-    sprint: str
-    violations: tuple[Violation, ...]
-    score: float | None
-    inputs_echo: Mapping[str, float] = field(default_factory=dict)
-    diagnostic: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "violations", tuple(self.violations))
-        object.__setattr__(self, "inputs_echo", dict(self.inputs_echo))
-        if self.score is not None and not 0.0 <= self.score <= 100.0:
-            raise RecordError(f"{self.metric} score {self.score} out of [0,100]")
+    def __new__(cls, metric: str, team: str, sprint: str, violations: Iterable[Violation],
+                score: float | None, inputs_echo: Mapping[str, float] = {},
+                diagnostic: str | None = None) -> MetricResult:
+        violations = tuple(violations)
+        inputs_echo = dict(inputs_echo)
+        if score is not None and not 0.0 <= score <= 100.0:
+            raise RecordError(f"{metric} score {score} out of [0,100]")
+        return tuple.__new__(cls, (metric, team, sprint, violations, score, inputs_echo, diagnostic))
 
 
 class _TimeIndex:

@@ -9,15 +9,15 @@ to the exact thresholds that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__
 from .catalog import UnfinishedStories, unfinished_stories
 from .config import MetricConfig
 from .engine import MetricRegistry, run_all
 from .errors import SprintLintError
-from .model import MetricResult, ProjectHistory
-from .scoring import TeamSprintScore, aggregate_all
+from .model import ProjectHistory, _Record
+from .scoring import aggregate_all
 from .serialize import END_TS, canonical_json, format_iso_utc
 
 TOOL_NAME = "sprintlint"
@@ -50,13 +50,10 @@ def history_horizon(history: ProjectHistory) -> float:
     return horizon
 
 
-@dataclass(frozen=True)
-class RunReport:
-    config: MetricConfig
-    now: float
-    results: tuple[MetricResult, ...]
-    scores: tuple[TeamSprintScore, ...]
-    unfinished: tuple[tuple[str, UnfinishedStories], ...]  # (team, block) pairs
+class RunReport(_Record, namedtuple("RunReport", "config now results scores unfinished")):
+    """A lint run's results and scores; `unfinished` holds (team, `UnfinishedStories`) pairs."""
+
+    __slots__ = ()
 
 
 def build_report(
@@ -180,6 +177,15 @@ def _fmt_score(score: float | None) -> str:
     return "n/a" if score is None else f"{score:.1f}"
 
 
+def _one_line(text: str) -> str:
+    """`text` with each carriage return and line feed written as a visible escape.
+
+    Export text could otherwise end a heading or list item early and start a
+    line that reads as the report's own.
+    """
+    return text.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def render_markdown(report: RunReport, history: ProjectHistory, registry: MetricRegistry) -> str:
     titles = {s.id: s.title for s in history.sprints}
     overall_by_cell = {(s.team, s.sprint): s for s in report.scores}
@@ -199,18 +205,18 @@ def render_markdown(report: RunReport, history: ProjectHistory, registry: Metric
         lines.append("## Diagnostics")
         lines.append("")
         for diagnostic in history.diagnostics:
-            lines.append(f"- {diagnostic}")
+            lines.append(f"- {_one_line(diagnostic)}")
         lines.append("")
 
     cells = sorted(results_by_cell)
     current_team = None
     for team, sprint_id in cells:
         if team != current_team:
-            lines.append(f"## Team {team}")
+            lines.append(f"## Team {_one_line(team)}")
             lines.append("")
             current_team = team
         title = titles.get(sprint_id, sprint_id)
-        lines.append(f"### {title} ({sprint_id})")
+        lines.append(_one_line(f"### {title} ({sprint_id})"))
         lines.append("")
         cell_score = overall_by_cell.get((team, sprint_id))
         if cell_score is not None:
@@ -227,11 +233,11 @@ def render_markdown(report: RunReport, history: ProjectHistory, registry: Metric
             if not result.violations and result.score is not None:
                 continue
             if result.score is None:
-                lines.append(f"- {result.metric}: skipped ({result.diagnostic})")
+                lines.append(_one_line(f"- {result.metric}: skipped ({result.diagnostic})"))
                 continue
             for violation in result.violations:
                 artifacts = ", ".join(violation.artifacts)
-                lines.append(f"- {result.metric}: {violation.detail} [{artifacts}]")
+                lines.append(_one_line(f"- {result.metric}: {violation.detail} [{artifacts}]"))
             pitfalls = registry.get(result.metric).descriptor.pitfalls
             lines.append(f"  - pitfalls: {pitfalls}")
         block = unfinished_by_cell.get((team, sprint_id))

@@ -4,33 +4,25 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .config import MetricConfig
 from .engine import MetricRegistry
 from .errors import SprintLintError
-from .model import MetricResult, ProjectHistory, Severity
+from .model import MetricResult, ProjectHistory, Severity, _Record
 from .serialize import format_iso_utc
 
 
-@dataclass(frozen=True)
-class Contribution:
-    metric: str
-    score: float
-    severity: Severity
-    weight: float
-    weighted_share: float
+class Contribution(_Record, namedtuple("Contribution", "metric score severity weight weighted_share")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SkippedMetric:
-    metric: str
-    reason: str
+class SkippedMetric(_Record, namedtuple("SkippedMetric", "metric reason")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TeamSprintScore:
+class TeamSprintScore(_Record, namedtuple("TeamSprintScore", "team sprint overall contributions skipped")):
     """One team's overall conformance for one sprint.
 
     `overall` is the severity-weighted mean of all applicable metric scores;
@@ -38,11 +30,7 @@ class TeamSprintScore:
     weight zero.
     """
 
-    team: str
-    sprint: str
-    overall: float | None
-    contributions: tuple[Contribution, ...]
-    skipped: tuple[SkippedMetric, ...]
+    __slots__ = ()
 
 
 def effective_severity(registry: MetricRegistry, config: MetricConfig, metric: str) -> Severity:
@@ -115,21 +103,14 @@ def aggregate_all(
 OVERALL = "overall"
 
 
-@dataclass(frozen=True)
-class TrendPoint:
-    sprint_id: str
-    sprint_title: str
-    due_on: float
-    score: float | None
+class TrendPoint(_Record, namedtuple("TrendPoint", "sprint_id sprint_title due_on score")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrendSeries:
+class TrendSeries(_Record, namedtuple("TrendSeries", "team metric points")):
     """Scores of one metric (or the overall) for one team, ordered by sprint due date."""
 
-    team: str
-    metric: str
-    points: tuple[TrendPoint, ...]
+    __slots__ = ()
 
 
 def trend(

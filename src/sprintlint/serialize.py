@@ -22,9 +22,9 @@ def canonical_json(value: object) -> str:
 
 
 def read_text(path: str | Path) -> str:
-    """Read a UTF-8 file; an unreadable or undecodable one is a ParseError."""
+    """Read a UTF-8 file, its line breaks as they are; an unreadable or undecodable one is a ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 

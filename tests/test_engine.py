@@ -118,7 +118,7 @@ def test_registry_rejects_duplicate_names():
 
 def test_registry_rejects_a_check_with_no_settings_row():
     huge = default_registry().get("huge-stories")
-    renamed = replace(huge, descriptor=replace(huge.descriptor, name="my-check"))
+    renamed = replace(huge, descriptor=huge.descriptor._replace(name="my-check"))
     with pytest.raises(SprintLintError, match="'my-check' has no row in config.SETTINGS"):
         MetricRegistry().register(renamed)
 

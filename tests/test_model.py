@@ -3,35 +3,52 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sprintlint
 from sprintlint import (
     BuildStats,
     Commit,
     FileChange,
+    FileEditProfile,
+    FixtureCertificate,
     HistoryError,
+    IngestManifest,
+    InjectionRecord,
     MetricConfig,
     MetricDescriptor,
     MetricResult,
     ProjectHistory,
     RecordError,
     PullRequest,
+    RunReport,
+    Severity,
     Sprint,
     SprintMembership,
     StoryState,
+    TeamSprintScore,
+    TrendSeries,
+    UnfinishedStories,
     UnknownSprintError,
     UserStory,
+    Violation,
     build_history,
     detect_multi_backlog,
     unfinished_stories,
     window,
 )
 from sprintlint.fixtures import FixtureSpec, generate, inject
+from sprintlint.ingest import ParseIssue, _Column
+from sprintlint.model import _Record
+from sprintlint.scoring import Contribution, SkippedMetric, TrendPoint
 from conftest import DAY, T0, TEAM, change, make_commit, make_pull, make_sprint, make_story
 from test_golden import ALL_DIRECTIVES
 
@@ -390,27 +407,94 @@ RECORDS = {
 }
 
 
+def _violation() -> Violation:
+    return Violation(["#1"], "d", {"length": 5})
+
+
+def _result() -> MetricResult:
+    return MetricResult("huge-stories", TEAM, "s1", [_violation()], 75.0, {"violations": 1})
+
+
+def _score() -> TeamSprintScore:
+    contribution = Contribution("huge-stories", 75.0, Severity.LOW, 2.0, 1.0)
+    return TeamSprintScore(TEAM, "s1", 75.0, (contribution,), (SkippedMetric("test-later", "no stats"),))
+
+
+# one result or value object of each class, built from arguments its constructor normalises where it has one
+VALUES = {
+    MetricDescriptor: lambda: MetricDescriptor("huge-stories", Severity.LOW, "pitfalls"),
+    Violation: _violation,
+    MetricResult: _result,
+    FileEditProfile: lambda: FileEditProfile("src/a.py", 3, frozenset({"ann"})),
+    UnfinishedStories: lambda: UnfinishedStories("s1", "Sprint 1", 1, (2,), 4, 0.25),
+    Contribution: lambda: _score().contributions[0],
+    SkippedMetric: lambda: _score().skipped[0],
+    TeamSprintScore: _score,
+    TrendPoint: lambda: TrendPoint("s1", "Sprint 1", T0, None),
+    TrendSeries: lambda: TrendSeries(TEAM, "overall", (TrendPoint("s1", "Sprint 1", T0, 75.0),)),
+    RunReport: lambda: RunReport(
+        MetricConfig(), T0, (_result(),), (_score(),), ((TEAM, UnfinishedStories("s1", "S", 0, (), 0, None)),)
+    ),
+    MetricConfig: lambda: MetricConfig({"huge-stories": {"weight": 5}}, {s.value: 1 for s in Severity}),
+    ParseIssue: lambda: ParseIssue(3, "team", "team must be a string"),
+    IngestManifest: lambda: IngestManifest({"commits": Path("c.ndjson")}, {"a": "alpha"}, {"Ann": "ann"}),
+    _Column: lambda: _Column(str, None, list),
+    InjectionRecord: lambda: InjectionRecord("huge-stories", TEAM, "s1", ("#1",)),
+    FixtureCertificate: lambda: FixtureCertificate(42, "mt19937", 54, True, True, "0" * 64),
+}
+CHECKED_TUPLES = RECORDS | VALUES
+# a dict field makes the whole object unhashable, as it made the frozen dataclasses it replaced
+HOLD_A_DICT = {Violation, MetricResult, RunReport, MetricConfig, IngestManifest}
+
+
 def field_names(cls) -> list[str]:
     return list(inspect.signature(cls).parameters)
 
 
-@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(CHECKED_TUPLES), ids=lambda cls: cls.__name__)
 def test_record_semantics(cls):
-    record, names = RECORDS[cls](), field_names(cls)
+    record, names = CHECKED_TUPLES[cls](), field_names(cls)
+    assert names == list(cls._fields) and isinstance(record, _Record)
     values = tuple(getattr(record, name) for name in names)
-    for name in names:
+    for name in [*names, "extra"]:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
-    twin = RECORDS[cls]()
-    assert record == twin and not record != twin and hash(record) == hash(twin)
+    twin = CHECKED_TUPLES[cls]()
+    assert record == twin and not record != twin
+    if cls in HOLD_A_DICT:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
     assert record != values and values != record and not record == values and not values == record
     assert cls(**dict(zip(names, values))) == record
     assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
 
 
-def test_records_are_checked_tuples_not_dataclasses():
-    # a frozen dataclass's __init__ set each field through object.__setattr__, most of a row's load time
-    assert [cls.__name__ for cls in RECORDS if dataclasses.is_dataclass(cls)] == []
+# the dataclasses left in the package, each for a reason a checked tuple cannot serve
+DATACLASSES = {
+    # the benchmark's tracer rebuilds each check with `dataclasses.replace` to wrap its detector
+    "engine.RegisteredMetric",
+    # its derived lookups are set after construction, and a namedtuple field cannot start with "_"
+    "model.ProjectHistory",
+    # its two shared lookups take no part in equality or repr
+    "model.SprintSlice",
+    # each default documents the fixture's shape, and only `generate` and `inject` take them
+    "fixtures.FixtureSpec",
+    "fixtures.InjectionSpec",
+}
+
+
+def test_only_the_listed_classes_remain_dataclasses():
+    found = set()
+    for info in pkgutil.iter_modules(sprintlint.__path__):
+        module = importlib.import_module(f"sprintlint.{info.name}")
+        found.update(
+            f"{info.name}.{name}" for name, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module.__name__
+            and dataclasses.is_dataclass(value)
+        )
+    assert found == DATACLASSES
 
 
 def test_records_of_two_kinds_never_compare_equal():
@@ -429,6 +513,11 @@ def test_record_repr_names_each_field():
 def test_replace_and_make_run_the_constructor_checks():
     with pytest.raises(RecordError, match="^lines_added < 0 for a$"):
         FileChange("a", 1, 1)._replace(lines_added=-5)
+    with pytest.raises(RecordError, match="^violation carries no artifacts$"):
+        Violation(("a",), "d")._replace(artifacts=())
+    with pytest.raises(RecordError, match=r"^huge-stories score 101.0 out of \[0,100\]$"):
+        _result()._replace(score=101.0)
+    assert _violation()._replace(artifacts=["#2"]).artifacts == ("#2",)
     commit = RECORDS[Commit]()
     assert commit._replace(author="ANN").author == "ann"
     assert commit._replace(parents=["p1"]).parents == ("p1",)
@@ -437,7 +526,7 @@ def test_replace_and_make_run_the_constructor_checks():
         Commit._make(("", *commit[1:]))
 
 
-@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(CHECKED_TUPLES), ids=lambda cls: cls.__name__)
 def test_replace_with_no_change_rebuilds_an_equal_record(cls):
-    record = RECORDS[cls]()
+    record = CHECKED_TUPLES[cls]()
     assert record._replace() == record and type(record._replace()) is cls

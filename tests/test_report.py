@@ -1,11 +1,25 @@
-"""Report assembly: `--sprint` narrowing and the cost of the per-sprint layers."""
+"""Report assembly: `--sprint` narrowing, markdown line breaks and the cost of the per-sprint layers."""
 
 from __future__ import annotations
 
 import json
 
-from sprintlint import MetricConfig, UserStory, build_report, default_registry, render_json, run_all
+from sprintlint import (
+    MetricConfig,
+    MetricResult,
+    RunReport,
+    Sprint,
+    UserStory,
+    Violation,
+    build_history,
+    build_report,
+    default_registry,
+    render_json,
+    render_markdown,
+    run_all,
+)
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
+from conftest import DAY, T0, TEAM
 
 REGISTRY = default_registry()
 CONFIG = MetricConfig()
@@ -26,6 +40,18 @@ def test_sprint_narrowed_report_equals_full_report_rows():
         for key in ("results", "scores", "unfinished_stories"):
             expected = [row for row in full[key] if row["sprint_title"] == title]
             assert expected and narrowed[key] == expected, (title, key)
+
+
+def test_markdown_writes_line_breaks_in_export_text_as_escapes():
+    history = build_history(sprints=[Sprint("s1", "Sprint 1\n## Team mallory", T0, T0 + DAY, TEAM)])
+    violation = Violation(["#1\n## Team eve", "#2\r"], "story #1\nis huge")
+    result = MetricResult("huge-stories", TEAM, "s1", [violation], 75.0)
+    markdown = render_markdown(RunReport(CONFIG, T0 + 2 * DAY, (result,), (), ()), history, REGISTRY)
+    lines = markdown.split("\n")
+    assert [line for line in lines if line.startswith("## ")] == [f"## Team {TEAM}"]
+    assert "### Sprint 1\\n## Team mallory (s1)" in lines
+    assert "- huge-stories: story #1\\nis huge [#1\\n## Team eve, #2\\r]" in lines
+    assert "\r" not in markdown
 
 
 def test_run_all_evaluates_only_the_requested_sprints():
