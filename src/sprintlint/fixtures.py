@@ -200,6 +200,17 @@ def _story_body(title: str, length: int, checkboxes: int) -> str:
     return tasks + ("\n" if tasks else "") + words
 
 
+def _check_deadline(index: int, starts: float, duration_seconds: float) -> None:
+    """Raise unless sprint `index`, starting at `starts`, ends early enough for its records to be written."""
+    # no export can write an instant after year 9999, and pull requests
+    # close up to a day after their sprint's deadline
+    if not starts + duration_seconds < END_TS - 86400.0:
+        raise InfeasibleFixtureError(
+            f"sprint {index + 1} ({duration_seconds / 86400.0:g} days) would end after "
+            "9999-12-31T00:00:00Z, the last deadline a fixture can have"
+        )
+
+
 class _TeamBuilder:
     """Accumulates one team's records with the invariants the generator promises.
 
@@ -226,6 +237,7 @@ class _TeamBuilder:
         self._head: str | None = None
         self._coverage = 60.0
         self._complexity = 100.0
+        self._elapsed = 0.0  # the summed durations of `sprints`
 
     def records(self) -> tuple[list, list, list, list, list]:
         """The team's records in `ProjectHistory.records()` order."""
@@ -234,14 +246,8 @@ class _TeamBuilder:
     # -- schedule -------------------------------------------------------
 
     def add_sprint(self, index: int, duration_seconds: float) -> Sprint:
-        starts = EPOCH + sum(s.due_on - s.starts_at for s in self.sprints)
-        # no export can write an instant after year 9999, and pull requests
-        # close up to a day after their sprint's deadline
-        if not starts + duration_seconds < END_TS - 86400.0:
-            raise InfeasibleFixtureError(
-                f"sprint {index + 1} ({duration_seconds / 86400.0:g} days) would end after "
-                "9999-12-31T00:00:00Z, the last deadline a fixture can have"
-            )
+        starts = EPOCH + self._elapsed
+        _check_deadline(index, starts, duration_seconds)
         # whole seconds keep timestamps exact through the ISO-8601 round trip
         duration_seconds = float(round(duration_seconds))
         if duration_seconds <= _LAST_MINUTE_SECONDS + 2 * MARGIN_SECONDS:
@@ -257,6 +263,7 @@ class _TeamBuilder:
             team=self.team,
         )
         self.sprints.append(sprint)
+        self._elapsed += duration_seconds
         return sprint
 
     def _interior(self, sprint: Sprint) -> tuple[float, float]:
@@ -421,8 +428,12 @@ def _build_clean_team(rng: random.Random, team_id: str, spec: FixtureSpec) -> _T
                 "developers assigned to stories would never commit; the zero-committer "
                 "guarantee needs commits_per_dev_per_sprint >= 1"
             )
+    duration = spec.sprint_length_days * 86400.0
+    if spec.sprints and math.isfinite(duration):
+        # every sprint is as long, so the last one's end is checked before any record is built
+        _check_deadline(spec.sprints - 1, EPOCH + (spec.sprints - 1) * float(round(duration)), duration)
     for k in range(spec.sprints):
-        sprint = builder.add_sprint(k, spec.sprint_length_days * 86400.0)
+        sprint = builder.add_sprint(k, duration)
         builder.fill_sprint_stories(sprint, spec.stories_per_sprint)
         if spec.developers_per_team:
             builder.fill_sprint_commits(sprint, spec.commits_per_dev_per_sprint)

@@ -1,4 +1,4 @@
-"""Readers and writers for the canonical export formats.
+"""Readers and writers for the canonical export formats and the snapshot.
 
 Formats:
   commits  -- newline-delimited JSON, one commit object per line
@@ -7,9 +7,21 @@ Formats:
   pulls    -- JSON array of pull requests
   stats    -- CSV with header ``commit_id,coverage_percent,complexity``
 
-`_SCHEMA` defines the formats: one row per export kind, naming each field
-and the kind of column it is, which says how the field is read from an
-export, written back, and checked and written in a snapshot.
+`write_snapshot` writes the validated history as one file, format 2:
+``{"format": 2, "commits": {...}, ...}``, each collection an object of
+equal-length columns named like the export fields, every timestamp a JSON
+number of epoch seconds (the float's repr, so it reads back exactly), each
+commit's files a list of ``[path, added, deleted]`` triples and each story's
+milestone history a list of ``[sprint_id, assigned_at]`` pairs.
+
+`_SCHEMA` defines both forms: one row per export kind, naming each field and
+its column kind. Each kind is declared once, by the exact type of its values,
+an optional extra check, one phrase saying what a value must be and an
+optional conversion, and that one declaration checks a field both where an
+export is read (``'<field>' must be <expected>``) and where a snapshot is
+loaded (``must be <expected>, got <cell>``), a snapshot column in bulk first.
+Only timestamps have two checks, as an export holds ISO-8601 text and a
+snapshot numbers.
 
 Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
@@ -120,12 +132,7 @@ class IngestManifest(_Record, namedtuple("IngestManifest", "paths team_map alias
         return tuple.__new__(cls, (paths, team_map, alias_map))
 
 
-# --- export fields ---------------------------------------------------------
-#
-# Each read takes a field's value in an export object (`_ABSENT` when the
-# field is missing), the field's name and the manifest's ``team_map`` and
-# ``alias_map``, and returns the record constructor's argument. A value
-# read from JSON has an exact type, so a type test stands in for isinstance.
+# --- column kinds ------------------------------------------------------------
 
 
 class _FieldError(Exception):
@@ -134,101 +141,21 @@ class _FieldError(Exception):
         self.field_name = field_name
 
 
-_ABSENT = object()
-
-
-def _rejected(value: object, key: str, message: str) -> _FieldError:
-    """The error for field `key` holding `value`, which failed a check saying `message`."""
-    return _FieldError(key, f"missing field {key!r}" if value is _ABSENT else message)
-
-
-def _read_id(value: object, key: str, maps: Mapping) -> str:
-    if type(value) is not str or not value:
-        raise _rejected(value, key, f"{key!r} must be a non-empty string")
-    return value
-
-
-def _read_text(value: object, key: str, maps: Mapping) -> str:
-    if type(value) is not str:
-        raise _rejected(value, key, f"{key!r} must be a string")
-    return value
-
-
-def _read_team(value: object, key: str, maps: Mapping) -> str:
-    team = _read_id(value, key, maps)
-    return maps["team_map"].get(team, team)
-
-
-def _read_author(value: object, key: str, maps: Mapping) -> str:
-    author = _read_id(value, key, maps)
-    return maps["alias_map"].get(author, author)
-
-
-def _read_int(value: object, key: str, maps: Mapping) -> int:
-    if type(value) is not int:  # a type test, so a bool is no integer
-        raise _rejected(value, key, f"{key!r} must be an integer")
-    return value
-
-
-def _read_bool(value: object, key: str, maps: Mapping) -> bool:
-    if type(value) is not bool:
-        raise _rejected(value, key, f"{key!r} must be a boolean")
-    return value
-
-
-def _read_epoch(value: object, key: str, maps: Mapping) -> float:
-    try:
-        return parse_iso_utc(value, key)
-    except ParseError as exc:
-        raise _rejected(value, key, str(exc)) from None
-
-
-def _read_optional_epoch(value: object, key: str, maps: Mapping) -> float | None:
-    if value is None or value is _ABSENT:
-        return None
-    return _read_epoch(value, key, maps)
-
-
-def _read_str_list(value: object, key: str, maps: Mapping) -> list[str]:
-    if type(value) is not list or not _all_of(str, value):
-        raise _rejected(value, key, f"{key!r} must be an array of strings")
-    return value
-
-
-def _read_assignees(value: object, key: str, maps: Mapping) -> list[str]:
-    alias_map = maps["alias_map"]
-    return [alias_map.get(a, a) for a in _read_str_list(value, key, maps)]
-
-
-_STATES = {state.value: state for state in StoryState}
-
-
-def _read_state(value: object, key: str, maps: Mapping) -> StoryState:
-    try:
-        return _STATES[_read_id(value, key, maps)]
-    except KeyError:
-        raise _FieldError(key, f"{key} must be 'open' or 'closed', got {value!r}") from None
-
-
-# --- snapshot columns ------------------------------------------------------
-#
-# `write_snapshot` writes format 2: ``{"format": 2, "commits": {...}, ...}``,
-# each collection an object of equal-length columns named like the export
-# fields, every timestamp a JSON number of epoch seconds (written as the
-# float's repr, so it reads back exactly), each commit's files a list of
-# ``[path, added, deleted]`` triples and each story's milestone history a
-# list of ``[sprint_id, assigned_at]`` pairs. Each load takes a column's
-# cells and returns the record constructor's arguments.
-
-SNAPSHOT_FORMAT = 2
-
-
 class _Malformed(Exception):
     """A format-2 snapshot fails a check; `where` positions a failing cell in its column, as ``[17]``."""
 
     def __init__(self, message: str, where: str = "") -> None:
         super().__init__(message)
         self.where = where
+
+
+_ABSENT = object()
+_STATES = {state.value: state for state in StoryState}
+
+
+def _rejected(value: object, key: str, message: str) -> _FieldError:
+    """The error for field `key` holding `value`, which failed a check saying `message`."""
+    return _FieldError(key, f"missing field {key!r}" if value is _ABSENT else message)
 
 
 def _all_of(cls: type, values: Iterable) -> bool:
@@ -244,17 +171,67 @@ def _reject_first(values: list, check: Callable[[object], None]) -> None:
             raise _Malformed(str(exc), f"[{index}]{exc.where}") from None
 
 
-def _typed_column(cls: type, expected: str) -> Callable[[list], list]:
+class _Column(_Record, namedtuple("_Column", "read write load dump valid", defaults=(list, None))):
+    """One kind of export field: how it is read and written in an export, and loaded and dumped in a snapshot.
+
+    read: export value, field name, maps -> the record constructor's argument; raises _FieldError
+    write: the record's value -> the export value; None writes the value as it is
+    load: the column's cells -> the record constructor's arguments; raises _Malformed
+    dump: the records' values -> the column's cells; `list` by default
+    valid: a list of cells -> whether `load` accepts every one; for a field of an entry (see `_entries`)
+    """
+
+    __slots__ = ()
+
+
+def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | None = None,
+          convert: Callable | None = None, rename: str | None = None, write: Callable | None = None,
+          dump: Callable = list) -> _Column:
+    """The column kind of values of exact type `cls` (so a bool is no integer), which must be `expected`.
+
+    ok: a builtin true of each valid value, so a snapshot column is checked in C
+    items: the exact type of each item of a valid value, for a kind of arrays
+    convert: a builtin taking a valid value to the record constructor's argument
+    rename: the manifest map a value read from an export (each item, for arrays) is looked up in;
+        a snapshot holds the values it gave
+    """
+
+    def valid(values: list) -> bool:
+        return (_all_of(cls, values) and (ok is None or all(map(ok, values)))
+                and (items is None or _all_of(items, chain.from_iterable(values))))
+
+    def read(value: object, key: str, maps: Mapping) -> object:
+        if (type(value) is not cls or ok is not None and not ok(value)
+                or items is not None and not _all_of(items, value)):
+            raise _rejected(value, key, f"{key!r} must be {expected}")
+        if rename is not None:
+            names = maps[rename]
+            return names.get(value, value) if items is None else list(map(names.get, value, value))
+        return value if convert is None else convert(value)
+
     def check(value: object) -> None:
-        if type(value) is not cls:  # a type test, so a bool is no integer
+        if not valid([value]):
             raise _Malformed(f"must be {expected}, got {value!r}")
 
     def load(values: list) -> list:
-        if not _all_of(cls, values):
+        if not valid(values):
             _reject_first(values, check)
-        return values
+        return values if convert is None else list(map(convert, values))
 
-    return load
+    return _Column(read, write, load, dump, valid)
+
+
+def _read_epoch(value: object, key: str, maps: Mapping) -> float:
+    try:
+        return parse_iso_utc(value, key)
+    except ParseError as exc:
+        raise _rejected(value, key, str(exc)) from None
+
+
+def _read_optional_epoch(value: object, key: str, maps: Mapping) -> float | None:
+    if value is None or value is _ABSENT:
+        return None
+    return _read_epoch(value, key, maps)
 
 
 def _within_range(stamps: list) -> bool:
@@ -317,56 +294,6 @@ def _load_numbers(values: list) -> list:
     return [v if type(v) is float else _int_as_float(v) for v in values]
 
 
-def _check_str_list(value: object) -> None:
-    if type(value) is not list or not _all_of(str, value):
-        raise _Malformed(f"must be an array of strings, got {value!r}")
-
-
-def _load_str_lists(values: list) -> list:
-    if not (_all_of(list, values) and _all_of(str, chain.from_iterable(values))):
-        _reject_first(values, _check_str_list)
-    return values
-
-
-def _check_state(value: object) -> None:
-    if type(value) is not str or value not in _STATES:
-        raise _Malformed(f"must be 'open' or 'closed', got {value!r}")
-
-
-def _load_states(values: list) -> list:
-    if not (_all_of(str, values) and set(values) <= _STATES.keys()):
-        _reject_first(values, _check_state)
-    return list(map(_STATES.__getitem__, values))
-
-
-def _triples_ok(entries: list) -> bool:
-    return (_all_of(list, entries) and set(map(len, entries)) <= {3}
-            and _all_of(str, map(itemgetter(0), entries))
-            and _all_of(int, map(itemgetter(1), entries))
-            and _all_of(int, map(itemgetter(2), entries)))
-
-
-def _pairs_ok(entries: list) -> bool:
-    return (_all_of(list, entries) and set(map(len, entries)) <= {2}
-            and _all_of(str, map(itemgetter(0), entries))
-            and all(map(_is_epoch, map(itemgetter(1), entries))))
-
-
-# --- the schema --------------------------------------------------------------
-
-
-class _Column(_Record, namedtuple("_Column", "read write load dump", defaults=(list,))):
-    """One kind of export field: how it is read and written in an export, and loaded and dumped in a snapshot.
-
-    read: export value, field name, maps -> the record constructor's argument; raises _FieldError
-    write: the record's value -> the export value; None writes the value as it is
-    load: the column's cells -> the record constructor's arguments; raises _Malformed
-    dump: the records' values -> the column's cells; `list` by default
-    """
-
-    __slots__ = ()
-
-
 def _reads(fields: Mapping[str, _Column]) -> tuple:
     return tuple((name, column.read) for name, column in fields.items())
 
@@ -385,16 +312,16 @@ def _record_to_dict(writes: tuple, record: tuple) -> dict:
     return {name: value if write is None else write(value) for (name, write), value in zip(writes, record)}
 
 
-def _entries(record_class: type, fields: dict[str, _Column], entry_types: str,
-             entries_ok: Callable[[list], bool]) -> _Column:
+def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -> _Column:
     """A column whose cells are arrays of `record_class` records, each an object of `fields` in an export.
 
-    In a snapshot each entry is the array of its fields' values, checked in
-    bulk by `entries_ok`; `entry_types` names their types. The entries are
-    built lazily, as the records holding them are, so a constructor failure
-    is reported at its record's index.
+    In a snapshot each entry is the array of its fields' values, each
+    checked by its field's column; `entry_types` names what they must be.
+    The entries are built lazily, as the records holding them are, so a
+    constructor failure is reported at its record's index.
     """
     reads, writes = _reads(fields), _writes(fields)
+    columns = tuple(fields.values())
     entry_name = f"[{', '.join(fields)}] {({2: 'pair', 3: 'triple'})[len(fields)]}"
 
     def read(value: object, key: str, maps: Mapping) -> list:
@@ -407,15 +334,20 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str,
             entries.append(_record_from_dict(record_class, reads, entry, maps))
         return entries
 
+    def valid(entries: list) -> bool:
+        return (_all_of(list, entries) and set(map(len, entries)) <= {len(columns)}
+                and all(column.valid(list(map(itemgetter(index), entries)))
+                        for index, column in enumerate(columns)))
+
     def check(cell: object) -> None:
         if type(cell) is not list:
             raise _Malformed(f"must be an array of {entry_name}s, got {cell!r}")
         for index, entry in enumerate(cell):
-            if not entries_ok([entry]):
+            if not valid([entry]):
                 raise _Malformed(f"must be a {entry_name} of {entry_types}, got {entry!r}", f"[{index}]")
 
     def load(values: list) -> Iterable:
-        if not (_all_of(list, values) and entries_ok(list(chain.from_iterable(values)))):
+        if not (_all_of(list, values) and valid(list(chain.from_iterable(values)))):
             _reject_first(values, check)
         return (tuple(starmap(record_class, cell)) for cell in values)
 
@@ -427,26 +359,31 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str,
     )
 
 
-_ID = _Column(_read_id, None, _typed_column(str, "a string"))
-_TEXT = _ID._replace(read=_read_text)
-_TEAM = _ID._replace(read=_read_team)
-_AUTHOR = _ID._replace(read=_read_author)
-_INT = _Column(_read_int, None, _typed_column(int, "an integer"))
-_BOOL = _Column(_read_bool, None, _typed_column(bool, "a boolean"))
+# --- the schema --------------------------------------------------------------
+
+_ID = _kind(str, "a non-empty string", ok=len)
+_TEXT = _kind(str, "a string")
+_TEAM = _kind(str, "a non-empty string", ok=len, rename="team_map")
+_AUTHOR = _kind(str, "a non-empty string", ok=len, rename="alias_map")
+_INT = _kind(int, "an integer")
+_BOOL = _kind(bool, "a boolean")
 _NUMBER = _Column(None, None, _load_numbers)  # only in the stats CSV, which has its own reader
 # format_iso_utc is looked up on each call, so a caller that swaps the module's copy sees it
-_EPOCH = _Column(_read_epoch, lambda stamp: format_iso_utc(stamp), _load_epochs)
+_EPOCH = _Column(_read_epoch, lambda stamp: format_iso_utc(stamp), _load_epochs,
+                 valid=lambda stamps: all(map(_is_epoch, stamps)))
 _OPTIONAL_EPOCH = _Column(
     _read_optional_epoch, lambda stamp: None if stamp is None else format_iso_utc(stamp), _load_optional_epochs
 )
-_STATE = _Column(_read_state, attrgetter("value"), _load_states, lambda states: [s.value for s in states])
-_STR_LIST = _Column(_read_str_list, list, _load_str_lists, lambda lists: list(map(list, lists)))
-_STR_SET = _Column(_read_str_list, sorted, _load_str_lists, lambda sets: list(map(sorted, sets)))
-_ASSIGNEES = _STR_SET._replace(read=_read_assignees)
-_FILES = _entries(FileChange, {"path": _ID, "added": _INT, "deleted": _INT}, "a string and two integers",
-                  _triples_ok)
+_STATE = _kind(str, "'open' or 'closed'", ok=_STATES.__contains__, convert=_STATES.__getitem__,
+               write=attrgetter("value"), dump=lambda states: [s.value for s in states])
+_STR_LIST = _kind(list, "an array of strings", items=str, write=list, dump=lambda lists: list(map(list, lists)))
+_STR_SET = _kind(list, "an array of strings", items=str, write=sorted, dump=lambda sets: list(map(sorted, sets)))
+_ASSIGNEES = _kind(list, "an array of strings", items=str, rename="alias_map", write=sorted,
+                   dump=lambda sets: list(map(sorted, sets)))
+_FILES = _entries(FileChange, {"path": _ID, "added": _INT, "deleted": _INT},
+                  "a non-empty string and two integers")
 _MEMBERSHIPS = _entries(SprintMembership, {"sprint_id": _ID, "assigned_at": _EPOCH},
-                        "a string and epoch seconds in years 1 to 9999 (UTC)", _pairs_ok)
+                        "a non-empty string and epoch seconds in years 1 to 9999 (UTC)")
 
 # export kind -> (record class, {export field: column kind} in the order of the class's fields);
 # a snapshot's columns are named like the export fields
@@ -648,6 +585,8 @@ def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
 
 
 # --- snapshot (the validated single-file form the CLI passes between steps) -
+
+SNAPSHOT_FORMAT = 2
 
 
 def snapshot_to_dict(history: ProjectHistory) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -55,13 +56,17 @@ def write_text(path: str | Path, text: str) -> None:
         raise
 
 
+# the start of a JSON escape from \uD800 to \uDFFF, its hex digits in either case
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD]")
+
+
 def check_unicode(text: str, value: object) -> None:
     """Raise ValueError if `value`, decoded from the JSON `text`, holds a lone surrogate.
 
     Decoded UTF-8 never holds a surrogate; only a JSON escape from \\uD800 to
     \\uDFFF can make one, so text without such an escape is not walked.
     """
-    if "\\ud" not in text and "\\uD" not in text:
+    if not _SURROGATE_ESCAPE.search(text):
         return
     try:
         json.dumps(value, ensure_ascii=False).encode("utf-8")

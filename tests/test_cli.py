@@ -281,6 +281,7 @@ def test_generate_malformed_injection_exits_2(tmp_path, capsys):
 TOO_LARGE = {
     "infinite-sprint": ("spec", {"sprint_length_days": 1e308}),
     "sprints-past-year-9999": ("spec", {"sprint_length_days": 1e300, "sprints": 2}),
+    "too-many-sprints": ("spec", {"sprints": 10**20}),
     "infinite-story": ("inject", {"huge_stories": {"count": 1, "length_multiplier": 1e308}}),
 }
 
@@ -625,10 +626,14 @@ def _with_lone_surrogate(kind, tmp_path):
 def test_lone_surrogate_escape_in_json_input_exits_2(tmp_path, capsys, kind):
     text = _with_lone_surrogate(kind, tmp_path)
     assert "\\ud800" in text
-    argv, bad = _argv_reading(tmp_path, kind, text.encode("ascii"))
-    capsys.readouterr()
-    assert main(argv) == 2
-    where = f"{bad}:1: " if kind == "commits" else f"{bad} is not valid JSON: "
-    assert f"{where}lone surrogate \\ud800 is not valid Unicode text" in _one_error_line(capsys)
-    if argv[0] == "ingest":
-        assert not (tmp_path / "snap.json").exists()  # not even an empty one
+    # (the escape as written, as the error names it): JSON allows either case of hex digit
+    for written, named in (("\\ud800", "\\ud800"), ("\\uDC00", "\\udc00")):
+        work = tmp_path / named[2:]
+        work.mkdir()
+        argv, bad = _argv_reading(work, kind, text.replace("\\ud800", written).encode("ascii"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        where = f"{bad}:1: " if kind == "commits" else f"{bad} is not valid JSON: "
+        assert f"{where}lone surrogate {named} is not valid Unicode text" in _one_error_line(capsys)
+        if argv[0] == "ingest":
+            assert not (work / "snap.json").exists()  # not even an empty one

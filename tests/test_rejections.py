@@ -179,8 +179,9 @@ CASES = [
     ("story", ("number",), -3, None, "story number must be positive, got -3"),
     *_optional_str("story", "title"),
     *_optional_str("story", "body"),
-    *_required_str("story", "state"),
-    ("story", ("state",), "pending", "state", "state must be 'open' or 'closed', got 'pending'"),
+    ("story", ("state",), MISSING, "state", "missing field 'state'"),
+    *[("story", ("state",), value, "state", "'state' must be 'open' or 'closed'")
+      for value in (7, None, "", "pending")],
     ("story", ("state",), "open", None, "open story #1 carries closed_at"),
     *_string_list("story", "labels"),
     *_object_list("story", "milestone_history"),
@@ -364,8 +365,8 @@ COLUMNS = {
     "stats": {"commit_id": ["c1"], "coverage_percent": [50.0], "complexity": [5.0]},
 }
 
-TRIPLE = "[path, added, deleted] triple of a string and two integers"
-PAIR = "[sprint_id, assigned_at] pair of a string and epoch seconds in years 1 to 9999 (UTC)"
+TRIPLE = "[path, added, deleted] triple of a non-empty string and two integers"
+PAIR = "[sprint_id, assigned_at] pair of a non-empty string and epoch seconds in years 1 to 9999 (UTC)"
 OUT_OF_RANGE = "out of range (years 1 to 9999 in UTC)"
 
 
@@ -384,11 +385,17 @@ def _wrong_epoch(column: str) -> list:
 
 # (collection.column, value of its first cell, message after ``<collection>.<column>[0]``)
 COLUMN_CASES = [
+    # ids, empty ones included
+    ("commits.id", 7, ": must be a non-empty string, got 7"),
+    ("commits.id", "", ": must be a non-empty string, got ''"),
+    ("commits.author", "", ": must be a non-empty string, got ''"),
+    ("commits.team", "", ": must be a non-empty string, got ''"),
+    ("sprints.id", "", ": must be a non-empty string, got ''"),
+    ("stats.commit_id", 1.5, ": must be a non-empty string, got 1.5"),
+    ("stats.commit_id", "", ": must be a non-empty string, got ''"),
     # strings
-    ("commits.id", 7, ": must be a string, got 7"),
     ("commits.message", None, ": must be a string, got None"),
     ("issues.title", ["x"], ": must be a string, got ['x']"),
-    ("stats.commit_id", 1.5, ": must be a string, got 1.5"),
     # integers
     ("issues.number", "1", ": must be an integer, got '1'"),
     ("issues.number", True, ": must be an integer, got True"),
@@ -424,6 +431,7 @@ COLUMN_CASES = [
     ("commits.files", [["src/a.py", 3, 1], ["src/b.py", 3, True]],
      f"[1]: must be a {TRIPLE}, got ['src/b.py', 3, True]"),
     ("commits.files", [[5, 3, 1]], f"[0]: must be a {TRIPLE}, got [5, 3, 1]"),
+    ("commits.files", [["", 3, 1]], f"[0]: must be a {TRIPLE}, got ['', 3, 1]"),
     ("commits.files", [["src/a.py", "3", 1]], f"[0]: must be a {TRIPLE}, got ['src/a.py', '3', 1]"),
     ("commits.files", [{"path": "src/a.py", "added": 3, "deleted": 1}],
      f"[0]: must be a {TRIPLE}, got {{'path': 'src/a.py', 'added': 3, 'deleted': 1}}"),
@@ -431,6 +439,7 @@ COLUMN_CASES = [
     ("issues.milestone_history", "s1", ": must be an array of [sprint_id, assigned_at] pairs, got 's1'"),
     ("issues.milestone_history", [["s1"]], f"[0]: must be a {PAIR}, got ['s1']"),
     ("issues.milestone_history", [[1, 1.0]], f"[0]: must be a {PAIR}, got [1, 1.0]"),
+    ("issues.milestone_history", [["", 0.0]], f"[0]: must be a {PAIR}, got ['', 0.0]"),
     ("issues.milestone_history", [["s1", "2015-01-05T00:00:00Z"]],
      f"[0]: must be a {PAIR}, got ['s1', '2015-01-05T00:00:00Z']"),
     ("issues.milestone_history", [["s1", float("nan")]], f"[0]: must be a {PAIR}, got ['s1', nan]"),
@@ -440,22 +449,15 @@ COLUMN_CASES = [
 
 # (collection.column, value of its first cell, the record constructor's message)
 CONSTRUCTOR_CASES = [
-    ("commits.id", "", "commit id must be non-empty"),
-    ("commits.author", "", "commit c1 has no author"),
-    ("commits.team", "", "commit c1 has no team"),
-    ("commits.files", [["", 3, 1]], "file change path must be non-empty"),
     ("commits.files", [["src/a.py", -1, 1]], "lines_added < 0 for src/a.py"),
     ("issues.number", 0, "story number must be positive, got 0"),
     ("issues.state", "open", "open story #1 carries closed_at"),
     ("issues.closed_at", None, "closed story #1 lacks closed_at"),
-    ("issues.milestone_history", [["", 0.0]], "membership has no sprint id"),
     ("issues.milestone_history", [["s1", 0.0], ["s1", 1.0]], "story #1 (alpha) has duplicate sprint memberships"),
-    ("sprints.id", "", "sprint id must be non-empty"),
     ("sprints.due_on", _epoch("2015-01-05T00:00:00Z"), "sprint s1 must start before it is due"),
     ("pulls.number", -2, "pull request number must be positive, got -2"),
     ("pulls.closed_at", None, "merged pull request #1 lacks closed_at"),
     ("pulls.comments", -1, "pull request #1 comment_count < 0"),
-    ("stats.commit_id", "", "build stats row has no commit id"),
     ("stats.coverage_percent", 101, "coverage_percent out of [0,100] for commit c1"),
     ("stats.coverage_percent", float("nan"), "coverage_percent out of [0,100] for commit c1"),
     # integers beyond float range read as infinite, as in a stats CSV
@@ -466,6 +468,8 @@ CONSTRUCTOR_CASES = [
 
 
 EPOCH_FIELDS = {"authored_at", "created_at", "closed_at", "starts_at", "due_on", "opened_at", "assigned_at"}
+# fields holding arrays of objects in an export and arrays of arrays in a snapshot
+ENTRY_FIELDS = {"files", "milestone_history"}
 
 
 def _cell(name: str, value):
@@ -551,6 +555,10 @@ def test_snapshot_rejects(tmp_path, capsys, case):
         assert reason == f"missing column {key}.{path[0]}"
     elif field_name is None:  # a record check: the snapshot runs the export readers' own
         assert reason == f"{key}[0]: {message}"
+    elif path == (field_name,) and field_name not in EPOCH_FIELDS | ENTRY_FIELDS:
+        # one check per column kind: the export's phrase, in the snapshot's frame
+        expected = message.removeprefix(f"{field_name!r} must be ")
+        assert expected != message and reason.startswith(f"{key}.{field_name}[0]: must be {expected}, got ")
     else:
         assert reason.startswith((f"{key}.{path[0]}[0]: ", f"{key}.{path[0]}[0][", f"{key}[0]: "))
 
@@ -560,10 +568,11 @@ def test_columnar_snapshot_names_the_first_bad_cell_and_record(tmp_path, capsys)
     commits = doc["commits"]
     for name, cells in commits.items():
         cells.append(cells[0])
-    commits["id"] = ["c0", ""]
+    commits["id"] = ["c0", "c1"]
+    commits["files"][1] = [["src/a.py", -1, 1]]  # a record check, which the column accepts
     code, err = _lint_snapshot(tmp_path, capsys, doc)
     assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: "
-                              "commits[1]: commit id must be non-empty\n")
+                              "commits[1]: lines_added < 0 for src/a.py\n")
     commits["authored_at"][1] = "yesterday"
     code, err = _lint_snapshot(tmp_path, capsys, doc)
     assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: "
