@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -173,7 +172,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     spec = spec_from_dict(_read_json_file(args.spec)) if args.spec else FixtureSpec()
     if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+        spec = spec._replace(seed=args.seed)
     injection = (
         injection_from_dict(_read_json_file(args.inject)) if args.inject else InjectionSpec()
     )

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections import namedtuple
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields
 from itertools import chain
 
 from . import config as cfg
@@ -55,14 +53,33 @@ EPOCH = 1420416000.0  # 2015-01-05T00:00:00Z, a Monday
 MARGIN_SECONDS = 3600.0
 BASE_STORY_LENGTH = 200
 BASE_STORY_CHECKBOXES = 3
+# a fixture is built in memory; the largest benchmark fixture plans about 30,000 records
+MAX_PLANNED_RECORDS = 10**6
 
 # the settings every fixture is built for and certified against
 _CONFIG = MetricConfig()
 _LAST_MINUTE_SECONDS = _CONFIG.for_metric(cfg.LAST_MINUTE)["last_minute_window_minutes"] * 60.0
 
 
-@dataclass(frozen=True)
-class FixtureSpec:
+def _team_records(devs: int, sprints: int, stories: int, commits_per_dev: int, pulls: int) -> int:
+    """Records a scaffold team plans: itself, its developers, and per sprint the sprint,
+    its stories, each developer's commits with their stats, and its pulls."""
+    return 1 + devs + sprints * (1 + stories + 2 * devs * commits_per_dev + pulls)
+
+
+def _check_plan(what: str, records: int) -> None:
+    """Raise, before anything is built, when `what` plans more records than a fixture may hold."""
+    if records > MAX_PLANNED_RECORDS:
+        raise InfeasibleFixtureError(
+            f"{what} plans {records} records, more than the {MAX_PLANNED_RECORDS} a fixture may hold"
+        )
+
+
+class FixtureSpec(_Record, namedtuple(
+    "FixtureSpec",
+    "seed teams developers_per_team sprints sprint_length_days stories_per_sprint "
+    "commits_per_dev_per_sprint pulls_per_sprint",
+)):
     """Shape of a generated history.
 
     The defaults are balanced so that every metric scores exactly 100: ten
@@ -71,34 +88,33 @@ class FixtureSpec:
     staffing quota on the parabola's peak.
     """
 
-    seed: int = 42
-    teams: int = 2
-    developers_per_team: int = 6
-    sprints: int = 3
-    sprint_length_days: float = 2.0
-    stories_per_sprint: int = 3
-    commits_per_dev_per_sprint: int = 10
-    pulls_per_sprint: int = 4
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "sprint_length_days":
+    def __new__(cls, seed: int = 42, teams: int = 2, developers_per_team: int = 6, sprints: int = 3,
+                sprint_length_days: float = 2.0, stories_per_sprint: int = 3,
+                commits_per_dev_per_sprint: int = 10, pulls_per_sprint: int = 4) -> FixtureSpec:
+        spec = tuple.__new__(cls, (seed, teams, developers_per_team, sprints, sprint_length_days,
+                                   stories_per_sprint, commits_per_dev_per_sprint, pulls_per_sprint))
+        for name, value in zip(cls._fields, spec):
+            if name == "sprint_length_days":
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
                     raise InfeasibleFixtureError(f"sprint_length_days must be > 0, got {value!r}")
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
-                raise InfeasibleFixtureError(f"{f.name} must be an integer, got {value!r}")
-            if f.name != "seed" and value < 0:
-                raise InfeasibleFixtureError(f"{f.name} must be >= 0, got {value}")
+                raise InfeasibleFixtureError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 0:
+                raise InfeasibleFixtureError(f"{name} must be >= 0, got {value}")
+        _check_plan("the spec", teams * _team_records(
+            developers_per_team, sprints, stories_per_sprint, commits_per_dev_per_sprint, pulls_per_sprint
+        ))
+        return spec
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def spec_from_dict(raw: Mapping) -> FixtureSpec:
-    known = {f.name for f in fields(FixtureSpec)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(FixtureSpec._fields))
     if unknown:
         raise InfeasibleFixtureError(f"unknown fixture spec field(s): {', '.join(unknown)}")
     return FixtureSpec(**{k: raw[k] for k in raw})
@@ -111,42 +127,54 @@ def _planted(directive: int | tuple | None) -> int:
     return directive or 0
 
 
-@dataclass(frozen=True)
-class InjectionSpec:
+class InjectionSpec(_Record, namedtuple(
+    "InjectionSpec",
+    "hot_files tdd_regressions huge_stories neverending_stories duplicate_stories "
+    "last_minute_commits idle_developers backlog_overflow silent_fast_pulls",
+)):
     """How many violations to plant, per metric.
 
     Tuple directives carry their extra shape parameters, in the order of
     their keys in `_DIRECTIVES`; the count comes first.
     """
 
-    hot_files: tuple[int, int, int] | None = None
-    tdd_regressions: int = 0
-    huge_stories: tuple[int, float] | None = None
-    neverending_stories: tuple[int, int] | None = None
-    duplicate_stories: int = 0
-    last_minute_commits: int = 0
-    idle_developers: int = 0
-    backlog_overflow: int = 0
-    silent_fast_pulls: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __new__(cls, hot_files: tuple[int, int, int] | None = None, tdd_regressions: int = 0,
+                huge_stories: tuple[int, float] | None = None,
+                neverending_stories: tuple[int, int] | None = None, duplicate_stories: int = 0,
+                last_minute_commits: int = 0, idle_developers: int = 0, backlog_overflow: int = 0,
+                silent_fast_pulls: int = 0) -> InjectionSpec:
+        injection = tuple.__new__(cls, (
+            hot_files, tdd_regressions, huge_stories, neverending_stories, duplicate_stories,
+            last_minute_commits, idle_developers, backlog_overflow, silent_fast_pulls,
+        ))
+        records = 0
+        for name, value in zip(cls._fields, injection):
             if value is None:
                 continue
-            for i, part in enumerate(value if isinstance(value, tuple) else (value,)):
-                kinds = (int, float) if (f.name, i) == ("huge_stories", 1) else int
+            keys, _, plan = _DIRECTIVES[name]
+            if isinstance(value, tuple) != bool(keys) or keys and len(value) != len(keys):
+                shape = f"a tuple of {', '.join(keys)}" if keys else "a count"
+                raise InfeasibleFixtureError(f"{name} must be {shape}, got {value!r}")
+            args = value if keys else (value,)
+            for i, part in enumerate(args):
+                kinds = (int, float) if (name, i) == ("huge_stories", 1) else int
                 if isinstance(part, bool) or not isinstance(part, kinds) or not 0 <= part < math.inf:
                     raise InfeasibleFixtureError(
-                        f"{f.name} must hold finite non-negative numbers, got {value!r}"
+                        f"{name} must hold finite non-negative numbers, got {value!r}"
                     )
+            if _planted(value):
+                records += _INJECTION_TEAM + plan(*args)
+        _check_plan("the injection", records)
+        return injection
 
     def empty(self) -> bool:
-        return not any(_planted(getattr(self, f.name)) for f in fields(self))
+        return not any(map(_planted, self))
 
     def to_dict(self) -> dict:
         out: dict[str, object] = {}
-        for name, (keys, _) in _DIRECTIVES.items():
+        for name, (keys, *_) in _DIRECTIVES.items():
             value = getattr(self, name)
             if value:
                 out[name] = dict(zip(keys, value)) if keys else value
@@ -480,6 +508,7 @@ _INJECT_DEVS = 4
 _INJECT_STORIES = 3
 _INJECT_COMMITS_PER_DEV = 10
 _INJECT_PULLS = 3
+_INJECTION_TEAM = _team_records(_INJECT_DEVS, 1, _INJECT_STORIES, _INJECT_COMMITS_PER_DEV, _INJECT_PULLS)
 
 
 def _injection_team(
@@ -577,10 +606,6 @@ def _inject_huge_stories(rng, count: int, multiplier: float) -> tuple[_TeamBuild
             f"length multiplier must exceed {minimum:.2f} for {c} huge stories among {n} "
             f"regular ones at threshold {t}, got {multiplier}"
         )
-    if not multiplier * BASE_STORY_LENGTH < sys.maxsize:
-        raise InfeasibleFixtureError(
-            f"length multiplier {multiplier} asks for stories longer than a string can hold"
-        )
     builder = _injection_team(rng, cfg.HUGE_STORIES, extra_backlog=count)
     sprint = builder.sprints[-1]
     refs = []
@@ -671,20 +696,28 @@ def _inject_fast_pulls(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
 
 
 # directive -> (the keys of its JSON object, or None for a plain count; its
-# injector), in InjectionSpec field order. `inject` plants the directives in
-# this order and every injector draws from one shared random stream, so
-# reordering the rows changes every injected fixture.
+# injector; the records its arguments plan besides a one-sprint scaffold
+# team, `int` where it plants one per count), in InjectionSpec field order.
+# `inject` plants the directives in this order and every injector draws from
+# one shared random stream, so reordering the rows changes every injected
+# fixture.
 _Injector = Callable[..., tuple[_TeamBuilder, InjectionRecord]]
-_DIRECTIVES: dict[str, tuple[tuple[str, ...] | None, _Injector]] = {
-    "hot_files": (("count", "edits", "authors"), _inject_hot_files),
-    "tdd_regressions": (None, _inject_tdd_regressions),
-    "huge_stories": (("count", "length_multiplier"), _inject_huge_stories),
-    "neverending_stories": (("count", "sprints_each"), _inject_neverending),
-    "duplicate_stories": (None, _inject_duplicates),
-    "last_minute_commits": (None, _inject_last_minute),
-    "idle_developers": (None, _inject_idle_developers),
-    "backlog_overflow": (None, _inject_backlog_overflow),
-    "silent_fast_pulls": (None, _inject_fast_pulls),
+_DIRECTIVES: dict[str, tuple[tuple[str, ...] | None, _Injector, Callable[..., int]]] = {
+    "hot_files": (("count", "edits", "authors"), _inject_hot_files, lambda count, edits, _: count * edits),
+    "tdd_regressions": (None, _inject_tdd_regressions, lambda count: 2 * count),
+    # a story counts once per base story length, which bounds its text
+    "huge_stories": (
+        ("count", "length_multiplier"), _inject_huge_stories, lambda count, m: count * math.ceil(m)
+    ),
+    # a scaffold team per sprint, and a membership per story and sprint
+    "neverending_stories": (
+        ("count", "sprints_each"), _inject_neverending, lambda count, each: each * (_INJECTION_TEAM + count)
+    ),
+    "duplicate_stories": (None, _inject_duplicates, int),
+    "last_minute_commits": (None, _inject_last_minute, int),
+    "idle_developers": (None, _inject_idle_developers, int),
+    "backlog_overflow": (None, _inject_backlog_overflow, int),
+    "silent_fast_pulls": (None, _inject_fast_pulls, int),
 }
 
 
@@ -701,7 +734,7 @@ def inject(
     rng = random.Random(seed)
     builders: list[_TeamBuilder] = []
     ledger: dict[str, InjectionRecord] = {}
-    for name, (keys, injector) in _DIRECTIVES.items():
+    for name, (keys, injector, _) in _DIRECTIVES.items():
         directive = getattr(injection, name)
         if _planted(directive):
             builder, record = injector(rng, *(directive if keys else (directive,)))

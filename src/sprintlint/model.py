@@ -5,13 +5,16 @@ shared read-only by the detectors, the engine, and the scoring layer.
 Timestamps are floats of UTC epoch seconds throughout.
 
 The seven export records, `FileChange` to `PullRequest`, and the result and
-value objects built from them (`Violation`, `MetricResult`, and those of the
-other modules) are checked tuples: named tuples whose `__new__`, where a
-class has one, checks and normalises the fields, as a load builds one or
-more per row, a lint one per violation, and a tuple is the cheapest
-immutable object to build. A checked tuple equals only one of its own
-class, never a plain tuple, and `_make` and `_replace` run the same checks
-as the constructor.
+value objects built from them (`Violation`, `Finding`, `MetricResult`,
+`SprintSlice`, and those of the other modules) are checked tuples: named
+tuples whose `__new__`, where a class has one, checks and normalises the
+fields, as a load builds one or more per row, a lint one per violation, and
+a tuple is the cheapest immutable object to build. A checked tuple equals
+only one of its own class, never a plain tuple, and `_make` and `_replace`
+run the same checks as the constructor.
+
+`ProjectHistory` is a plain immutable class instead, as a named tuple
+cannot hold its private lookups; its constructor builds every one of them.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import NamedTuple
 
 from .errors import HistoryError, RecordError, UnknownSprintError
 
@@ -232,16 +233,15 @@ class Violation(_Record, namedtuple("Violation", "artifacts detail numeric_detai
         return tuple.__new__(cls, (artifacts, detail, dict(numeric_detail)))
 
 
-class Finding(NamedTuple):
+class Finding(_Record, namedtuple(
+    "Finding", "violations score inputs_echo diagnostic", defaults=({}, None)
+)):
     """What one detector found in one team-sprint.
 
     The fields are `MetricResult`'s after `sprint`, in order; the engine adds the rest.
     """
 
-    violations: tuple[Violation, ...]
-    score: float | None
-    inputs_echo: Mapping[str, float] = {}
-    diagnostic: str | None = None
+    __slots__ = ()
 
 
 class MetricResult(_Record, namedtuple(
@@ -271,7 +271,7 @@ class _TimeIndex:
 
     def __init__(self, records: Sequence, stamp: Callable[[object], float]) -> None:
         self._records = records
-        stamps = [stamp(record) for record in records]
+        stamps = list(map(stamp, records))
         self._order = sorted(range(len(records)), key=stamps.__getitem__)
         self._stamps = [stamps[i] for i in self._order]
 
@@ -282,8 +282,9 @@ class _TimeIndex:
         return tuple(self._records[i] for i in cut)
 
 
-@dataclass(frozen=True)
-class SprintSlice:
+class SprintSlice(_Record, namedtuple(
+    "SprintSlice", "sprint commits stories pulls developers stats_by_commit sprints_by_id"
+)):
     """Everything a detector sees of one team-sprint.
 
     The sprint (its `team` is the slice's team), the team's artifacts in the
@@ -291,27 +292,12 @@ class SprintSlice:
     sprint lookups, shared rather than copied.
     """
 
-    sprint: Sprint
-    commits: tuple[Commit, ...]
-    stories: tuple[UserStory, ...]
-    pulls: tuple[PullRequest, ...]
-    developers: frozenset[str]
-    stats_by_commit: Mapping[str, BuildStats] = field(repr=False, compare=False)
-    sprints_by_id: Mapping[str, Sprint] = field(repr=False, compare=False)
+    __slots__ = ()
 
 
-# collection -> (primary key, message naming a duplicate), in the order duplicates are reported
-_PRIMARY_KEYS: dict[str, tuple[Callable, str]] = {
-    "commits": (attrgetter("id"), "duplicate commit id {0.id!r}"),
-    "sprints": (attrgetter("id"), "duplicate sprint id {0.id!r}"),
-    "stories": (attrgetter("team", "number"), "duplicate story #{0.number} for team {0.team!r}"),
-    "pulls": (attrgetter("team", "number"), "duplicate pull request #{0.number} for team {0.team!r}"),
-    "build_stats": (attrgetter("commit_id"), "duplicate build stats for commit {0.commit_id!r}"),
-}
-
-
-def _sorted_unique(records: Iterable, key: Callable, duplicate: str) -> tuple:
+def _sorted_unique(records: Iterable, duplicate: str, *key_fields: str) -> tuple:
     """`records` sorted by their primary key; raises on the smallest key held twice."""
+    key = attrgetter(*key_fields)
     ordered = sorted(records, key=key)
     keys = list(map(key, ordered))
     if len(set(keys)) != len(keys):
@@ -329,40 +315,36 @@ def _by_team(records: Iterable, teams: Iterable[str]) -> dict[str, tuple]:
     return {t: tuple(v) for t, v in groups.items()}
 
 
-@dataclass(frozen=True)
 class ProjectHistory:
     """Validated, immutable snapshot of every record in an export.
 
     The constructor sorts each collection by its primary key, so input order
-    does not matter; checks keys and cross-references; and derives `teams`,
+    does not matter; checks keys and cross-references; derives `teams`,
     `developers` and `diagnostics`, which flag unknown commit parents (a
-    shallow export) without rejecting them.
+    shallow export) without rejecting them; and builds the lookups that
+    `window` reads. Histories with equal records are equal.
     """
 
-    commits: tuple[Commit, ...] = ()
-    stories: tuple[UserStory, ...] = ()
-    sprints: tuple[Sprint, ...] = ()
-    pulls: tuple[PullRequest, ...] = ()
-    build_stats: tuple[BuildStats, ...] = ()
-    teams: tuple[str, ...] = field(init=False)
-    developers: Mapping[str, frozenset[str]] = field(init=False)
-    diagnostics: tuple[str, ...] = field(init=False)
-
-    _sprint_by_id: dict[str, Sprint] = field(init=False, repr=False, compare=False)
-    _stats_by_commit: dict[str, BuildStats] = field(init=False, repr=False, compare=False)
-    _sprints_by_team: dict[str, tuple[Sprint, ...]] = field(init=False, repr=False, compare=False)
-    _backlogs: dict[tuple[str, str], tuple[UserStory, ...]] = field(init=False, repr=False, compare=False)
-    _commits_by_team: dict[str, tuple[Commit, ...]] = field(init=False, repr=False, compare=False)
-    _pulls_by_team: dict[str, tuple[PullRequest, ...]] = field(init=False, repr=False, compare=False)
-    # team -> (commit time index, pull time index), filled by the team's first window()
-    _time_indexes: dict[str, tuple[_TimeIndex, _TimeIndex]] = field(
-        init=False, repr=False, compare=False
+    # set in this order by `__init__`; the five record collections first, as `__repr__` names them
+    __slots__ = (
+        "commits", "stories", "sprints", "pulls", "build_stats", "teams", "developers", "diagnostics",
+        "_sprint_by_id", "_stats_by_commit", "_sprints_by_team", "_backlogs", "_time_indexes",
     )
 
-    def __post_init__(self) -> None:
-        for name, (key, duplicate) in _PRIMARY_KEYS.items():
-            object.__setattr__(self, name, _sorted_unique(getattr(self, name), key, duplicate))
-        commits, stories, sprints, pulls, build_stats = self.records()
+    def __init__(
+        self,
+        commits: Iterable[Commit] = (),
+        stories: Iterable[UserStory] = (),
+        sprints: Iterable[Sprint] = (),
+        pulls: Iterable[PullRequest] = (),
+        build_stats: Iterable[BuildStats] = (),
+    ) -> None:
+        # in the order duplicates are reported
+        commits = _sorted_unique(commits, "duplicate commit id {0.id!r}", "id")
+        sprints = _sorted_unique(sprints, "duplicate sprint id {0.id!r}", "id")
+        stories = _sorted_unique(stories, "duplicate story #{0.number} for team {0.team!r}", "team", "number")
+        pulls = _sorted_unique(pulls, "duplicate pull request #{0.number} for team {0.team!r}", "team", "number")
+        build_stats = _sorted_unique(build_stats, "duplicate build stats for commit {0.commit_id!r}", "commit_id")
 
         sprint_by_id = {s.id: s for s in sprints}
         backlogs: dict[tuple[str, str], list[UserStory]] = {}
@@ -386,21 +368,43 @@ class ProjectHistory:
         )
 
         teams = tuple(sorted({r.team for records in (commits, stories, sprints, pulls) for r in records}))
-        commits_by_team = _by_team(commits, teams)
+        commits_by_team, pulls_by_team = _by_team(commits, teams), _by_team(pulls, teams)
         developers = {t: {c.author for c in v} for t, v in commits_by_team.items()}
         for story in stories:
             developers[story.team].update(story.assignees)
-        object.__setattr__(self, "teams", teams)
-        object.__setattr__(self, "diagnostics", diagnostics)
-        object.__setattr__(self, "developers", {t: frozenset(d) for t, d in developers.items()})
-        object.__setattr__(self, "_sprint_by_id", sprint_by_id)
-        object.__setattr__(self, "_stats_by_commit", {s.commit_id: s for s in build_stats})
-        by_due_date = sorted(sprints, key=lambda s: (s.due_on, s.id))
-        object.__setattr__(self, "_sprints_by_team", _by_team(by_due_date, teams))
-        object.__setattr__(self, "_backlogs", {k: tuple(v) for k, v in backlogs.items()})
-        object.__setattr__(self, "_commits_by_team", commits_by_team)
-        object.__setattr__(self, "_pulls_by_team", _by_team(pulls, teams))
-        object.__setattr__(self, "_time_indexes", {})
+        # team -> (commit time index, pull time index)
+        time_indexes = {
+            t: (
+                _TimeIndex(commits_by_team[t], attrgetter("authored_at")),
+                _TimeIndex(pulls_by_team[t], attrgetter("opened_at")),
+            )
+            for t in teams
+        }
+        sprints_by_team = _by_team(sorted(sprints, key=lambda s: (s.due_on, s.id)), teams)
+        stats_by_commit = {s.commit_id: s for s in build_stats}
+        developers = {t: frozenset(d) for t, d in developers.items()}
+        for name, value in zip(self.__slots__, (
+            commits, stories, sprints, pulls, build_stats, teams, developers, diagnostics, sprint_by_id,
+            stats_by_commit, sprints_by_team, {k: tuple(v) for k, v in backlogs.items()}, time_indexes,
+        )):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete {name!r}: a history is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        # defining `__eq__` leaves `__hash__` None: a history holds dicts
+        return type(other) is type(self) and self.records() == other.records()
+
+    def __repr__(self) -> str:
+        records = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self.records()))
+        return f"{type(self).__name__}({records})"
+
+    def __reduce__(self) -> tuple:
+        # `copy` and `pickle` rebuild a history from its records: `__setattr__` refuses to restore slots
+        return type(self), self.records()
 
     def records(self) -> tuple[tuple, tuple, tuple, tuple, tuple]:
         """The five collections in constructor order: ``ProjectHistory(*h.records()) == h``."""
@@ -420,16 +424,6 @@ class ProjectHistory:
         """The team's stories that list `sprint_id` as a membership, in `stories` order."""
         return self._backlogs.get((team, sprint_id), ())
 
-    def _team_time_indexes(self, team: str) -> tuple[_TimeIndex, _TimeIndex]:
-        indexes = self._time_indexes.get(team)
-        if indexes is None:
-            indexes = (
-                _TimeIndex(self._commits_by_team.get(team, ()), lambda c: c.authored_at),
-                _TimeIndex(self._pulls_by_team.get(team, ()), lambda p: p.opened_at),
-            )
-            self._time_indexes[team] = indexes
-        return indexes
-
 
 def build_history(
     commits: Iterable[Commit] = (),
@@ -448,14 +442,14 @@ def window(history: ProjectHistory, team: str, sprint_id: str) -> SprintSlice:
     Commits and pull requests are attributed by timestamp within the closed
     interval [starts_at, due_on], so a record stamped at the instant where
     two back-to-back sprints meet belongs to both; stories by backlog
-    membership. Each team's commits and pulls are indexed by time on the
-    team's first window, so every later window is two binary searches. All
-    three tuples keep the order of the history's own collections.
+    membership. Each team's commits and pulls are indexed by time when the
+    history is built, so a window is two binary searches. All three tuples
+    keep the order of the history's own collections.
     """
     sprint = history.sprint(sprint_id)
     if sprint.team != team:
         raise UnknownSprintError(f"sprint {sprint_id!r} belongs to {sprint.team!r}, not {team!r}")
-    commit_index, pull_index = history._team_time_indexes(team)
+    commit_index, pull_index = history._time_indexes[team]
     return SprintSlice(
         sprint=sprint,
         commits=commit_index.between(sprint.starts_at, sprint.due_on),

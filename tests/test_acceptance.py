@@ -228,12 +228,10 @@ ORACLE_DIRECTIVES = {
 
 
 def test_criterion_4_injection_oracle_over_100_seeds():
-    import dataclasses
-
     ok = True
     failures = []
     for seed in range(100):
-        base, _ = generate(dataclasses.replace(ORACLE_SPEC, seed=seed))
+        base, _ = generate(ORACLE_SPEC._replace(seed=seed))
         for metric, directive in ORACLE_DIRECTIVES.items():
             history, ledger = inject(base, directive, seed=seed)
             record = ledger[metric]

@@ -282,7 +282,16 @@ TOO_LARGE = {
     "infinite-sprint": ("spec", {"sprint_length_days": 1e308}),
     "sprints-past-year-9999": ("spec", {"sprint_length_days": 1e300, "sprints": 2}),
     "too-many-sprints": ("spec", {"sprints": 10**20}),
+    "too-many-teams": ("spec", {"teams": 10**20}),
+    "too-many-developers": ("spec", {"developers_per_team": 10**20}),
+    "too-many-commits": ("spec", {"commits_per_dev_per_sprint": 10**20}),
+    "too-many-pulls": ("spec", {"pulls_per_sprint": 10**20}),
     "infinite-story": ("inject", {"huge_stories": {"count": 1, "length_multiplier": 1e308}}),
+    "story-too-long-to-build": ("inject", {"huge_stories": {"count": 1, "length_multiplier": 1e15}}),
+    "too-many-last-minute-commits": ("inject", {"last_minute_commits": 10**20}),
+    "too-many-fast-pulls": ("inject", {"silent_fast_pulls": 10**20}),
+    "too-many-hot-file-edits": ("inject", {"hot_files": {"count": 1, "edits": 10**20, "authors": 1}}),
+    "too-many-neverending-sprints": ("inject", {"neverending_stories": {"count": 1, "sprints_each": 10**20}}),
 }
 
 

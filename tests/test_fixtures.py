@@ -12,6 +12,7 @@ from sprintlint import (
 )
 from sprintlint.fixtures import (
     EPOCH,
+    MAX_PLANNED_RECORDS,
     FixtureSpec,
     InjectionSpec,
     generate,
@@ -209,6 +210,38 @@ def test_injection_feasibility_checks():
 def test_injection_spec_rejects_negative_counts(directive):
     with pytest.raises(InfeasibleFixtureError, match="non-negative"):
         InjectionSpec(**directive)
+
+
+@pytest.mark.parametrize(
+    "directive, shape",
+    [
+        ({"hot_files": 5}, "a tuple of count, edits, authors"),
+        ({"hot_files": (1, 12)}, "a tuple of count, edits, authors"),
+        ({"neverending_stories": (1,)}, "a tuple of count, sprints_each"),
+        ({"silent_fast_pulls": (1,)}, "a count"),
+    ],
+)
+def test_injection_spec_rejects_a_directive_of_the_wrong_shape(directive, shape):
+    [name] = directive
+    with pytest.raises(InfeasibleFixtureError, match=f"^{name} must be {shape}, got "):
+        InjectionSpec(**directive)
+
+
+def test_a_plan_over_the_record_cap_is_refused_at_construction():
+    scaffold = 92  # each planted directive's one-sprint team
+    most = MAX_PLANNED_RECORDS - scaffold
+    refused = f"^the injection plans {MAX_PLANNED_RECORDS + 1} records, more than the {MAX_PLANNED_RECORDS} "
+    assert InjectionSpec(last_minute_commits=most).last_minute_commits == most
+    with pytest.raises(InfeasibleFixtureError, match=refused):
+        InjectionSpec(last_minute_commits=most + 1)
+    # a huge story counts once per base story length, rounded up
+    assert InjectionSpec(huge_stories=(1, most)).huge_stories == (1, most)
+    with pytest.raises(InfeasibleFixtureError, match=refused):
+        InjectionSpec(huge_stories=(1, most + 0.5))
+    # 1 + 6 developers + 3 sprints x (1 sprint + 3 stories + 2 x 6 x 10 commits and stats + 4 pulls)
+    assert FixtureSpec(teams=MAX_PLANNED_RECORDS // 391).teams == 2557
+    with pytest.raises(InfeasibleFixtureError, match="^the spec plans 1000178 records"):
+        FixtureSpec(teams=MAX_PLANNED_RECORDS // 391 + 1)
 
 
 def test_injection_spec_json_round_trip():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import inspect
 import math
+import pickle
 import pkgutil
 import random
 from pathlib import Path
@@ -19,8 +21,10 @@ from sprintlint import (
     Commit,
     FileChange,
     FileEditProfile,
+    Finding,
     FixtureCertificate,
     HistoryError,
+    InfeasibleFixtureError,
     IngestManifest,
     InjectionRecord,
     MetricConfig,
@@ -33,6 +37,7 @@ from sprintlint import (
     Severity,
     Sprint,
     SprintMembership,
+    SprintSlice,
     StoryState,
     TeamSprintScore,
     TrendSeries,
@@ -45,7 +50,7 @@ from sprintlint import (
     unfinished_stories,
     window,
 )
-from sprintlint.fixtures import FixtureSpec, generate, inject
+from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
 from sprintlint.ingest import ParseIssue, _Column
 from sprintlint.model import _Record
 from sprintlint.scoring import Contribution, SkippedMetric, TrendPoint
@@ -86,6 +91,26 @@ def test_constructor_derives_teams_and_developers():
     history = ProjectHistory(commits=(commit,))
     assert history.teams == ("A",)
     assert history.developers == {"A": frozenset({"ann@example.org"})}
+
+
+def test_history_is_immutable_unhashable_and_equal_by_its_records():
+    sprint = make_sprint()
+    commits = [make_commit(f"c{i}", T0 + i) for i in range(8)]
+    history = build_history(commits=commits, sprints=[sprint])
+    for name in ("commits", "teams", "_time_indexes", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(history, name, None)
+    with pytest.raises(AttributeError):
+        del history.commits
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(history)
+    random.Random(5).shuffle(commits)
+    assert ProjectHistory(commits=commits, sprints=[sprint]) == history
+    assert history != build_history(commits=commits[1:], sprints=[sprint])
+    assert history != history.records() and not history == history.records()
+    assert repr(history).startswith("ProjectHistory(commits=(Commit(id='c0', ")
+    for twin in (copy.copy(history), pickle.loads(pickle.dumps(history))):
+        assert twin == history and window(twin, TEAM, "s1") == window(history, TEAM, "s1")
 
 
 def test_records_rebuild_the_same_history():
@@ -441,10 +466,14 @@ VALUES = {
     _Column: lambda: _Column(str, None, list, list, all),
     InjectionRecord: lambda: InjectionRecord("huge-stories", TEAM, "s1", ("#1",)),
     FixtureCertificate: lambda: FixtureCertificate(42, "mt19937", 54, True, True, "0" * 64),
+    Finding: lambda: Finding((_violation(),), 75.0, {"violations": 1}),
+    SprintSlice: lambda: window(build_history(commits=[make_commit("c1", T0)], sprints=[make_sprint()]), TEAM, "s1"),
+    FixtureSpec: lambda: FixtureSpec(seed=7, teams=1, sprint_length_days=3),
+    InjectionSpec: lambda: InjectionSpec(hot_files=(1, 12, 2), huge_stories=(2, 12.0), last_minute_commits=3),
 }
 CHECKED_TUPLES = RECORDS | VALUES
 # a dict field makes the whole object unhashable, as it made the frozen dataclasses it replaced
-HOLD_A_DICT = {Violation, MetricResult, RunReport, MetricConfig, IngestManifest}
+HOLD_A_DICT = {Violation, MetricResult, RunReport, MetricConfig, IngestManifest, Finding, SprintSlice}
 
 
 def field_names(cls) -> list[str]:
@@ -475,13 +504,6 @@ def test_record_semantics(cls):
 DATACLASSES = {
     # the benchmark's tracer rebuilds each check with `dataclasses.replace` to wrap its detector
     "engine.RegisteredMetric",
-    # its derived lookups are set after construction, and a namedtuple field cannot start with "_"
-    "model.ProjectHistory",
-    # its two shared lookups take no part in equality or repr
-    "model.SprintSlice",
-    # each default documents the fixture's shape, and only `generate` and `inject` take them
-    "fixtures.FixtureSpec",
-    "fixtures.InjectionSpec",
 }
 
 
@@ -517,6 +539,8 @@ def test_replace_and_make_run_the_constructor_checks():
         Violation(("a",), "d")._replace(artifacts=())
     with pytest.raises(RecordError, match=r"^huge-stories score 101.0 out of \[0,100\]$"):
         _result()._replace(score=101.0)
+    with pytest.raises(InfeasibleFixtureError, match="^teams must be >= 0, got -1$"):
+        FixtureSpec()._replace(teams=-1)
     assert _violation()._replace(artifacts=["#2"]).artifacts == ("#2",)
     commit = RECORDS[Commit]()
     assert commit._replace(author="ANN").author == "ann"
