@@ -14,6 +14,11 @@ artifacts. Pre-existing teams are untouched and the injection team is tuned
 uniform size, injected commits stay clear of the deadline window) so that
 every metric other than the targeted one still scores a clean 100.
 
+A spec or directive that cannot be built is refused when it is
+constructed, and so when it is read, before any record is built:
+``InjectionSpec(tdd_regressions=61)`` raises ``InfeasibleFixtureError``, as
+coverage starts at 60% and each regression drops it a point.
+
 Randomness comes from a single seeded Mersenne Twister stream (the stdlib
 ``random.Random``), so identical specs produce byte-identical exports on
 any platform; the algorithm name is recorded in certificates and ledgers.
@@ -23,8 +28,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import namedtuple
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from itertools import chain
 
 from . import config as cfg
@@ -59,6 +65,10 @@ MAX_PLANNED_RECORDS = 10**6
 # the settings every fixture is built for and certified against
 _CONFIG = MetricConfig()
 _LAST_MINUTE_SECONDS = _CONFIG.for_metric(cfg.LAST_MINUTE)["last_minute_window_minutes"] * 60.0
+# each scaffold file is edited by more authors than own a file collectively
+_POOL_AUTHORS = _CONFIG.for_metric(cfg.COLLECTIVE_OWNERSHIP)["threshold_a"] + 1
+# a team's coverage before its first commit; scaffold commits raise it by less than 0.1 points
+_START_COVERAGE = 60.0
 
 
 def _team_records(devs: int, sprints: int, stories: int, commits_per_dev: int, pulls: int) -> int:
@@ -73,6 +83,46 @@ def _check_plan(what: str, records: int) -> None:
         raise InfeasibleFixtureError(
             f"{what} plans {records} records, more than the {MAX_PLANNED_RECORDS} a fixture may hold"
         )
+
+
+def _sprint_seconds(index: int, starts: float, duration_seconds: float) -> float:
+    """The whole seconds sprint `index` lasts; raise unless it fits the calendar and outlasts the window."""
+    # no export can write an instant after year 9999, and pull requests
+    # close up to a day after their sprint's deadline
+    if not starts + duration_seconds < END_TS - 86400.0:
+        raise InfeasibleFixtureError(
+            f"sprint {index + 1} ({duration_seconds / 86400.0:g} days) would end after "
+            "9999-12-31T00:00:00Z, the last deadline a fixture can have"
+        )
+    # whole seconds keep timestamps exact through the ISO-8601 round trip
+    seconds = float(round(duration_seconds))
+    if seconds <= _LAST_MINUTE_SECONDS + 2 * MARGIN_SECONDS:
+        raise InfeasibleFixtureError(
+            f"sprint of {seconds:.0f}s leaves no room outside the "
+            f"{_LAST_MINUTE_SECONDS:.0f}s deadline window plus margins"
+        )
+    return seconds
+
+
+def _check_sprints(sprints: int, duration_seconds: float) -> None:
+    """Raise, before anything is built, unless a team's `sprints` sprints of `duration_seconds` fit."""
+    if sprints:
+        # every sprint is as long, so the first and the last stand for them all
+        seconds = _sprint_seconds(0, EPOCH, duration_seconds)
+        _sprint_seconds(sprints - 1, EPOCH + (sprints - 1) * seconds, duration_seconds)
+
+
+def _check_pool_authors(n_devs: int) -> None:
+    """Raise unless `n_devs` committers can give every scaffold file more than threshold_a authors."""
+    if n_devs < _POOL_AUTHORS:
+        raise InfeasibleFixtureError(f"hot-file guarantee needs at least {_POOL_AUTHORS} developers per team "
+                                     f"(threshold_a + 1), got {n_devs}")
+
+
+def _check_idle_devs(idle_devs: int, stories: int) -> None:
+    """Raise unless each idle developer can be assigned to a story of their own."""
+    if idle_devs > stories:
+        raise InfeasibleFixtureError(f"{idle_devs} idle developer(s) need a story each; a sprint has {stories}")
 
 
 class FixtureSpec(_Record, namedtuple(
@@ -97,8 +147,9 @@ class FixtureSpec(_Record, namedtuple(
                                    stories_per_sprint, commits_per_dev_per_sprint, pulls_per_sprint))
         for name, value in zip(cls._fields, spec):
             if name == "sprint_length_days":
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-                    raise InfeasibleFixtureError(f"sprint_length_days must be > 0, got {value!r}")
+                if (isinstance(value, bool) or not isinstance(value, (int, float))
+                        or not 0 < value <= sys.float_info.max):
+                    raise InfeasibleFixtureError(f"sprint_length_days must be finite and > 0, got {value!r}")
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InfeasibleFixtureError(f"{name} must be an integer, got {value!r}")
@@ -107,6 +158,13 @@ class FixtureSpec(_Record, namedtuple(
         _check_plan("the spec", teams * _team_records(
             developers_per_team, sprints, stories_per_sprint, commits_per_dev_per_sprint, pulls_per_sprint
         ))
+        if teams and sprints:
+            if developers_per_team and stories_per_sprint and not commits_per_dev_per_sprint:
+                raise InfeasibleFixtureError("developers assigned to stories would never commit; the "
+                                             "zero-committer guarantee needs commits_per_dev_per_sprint >= 1")
+            _check_sprints(sprints, sprint_length_days * 86400.0)
+            if developers_per_team and commits_per_dev_per_sprint:
+                _check_pool_authors(developers_per_team)
         return spec
 
     def to_dict(self) -> dict:
@@ -153,18 +211,21 @@ class InjectionSpec(_Record, namedtuple(
         for name, value in zip(cls._fields, injection):
             if value is None:
                 continue
-            keys, _, plan = _DIRECTIVES[name]
+            _, keys, _, plan, check = _DIRECTIVES[name]
             if isinstance(value, tuple) != bool(keys) or keys and len(value) != len(keys):
                 shape = f"a tuple of {', '.join(keys)}" if keys else "a count"
                 raise InfeasibleFixtureError(f"{name} must be {shape}, got {value!r}")
             args = value if keys else (value,)
             for i, part in enumerate(args):
                 kinds = (int, float) if (name, i) == ("huge_stories", 1) else int
-                if isinstance(part, bool) or not isinstance(part, kinds) or not 0 <= part < math.inf:
+                if (isinstance(part, bool) or not isinstance(part, kinds)
+                        or not 0 <= part <= sys.float_info.max):
                     raise InfeasibleFixtureError(
                         f"{name} must hold finite non-negative numbers, got {value!r}"
                     )
             if _planted(value):
+                if check:
+                    check(*args)
                 records += _INJECTION_TEAM + plan(*args)
         _check_plan("the injection", records)
         return injection
@@ -174,10 +235,10 @@ class InjectionSpec(_Record, namedtuple(
 
     def to_dict(self) -> dict:
         out: dict[str, object] = {}
-        for name, (keys, *_) in _DIRECTIVES.items():
+        for name, directive in _DIRECTIVES.items():
             value = getattr(self, name)
             if value:
-                out[name] = dict(zip(keys, value)) if keys else value
+                out[name] = dict(zip(directive.keys, value)) if directive.keys else value
         return out
 
 
@@ -186,7 +247,7 @@ def injection_from_dict(raw: Mapping) -> InjectionSpec:
     for key, value in raw.items():
         if key not in _DIRECTIVES:
             raise InfeasibleFixtureError(f"unknown injection directive {key!r}")
-        keys = _DIRECTIVES[key][0]
+        keys = _DIRECTIVES[key].keys
         if keys is not None:
             if not isinstance(value, Mapping) or set(value) != set(keys):
                 raise InfeasibleFixtureError(
@@ -228,17 +289,6 @@ def _story_body(title: str, length: int, checkboxes: int) -> str:
     return tasks + ("\n" if tasks else "") + words
 
 
-def _check_deadline(index: int, starts: float, duration_seconds: float) -> None:
-    """Raise unless sprint `index`, starting at `starts`, ends early enough for its records to be written."""
-    # no export can write an instant after year 9999, and pull requests
-    # close up to a day after their sprint's deadline
-    if not starts + duration_seconds < END_TS - 86400.0:
-        raise InfeasibleFixtureError(
-            f"sprint {index + 1} ({duration_seconds / 86400.0:g} days) would end after "
-            "9999-12-31T00:00:00Z, the last deadline a fixture can have"
-        )
-
-
 class _TeamBuilder:
     """Accumulates one team's records with the invariants the generator promises.
 
@@ -263,7 +313,7 @@ class _TeamBuilder:
         self._pull_number = 0
         self._commit_counter = 0
         self._head: str | None = None
-        self._coverage = 60.0
+        self._coverage = _START_COVERAGE
         self._complexity = 100.0
         self._elapsed = 0.0  # the summed durations of `sprints`
 
@@ -275,14 +325,7 @@ class _TeamBuilder:
 
     def add_sprint(self, index: int, duration_seconds: float) -> Sprint:
         starts = EPOCH + self._elapsed
-        _check_deadline(index, starts, duration_seconds)
-        # whole seconds keep timestamps exact through the ISO-8601 round trip
-        duration_seconds = float(round(duration_seconds))
-        if duration_seconds <= _LAST_MINUTE_SECONDS + 2 * MARGIN_SECONDS:
-            raise InfeasibleFixtureError(
-                f"sprint of {duration_seconds:.0f}s leaves no room outside the "
-                f"{_LAST_MINUTE_SECONDS:.0f}s deadline window plus margins"
-            )
+        duration_seconds = _sprint_seconds(index, starts, duration_seconds)
         sprint = Sprint(
             id=f"{self.team}-s{index:02d}",
             title=f"Sprint {index + 1}",
@@ -297,6 +340,9 @@ class _TeamBuilder:
     def _interior(self, sprint: Sprint) -> tuple[float, float]:
         lo = sprint.starts_at + MARGIN_SECONDS
         return lo, sprint.due_on - _LAST_MINUTE_SECONDS - MARGIN_SECONDS
+
+    def payload_time(self, sprint: Sprint) -> float:
+        return self.rng.uniform(*self._interior(sprint))
 
     # -- stories --------------------------------------------------------
 
@@ -334,23 +380,14 @@ class _TeamBuilder:
         self.stories.append(story)
         return story
 
-    def fill_sprint_stories(self, sprint: Sprint, count: int) -> list[UserStory]:
+    def fill_sprint_stories(self, sprint: Sprint, count: int) -> None:
+        _check_idle_devs(len(self.idle_devs), count)
         idle_pool = list(self.idle_devs)
-        stories = []
         for _ in range(count):
             extra = (idle_pool.pop(),) if idle_pool else ()
-            stories.append(self.add_story([sprint], extra_assignees=extra))
-        if idle_pool:
-            raise InfeasibleFixtureError(
-                f"{len(idle_pool)} idle developer(s) left without a story to be assigned to"
-            )
-        return stories
+            self.add_story([sprint], extra_assignees=extra)
 
     # -- commits ---------------------------------------------------------
-
-    def _next_commit_id(self) -> str:
-        self._commit_counter += 1
-        return f"{self.team}-c{self._commit_counter:06d}"
 
     def add_commit(
         self,
@@ -360,8 +397,9 @@ class _TeamBuilder:
         with_stats: tuple[float, float] | None,
         advance_chain: bool = True,
     ) -> Commit:
+        self._commit_counter += 1
         commit = Commit(
-            id=self._next_commit_id(),
+            id=f"{self.team}-c{self._commit_counter:06d}",
             author=author,
             authored_at=float(round(when)),
             parents=(self._head,) if self._head is not None else (),
@@ -388,16 +426,10 @@ class _TeamBuilder:
         return self._coverage, self._complexity
 
     def _file_pool(self, total_commits: int) -> list[str]:
-        threshold_a = _CONFIG.for_metric(cfg.COLLECTIVE_OWNERSHIP)["threshold_a"]
-        needed_authors = threshold_a + 1
         n_devs = len(self.devs)
-        if n_devs < needed_authors:
-            raise InfeasibleFixtureError(
-                f"hot-file guarantee needs at least {needed_authors} developers per team "
-                f"(threshold_a + 1), got {n_devs}"
-            )
+        _check_pool_authors(n_devs)
         size = max(1, total_commits // 18)
-        while size > 1 and n_devs // math.gcd(size, n_devs) < needed_authors:
+        while size > 1 and n_devs // math.gcd(size, n_devs) < _POOL_AUTHORS:
             size -= 1
         return [f"src/{self.team}/module_{j:02d}.py" for j in range(size)]
 
@@ -448,24 +480,15 @@ class _TeamBuilder:
             self.add_pull(sprint, open_minutes, comments=1 + self.rng.randrange(0, 4))
 
 
-def _build_clean_team(rng: random.Random, team_id: str, spec: FixtureSpec) -> _TeamBuilder:
-    builder = _TeamBuilder(rng, team_id, spec.developers_per_team, 0)
-    if spec.developers_per_team > 0 and spec.sprints > 0:
-        if spec.commits_per_dev_per_sprint == 0 and spec.stories_per_sprint > 0:
-            raise InfeasibleFixtureError(
-                "developers assigned to stories would never commit; the zero-committer "
-                "guarantee needs commits_per_dev_per_sprint >= 1"
-            )
-    duration = spec.sprint_length_days * 86400.0
-    if spec.sprints and math.isfinite(duration):
-        # every sprint is as long, so the last one's end is checked before any record is built
-        _check_deadline(spec.sprints - 1, EPOCH + (spec.sprints - 1) * float(round(duration)), duration)
-    for k in range(spec.sprints):
+def _scaffold_team(rng: random.Random, team_id: str, devs: int, sprints: int, duration: float, stories: int,
+                   commits_per_dev: int, pulls: int, idle_devs: int = 0) -> _TeamBuilder:
+    """A violation-free team of `sprints` back-to-back sprints of `duration` seconds each."""
+    builder = _TeamBuilder(rng, team_id, devs, idle_devs)
+    for k in range(sprints):
         sprint = builder.add_sprint(k, duration)
-        builder.fill_sprint_stories(sprint, spec.stories_per_sprint)
-        if spec.developers_per_team:
-            builder.fill_sprint_commits(sprint, spec.commits_per_dev_per_sprint)
-        builder.fill_sprint_pulls(sprint, spec.pulls_per_sprint)
+        builder.fill_sprint_stories(sprint, stories)
+        builder.fill_sprint_commits(sprint, commits_per_dev)
+        builder.fill_sprint_pulls(sprint, pulls)
     return builder
 
 
@@ -491,7 +514,10 @@ def self_lint(history: ProjectHistory, seed: int) -> FixtureCertificate:
 def generate(spec: FixtureSpec) -> tuple[ProjectHistory, FixtureCertificate]:
     """Build a violation-free history for `spec` plus its self-lint certificate."""
     rng = random.Random(spec.seed)
-    builders = [_build_clean_team(rng, f"team-{t + 1:02d}", spec) for t in range(spec.teams)]
+    duration = spec.sprint_length_days * 86400.0
+    builders = [_scaffold_team(rng, f"team-{t + 1:02d}", spec.developers_per_team, spec.sprints, duration,
+                               spec.stories_per_sprint, spec.commits_per_dev_per_sprint, spec.pulls_per_sprint)
+                for t in range(spec.teams)]
     history = _assemble(builders)
     certificate = self_lint(history, spec.seed)
     if not certificate.violation_free:
@@ -511,87 +537,37 @@ _INJECT_PULLS = 3
 _INJECTION_TEAM = _team_records(_INJECT_DEVS, 1, _INJECT_STORIES, _INJECT_COMMITS_PER_DEV, _INJECT_PULLS)
 
 
-def _injection_team(
-    rng: random.Random,
-    metric: str,
-    n_sprints: int = 1,
-    extra_backlog: int = 0,
-    idle_devs: int = 0,
-    quota_backlog: int | None = None,
-) -> _TeamBuilder:
-    """Scaffold a one-off team for one directive.
-
-    Sprint length is chosen so that developers / backlog / days sits exactly
-    on the parabola's peak; `quota_backlog` overrides the backlog size used
-    for that balancing when the directive deliberately wants it off-peak.
-    """
-    builder = _TeamBuilder(rng, f"zz-{metric}", _INJECT_DEVS, idle_devs)
-    backlog = _INJECT_STORIES + extra_backlog
-    balanced = quota_backlog if quota_backlog is not None else backlog
-    total_devs = _INJECT_DEVS + idle_devs
-    duration = total_devs * 86400.0 / balanced
-    for k in range(n_sprints):
-        sprint = builder.add_sprint(k, duration)
-        builder.fill_sprint_stories(sprint, _INJECT_STORIES)
-        builder.fill_sprint_commits(sprint, _INJECT_COMMITS_PER_DEV)
-        builder.fill_sprint_pulls(sprint, _INJECT_PULLS)
-    return builder
+def _injection_seconds(extra_backlog: int = 0, idle_devs: int = 0) -> float:
+    """The sprint length that puts developers / backlog / days on the parabola's peak."""
+    return (_INJECT_DEVS + idle_devs) * 86400.0 / (_INJECT_STORIES + extra_backlog)
 
 
-def _payload_time(builder: _TeamBuilder, sprint: Sprint) -> float:
-    lo, hi = builder._interior(sprint)
-    return builder.rng.uniform(lo, hi)
+def _injection_team(rng: random.Random, metric: str, n_sprints: int = 1, extra_backlog: int = 0,
+                    idle_devs: int = 0) -> _TeamBuilder:
+    """Scaffold a one-off team for one directive."""
+    duration = _injection_seconds(extra_backlog, idle_devs)
+    return _scaffold_team(rng, f"zz-{metric}", _INJECT_DEVS, n_sprints, duration, _INJECT_STORIES,
+                          _INJECT_COMMITS_PER_DEV, _INJECT_PULLS, idle_devs)
 
 
-def _inject_hot_files(rng, count: int, edits: int, authors: int) -> tuple[_TeamBuilder, InjectionRecord]:
+# --- what each directive can plant, checked when an InjectionSpec is built
+
+def _check_hot_files(count: int, edits: int, authors: int) -> None:
     settings = _CONFIG.for_metric(cfg.COLLECTIVE_OWNERSHIP)
-    if authors < 1 or authors > settings["threshold_a"]:
-        raise InfeasibleFixtureError(
-            f"hot files need 1..{settings['threshold_a']} authors to violate, got {authors}"
-        )
-    if edits < settings["threshold_e"]:
-        raise InfeasibleFixtureError(
-            f"hot files need at least {settings['threshold_e']} edits to violate, got {edits}"
-        )
-    if edits < authors:
-        raise InfeasibleFixtureError("a file cannot have fewer edits than authors")
-    builder = _injection_team(rng, cfg.COLLECTIVE_OWNERSHIP)
-    sprint = builder.sprints[-1]
-    paths = []
-    for i in range(count):
-        path = f"hot/hotspot_{i:02d}.py"
-        paths.append(path)
-        for e in range(edits):
-            builder.add_commit(
-                _payload_time(builder, sprint),
-                builder.devs[e % authors],
-                (FileChange(path=path, lines_added=1, lines_deleted=0),),
-                with_stats=None,
-                advance_chain=False,
-            )
-    return builder, InjectionRecord(cfg.COLLECTIVE_OWNERSHIP, builder.team, sprint.id, tuple(paths))
+    most_authors, fewest_edits = settings["threshold_a"], settings["threshold_e"]
+    if authors < 1 or authors > most_authors:
+        raise InfeasibleFixtureError(f"hot files need 1..{most_authors} authors to violate, got {authors}")
+    if edits < fewest_edits:
+        raise InfeasibleFixtureError(f"hot files need at least {fewest_edits} edits to violate, got {edits}")
 
 
-def _inject_tdd_regressions(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    builder = _injection_team(rng, cfg.TEST_LATER)
-    sprint = builder.sprints[-1]
-    head_coverage, head_complexity = builder.head_stats()
-    if head_coverage - count * 1.0 < 0:
-        raise InfeasibleFixtureError(f"cannot drop coverage {count} times from {head_coverage:.1f}%")
-    ids = []
-    for i in range(count):
-        commit = builder.add_commit(
-            _payload_time(builder, sprint),
-            builder.devs[i % len(builder.devs)],
-            (FileChange(path=f"rushed/feature_{i:02d}.py", lines_added=40, lines_deleted=0),),
-            with_stats=(head_coverage - (i + 1) * 1.0, head_complexity + (i + 1) * 5.0),
-            advance_chain=False,
-        )
-        ids.append(commit.id)
-    return builder, InjectionRecord(cfg.TEST_LATER, builder.team, sprint.id, tuple(ids))
+def _check_tdd_regressions(count: int) -> None:
+    # each regression drops coverage a point below the scaffold's
+    if count > _START_COVERAGE:
+        raise InfeasibleFixtureError(f"cannot drop coverage {count} times from {_START_COVERAGE:.1f}%")
 
 
-def _inject_huge_stories(rng, count: int, multiplier: float) -> tuple[_TeamBuilder, InjectionRecord]:
+def _check_huge_stories(count: int, multiplier: float) -> None:
     t = _CONFIG.for_metric(cfg.HUGE_STORIES)["threshold_length"]
     n, c = _INJECT_STORIES, count
     headroom = n + c * (1.0 - t)
@@ -606,118 +582,130 @@ def _inject_huge_stories(rng, count: int, multiplier: float) -> tuple[_TeamBuild
             f"length multiplier must exceed {minimum:.2f} for {c} huge stories among {n} "
             f"regular ones at threshold {t}, got {multiplier}"
         )
-    builder = _injection_team(rng, cfg.HUGE_STORIES, extra_backlog=count)
-    sprint = builder.sprints[-1]
-    refs = []
-    for _ in range(count):
-        story = builder.add_story([sprint], length=round(multiplier * BASE_STORY_LENGTH))
-        refs.append(story_ref(story.number))
-    return builder, InjectionRecord(cfg.HUGE_STORIES, builder.team, sprint.id, tuple(refs))
 
 
-def _inject_neverending(rng, count: int, sprints_each: int) -> tuple[_TeamBuilder, InjectionRecord]:
+def _check_neverending(count: int, sprints_each: int) -> None:
     threshold = _CONFIG.for_metric(cfg.MULTI_BACKLOG)["threshold_amount"]
     if sprints_each <= threshold:
         raise InfeasibleFixtureError(
-            f"neverending stories need more than {threshold} sprint memberships to violate, "
-            f"got {sprints_each}"
+            f"neverending stories need more than {threshold} sprint memberships to violate, got {sprints_each}"
         )
-    builder = _injection_team(
-        rng, cfg.MULTI_BACKLOG, n_sprints=sprints_each, extra_backlog=count
-    )
-    refs = []
-    for _ in range(count):
-        story = builder.add_story(list(builder.sprints))
-        refs.append(story_ref(story.number))
-    target = builder.sprints[-1]
-    return builder, InjectionRecord(cfg.MULTI_BACKLOG, builder.team, target.id, tuple(refs))
+    _check_sprints(sprints_each, _injection_seconds(count))
 
 
-def _inject_duplicates(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    label = _CONFIG.for_metric(cfg.DUPLICATE_STORIES)["duplicate_label"]
-    builder = _injection_team(rng, cfg.DUPLICATE_STORIES, extra_backlog=count)
+# --- injectors: each plants its violations in a team of its own and returns
+# the team with the planted artifact ids
+
+def _inject_hot_files(rng, metric: str, count: int, edits: int, authors: int) -> tuple[_TeamBuilder, list]:
+    builder = _injection_team(rng, metric)
     sprint = builder.sprints[-1]
-    refs = []
-    for _ in range(count):
-        story = builder.add_story([sprint], labels=(label,))
-        refs.append(story_ref(story.number))
-    return builder, InjectionRecord(cfg.DUPLICATE_STORIES, builder.team, sprint.id, tuple(refs))
+    paths = []
+    for i in range(count):
+        path = f"hot/hotspot_{i:02d}.py"
+        paths.append(path)
+        change = FileChange(path=path, lines_added=1, lines_deleted=0)
+        for e in range(edits):
+            builder.add_commit(builder.payload_time(sprint), builder.devs[e % authors], (change,), None,
+                               advance_chain=False)
+    return builder, paths
 
 
-def _inject_last_minute(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    builder = _injection_team(rng, cfg.LAST_MINUTE)
+def _inject_tdd_regressions(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
+    builder = _injection_team(rng, metric)
+    sprint = builder.sprints[-1]
+    head_coverage, head_complexity = builder.head_stats()
+    ids = []
+    for i in range(count):
+        change = FileChange(path=f"rushed/feature_{i:02d}.py", lines_added=40, lines_deleted=0)
+        stats = (head_coverage - (i + 1) * 1.0, head_complexity + (i + 1) * 5.0)
+        ids.append(builder.add_commit(builder.payload_time(sprint), builder.devs[i % len(builder.devs)],
+                                      (change,), stats, advance_chain=False).id)
+    return builder, ids
+
+
+def _inject_huge_stories(rng, metric: str, count: int, multiplier: float) -> tuple[_TeamBuilder, list]:
+    builder = _injection_team(rng, metric, extra_backlog=count)
+    sprint = builder.sprints[-1]
+    length = round(multiplier * BASE_STORY_LENGTH)
+    return builder, [story_ref(builder.add_story([sprint], length=length).number) for _ in range(count)]
+
+
+def _inject_neverending(rng, metric: str, count: int, sprints_each: int) -> tuple[_TeamBuilder, list]:
+    builder = _injection_team(rng, metric, n_sprints=sprints_each, extra_backlog=count)
+    return builder, [story_ref(builder.add_story(list(builder.sprints)).number) for _ in range(count)]
+
+
+def _inject_duplicates(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
+    label = _CONFIG.for_metric(metric)["duplicate_label"]
+    builder = _injection_team(rng, metric, extra_backlog=count)
+    sprint = builder.sprints[-1]
+    return builder, [story_ref(builder.add_story([sprint], labels=(label,)).number) for _ in range(count)]
+
+
+def _inject_last_minute(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
+    builder = _injection_team(rng, metric)
     sprint = builder.sprints[-1]
     ids = []
     for i in range(count):
         when = sprint.due_on - _LAST_MINUTE_SECONDS * (i + 1) / (count + 1)
-        commit = builder.add_commit(
-            when,
-            builder.devs[i % len(builder.devs)],
-            (FileChange(path=f"rush/deadline_{i:02d}.py", lines_added=5, lines_deleted=1),),
-            with_stats=None,
-            advance_chain=False,
-        )
-        ids.append(commit.id)
-    return builder, InjectionRecord(cfg.LAST_MINUTE, builder.team, sprint.id, tuple(ids))
+        change = FileChange(path=f"rush/deadline_{i:02d}.py", lines_added=5, lines_deleted=1)
+        ids.append(builder.add_commit(when, builder.devs[i % len(builder.devs)], (change,), None,
+                                      advance_chain=False).id)
+    return builder, ids
 
 
-def _inject_idle_developers(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    if count > _INJECT_STORIES:
-        raise InfeasibleFixtureError(
-            f"at most {_INJECT_STORIES} idle developers can be attached to the scaffold stories"
-        )
-    builder = _injection_team(rng, cfg.COMMIT_ACTIVITY, idle_devs=count)
-    target = builder.sprints[-1]
-    return builder, InjectionRecord(
-        cfg.COMMIT_ACTIVITY, builder.team, target.id, tuple(sorted(builder.idle_devs))
-    )
+def _inject_idle_developers(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
+    builder = _injection_team(rng, metric, idle_devs=count)
+    return builder, sorted(builder.idle_devs)
 
 
-def _inject_backlog_overflow(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    builder = _injection_team(
-        rng, cfg.DAILY_STORY_LOAD, extra_backlog=count, quota_backlog=_INJECT_STORIES
-    )
+def _inject_backlog_overflow(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
+    # the sprint is balanced for the scaffold stories alone, so the extra
+    # ones push the staffing quota off the peak
+    builder = _injection_team(rng, metric)
     sprint = builder.sprints[-1]
     for _ in range(count):
         builder.add_story([sprint])
     # the quota metric emits no violation artifacts; only its score moves
-    return builder, InjectionRecord(cfg.DAILY_STORY_LOAD, builder.team, sprint.id, ())
+    return builder, []
 
 
-def _inject_fast_pulls(rng, count: int) -> tuple[_TeamBuilder, InjectionRecord]:
-    fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS)["fast_pr_window_minutes"]
-    builder = _injection_team(rng, cfg.FAST_PULLS)
+def _inject_fast_pulls(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
+    fast_minutes = _CONFIG.for_metric(metric)["fast_pr_window_minutes"]
+    builder = _injection_team(rng, metric)
     sprint = builder.sprints[-1]
-    refs = []
-    for _ in range(count):
-        pull = builder.add_pull(sprint, open_minutes=fast_minutes / 2.0, comments=0)
-        refs.append(pull_ref(pull.number))
-    return builder, InjectionRecord(cfg.FAST_PULLS, builder.team, sprint.id, tuple(refs))
+    return builder, [
+        pull_ref(builder.add_pull(sprint, open_minutes=fast_minutes / 2.0, comments=0).number)
+        for _ in range(count)
+    ]
 
 
-# directive -> (the keys of its JSON object, or None for a plain count; its
+# One row per directive, in InjectionSpec field order: the metric it
+# violates; the keys of its JSON object, or None for a plain count; its
 # injector; the records its arguments plan besides a one-sprint scaffold
-# team, `int` where it plants one per count), in InjectionSpec field order.
-# `inject` plants the directives in this order and every injector draws from
-# one shared random stream, so reordering the rows changes every injected
-# fixture.
-_Injector = Callable[..., tuple[_TeamBuilder, InjectionRecord]]
-_DIRECTIVES: dict[str, tuple[tuple[str, ...] | None, _Injector, Callable[..., int]]] = {
-    "hot_files": (("count", "edits", "authors"), _inject_hot_files, lambda count, edits, _: count * edits),
-    "tdd_regressions": (None, _inject_tdd_regressions, lambda count: 2 * count),
+# team (`int` where it plants one per count); and the check, if any, that
+# refuses arguments it cannot plant. `inject` plants the directives in this
+# order and every injector draws from one shared random stream, so
+# reordering the rows changes every injected fixture.
+_Directive = namedtuple("_Directive", "metric keys plant plan check", defaults=(None,))
+_DIRECTIVES: dict[str, _Directive] = {
+    "hot_files": _Directive(cfg.COLLECTIVE_OWNERSHIP, ("count", "edits", "authors"), _inject_hot_files,
+                            lambda count, edits, _: count * edits, _check_hot_files),
+    "tdd_regressions": _Directive(cfg.TEST_LATER, None, _inject_tdd_regressions, lambda count: 2 * count,
+                                  _check_tdd_regressions),
     # a story counts once per base story length, which bounds its text
-    "huge_stories": (
-        ("count", "length_multiplier"), _inject_huge_stories, lambda count, m: count * math.ceil(m)
-    ),
+    "huge_stories": _Directive(cfg.HUGE_STORIES, ("count", "length_multiplier"), _inject_huge_stories,
+                               lambda count, m: count * math.ceil(m), _check_huge_stories),
     # a scaffold team per sprint, and a membership per story and sprint
-    "neverending_stories": (
-        ("count", "sprints_each"), _inject_neverending, lambda count, each: each * (_INJECTION_TEAM + count)
-    ),
-    "duplicate_stories": (None, _inject_duplicates, int),
-    "last_minute_commits": (None, _inject_last_minute, int),
-    "idle_developers": (None, _inject_idle_developers, int),
-    "backlog_overflow": (None, _inject_backlog_overflow, int),
-    "silent_fast_pulls": (None, _inject_fast_pulls, int),
+    "neverending_stories": _Directive(cfg.MULTI_BACKLOG, ("count", "sprints_each"), _inject_neverending,
+                                      lambda count, each: each * (_INJECTION_TEAM + count), _check_neverending),
+    "duplicate_stories": _Directive(cfg.DUPLICATE_STORIES, None, _inject_duplicates, int,
+                                    lambda count: _check_sprints(1, _injection_seconds(count))),
+    "last_minute_commits": _Directive(cfg.LAST_MINUTE, None, _inject_last_minute, int),
+    "idle_developers": _Directive(cfg.COMMIT_ACTIVITY, None, _inject_idle_developers, int,
+                                  lambda count: _check_idle_devs(count, _INJECT_STORIES)),
+    "backlog_overflow": _Directive(cfg.DAILY_STORY_LOAD, None, _inject_backlog_overflow, int),
+    "silent_fast_pulls": _Directive(cfg.FAST_PULLS, None, _inject_fast_pulls, int),
 }
 
 
@@ -734,13 +722,15 @@ def inject(
     rng = random.Random(seed)
     builders: list[_TeamBuilder] = []
     ledger: dict[str, InjectionRecord] = {}
-    for name, (keys, injector, _) in _DIRECTIVES.items():
-        directive = getattr(injection, name)
-        if _planted(directive):
-            builder, record = injector(rng, *(directive if keys else (directive,)))
+    for name, directive in _DIRECTIVES.items():
+        value = getattr(injection, name)
+        if _planted(value):
+            args = value if directive.keys else (value,)
+            builder, artifacts = directive.plant(rng, directive.metric, *args)
             builders.append(builder)
-            ledger[record.metric] = record
-
+            ledger[directive.metric] = InjectionRecord(
+                directive.metric, builder.team, builder.sprints[-1].id, tuple(artifacts)
+            )
     return _assemble(builders, history), ledger
 
 

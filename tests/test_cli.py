@@ -276,10 +276,11 @@ def test_generate_malformed_injection_exits_2(tmp_path, capsys):
     assert "hot_files" in capsys.readouterr().err
 
 
-# numbers that pass the spec and injection checks but do not fit the timeline
-# or a string; a large finite multiplier is left out, as it would allocate
+# numbers that do not fit the timeline, a string or a float; a large finite
+# multiplier is left out, as it would allocate
 TOO_LARGE = {
     "infinite-sprint": ("spec", {"sprint_length_days": 1e308}),
+    "sprint-too-long-for-a-float": ("spec", {"sprint_length_days": 10**400}),
     "sprints-past-year-9999": ("spec", {"sprint_length_days": 1e300, "sprints": 2}),
     "too-many-sprints": ("spec", {"sprints": 10**20}),
     "too-many-teams": ("spec", {"teams": 10**20}),
@@ -288,6 +289,7 @@ TOO_LARGE = {
     "too-many-pulls": ("spec", {"pulls_per_sprint": 10**20}),
     "infinite-story": ("inject", {"huge_stories": {"count": 1, "length_multiplier": 1e308}}),
     "story-too-long-to-build": ("inject", {"huge_stories": {"count": 1, "length_multiplier": 1e15}}),
+    "too-many-empty-huge-stories": ("inject", {"huge_stories": {"count": 10**400, "length_multiplier": 0}}),
     "too-many-last-minute-commits": ("inject", {"last_minute_commits": 10**20}),
     "too-many-fast-pulls": ("inject", {"silent_fast_pulls": 10**20}),
     "too-many-hot-file-edits": ("inject", {"hot_files": {"count": 1, "edits": 10**20, "authors": 1}}),
@@ -301,6 +303,32 @@ def test_generate_with_a_number_too_large_exits_2(tmp_path, capsys, kind, docume
     path.write_text(json.dumps(document), encoding="utf-8")
     assert main(["generate", f"--{kind}", str(path), "--out-dir", str(tmp_path / "f")]) == 2
     _one_error_line(capsys)
+
+
+# documents that pass the shape checks but ask for something no fixture can
+# hold; each is refused when it is read, before a record is built
+INFEASIBLE = {
+    "hot-files-with-5-authors": ("inject", {"hot_files": {"count": 1, "edits": 12, "authors": 5}}),
+    "61-tdd-regressions": ("inject", {"tdd_regressions": 61}),
+    "21-duplicate-stories": ("inject", {"duplicate_stories": 21}),
+    "21-neverending-stories": ("inject", {"neverending_stories": {"count": 21, "sprints_each": 2}}),
+    "2-huge-stories": ("inject", {"huge_stories": {"count": 2, "length_multiplier": 12.0}}),
+    "4-idle-developers": ("inject", {"idle_developers": 4}),
+    "1-developer-per-team": ("spec", {"developers_per_team": 1}),
+}
+
+
+@pytest.mark.parametrize("kind, document", INFEASIBLE.values(), ids=list(INFEASIBLE))
+def test_generate_refuses_an_infeasible_document_before_building(tmp_path, capsys, monkeypatch, kind, document):
+    def build(spec):
+        raise AssertionError(f"generate ran for {spec}")
+
+    monkeypatch.setattr(cli, "generate", build)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["generate", f"--{kind}", str(path), "--out-dir", str(tmp_path / "f")]) == 2
+    _one_error_line(capsys)
+    assert not (tmp_path / "f").exists()
 
 
 def test_ingest_malformed_manifest_maps_exit_2(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sprintlint import (
     InfeasibleFixtureError,
@@ -186,15 +187,14 @@ def test_injection_determinism():
 
 
 def test_injection_feasibility_checks():
-    base, _ = generate(SMALL)
     with pytest.raises(InfeasibleFixtureError, match="authors"):
-        inject(base, InjectionSpec(hot_files=(1, 12, 5)), seed=1)  # too many authors
+        InjectionSpec(hot_files=(1, 12, 5))  # too many authors
     with pytest.raises(InfeasibleFixtureError, match="edits"):
-        inject(base, InjectionSpec(hot_files=(1, 2, 1)), seed=1)  # too few edits
+        InjectionSpec(hot_files=(1, 2, 1))  # too few edits
     with pytest.raises(InfeasibleFixtureError, match="multiplier"):
-        inject(base, InjectionSpec(huge_stories=(1, 1.5)), seed=1)  # cannot exceed threshold
+        InjectionSpec(huge_stories=(1, 1.5))  # cannot exceed threshold
     with pytest.raises(InfeasibleFixtureError, match="memberships"):
-        inject(base, InjectionSpec(neverending_stories=(1, 1)), seed=1)
+        InjectionSpec(neverending_stories=(1, 1))
 
 
 @pytest.mark.parametrize(
@@ -245,7 +245,7 @@ def test_a_plan_over_the_record_cap_is_refused_at_construction():
 
 
 def test_injection_spec_json_round_trip():
-    spec = InjectionSpec(hot_files=(1, 12, 2), duplicate_stories=3, huge_stories=(2, 12.0))
+    spec = InjectionSpec(hot_files=(1, 12, 2), duplicate_stories=3, huge_stories=(1, 12.0))
     assert injection_from_dict(spec.to_dict()) == spec
     with pytest.raises(InfeasibleFixtureError):
         injection_from_dict({"sabotage": 1})
@@ -279,3 +279,58 @@ def test_zero_count_tuple_directive_plants_nothing(directive):
     history, ledger = inject(base, InjectionSpec(duplicate_stories=1, **directive), seed=1)
     assert set(ledger) == {"duplicate-stories"}
     assert len(history.teams) == len(base.teams) + 1
+
+
+# every spec or directive either is refused when it is built or builds: no
+# refusal is left for `generate` or `inject` to find
+COUNTS = st.integers(0, 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    teams=st.integers(0, 2),
+    developers_per_team=COUNTS,
+    sprints=st.integers(0, 3),
+    sprint_length_days=st.floats(0.05, 30.0),
+    stories_per_sprint=COUNTS,
+    commits_per_dev_per_sprint=COUNTS,
+    pulls_per_sprint=COUNTS,
+)
+def test_a_fixture_spec_that_constructs_generates(**fields):
+    try:
+        spec = FixtureSpec(**fields)
+    except InfeasibleFixtureError:
+        return
+    history, certificate = generate(spec)
+    assert certificate.violation_free
+    assert len(history.sprints) == spec.teams * spec.sprints
+
+
+@pytest.fixture(scope="module")
+def small_base():
+    return generate(SMALL)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hot_files=st.none() | st.tuples(COUNTS, COUNTS, COUNTS),
+    tdd_regressions=st.integers(0, 70),
+    huge_stories=st.none() | st.tuples(COUNTS, st.floats(0.0, 30.0)),
+    neverending_stories=st.none() | st.tuples(COUNTS, COUNTS),
+    duplicate_stories=COUNTS,
+    last_minute_commits=COUNTS,
+    idle_developers=COUNTS,
+    backlog_overflow=COUNTS,
+    silent_fast_pulls=COUNTS,
+)
+def test_an_injection_spec_that_constructs_injects(small_base, **directives):
+    try:
+        injection = InjectionSpec(**directives)
+    except InfeasibleFixtureError:
+        return
+    history, ledger = inject(small_base, injection, seed=3)
+    planted = {name for name, value in injection.to_dict().items()
+               if (value["count"] if isinstance(value, dict) else value)}
+    assert len(ledger) == len(planted)
+    assert len(history.teams) == len(small_base.teams) + len(planted)

@@ -469,7 +469,7 @@ VALUES = {
     Finding: lambda: Finding((_violation(),), 75.0, {"violations": 1}),
     SprintSlice: lambda: window(build_history(commits=[make_commit("c1", T0)], sprints=[make_sprint()]), TEAM, "s1"),
     FixtureSpec: lambda: FixtureSpec(seed=7, teams=1, sprint_length_days=3),
-    InjectionSpec: lambda: InjectionSpec(hot_files=(1, 12, 2), huge_stories=(2, 12.0), last_minute_commits=3),
+    InjectionSpec: lambda: InjectionSpec(hot_files=(1, 12, 2), huge_stories=(1, 12.0), last_minute_commits=3),
 }
 CHECKED_TUPLES = RECORDS | VALUES
 # a dict field makes the whole object unhashable, as it made the frozen dataclasses it replaced
