@@ -1,4 +1,4 @@
-"""Byte-identity guard: the default config digest, the rendered outputs and the fixture files.
+"""Byte-identity guard: the default config digest, the rendered outputs, the fixture files and the snapshot.
 
 The expected values were computed once and must not move with refactors.
 A change that alters a report, a trend CSV, a generated export or the
@@ -23,6 +23,7 @@ from sprintlint import (
 )
 from sprintlint.cli import main
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
+from sprintlint.ingest import write_snapshot
 
 # every directive, so each of the nine checks emits or moves something
 ALL_DIRECTIVES = InjectionSpec(
@@ -53,6 +54,8 @@ EXPECTED_GENERATE_SHA256 = {
     "ledger.json": "0697e4719e65f77c6b6cb887d3bde3aba6ea1b3182022de2b4654fe2edf46390",
 }
 
+EXPECTED_SNAPSHOT_SHA256 = "5b05e4bd855ae2ce0004edc5936b5640e97ee35f1a11e60f1cb0fed700953a5a"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -62,10 +65,15 @@ def test_default_config_digest_is_pinned():
     assert MetricConfig().digest() == EXPECTED_CONFIG_DIGEST
 
 
-def test_rendered_outputs_are_pinned():
+def _golden_history():
     spec = FixtureSpec(teams=2, sprints=4)
     clean, _ = generate(spec)
     history, _ = inject(clean, ALL_DIRECTIVES, spec.seed)
+    return history
+
+
+def test_rendered_outputs_are_pinned():
+    history = _golden_history()
     registry = default_registry()
     config = MetricConfig()
     report = build_report(history, registry, config)
@@ -93,3 +101,9 @@ def test_generate_output_bytes_are_pinned(tmp_path):
         for name in EXPECTED_GENERATE_SHA256
     }
     assert actual == EXPECTED_GENERATE_SHA256
+
+
+def test_snapshot_bytes_are_pinned(tmp_path):
+    path = tmp_path / "snapshot.json"
+    write_snapshot(path, _golden_history())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPECTED_SNAPSHOT_SHA256
