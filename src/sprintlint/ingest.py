@@ -12,7 +12,9 @@ Formats:
 equal-length columns named like the export fields, every timestamp a JSON
 number of epoch seconds (the float's repr, so it reads back exactly), each
 commit's files a list of ``[path, added, deleted]`` triples and each story's
-milestone history a list of ``[sprint_id, assigned_at]`` pairs.
+milestone history a list of ``[sprint_id, assigned_at]`` pairs. It encodes
+and writes one column at a time, so no second whole copy of the history is
+held.
 
 `_SCHEMA` defines both forms: one row per export kind, naming each field and
 its column kind. Each kind is declared once, by the exact type of its values,
@@ -38,7 +40,7 @@ import json
 import math
 import re
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import chain, starmap
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -351,12 +353,7 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
             _reject_first(values, check)
         return (tuple(starmap(record_class, cell)) for cell in values)
 
-    return _Column(
-        read,
-        lambda cell: [_record_to_dict(writes, entry) for entry in cell],
-        load,
-        lambda cells: [list(map(list, cell)) for cell in cells],
-    )
+    return _Column(read, lambda cell: [_record_to_dict(writes, entry) for entry in cell], load)
 
 
 # --- the schema --------------------------------------------------------------
@@ -376,7 +373,7 @@ _OPTIONAL_EPOCH = _Column(
 )
 _STATE = _kind(str, "'open' or 'closed'", ok=_STATES.__contains__, convert=_STATES.__getitem__,
                write=attrgetter("value"), dump=lambda states: [s.value for s in states])
-_STR_LIST = _kind(list, "an array of strings", items=str, write=list, dump=lambda lists: list(map(list, lists)))
+_STR_LIST = _kind(list, "an array of strings", items=str)
 _STR_SET = _kind(list, "an array of strings", items=str, write=sorted, dump=lambda sets: list(map(sorted, sets)))
 _ASSIGNEES = _kind(list, "an array of strings", items=str, rename="alias_map", write=sorted,
                    dump=lambda sets: list(map(sorted, sets)))
@@ -589,19 +586,29 @@ def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
 SNAPSHOT_FORMAT = 2
 
 
-def snapshot_to_dict(history: ProjectHistory) -> dict:
-    """The format-2 snapshot document of `history`."""
-    doc: dict = {"format": SNAPSHOT_FORMAT}
-    for kind, records in zip(EXPORTS, history.records()):
-        doc[kind] = {
-            name: column.dump(map(itemgetter(index), records))
-            for index, (name, column) in enumerate(_SCHEMA[kind][1].items())
-        }
-    return doc
+def _object_pieces(members: Mapping[str, Iterable[str]]) -> Iterator[str]:
+    """`canonical_json` of an object, in pieces; each member's value is given as the pieces of its JSON."""
+    yield "{"
+    for position, key in enumerate(sorted(members)):
+        yield f"{',' if position else ''}{canonical_json(key)}:"
+        yield from members[key]
+    yield "}"
+
+
+def _column_pieces(column: _Column, records: tuple, index: int) -> Iterator[str]:
+    # a generator, so a column is dumped only when its turn to be written comes
+    yield canonical_json(column.dump(map(itemgetter(index), records)))
 
 
 def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
-    write_text(path, canonical_json(snapshot_to_dict(history)) + "\n")
+    """Write the format-2 snapshot of `history`, one column at a time, so no whole copy of it is held."""
+    members: dict[str, Iterable[str]] = {"format": [canonical_json(SNAPSHOT_FORMAT)]}
+    for kind, records in zip(EXPORTS, history.records()):
+        columns = _SCHEMA[kind][1]
+        members[kind] = _object_pieces(
+            {name: _column_pieces(column, records, index) for index, (name, column) in enumerate(columns.items())}
+        )
+    write_text(path, chain(_object_pieces(members), "\n"))
 
 
 def _records_from_columns(kind: str, table: object) -> list:

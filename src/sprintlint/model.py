@@ -20,6 +20,7 @@ cannot hold its private lookups; its constructor builds every one of them.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -42,6 +43,15 @@ class Severity(str, Enum):
     LOW = "low"
     NORMAL = "normal"
     HIGH = "high"
+
+
+def _shared(value: object) -> object:
+    """The one shared copy of a string equal to `value`; a value of any other type as it is.
+
+    Used for the fields many records repeat (teams, authors, file paths), so
+    a history holds each distinct value once however many records name it.
+    """
+    return sys.intern(value) if type(value) is str else value
 
 
 class _Record(tuple):
@@ -75,7 +85,7 @@ class FileChange(_Record, namedtuple("FileChange", "path lines_added lines_delet
             raise RecordError(f"lines_added < 0 for {path}")
         if not lines_deleted >= 0:
             raise RecordError(f"lines_deleted < 0 for {path}")
-        return tuple.__new__(cls, (path, lines_added, lines_deleted))
+        return tuple.__new__(cls, (_shared(path), lines_added, lines_deleted))
 
 
 class Commit(_Record, namedtuple("Commit", "id author authored_at parents message files team")):
@@ -89,11 +99,11 @@ class Commit(_Record, namedtuple("Commit", "id author authored_at parents messag
             raise RecordError(f"commit {id} has no team")
         if not author:
             raise RecordError(f"commit {id} has no author")
-        author = author.lower()
+        author = _shared(author.lower())
         authored_at = float(authored_at)
         if not math.isfinite(authored_at):
             raise RecordError(f"commit {id} authored_at must be a finite timestamp")
-        return tuple.__new__(cls, (id, author, authored_at, tuple(parents), message, tuple(files), team))
+        return tuple.__new__(cls, (id, author, authored_at, tuple(parents), message, tuple(files), _shared(team)))
 
 
 class BuildStats(_Record, namedtuple("BuildStats", "commit_id coverage_percent complexity")):
@@ -155,7 +165,7 @@ class UserStory(_Record, namedtuple(
         elif closed_at is not None:
             raise RecordError(f"open story #{number} carries closed_at")
         return tuple.__new__(
-            cls, (number, title, body, state, labels, milestones, assignees, created_at, closed_at, team)
+            cls, (number, title, body, state, labels, milestones, assignees, created_at, closed_at, _shared(team))
         )
 
     @property
@@ -178,7 +188,7 @@ class Sprint(_Record, namedtuple("Sprint", "id title starts_at due_on team")):
             raise RecordError(f"sprint {id} due_on must be a finite timestamp")
         if not starts_at < due_on:
             raise RecordError(f"sprint {id} must start before it is due")
-        return tuple.__new__(cls, (id, title, starts_at, due_on, team))
+        return tuple.__new__(cls, (id, title, starts_at, due_on, _shared(team)))
 
     @property
     def length_days(self) -> float:
@@ -204,7 +214,7 @@ class PullRequest(_Record, namedtuple("PullRequest", "number opened_at closed_at
             raise RecordError(f"merged pull request #{number} lacks closed_at")
         if closed_at is not None and not closed_at >= opened_at:
             raise RecordError(f"pull request #{number} closed before it was opened")
-        return tuple.__new__(cls, (number, opened_at, closed_at, merged, comment_count, team))
+        return tuple.__new__(cls, (number, opened_at, closed_at, merged, comment_count, _shared(team)))
 
 
 class MetricDescriptor(_Record, namedtuple("MetricDescriptor", "name severity pitfalls")):

@@ -3,7 +3,8 @@
 All serialized output in this package goes through `canonical_json` so that
 identical runs produce byte-identical files. Every input file is read
 through `read_text` or `read_json`, and every output file is written through
-`write_text`.
+`write_text`, which takes either a string or its pieces, so a large document
+can be written without being held whole.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,23 +32,27 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write `text` to `path` as UTF-8, whole or not at all.
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write `text`, a string or the pieces of one in order, to `path` as UTF-8, whole or not at all.
 
-    The bytes go to a temporary file beside `path`, which then replaces it,
-    so a failed write leaves an earlier file at `path` as it was and no
+    Each piece is encoded and written to a temporary file beside `path` in
+    turn, so only one piece at a time is held as bytes; the temporary file
+    then replaces `path`. A failed write, a piece that cannot be made or
+    encoded included, leaves an earlier file at `path` as it was and no
     temporary file behind. A path that names something other than a regular
-    file (a device, a pipe, a symbolic link) is written through instead.
+    file (a device, a pipe, a symbolic link) is written through instead,
+    after every piece is encoded.
     """
     path = Path(path)
-    data = text.encode("utf-8")
+    pieces = (text,) if isinstance(text, str) else text
     if path.is_symlink() or (path.exists() and not path.is_file()):
-        path.write_bytes(data)
+        path.write_bytes(b"".join(piece.encode("utf-8") for piece in pieces))
         return
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(temp, "xb") as out:
-            out.write(data)
+            for piece in pieces:
+                out.write(piece.encode("utf-8"))
         os.replace(temp, path)
     except BaseException as exc:
         temp.unlink(missing_ok=True)

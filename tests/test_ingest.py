@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,6 +393,50 @@ def test_failed_snapshot_write_keeps_the_old_file_and_leaves_no_temporary(tmp_pa
     assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
 
 
+def test_write_text_writes_a_string_given_in_pieces(tmp_path):
+    path = tmp_path / "out.txt"
+    serialize.write_text(path, iter(["a", "", "\u00e9", "b\n"]))
+    assert path.read_bytes() == "a\u00e9b\n".encode("utf-8")
+
+
+def test_a_failing_piece_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old", encoding="utf-8")
+
+    def pieces():
+        yield "new, "
+        yield "and more"
+        raise RuntimeError("piece refused")
+
+    with pytest.raises(RuntimeError, match="piece refused"):
+        serialize.write_text(path, pieces())
+    assert path.read_text(encoding="utf-8") == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_snapshot_holds_no_whole_copy_of_the_snapshot(tmp_path):
+    history = generate(FixtureSpec(teams=2, sprints=20))[0]
+    path = tmp_path / "snap.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_snapshot(path, history)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the text and the bytes of one whole copy alone would be twice the file
+    assert peak < 2 * path.stat().st_size
+
+
+def test_records_loaded_from_a_snapshot_share_equal_teams_authors_and_paths(tmp_path):
+    commits = [make_commit(cid, T0, author="ann@example.org", files=[change("src/a.py")]) for cid in ("c1", "c2")]
+    path = tmp_path / "snap.json"
+    write_snapshot(path, build_history(commits, sprints=[make_sprint()]))
+    first, second = load_snapshot(path).commits
+    assert first.team is second.team and first.author is second.author
+    assert first.files[0].path is second.files[0].path
+
+
 def test_write_text_removes_its_temporary_when_the_replace_fails(tmp_path, monkeypatch):
     path = tmp_path / "out.txt"
     path.write_text("old", encoding="utf-8")
@@ -576,7 +621,8 @@ def test_stats_and_commits_files_with_crlf_line_ends_read(tmp_path):
 
 def test_each_export_and_its_snapshot_collection_name_one_field_per_record_field(tmp_path):
     history = _injected_history()
-    columns = ingest.snapshot_to_dict(history)
+    write_snapshot(tmp_path / "snap.json", history)
+    columns = json.loads((tmp_path / "snap.json").read_text(encoding="utf-8"))
     for kind, records in zip(EXPORTS, history.records()):
         path = tmp_path / EXPORTS[kind]
         getattr(ingest, f"write_{kind}")(path, records)

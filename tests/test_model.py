@@ -418,6 +418,39 @@ def test_author_is_lowercased():
     assert commit.author == "mixed@case.org"
 
 
+def _unshared(text: str) -> str:
+    """A string equal to `text` that is a new object, as a JSON decoder makes one per occurrence."""
+    return "".join(list(text))
+
+
+def test_records_share_equal_teams_authors_and_paths():
+    first = make_commit("c1", T0, author=_unshared("Ann@x.org"), files=[change(_unshared("src/a.py"))],
+                        team=_unshared("team-x"))
+    second = make_commit("c2", T0, author=_unshared("ann@X.org"), files=[change(_unshared("src/a.py"))],
+                         team=_unshared("team-x"))
+    assert first.author is second.author and first.team is second.team
+    assert first.files[0].path is second.files[0].path
+    for record in (make_sprint(team=_unshared("team-x")), make_story(1, team=_unshared("team-x")),
+                   make_pull(1, T0, team=_unshared("team-x"))):
+        assert record.team is first.team
+
+
+class _Name(str):
+    """A string subclass, which `sys.intern` refuses."""
+
+
+# a team, author or path that is no plain string is kept as given, as before records shared strings
+@pytest.mark.parametrize("value", [_Name("team-x"), 7], ids=["str-subclass", "int"])
+def test_records_keep_a_team_or_path_that_is_no_plain_string(value):
+    assert make_commit("c1", T0, team=value).team is value
+    assert make_sprint(team=value).team is value
+    assert make_story(1, team=value).team is value
+    assert make_pull(1, T0, team=value).team is value
+    assert change(value).path is value
+    author = make_commit("c1", T0, author=_Name("Ann@x.org")).author
+    assert author == "ann@x.org" and type(author) is str
+
+
 # one record of each export kind, built from arguments its constructor normalises
 RECORDS = {
     FileChange: lambda: FileChange("src/a.py", 3, 1),

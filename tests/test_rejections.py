@@ -40,7 +40,7 @@ from sprintlint.ingest import (
     read_pulls,
     read_sprints,
     read_stats,
-    snapshot_to_dict,
+    write_snapshot,
 )
 from sprintlint.serialize import END_TS, FIRST_TS, parse_iso_utc
 
@@ -248,6 +248,13 @@ def _lint_snapshot(tmp_path, capsys, doc: dict) -> tuple[int, str]:
     capsys.readouterr()
     code = main(["lint", "--project", str(path), "--out", str(tmp_path / "report.json")])
     return code, capsys.readouterr().err
+
+
+def _written(tmp_path, history) -> dict:
+    """The document `write_snapshot` writes for `history`."""
+    path = tmp_path / "written.json"
+    write_snapshot(path, history)
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_base_records_are_valid(tmp_path, capsys):
@@ -522,7 +529,7 @@ def test_columnar_base_loads_like_the_record_base(tmp_path, capsys):
     history = load_snapshot(tmp_path / "columns.json")
     assert load_history(IngestManifest(paths=exports)) == (history, [])
     assert all(_snapshot_with(key, record) == COLUMNS for record, key, _ in KINDS.values())
-    assert snapshot_to_dict(history) == COLUMNS  # the layout `write_snapshot` writes
+    assert _written(tmp_path, history) == COLUMNS
     assert _lint_snapshot(tmp_path, capsys, COLUMNS) == (0, "")
 
 
@@ -588,7 +595,7 @@ def test_columnar_snapshot_reads_integer_epochs_as_floats(tmp_path):
     path = tmp_path / "snap.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     history = load_snapshot(path)
-    assert snapshot_to_dict(history) == COLUMNS
+    assert _written(tmp_path, history) == COLUMNS
     assert type(history.sprints[0].starts_at) is float and type(history.pulls[0].closed_at) is float
 
 
