@@ -7,7 +7,6 @@ changes leave an audit trail.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 from collections import namedtuple
 from collections.abc import Mapping
@@ -127,6 +126,9 @@ class MetricConfig(_Record, namedtuple("MetricConfig", "metrics severity_weights
 
     def digest(self) -> str:
         """Content hash of the resolved config; changes iff any effective value does."""
+        # imported here, as only a report takes a digest: loading OpenSSL costs every other command memory
+        import hashlib
+
         return hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8")).hexdigest()
 
 

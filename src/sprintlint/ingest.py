@@ -41,7 +41,7 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -62,9 +62,11 @@ from .model import (
 from .serialize import (
     END_TS,
     FIRST_TS,
+    array_pieces,
     canonical_json,
     check_unicode,
     format_iso_utc,
+    object_pieces,
     parse_iso_utc,
     read_json,
     read_text,
@@ -351,7 +353,7 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
     def load(values: list) -> Iterable:
         if not (_all_of(list, values) and valid(list(chain.from_iterable(values)))):
             _reject_first(values, check)
-        return (tuple(starmap(record_class, cell)) for cell in values)
+        return (tuple(starmap(record_class, cell)) for cell in _consumed(values))
 
     return _Column(read, lambda cell: [_record_to_dict(writes, entry) for entry in cell], load)
 
@@ -545,13 +547,12 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[
 
 def write_commits(path: str | Path, commits: Iterable[Commit]) -> None:
     writes = _WRITES["commits"]
-    lines = [canonical_json(_record_to_dict(writes, c)) for c in commits]
-    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_text(path, (canonical_json(_record_to_dict(writes, c)) + "\n" for c in commits))
 
 
 def _write_array(path: str | Path, kind: str, records: Iterable) -> None:
     writes = _WRITES[kind]
-    write_text(path, canonical_json([_record_to_dict(writes, r) for r in records]) + "\n")
+    write_text(path, chain(array_pieces(_record_to_dict(writes, r) for r in records), "\n"))
 
 
 def write_issues(path: str | Path, stories: Iterable[UserStory]) -> None:
@@ -586,15 +587,6 @@ def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
 SNAPSHOT_FORMAT = 2
 
 
-def _object_pieces(members: Mapping[str, Iterable[str]]) -> Iterator[str]:
-    """`canonical_json` of an object, in pieces; each member's value is given as the pieces of its JSON."""
-    yield "{"
-    for position, key in enumerate(sorted(members)):
-        yield f"{',' if position else ''}{canonical_json(key)}:"
-        yield from members[key]
-    yield "}"
-
-
 def _column_pieces(column: _Column, records: tuple, index: int) -> Iterator[str]:
     # a generator, so a column is dumped only when its turn to be written comes
     yield canonical_json(column.dump(map(itemgetter(index), records)))
@@ -605,14 +597,23 @@ def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
     members: dict[str, Iterable[str]] = {"format": [canonical_json(SNAPSHOT_FORMAT)]}
     for kind, records in zip(EXPORTS, history.records()):
         columns = _SCHEMA[kind][1]
-        members[kind] = _object_pieces(
+        members[kind] = object_pieces(
             {name: _column_pieces(column, records, index) for index, (name, column) in enumerate(columns.items())}
         )
-    write_text(path, chain(_object_pieces(members), "\n"))
+    write_text(path, chain(object_pieces(members), "\n"))
+
+
+def _consumed(values: Iterable) -> Iterator:
+    """Each of `values` in order; a list is emptied as it is read, so each cell is freed once its record is built."""
+    if not isinstance(values, list):
+        return iter(values)
+    values.reverse()
+    # one pop per cell, called from C: cheaper than a generator that pops
+    return starmap(values.pop, repeat((), len(values)))
 
 
 def _records_from_columns(kind: str, table: object) -> list:
-    """Check one format-2 collection column by column, then build its records."""
+    """Check one format-2 collection column by column, then build its records, emptying the decoded columns."""
     record_class, columns = _SCHEMA[kind]
     if not isinstance(table, dict):
         raise _Malformed(f"{kind!r} must be an object of columns")
@@ -637,7 +638,7 @@ def _records_from_columns(kind: str, table: object) -> list:
             raise _Malformed(f"{kind}.{name}{exc.where}: {exc}") from None
     records: list = []
     try:
-        for record in map(record_class, *arguments):
+        for record in map(record_class, *map(_consumed, arguments)):
             records.append(record)
     except RecordError as exc:
         raise _Malformed(f"{kind}[{len(records)}]: {exc}") from None

@@ -10,6 +10,7 @@ to the exact thresholds that produced it.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from . import __version__
 from .catalog import UnfinishedStories, unfinished_stories
@@ -18,7 +19,7 @@ from .engine import MetricRegistry, run_all
 from .errors import SprintLintError
 from .model import ProjectHistory, _Record
 from .scoring import aggregate_all
-from .serialize import END_TS, canonical_json, format_iso_utc
+from .serialize import END_TS, array_pieces, canonical_json, format_iso_utc, object_pieces
 
 TOOL_NAME = "sprintlint"
 
@@ -102,9 +103,10 @@ def _rounded(score: float | None) -> float | None:
     return None if score is None else round(score, 1)
 
 
-def report_to_dict(report: RunReport, history: ProjectHistory) -> dict:
+def render_json(report: RunReport, history: ProjectHistory) -> str:
+    """The report as canonical JSON and a final newline, built from one piece per result, score or block."""
     titles = {s.id: s.title for s in history.sprints}
-    results = [
+    results = (
         {
             "metric": r.metric,
             "team": r.team,
@@ -123,8 +125,8 @@ def report_to_dict(report: RunReport, history: ProjectHistory) -> dict:
             ],
         }
         for r in report.results
-    ]
-    scores = [
+    )
+    scores = (
         {
             "team": s.team,
             "sprint": s.sprint,
@@ -143,8 +145,8 @@ def report_to_dict(report: RunReport, history: ProjectHistory) -> dict:
             "skipped": [{"metric": k.metric, "reason": k.reason} for k in s.skipped],
         }
         for s in report.scores
-    ]
-    unfinished = [
+    )
+    unfinished = (
         {
             "team": team,
             "sprint": block.sprint_id,
@@ -155,22 +157,19 @@ def report_to_dict(report: RunReport, history: ProjectHistory) -> dict:
             "percent": block.percent,
         }
         for team, block in report.unfinished
-    ]
-    return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "config_digest": report.config.digest(),
-        "config": report.config.to_dict(),
-        "now": format_iso_utc(report.now),
-        "diagnostics": list(history.diagnostics),
-        "results": results,
-        "scores": scores,
-        "unfinished_stories": unfinished,
+    )
+    members = {
+        "tool": [canonical_json(TOOL_NAME)],
+        "version": [canonical_json(__version__)],
+        "config_digest": [canonical_json(report.config.digest())],
+        "config": [canonical_json(report.config.to_dict())],
+        "now": [canonical_json(format_iso_utc(report.now))],
+        "diagnostics": array_pieces(history.diagnostics),
+        "results": array_pieces(results),
+        "scores": array_pieces(scores),
+        "unfinished_stories": array_pieces(unfinished),
     }
-
-
-def render_json(report: RunReport, history: ProjectHistory) -> str:
-    return canonical_json(report_to_dict(report, history)) + "\n"
+    return "".join(chain(object_pieces(members), "\n"))
 
 
 def _fmt_score(score: float | None) -> str:

@@ -4,7 +4,9 @@ All serialized output in this package goes through `canonical_json` so that
 identical runs produce byte-identical files. Every input file is read
 through `read_text` or `read_json`, and every output file is written through
 `write_text`, which takes either a string or its pieces, so a large document
-can be written without being held whole.
+can be written without being held whole. `object_pieces` and `array_pieces`
+give those pieces for a JSON object or array, each member or item turned to
+text only when its turn comes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Mapping
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,6 +24,25 @@ from .errors import ParseError
 def canonical_json(value: object) -> str:
     """Serialize with sorted keys and no incidental whitespace."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def object_pieces(members: Mapping[str, Iterable[str]]) -> Iterator[str]:
+    """`canonical_json` of an object, in pieces; each member's value is given as the pieces of its JSON."""
+    yield "{"
+    for position, key in enumerate(sorted(members)):
+        yield f"{',' if position else ''}{canonical_json(key)}:"
+        yield from members[key]
+    yield "}"
+
+
+def array_pieces(values: Iterable[object]) -> Iterator[str]:
+    """`canonical_json` of an array of `values`, in pieces: one per item and one per comma."""
+    yield "["
+    for position, value in enumerate(values):
+        if position:
+            yield ","
+        yield canonical_json(value)
+    yield "]"
 
 
 def read_text(path: str | Path) -> str:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,7 @@ from sprintlint.cli import main
 from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
 from sprintlint.serialize import END_TS, FIRST_TS
 from conftest import make_commit
+from test_golden import EXPECTED_CONFIG_DIGEST
 
 DEFAULT_SPEC = {
     "seed": 13,
@@ -447,6 +452,34 @@ def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypat
     assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 2
     assert seen == [False, False]
     assert gc.isenabled()
+
+
+# run in a child, so that no module the test process already loaded is counted
+CHILD_INGEST_SCORE_LINT = """
+import json, sys
+from sprintlint.cli import main
+fixture, out = sys.argv[1], sys.argv[2]
+exports = [f"--{kind}={fixture}/{name}" for kind, name in json.loads(sys.argv[3]).items()]
+assert main(["ingest", *exports, f"--out={out}/snap.json"]) == 0
+assert main(["score", f"--project={out}/snap.json", f"--out={out}/trend.csv"]) == 0
+print("hashlib" in sys.modules, "_hashlib" in sys.modules)
+assert main(["lint", f"--project={out}/snap.json", f"--out={out}/report.json"]) == 0
+"""
+
+
+def test_ingest_and_score_never_load_openssl_and_lint_still_digests(tmp_path):
+    fixture = _generate(tmp_path)
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD_INGEST_SCORE_LINT, str(fixture), str(tmp_path), json.dumps(EXPORTS)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False False"
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["config_digest"] == EXPECTED_CONFIG_DIGEST
 
 
 # --- inputs that end in exit 2 and one `error:` line, never a traceback ------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 
@@ -41,7 +42,7 @@ from sprintlint.ingest import (
 )
 from sprintlint import ingest, serialize
 from sprintlint.fixtures import FixtureSpec, generate, inject
-from sprintlint.serialize import canonical_json, format_iso_utc, parse_iso_utc
+from sprintlint.serialize import array_pieces, canonical_json, format_iso_utc, object_pieces, parse_iso_utc
 from conftest import DAY, T0, change, make_commit, make_pull, make_sprint, make_story
 from test_golden import ALL_DIRECTIVES
 
@@ -426,6 +427,51 @@ def test_write_snapshot_holds_no_whole_copy_of_the_snapshot(tmp_path):
         tracemalloc.stop()
     # the text and the bytes of one whole copy alone would be twice the file
     assert peak < 2 * path.stat().st_size
+
+
+def test_load_snapshot_frees_each_decoded_cell_once_its_record_is_built(tmp_path):
+    path = tmp_path / "snap.json"
+    write_snapshot(path, generate(FixtureSpec(teams=2, sprints=20))[0])
+    # the collector is paused, as the CLI pauses it for a load
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        history = load_snapshot(path)
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert history.commits
+    # holding every decoded cell until the last record is built peaked at 1.78 times the history
+    assert peak < 1.6 * kept
+
+
+ITEMS = {"empty": [], "one-item": [{"b": 1, "a": [2, None]}], "many": [3, "\u00e9", [], {}, None, 1.5]}
+
+
+@pytest.mark.parametrize("values", ITEMS.values(), ids=list(ITEMS))
+def test_array_pieces_join_to_the_canonical_array(values):
+    pieces = list(array_pieces(iter(values)))
+    assert "".join(pieces) == canonical_json(values)
+    # one piece per item, comma and bracket, so no item is joined to another before it is written
+    assert len(pieces) == 2 * len(values) + 1 + (not values)
+
+
+@pytest.mark.parametrize("members", [{}, {"k\u00e9": {"b": 1, "a": "x"}}, {"b": 2, "a": [1], "c": {"y": 1}}],
+                         ids=["empty", "one-item", "many"])
+def test_object_pieces_join_to_the_canonical_object(members):
+    pieces = object_pieces({key: array_pieces([value]) for key, value in members.items()})
+    assert "".join(pieces) == canonical_json({key: [value] for key, value in members.items()})
+
+
+def test_a_written_snapshot_is_canonical_json(tmp_path):
+    clean = generate(FixtureSpec(teams=2, sprints=3))[0]
+    for history in (clean, inject(clean, ALL_DIRECTIVES, 5)[0], build_history()):
+        path = tmp_path / "snap.json"
+        write_snapshot(path, history)
+        text = path.read_text(encoding="utf-8")
+        assert canonical_json(json.loads(text)) + "\n" == text
 
 
 def test_records_loaded_from_a_snapshot_share_equal_teams_authors_and_paths(tmp_path):

@@ -586,6 +586,33 @@ def test_columnar_snapshot_names_the_first_bad_cell_and_record(tmp_path, capsys)
                               "commits.authored_at[1]: must be a number of epoch seconds, got 'yesterday'\n")
 
 
+def _commit_columns(count: int) -> dict:
+    """The base snapshot with `count` copies of its commit, ids ``c0`` to ``c<count - 1>``."""
+    doc = copy.deepcopy(COLUMNS)
+    commits = doc["commits"]
+    for name, cells in commits.items():
+        commits[name] = [copy.deepcopy(cells[0]) for _ in range(count)]
+    commits["id"] = [f"c{index}" for index in range(count)]
+    return doc
+
+
+def test_columnar_snapshot_names_a_failing_last_record(tmp_path, capsys):
+    doc = _commit_columns(4)
+    doc["commits"]["files"][3] = [["src/a.py", 1, 1], ["src/b.py", 1, -2]]
+    code, err = _lint_snapshot(tmp_path, capsys, doc)
+    assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: "
+                              "commits[3]: lines_deleted < 0 for src/b.py\n")
+
+
+def test_columnar_snapshot_names_a_malformed_entry_by_cell_and_entry(tmp_path, capsys):
+    doc = _commit_columns(3)
+    doc["commits"]["files"][1] = [["src/a.py", 1, 1], ["src/b.py", "2", 1], ["src/c.py", 1, 1]]
+    code, err = _lint_snapshot(tmp_path, capsys, doc)
+    assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: "
+                              "commits.files[1][1]: must be a [path, added, deleted] triple of a non-empty "
+                              "string and two integers, got ['src/b.py', '2', 1]\n")
+
+
 def test_columnar_snapshot_reads_integer_epochs_as_floats(tmp_path):
     doc = copy.deepcopy(COLUMNS)
     for kind, name in (("commits", "authored_at"), ("sprints", "starts_at"), ("pulls", "closed_at"),

@@ -1,8 +1,14 @@
-"""Report assembly: `--sprint` narrowing, markdown line breaks and the cost of the per-sprint layers."""
+"""Report assembly: `--sprint` narrowing, markdown line breaks, canonical JSON and what rendering it holds,
+and the cost of the per-sprint layers."""
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
+from pathlib import Path
+
+import pytest
 
 from sprintlint import (
     MetricConfig,
@@ -18,11 +24,65 @@ from sprintlint import (
     render_markdown,
     run_all,
 )
-from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject
+from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject, injection_from_dict, spec_from_dict
+from sprintlint.serialize import canonical_json
 from conftest import DAY, T0, TEAM
+from test_golden import ALL_DIRECTIVES
 
 REGISTRY = default_registry()
 CONFIG = MetricConfig()
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+
+
+def _violation_dense_tiny():
+    """The history of the violation-dense benchmark workload's miniature, at its default seed."""
+    document = json.loads(WORKLOADS.read_text(encoding="utf-8"))
+    tiny = document["workloads"]["violation-dense"]["tiny"]
+    spec = spec_from_dict(tiny["spec"])._replace(seed=document["default_seed"])
+    return inject(generate(spec)[0], injection_from_dict(tiny["injection"]), spec.seed)[0]
+
+
+HISTORIES = {
+    "twenty-sprints": lambda: generate(FixtureSpec(teams=2, sprints=20))[0],
+    "violation-dense-tiny": _violation_dense_tiny,
+}
+
+
+@pytest.mark.parametrize("make", HISTORIES.values(), ids=list(HISTORIES))
+def test_render_json_holds_no_whole_copy_of_the_report(make):
+    history = make()
+    report = build_report(history, REGISTRY, CONFIG)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rendered = render_json(report, history)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert report.results
+    # the whole report document, then its text and a copy with the newline, peaked near 10 times the text
+    assert peak < 4 * len(rendered)
+
+
+def _reports():
+    clean = generate(FixtureSpec(teams=2, sprints=3))[0]
+    injected = inject(clean, ALL_DIRECTIVES, 5)[0]
+    title = injected.sprints[1].title
+    yield "clean", clean, build_report(clean, REGISTRY, CONFIG)
+    yield "injected", injected, build_report(injected, REGISTRY, CONFIG)
+    yield "narrowed", injected, build_report(injected, REGISTRY, CONFIG, sprint_title=title)
+    empty = build_history()
+    yield "no-results", empty, build_report(empty, REGISTRY, CONFIG)
+
+
+def test_render_json_writes_canonical_json():
+    for name, history, report in _reports():
+        rendered = render_json(report, history)
+        assert canonical_json(json.loads(rendered)) + "\n" == rendered, name
+        assert bool(report.results) == (name != "no-results"), name
+    assert '"results":[],"scores":[],"tool"' in rendered and '"unfinished_stories":[],' in rendered
 
 
 def test_sprint_narrowed_report_equals_full_report_rows():
