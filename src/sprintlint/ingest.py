@@ -17,13 +17,13 @@ and writes one column at a time, so no second whole copy of the history is
 held.
 
 `_SCHEMA` defines both forms: one row per export kind, naming each field and
-its column kind. Each kind is declared once, by the exact type of its values,
-an optional extra check, one phrase saying what a value must be and an
-optional conversion, and that one declaration checks a field both where an
-export is read (``'<field>' must be <expected>``) and where a snapshot is
-loaded (``must be <expected>, got <cell>``), a snapshot column in bulk first.
-Only timestamps have two checks, as an export holds ISO-8601 text and a
-snapshot numbers.
+its column kind. Every kind comes from one of three factories: `_kind` for
+values of one exact type, `_floats` for numbers and epoch timestamps, and
+`_entries` for arrays of nested records. Each declares a field's check once,
+and that check runs both where an export is read (``'<field>' must be
+<expected>``) and where a snapshot is loaded (``must be <expected>, got
+<cell>``), a snapshot column in bulk first. Only timestamps are read in two
+ways, as an export holds ISO-8601 text and a snapshot numbers.
 
 Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
@@ -34,7 +34,6 @@ schemas back out; write-then-read of any valid record set is the identity.
 from __future__ import annotations
 
 import csv
-import inspect
 import io
 import json
 import math
@@ -175,22 +174,20 @@ def _reject_first(values: list, check: Callable[[object], None]) -> None:
             raise _Malformed(str(exc), f"[{index}]{exc.where}") from None
 
 
-class _Column(_Record, namedtuple("_Column", "read write load dump valid", defaults=(list, None))):
+class _Column(_Record, namedtuple("_Column", "read write load dump", defaults=(list,))):
     """One kind of export field: how it is read and written in an export, and loaded and dumped in a snapshot.
 
     read: export value, field name, maps -> the record constructor's argument; raises _FieldError
     write: the record's value -> the export value; None writes the value as it is
     load: the column's cells -> the record constructor's arguments; raises _Malformed
     dump: the records' values -> the column's cells; `list` by default
-    valid: a list of cells -> whether `load` accepts every one; for a field of an entry (see `_entries`)
     """
 
     __slots__ = ()
 
 
 def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | None = None,
-          convert: Callable | None = None, rename: str | None = None, write: Callable | None = None,
-          dump: Callable = list) -> _Column:
+          convert: Callable | None = None, rename: str | None = None, write: Callable | None = None) -> _Column:
     """The column kind of values of exact type `cls` (so a bool is no integer), which must be `expected`.
 
     ok: a builtin true of each valid value, so a snapshot column is checked in C
@@ -198,6 +195,7 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
     convert: a builtin taking a valid value to the record constructor's argument
     rename: the manifest map a value read from an export (each item, for arrays) is looked up in;
         a snapshot holds the values it gave
+    write: as `_Column.write`; a snapshot cell is written the same way
     """
 
     def valid(values: list) -> bool:
@@ -222,80 +220,57 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
             _reject_first(values, check)
         return values if convert is None else list(map(convert, values))
 
-    return _Column(read, write, load, dump, valid)
+    return _Column(read, write, load, list if write is None else lambda values: list(map(write, values)))
 
 
-def _read_epoch(value: object, key: str, maps: Mapping) -> float:
-    try:
-        return parse_iso_utc(value, key)
-    except ParseError as exc:
-        raise _rejected(value, key, str(exc)) from None
+def _floats(epoch: bool, optional: bool = False) -> _Column:
+    """The column kind of numbers, which a snapshot holds as JSON numbers and a record as floats.
 
+    epoch: the numbers are epoch seconds in years 1 to 9999 (UTC), which an
+        export holds as ISO-8601 text; other numbers are only in the stats
+        CSV, which has its own reader
+    optional: a value may be null, and an export may leave it out
+    """
+    expected = "a number of epoch seconds" if epoch else "a number"
 
-def _read_optional_epoch(value: object, key: str, maps: Mapping) -> float | None:
-    if value is None or value is _ABSENT:
-        return None
-    return _read_epoch(value, key, maps)
+    def read(value: object, key: str, maps: Mapping) -> float | None:
+        if optional and (value is None or value is _ABSENT):
+            return None
+        try:
+            return parse_iso_utc(value, key)
+        except ParseError as exc:
+            raise _rejected(value, key, str(exc)) from None
 
+    def write(stamp: float | None) -> str | None:
+        # format_iso_utc is looked up on each call, so a caller that swaps the module's copy sees it
+        return None if stamp is None else format_iso_utc(stamp)
 
-def _within_range(stamps: list) -> bool:
-    """Whether every float of `stamps` lies in [FIRST_TS, END_TS)."""
-    # a finite sum means no stamp is NaN or infinite, so min and max are exact
-    return not stamps or (math.isfinite(sum(stamps)) and FIRST_TS <= min(stamps) and max(stamps) < END_TS)
+    def check(value: object) -> None:
+        if value is None and optional:
+            return
+        if type(value) is not float and type(value) is not int:  # a type test, so a bool is no number
+            raise _Malformed(f"must be {expected}, got {value!r}")
+        if epoch and not FIRST_TS <= value < END_TS:
+            raise _Malformed(f"out of range (years 1 to 9999 in UTC): {value!r}")
 
+    def as_float(value: float | int | None) -> float | None:
+        if type(value) is not int:
+            return value
+        try:
+            return float(value)
+        except OverflowError:  # read as infinite, as a stats CSV reads such a number
+            return math.inf if value > 0 else -math.inf
 
-def _is_number(value: object) -> bool:
-    return type(value) is float or type(value) is int  # a type test, so a bool is no number
+    def load(values: list) -> list:
+        present = [v for v in values if v is not None] if optional else values
+        # for epochs, a finite sum means no stamp is NaN or infinite, so min and max are exact
+        if _all_of(float, present) and (not epoch or not present or math.isfinite(sum(present))
+                                        and FIRST_TS <= min(present) and max(present) < END_TS):
+            return values
+        _reject_first(values, check)
+        return list(map(as_float, values))
 
-
-def _is_epoch(value: object) -> bool:
-    return _is_number(value) and FIRST_TS <= value < END_TS
-
-
-def _check_epoch(value: object) -> None:
-    if not _is_number(value):
-        raise _Malformed(f"must be a number of epoch seconds, got {value!r}")
-    if not FIRST_TS <= value < END_TS:
-        raise _Malformed(f"out of range (years 1 to 9999 in UTC): {value!r}")
-
-
-def _load_epochs(values: list) -> list:
-    if _all_of(float, values) and _within_range(values):
-        return values
-    _reject_first(values, _check_epoch)
-    return list(map(float, values))
-
-
-def _check_optional_epoch(value: object) -> None:
-    if value is not None:
-        _check_epoch(value)
-
-
-def _load_optional_epochs(values: list) -> list:
-    present = [v for v in values if v is not None]
-    if _all_of(float, present) and _within_range(present):
-        return values
-    _reject_first(values, _check_optional_epoch)
-    return [None if v is None else float(v) for v in values]
-
-
-def _int_as_float(value: int) -> float:
-    try:
-        return float(value)
-    except OverflowError:  # read as infinite, as a stats CSV reads such a number
-        return math.inf if value > 0 else -math.inf
-
-
-def _check_number(value: object) -> None:
-    if not _is_number(value):
-        raise _Malformed(f"must be a number, got {value!r}")
-
-
-def _load_numbers(values: list) -> list:
-    if _all_of(float, values):
-        return values
-    _reject_first(values, _check_number)
-    return [v if type(v) is float else _int_as_float(v) for v in values]
+    return _Column(read, write, load) if epoch else _Column(None, None, load)
 
 
 def _reads(fields: Mapping[str, _Column]) -> tuple:
@@ -339,9 +314,14 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
         return entries
 
     def valid(entries: list) -> bool:
-        return (_all_of(list, entries) and set(map(len, entries)) <= {len(columns)}
-                and all(column.valid(list(map(itemgetter(index), entries)))
-                        for index, column in enumerate(columns)))
+        if not (_all_of(list, entries) and set(map(len, entries)) <= {len(columns)}):
+            return False
+        try:
+            for index, column in enumerate(columns):
+                column.load(list(map(itemgetter(index), entries)))
+        except _Malformed:
+            return False
+        return True
 
     def check(cell: object) -> None:
         if type(cell) is not list:
@@ -366,19 +346,14 @@ _TEAM = _kind(str, "a non-empty string", ok=len, rename="team_map")
 _AUTHOR = _kind(str, "a non-empty string", ok=len, rename="alias_map")
 _INT = _kind(int, "an integer")
 _BOOL = _kind(bool, "a boolean")
-_NUMBER = _Column(None, None, _load_numbers)  # only in the stats CSV, which has its own reader
-# format_iso_utc is looked up on each call, so a caller that swaps the module's copy sees it
-_EPOCH = _Column(_read_epoch, lambda stamp: format_iso_utc(stamp), _load_epochs,
-                 valid=lambda stamps: all(map(_is_epoch, stamps)))
-_OPTIONAL_EPOCH = _Column(
-    _read_optional_epoch, lambda stamp: None if stamp is None else format_iso_utc(stamp), _load_optional_epochs
-)
+_NUMBER = _floats(epoch=False)
+_EPOCH = _floats(epoch=True)
+_OPTIONAL_EPOCH = _floats(epoch=True, optional=True)
 _STATE = _kind(str, "'open' or 'closed'", ok=_STATES.__contains__, convert=_STATES.__getitem__,
-               write=attrgetter("value"), dump=lambda states: [s.value for s in states])
+               write=attrgetter("value"))
 _STR_LIST = _kind(list, "an array of strings", items=str)
-_STR_SET = _kind(list, "an array of strings", items=str, write=sorted, dump=lambda sets: list(map(sorted, sets)))
-_ASSIGNEES = _kind(list, "an array of strings", items=str, rename="alias_map", write=sorted,
-                   dump=lambda sets: list(map(sorted, sets)))
+_STR_SET = _kind(list, "an array of strings", items=str, write=sorted)
+_ASSIGNEES = _kind(list, "an array of strings", items=str, rename="alias_map", write=sorted)
 _FILES = _entries(FileChange, {"path": _ID, "added": _INT, "deleted": _INT},
                   "a non-empty string and two integers")
 _MEMBERSHIPS = _entries(SprintMembership, {"sprint_id": _ID, "assigned_at": _EPOCH},
@@ -522,18 +497,20 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[
     cross-references are not checked, since they may name a rejected record.
     Raises on unreadable files or cross-reference failures.
     """
-    maps = {"team_map": manifest.team_map, "alias_map": manifest.alias_map}
+    team_map, alias_map = manifest.team_map, manifest.alias_map
+    # each reader is looked up by name on each call, so a tracer that swaps the module's readers sees it
+    readers = {
+        "commits": lambda path: read_commits(path, team_map, alias_map),
+        "issues": lambda path: read_issues(path, team_map, alias_map),
+        "sprints": lambda path: read_sprints(path, team_map),
+        "pulls": lambda path: read_pulls(path, team_map),
+        "stats": lambda path: read_stats(path),
+    }
     records: list[list] = []
     diagnostics: list[str] = []
     for kind in EXPORTS:
         path = manifest.paths.get(kind)
-        if path is None:
-            records.append([])
-            continue
-        # looked up by name on each call, so a tracer that swaps the module's readers sees it
-        reader = globals()[f"read_{kind}"]
-        accepted = inspect.signature(reader).parameters
-        found, issues = reader(path, **{k: v for k, v in maps.items() if k in accepted})
+        found, issues = ([], []) if path is None else readers[kind](path)
         records.append(found)
         diagnostics.extend(i.render(path) for i in issues)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
@@ -277,7 +277,7 @@ class MetricResult(_Record, namedtuple(
 
 
 class _TimeIndex:
-    """Records sorted by a timestamp, for cutting out closed time intervals."""
+    """Records sorted by a timestamp, for cutting out half-open time intervals."""
 
     def __init__(self, records: Sequence, stamp: Callable[[object], float]) -> None:
         self._records = records
@@ -286,8 +286,8 @@ class _TimeIndex:
         self._stamps = [stamps[i] for i in self._order]
 
     def between(self, lo: float, hi: float) -> tuple:
-        """Records stamped within [lo, hi], in their original order."""
-        cut = self._order[bisect_left(self._stamps, lo) : bisect_right(self._stamps, hi)]
+        """Records stamped within (lo, hi], in their original order."""
+        cut = self._order[bisect_right(self._stamps, lo) : bisect_right(self._stamps, hi)]
         cut.sort()
         return tuple(self._records[i] for i in cut)
 
@@ -449,12 +449,14 @@ def build_history(
 def window(history: ProjectHistory, team: str, sprint_id: str) -> SprintSlice:
     """Cut the history down to one team-sprint.
 
-    Commits and pull requests are attributed by timestamp within the closed
-    interval [starts_at, due_on], so a record stamped at the instant where
-    two back-to-back sprints meet belongs to both; stories by backlog
-    membership. Each team's commits and pulls are indexed by time when the
-    history is built, so a window is two binary searches. All three tuples
-    keep the order of the history's own collections.
+    Commits and pull requests are attributed by timestamp within the
+    half-open interval (starts_at, due_on]: a record stamped at the instant
+    where two back-to-back sprints meet is last-minute work of the earlier
+    sprint, and one stamped at a team's first starts_at falls in no window,
+    like any record before it. Stories are attributed by backlog membership.
+    Each team's commits and pulls are indexed by time when the history is
+    built, so a window is two binary searches. All three tuples keep the
+    order of the history's own collections.
     """
     sprint = history.sprint(sprint_id)
     if sprint.team != team:

@@ -21,9 +21,13 @@ from pathlib import Path
 from .errors import ParseError
 
 
+# one encoder for every call: json.dumps with these arguments builds a new one each time
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(value: object) -> str:
     """Serialize with sorted keys and no incidental whitespace."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(value)
 
 
 def object_pieces(members: Mapping[str, Iterable[str]]) -> Iterator[str]:

@@ -309,7 +309,7 @@ def test_last_minute_three_of_twenty():
 def test_last_minute_commit_after_due_is_outside_window():
     sprint = make_sprint(days=14.0)
     history = build_history(
-        commits=[make_commit("after", sprint.due_on + 1.0), make_commit("in", sprint.starts_at)],
+        commits=[make_commit("after", sprint.due_on + 1.0), make_commit("in", sprint.starts_at + 1.0)],
         sprints=[sprint],
     )
     slice_ = window(history, TEAM, "s1")

@@ -45,6 +45,7 @@ from sprintlint.fixtures import FixtureSpec, generate, inject
 from sprintlint.serialize import array_pieces, canonical_json, format_iso_utc, object_pieces, parse_iso_utc
 from conftest import DAY, T0, change, make_commit, make_pull, make_sprint, make_story
 from test_golden import ALL_DIRECTIVES
+from test_rejections import JSON_VALUES
 
 
 def test_count_checkboxes_empty():
@@ -275,15 +276,26 @@ def test_alias_and_team_maps_applied(tmp_path):
     raw["author"] = "ann"
     raw["team"] = "repo-alpha"
     commits.write_text(json.dumps(raw) + "\n", encoding="utf-8")
+    paths = {"commits": commits}
+    for kind, write, records in (
+        ("issues", write_issues, [make_story(1, team="repo-alpha", assignees=("ann", "bob@example.org"))]),
+        ("sprints", write_sprints, [make_sprint(team="repo-alpha")]),
+        ("pulls", write_pulls, [make_pull(1, T0 + DAY, team="repo-alpha")]),
+    ):
+        paths[kind] = tmp_path / EXPORTS[kind]
+        write(paths[kind], records)
     manifest = IngestManifest(
-        {"commits": commits},
+        paths,
         team_map={"repo-alpha": "alpha"},
         alias_map={"ann": "ann@example.org"},
     )
     history, diagnostics = load_history(manifest)
     assert diagnostics == []
     assert history.teams == ("alpha",)
+    for records in (history.commits, history.stories, history.sprints, history.pulls):
+        assert [r.team for r in records] == ["alpha"]
     assert history.commits[0].author == "ann@example.org"
+    assert history.stories[0].assignees == {"ann@example.org", "bob@example.org"}
 
 
 def _sample_records():
@@ -567,6 +579,11 @@ def test_read_sprints_and_pulls(tmp_path):
 
 def test_canonical_json_is_sorted_and_compact():
     assert canonical_json({"b": 1, "a": [1.5, None]}) == '{"a":[1.5,null],"b":1}'
+
+
+@given(value=JSON_VALUES)
+def test_canonical_json_matches_json_dumps_with_its_arguments(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])

@@ -1,0 +1,86 @@
+"""The north star's linear cost, guarded: the read path costs about 8x as much at 8x the records.
+
+Each layer is timed in CPU seconds (`time.process_time`) on
+`FixtureSpec(teams=2)` at 10 and at 80 sprints (1,200 and 9,600 commits),
+the minimum of a few runs per size, the two sizes taking turns so that a
+busy spell of the machine slows both. A layer whose cost is proportional to
+its records reads about 8; one that rescans a team's history once per
+sprint reads up to 64. The bound, 16, is twice linear.
+"""
+
+from __future__ import annotations
+
+import gc
+import math
+import time
+
+import pytest
+
+from sprintlint.catalog import default_registry
+from sprintlint.config import MetricConfig
+from sprintlint.fixtures import FixtureSpec, generate
+from sprintlint.ingest import load_snapshot, write_snapshot
+from sprintlint.model import window
+from sprintlint.report import build_report, render_json
+from sprintlint.scoring import aggregate_all, trend
+
+SPRINTS = (10, 80)
+RUNS = 3
+BOUND = 16.0
+# layer -> the calls one timing makes, so that a timing at 10 sprints lasts a few milliseconds
+REPEATS = {"load_snapshot": 1, "window of every sprint": 20, "render_json(build_report)": 1,
+           "aggregate_all and trend": 5}
+
+
+def _load(path):
+    """`load_snapshot` with the cyclic collector paused, as the CLI runs it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return load_snapshot(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _layers(path) -> dict:
+    """Each layer of the read path -> a call that runs it on the snapshot at `path`."""
+    history = _load(path)
+    registry, config = default_registry(), MetricConfig()
+    results = build_report(history, registry, config).results
+    return {
+        "load_snapshot": lambda: _load(path),
+        "window of every sprint": lambda: [window(history, sprint.team, sprint.id) for sprint in history.sprints],
+        "render_json(build_report)": lambda: render_json(build_report(history, registry, config), history),
+        "aggregate_all and trend": lambda: trend(history, results, aggregate_all(results, registry, config)),
+    }
+
+
+def _cpu_seconds(call, repeat: int) -> float:
+    start = time.process_time()
+    for _ in range(repeat):
+        call()
+    return time.process_time() - start
+
+
+@pytest.fixture(scope="module")
+def ratios(tmp_path_factory) -> dict:
+    """Each layer -> its CPU time at 80 sprints over its CPU time at 10."""
+    folder = tmp_path_factory.mktemp("linear-cost")
+    sizes = []
+    for sprints in SPRINTS:
+        path = folder / f"project-{sprints}.json"
+        write_snapshot(path, generate(FixtureSpec(teams=2, sprints=sprints))[0])
+        sizes.append(_layers(path))
+    best = [dict.fromkeys(REPEATS, math.inf) for _ in sizes]
+    for _ in range(RUNS):
+        for layer, repeat in REPEATS.items():
+            for calls, seconds in zip(sizes, best):
+                seconds[layer] = min(seconds[layer], _cpu_seconds(calls[layer], repeat))
+    small, large = best
+    return {layer: large[layer] / small[layer] for layer in REPEATS}
+
+
+@pytest.mark.parametrize("layer", list(REPEATS))
+def test_layer_cost_grows_linearly_with_the_records(ratios, layer):
+    assert ratios[layer] < BOUND

@@ -185,9 +185,10 @@ def test_window_empty_sprint():
 def test_window_includes_commit_exactly_at_due_on():
     sprint = make_sprint(days=14.0)
     at_due = make_commit("c-due", sprint.due_on)
-    before = make_commit("c-in", sprint.starts_at)
+    inside = make_commit("c-in", sprint.starts_at + 1.0)
+    at_start = make_commit("c-start", sprint.starts_at)
     after = make_commit("c-out", sprint.due_on + 1.0)
-    history = build_history(commits=[at_due, before, after], sprints=[sprint])
+    history = build_history(commits=[at_due, inside, at_start, after], sprints=[sprint])
     got = {c.id for c in window(history, TEAM, "s1").commits}
     assert got == {"c-due", "c-in"}
 
@@ -228,7 +229,7 @@ def test_window_is_subset_of_history(offsets):
     history = build_history(commits=commits, sprints=[sprint])
     slice_ = window(history, TEAM, "s1")
     assert set(slice_.commits) <= set(history.commits)
-    brute = {c.id for c in commits if sprint.starts_at <= c.authored_at <= sprint.due_on}
+    brute = {c.id for c in commits if sprint.starts_at < c.authored_at <= sprint.due_on}
     assert {c.id for c in slice_.commits} == brute
 
 
@@ -242,9 +243,9 @@ def scan_window(history, team, sprint_id):
     sprint = history.sprint(sprint_id)
     lo, hi = sprint.starts_at, sprint.due_on
     return (
-        tuple(c for c in history.commits if c.team == team and lo <= c.authored_at <= hi),
+        tuple(c for c in history.commits if c.team == team and lo < c.authored_at <= hi),
         tuple(s for s in history.stories if s.team == team and sprint_id in s.sprint_memberships),
-        tuple(p for p in history.pulls if p.team == team and lo <= p.opened_at <= hi),
+        tuple(p for p in history.pulls if p.team == team and lo < p.opened_at <= hi),
     )
 
 
@@ -353,16 +354,16 @@ def test_indexed_lookups_match_linear_scans(history):
                 assert got == scan_unfinished(history, sprint.id, now)
 
 
-def test_window_shares_the_meeting_instant_of_back_to_back_sprints():
+def test_each_record_at_a_sprint_boundary_lands_in_the_sprint_the_half_open_rule_names():
+    # (starts_at, due_on]: the meeting instant is the earlier sprint's, the first start is no sprint's
     first = make_sprint("s1", start=T0, days=SPRINT_DAYS)
     second = make_sprint("s2", start=first.due_on, days=SPRINT_DAYS)
-    commits = [make_commit("c-meet", first.due_on), make_commit("c-start", T0)]
-    pulls = [make_pull(1, first.due_on), make_pull(2, second.due_on)]
+    commits = [make_commit("c-meet", first.due_on), make_commit("c-start", T0), make_commit("c-due", second.due_on)]
+    pulls = [make_pull(1, first.due_on), make_pull(2, T0), make_pull(3, second.due_on)]
     history = build_history(commits=commits, sprints=[first, second], pulls=pulls)
-    assert [c.id for c in window(history, TEAM, "s1").commits] == ["c-meet", "c-start"]
-    assert [c.id for c in window(history, TEAM, "s2").commits] == ["c-meet"]
-    assert [p.number for p in window(history, TEAM, "s1").pulls] == [1]
-    assert [p.number for p in window(history, TEAM, "s2").pulls] == [1, 2]
+    in_first, in_second = window(history, TEAM, "s1"), window(history, TEAM, "s2")
+    assert [c.id for c in in_first.commits] == ["c-meet"] and [c.id for c in in_second.commits] == ["c-due"]
+    assert [p.number for p in in_first.pulls] == [1] and [p.number for p in in_second.pulls] == [3]
 
 
 def test_metric_result_rejects_out_of_range_score():
@@ -496,7 +497,7 @@ VALUES = {
     MetricConfig: lambda: MetricConfig({"huge-stories": {"weight": 5}}, {s.value: 1 for s in Severity}),
     ParseIssue: lambda: ParseIssue(3, "team", "team must be a string"),
     IngestManifest: lambda: IngestManifest({"commits": Path("c.ndjson")}, {"a": "alpha"}, {"Ann": "ann"}),
-    _Column: lambda: _Column(str, None, list, list, all),
+    _Column: lambda: _Column(str, None, list, list),
     InjectionRecord: lambda: InjectionRecord("huge-stories", TEAM, "s1", ("#1",)),
     FixtureCertificate: lambda: FixtureCertificate(42, "mt19937", 54, True, True, "0" * 64),
     Finding: lambda: Finding((_violation(),), 75.0, {"violations": 1}),

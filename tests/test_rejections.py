@@ -624,6 +624,13 @@ def test_columnar_snapshot_reads_integer_epochs_as_floats(tmp_path):
     history = load_snapshot(path)
     assert _written(tmp_path, history) == COLUMNS
     assert type(history.sprints[0].starts_at) is float and type(history.pulls[0].closed_at) is float
+    pulls = doc["pulls"]  # and an optional epoch column holding a null and an integer
+    for cells in pulls.values():
+        cells.insert(0, cells[0])
+    pulls["number"], pulls["merged"], pulls["closed_at"][0] = [1, 2], [False, True], None
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    closed = tuple(pull.closed_at for pull in load_snapshot(path).pulls)
+    assert closed == (None, COLUMNS["pulls"]["closed_at"][0]) and type(closed[1]) is float
 
 
 def _without(kind: str, name: str | None = None):
