@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .catalog import (
     FileEditProfile,
     UnfinishedStories,
+    count_checkboxes,
     default_registry,
     detect_collective_ownership,
     detect_daily_story_quota,
@@ -23,6 +24,7 @@ from .catalog import (
     detect_multi_backlog,
     detect_no_committing,
     detect_test_later,
+    story_text_length,
     unfinished_stories,
 )
 from .config import METRIC_NAMES, MetricConfig, config_from_dict, load_config
@@ -52,7 +54,7 @@ from .fixtures import (
     generate,
     inject,
 )
-from .ingest import IngestManifest, count_checkboxes, load_history, story_text_length
+from .ingest import IngestManifest, load_history
 from .model import (
     BuildStats,
     Commit,

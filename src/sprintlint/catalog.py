@@ -13,6 +13,7 @@ data never masquerades as conformance or violation.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Mapping
 from typing import Any
@@ -26,7 +27,6 @@ from .engine import (
     ratio_linear,
     threshold_linear,
 )
-from .ingest import count_checkboxes, story_text_length
 from .model import (
     Finding,
     MetricDescriptor,
@@ -138,6 +138,27 @@ def detect_test_later(slice_: SprintSlice, settings: Mapping[str, Any]) -> Findi
             "weight": settings["weight"],
         },
     )
+
+
+_CHECKBOX_LINE = re.compile(r"^[ \t]*[-*] \[[ xX]\]")
+
+
+def count_checkboxes(body: str) -> int:
+    """Count task-list items: a dash or star bullet followed by ``[ ]``, ``[x]`` or ``[X]``."""
+    return sum(1 for line in body.splitlines() if _CHECKBOX_LINE.match(line))
+
+
+def story_text_length(title: str, body: str) -> int:
+    """Story size in characters, whitespace-normalized.
+
+    Runs of whitespace collapse to a single space; title and body are joined
+    by one space when both are non-empty. Code blocks in the body count.
+    """
+    head = " ".join(title.split())
+    tail = " ".join(body.split())
+    if head and tail:
+        return len(head) + 1 + len(tail)
+    return len(head) + len(tail)
 
 
 def detect_huge_stories(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:

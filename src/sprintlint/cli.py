@@ -2,6 +2,10 @@
 
 Exit codes follow lint-tool convention: 0 for success, 1 when a policy gate
 (--fail-below) trips, 2 for unreadable or invalid input.
+
+`main` pauses the cyclic garbage collector for the whole command and then
+restores the caller's setting; it is the only place in sprintlint that
+touches the collector.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import gc
 import math
 import os
 import sys
-from collections.abc import Callable
 from pathlib import Path
 
 from . import __version__
@@ -61,25 +64,6 @@ def _read_json_file(path: str) -> dict:
     return raw
 
 
-def _load(load: Callable, source: object):
-    """Run one history load with the cyclic collector paused.
-
-    A load builds an acyclic record for every exported item, so collector
-    passes during it free nothing and only cost time. The loaded history
-    lives until the process exits, so after a successful load it is frozen
-    out of every later pass. The collector's prior state is restored.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        loaded = load(source)
-        gc.freeze()
-        return loaded
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _manifest_from_args(args: argparse.Namespace) -> IngestManifest:
     paths: dict[str, Path] = {}
     maps: dict[str, object] = {}
@@ -104,7 +88,7 @@ def _manifest_from_args(args: argparse.Namespace) -> IngestManifest:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args(args)
-    history, parse_problems = _load(load_history, manifest)
+    history, parse_problems = load_history(manifest)
     if parse_problems:
         for problem in parse_problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -125,7 +109,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     if args.fail_below is not None and not math.isfinite(args.fail_below):
         raise SprintLintError(f"--fail-below must be a finite number, got {args.fail_below}")
-    history = _load(load_snapshot, args.project)
+    history = load_snapshot(args.project)
     config = _resolve_config(args.config)
     registry = default_registry()
     now = parse_iso_utc(args.now, "--now") if args.now else None
@@ -155,7 +139,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    history = _load(load_snapshot, args.project)
+    history = load_snapshot(args.project)
     config = _resolve_config(args.config)
     registry = default_registry()
     results = run_all(registry, history, config)
@@ -248,12 +232,18 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    # A command builds an acyclic record for every exported item and keeps
+    # them until it returns, so collector passes during it free nothing and
+    # only cost time. The caller's collector state is restored on the way out.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
-    except SprintLintError as exc:
+    except (SprintLintError, OSError) as exc:
         return _fail(str(exc))
-    except OSError as exc:
-        return _fail(str(exc))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

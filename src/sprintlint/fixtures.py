@@ -34,11 +34,10 @@ from collections.abc import Mapping
 from itertools import chain
 
 from . import config as cfg
-from .catalog import default_registry, story_ref, pull_ref
+from .catalog import default_registry, story_ref, story_text_length, pull_ref
 from .config import MetricConfig
 from .engine import run_all
 from .errors import InfeasibleFixtureError
-from .ingest import story_text_length
 from .model import (
     BuildStats,
     Commit,
@@ -112,13 +111,6 @@ def _check_sprints(sprints: int, duration_seconds: float) -> None:
         _sprint_seconds(sprints - 1, EPOCH + (sprints - 1) * seconds, duration_seconds)
 
 
-def _check_pool_authors(n_devs: int) -> None:
-    """Raise unless `n_devs` committers can give every scaffold file more than threshold_a authors."""
-    if n_devs < _POOL_AUTHORS:
-        raise InfeasibleFixtureError(f"hot-file guarantee needs at least {_POOL_AUTHORS} developers per team "
-                                     f"(threshold_a + 1), got {n_devs}")
-
-
 def _check_idle_devs(idle_devs: int, stories: int) -> None:
     """Raise unless each idle developer can be assigned to a story of their own."""
     if idle_devs > stories:
@@ -163,8 +155,9 @@ class FixtureSpec(_Record, namedtuple(
                 raise InfeasibleFixtureError("developers assigned to stories would never commit; the "
                                              "zero-committer guarantee needs commits_per_dev_per_sprint >= 1")
             _check_sprints(sprints, sprint_length_days * 86400.0)
-            if developers_per_team and commits_per_dev_per_sprint:
-                _check_pool_authors(developers_per_team)
+            if developers_per_team and commits_per_dev_per_sprint and developers_per_team < _POOL_AUTHORS:
+                raise InfeasibleFixtureError(f"hot-file guarantee needs at least {_POOL_AUTHORS} developers "
+                                             f"per team (threshold_a + 1), got {developers_per_team}")
         return spec
 
     def to_dict(self) -> dict:
@@ -309,13 +302,9 @@ class _TeamBuilder:
         self.commits: list[Commit] = []
         self.pulls: list[PullRequest] = []
         self.stats: list[BuildStats] = []
-        self._story_number = 0
-        self._pull_number = 0
-        self._commit_counter = 0
         self._head: str | None = None
         self._coverage = _START_COVERAGE
         self._complexity = 100.0
-        self._elapsed = 0.0  # the summed durations of `sprints`
 
     def records(self) -> tuple[list, list, list, list, list]:
         """The team's records in `ProjectHistory.records()` order."""
@@ -324,7 +313,7 @@ class _TeamBuilder:
     # -- schedule -------------------------------------------------------
 
     def add_sprint(self, index: int, duration_seconds: float) -> Sprint:
-        starts = EPOCH + self._elapsed
+        starts = self.sprints[-1].due_on if self.sprints else EPOCH
         duration_seconds = _sprint_seconds(index, starts, duration_seconds)
         sprint = Sprint(
             id=f"{self.team}-s{index:02d}",
@@ -334,7 +323,6 @@ class _TeamBuilder:
             team=self.team,
         )
         self.sprints.append(sprint)
-        self._elapsed += duration_seconds
         return sprint
 
     def _interior(self, sprint: Sprint) -> tuple[float, float]:
@@ -354,8 +342,7 @@ class _TeamBuilder:
         labels: tuple[str, ...] = (),
         extra_assignees: tuple[str, ...] = (),
     ) -> UserStory:
-        self._story_number += 1
-        number = self._story_number
+        number = len(self.stories) + 1
         title = f"Story {number}"
         first, last = memberships[0], memberships[-1]
         assignees = (
@@ -381,7 +368,6 @@ class _TeamBuilder:
         return story
 
     def fill_sprint_stories(self, sprint: Sprint, count: int) -> None:
-        _check_idle_devs(len(self.idle_devs), count)
         idle_pool = list(self.idle_devs)
         for _ in range(count):
             extra = (idle_pool.pop(),) if idle_pool else ()
@@ -397,9 +383,8 @@ class _TeamBuilder:
         with_stats: tuple[float, float] | None,
         advance_chain: bool = True,
     ) -> Commit:
-        self._commit_counter += 1
         commit = Commit(
-            id=f"{self.team}-c{self._commit_counter:06d}",
+            id=f"{self.team}-c{len(self.commits) + 1:06d}",
             author=author,
             authored_at=float(round(when)),
             parents=(self._head,) if self._head is not None else (),
@@ -427,7 +412,6 @@ class _TeamBuilder:
 
     def _file_pool(self, total_commits: int) -> list[str]:
         n_devs = len(self.devs)
-        _check_pool_authors(n_devs)
         size = max(1, total_commits // 18)
         while size > 1 and n_devs // math.gcd(size, n_devs) < _POOL_AUTHORS:
             size -= 1
@@ -459,11 +443,10 @@ class _TeamBuilder:
     def add_pull(
         self, sprint: Sprint, open_minutes: float, comments: int, merged: bool = True
     ) -> PullRequest:
-        self._pull_number += 1
         lo, hi = self._interior(sprint)
         opened = float(round(self.rng.uniform(lo, hi)))
         pull = PullRequest(
-            number=self._pull_number,
+            number=len(self.pulls) + 1,
             opened_at=opened,
             closed_at=float(round(opened + open_minutes * 60.0)),
             merged=merged,

@@ -37,7 +37,6 @@ import csv
 import io
 import json
 import math
-import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import chain, repeat, starmap
@@ -71,27 +70,6 @@ from .serialize import (
     read_text,
     write_text,
 )
-
-_CHECKBOX_LINE = re.compile(r"^[ \t]*[-*] \[[ xX]\]")
-
-
-def count_checkboxes(body: str) -> int:
-    """Count task-list items: a dash or star bullet followed by ``[ ]``, ``[x]`` or ``[X]``."""
-    return sum(1 for line in body.splitlines() if _CHECKBOX_LINE.match(line))
-
-
-def story_text_length(title: str, body: str) -> int:
-    """Story size in characters, whitespace-normalized.
-
-    Runs of whitespace collapse to a single space; title and body are joined
-    by one space when both are non-empty. Code blocks in the body count.
-    """
-    head = " ".join(title.split())
-    tail = " ".join(body.split())
-    if head and tail:
-        return len(head) + 1 + len(tail)
-    return len(head) + len(tail)
-
 
 class ParseIssue(_Record, namedtuple("ParseIssue", "location field message")):
     """One malformed record, positioned within its source file; `field` may be None."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from sprintlint import (
@@ -16,6 +19,18 @@ from sprintlint import (
     UserStory,
     build_history,
 )
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, as the CLI does for each command, and restore it after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
 
 T0 = 1_420_416_000.0  # 2015-01-05T00:00:00Z
 DAY = 86400.0

@@ -7,16 +7,17 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprintlint import MetricConfig, build_history, cli
+from sprintlint import FixtureSpec, MetricConfig, build_history, cli, generate
 from sprintlint.cli import main
 from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
 from sprintlint.serialize import END_TS, FIRST_TS
-from conftest import make_commit
+from conftest import collector_paused, make_commit
 from test_golden import EXPECTED_CONFIG_DIGEST
 
 DEFAULT_SPEC = {
@@ -433,25 +434,77 @@ def test_ingest_oversized_stats_field_exits_2(tmp_path, capsys):
     assert f"error: {stats}:{line}: field larger than field limit" in capsys.readouterr().err
 
 
+class _Node:
+    pass
+
+
 def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypatch):
+    frozen = gc.get_freeze_count()
+    seen = {"generate": [], "load_history": [], "load_snapshot": [], "write_text": []}
+
+    def look(name, call):
+        def looked(*args, **kwargs):
+            seen[name].append(gc.isenabled())
+            return call(*args, **kwargs)
+        return looked
+
+    for name in seen:
+        monkeypatch.setattr(cli, name, look(name, getattr(cli, name)))
     snapshot = _ingest(tmp_path, _generate(tmp_path))
-    seen = []
-
-    def load_and_look(path):
-        seen.append(gc.isenabled())
-        return load_snapshot(path)
-
-    monkeypatch.setattr(cli, "load_snapshot", load_and_look)
-    assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 0
-    assert seen == [False]
+    assert seen["generate"] == [False]
+    assert seen["load_history"] == [False]
     assert gc.isenabled()
 
+    # a cycle the caller holds during a command and drops after it is still collected
+    node = _Node()
+    node.self = node
+    alive = weakref.ref(node)
+    lint = ["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]
+    assert main(lint) == 0
+    assert seen["load_snapshot"] == [False]
+    assert seen["write_text"] == [False, False]  # the ledger, then the report
+    assert gc.isenabled()
+    del node
+    gc.collect()
+    assert alive() is None
+
+    broken = tmp_path / "broken.json"
     doc = json.loads(snapshot.read_text(encoding="utf-8"))
     doc["commits"]["id"][0] = ""  # fails the commit's own check
-    snapshot.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 2
-    assert seen == [False, False]
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["lint", "--project", str(broken), "--out", str(tmp_path / "r.json")]) == 2
+    assert seen["load_snapshot"] == [False, False]
     assert gc.isenabled()
+
+    assert main(["score", "--project", str(snapshot), "--out", str(tmp_path / "t.csv")]) == 0
+    assert seen["load_snapshot"] == [False, False, False]
+    assert gc.isenabled()
+
+    def unexpected(*args, **kwargs):
+        raise RuntimeError("not a SprintLintError")
+
+    monkeypatch.setattr(cli, "build_report", unexpected)
+    with pytest.raises(RuntimeError):
+        main(lint)
+    assert gc.isenabled()
+
+    # a caller that paused the collector itself finds it still paused
+    with collector_paused():
+        assert main(["score", "--project", str(snapshot), "--out", str(tmp_path / "t.csv")]) == 0
+        assert not gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_lint_leaves_as_many_cycles_on_a_larger_snapshot(tmp_path):
+    # the pause is sound only while a command's garbage cycles do not grow with its input
+    counts = []
+    for sprints in (2, 20):
+        snapshot = tmp_path / f"snap-{sprints}.json"
+        write_snapshot(snapshot, generate(FixtureSpec(teams=2, sprints=sprints))[0])
+        gc.collect()
+        assert main(["lint", "--project", str(snapshot), "--out", str(tmp_path / "r.json")]) == 0
+        counts.append(gc.collect())
+    assert counts[0] == counts[1]
 
 
 # run in a child, so that no module the test process already loaded is counted

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import json
 import tracemalloc
 
@@ -43,7 +42,7 @@ from sprintlint.ingest import (
 from sprintlint import ingest, serialize
 from sprintlint.fixtures import FixtureSpec, generate, inject
 from sprintlint.serialize import array_pieces, canonical_json, format_iso_utc, object_pieces, parse_iso_utc
-from conftest import DAY, T0, change, make_commit, make_pull, make_sprint, make_story
+from conftest import DAY, T0, change, collector_paused, make_commit, make_pull, make_sprint, make_story
 from test_golden import ALL_DIRECTIVES
 from test_rejections import JSON_VALUES
 
@@ -444,16 +443,15 @@ def test_write_snapshot_holds_no_whole_copy_of_the_snapshot(tmp_path):
 def test_load_snapshot_frees_each_decoded_cell_once_its_record_is_built(tmp_path):
     path = tmp_path / "snap.json"
     write_snapshot(path, generate(FixtureSpec(teams=2, sprints=20))[0])
-    # the collector is paused, as the CLI pauses it for a load
-    gc.disable()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        history = load_snapshot(path)
-        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-        gc.enable()
+    # the collector is paused, as the CLI pauses it for each command
+    with collector_paused():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            history = load_snapshot(path)
+            kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
     assert history.commits
     # holding every decoded cell until the last record is built peaked at 1.78 times the history
     assert peak < 1.6 * kept

@@ -10,7 +10,6 @@ sprint reads up to 64. The bound, 16, is twice linear.
 
 from __future__ import annotations
 
-import gc
 import math
 import time
 
@@ -23,6 +22,7 @@ from sprintlint.ingest import load_snapshot, write_snapshot
 from sprintlint.model import window
 from sprintlint.report import build_report, render_json
 from sprintlint.scoring import aggregate_all, trend
+from conftest import collector_paused
 
 SPRINTS = (10, 80)
 RUNS = 3
@@ -33,14 +33,9 @@ REPEATS = {"load_snapshot": 1, "window of every sprint": 20, "render_json(build_
 
 
 def _load(path):
-    """`load_snapshot` with the cyclic collector paused, as the CLI runs it."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    """`load_snapshot` with the cyclic collector paused, as a CLI command runs it."""
+    with collector_paused():
         return load_snapshot(path)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _layers(path) -> dict:

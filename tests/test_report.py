@@ -3,7 +3,6 @@ and the cost of the per-sprint layers."""
 
 from __future__ import annotations
 
-import gc
 import json
 import tracemalloc
 from pathlib import Path
@@ -26,7 +25,7 @@ from sprintlint import (
 )
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject, injection_from_dict, spec_from_dict
 from sprintlint.serialize import canonical_json
-from conftest import DAY, T0, TEAM
+from conftest import DAY, T0, TEAM, collector_paused
 from test_golden import ALL_DIRECTIVES
 
 REGISTRY = default_registry()
@@ -52,15 +51,14 @@ HISTORIES = {
 def test_render_json_holds_no_whole_copy_of_the_report(make):
     history = make()
     report = build_report(history, REGISTRY, CONFIG)
-    gc.disable()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        rendered = render_json(report, history)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-        gc.enable()
+    with collector_paused():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rendered = render_json(report, history)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
     assert report.results
     # the whole report document, then its text and a copy with the newline, peaked near 10 times the text
     assert peak < 4 * len(rendered)
