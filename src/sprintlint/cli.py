@@ -3,9 +3,9 @@
 Exit codes follow lint-tool convention: 0 for success, 1 when a policy gate
 (--fail-below) trips, 2 for unreadable or invalid input.
 
-`main` pauses the cyclic garbage collector for the whole command and then
-restores the caller's setting; it is the only place in sprintlint that
-touches the collector.
+`main` pauses the cyclic garbage collector for the whole command and restores
+the caller's setting, and the program entry `run` freezes what is left at
+exit; they are the only places in sprintlint that touch the collector.
 """
 
 from __future__ import annotations
@@ -113,8 +113,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
     registry = default_registry()
     now = parse_iso_utc(args.now, "--now") if args.now else None
-    sprint_title = None if args.sprint == "all" else args.sprint
-    report = build_report(history, registry, config, now=now, sprint_title=sprint_title)
+    report = build_report(history, registry, config, now=now, sprint_title=args.sprint)
     if args.format == "json":
         rendered = render_json(report, history)
     else:
@@ -205,7 +204,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser("lint", help="run every enabled metric and report violations")
     p_lint.add_argument("--project", required=True, help="snapshot from 'ingest'")
     p_lint.add_argument("--config", help=f"config JSON (default from ${CONFIG_ENV_VAR})")
-    p_lint.add_argument("--sprint", default="all", help="limit to sprints with this title")
+    p_lint.add_argument("--sprint", help="limit to sprints with this title")
     p_lint.add_argument("--format", choices=("json", "markdown"), default="json")
     p_lint.add_argument("--out", help="write the report here instead of stdout")
     p_lint.add_argument("--fail-below", type=float, default=None,
@@ -246,5 +245,12 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """`main` as a program: what the command left is frozen, so the exit does not collect it."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

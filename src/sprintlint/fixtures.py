@@ -269,17 +269,16 @@ class FixtureCertificate(_Record, namedtuple(
         return self._asdict()
 
 
-def _story_body(title: str, length: int, checkboxes: int) -> str:
+def _story_body(title: str, length: int) -> str:
     """Compose a body whose combined normalized length with `title` is exactly `length`."""
-    tasks = "\n".join(f"- [ ] task {i + 1}" for i in range(checkboxes))
+    tasks = "\n".join(f"- [ ] task {i + 1}" for i in range(BASE_STORY_CHECKBOXES))
     base = story_text_length(title, tasks)
     pad = length - base - 1
     if pad < 1:
         raise InfeasibleFixtureError(
-            f"story length {length} is too short for {checkboxes} checkboxes and title {title!r}"
+            f"story length {length} is too short for {BASE_STORY_CHECKBOXES} checkboxes and title {title!r}"
         )
-    words = "m" * pad
-    return tasks + ("\n" if tasks else "") + words
+    return tasks + "\n" + "m" * pad
 
 
 class _TeamBuilder:
@@ -338,7 +337,6 @@ class _TeamBuilder:
         self,
         memberships: list[Sprint],
         length: int = BASE_STORY_LENGTH,
-        checkboxes: int = BASE_STORY_CHECKBOXES,
         labels: tuple[str, ...] = (),
         extra_assignees: tuple[str, ...] = (),
     ) -> UserStory:
@@ -352,7 +350,7 @@ class _TeamBuilder:
         story = UserStory(
             number=number,
             title=title,
-            body=_story_body(title, length, checkboxes),
+            body=_story_body(title, length),
             state=StoryState.CLOSED,
             labels=frozenset(labels),
             milestones=tuple(
@@ -440,16 +438,14 @@ class _TeamBuilder:
 
     # -- pull requests ----------------------------------------------------
 
-    def add_pull(
-        self, sprint: Sprint, open_minutes: float, comments: int, merged: bool = True
-    ) -> PullRequest:
+    def add_pull(self, sprint: Sprint, open_minutes: float, comments: int) -> PullRequest:
         lo, hi = self._interior(sprint)
         opened = float(round(self.rng.uniform(lo, hi)))
         pull = PullRequest(
             number=len(self.pulls) + 1,
             opened_at=opened,
             closed_at=float(round(opened + open_minutes * 60.0)),
-            merged=merged,
+            merged=True,
             comment_count=comments,
             team=self.team,
         )

@@ -29,20 +29,16 @@ def history_horizon(history: ProjectHistory) -> float:
 
     Raises when that instant is past the last one reports can write.
     """
-    moments = [0.0]
-    for sprint in history.sprints:
-        moments.append(sprint.due_on)
-    for commit in history.commits:
-        moments.append(commit.authored_at)
-    for story in history.stories:
-        moments.append(story.created_at)
-        if story.closed_at is not None:
-            moments.append(story.closed_at)
-    for pull in history.pulls:
-        moments.append(pull.opened_at)
-        if pull.closed_at is not None:
-            moments.append(pull.closed_at)
-    horizon = max(moments) + 1.0
+    stamps = chain(
+        (0.0,),
+        (sprint.due_on for sprint in history.sprints),
+        (commit.authored_at for commit in history.commits),
+        (story.created_at for story in history.stories),
+        (story.closed_at for story in history.stories if story.closed_at is not None),
+        (pull.opened_at for pull in history.pulls),
+        (pull.closed_at for pull in history.pulls if pull.closed_at is not None),
+    )
+    horizon = max(stamps) + 1.0
     if horizon >= END_TS:
         raise SprintLintError(
             "one second past the last event is after 9999-12-31T23:59:59Z, so there is no "
@@ -104,45 +100,34 @@ def _rounded(score: float | None) -> float | None:
 
 
 def render_json(report: RunReport, history: ProjectHistory) -> str:
-    """The report as canonical JSON and a final newline, built from one piece per result, score or block."""
+    """The report as canonical JSON and a final newline, built from one piece per result, score or block.
+
+    Each result, score and nested row holds its value object's own fields, plus its sprint's title.
+    """
     titles = {s.id: s.title for s in history.sprints}
     results = (
         {
-            "metric": r.metric,
-            "team": r.team,
-            "sprint": r.sprint,
+            **r._asdict(),
             "sprint_title": titles.get(r.sprint, r.sprint),
             "score": _rounded(r.score),
-            "diagnostic": r.diagnostic,
-            "inputs_echo": dict(r.inputs_echo),
-            "violations": [
-                {
-                    "artifacts": list(v.artifacts),
-                    "detail": v.detail,
-                    "numeric_detail": dict(v.numeric_detail),
-                }
-                for v in r.violations
-            ],
+            "violations": [v._asdict() for v in r.violations],
         }
         for r in report.results
     )
     scores = (
         {
-            "team": s.team,
-            "sprint": s.sprint,
+            **s._asdict(),
             "sprint_title": titles.get(s.sprint, s.sprint),
             "overall": _rounded(s.overall),
             "contributions": [
                 {
-                    "metric": c.metric,
+                    **c._asdict(),
                     "score": _rounded(c.score),
-                    "severity": c.severity.value,
-                    "weight": c.weight,
                     "weighted_share": round(c.weighted_share, 6),
                 }
                 for c in s.contributions
             ],
-            "skipped": [{"metric": k.metric, "reason": k.reason} for k in s.skipped],
+            "skipped": [k._asdict() for k in s.skipped],
         }
         for s in report.scores
     )
@@ -152,7 +137,7 @@ def render_json(report: RunReport, history: ProjectHistory) -> str:
             "sprint": block.sprint_id,
             "sprint_title": block.sprint_title,
             "amount": block.amount,
-            "story_numbers": list(block.story_numbers),
+            "story_numbers": block.story_numbers,
             "total": block.total,
             "percent": block.percent,
         }

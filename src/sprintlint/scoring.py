@@ -50,11 +50,10 @@ def aggregate(
     """
     if not results:
         raise SprintLintError("aggregate needs at least one metric result")
-    teams = {r.team for r in results}
-    sprints = {r.sprint for r in results}
-    if len(teams) != 1 or len(sprints) != 1:
+    cells = {(r.team, r.sprint) for r in results}
+    if len(cells) != 1:
         raise SprintLintError("aggregate expects results from a single team-sprint")
-    team, sprint = results[0].team, results[0].sprint
+    [(team, sprint)] = cells
 
     scored = [r for r in results if r.score is not None]
     skipped = tuple(
@@ -124,33 +123,21 @@ def trend(
     was not applicable (or not evaluated) appear as gaps, never interpolated.
     """
     by_cell: dict[tuple[str, str, str], float | None] = {}
-    metric_order: list[str] = []
-    teams_seen: list[str] = []
     for result in results:
         by_cell[(result.team, result.metric, result.sprint)] = result.score
-        if result.metric not in metric_order:
-            metric_order.append(result.metric)
-        if result.team not in teams_seen:
-            teams_seen.append(result.team)
     for score in scores:
         by_cell[(score.team, OVERALL, score.sprint)] = score.overall
-        if score.team not in teams_seen:
-            teams_seen.append(score.team)
+    # the results' metrics in order of first appearance, then the overall when there are scores
+    metrics = dict.fromkeys(metric for _, metric, _ in by_cell)
 
     series: list[TrendSeries] = []
-    for team in sorted(teams_seen):
+    for team in sorted({team for team, _, _ in by_cell}):
         sprints = history.sprints_of(team)
-        for metric in metric_order + [OVERALL]:
+        for metric in metrics:
             if not any((team, metric, s.id) in by_cell for s in sprints):
                 continue
             points = tuple(
-                TrendPoint(
-                    sprint_id=s.id,
-                    sprint_title=s.title,
-                    due_on=s.due_on,
-                    score=by_cell.get((team, metric, s.id)),
-                )
-                for s in sprints
+                TrendPoint(s.id, s.title, s.due_on, by_cell.get((team, metric, s.id))) for s in sprints
             )
             series.append(TrendSeries(team=team, metric=metric, points=points))
     return series

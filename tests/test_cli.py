@@ -191,6 +191,21 @@ def test_lint_sprint_filter_narrows_results(tmp_path):
     assert len(report["results"]) == 9
 
 
+def test_lint_sprint_narrows_to_a_sprint_titled_all(tmp_path):
+    out_dir = _generate(tmp_path)
+    sprints_file = out_dir / "sprints.json"
+    sprints = json.loads(sprints_file.read_text(encoding="utf-8"))
+    sprints[0]["title"] = "all"
+    sprints_file.write_text(json.dumps(sprints), encoding="utf-8")
+    snapshot = _ingest(tmp_path, out_dir)
+    assert main(["lint", "--project", str(snapshot), "--sprint", "all",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert {s["title"] for s in sprints} == {"all", "Sprint 2", "Sprint 3"}
+    assert {(r["sprint"], r["sprint_title"]) for r in report["results"]} == {(sprints[0]["id"], "all")}
+    assert len(report["results"]) == 9
+
+
 def test_lint_markdown_lists_violations_and_pitfalls(tmp_path):
     out_dir = _generate(tmp_path, inject={"silent_fast_pulls": 1})
     snapshot = _ingest(tmp_path, out_dir)
@@ -507,6 +522,37 @@ def test_lint_leaves_as_many_cycles_on_a_larger_snapshot(tmp_path):
     assert counts[0] == counts[1]
 
 
+# the module run as a program, as `python -m sprintlint.cli` runs it
+CHILD_RUN = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count()))
+sys.argv = ["sprintlint", "lint", "--project", "missing.json"]
+runpy.run_module("sprintlint.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _child_env():
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_the_program_freezes_what_is_left_before_it_exits(tmp_path):
+    done = subprocess.run([sys.executable, "-c", CHILD_RUN], env=_child_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert int(done.stdout.splitlines()[-1]) > 0
+
+
+def test_the_installed_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"sprintlint": "sprintlint.cli:run"}
+
+
 # run in a child, so that no module the test process already loaded is counted
 CHILD_INGEST_SCORE_LINT = """
 import json, sys
@@ -522,12 +568,9 @@ assert main(["lint", f"--project={out}/snap.json", f"--out={out}/report.json"]) 
 
 def test_ingest_and_score_never_load_openssl_and_lint_still_digests(tmp_path):
     fixture = _generate(tmp_path)
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", CHILD_INGEST_SCORE_LINT, str(fixture), str(tmp_path), json.dumps(EXPORTS)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False False"

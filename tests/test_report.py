@@ -14,6 +14,8 @@ from sprintlint import (
     MetricResult,
     RunReport,
     Sprint,
+    TeamSprintScore,
+    UnfinishedStories,
     UserStory,
     Violation,
     build_history,
@@ -24,8 +26,10 @@ from sprintlint import (
     run_all,
 )
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject, injection_from_dict, spec_from_dict
+from sprintlint.report import history_horizon
+from sprintlint.scoring import Contribution, SkippedMetric, aggregate_all
 from sprintlint.serialize import canonical_json
-from conftest import DAY, T0, TEAM, collector_paused
+from conftest import DAY, T0, TEAM, collector_paused, make_commit, make_pull, make_story
 from test_golden import ALL_DIRECTIVES
 
 REGISTRY = default_registry()
@@ -81,6 +85,73 @@ def test_render_json_writes_canonical_json():
         assert canonical_json(json.loads(rendered)) + "\n" == rendered, name
         assert bool(report.results) == (name != "no-results"), name
     assert '"results":[],"scores":[],"tool"' in rendered and '"unfinished_stories":[],' in rendered
+
+
+def test_each_json_row_holds_its_value_objects_fields():
+    # a field added to a value class shows here by name, not only as a golden byte mismatch
+    expected = {
+        "results": {*MetricResult._fields, "sprint_title"},
+        "violations": set(Violation._fields),
+        "scores": {*TeamSprintScore._fields, "sprint_title"},
+        "contributions": set(Contribution._fields),
+        "skipped": set(SkippedMetric._fields),
+        "unfinished_stories": {*UnfinishedStories._fields, "team", "sprint"} - {"sprint_id"},
+    }
+    seen = dict.fromkeys(expected, 0)
+
+    def check(kind, rows):
+        for row in rows:
+            assert set(row) == expected[kind], kind
+            seen[kind] += 1
+
+    # the generated reports skip no metric, so one more report holds a skipped result
+    one_sprint = build_history(sprints=[Sprint("s1", "Sprint 1", T0, T0 + DAY, TEAM)])
+    results = (
+        MetricResult("huge-stories", TEAM, "s1", [Violation(["#1"], "story #1 is huge")], 75.0),
+        MetricResult("duplicate-stories", TEAM, "s1", (), None, diagnostic="no stories"),
+    )
+    skipping = RunReport(CONFIG, T0 + 2 * DAY, results, tuple(aggregate_all(results, REGISTRY, CONFIG)), ())
+    for _, history, report in [*_reports(), ("skipping", one_sprint, skipping)]:
+        document = json.loads(render_json(report, history))
+        check("results", document["results"])
+        check("scores", document["scores"])
+        check("unfinished_stories", document["unfinished_stories"])
+        for row in document["results"]:
+            check("violations", row["violations"])
+        for row in document["scores"]:
+            check("contributions", row["contributions"])
+            check("skipped", row["skipped"])
+    assert all(seen.values()), seen
+
+
+def _one_stamp_history(kind):
+    """A history whose one last event is of stamp `kind`."""
+    last = T0 + 30 * DAY
+    sprint = Sprint("s1", "Sprint 1", T0, last if kind == "due_on" else T0 + DAY, TEAM)
+    story = make_story(
+        1,
+        state="open" if kind == "story created" else "closed",
+        created=last if kind == "story created" else T0 - DAY,
+        closed=last if kind == "story closed" else None,
+    )
+    commit = make_commit("c1", last if kind == "commit" else T0 + 1.0)
+    pull = make_pull(
+        1,
+        opened=last if kind == "pull opened" else T0 + 1.0,
+        closed=last if kind == "pull closed" else None,
+    )
+    return build_history(commits=[commit], stories=[story], sprints=[sprint], pulls=[pull])
+
+
+def test_history_horizon_of_an_empty_history_is_one_second_past_the_epoch():
+    assert history_horizon(build_history()) == 1.0
+
+
+@pytest.mark.parametrize(
+    "kind", ["due_on", "commit", "story created", "story closed", "pull opened", "pull closed"]
+)
+def test_history_horizon_is_one_second_past_the_last_stamp_of_any_kind(kind):
+    assert history_horizon(_one_stamp_history(kind)) == T0 + 30 * DAY + 1.0
 
 
 def test_sprint_narrowed_report_equals_full_report_rows():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sprintlint import (
+    FixtureSpec,
     MetricConfig,
+    MetricRegistry,
     MetricResult,
     Severity,
     aggregate,
@@ -17,9 +19,12 @@ from sprintlint import (
     build_history,
     config_from_dict,
     default_registry,
+    generate,
+    run_all,
     trend,
     trend_csv,
 )
+from sprintlint.catalog import CHECKS
 from sprintlint.scoring import OVERALL
 from conftest import DAY, T0, TEAM, make_sprint
 
@@ -199,6 +204,22 @@ def test_trend_gap_for_not_applicable_sprint():
     series = trend(history, results)
     huge = next(s for s in series if s.metric == "huge-stories")
     assert [p.score for p in huge.points] == [80.0, None, 70.0]
+
+
+def test_trend_follows_first_appearance_of_metrics_and_sorts_teams():
+    registry = MetricRegistry()
+    for check in reversed(CHECKS.values()):
+        registry.register(check)
+    history, _ = generate(FixtureSpec(teams=2, sprints=2))
+    results = run_all(registry, history, CONFIG)
+    scores = aggregate_all(results, registry, CONFIG)
+    # the last team's results first: the teams' order is their sort, not their appearance
+    results.sort(key=lambda r: r.team, reverse=True)
+    series = trend(history, results, scores)
+    metrics = [*reversed(CHECKS), OVERALL]
+    assert [(s.team, s.metric) for s in series] == [
+        (team, metric) for team in sorted(history.teams) for metric in metrics
+    ]
 
 
 def test_trend_csv_format_and_gaps():
