@@ -404,9 +404,9 @@ def detect_fast_pulls(slice_: SprintSlice, settings: Mapping[str, Any]) -> Findi
 
 
 class UnfinishedStories(_Record, namedtuple(
-    "UnfinishedStories", "sprint_id sprint_title amount story_numbers total percent"
+    "UnfinishedStories", "team sprint sprint_title amount story_numbers total percent"
 )):
-    """Stories still open in a sprint whose deadline has passed: `amount` of the backlog's `total`."""
+    """Stories still open in a team's sprint whose deadline has passed: `amount` of the backlog's `total`."""
 
     __slots__ = ()
 
@@ -425,7 +425,8 @@ def unfinished_stories(history: ProjectHistory, sprint_id: str, now: float) -> U
     total = len(backlog)
     percent = len(open_numbers) / total if total else None
     return UnfinishedStories(
-        sprint_id=sprint.id,
+        team=sprint.team,
+        sprint=sprint.id,
         sprint_title=sprint.title,
         amount=len(open_numbers),
         story_numbers=open_numbers,

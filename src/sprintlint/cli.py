@@ -35,7 +35,7 @@ from . import ingest
 from .ingest import EXPORTS, IngestManifest, load_history, load_snapshot, write_snapshot
 from .report import build_report, render_json, render_markdown
 from .scoring import aggregate_all, trend, trend_csv
-from .serialize import canonical_json, parse_iso_utc, read_json, write_text
+from .serialize import canonical_json, parse_iso_utc, read_json, utf8_slices, write_text
 
 CONFIG_ENV_VAR = "SPRINTLINT_CONFIG"
 
@@ -55,6 +55,16 @@ def _resolve_config(path_arg: str | None) -> MetricConfig:
     if not path:
         return MetricConfig()
     return load_config(path)
+
+
+def _write_stdout(text: str) -> None:
+    """Write `text` to stdout as the UTF-8 bytes `write_text` would put in a file, whatever the stream's encoding."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, such as an io.StringIO in its place
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    buffer.writelines(utf8_slices(text))
 
 
 def _read_json_file(path: str) -> dict:
@@ -121,7 +131,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.out:
         write_text(args.out, rendered)
     else:
-        sys.stdout.write(rendered)
+        _write_stdout(rendered)
     if args.fail_below is not None:
         failing = [
             s for s in report.scores if s.overall is not None and s.overall < args.fail_below
@@ -148,7 +158,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         write_text(args.out, csv_text)
         print(f"trend written to {args.out}")
     else:
-        sys.stdout.write(csv_text)
+        _write_stdout(csv_text)
     return EXIT_OK
 
 

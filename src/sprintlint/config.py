@@ -125,11 +125,19 @@ class MetricConfig(_Record, namedtuple("MetricConfig", "metrics severity_weights
         }
 
     def digest(self) -> str:
-        """Content hash of the resolved config; changes iff any effective value does."""
-        # imported here, as only a report takes a digest: loading OpenSSL costs every other command memory
-        import hashlib
+        """Content hash of the resolved config; changes iff any effective value does.
 
-        return hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8")).hexdigest()
+        The SHA-256 is the interpreter's built-in one, which loads no OpenSSL;
+        `hashlib`, which does, serves only an interpreter built without it.
+        """
+        try:
+            from _sha2 import sha256  # Python 3.12 on
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
+        return sha256(canonical_json(self.to_dict()).encode("utf-8")).hexdigest()
 
 
 def _check_number(label: str, value: object, zero_ok: bool) -> None:

@@ -106,7 +106,8 @@ def evaluate(
     gets only the check's own settings, as the read-only mapping
     `config.for_metric(name)`. Detector failures (including
     undefined denominators that escaped a detector) surface as a result with
-    no score and a diagnostic, never as an exception.
+    no score, a diagnostic and the exception's type name as `error_type`,
+    never as an exception.
     """
     name = check.descriptor.name
     settings = config.for_metric(name)
@@ -116,8 +117,9 @@ def evaluate(
     try:
         return MetricResult(name, sprint.team, sprint.id, *check.detector(slice_, settings))
     except Exception as exc:  # single-metric failures must not abort a run
-        failure = Finding((), None, diagnostic=f"detector failed: {type(exc).__name__}: {exc}")
-        return MetricResult(name, sprint.team, sprint.id, *failure)
+        error_type = type(exc).__name__
+        return MetricResult(name, sprint.team, sprint.id, (), None,
+                            diagnostic=f"detector failed: {error_type}: {exc}", error_type=error_type)
 
 
 def run_all(

@@ -248,32 +248,34 @@ class Finding(_Record, namedtuple(
 )):
     """What one detector found in one team-sprint.
 
-    The fields are `MetricResult`'s after `sprint`, in order; the engine adds the rest.
+    The fields are `MetricResult`'s after `sprint`, in order; the engine adds
+    the metric, team and sprint, and `error_type` when the detector raised.
     """
 
     __slots__ = ()
 
 
 class MetricResult(_Record, namedtuple(
-    "MetricResult", "metric team sprint violations score inputs_echo diagnostic"
+    "MetricResult", "metric team sprint violations score inputs_echo diagnostic error_type"
 )):
     """Outcome of one metric for one team-sprint.
 
     `score` is None when the metric was not applicable (e.g. no stories in
-    the sprint); `diagnostic` then says why. Scores are kept unrounded here;
-    reports round for display.
+    the sprint); `diagnostic` then says why. When the detector raised,
+    `error_type` names the exception's type, else it is None. Scores are
+    kept unrounded here; reports round for display.
     """
 
     __slots__ = ()
 
     def __new__(cls, metric: str, team: str, sprint: str, violations: Iterable[Violation],
                 score: float | None, inputs_echo: Mapping[str, float] = {},
-                diagnostic: str | None = None) -> MetricResult:
+                diagnostic: str | None = None, error_type: str | None = None) -> MetricResult:
         violations = tuple(violations)
         inputs_echo = dict(inputs_echo)
         if score is not None and not 0.0 <= score <= 100.0:
             raise RecordError(f"{metric} score {score} out of [0,100]")
-        return tuple.__new__(cls, (metric, team, sprint, violations, score, inputs_echo, diagnostic))
+        return tuple.__new__(cls, (metric, team, sprint, violations, score, inputs_echo, diagnostic, error_type))
 
 
 class _TimeIndex:

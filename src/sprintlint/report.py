@@ -10,6 +10,7 @@ to the exact thresholds that produced it.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from itertools import chain
 
 from . import __version__
@@ -17,7 +18,7 @@ from .catalog import UnfinishedStories, unfinished_stories
 from .config import MetricConfig
 from .engine import MetricRegistry, run_all
 from .errors import SprintLintError
-from .model import ProjectHistory, _Record
+from .model import MetricResult, ProjectHistory, _Record
 from .scoring import aggregate_all
 from .serialize import END_TS, array_pieces, canonical_json, format_iso_utc, object_pieces
 
@@ -48,7 +49,7 @@ def history_horizon(history: ProjectHistory) -> float:
 
 
 class RunReport(_Record, namedtuple("RunReport", "config now results scores unfinished")):
-    """A lint run's results and scores; `unfinished` holds (team, `UnfinishedStories`) pairs."""
+    """A lint run's results and scores, and an `UnfinishedStories` block per past-due sprint."""
 
     __slots__ = ()
 
@@ -77,14 +78,14 @@ def build_report(
     results = run_all(registry, history, config, sprint_ids=matching)
     scores = aggregate_all(results, registry, config)
 
-    unfinished: list[tuple[str, UnfinishedStories]] = []
+    unfinished: list[UnfinishedStories] = []
     for team in history.teams:
         for sprint in history.sprints_of(team):
             if matching is not None and sprint.id not in matching:
                 continue
             block = unfinished_stories(history, sprint.id, now)
             if block is not None:
-                unfinished.append((team, block))
+                unfinished.append(block)
 
     return RunReport(
         config=config,
@@ -99,21 +100,38 @@ def _rounded(score: float | None) -> float | None:
     return None if score is None else round(score, 1)
 
 
-def render_json(report: RunReport, history: ProjectHistory) -> str:
-    """The report as canonical JSON and a final newline, built from one piece per result, score or block.
+# A result row's violations are encoded this many to a call: one call over a
+# row of thousands holds every fragment the encoder makes for them at once.
+VIOLATION_BATCH = 100
 
-    Each result, score and nested row holds its value object's own fields, plus its sprint's title.
+
+def _result_pieces(results: tuple[MetricResult, ...], titles: Mapping[str, str]) -> Iterator[str]:
+    """The JSON array of result rows, in pieces: each row's other fields in one, then its violations in batches."""
+    yield "["
+    for position, result in enumerate(results):
+        row = result._asdict()
+        del row["violations"], row["error_type"]
+        row["sprint_title"] = titles.get(result.sprint, result.sprint)
+        row["score"] = _rounded(result.score)
+        # "violations" sorts after every other key, so the row is left open for it
+        yield f'{"," if position else ""}{canonical_json(row)[:-1]},"violations":['
+        violations = result.violations
+        for start in range(0, len(violations), VIOLATION_BATCH):
+            batch = canonical_json([v._asdict() for v in violations[start:start + VIOLATION_BATCH]])
+            yield f'{"," if start else ""}{batch[1:-1]}'
+        yield "]}"
+    yield "]"
+
+
+def render_json(report: RunReport, history: ProjectHistory) -> str:
+    """The report as canonical JSON and a final newline, built from one piece per score or block.
+
+    Each result, score and nested row holds its value object's own fields,
+    plus its sprint's title; a result row leaves out `error_type`, which
+    its diagnostic already names. A result row comes in pieces of its own,
+    so a cell with thousands of violations is never encoded in one call.
     """
     titles = {s.id: s.title for s in history.sprints}
-    results = (
-        {
-            **r._asdict(),
-            "sprint_title": titles.get(r.sprint, r.sprint),
-            "score": _rounded(r.score),
-            "violations": [v._asdict() for v in r.violations],
-        }
-        for r in report.results
-    )
     scores = (
         {
             **s._asdict(),
@@ -131,18 +149,6 @@ def render_json(report: RunReport, history: ProjectHistory) -> str:
         }
         for s in report.scores
     )
-    unfinished = (
-        {
-            "team": team,
-            "sprint": block.sprint_id,
-            "sprint_title": block.sprint_title,
-            "amount": block.amount,
-            "story_numbers": block.story_numbers,
-            "total": block.total,
-            "percent": block.percent,
-        }
-        for team, block in report.unfinished
-    )
     members = {
         "tool": [canonical_json(TOOL_NAME)],
         "version": [canonical_json(__version__)],
@@ -150,9 +156,9 @@ def render_json(report: RunReport, history: ProjectHistory) -> str:
         "config": [canonical_json(report.config.to_dict())],
         "now": [canonical_json(format_iso_utc(report.now))],
         "diagnostics": array_pieces(history.diagnostics),
-        "results": array_pieces(results),
+        "results": _result_pieces(report.results, titles),
         "scores": array_pieces(scores),
-        "unfinished_stories": array_pieces(unfinished),
+        "unfinished_stories": array_pieces(block._asdict() for block in report.unfinished),
     }
     return "".join(chain(object_pieces(members), "\n"))
 
@@ -176,7 +182,7 @@ def render_markdown(report: RunReport, history: ProjectHistory, registry: Metric
     results_by_cell: dict[tuple[str, str], list] = {}
     for result in report.results:
         results_by_cell.setdefault((result.team, result.sprint), []).append(result)
-    unfinished_by_cell = {(team, block.sprint_id): block for team, block in report.unfinished}
+    unfinished_by_cell = {(block.team, block.sprint): block for block in report.unfinished}
 
     lines: list[str] = []
     lines.append("# Process conformance report")

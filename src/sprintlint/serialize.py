@@ -3,8 +3,9 @@
 All serialized output in this package goes through `canonical_json` so that
 identical runs produce byte-identical files. Every input file is read
 through `read_text` or `read_json`, and every output file is written through
-`write_text`, which takes either a string or its pieces, so a large document
-can be written without being held whole. `object_pieces` and `array_pieces`
+`write_text`, which takes either a string or its pieces and encodes them in
+slices, so a large document can be written without being held whole as
+bytes, or as text when it comes in pieces. `object_pieces` and `array_pieces`
 give those pieces for a JSON object or array, each member or item turned to
 text only when its turn comes.
 """
@@ -57,27 +58,42 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+# the most characters of a string encoded at once: 64 Ki, at most 256 KiB of UTF-8
+SLICE = 1 << 16
+
+
+def utf8_slices(text: str | Iterable[str]) -> Iterator[bytes]:
+    """The UTF-8 of `text`, a string or the pieces of one in order, a slice of at most `SLICE` characters at a time.
+
+    A slice of a string never splits a character, so the slices join to `text.encode("utf-8")`.
+    """
+    for piece in (text,) if isinstance(text, str) else text:
+        if len(piece) <= SLICE:  # most pieces, such as an export's lines: spared the cost of slicing
+            yield piece.encode("utf-8")
+            continue
+        for start in range(0, len(piece), SLICE):
+            yield piece[start:start + SLICE].encode("utf-8")
+
+
 def write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write `text`, a string or the pieces of one in order, to `path` as UTF-8, whole or not at all.
 
-    Each piece is encoded and written to a temporary file beside `path` in
-    turn, so only one piece at a time is held as bytes; the temporary file
-    then replaces `path`. A failed write, a piece that cannot be made or
-    encoded included, leaves an earlier file at `path` as it was and no
+    The `utf8_slices` of `text` are written to a temporary file beside `path`
+    in turn, so only one slice at a time is held as bytes; the temporary
+    file then replaces `path`. A failed write, a piece that cannot be made
+    or encoded included, leaves an earlier file at `path` as it was and no
     temporary file behind. A path that names something other than a regular
     file (a device, a pipe, a symbolic link) is written through instead,
     after every piece is encoded.
     """
     path = Path(path)
-    pieces = (text,) if isinstance(text, str) else text
     if path.is_symlink() or (path.exists() and not path.is_file()):
-        path.write_bytes(b"".join(piece.encode("utf-8") for piece in pieces))
+        path.write_bytes(b"".join(utf8_slices(text)))
         return
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(temp, "xb") as out:
-            for piece in pieces:
-                out.write(piece.encode("utf-8"))
+            out.writelines(utf8_slices(text))
         os.replace(temp, path)
     except BaseException as exc:
         temp.unlink(missing_ok=True)

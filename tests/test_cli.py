@@ -17,7 +17,7 @@ from sprintlint import FixtureSpec, MetricConfig, build_history, cli, generate
 from sprintlint.cli import main
 from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
 from sprintlint.serialize import END_TS, FIRST_TS
-from conftest import collector_paused, make_commit
+from conftest import T0, collector_paused, make_commit, make_sprint, make_story
 from test_golden import EXPECTED_CONFIG_DIGEST
 
 DEFAULT_SPEC = {
@@ -563,19 +563,42 @@ assert main(["ingest", *exports, f"--out={out}/snap.json"]) == 0
 assert main(["score", f"--project={out}/snap.json", f"--out={out}/trend.csv"]) == 0
 print("hashlib" in sys.modules, "_hashlib" in sys.modules)
 assert main(["lint", f"--project={out}/snap.json", f"--out={out}/report.json"]) == 0
+print("hashlib" in sys.modules, "_hashlib" in sys.modules)
 """
 
 
-def test_ingest_and_score_never_load_openssl_and_lint_still_digests(tmp_path):
+def test_no_command_loads_openssl_and_lint_still_digests(tmp_path):
     fixture = _generate(tmp_path)
     done = subprocess.run(
         [sys.executable, "-c", CHILD_INGEST_SCORE_LINT, str(fixture), str(tmp_path), json.dumps(EXPORTS)],
         env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False False"
+    # after ingest and score, then after lint
+    assert done.stdout.splitlines()[-2:] == ["False False", "False False"]
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["config_digest"] == EXPECTED_CONFIG_DIGEST
+
+
+@pytest.mark.parametrize("command", [["lint"], ["lint", "--format", "markdown"], ["score"]],
+                         ids=["lint-json", "lint-markdown", "score"])
+def test_stdout_carries_the_utf8_bytes_of_the_out_file_under_any_encoding(tmp_path, command):
+    team = "t\u00ebam"
+    history = build_history(
+        commits=[make_commit("c1", T0 + 1.0, team=team)],
+        stories=[make_story(1, team=team, title="caf\u00e9 \u20ac \U0001f600")],
+        sprints=[make_sprint(team=team)],
+    )
+    snapshot = tmp_path / "snap.json"
+    write_snapshot(snapshot, history)
+    argv = [sys.executable, "-m", "sprintlint.cli", *command, "--project", str(snapshot)]
+    out = tmp_path / "out"
+    written = subprocess.run([*argv, "--out", str(out)], env=_child_env(), capture_output=True, timeout=120)
+    assert written.returncode == 0, written.stderr
+    printed = subprocess.run(argv, env={**_child_env(), "PYTHONIOENCODING": "ascii"},
+                             capture_output=True, timeout=120)
+    assert printed.returncode == 0, printed.stderr
+    assert printed.stdout == out.read_bytes() and team.encode("utf-8") in printed.stdout
 
 
 # --- inputs that end in exit 2 and one `error:` line, never a traceback ------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from sprintlint import ConfigError, MetricConfig, Severity, config_from_dict, lo
 from sprintlint import config as config_mod
 from sprintlint.catalog import CHECKS
 from sprintlint.config import COMMON_SETTINGS, METRIC_NAMES, SETTINGS
+from test_golden import EXPECTED_CONFIG_DIGEST
 
 
 def test_defaults_cover_all_metrics():
@@ -74,6 +76,13 @@ def test_digest_changes_iff_effective_value_changes():
     assert base.digest() == same.digest()
     changed = config_from_dict({"metrics": {"huge-stories": {"weight": 26.0}}})
     assert base.digest() != changed.digest()
+
+
+def test_digest_falls_back_to_hashlib_without_the_built_in_sha256(monkeypatch):
+    # a None entry makes the import fail, as on an interpreter built without the module
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    assert MetricConfig().digest() == EXPECTED_CONFIG_DIGEST
 
 
 def test_load_config_file(tmp_path):

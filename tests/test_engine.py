@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -12,11 +13,14 @@ from sprintlint import (
     MetricRegistry,
     SprintLintError,
     build_history,
+    build_report,
     capped_linear,
     cutoff_parabola,
     default_registry,
     evaluate,
     ratio_linear,
+    render_json,
+    render_markdown,
     run_all,
     threshold_linear,
     window,
@@ -164,6 +168,24 @@ def test_evaluate_detector_failure_becomes_diagnostic():
     assert result.score is None
     assert "kaput" in result.diagnostic
     assert "RuntimeError" in result.diagnostic
+    assert result.error_type == "RuntimeError"
+
+
+def test_a_raising_detector_yields_one_failure_carrying_its_exception_type():
+    history, _ = generate(FixtureSpec(teams=1, sprints=1))
+    registry = MetricRegistry()
+    for check in default_registry():
+        if check.descriptor.name == "test-later":
+            check = RegisteredMetric(check.descriptor, lambda slice_, settings: 1 / 0)
+        registry.register(check)
+    report = build_report(history, registry, MetricConfig())
+    failed = [r for r in report.results if r.error_type is not None]
+    assert [(r.metric, r.error_type, r.score) for r in failed] == [("test-later", "ZeroDivisionError", None)]
+    assert failed[0].diagnostic == "detector failed: ZeroDivisionError: division by zero"
+    assert "- test-later: skipped (detector failed: ZeroDivisionError: division by zero)" in (
+        render_markdown(report, history, registry).splitlines()
+    )
+    assert all("error_type" not in row for row in json.loads(render_json(report, history))["results"])
 
 
 def test_evaluate_labels_each_result_with_its_slice():

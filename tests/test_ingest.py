@@ -411,6 +411,17 @@ def test_write_text_writes_a_string_given_in_pieces(tmp_path):
     assert path.read_bytes() == "a\u00e9b\n".encode("utf-8")
 
 
+@pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"], ids=["2-byte", "3-byte", "4-byte"])
+def test_write_text_encodes_a_string_in_slices_that_split_no_character(tmp_path, char):
+    # the character is the last of the first slice and the first of the second
+    head = "x" * (serialize.SLICE - 1) + char
+    text = f"{head}{char}y"
+    assert list(serialize.utf8_slices(text)) == [head.encode("utf-8"), f"{char}y".encode("utf-8")]
+    path = tmp_path / "out.txt"
+    serialize.write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
 def test_a_failing_piece_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old", encoding="utf-8")

@@ -485,14 +485,14 @@ VALUES = {
     Violation: _violation,
     MetricResult: _result,
     FileEditProfile: lambda: FileEditProfile("src/a.py", 3, frozenset({"ann"})),
-    UnfinishedStories: lambda: UnfinishedStories("s1", "Sprint 1", 1, (2,), 4, 0.25),
+    UnfinishedStories: lambda: UnfinishedStories(TEAM, "s1", "Sprint 1", 1, (2,), 4, 0.25),
     Contribution: lambda: _score().contributions[0],
     SkippedMetric: lambda: _score().skipped[0],
     TeamSprintScore: _score,
     TrendPoint: lambda: TrendPoint("s1", "Sprint 1", T0, None),
     TrendSeries: lambda: TrendSeries(TEAM, "overall", (TrendPoint("s1", "Sprint 1", T0, 75.0),)),
     RunReport: lambda: RunReport(
-        MetricConfig(), T0, (_result(),), (_score(),), ((TEAM, UnfinishedStories("s1", "S", 0, (), 0, None)),)
+        MetricConfig(), T0, (_result(),), (_score(),), (UnfinishedStories(TEAM, "s1", "S", 0, (), 0, None),)
     ),
     MetricConfig: lambda: MetricConfig({"huge-stories": {"weight": 5}}, {s.value: 1 for s in Severity}),
     ParseIssue: lambda: ParseIssue(3, "team", "team must be a string"),
