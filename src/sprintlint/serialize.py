@@ -68,9 +68,6 @@ def utf8_slices(text: str | Iterable[str]) -> Iterator[bytes]:
     A slice of a string never splits a character, so the slices join to `text.encode("utf-8")`.
     """
     for piece in (text,) if isinstance(text, str) else text:
-        if len(piece) <= SLICE:  # most pieces, such as an export's lines: spared the cost of slicing
-            yield piece.encode("utf-8")
-            continue
         for start in range(0, len(piece), SLICE):
             yield piece[start:start + SLICE].encode("utf-8")
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -580,17 +582,25 @@ def test_no_command_loads_openssl_and_lint_still_digests(tmp_path):
     assert report["config_digest"] == EXPECTED_CONFIG_DIGEST
 
 
-@pytest.mark.parametrize("command", [["lint"], ["lint", "--format", "markdown"], ["score"]],
-                         ids=["lint-json", "lint-markdown", "score"])
-def test_stdout_carries_the_utf8_bytes_of_the_out_file_under_any_encoding(tmp_path, command):
-    team = "t\u00ebam"
+NON_ASCII_TEAM = "t\u00ebam"
+
+
+def _non_ascii_snapshot(tmp_path):
+    """A snapshot whose team and story title hold 2-, 3- and 4-byte UTF-8 characters."""
     history = build_history(
-        commits=[make_commit("c1", T0 + 1.0, team=team)],
-        stories=[make_story(1, team=team, title="caf\u00e9 \u20ac \U0001f600")],
-        sprints=[make_sprint(team=team)],
+        commits=[make_commit("c1", T0 + 1.0, team=NON_ASCII_TEAM)],
+        stories=[make_story(1, team=NON_ASCII_TEAM, title="caf\u00e9 \u20ac \U0001f600")],
+        sprints=[make_sprint(team=NON_ASCII_TEAM)],
     )
     snapshot = tmp_path / "snap.json"
     write_snapshot(snapshot, history)
+    return snapshot
+
+
+@pytest.mark.parametrize("command", [["lint"], ["lint", "--format", "markdown"], ["score"]],
+                         ids=["lint-json", "lint-markdown", "score"])
+def test_stdout_carries_the_utf8_bytes_of_the_out_file_under_any_encoding(tmp_path, command):
+    snapshot = _non_ascii_snapshot(tmp_path)
     argv = [sys.executable, "-m", "sprintlint.cli", *command, "--project", str(snapshot)]
     out = tmp_path / "out"
     written = subprocess.run([*argv, "--out", str(out)], env=_child_env(), capture_output=True, timeout=120)
@@ -598,7 +608,21 @@ def test_stdout_carries_the_utf8_bytes_of_the_out_file_under_any_encoding(tmp_pa
     printed = subprocess.run(argv, env={**_child_env(), "PYTHONIOENCODING": "ascii"},
                              capture_output=True, timeout=120)
     assert printed.returncode == 0, printed.stderr
-    assert printed.stdout == out.read_bytes() and team.encode("utf-8") in printed.stdout
+    assert printed.stdout == out.read_bytes() and NON_ASCII_TEAM.encode("utf-8") in printed.stdout
+
+
+@pytest.mark.parametrize("command", [["lint"], ["lint", "--format", "markdown"], ["score"]],
+                         ids=["lint-json", "lint-markdown", "score"])
+def test_stdout_without_a_byte_layer_gets_the_text_of_the_out_file(tmp_path, command):
+    # an in-process caller that swaps stdout for a text-only stream
+    snapshot = _non_ascii_snapshot(tmp_path)
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*command, "--project", str(snapshot), "--out", str(out)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main([*command, "--project", str(snapshot)]) == 0
+    assert printed.getvalue() == out.read_bytes().decode("utf-8")
+    assert NON_ASCII_TEAM in printed.getvalue()
 
 
 # --- inputs that end in exit 2 and one `error:` line, never a traceback ------
