@@ -58,7 +58,10 @@ def _resolve_config(path_arg: str | None) -> MetricConfig:
 
 
 def _write_stdout(text: str) -> None:
-    """Write `text` to stdout as the UTF-8 bytes `write_text` would put in a file, whatever the stream's encoding."""
+    """Write `text` to stdout as the UTF-8 bytes `write_text` would put in a file, whatever the stream's encoding.
+
+    Every command's standard output goes through here: reports, trends and status lines alike.
+    """
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text-only stream, such as an io.StringIO in its place
         sys.stdout.write(text)
@@ -104,15 +107,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_INPUT
     write_snapshot(args.out, history)
-    print(f"snapshot written to {args.out}")
-    print(f"  teams:     {len(history.teams)}")
-    print(f"  sprints:   {len(history.sprints)}")
-    print(f"  commits:   {len(history.commits)}")
-    print(f"  stories:   {len(history.stories)}")
-    print(f"  pulls:     {len(history.pulls)}")
-    print(f"  stats:     {len(history.build_stats)}")
-    if history.diagnostics:
-        print(f"  flags:     {len(history.diagnostics)}")
+    _write_stdout(
+        f"snapshot written to {args.out}\n"
+        f"  teams:     {len(history.teams)}\n"
+        f"  sprints:   {len(history.sprints)}\n"
+        f"  commits:   {len(history.commits)}\n"
+        f"  stories:   {len(history.stories)}\n"
+        f"  pulls:     {len(history.pulls)}\n"
+        f"  stats:     {len(history.build_stats)}\n"
+        + (f"  flags:     {len(history.diagnostics)}\n" if history.diagnostics else "")
+    )
     return EXIT_OK
 
 
@@ -156,7 +160,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     csv_text = trend_csv(trend(history, results, scores))
     if args.out:
         write_text(args.out, csv_text)
-        print(f"trend written to {args.out}")
+        _write_stdout(f"trend written to {args.out}\n")
     else:
         _write_stdout(csv_text)
     return EXIT_OK
@@ -185,11 +189,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "ledger": ledger_to_dict(ledger, spec.seed),
     }
     write_text(out_dir / "ledger.json", canonical_json(ledger_doc) + "\n")
-    print(f"fixture written to {out_dir}")
-    print(f"  commits: {len(history.commits)}, stories: {len(history.stories)}, "
-          f"sprints: {len(history.sprints)}, pulls: {len(history.pulls)}")
-    if ledger:
-        print(f"  injected metrics: {', '.join(sorted(ledger))}")
+    _write_stdout(
+        f"fixture written to {out_dir}\n"
+        f"  commits: {len(history.commits)}, stories: {len(history.stories)}, "
+        f"sprints: {len(history.sprints)}, pulls: {len(history.pulls)}\n"
+        + (f"  injected metrics: {', '.join(sorted(ledger))}\n" if ledger else "")
+    )
     return EXIT_OK
 
 

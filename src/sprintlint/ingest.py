@@ -7,14 +7,18 @@ Formats:
   pulls    -- JSON array of pull requests
   stats    -- CSV with header ``commit_id,coverage_percent,complexity``
 
-`write_snapshot` writes the validated history as one file, format 2:
-``{"format": 2, "commits": {...}, ...}``, each collection an object of
-equal-length columns named like the export fields, every timestamp a JSON
-number of epoch seconds (the float's repr, so it reads back exactly), each
-commit's files a list of ``[path, added, deleted]`` triples and each story's
-milestone history a list of ``[sprint_id, assigned_at]`` pairs. It encodes
-and writes one column at a time, so no second whole copy of the history is
-held.
+`write_snapshot` writes the validated history as one file, format 3:
+``{"commits": {...}, "format": 3, ..., "strings": [...]}``, each collection an
+object of equal-length columns named like the export fields, every timestamp
+a JSON number of epoch seconds (the float's repr, so it reads back exactly),
+each commit's files a list of ``[path, added, deleted]`` triples and each
+story's milestone history a list of ``[sprint_id, assigned_at]`` pairs. Each
+name (an id, team, author, parent, label or assignee, and the path and
+sprint id of an entry) is written once, in the top-level ``"strings"`` array,
+and every cell or item that holds it holds its index there instead; free
+text (messages, titles, bodies) and a story's state are written inline. It
+encodes and writes one column at a time, filling the table as it goes and
+writing it last, so no second whole copy of the history is held.
 
 `_SCHEMA` defines both forms: one row per export kind, naming each field and
 its column kind. Every kind comes from one of three factories: `_kind` for
@@ -22,8 +26,12 @@ values of one exact type, `_floats` for numbers and epoch timestamps, and
 `_entries` for arrays of nested records. Each declares a field's check once,
 and that check runs both where an export is read (``'<field>' must be
 <expected>``) and where a snapshot is loaded (``must be <expected>, got
-<cell>``), a snapshot column in bulk first. Only timestamps are read in two
-ways, as an export holds ISO-8601 text and a snapshot numbers.
+<cell>``), a snapshot column in bulk first. Before that check, a snapshot
+column's names are resolved: each must be an index into ``strings``, an
+integer from 0 to its length less one (so no boolean), or the load fails
+with ``must be an index into strings, got <value>``; the string it indexes
+then meets the column's check. Only timestamps are read in two ways, as an
+export holds ISO-8601 text and a snapshot numbers.
 
 Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
@@ -37,10 +45,10 @@ import csv
 import io
 import json
 import math
-from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import chain, repeat, starmap
-from operator import attrgetter, itemgetter
+from collections import deque, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, chain, count, filterfalse, repeat, starmap
+from operator import attrgetter, itemgetter, setitem
 from pathlib import Path
 
 from .errors import ParseError, RecordError
@@ -123,7 +131,7 @@ class _FieldError(Exception):
 
 
 class _Malformed(Exception):
-    """A format-2 snapshot fails a check; `where` positions a failing cell in its column, as ``[17]``."""
+    """A format-3 snapshot fails a check; `where` positions a failing cell in its column, as ``[17]``."""
 
     def __init__(self, message: str, where: str = "") -> None:
         super().__init__(message)
@@ -152,20 +160,75 @@ def _reject_first(values: list, check: Callable[[object], None]) -> None:
             raise _Malformed(str(exc), f"[{index}]{exc.where}") from None
 
 
-class _Column(_Record, namedtuple("_Column", "read write load dump", defaults=(list,))):
+def _enter(names: Iterable[str], table: dict[str, int]) -> None:
+    """Give each of `names` not yet in `table`, a snapshot's string table as it is written, the next index."""
+    table.update(zip(dict.fromkeys(filterfalse(table.__contains__, names)), count(len(table))))
+
+
+def _regrouped(items: list, cells: list) -> list[list]:
+    """`items`, one for each item of each of `cells` in turn, as a list for each cell."""
+    ends = list(accumulate(map(len, cells)))
+    return list(map(items.__getitem__, map(slice, chain((0,), ends), ends)))
+
+
+def _indexes(values: list, strings: list) -> bool:
+    """Whether each of `values` is an index into `strings`: an exact int (so no bool) from 0 to its length less one."""
+    return _all_of(int, values) and (not values or min(values) >= 0 and max(values) < len(strings))
+
+
+def _index_check(strings: list) -> Callable[[object], None]:
+    def check(value: object) -> None:
+        if not _indexes([value], strings):
+            raise _Malformed(f"must be an index into strings, got {value!r}")
+    return check
+
+
+def _resolve_names(cells: list, strings: list) -> None:
+    """Replace each of `cells`, a name's index into `strings`, by the string it indexes."""
+    if not _indexes(cells, strings):
+        _reject_first(cells, _index_check(strings))
+    cells[:] = map(strings.__getitem__, cells)
+
+
+def _resolve_arrays(cells: list, strings: list) -> None:
+    """Replace each item of each array of `cells`, a name's index, by its string; another cell is left to its check."""
+    lookup = strings.__getitem__
+    if _all_of(list, cells) and _indexes(list(chain.from_iterable(cells)), strings):
+        cells[:] = map(list, map(map, repeat(lookup), cells))
+        return
+    check = _index_check(strings)
+
+    def resolve(cell: object) -> None:
+        if type(cell) is list:
+            _reject_first(cell, check)
+            cell[:] = map(lookup, cell)
+
+    # each array in turn, checked and then resolved
+    _reject_first(cells, resolve)
+
+
+def _listed(values: Iterable, table: dict[str, int]) -> list:
+    return list(values)
+
+
+class _Column(_Record, namedtuple("_Column", "read write load dump resolve", defaults=(_listed, None))):
     """One kind of export field: how it is read and written in an export, and loaded and dumped in a snapshot.
 
     read: export value, field name, maps -> the record constructor's argument; raises _FieldError
     write: the record's value -> the export value; None writes the value as it is
-    load: the column's cells -> the record constructor's arguments; raises _Malformed
-    dump: the records' values -> the column's cells; `list` by default
+    load: the column's cells, their names resolved -> the record constructor's arguments; raises _Malformed
+    dump: the records' values, the string table -> the column's cells, each name as its index in the
+        table; `_listed` by default
+    resolve: the column's cells, the snapshot's strings -> None, each name's index in the cells replaced
+        in place by its string; raises _Malformed; None for a kind that holds no names
     """
 
     __slots__ = ()
 
 
 def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | None = None,
-          convert: Callable | None = None, rename: str | None = None, write: Callable | None = None) -> _Column:
+          convert: Callable | None = None, rename: str | None = None, write: Callable | None = None,
+          names: bool = False) -> _Column:
     """The column kind of values of exact type `cls` (so a bool is no integer), which must be `expected`.
 
     ok: a builtin true of each valid value, so a snapshot column is checked in C
@@ -174,6 +237,7 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
     rename: the manifest map a value read from an export (each item, for arrays) is looked up in;
         a snapshot holds the values it gave
     write: as `_Column.write`; a snapshot cell is written the same way
+    names: each value (each item, for arrays) is a name, which a snapshot holds as its index in the string table
     """
 
     def valid(values: list) -> bool:
@@ -198,7 +262,18 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
             _reject_first(values, check)
         return values if convert is None else list(map(convert, values))
 
-    return _Column(read, write, load, list if write is None else lambda values: list(map(write, values)))
+    def dump(values: Iterable, table: dict[str, int]) -> list:
+        values = list(values if write is None else map(write, values))
+        if not names:
+            return values
+        if items is None:
+            _enter(values, table)
+            return list(map(table.__getitem__, values))
+        _enter(chain.from_iterable(values), table)
+        return list(map(list, map(map, repeat(table.__getitem__), values)))
+
+    resolve = None if not names else _resolve_names if items is None else _resolve_arrays
+    return _Column(read, write, load, dump, resolve)
 
 
 def _floats(epoch: bool, optional: bool = False) -> _Column:
@@ -274,11 +349,14 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
 
     In a snapshot each entry is the array of its fields' values, each
     checked by its field's column; `entry_types` names what they must be.
-    The entries are built lazily, as the records holding them are, so a
-    constructor failure is reported at its record's index.
+    A field whose column holds names holds their indexes in the string
+    table, which are resolved first. The entries are built lazily, as the
+    records holding them are, so a constructor failure is reported at its
+    record's index.
     """
     reads, writes = _reads(fields), _writes(fields)
     columns = tuple(fields.values())
+    name_fields = [index for index, column in enumerate(columns) if column.resolve is not None]
     entry_name = f"[{', '.join(fields)}] {({2: 'pair', 3: 'triple'})[len(fields)]}"
 
     def read(value: object, key: str, maps: Mapping) -> list:
@@ -313,15 +391,46 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
             _reject_first(values, check)
         return (tuple(starmap(record_class, cell)) for cell in _consumed(values))
 
-    return _Column(read, lambda cell: [_record_to_dict(writes, entry) for entry in cell], load)
+    def dump(cells: Iterable, table: dict[str, int]) -> list:
+        cells = list(cells)
+        entries = list(chain.from_iterable(cells))
+        fields = [column.dump(map(itemgetter(index), entries), table) for index, column in enumerate(columns)]
+        return _regrouped(list(zip(*fields)), cells)
+
+    def resolve(cells: list, strings: list) -> None:
+        """Replace each name's index in each entry of `cells` by its string, in place."""
+        if _all_of(list, cells):
+            entries = list(chain.from_iterable(cells))
+            if _all_of(list, entries) and set(map(len, entries)) <= {len(columns)}:
+                found = [list(map(itemgetter(field), entries)) for field in name_fields]
+                if all(_indexes(indexes, strings) for indexes in found):
+                    for field, indexes in zip(name_fields, found):
+                        # one setitem per entry, called from C; the deque keeps none of their results
+                        deque(map(setitem, entries, repeat(field), map(strings.__getitem__, indexes)), maxlen=0)
+                    return
+        check = _index_check(strings)
+
+        def resolve_entry(entry: object) -> None:
+            for field in name_fields:
+                if type(entry) is list and field < len(entry):
+                    try:
+                        check(entry[field])
+                    except _Malformed as exc:
+                        raise _Malformed(str(exc), f"[{field}]") from None
+                    entry[field] = strings[entry[field]]
+
+        # each entry in turn, checked and then resolved; a cell or entry of another shape is left to `check`
+        _reject_first(cells, lambda cell: type(cell) is list and _reject_first(cell, resolve_entry))
+
+    return _Column(read, lambda cell: [_record_to_dict(writes, entry) for entry in cell], load, dump, resolve)
 
 
 # --- the schema --------------------------------------------------------------
 
-_ID = _kind(str, "a non-empty string", ok=len)
+_ID = _kind(str, "a non-empty string", ok=len, names=True)
 _TEXT = _kind(str, "a string")
-_TEAM = _kind(str, "a non-empty string", ok=len, rename="team_map")
-_AUTHOR = _kind(str, "a non-empty string", ok=len, rename="alias_map")
+_TEAM = _kind(str, "a non-empty string", ok=len, rename="team_map", names=True)
+_AUTHOR = _kind(str, "a non-empty string", ok=len, rename="alias_map", names=True)
 _INT = _kind(int, "an integer")
 _BOOL = _kind(bool, "a boolean")
 _NUMBER = _floats(epoch=False)
@@ -329,9 +438,9 @@ _EPOCH = _floats(epoch=True)
 _OPTIONAL_EPOCH = _floats(epoch=True, optional=True)
 _STATE = _kind(str, "'open' or 'closed'", ok=_STATES.__contains__, convert=_STATES.__getitem__,
                write=attrgetter("value"))
-_STR_LIST = _kind(list, "an array of strings", items=str)
-_STR_SET = _kind(list, "an array of strings", items=str, write=sorted)
-_ASSIGNEES = _kind(list, "an array of strings", items=str, rename="alias_map", write=sorted)
+_STR_LIST = _kind(list, "an array of strings", items=str, names=True)
+_STR_SET = _kind(list, "an array of strings", items=str, write=sorted, names=True)
+_ASSIGNEES = _kind(list, "an array of strings", items=str, rename="alias_map", write=sorted, names=True)
 _FILES = _entries(FileChange, {"path": _ID, "added": _INT, "deleted": _INT},
                   "a non-empty string and two integers")
 _MEMBERSHIPS = _entries(SprintMembership, {"sprint_id": _ID, "assigned_at": _EPOCH},
@@ -539,22 +648,42 @@ def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
 
 # --- snapshot (the validated single-file form the CLI passes between steps) -
 
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
+
+# A snapshot array is dumped and encoded this many items to a call: one call
+# over a whole column holds every fragment the encoder makes for it at once.
+SNAPSHOT_BATCH = 1024
 
 
-def _column_pieces(column: _Column, records: tuple, index: int) -> Iterator[str]:
-    # a generator, so a column is dumped only when its turn to be written comes
-    yield canonical_json(column.dump(map(itemgetter(index), records)))
+def _batched_pieces(values: Sequence, dump: Callable[[Sequence], list]) -> Iterator[str]:
+    """The JSON array of `dump(values)`, in pieces: `dump` is applied to, and encoded for, a batch at a time."""
+    yield "["
+    for start in range(0, len(values), SNAPSHOT_BATCH):
+        yield f'{"," if start else ""}{canonical_json(dump(values[start:start + SNAPSHOT_BATCH]))[1:-1]}'
+    yield "]"
+
+
+def _column_pieces(column: _Column, records: tuple, index: int, table: dict[str, int]) -> Iterator[str]:
+    # pieces from a generator, so a column is dumped only when its turn to be written comes
+    return _batched_pieces(records, lambda batch: column.dump(map(itemgetter(index), batch), table))
+
+
+def _table_pieces(table: dict[str, int]) -> Iterator[str]:
+    # a generator, and "strings" sorts after every collection, so the table is complete when its turn comes
+    yield from _batched_pieces([*table], list)
 
 
 def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
-    """Write the format-2 snapshot of `history`, one column at a time, so no whole copy of it is held."""
-    members: dict[str, Iterable[str]] = {"format": [canonical_json(SNAPSHOT_FORMAT)]}
+    """Write the format-3 snapshot of `history`, one column at a time, so no whole copy of it is held."""
+    table: dict[str, int] = {}
+    members: dict[str, Iterable[str]] = {
+        "format": [canonical_json(SNAPSHOT_FORMAT)],
+        "strings": _table_pieces(table),
+    }
     for kind, records in zip(EXPORTS, history.records()):
         columns = _SCHEMA[kind][1]
-        members[kind] = object_pieces(
-            {name: _column_pieces(column, records, index) for index, (name, column) in enumerate(columns.items())}
-        )
+        members[kind] = object_pieces({name: _column_pieces(column, records, index, table)
+                                       for index, (name, column) in enumerate(columns.items())})
     write_text(path, chain(object_pieces(members), "\n"))
 
 
@@ -567,8 +696,11 @@ def _consumed(values: Iterable) -> Iterator:
     return starmap(values.pop, repeat((), len(values)))
 
 
-def _records_from_columns(kind: str, table: object) -> list:
-    """Check one format-2 collection column by column, then build its records, emptying the decoded columns."""
+def _records_from_columns(kind: str, table: object, strings: list) -> list:
+    """Check one format-3 collection column by column, then build its records, emptying the decoded columns.
+
+    Each column's names are resolved in place first, so the column's check sees the strings they index.
+    """
     record_class, columns = _SCHEMA[kind]
     if not isinstance(table, dict):
         raise _Malformed(f"{kind!r} must be an object of columns")
@@ -588,6 +720,8 @@ def _records_from_columns(kind: str, table: object) -> list:
         elif len(values) != length:
             raise _Malformed(f"{kind}.{name} has {len(values)} entries, {kind}.{first} has {length}")
         try:
+            if column.resolve is not None:
+                column.resolve(values, strings)
             arguments.append(column.load(values))
         except _Malformed as exc:
             raise _Malformed(f"{kind}.{name}{exc.where}: {exc}") from None
@@ -600,18 +734,21 @@ def _records_from_columns(kind: str, table: object) -> list:
     return records
 
 
-def _records_of_format_two(raw: Mapping) -> list[list]:
-    unknown = [key for key in raw if key != "format" and key not in EXPORTS]
+def _records_of_format_three(raw: Mapping) -> list[list]:
+    unknown = [key for key in raw if key not in ("format", "strings") and key not in EXPORTS]
     if unknown:
         raise _Malformed(f"unknown key {unknown[0]!r}")
     missing = [kind for kind in EXPORTS if kind not in raw]
     if missing:
         raise _Malformed(f"missing collection {missing[0]!r}")
-    return [_records_from_columns(kind, raw[kind]) for kind in EXPORTS]
+    strings = raw.get("strings", _ABSENT)
+    if type(strings) is not list:
+        raise _Malformed("missing key 'strings'" if strings is _ABSENT else "'strings' must be an array")
+    return [_records_from_columns(kind, raw[kind], strings) for kind in EXPORTS]
 
 
 def load_snapshot(path: str | Path) -> ProjectHistory:
-    """Read and re-validate a format-2 snapshot; every record constructor runs."""
+    """Read and re-validate a format-3 snapshot; every record constructor runs."""
     raw = read_json(path)
     if not isinstance(raw, Mapping):
         raise ParseError(f"{path} must contain a snapshot object")
@@ -622,9 +759,12 @@ def load_snapshot(path: str | Path) -> ProjectHistory:
         )
     version = raw["format"]
     if type(version) is not int or version != SNAPSHOT_FORMAT:
-        raise ParseError(f"{path}: unsupported snapshot format {version!r}")
+        # format 2 is the one earlier versions wrote with a "format" key
+        rewrite = version == 2 and type(version) is int
+        fix = f"; re-run `sprintlint ingest` to write format {SNAPSHOT_FORMAT}" if rewrite else ""
+        raise ParseError(f"{path}: unsupported snapshot format {version!r}{fix}")
     try:
-        records = _records_of_format_two(raw)
+        records = _records_of_format_three(raw)
     except _Malformed as exc:
         raise ParseError(f"{path} holds a malformed snapshot: {exc}") from None
     return build_history(*records)

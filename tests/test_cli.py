@@ -487,7 +487,7 @@ def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypat
 
     broken = tmp_path / "broken.json"
     doc = json.loads(snapshot.read_text(encoding="utf-8"))
-    doc["commits"]["id"][0] = ""  # fails the commit's own check
+    doc["strings"][doc["commits"]["id"][0]] = ""  # an empty id fails its column's check
     broken.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["lint", "--project", str(broken), "--out", str(tmp_path / "r.json")]) == 2
     assert seen["load_snapshot"] == [False, False]
@@ -609,6 +609,28 @@ def test_stdout_carries_the_utf8_bytes_of_the_out_file_under_any_encoding(tmp_pa
                              capture_output=True, timeout=120)
     assert printed.returncode == 0, printed.stderr
     assert printed.stdout == out.read_bytes() and NON_ASCII_TEAM.encode("utf-8") in printed.stdout
+
+
+def _status_command(tmp_path, command: str) -> tuple[list[str], str]:
+    """The arguments of `command` writing to a path with a non-ASCII character, and its first status line."""
+    if command == "generate":
+        out = tmp_path / "g\u00ebn"
+        return ["generate", "--spec", str(_write_spec(tmp_path)), "--out-dir", str(out)], f"fixture written to {out}"
+    fixture = _generate(tmp_path)
+    if command == "ingest":
+        out = tmp_path / "sn\u00e4p.json"
+        return ["ingest", "--commits", str(fixture / "commits.ndjson"), "--out", str(out)], f"snapshot written to {out}"
+    out = tmp_path / "t\u00ebst.csv"
+    return ["score", "--project", str(_ingest(tmp_path, fixture)), "--out", str(out)], f"trend written to {out}"
+
+
+@pytest.mark.parametrize("command", ["ingest", "score", "generate"])
+def test_status_lines_are_utf8_under_any_stdout_encoding(tmp_path, command):
+    argv, status = _status_command(tmp_path, command)
+    done = subprocess.run([sys.executable, "-m", "sprintlint.cli", *argv],
+                          env={**_child_env(), "PYTHONIOENCODING": "ascii"}, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(f"{status}\n".encode("utf-8"))
 
 
 @pytest.mark.parametrize("command", [["lint"], ["lint", "--format", "markdown"], ["score"]],

@@ -54,7 +54,7 @@ EXPECTED_GENERATE_SHA256 = {
     "ledger.json": "0697e4719e65f77c6b6cb887d3bde3aba6ea1b3182022de2b4654fe2edf46390",
 }
 
-EXPECTED_SNAPSHOT_SHA256 = "5b05e4bd855ae2ce0004edc5936b5640e97ee35f1a11e60f1cb0fed700953a5a"
+EXPECTED_SNAPSHOT_SHA256 = "9033d2f298527b449188cd53c102014adcd01652253916140b4d20f2c1f8d9c5"
 
 
 def _sha256(text: str) -> str:

@@ -6,7 +6,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sprintlint import (
     BuildStats,
@@ -495,13 +495,25 @@ def test_a_written_snapshot_is_canonical_json(tmp_path):
         assert canonical_json(json.loads(text)) + "\n" == text
 
 
+def test_a_snapshot_written_in_small_batches_is_the_same_file(tmp_path, monkeypatch):
+    history = inject(generate(FixtureSpec(teams=2, sprints=3))[0], ALL_DIRECTIVES, 5)[0]
+    write_snapshot(tmp_path / "whole.json", history)
+    monkeypatch.setattr(ingest, "SNAPSHOT_BATCH", 7)
+    write_snapshot(tmp_path / "batched.json", history)
+    assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+
+
 def test_records_loaded_from_a_snapshot_share_equal_teams_authors_and_paths(tmp_path):
-    commits = [make_commit(cid, T0, author="ann@example.org", files=[change("src/a.py")]) for cid in ("c1", "c2")]
+    commits = [make_commit(cid, T0, author="ann@example.org", files=[change("src/a.py")], parents=parents)
+               for cid, parents in (("c1", ()), ("c2", ("c1",)))]
     path = tmp_path / "snap.json"
-    write_snapshot(path, build_history(commits, sprints=[make_sprint()]))
-    first, second = load_snapshot(path).commits
+    write_snapshot(path, build_history(commits, sprints=[make_sprint()], build_stats=[BuildStats("c1", 50.0, 1.0)]))
+    history = load_snapshot(path)
+    first, second = history.commits
     assert first.team is second.team and first.author is second.author
     assert first.files[0].path is second.files[0].path
+    # and each commit id is held once: a child's parent and the id's build stats name the commit's own id
+    assert second.parents[0] is first.id and history.build_stats[0].commit_id is first.id
 
 
 def test_write_text_removes_its_temporary_when_the_replace_fails(tmp_path, monkeypatch):
@@ -622,17 +634,21 @@ COUNTS = st.integers(0, 2**63)
 
 @st.composite
 def histories(draw):
-    teams = draw(st.lists(NAMES, min_size=1, max_size=2, unique=True))
+    # some names come from one small pool, so one string may be a team, an author, a path, a parent, a label
+    # and a commit id at once, as a snapshot's string table holds it once for all of them
+    pool = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    names = st.sampled_from(pool) | NAMES
+    teams = draw(st.lists(names, min_size=1, max_size=2, unique=True))
     sprints = []
-    for sprint_id in draw(st.lists(NAMES, max_size=3, unique=True)):
+    for sprint_id in draw(st.lists(names, max_size=3, unique=True)):
         start, due = draw(st.lists(STAMPS, min_size=2, max_size=2, unique=True).map(sorted))
         sprints.append(Sprint(sprint_id, draw(TEXT), start, due, draw(st.sampled_from(teams))))
     sprint_ids = [s.id for s in sprints]
     commits = [
-        Commit(commit_id, draw(NAMES), draw(STAMPS), draw(st.lists(NAMES, max_size=2)), draw(TEXT),
-               [FileChange(draw(NAMES), draw(COUNTS), draw(COUNTS)) for _ in range(draw(st.integers(0, 2)))],
+        Commit(commit_id, draw(names), draw(STAMPS), draw(st.lists(names, max_size=2)), draw(TEXT),
+               [FileChange(draw(names), draw(COUNTS), draw(COUNTS)) for _ in range(draw(st.integers(0, 2)))],
                draw(st.sampled_from(teams)))
-        for commit_id in draw(st.lists(NAMES, max_size=3, unique=True))
+        for commit_id in draw(st.lists(names, max_size=3, unique=True))
     ]
     stories = []
     for team, number in draw(st.lists(st.tuples(st.sampled_from(teams), st.integers(1, 2**63)), max_size=3,
@@ -641,8 +657,8 @@ def histories(draw):
                        for s in draw(st.lists(st.sampled_from(sprint_ids), unique=True))] if sprint_ids else []
         closed_at = draw(st.none() | STAMPS)
         state = StoryState.OPEN if closed_at is None else StoryState.CLOSED
-        stories.append(UserStory(number, draw(TEXT), draw(TEXT), state, draw(st.lists(NAMES, max_size=2)),
-                                 memberships, draw(st.lists(NAMES, max_size=2)), draw(STAMPS), closed_at, team))
+        stories.append(UserStory(number, draw(TEXT), draw(TEXT), state, draw(st.lists(names, max_size=2)),
+                                 memberships, draw(st.lists(names, max_size=2)), draw(STAMPS), closed_at, team))
     pulls = []
     for team, number in draw(st.lists(st.tuples(st.sampled_from(teams), st.integers(1, 2**63)), max_size=3,
                                       unique=True)):
@@ -655,8 +671,28 @@ def histories(draw):
     return build_history(commits, stories, sprints, pulls, stats)
 
 
+# one name as every kind of name, and as free text, which stays inline
+ONE_NAME = build_history(
+    [Commit("x", "x", T0, ["x"], "x", [FileChange("x", 1, 0)], "x")],
+    [UserStory(1, "x", "x", StoryState.OPEN, ["x"], [SprintMembership("x", T0)], ["x"], T0, None, "x")],
+    [Sprint("x", "x", T0, T0 + DAY, "x")], [], [BuildStats("x", 50.0, 1.0)],
+)
+
+
+def test_a_snapshot_writes_each_name_once_and_free_text_inline(tmp_path):
+    path = tmp_path / "snap.json"
+    write_snapshot(path, ONE_NAME)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["strings"] == ["x"]
+    commits, stories = doc["commits"], doc["issues"]
+    assert (commits["id"], commits["parents"], commits["files"]) == ([0], [[0]], [[[0, 1, 0]]])
+    assert commits["message"] == ["x"]
+    assert (stories["labels"], stories["title"], stories["state"]) == ([[0]], ["x"], ["open"])
+
+
 @settings(max_examples=60, deadline=None)
 @given(history=histories())
+@example(history=ONE_NAME)
 def test_write_then_read_of_any_valid_record_set_is_the_identity(tmp_path_factory, history):
     directory = tmp_path_factory.mktemp("round-trip")
     read = []
@@ -668,7 +704,10 @@ def test_write_then_read_of_any_valid_record_set_is_the_identity(tmp_path_factor
         read.append(found)
     assert build_history(*read) == history
     write_snapshot(directory / "snap.json", history)
-    assert load_snapshot(directory / "snap.json") == history
+    loaded = load_snapshot(directory / "snap.json")
+    assert loaded == history
+    write_snapshot(directory / "again.json", loaded)
+    assert (directory / "again.json").read_bytes() == (directory / "snap.json").read_bytes()
 
 
 def test_a_carriage_return_in_a_stats_commit_id_round_trips(tmp_path):

@@ -1,4 +1,4 @@
-"""The north star's linear cost, guarded: the read path costs about 8x as much at 8x the records.
+"""The north star's linear cost, guarded: the read path and the snapshot writer cost about 8x as much at 8x the records.
 
 Each layer is timed in CPU seconds (`time.process_time`) on
 `FixtureSpec(teams=2)` at 10 and at 80 sprints (1,200 and 9,600 commits),
@@ -28,7 +28,7 @@ SPRINTS = (10, 80)
 RUNS = 3
 BOUND = 16.0
 # layer -> the calls one timing makes, so that a timing at 10 sprints lasts a few milliseconds
-REPEATS = {"load_snapshot": 1, "window of every sprint": 20, "render_json(build_report)": 1,
+REPEATS = {"load_snapshot": 1, "write_snapshot": 1, "window of every sprint": 20, "render_json(build_report)": 1,
            "aggregate_all and trend": 5}
 
 
@@ -45,6 +45,7 @@ def _layers(path) -> dict:
     results = build_report(history, registry, config).results
     return {
         "load_snapshot": lambda: _load(path),
+        "write_snapshot": lambda: write_snapshot(path.with_name(f"rewritten-{path.name}"), history),
         "window of every sprint": lambda: [window(history, sprint.team, sprint.id) for sprint in history.sprints],
         "render_json(build_report)": lambda: render_json(build_report(history, registry, config), history),
         "aggregate_all and trend": lambda: trend(history, results, aggregate_all(results, registry, config)),

@@ -3,17 +3,21 @@
 Each export case breaks one field of an otherwise valid record: a missing
 field, a wrong JSON type, an empty string where a non-empty one is
 required, or a value out of range. The export readers must report it as one
-positioned `ParseIssue`, and the same broken record written into a format-2
+positioned `ParseIssue`, and the same broken record written into a format-3
 snapshot must make `lint` exit 2 with one line that names its collection
 and its column or record.
 
-Each snapshot case breaks the format-2 snapshot of the same records
-(equal-length columns of epoch seconds) and must make `lint` exit 2 with
+Each snapshot case breaks the format-3 snapshot of the same records
+(equal-length columns of epoch seconds, each name an index into the
+``"strings"`` table) and must make `lint` exit 2 with
 ``<path> holds a malformed snapshot: <message>``: a cell of the wrong type
 or out of range is named by its column and index, a record check that
 fails by its collection and index, and a document of the wrong shape is
-rejected as a whole. A document of an unknown format, or with no `format`
-key, exits 2 before any collection is read. The messages are part of the
+rejected as a whole. A case is written with its names inline and
+`_encoded` moves every value in a name position into the table, so a bad
+name meets the same check as in format 2; a cell that is no index into the
+table is named the same way. A document of an unknown format, or with no
+`format` key, exits 2 before any collection is read. The messages are part of the
 tool's interface: they change only on purpose, and each change is listed
 in `CHANGES.md`. Last, any JSON value at any position of a snapshot must
 end `lint` with an exit code, never a traceback.
@@ -242,12 +246,18 @@ def _broken(record: dict, path: tuple, value) -> dict:
     return broken
 
 
-def _lint_snapshot(tmp_path, capsys, doc: dict) -> tuple[int, str]:
+def _lint_document(tmp_path, capsys, doc: object) -> tuple[int, str]:
+    """`lint`'s exit code and standard error for a snapshot holding the JSON of `doc`."""
     path = tmp_path / "snap.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     code = main(["lint", "--project", str(path), "--out", str(tmp_path / "report.json")])
     return code, capsys.readouterr().err
+
+
+def _lint_snapshot(tmp_path, capsys, doc: dict) -> tuple[int, str]:
+    """`_lint_document` of `doc`, a snapshot with its names inline, once they are moved into its string table."""
+    return _lint_document(tmp_path, capsys, _encoded(doc))
 
 
 def _written(tmp_path, history) -> dict:
@@ -349,8 +359,9 @@ def _epoch(text: str) -> float:
     return parse_iso_utc(text)
 
 
+# the base snapshot with its names inline: `_encoded` moves them into the string table
 COLUMNS = {
-    "format": 2,
+    "format": 3,
     "commits": {
         "id": ["c1"], "author": ["ann@example.org"], "authored_at": [_epoch("2015-01-12T14:03:00Z")],
         "parents": [[]], "message": ["first"], "files": [[["src/a.py", 3, 1]]], "team": ["alpha"],
@@ -371,6 +382,56 @@ COLUMNS = {
     },
     "stats": {"commit_id": ["c1"], "coverage_percent": [50.0], "complexity": [5.0]},
 }
+
+# each column holding names -> where its cells hold them: the cell itself, each item of an array,
+# or the first field of each [path, added, deleted] or [sprint_id, assigned_at] entry
+NAME_COLUMNS = {
+    "commits.id": "cell", "commits.author": "cell", "commits.parents": "items", "commits.files": "entries",
+    "commits.team": "cell", "issues.labels": "items", "issues.milestone_history": "entries",
+    "issues.assignees": "items", "issues.team": "cell", "sprints.id": "cell", "sprints.team": "cell",
+    "pulls.team": "cell", "stats.commit_id": "cell",
+}
+
+
+def _encoded(doc: dict) -> dict:
+    """`doc`, a snapshot with its names inline, with each value in a name position moved into "strings".
+
+    A name position is where a name column's shape puts one: a whole cell,
+    each item of an array cell or the first field of an entry array; a cell
+    or entry of another shape is left as it is. Each distinct value gets one
+    index, in the order the values come in the file: collections, then
+    their columns, by name, as `write_snapshot` writes them.
+    """
+    doc = copy.deepcopy(doc)
+    strings: list = []
+    indexes: dict[str, int] = {}
+
+    def index(value) -> int:
+        key = json.dumps(value)  # so 1, 1.0 and true get one index each
+        if key not in indexes:
+            indexes[key] = len(strings)
+            strings.append(value)
+        return indexes[key]
+
+    for kind in sorted(doc):
+        columns = doc[kind]
+        for name in sorted(columns) if isinstance(columns, dict) else ():
+            where, cells = NAME_COLUMNS.get(f"{kind}.{name}"), columns[name]
+            if where is None or not isinstance(cells, list):
+                continue
+            for position, cell in enumerate(cells):
+                if where == "cell":
+                    cells[position] = index(cell)
+                for item_position, item in enumerate(cell) if isinstance(cell, list) else ():
+                    if where == "items":
+                        cell[item_position] = index(item)
+                    elif where == "entries" and isinstance(item, list) and item:
+                        item[0] = index(item[0])
+    doc["strings"] = strings
+    return doc
+
+
+ENCODED = _encoded(COLUMNS)
 
 TRIPLE = "[path, added, deleted] triple of a non-empty string and two integers"
 PAIR = "[sprint_id, assigned_at] pair of a non-empty string and epoch seconds in years 1 to 9999 (UTC)"
@@ -518,7 +579,7 @@ def _cell_id(case) -> str:
 
 
 def test_columnar_base_loads_like_the_record_base(tmp_path, capsys):
-    (tmp_path / "columns.json").write_text(json.dumps(COLUMNS), encoding="utf-8")
+    (tmp_path / "columns.json").write_text(json.dumps(ENCODED), encoding="utf-8")
     exports = {kind: tmp_path / name for kind, name in EXPORTS.items()}
     exports["commits"].write_text(json.dumps(COMMIT) + "\n", encoding="utf-8")
     for record, kind, _ in KINDS.values():
@@ -529,7 +590,8 @@ def test_columnar_base_loads_like_the_record_base(tmp_path, capsys):
     history = load_snapshot(tmp_path / "columns.json")
     assert load_history(IngestManifest(paths=exports)) == (history, [])
     assert all(_snapshot_with(key, record) == COLUMNS for record, key, _ in KINDS.values())
-    assert _written(tmp_path, history) == COLUMNS
+    assert _written(tmp_path, history) == ENCODED
+    assert ENCODED["strings"] == ["ann@example.org", "src/a.py", "c1", "alpha", "s1"]
     assert _lint_snapshot(tmp_path, capsys, COLUMNS) == (0, "")
 
 
@@ -539,6 +601,32 @@ def test_columnar_snapshot_rejects_a_cell(tmp_path, capsys, case):
     code, err = _lint_snapshot(tmp_path, capsys, _columns_with(column, value))
     assert code == 2
     assert err == f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {column}[0]{message}\n"
+
+
+# (collection.column, its first cell in the encoded base, message after ``<collection>.<column>[0]``)
+INDEX_CASES = [
+    ("commits.id", -1, ": must be an index into strings, got -1"),
+    ("commits.id", len(ENCODED["strings"]), f": must be an index into strings, got {len(ENCODED['strings'])}"),
+    ("commits.author", True, ": must be an index into strings, got True"),
+    ("commits.team", 3.0, ": must be an index into strings, got 3.0"),
+    ("sprints.team", None, ": must be an index into strings, got None"),
+    ("stats.commit_id", "c1", ": must be an index into strings, got 'c1'"),
+    ("commits.parents", [2, -1], "[1]: must be an index into strings, got -1"),
+    ("issues.labels", ["x"], "[0]: must be an index into strings, got 'x'"),
+    ("issues.assignees", [[0]], "[0]: must be an index into strings, got [0]"),
+    ("commits.files", [[1, 3, 1], [99, 1, 1]], "[1][0]: must be an index into strings, got 99"),
+    ("issues.milestone_history", [["s1", 0.0]], "[0][0]: must be an index into strings, got 's1'"),
+]
+
+
+@pytest.mark.parametrize("case", INDEX_CASES, ids=_cell_id)
+def test_columnar_snapshot_rejects_a_name_that_is_no_index(tmp_path, capsys, case):
+    column, value, message = case
+    doc = copy.deepcopy(ENCODED)
+    kind, name = column.split(".")
+    doc[kind][name][0] = value
+    code, err = _lint_document(tmp_path, capsys, doc)
+    assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {column}[0]{message}\n")
 
 
 @pytest.mark.parametrize("case", CONSTRUCTOR_CASES, ids=_cell_id)
@@ -620,15 +708,15 @@ def test_columnar_snapshot_reads_integer_epochs_as_floats(tmp_path):
         doc[kind][name][0] = int(doc[kind][name][0])
     doc["issues"]["milestone_history"][0][0][1] = int(doc["issues"]["milestone_history"][0][0][1])
     path = tmp_path / "snap.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(_encoded(doc)), encoding="utf-8")
     history = load_snapshot(path)
-    assert _written(tmp_path, history) == COLUMNS
+    assert _written(tmp_path, history) == ENCODED
     assert type(history.sprints[0].starts_at) is float and type(history.pulls[0].closed_at) is float
     pulls = doc["pulls"]  # and an optional epoch column holding a null and an integer
     for cells in pulls.values():
         cells.insert(0, cells[0])
     pulls["number"], pulls["merged"], pulls["closed_at"][0] = [1, 2], [False, True], None
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(_encoded(doc)), encoding="utf-8")
     closed = tuple(pull.closed_at for pull in load_snapshot(path).pulls)
     assert closed == (None, COLUMNS["pulls"]["closed_at"][0]) and type(closed[1]) is float
 
@@ -645,9 +733,12 @@ def _setting(kind: str, name: str | None, value):
     return edit
 
 
-# edit of the base document -> the message after ``<path> holds a malformed snapshot: ``
+# edit of the encoded base document -> the message after ``<path> holds a malformed snapshot: ``
 DOCUMENT_CASES = {
     "missing-collection": (_without("pulls"), "missing collection 'pulls'"),
+    "missing-strings": (_without("strings"), "missing key 'strings'"),
+    "strings-as-object": (_setting("strings", None, {"0": "c1"}), "'strings' must be an array"),
+    "strings-as-null": (_setting("strings", None, None), "'strings' must be an array"),
     "missing-column": (_without("commits", "files"), "missing column commits.files"),
     "unknown-key": (_setting("diagnostics", None, []), "unknown key 'diagnostics'"),
     "unknown-column": (_setting("commits", "extra", ["x"]), "unknown column commits.extra"),
@@ -659,17 +750,25 @@ DOCUMENT_CASES = {
 
 @pytest.mark.parametrize("edit, message", DOCUMENT_CASES.values(), ids=list(DOCUMENT_CASES))
 def test_columnar_snapshot_rejects_a_document_shape(tmp_path, capsys, edit, message):
-    doc = copy.deepcopy(COLUMNS)
+    doc = copy.deepcopy(ENCODED)
     edit(doc)
-    code, err = _lint_snapshot(tmp_path, capsys, doc)
+    code, err = _lint_document(tmp_path, capsys, doc)
     assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n")
 
 
-@pytest.mark.parametrize("version", [3, 1, "2", 2.0, True, None])
+@pytest.mark.parametrize("version", [4, 1, "2", "3", 3.0, 2.0, True, None])
 def test_snapshot_of_an_unknown_format_exits_2(tmp_path, capsys, version):
-    for doc in (COLUMNS | {"format": version}, {"format": version, "commits": []}):
-        code, err = _lint_snapshot(tmp_path, capsys, doc)
+    for doc in (ENCODED | {"format": version}, {"format": version, "commits": []}):
+        code, err = _lint_document(tmp_path, capsys, doc)
         assert (code, err) == (2, f"error: {tmp_path / 'snap.json'}: unsupported snapshot format {version!r}\n")
+
+
+def test_snapshot_of_format_2_names_its_fix(tmp_path, capsys):
+    inline = {"format": 2, **{kind: COLUMNS[kind] for kind in EXPORTS}}  # as format 2 was written
+    for doc in (inline, ENCODED | {"format": 2}):
+        code, err = _lint_document(tmp_path, capsys, doc)
+        assert (code, err) == (2, f"error: {tmp_path / 'snap.json'}: unsupported snapshot format 2; "
+                                  "re-run `sprintlint ingest` to write format 3\n")
 
 
 # documents without a "format" key, as earlier versions wrote them or as a hand edit leaves them
@@ -685,13 +784,13 @@ UNVERSIONED = {
 def test_snapshot_without_a_format_key_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "snap.json"
     expected = (f'error: {path}: snapshot has no "format" key; '
-                "re-run `sprintlint ingest` to write format 2\n")
-    assert _lint_snapshot(tmp_path, capsys, doc) == (2, expected)
+                "re-run `sprintlint ingest` to write format 3\n")
+    assert _lint_document(tmp_path, capsys, doc) == (2, expected)
     assert main(["score", "--project", str(path), "--out", str(tmp_path / "trend.csv")]) == 2
     assert capsys.readouterr().err == expected
 
 
-COLUMN_PATHS = list(_paths(COLUMNS))
+COLUMN_PATHS = list(_paths(ENCODED))
 
 
 @settings(max_examples=200, deadline=None)
@@ -700,6 +799,6 @@ COLUMN_PATHS = list(_paths(COLUMNS))
 def test_any_value_in_any_columnar_snapshot_field_ends_in_an_exit_code(tmp_path_factory, path, value):
     work = tmp_path_factory.mktemp("fuzz")
     snapshot = work / "snap.json"
-    snapshot.write_text(json.dumps(_broken(COLUMNS, path, value)), encoding="utf-8")
+    snapshot.write_text(json.dumps(_broken(ENCODED, path, value)), encoding="utf-8")
     code = main(["lint", "--project", str(snapshot), "--out", str(work / "report.json")])
     assert code in (0, 1, 2)
