@@ -74,5 +74,5 @@ from .model import (
     build_history,
     window,
 )
-from .report import RunReport, build_report, render_json, render_markdown
+from .report import ReportCell, RunReport, build_report, render_json, render_markdown
 from .scoring import TeamSprintScore, TrendSeries, aggregate, aggregate_all, trend, trend_csv

@@ -61,13 +61,14 @@ def _write_stdout(text: str) -> None:
     """Write `text` to stdout as the UTF-8 bytes `write_text` would put in a file, whatever the stream's encoding.
 
     Every command's standard output goes through here: reports, trends and status lines alike.
+    A command-line path that is not UTF-8 is echoed as the bytes given; report text holds no such character.
     """
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text-only stream, such as an io.StringIO in its place
         sys.stdout.write(text)
         return
     sys.stdout.flush()
-    buffer.writelines(utf8_slices(text))
+    buffer.writelines(utf8_slices(text, "surrogateescape"))
 
 
 def _read_json_file(path: str) -> dict:
@@ -137,9 +138,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     else:
         _write_stdout(rendered)
     if args.fail_below is not None:
-        failing = [
-            s for s in report.scores if s.overall is not None and s.overall < args.fail_below
-        ]
+        scores = (cell.score for cell in report.cells if cell.score is not None)
+        failing = [s for s in scores if s.overall is not None and s.overall < args.fail_below]
         if failing:
             for score in failing:
                 print(

@@ -10,16 +10,17 @@ to the exact thresholds that produced it.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Mapping
-from itertools import chain
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain, groupby
+from operator import attrgetter
 
 from . import __version__
-from .catalog import UnfinishedStories, unfinished_stories
+from .catalog import unfinished_stories
 from .config import MetricConfig
 from .engine import MetricRegistry, run_all
 from .errors import SprintLintError
 from .model import MetricResult, ProjectHistory, _Record
-from .scoring import aggregate_all
+from .scoring import aggregate
 from .serialize import END_TS, array_pieces, canonical_json, format_iso_utc, object_pieces
 
 TOOL_NAME = "sprintlint"
@@ -48,8 +49,17 @@ def history_horizon(history: ProjectHistory) -> float:
     return horizon
 
 
-class RunReport(_Record, namedtuple("RunReport", "config now results scores unfinished")):
-    """A lint run's results and scores, and an `UnfinishedStories` block per past-due sprint."""
+class ReportCell(_Record, namedtuple("ReportCell", "team sprint results score unfinished")):
+    """One team-sprint of a lint run: its results in registration order, their score, and its past-due block.
+
+    `score` is None when every check is disabled, and `unfinished` while the sprint is not yet due.
+    """
+
+    __slots__ = ()
+
+
+class RunReport(_Record, namedtuple("RunReport", "config now cells")):
+    """A lint run's `ReportCell`s, one per team-sprint evaluated, in run order: team, then sprint due date."""
 
     __slots__ = ()
 
@@ -68,32 +78,24 @@ def build_report(
     """
     if now is None:
         now = history_horizon(history)
+    matching = None
     if sprint_title is not None:
         matching = {s.id for s in history.sprints if s.title == sprint_title}
         if not matching:
             raise SprintLintError(f"no sprint titled {sprint_title!r} in this project")
-    else:
-        matching = None
 
-    results = run_all(registry, history, config, sprint_ids=matching)
-    scores = aggregate_all(results, registry, config)
-
-    unfinished: list[UnfinishedStories] = []
+    evaluated = run_all(registry, history, config, sprint_ids=matching)
+    # `run_all` gives each cell's results next to each other, in the order of the walk below
+    results = {cell: tuple(group) for cell, group in groupby(evaluated, attrgetter("team", "sprint"))}
+    cells = []
     for team in history.teams:
         for sprint in history.sprints_of(team):
             if matching is not None and sprint.id not in matching:
                 continue
-            block = unfinished_stories(history, sprint.id, now)
-            if block is not None:
-                unfinished.append(block)
-
-    return RunReport(
-        config=config,
-        now=now,
-        results=tuple(results),
-        scores=tuple(scores),
-        unfinished=tuple(unfinished),
-    )
+            found = results.get((team, sprint.id), ())
+            score = aggregate(found, registry, config) if found else None
+            cells.append(ReportCell(team, sprint.id, found, score, unfinished_stories(history, sprint.id, now)))
+    return RunReport(config=config, now=now, cells=tuple(cells))
 
 
 def _rounded(score: float | None) -> float | None:
@@ -105,7 +107,7 @@ def _rounded(score: float | None) -> float | None:
 VIOLATION_BATCH = 100
 
 
-def _result_pieces(results: tuple[MetricResult, ...], titles: Mapping[str, str]) -> Iterator[str]:
+def _result_pieces(results: Iterable[MetricResult], titles: Mapping[str, str]) -> Iterator[str]:
     """The JSON array of result rows, in pieces: each row's other fields in one, then its violations in batches."""
     yield "["
     for position, result in enumerate(results):
@@ -126,10 +128,10 @@ def _result_pieces(results: tuple[MetricResult, ...], titles: Mapping[str, str])
 def render_json(report: RunReport, history: ProjectHistory) -> str:
     """The report as canonical JSON and a final newline, built from one piece per score or block.
 
-    Each result, score and nested row holds its value object's own fields,
-    plus its sprint's title; a result row leaves out `error_type`, which
-    its diagnostic already names. A result row comes in pieces of its own,
-    so a cell with thousands of violations is never encoded in one call.
+    The cells' results, scores and past-due blocks make three arrays, in run
+    order. Each row holds its value object's own fields, plus its sprint's
+    title; a result row leaves out `error_type`, which its diagnostic names,
+    and comes in pieces, so thousands of violations are never encoded at once.
     """
     titles = {s.id: s.title for s in history.sprints}
     scores = (
@@ -147,7 +149,8 @@ def render_json(report: RunReport, history: ProjectHistory) -> str:
             ],
             "skipped": [k._asdict() for k in s.skipped],
         }
-        for s in report.scores
+        for s in (cell.score for cell in report.cells)
+        if s is not None
     )
     members = {
         "tool": [canonical_json(TOOL_NAME)],
@@ -156,9 +159,9 @@ def render_json(report: RunReport, history: ProjectHistory) -> str:
         "config": [canonical_json(report.config.to_dict())],
         "now": [canonical_json(format_iso_utc(report.now))],
         "diagnostics": array_pieces(history.diagnostics),
-        "results": _result_pieces(report.results, titles),
+        "results": _result_pieces((r for cell in report.cells for r in cell.results), titles),
         "scores": array_pieces(scores),
-        "unfinished_stories": array_pieces(block._asdict() for block in report.unfinished),
+        "unfinished_stories": array_pieces(c.unfinished._asdict() for c in report.cells if c.unfinished is not None),
     }
     return "".join(chain(object_pieces(members), "\n"))
 
@@ -178,12 +181,6 @@ def _one_line(text: str) -> str:
 
 def render_markdown(report: RunReport, history: ProjectHistory, registry: MetricRegistry) -> str:
     titles = {s.id: s.title for s in history.sprints}
-    overall_by_cell = {(s.team, s.sprint): s for s in report.scores}
-    results_by_cell: dict[tuple[str, str], list] = {}
-    for result in report.results:
-        results_by_cell.setdefault((result.team, result.sprint), []).append(result)
-    unfinished_by_cell = {(block.team, block.sprint): block for block in report.unfinished}
-
     lines: list[str] = []
     lines.append("# Process conformance report")
     lines.append("")
@@ -198,28 +195,26 @@ def render_markdown(report: RunReport, history: ProjectHistory, registry: Metric
             lines.append(f"- {_one_line(diagnostic)}")
         lines.append("")
 
-    cells = sorted(results_by_cell)
     current_team = None
-    for team, sprint_id in cells:
-        if team != current_team:
-            lines.append(f"## Team {_one_line(team)}")
+    # every cell with results or a past-due block, by (team, sprint id)
+    shown = [c for c in report.cells if c.results or c.unfinished is not None]
+    for cell in sorted(shown, key=attrgetter("team", "sprint")):
+        if cell.team != current_team:
+            lines.append(f"## Team {_one_line(cell.team)}")
             lines.append("")
-            current_team = team
-        title = titles.get(sprint_id, sprint_id)
-        lines.append(_one_line(f"### {title} ({sprint_id})"))
+            current_team = cell.team
+        title = titles.get(cell.sprint, cell.sprint)
+        lines.append(_one_line(f"### {title} ({cell.sprint})"))
         lines.append("")
-        cell_score = overall_by_cell.get((team, sprint_id))
-        if cell_score is not None:
-            lines.append(f"Overall score: **{_fmt_score(cell_score.overall)}**")
+        if cell.results:  # and so a score
+            lines.append(f"Overall score: **{_fmt_score(cell.score.overall)}**")
             lines.append("")
-        lines.append("| metric | score | violations |")
-        lines.append("| --- | ---: | ---: |")
-        for result in results_by_cell[(team, sprint_id)]:
-            lines.append(
-                f"| {result.metric} | {_fmt_score(result.score)} | {len(result.violations)} |"
-            )
-        lines.append("")
-        for result in results_by_cell[(team, sprint_id)]:
+            lines.append("| metric | score | violations |")
+            lines.append("| --- | ---: | ---: |")
+            for result in cell.results:
+                lines.append(f"| {result.metric} | {_fmt_score(result.score)} | {len(result.violations)} |")
+            lines.append("")
+        for result in cell.results:
             if not result.violations and result.score is not None:
                 continue
             if result.score is None:
@@ -230,7 +225,7 @@ def render_markdown(report: RunReport, history: ProjectHistory, registry: Metric
                 lines.append(_one_line(f"- {result.metric}: {violation.detail} [{artifacts}]"))
             pitfalls = registry.get(result.metric).descriptor.pitfalls
             lines.append(f"  - pitfalls: {pitfalls}")
-        block = unfinished_by_cell.get((team, sprint_id))
+        block = cell.unfinished
         if block is not None:
             numbers = ", ".join(f"#{n}" for n in block.story_numbers) or "none"
             percent = "n/a" if block.percent is None else f"{block.percent:.0%}"

@@ -62,14 +62,14 @@ def read_text(path: str | Path) -> str:
 SLICE = 1 << 16
 
 
-def utf8_slices(text: str | Iterable[str]) -> Iterator[bytes]:
+def utf8_slices(text: str | Iterable[str], errors: str = "strict") -> Iterator[bytes]:
     """The UTF-8 of `text`, a string or the pieces of one in order, a slice of at most `SLICE` characters at a time.
 
-    A slice of a string never splits a character, so the slices join to `text.encode("utf-8")`.
+    A slice of a string never splits a character, so the slices join to `text.encode("utf-8", errors)`.
     """
     for piece in (text,) if isinstance(text, str) else text:
         for start in range(0, len(piece), SLICE):
-            yield piece[start:start + SLICE].encode("utf-8")
+            yield piece[start:start + SLICE].encode("utf-8", errors)
 
 
 def write_text(path: str | Path, text: str | Iterable[str]) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprintlint import FixtureSpec, MetricConfig, build_history, cli, generate
+from sprintlint import METRIC_NAMES, FixtureSpec, MetricConfig, build_history, cli, generate
 from sprintlint.cli import main
 from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
 from sprintlint.serialize import END_TS, FIRST_TS
@@ -137,6 +137,26 @@ def test_lint_injected_fixture_fails_policy_gate(tmp_path):
                  "--out", str(tmp_path / "report.json")])
     assert code == 1
 
+
+
+def test_a_cell_with_every_check_disabled_still_reports_its_past_due_block(tmp_path, capsys):
+    snapshot = _ingest(tmp_path, _generate(tmp_path))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"metrics": {name: {"enabled": False} for name in METRIC_NAMES}}),
+                           encoding="utf-8")
+    lint = ["lint", "--project", str(snapshot), "--config", str(config_path), "--now", "2030-01-01T00:00:00Z"]
+    assert main([*lint, "--fail-below", "100", "--out", str(tmp_path / "report.json")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    sprints = DEFAULT_SPEC["sprints"]
+    assert (len(report["results"]), len(report["scores"]), len(report["unfinished_stories"])) == (0, 0, sprints)
+    assert main([*lint, "--format", "markdown", "--out", str(tmp_path / "report.md")]) == 0
+    lines = (tmp_path / "report.md").read_text(encoding="utf-8").splitlines()
+    headings = [line for line in lines if line.startswith("### ")]
+    blocks = [line for line in lines if line.startswith("- past due with ")]
+    assert [len(headings), len(blocks)] == [sprints, sprints]
+    # no results, so neither an overall score nor a metric table
+    assert not any(line.startswith(("Overall score", "| metric")) for line in lines)
+    assert capsys.readouterr().err == ""
 
 
 def _no_constant(name):
@@ -611,16 +631,16 @@ def test_stdout_carries_the_utf8_bytes_of_the_out_file_under_any_encoding(tmp_pa
     assert printed.stdout == out.read_bytes() and NON_ASCII_TEAM.encode("utf-8") in printed.stdout
 
 
-def _status_command(tmp_path, command: str) -> tuple[list[str], str]:
-    """The arguments of `command` writing to a path with a non-ASCII character, and its first status line."""
+def _status_command(tmp_path, command: str, odd: str = "") -> tuple[list[str], str]:
+    """The arguments of `command` writing to a path with a non-ASCII character and `odd`, and its first status line."""
     if command == "generate":
-        out = tmp_path / "g\u00ebn"
+        out = tmp_path / f"g\u00ebn{odd}"
         return ["generate", "--spec", str(_write_spec(tmp_path)), "--out-dir", str(out)], f"fixture written to {out}"
     fixture = _generate(tmp_path)
     if command == "ingest":
-        out = tmp_path / "sn\u00e4p.json"
+        out = tmp_path / f"sn\u00e4p{odd}.json"
         return ["ingest", "--commits", str(fixture / "commits.ndjson"), "--out", str(out)], f"snapshot written to {out}"
-    out = tmp_path / "t\u00ebst.csv"
+    out = tmp_path / f"t\u00ebst{odd}.csv"
     return ["score", "--project", str(_ingest(tmp_path, fixture)), "--out", str(out)], f"trend written to {out}"
 
 
@@ -631,6 +651,16 @@ def test_status_lines_are_utf8_under_any_stdout_encoding(tmp_path, command):
                           env={**_child_env(), "PYTHONIOENCODING": "ascii"}, capture_output=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.startswith(f"{status}\n".encode("utf-8"))
+
+
+@pytest.mark.parametrize("command", ["ingest", "score", "generate"])
+def test_a_status_line_echoes_an_out_path_that_is_not_utf8(tmp_path, command):
+    # a path byte that is not UTF-8 reaches `argv` as a lone surrogate
+    argv, status = _status_command(tmp_path, command, "\udcff")
+    done = subprocess.run([sys.executable, "-m", "sprintlint.cli", *argv],
+                          env=_child_env(), capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(os.fsencode(f"{status}\n")) and b"\xff" in done.stdout
 
 
 @pytest.mark.parametrize("command", [["lint"], ["lint", "--format", "markdown"], ["score"]],

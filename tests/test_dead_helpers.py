@@ -1,9 +1,10 @@
-"""Guard against dead private helpers in the package.
+"""Guard against dead private helpers and unused imports in the package.
 
 Every module-level private name (an ``_x`` function, class or constant) and
 every private ``_method`` in `src/sprintlint` must be used somewhere in the
-package besides its own definition, so a refactor that leaves a helper
-behind fails here rather than leaving code nothing runs.
+package besides its own definition, and every name a module imports must be
+read in that module, so a refactor that leaves a helper or an import behind
+fails here rather than leaving code nothing runs.
 """
 
 from __future__ import annotations
@@ -65,3 +66,36 @@ def test_the_guard_finds_an_unused_helper():
     tree = ast.parse("def _used():\n    pass\n\n\ndef _dead():\n    _used()\n")
     uses = _uses(tree)
     assert [name for name in _definitions(tree) if not uses[name]] == ["_dead"]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Each name the module imports and never reads; `from __future__` imports are directives, not names."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.extend(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_imported_name_is_used():
+    # `__init__.py` imports only to re-export
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert modules, f"no modules under {SRC}"
+    unused = [
+        f"{path.name}: {name}"
+        for path in modules
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []
+
+
+def test_the_guard_finds_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom .a import b, c as d\n\n"
+        "def f() -> b:\n    return os.path.sep\n"
+    )
+    assert _unused_imports(tree) == ["j", "d"]

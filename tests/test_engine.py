@@ -179,7 +179,7 @@ def test_a_raising_detector_yields_one_failure_carrying_its_exception_type():
             check = RegisteredMetric(check.descriptor, lambda slice_, settings: 1 / 0)
         registry.register(check)
     report = build_report(history, registry, MetricConfig())
-    failed = [r for r in report.results if r.error_type is not None]
+    failed = [r for cell in report.cells for r in cell.results if r.error_type is not None]
     assert [(r.metric, r.error_type, r.score) for r in failed] == [("test-later", "ZeroDivisionError", None)]
     assert failed[0].diagnostic == "detector failed: ZeroDivisionError: division by zero"
     assert "- test-later: skipped (detector failed: ZeroDivisionError: division by zero)" in (

@@ -42,7 +42,7 @@ def _layers(path) -> dict:
     """Each layer of the read path -> a call that runs it on the snapshot at `path`."""
     history = _load(path)
     registry, config = default_registry(), MetricConfig()
-    results = build_report(history, registry, config).results
+    results = [r for cell in build_report(history, registry, config).cells for r in cell.results]
     return {
         "load_snapshot": lambda: _load(path),
         "write_snapshot": lambda: write_snapshot(path.with_name(f"rewritten-{path.name}"), history),

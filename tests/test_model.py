@@ -33,6 +33,7 @@ from sprintlint import (
     ProjectHistory,
     RecordError,
     PullRequest,
+    ReportCell,
     RunReport,
     Severity,
     Sprint,
@@ -479,6 +480,10 @@ def _score() -> TeamSprintScore:
     return TeamSprintScore(TEAM, "s1", 75.0, (contribution,), (SkippedMetric("test-later", "no stats"),))
 
 
+def _cell() -> ReportCell:
+    return ReportCell(TEAM, "s1", (_result(),), _score(), UnfinishedStories(TEAM, "s1", "S", 0, (), 0, None))
+
+
 # one result or value object of each class, built from arguments its constructor normalises where it has one
 VALUES = {
     MetricDescriptor: lambda: MetricDescriptor("huge-stories", Severity.LOW, "pitfalls"),
@@ -491,9 +496,8 @@ VALUES = {
     TeamSprintScore: _score,
     TrendPoint: lambda: TrendPoint("s1", "Sprint 1", T0, None),
     TrendSeries: lambda: TrendSeries(TEAM, "overall", (TrendPoint("s1", "Sprint 1", T0, 75.0),)),
-    RunReport: lambda: RunReport(
-        MetricConfig(), T0, (_result(),), (_score(),), (UnfinishedStories(TEAM, "s1", "S", 0, (), 0, None),)
-    ),
+    ReportCell: _cell,
+    RunReport: lambda: RunReport(MetricConfig(), T0, (_cell(),)),
     MetricConfig: lambda: MetricConfig({"huge-stories": {"weight": 5}}, {s.value: 1 for s in Severity}),
     ParseIssue: lambda: ParseIssue(3, "team", "team must be a string"),
     IngestManifest: lambda: IngestManifest({"commits": Path("c.ndjson")}, {"a": "alpha"}, {"Ann": "ann"}),
@@ -507,7 +511,7 @@ VALUES = {
 }
 CHECKED_TUPLES = RECORDS | VALUES
 # a dict field makes the whole object unhashable, as it made the frozen dataclasses it replaced
-HOLD_A_DICT = {Violation, MetricResult, RunReport, MetricConfig, IngestManifest, Finding, SprintSlice}
+HOLD_A_DICT = {Violation, MetricResult, ReportCell, RunReport, MetricConfig, IngestManifest, Finding, SprintSlice}
 
 
 def field_names(cls) -> list[str]:

@@ -87,6 +87,11 @@ def test_a_traced_lint_times_every_check_once_per_cell(tracing, tmp_path):
     timed = {name: spans[f"catalog.{name}"] for name in CHECKS}
     assert timed == dict.fromkeys(CHECKS, len(cells))
     assert tracer.counts[(tracer.run, "engine.cells")] == len(results)
+    # the layers under `report.build_report`: one `run_all`, and one `unfinished_stories` per sprint
+    [report] = [span.id for span in tracer.spans if span.name == "report.build_report"]
+    parents = {name: [span.parent for span in tracer.spans if span.name == name]
+               for name in ("engine.run_all", "catalog.unfinished_stories")}
+    assert parents == {"engine.run_all": [report], "catalog.unfinished_stories": [report] * len(cells)}
 
 
 def test_a_traced_generate_and_ingest_time_every_export_kind_once(tracing, tmp_path):

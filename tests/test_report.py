@@ -12,6 +12,7 @@ import pytest
 from sprintlint import (
     MetricConfig,
     MetricResult,
+    ReportCell,
     RunReport,
     Sprint,
     TeamSprintScore,
@@ -27,7 +28,7 @@ from sprintlint import (
 )
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject, injection_from_dict, spec_from_dict
 from sprintlint.report import VIOLATION_BATCH, history_horizon
-from sprintlint.scoring import Contribution, SkippedMetric, aggregate_all
+from sprintlint.scoring import Contribution, SkippedMetric, aggregate
 from sprintlint.serialize import canonical_json
 from conftest import DAY, T0, TEAM, collector_paused, make_commit, make_pull, make_story
 from test_golden import ALL_DIRECTIVES
@@ -45,6 +46,12 @@ def _violation_dense_tiny():
     return inject(generate(spec)[0], injection_from_dict(tiny["injection"]), spec.seed)[0]
 
 
+def _cell_report(results):
+    """A report of the one team-sprint all of `results` belong to, scored as `build_report` scores it."""
+    cell = ReportCell(results[0].team, results[0].sprint, results, aggregate(results, REGISTRY, CONFIG), None)
+    return RunReport(CONFIG, T0 + 2 * DAY, (cell,))
+
+
 def _one_cell_report(violations: int):
     """A one-sprint history and a report whose one result holds `violations` last-minute commits."""
     history = build_history(sprints=[Sprint("s1", "Sprint 1", T0, T0 + DAY, TEAM)])
@@ -54,7 +61,7 @@ def _one_cell_report(violations: int):
         for n in range(violations)
     ]
     results = (MetricResult("last-minute-commits", TEAM, "s1", found, 0.0),)
-    return history, RunReport(CONFIG, T0 + 2 * DAY, results, tuple(aggregate_all(results, REGISTRY, CONFIG)), ())
+    return history, _cell_report(results)
 
 
 def _built(make_history):
@@ -80,7 +87,7 @@ def test_render_json_holds_no_whole_copy_of_the_report(make):
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-    assert report.results
+    assert any(cell.results for cell in report.cells)
     # the whole report document, then its text and a copy with the newline, peaked near 10 times the text;
     # one encoder call over the row of 5,000 violations, over 7 times
     assert peak < 4 * len(rendered)
@@ -103,7 +110,7 @@ def test_render_json_writes_canonical_json():
     for name, history, report in _reports():
         rendered = render_json(report, history)
         assert canonical_json(json.loads(rendered)) + "\n" == rendered, name
-        assert bool(report.results) == (name != "no-results"), name
+        assert any(cell.results for cell in report.cells) == (name != "no-results"), name
     assert '"results":[],"scores":[],"tool"' in rendered and '"unfinished_stories":[],' in rendered
 
 
@@ -130,7 +137,7 @@ def test_each_json_row_holds_its_value_objects_fields():
         MetricResult("huge-stories", TEAM, "s1", [Violation(["#1"], "story #1 is huge")], 75.0),
         MetricResult("duplicate-stories", TEAM, "s1", (), None, diagnostic="no stories"),
     )
-    skipping = RunReport(CONFIG, T0 + 2 * DAY, results, tuple(aggregate_all(results, REGISTRY, CONFIG)), ())
+    skipping = _cell_report(results)
     for _, history, report in [*_reports(), ("skipping", one_sprint, skipping)]:
         document = json.loads(render_json(report, history))
         check("results", document["results"])
@@ -195,7 +202,7 @@ def test_markdown_writes_line_breaks_in_export_text_as_escapes():
     history = build_history(sprints=[Sprint("s1", "Sprint 1\n## Team mallory", T0, T0 + DAY, TEAM)])
     violation = Violation(["#1\n## Team eve", "#2\r"], "story #1\nis huge")
     result = MetricResult("huge-stories", TEAM, "s1", [violation], 75.0)
-    markdown = render_markdown(RunReport(CONFIG, T0 + 2 * DAY, (result,), (), ()), history, REGISTRY)
+    markdown = render_markdown(_cell_report((result,)), history, REGISTRY)
     lines = markdown.split("\n")
     assert [line for line in lines if line.startswith("## ")] == [f"## Team {TEAM}"]
     assert "### Sprint 1\\n## Team mallory (s1)" in lines
