@@ -37,6 +37,10 @@ Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
 an export file are ignored for forward compatibility. Writers emit the same
 schemas back out; write-then-read of any valid record set is the identity.
+The commits and stats readers, whose files are the largest, read a line or
+row at a time and hold no whole copy of the file; `load_history` hands both
+one table of commit ids, so a commit's id, its parents and its stats row
+hold one string.
 """
 
 from __future__ import annotations
@@ -47,9 +51,11 @@ import json
 import math
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from itertools import accumulate, chain, count, filterfalse, repeat, starmap
 from operator import attrgetter, itemgetter, setitem
 from pathlib import Path
+from typing import TextIO
 
 from .errors import ParseError, RecordError
 from .model import (
@@ -214,7 +220,7 @@ def _listed(values: Iterable, table: dict[str, int]) -> list:
 class _Column(_Record, namedtuple("_Column", "read write load dump resolve", defaults=(_listed, None))):
     """One kind of export field: how it is read and written in an export, and loaded and dumped in a snapshot.
 
-    read: export value, field name, maps -> the record constructor's argument; raises _FieldError
+    read: export value, field name, the reader's `_maps` -> the record constructor's argument; raises _FieldError
     write: the record's value -> the export value; None writes the value as it is
     load: the column's cells, their names resolved -> the record constructor's arguments; raises _Malformed
     dump: the records' values, the string table -> the column's cells, each name as its index in the
@@ -227,15 +233,16 @@ class _Column(_Record, namedtuple("_Column", "read write load dump resolve", def
 
 
 def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | None = None,
-          convert: Callable | None = None, rename: str | None = None, write: Callable | None = None,
+          convert: Callable | None = None, through: str | None = None, write: Callable | None = None,
           names: bool = False) -> _Column:
     """The column kind of values of exact type `cls` (so a bool is no integer), which must be `expected`.
 
     ok: a builtin true of each valid value, so a snapshot column is checked in C
     items: the exact type of each item of a valid value, for a kind of arrays
     convert: a builtin taking a valid value to the record constructor's argument
-    rename: the manifest map a value read from an export (each item, for arrays) is looked up in;
-        a snapshot holds the values it gave
+    through: the `_maps` entry a value read from an export (each item, for arrays) is passed
+        through, with itself as the default: a manifest map's lookup, so a snapshot holds the
+        values it gave, or the commit ids' `setdefault`, so equal ids are one string
     write: as `_Column.write`; a snapshot cell is written the same way
     names: each value (each item, for arrays) is a name, which a snapshot holds as its index in the string table
     """
@@ -248,9 +255,9 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
         if (type(value) is not cls or ok is not None and not ok(value)
                 or items is not None and not _all_of(items, value)):
             raise _rejected(value, key, f"{key!r} must be {expected}")
-        if rename is not None:
-            names = maps[rename]
-            return names.get(value, value) if items is None else list(map(names.get, value, value))
+        if through is not None:
+            passed = maps[through]
+            return passed(value, value) if items is None else list(map(passed, value, value))
         return value if convert is None else convert(value)
 
     def check(value: object) -> None:
@@ -428,9 +435,10 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
 # --- the schema --------------------------------------------------------------
 
 _ID = _kind(str, "a non-empty string", ok=len, names=True)
+_COMMIT_ID = _kind(str, "a non-empty string", ok=len, through="commit_ids", names=True)
 _TEXT = _kind(str, "a string")
-_TEAM = _kind(str, "a non-empty string", ok=len, rename="team_map", names=True)
-_AUTHOR = _kind(str, "a non-empty string", ok=len, rename="alias_map", names=True)
+_TEAM = _kind(str, "a non-empty string", ok=len, through="team_map", names=True)
+_AUTHOR = _kind(str, "a non-empty string", ok=len, through="alias_map", names=True)
 _INT = _kind(int, "an integer")
 _BOOL = _kind(bool, "a boolean")
 _NUMBER = _floats(epoch=False)
@@ -438,9 +446,9 @@ _EPOCH = _floats(epoch=True)
 _OPTIONAL_EPOCH = _floats(epoch=True, optional=True)
 _STATE = _kind(str, "'open' or 'closed'", ok=_STATES.__contains__, convert=_STATES.__getitem__,
                write=attrgetter("value"))
-_STR_LIST = _kind(list, "an array of strings", items=str, names=True)
+_PARENTS = _kind(list, "an array of strings", items=str, through="commit_ids", names=True)
 _STR_SET = _kind(list, "an array of strings", items=str, write=sorted, names=True)
-_ASSIGNEES = _kind(list, "an array of strings", items=str, rename="alias_map", write=sorted, names=True)
+_ASSIGNEES = _kind(list, "an array of strings", items=str, through="alias_map", write=sorted, names=True)
 _FILES = _entries(FileChange, {"path": _ID, "added": _INT, "deleted": _INT},
                   "a non-empty string and two integers")
 _MEMBERSHIPS = _entries(SprintMembership, {"sprint_id": _ID, "assigned_at": _EPOCH},
@@ -449,7 +457,7 @@ _MEMBERSHIPS = _entries(SprintMembership, {"sprint_id": _ID, "assigned_at": _EPO
 # export kind -> (record class, {export field: column kind} in the order of the class's fields);
 # a snapshot's columns are named like the export fields
 _SCHEMA: dict[str, tuple[type, dict[str, _Column]]] = {
-    "commits": (Commit, {"id": _ID, "author": _AUTHOR, "authored_at": _EPOCH, "parents": _STR_LIST,
+    "commits": (Commit, {"id": _COMMIT_ID, "author": _AUTHOR, "authored_at": _EPOCH, "parents": _PARENTS,
                          "message": _TEXT, "files": _FILES, "team": _TEAM}),
     "issues": (UserStory, {"number": _INT, "title": _TEXT, "body": _TEXT, "state": _STATE,
                            "labels": _STR_SET, "milestone_history": _MEMBERSHIPS, "assignees": _ASSIGNEES,
@@ -468,33 +476,76 @@ STATS_HEADER = tuple(_SCHEMA["stats"][1])
 # --- readers ---------------------------------------------------------------
 
 
+def _maps(team_map: Mapping[str, str] | None, alias_map: Mapping[str, str] | None = None,
+          commit_ids: dict[str, str] | None = None) -> dict[str, Callable]:
+    """The functions a `_kind` read passes a value through, each called with the value twice.
+
+    A manifest map's lookup gives the value it maps to; `commit_ids`, which
+    maps each commit id read so far to its one copy, gives the first equal id
+    read, so a commit's id, its parents and its stats all hold one string.
+    """
+    return {"team_map": (team_map or {}).get, "alias_map": (alias_map or {}).get,
+            "commit_ids": ({} if commit_ids is None else commit_ids).setdefault}
+
+
+@contextmanager
+def _open_text(path: str | Path, newline: str) -> Iterator[TextIO]:
+    """`path` opened to read as UTF-8 text, each line ended by `newline` as `open` splits it.
+
+    Failing to open or decode it raises the ParseError `read_text` raises:
+    the decoder reads the file in chunks and positions a bad byte within its
+    chunk, so the whole file is read again to position it within the file.
+    A ParseError that the reader raises is raised only once the rest of the
+    file has decoded, so a file that is not UTF-8 fails as that wherever
+    its bad byte is, as when each file was decoded whole before it was read.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as file:
+            try:
+                yield file
+            except ParseError:
+                deque(file, maxlen=0)
+                raise
+    except (OSError, UnicodeDecodeError) as exc:
+        read_text(path)
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def read_commits(
     path: str | Path,
     team_map: Mapping[str, str] | None = None,
     alias_map: Mapping[str, str] | None = None,
+    *,
+    commit_ids: dict[str, str] | None = None,
 ) -> tuple[list[Commit], list[ParseIssue]]:
-    """Read newline-delimited commit records, collecting bad lines with their numbers."""
-    maps = {"team_map": team_map or {}, "alias_map": alias_map or {}}
+    """Read newline-delimited commit records, collecting bad lines with their numbers.
+
+    The file is read a line at a time. Each commit's id and parents are put
+    through `commit_ids` (see `_maps`), a new dict if None.
+    """
+    maps = _maps(team_map, alias_map, commit_ids)
     record_class, reads = _READS["commits"]
     records: list[Commit] = []
     issues: list[ParseIssue] = []
     # split at "\n" only: JSON allows U+2028, U+2029 and U+0085 raw inside a string
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            check_unicode(line, raw)
-            if not isinstance(raw, dict):
-                raise _FieldError("", "line is not a JSON object")
-            records.append(_record_from_dict(record_class, reads, raw, maps))
-        except json.JSONDecodeError as exc:
-            issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc.msg}"))
-        except RecursionError as exc:
-            issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc}"))
-        except (_FieldError, ValueError) as exc:
-            field_name = exc.field_name if isinstance(exc, _FieldError) else None
-            issues.append(ParseIssue(lineno, field_name or None, str(exc)))
+    with _open_text(path, "\n") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            line = line.removesuffix("\n")
+            try:
+                raw = json.loads(line)
+                check_unicode(line, raw)
+                if not isinstance(raw, dict):
+                    raise _FieldError("", "line is not a JSON object")
+                records.append(_record_from_dict(record_class, reads, raw, maps))
+            except json.JSONDecodeError as exc:
+                issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc.msg}"))
+            except RecursionError as exc:
+                issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc}"))
+            except (_FieldError, ValueError) as exc:
+                field_name = exc.field_name if isinstance(exc, _FieldError) else None
+                issues.append(ParseIssue(lineno, field_name or None, str(exc)))
     return records, issues
 
 
@@ -506,7 +557,7 @@ def _read_array_file(
     rows = read_json(path)
     if not isinstance(rows, list):
         raise ParseError(f"{path} must contain a JSON array of {what}")
-    maps = {"team_map": team_map or {}, "alias_map": alias_map or {}}
+    maps = _maps(team_map, alias_map)
     record_class, reads = _READS[kind]
     records = []
     issues: list[ParseIssue] = []
@@ -541,37 +592,45 @@ def read_pulls(
     return _read_array_file(path, "pulls", "pull requests", team_map)
 
 
-def read_stats(path: str | Path) -> tuple[list[BuildStats], list[ParseIssue]]:
-    """Read the per-commit stats table; rows with out-of-range coverage are rejected."""
-    # the reader sees the file's own line breaks, so a quoted field may span lines or hold a "\r"
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+def read_stats(
+    path: str | Path, *, commit_ids: dict[str, str] | None = None
+) -> tuple[list[BuildStats], list[ParseIssue]]:
+    """Read the per-commit stats table; rows with out-of-range coverage are rejected.
+
+    The file is read a row at a time. Each row's commit id is put through
+    `commit_ids` (see `_maps`) unless it is None: a stats file names each
+    commit once, so it shares no id with itself.
+    """
     records: list[BuildStats] = []
     issues: list[ParseIssue] = []
-    try:
-        if tuple(next(reader, ())) != STATS_HEADER:
-            raise ParseError(f"{path} must start with header {','.join(STATS_HEADER)!r}")
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != 3:
-                issues.append(ParseIssue(lineno, None, f"expected 3 columns, got {len(row)}"))
-                continue
-            commit_id = row[0]
-            try:
-                coverage = float(row[1])
-                complexity = float(row[2])
-            except ValueError:
-                issues.append(ParseIssue(lineno, None, f"non-numeric stats for commit {commit_id!r}"))
-                continue
-            try:
-                records.append(BuildStats(commit_id, coverage, complexity))
-            except ValueError as exc:
-                issues.append(ParseIssue(lineno, None, str(exc)))
-    except csv.Error as exc:
-        # e.g. a field over csv.field_size_limit(); the field may be quoted across
-        # lines, so no row after it can be trusted
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    # the reader sees the file's own line breaks, so a quoted field may span lines or hold a "\r"
+    with _open_text(path, "") as file:
+        reader = csv.reader(file)
+        try:
+            if tuple(next(reader, ())) != STATS_HEADER:
+                raise ParseError(f"{path} must start with header {','.join(STATS_HEADER)!r}")
+            for row in reader:
+                lineno = reader.line_num
+                if not row:
+                    continue
+                if len(row) != 3:
+                    issues.append(ParseIssue(lineno, None, f"expected 3 columns, got {len(row)}"))
+                    continue
+                commit_id = row[0] if commit_ids is None else commit_ids.setdefault(row[0], row[0])
+                try:
+                    coverage = float(row[1])
+                    complexity = float(row[2])
+                except ValueError:
+                    issues.append(ParseIssue(lineno, None, f"non-numeric stats for commit {commit_id!r}"))
+                    continue
+                try:
+                    records.append(BuildStats(commit_id, coverage, complexity))
+                except ValueError as exc:
+                    issues.append(ParseIssue(lineno, None, str(exc)))
+        except csv.Error as exc:
+            # e.g. a field over csv.field_size_limit(); the field may be quoted across
+            # lines, so no row after it can be trusted
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return records, issues
 
 
@@ -585,13 +644,15 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[
     Raises on unreadable files or cross-reference failures.
     """
     team_map, alias_map = manifest.team_map, manifest.alias_map
+    # each commit id read -> its one copy, shared by the commits and stats readers while they read
+    commit_ids: dict[str, str] = {}
     # each reader is looked up by name on each call, so a tracer that swaps the module's readers sees it
     readers = {
-        "commits": lambda path: read_commits(path, team_map, alias_map),
+        "commits": lambda path: read_commits(path, team_map, alias_map, commit_ids=commit_ids),
         "issues": lambda path: read_issues(path, team_map, alias_map),
         "sprints": lambda path: read_sprints(path, team_map),
         "pulls": lambda path: read_pulls(path, team_map),
-        "stats": lambda path: read_stats(path),
+        "stats": lambda path: read_stats(path, commit_ids=commit_ids),
     }
     records: list[list] = []
     diagnostics: list[str] = []
@@ -600,6 +661,8 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[
         found, issues = ([], []) if path is None else readers[kind](path)
         records.append(found)
         diagnostics.extend(i.render(path) for i in issues)
+    # the records hold the ids; the table is not needed to build the history
+    commit_ids.clear()
 
     if diagnostics:
         return None, diagnostics

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, eq
 
 from .errors import HistoryError, RecordError, UnknownSprintError
 
@@ -284,14 +286,14 @@ class _TimeIndex:
     def __init__(self, records: Sequence, stamp: Callable[[object], float]) -> None:
         self._records = records
         stamps = list(map(stamp, records))
-        self._order = sorted(range(len(records)), key=stamps.__getitem__)
-        self._stamps = [stamps[i] for i in self._order]
+        # record positions in stamp order, as machine integers rather than an int object each
+        self._order = array("L", sorted(range(len(records)), key=stamps.__getitem__))
+        self._stamps = list(map(stamps.__getitem__, self._order))
 
     def between(self, lo: float, hi: float) -> tuple:
         """Records stamped within (lo, hi], in their original order."""
         cut = self._order[bisect_right(self._stamps, lo) : bisect_right(self._stamps, hi)]
-        cut.sort()
-        return tuple(self._records[i] for i in cut)
+        return tuple(map(self._records.__getitem__, sorted(cut)))
 
 
 class SprintSlice(_Record, namedtuple(
@@ -312,8 +314,8 @@ def _sorted_unique(records: Iterable, duplicate: str, *key_fields: str) -> tuple
     key = attrgetter(*key_fields)
     ordered = sorted(records, key=key)
     keys = list(map(key, ordered))
-    if len(set(keys)) != len(keys):
-        # sorting put equal keys side by side
+    # sorting put equal keys side by side, so comparing neighbours finds them without a set of the keys
+    if any(map(eq, keys, islice(keys, 1, None))):
         first = next(i for i in range(1, len(keys)) if keys[i] == keys[i - 1])
         raise HistoryError(duplicate.format(ordered[first]))
     return tuple(ordered)

@@ -747,6 +747,20 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, kind):
     assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("kind", ["commits", "stats"])
+def test_a_byte_that_is_not_utf8_is_positioned_within_the_whole_file(tmp_path, capsys, kind):
+    # past the first 8 KiB, where a decoder that reads the file in chunks would position it within its chunk
+    original = (_generate(tmp_path / "source") / EXPORTS[kind]).read_bytes()
+    content = original * (8192 // len(original) + 2) + b"\xff\n"
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        content.decode("utf-8")
+    assert decoding.value.start > 8192
+    argv, bad = _argv_reading(tmp_path, kind, content)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: cannot read {bad}: {decoding.value}\n"
+
+
 UNDECODABLE_JSON = {
     "nested-too-deeply": b"[" * 200_000,
     "integer-over-the-digit-limit": b"[" + b"1" * 5000 + b"]",

@@ -246,6 +246,16 @@ def test_read_stats_requires_header(tmp_path):
         read_stats(path)
 
 
+@pytest.mark.parametrize("start", ["a,b,c\n", f'commit_id,coverage_percent,complexity\n"{"x" * 200_000}",50,5\n'],
+                         ids=["no-header", "oversized-field"])
+def test_a_stats_file_that_is_not_utf8_fails_as_that_before_its_rows_fail(tmp_path, start):
+    # the bad byte comes after the rows that fail, as it would come after what a reader decodes first
+    path = tmp_path / "stats.csv"
+    path.write_bytes(start.encode("utf-8") + b"c1,50,5\n" * 2000 + b"\xff\n")
+    with pytest.raises(ParseError, match=r"cannot read .*stats\.csv: 'utf-8' codec can't decode byte 0xff"):
+        read_stats(path)
+
+
 def test_manifest_requires_a_source():
     with pytest.raises(ParseError):
         IngestManifest()
@@ -451,6 +461,27 @@ def test_write_snapshot_holds_no_whole_copy_of_the_snapshot(tmp_path):
     assert peak < 2 * path.stat().st_size
 
 
+@pytest.mark.parametrize(("kind", "bound"), [("commits", 0.5), ("stats", 1.0)])
+def test_an_export_reader_holds_no_whole_copy_of_its_file(tmp_path, kind, bound):
+    history = generate(FixtureSpec(teams=2, sprints=20))[0]
+    path = tmp_path / EXPORTS[kind]
+    records = dict(zip(EXPORTS, history.records()))[kind]
+    getattr(ingest, f"write_{kind}")(path, records)
+    with collector_paused():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            found, issues = getattr(ingest, f"read_{kind}")(path)
+            kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+    assert (found, issues) == (list(records), [])
+    # what the read held beyond the records it kept: reading the whole file first held 1.23 times
+    # the commits file (its text and a list of its lines) and 4.19 times the stats file (its text
+    # and a StringIO of it, 4 bytes a character)
+    assert peak - kept < bound * path.stat().st_size
+
+
 def test_load_snapshot_frees_each_decoded_cell_once_its_record_is_built(tmp_path):
     path = tmp_path / "snap.json"
     write_snapshot(path, generate(FixtureSpec(teams=2, sprints=20))[0])
@@ -513,6 +544,19 @@ def test_records_loaded_from_a_snapshot_share_equal_teams_authors_and_paths(tmp_
     assert first.team is second.team and first.author is second.author
     assert first.files[0].path is second.files[0].path
     # and each commit id is held once: a child's parent and the id's build stats name the commit's own id
+    assert second.parents[0] is first.id and history.build_stats[0].commit_id is first.id
+
+
+def test_records_read_from_exports_hold_each_commit_id_once(tmp_path):
+    commits = [make_commit(cid, T0 + DAY * index, parents=parents)
+               for index, (cid, parents) in enumerate((("c1", ()), ("c2", ("c1",))))]
+    write_commits(tmp_path / "commits.ndjson", commits)
+    write_stats(tmp_path / "stats.csv", [BuildStats("c1", 50.0, 1.0)])
+    manifest = IngestManifest({"commits": tmp_path / "commits.ndjson", "stats": tmp_path / "stats.csv"})
+    history, diagnostics = load_history(manifest)
+    assert diagnostics == []
+    first, second = history.commits
+    # json and csv make a new string for each occurrence; the readers share the first one read
     assert second.parents[0] is first.id and history.build_stats[0].commit_id is first.id
 
 

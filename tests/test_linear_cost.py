@@ -1,4 +1,4 @@
-"""The north star's linear cost, guarded: the read path and the snapshot writer cost about 8x as much at 8x the records.
+"""The north star's linear cost, guarded: the export read, read path and snapshot writer cost 8x at 8x the records.
 
 Each layer is timed in CPU seconds (`time.process_time`) on
 `FixtureSpec(teams=2)` at 10 and at 80 sprints (1,200 and 9,600 commits),
@@ -15,10 +15,11 @@ import time
 
 import pytest
 
+from sprintlint import ingest
 from sprintlint.catalog import default_registry
 from sprintlint.config import MetricConfig
 from sprintlint.fixtures import FixtureSpec, generate
-from sprintlint.ingest import load_snapshot, write_snapshot
+from sprintlint.ingest import EXPORTS, IngestManifest, load_history, load_snapshot, write_snapshot
 from sprintlint.model import window
 from sprintlint.report import build_report, render_json
 from sprintlint.scoring import aggregate_all, trend
@@ -28,8 +29,8 @@ SPRINTS = (10, 80)
 RUNS = 3
 BOUND = 16.0
 # layer -> the calls one timing makes, so that a timing at 10 sprints lasts a few milliseconds
-REPEATS = {"load_snapshot": 1, "write_snapshot": 1, "window of every sprint": 20, "render_json(build_report)": 1,
-           "aggregate_all and trend": 5}
+REPEATS = {"load_history": 1, "load_snapshot": 1, "write_snapshot": 1, "window of every sprint": 20,
+           "render_json(build_report)": 1, "aggregate_all and trend": 5}
 
 
 def _load(path):
@@ -38,12 +39,19 @@ def _load(path):
         return load_snapshot(path)
 
 
-def _layers(path) -> dict:
-    """Each layer of the read path -> a call that runs it on the snapshot at `path`."""
+def _read_exports(manifest):
+    """`load_history` with the cyclic collector paused, as `ingest` runs it."""
+    with collector_paused():
+        return load_history(manifest)
+
+
+def _layers(path, manifest) -> dict:
+    """Each layer of the read path -> a call that runs it on the snapshot at `path` or the exports of `manifest`."""
     history = _load(path)
     registry, config = default_registry(), MetricConfig()
     results = [r for cell in build_report(history, registry, config).cells for r in cell.results]
     return {
+        "load_history": lambda: _read_exports(manifest),
         "load_snapshot": lambda: _load(path),
         "write_snapshot": lambda: write_snapshot(path.with_name(f"rewritten-{path.name}"), history),
         "window of every sprint": lambda: [window(history, sprint.team, sprint.id) for sprint in history.sprints],
@@ -65,9 +73,14 @@ def ratios(tmp_path_factory) -> dict:
     folder = tmp_path_factory.mktemp("linear-cost")
     sizes = []
     for sprints in SPRINTS:
+        history = generate(FixtureSpec(teams=2, sprints=sprints))[0]
         path = folder / f"project-{sprints}.json"
-        write_snapshot(path, generate(FixtureSpec(teams=2, sprints=sprints))[0])
-        sizes.append(_layers(path))
+        write_snapshot(path, history)
+        exports = folder / f"exports-{sprints}"
+        exports.mkdir()
+        for (kind, name), rows in zip(EXPORTS.items(), history.records()):
+            getattr(ingest, f"write_{kind}")(exports / name, rows)
+        sizes.append(_layers(path, IngestManifest({kind: exports / name for kind, name in EXPORTS.items()})))
     best = [dict.fromkeys(REPEATS, math.inf) for _ in sizes]
     for _ in range(RUNS):
         for layer, repeat in REPEATS.items():
