@@ -20,23 +20,27 @@ text (messages, titles, bodies) and a story's state are written inline. It
 encodes and writes one column at a time, filling the table as it goes and
 writing it last, so no second whole copy of the history is held.
 
-`_SCHEMA` defines both forms: one row per export kind, naming each field and
-its column kind. Every kind comes from one of three factories: `_kind` for
-values of one exact type, `_floats` for numbers and epoch timestamps, and
-`_entries` for arrays of nested records. Each declares a field's check once,
-and that check runs both where an export is read (``'<field>' must be
-<expected>``) and where a snapshot is loaded (``must be <expected>, got
-<cell>``), a snapshot column in bulk first. Before that check, a snapshot
-column's names are resolved: each must be an index into ``strings``, an
-integer from 0 to its length less one (so no boolean), or the load fails
-with ``must be an index into strings, got <value>``; the string it indexes
-then meets the column's check. Only timestamps are read in two ways, as an
-export holds ISO-8601 text and a snapshot numbers.
+`_SCHEMA` drives the reads of both forms and the snapshot's write: one row
+per export kind, naming each field and its column kind. Every kind comes
+from one of three factories: `_kind` for values of one exact type, `_floats`
+for numbers and epoch timestamps, and `_entries` for arrays of nested
+records. Each declares a field's check once, and that check runs both where
+an export is read (``'<field>' must be <expected>``) and where a snapshot is
+loaded (``must be <expected>, got <cell>``), a snapshot column in bulk
+first. Before that check, a snapshot column's names are resolved: each must
+be an index into ``strings``, an integer from 0 to its length less one (so
+no boolean), or the load fails with ``must be an index into strings, got
+<value>``; the string it indexes then meets the column's check. Only
+timestamps are read in two ways, as an export holds ISO-8601 text and a
+snapshot numbers.
 
 Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
-an export file are ignored for forward compatibility. Writers emit the same
-schemas back out; write-then-read of any valid record set is the identity.
+an export file are ignored for forward compatibility. Each export kind has
+its own line writer, which builds a record's canonical JSON (a CSV row, for
+stats) straight from the record, its keys written in sorted order; tests
+hold each writer's keys to `_SCHEMA` and its bytes to `canonical_json` of
+the export object. Write-then-read of any valid record set is the identity.
 The commits and stats readers, whose files are the largest, read a line or
 row at a time and hold no whole copy of the file; `load_history` hands both
 one table of commit ids, so a commit's id, its parents and its stats row
@@ -52,7 +56,8 @@ import math
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from itertools import accumulate, chain, count, filterfalse, repeat, starmap
+from itertools import accumulate, chain, count, filterfalse, islice, repeat, starmap
+from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter, setitem
 from pathlib import Path
 from typing import TextIO
@@ -74,7 +79,6 @@ from .model import (
 from .serialize import (
     END_TS,
     FIRST_TS,
-    array_pieces,
     canonical_json,
     check_unicode,
     format_iso_utc,
@@ -217,11 +221,10 @@ def _listed(values: Iterable, table: dict[str, int]) -> list:
     return list(values)
 
 
-class _Column(_Record, namedtuple("_Column", "read write load dump resolve", defaults=(_listed, None))):
-    """One kind of export field: how it is read and written in an export, and loaded and dumped in a snapshot.
+class _Column(_Record, namedtuple("_Column", "read load dump resolve", defaults=(_listed, None))):
+    """One kind of export field: how it is read in an export, and loaded and dumped in a snapshot.
 
     read: export value, field name, the reader's `_maps` -> the record constructor's argument; raises _FieldError
-    write: the record's value -> the export value; None writes the value as it is
     load: the column's cells, their names resolved -> the record constructor's arguments; raises _Malformed
     dump: the records' values, the string table -> the column's cells, each name as its index in the
         table; `_listed` by default
@@ -243,7 +246,7 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
     through: the `_maps` entry a value read from an export (each item, for arrays) is passed
         through, with itself as the default: a manifest map's lookup, so a snapshot holds the
         values it gave, or the commit ids' `setdefault`, so equal ids are one string
-    write: as `_Column.write`; a snapshot cell is written the same way
+    write: a builtin taking the record's value to the snapshot cell's (the export writers write their own)
     names: each value (each item, for arrays) is a name, which a snapshot holds as its index in the string table
     """
 
@@ -280,7 +283,7 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
         return list(map(list, map(map, repeat(table.__getitem__), values)))
 
     resolve = None if not names else _resolve_names if items is None else _resolve_arrays
-    return _Column(read, write, load, dump, resolve)
+    return _Column(read, load, dump, resolve)
 
 
 def _floats(epoch: bool, optional: bool = False) -> _Column:
@@ -300,10 +303,6 @@ def _floats(epoch: bool, optional: bool = False) -> _Column:
             return parse_iso_utc(value, key)
         except ParseError as exc:
             raise _rejected(value, key, str(exc)) from None
-
-    def write(stamp: float | None) -> str | None:
-        # format_iso_utc is looked up on each call, so a caller that swaps the module's copy sees it
-        return None if stamp is None else format_iso_utc(stamp)
 
     def check(value: object) -> None:
         if value is None and optional:
@@ -330,25 +329,16 @@ def _floats(epoch: bool, optional: bool = False) -> _Column:
         _reject_first(values, check)
         return list(map(as_float, values))
 
-    return _Column(read, write, load) if epoch else _Column(None, None, load)
+    return _Column(read, load) if epoch else _Column(None, load)
 
 
 def _reads(fields: Mapping[str, _Column]) -> tuple:
     return tuple((name, column.read) for name, column in fields.items())
 
 
-def _writes(fields: Mapping[str, _Column]) -> tuple:
-    return tuple((name, column.write) for name, column in fields.items())
-
-
 def _record_from_dict(record_class: type, reads: tuple, raw: Mapping, maps: Mapping):
     """The record that the export object `raw` holds, its fields read by `reads`."""
     return record_class._make([read(raw.get(name, _ABSENT), name, maps) for name, read in reads])
-
-
-def _record_to_dict(writes: tuple, record: tuple) -> dict:
-    """The export object of `record`, a tuple of its fields in the order of `writes`."""
-    return {name: value if write is None else write(value) for (name, write), value in zip(writes, record)}
 
 
 def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -> _Column:
@@ -361,7 +351,7 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
     records holding them are, so a constructor failure is reported at its
     record's index.
     """
-    reads, writes = _reads(fields), _writes(fields)
+    reads = _reads(fields)
     columns = tuple(fields.values())
     name_fields = [index for index, column in enumerate(columns) if column.resolve is not None]
     entry_name = f"[{', '.join(fields)}] {({2: 'pair', 3: 'triple'})[len(fields)]}"
@@ -429,7 +419,7 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
         # each entry in turn, checked and then resolved; a cell or entry of another shape is left to `check`
         _reject_first(cells, lambda cell: type(cell) is list and _reject_first(cell, resolve_entry))
 
-    return _Column(read, lambda cell: [_record_to_dict(writes, entry) for entry in cell], load, dump, resolve)
+    return _Column(read, load, dump, resolve)
 
 
 # --- the schema --------------------------------------------------------------
@@ -449,9 +439,11 @@ _STATE = _kind(str, "'open' or 'closed'", ok=_STATES.__contains__, convert=_STAT
 _PARENTS = _kind(list, "an array of strings", items=str, through="commit_ids", names=True)
 _STR_SET = _kind(list, "an array of strings", items=str, write=sorted, names=True)
 _ASSIGNEES = _kind(list, "an array of strings", items=str, through="alias_map", write=sorted, names=True)
-_FILES = _entries(FileChange, {"path": _ID, "added": _INT, "deleted": _INT},
-                  "a non-empty string and two integers")
-_MEMBERSHIPS = _entries(SprintMembership, {"sprint_id": _ID, "assigned_at": _EPOCH},
+# the export fields of each entry of a commit's files and a story's milestone history
+_FILE_FIELDS = {"path": _ID, "added": _INT, "deleted": _INT}
+_MEMBERSHIP_FIELDS = {"sprint_id": _ID, "assigned_at": _EPOCH}
+_FILES = _entries(FileChange, _FILE_FIELDS, "a non-empty string and two integers")
+_MEMBERSHIPS = _entries(SprintMembership, _MEMBERSHIP_FIELDS,
                         "a non-empty string and epoch seconds in years 1 to 9999 (UTC)")
 
 # export kind -> (record class, {export field: column kind} in the order of the class's fields);
@@ -468,7 +460,6 @@ _SCHEMA: dict[str, tuple[type, dict[str, _Column]]] = {
     "stats": (BuildStats, {"commit_id": _ID, "coverage_percent": _NUMBER, "complexity": _NUMBER}),
 }
 _READS = {kind: (record_class, _reads(fields)) for kind, (record_class, fields) in _SCHEMA.items()}
-_WRITES = {kind: _writes(fields) for kind, (_, fields) in _SCHEMA.items()}
 
 STATS_HEADER = tuple(_SCHEMA["stats"][1])
 
@@ -670,43 +661,109 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[
 
 
 # --- writers ---------------------------------------------------------------
+#
+# One line writer per export kind builds a record's JSON text straight from
+# its fields, keys in sorted order, byte for byte as `canonical_json` writes
+# its export object. A string goes through the encoder's own
+# `encode_basestring` and an integer through int's repr, as the encoder
+# writes them, so a value of another type raises TypeError rather than
+# writing text no reader parses. A timestamp is `format_iso_utc`'s text,
+# which holds no character JSON escapes; it is looked up on each call, so a
+# caller that swaps the module's copy sees it.
+
+_text = encode_basestring
+_int = int.__repr__
+
+
+def _stamp(stamp: float | None) -> str:
+    return "null" if stamp is None else f'"{format_iso_utc(stamp)}"'
+
+
+def _names(names: Iterable[str]) -> str:
+    return ",".join(map(_text, names))
+
+
+def _commit_line(commit: Commit) -> str:
+    commit_id, author, authored_at, parents, message, files, team = commit
+    files = ",".join([f'{{"added":{_int(added)},"deleted":{_int(deleted)},"path":{_text(path)}}}'
+                      for path, added, deleted in files])
+    return (f'{{"author":{_text(author)},"authored_at":"{format_iso_utc(authored_at)}","files":[{files}],'
+            f'"id":{_text(commit_id)},"message":{_text(message)},"parents":[{_names(parents)}],'
+            f'"team":{_text(team)}}}\n')
+
+
+def _story_line(story: UserStory) -> str:
+    number, title, body, state, labels, milestones, assignees, created_at, closed_at, team = story
+    history = ",".join([f'{{"assigned_at":"{format_iso_utc(assigned_at)}","sprint_id":{_text(sprint_id)}}}'
+                        for sprint_id, assigned_at in milestones])
+    return (f'{{"assignees":[{_names(sorted(assignees))}],"body":{_text(body)},"closed_at":{_stamp(closed_at)},'
+            f'"created_at":"{format_iso_utc(created_at)}","labels":[{_names(sorted(labels))}],'
+            f'"milestone_history":[{history}],"number":{_int(number)},"state":{_text(state.value)},'
+            f'"team":{_text(team)},"title":{_text(title)}}}')
+
+
+def _sprint_line(sprint: Sprint) -> str:
+    sprint_id, title, starts_at, due_on, team = sprint
+    return (f'{{"due_on":"{format_iso_utc(due_on)}","id":{_text(sprint_id)},'
+            f'"starts_at":"{format_iso_utc(starts_at)}","team":{_text(team)},"title":{_text(title)}}}')
+
+
+def _pull_line(pull: PullRequest) -> str:
+    number, opened_at, closed_at, merged, comments, team = pull
+    return (f'{{"closed_at":{_stamp(closed_at)},"comments":{_int(comments)},'
+            f'"merged":{"true" if merged else "false"},"number":{_int(number)},'
+            f'"opened_at":"{format_iso_utc(opened_at)}","team":{_text(team)}}}')
 
 
 def write_commits(path: str | Path, commits: Iterable[Commit]) -> None:
-    writes = _WRITES["commits"]
-    write_text(path, (canonical_json(_record_to_dict(writes, c)) + "\n" for c in commits))
+    write_text(path, map(_commit_line, commits))
 
 
-def _write_array(path: str | Path, kind: str, records: Iterable) -> None:
-    writes = _WRITES[kind]
-    write_text(path, chain(array_pieces(_record_to_dict(writes, r) for r in records), "\n"))
+def _write_array(path: str | Path, line: Callable[[tuple], str], records: Iterable) -> None:
+    """Write the JSON array of `records`, each item's JSON made by `line`, and a line end."""
+    items = map(line, records)
+    # the first item as it is, then each other one after its comma
+    write_text(path, chain("[", islice(items, 1), map(",".__add__, items), "]\n"))
 
 
 def write_issues(path: str | Path, stories: Iterable[UserStory]) -> None:
-    _write_array(path, "issues", stories)
+    _write_array(path, _story_line, stories)
 
 
 def write_sprints(path: str | Path, sprints: Iterable[Sprint]) -> None:
-    _write_array(path, "sprints", sprints)
+    _write_array(path, _sprint_line, sprints)
 
 
 def write_pulls(path: str | Path, pulls: Iterable[PullRequest]) -> None:
-    _write_array(path, "pulls", pulls)
+    _write_array(path, _pull_line, pulls)
+
+
+# the characters for which csv quotes a field (its delimiter, its quote character and the line
+# terminator), and "\r", which it may leave bare
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _stats_lines(stats: Iterable[BuildStats]) -> Iterator[str]:
+    """The stats CSV a line at a time: a row of two floats and a string id holding none of `_CSV_SPECIAL` is
+    formatted directly, as `csv.writer` would write it, and any other row is written by `csv.writer`."""
+    yield f"{','.join(STATS_HEADER)}\n"
+    for row in stats:
+        commit_id, coverage, complexity = row
+        floats = type(coverage) is type(complexity) is float
+        if floats and type(commit_id) is str and _CSV_SPECIAL.isdisjoint(commit_id):
+            yield f"{commit_id},{coverage!r},{complexity!r}\n"
+            continue
+        out = io.StringIO()
+        if "\r" in commit_id:
+            # a bare "\r" is a line break to a reader; QUOTE_NONNUMERIC quotes only the id and writes floats by repr
+            csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerow(row)
+        else:
+            csv.writer(out, lineterminator="\n").writerow((commit_id, repr(coverage), repr(complexity)))
+        yield out.getvalue()
 
 
 def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    # csv quotes a field holding the line terminator, "\n", but may leave a "\r" bare, which a
-    # reader takes for a line break; QUOTE_NONNUMERIC quotes only the id and writes floats by repr
-    quoting_id = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-    writer.writerow(STATS_HEADER)
-    for s in stats:
-        if "\r" in s.commit_id:
-            quoting_id.writerow((s.commit_id, s.coverage_percent, s.complexity))
-        else:
-            writer.writerow((s.commit_id, repr(s.coverage_percent), repr(s.complexity)))
-    write_text(path, out.getvalue())
+    write_text(path, _stats_lines(stats))
 
 
 # --- snapshot (the validated single-file form the CLI passes between steps) -

@@ -1,13 +1,15 @@
 """Canonical JSON, input file reading and timestamp formatting helpers.
 
-All serialized output in this package goes through `canonical_json` so that
-identical runs produce byte-identical files. Every input file is read
-through `read_text` or `read_json`, and every output file is written through
-`write_text`, which takes either a string or its pieces and encodes them in
-slices, so a large document can be written without being held whole as
-bytes, or as text when it comes in pieces. `object_pieces` and `array_pieces`
-give those pieces for a JSON object or array, each member or item turned to
-text only when its turn comes.
+All JSON output in this package is the text `canonical_json` gives (the
+export line writers in `ingest` build that text straight from the records),
+so that identical runs produce byte-identical files. Every input file is
+read through `read_text` or `read_json`, and every output file is written
+through `write_text`, which takes either a string or its pieces, joins small
+pieces and encodes them in slices, so a large document can be written
+without being held whole as bytes, or as text when it comes in pieces, and
+one given as many small pieces is written in few calls. `object_pieces` and
+`array_pieces` give those pieces for a JSON object or array, each member or
+item turned to text only when its turn comes.
 """
 
 from __future__ import annotations
@@ -63,20 +65,39 @@ SLICE = 1 << 16
 
 
 def utf8_slices(text: str | Iterable[str], errors: str = "strict") -> Iterator[bytes]:
-    """The UTF-8 of `text`, a string or the pieces of one in order, a slice of at most `SLICE` characters at a time.
+    """The UTF-8 of `text`, a string or the pieces of one in order, at most `SLICE` characters at a time.
 
-    A slice of a string never splits a character, so the slices join to `text.encode("utf-8", errors)`.
+    Consecutive pieces are joined up to `SLICE` characters before they are
+    encoded, so a text given as many small pieces (a line each, say) is
+    encoded and written in few calls; a longer piece is sliced, and a slice
+    of a string never splits a character. At most `SLICE` characters are
+    held at once, and the slices join to `text.encode("utf-8", errors)`.
     """
+    held: list[str] = []
+    room = SLICE
     for piece in (text,) if isinstance(text, str) else text:
-        for start in range(0, len(piece), SLICE):
-            yield piece[start:start + SLICE].encode("utf-8", errors)
+        if len(piece) > room:
+            if room < SLICE:
+                yield "".join(held).encode("utf-8", errors)
+                held = []
+            start = 0
+            while len(piece) - start > SLICE:
+                yield piece[start:start + SLICE].encode("utf-8", errors)
+                start += SLICE
+            piece = piece[start:]
+            room = SLICE
+        held.append(piece)
+        room -= len(piece)
+    if room < SLICE:
+        yield "".join(held).encode("utf-8", errors)
 
 
 def write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write `text`, a string or the pieces of one in order, to `path` as UTF-8, whole or not at all.
 
     The `utf8_slices` of `text` are written to a temporary file beside `path`
-    in turn, so only one slice at a time is held as bytes; the temporary
+    in turn, so only one slice at a time is held as bytes, and small pieces
+    are joined into a slice before they are encoded and written; the temporary
     file then replaces `path`. A failed write, a piece that cannot be made
     or encoded included, leaves an earlier file at `path` as it was and no
     temporary file behind. A path that names something other than a regular
@@ -162,7 +183,6 @@ def parse_iso_utc(text: str, what: str = "timestamp") -> float:
 
 
 def format_iso_utc(ts: float) -> str:
-    """Render UTC epoch seconds as ISO-8601 with a Z suffix."""
-    moment = datetime.fromtimestamp(ts, tz=timezone.utc)
-    spec = "microseconds" if moment.microsecond else "seconds"
-    return moment.isoformat(timespec=spec).replace("+00:00", "Z")
+    """Render UTC epoch seconds as ISO-8601 with a Z suffix, with microseconds only when there are any."""
+    # isoformat writes microseconds only when there are any, and "+00:00" as its last six characters
+    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()[:-6] + "Z"

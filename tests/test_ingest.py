@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import tracemalloc
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -432,6 +435,20 @@ def test_write_text_encodes_a_string_in_slices_that_split_no_character(tmp_path,
     assert path.read_bytes() == text.encode("utf-8")
 
 
+@settings(deadline=None)
+@given(lengths=st.lists(st.sampled_from([0, 1, 7, serialize.SLICE - 1, serialize.SLICE, 2 * serialize.SLICE + 3]),
+                        max_size=6))
+@example(lengths=[10] * 10_000)
+def test_utf8_slices_join_small_pieces_and_hold_at_most_a_slice(lengths):
+    pieces = ["\u00e9" * length if position % 2 else "x" * length for position, length in enumerate(lengths)]
+    slices = list(serialize.utf8_slices(iter(pieces)))
+    assert b"".join(slices) == "".join(pieces).encode("utf-8")
+    texts = [piece.decode("utf-8") for piece in slices]
+    assert all(0 < len(text) <= serialize.SLICE for text in texts)
+    # joined, not one slice per piece: each slice and the next are more than a slice together
+    assert all(len(a) + len(b) > serialize.SLICE for a, b in zip(texts, texts[1:]))
+
+
 def test_a_failing_piece_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old", encoding="utf-8")
@@ -606,6 +623,15 @@ def test_parse_iso_utc_reads_every_instant_format_iso_utc_writes(text, expected)
     assert parse_iso_utc(format_iso_utc(expected)) == expected
 
 
+@given(stamp=st.floats(serialize.FIRST_TS, serialize.END_TS - 1))
+@example(stamp=serialize.FIRST_TS)
+@example(stamp=1421071380.25)
+def test_format_iso_utc_writes_seconds_and_microseconds_only_when_there_are_any(stamp):
+    moment = datetime.fromtimestamp(stamp, tz=timezone.utc)
+    spec = "microseconds" if moment.microsecond else "seconds"
+    assert format_iso_utc(stamp) == moment.isoformat(timespec=spec).replace("+00:00", "Z")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -761,6 +787,140 @@ def test_a_carriage_return_in_a_stats_commit_id_round_trips(tmp_path):
     # only an id holding a carriage return is quoted, and only the id
     assert text.split("\n", 1)[1] == '"a\rb",50.0,1.0\n"""\r\n""",0.30000000000000004,2\nc,1.0,1.0\n'
     assert read_stats(tmp_path / "stats.csv") == (stats, [])
+
+
+# the cases a drawn history may miss: fractional seconds, an unmerged closed pull, empty parents, files,
+# labels and milestones, text with U+2028, quotes, backslashes and control characters, and stats ids
+# holding each character csv quotes
+ODD_TEXT = 'a\u2028b "q" \\ \x00\x1f\x7f\t\r\n\u00e9'
+ODD_IDS = ["plain", 'a,"b\r\nc', "comma,", 'quote"', "cr\r", "lf\n"]
+EDGES = build_history(
+    [Commit(ODD_IDS[0], "Ann", T0 + 0.5, [], ODD_TEXT, [], "alpha"),
+     *(Commit(commit_id, "bob", T0 + DAY + 0.000001, [ODD_IDS[0]], "", [FileChange(ODD_TEXT, 0, 2**63)], "alpha")
+       for commit_id in ODD_IDS[1:])],
+    [UserStory(1, ODD_TEXT, "", StoryState.OPEN, [], [], [], T0 + 0.25, None, "alpha"),
+     UserStory(2, "", ODD_TEXT, StoryState.CLOSED, ["b", ODD_TEXT], [SprintMembership("s1", T0 + 1.75)],
+               ["Bob", "ann"], T0, T0 + DAY + 0.125, "alpha")],
+    [Sprint("s1", ODD_TEXT, T0 - 0.5, T0 + 7 * DAY + 0.999999, "alpha")],
+    [PullRequest(1, T0 + 0.1, T0 + DAY, False, 0, "alpha"), PullRequest(2, T0, T0 + 2.5, True, 3, "alpha"),
+     PullRequest(3, T0 + 0.75, None, False, 2**63, "alpha")],
+    [BuildStats(commit_id, 0.1 + 0.2, 2) for commit_id in ODD_IDS],
+)
+
+
+def _export_value(column, value):
+    """`value` of a field of kind `column` as the schema-driven writer put it in the export object."""
+    if column is ingest._EPOCH or column is ingest._OPTIONAL_EPOCH:
+        return None if value is None else format_iso_utc(value)
+    if column is ingest._STATE:
+        return value.value
+    if column is ingest._STR_SET or column is ingest._ASSIGNEES:
+        return sorted(value)
+    if column is ingest._FILES or column is ingest._MEMBERSHIPS:
+        fields = ingest._FILE_FIELDS if column is ingest._FILES else ingest._MEMBERSHIP_FIELDS
+        return [_export_object(fields, entry) for entry in value]
+    return value
+
+
+def _export_object(fields, record):
+    return {name: _export_value(column, value) for (name, column), value in zip(fields.items(), record)}
+
+
+def _schema_driven_export(kind, records) -> str:
+    """The text of the export of `records` as the writer driven by `_SCHEMA` wrote it: an export object per
+    record through `canonical_json`, or the stats rows through `csv.writer`."""
+    if kind == "stats":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        quoting_id = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+        writer.writerow(ingest.STATS_HEADER)
+        for s in records:
+            if "\r" in s.commit_id:
+                quoting_id.writerow((s.commit_id, s.coverage_percent, s.complexity))
+            else:
+                writer.writerow((s.commit_id, repr(s.coverage_percent), repr(s.complexity)))
+        return out.getvalue()
+    objects = [_export_object(ingest._SCHEMA[kind][1], record) for record in records]
+    if kind == "commits":
+        return "".join(canonical_json(obj) + "\n" for obj in objects)
+    return canonical_json(objects) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(history=histories())
+@example(history=EDGES)
+@example(history=ONE_NAME)
+def test_each_export_writer_writes_the_bytes_of_the_schema_driven_writer(tmp_path_factory, history):
+    directory = tmp_path_factory.mktemp("export-bytes")
+    for kind, records in zip(EXPORTS, history.records()):
+        path = directory / EXPORTS[kind]
+        getattr(ingest, f"write_{kind}")(path, records)
+        assert path.read_bytes() == _schema_driven_export(kind, records).encode("utf-8"), kind
+
+
+def test_each_written_object_holds_the_export_fields_its_schema_names(tmp_path):
+    # a field added to `_SCHEMA` without its line writer fails here
+    nested = {"files": ingest._FILE_FIELDS, "milestone_history": ingest._MEMBERSHIP_FIELDS}
+    entries = dict.fromkeys(nested, 0)
+    for kind, records in zip(EXPORTS, EDGES.records()):
+        path = tmp_path / EXPORTS[kind]
+        getattr(ingest, f"write_{kind}")(path, records)
+        fields = sorted(ingest._SCHEMA[kind][1])
+        if kind == "stats":
+            with path.open(encoding="utf-8", newline="") as file:
+                header, *rows = csv.reader(file)
+            assert header == list(ingest._SCHEMA[kind][1])
+            assert len(rows) == len(records) and {len(row) for row in rows} == {len(fields)}
+            continue
+        text = path.read_text(encoding="utf-8")
+        # split at "\n" only: a message may hold U+2028
+        objects = [json.loads(line) for line in text.split("\n")[:-1]] if kind == "commits" else json.loads(text)
+        assert len(objects) == len(records), kind
+        for obj in objects:
+            assert sorted(obj) == fields, kind
+            for name in nested.keys() & obj.keys():
+                for entry in obj[name]:
+                    assert sorted(entry) == sorted(nested[name]), name
+                    entries[name] += 1
+    assert all(entries.values()), entries
+
+
+# a value of each type some field's reader rejects, the text of some holding a separator of each format
+WRONG_TYPES = [None, 1.5, True, 2**70, "a,b\n", ("a",), [1], {}, b"x"]
+
+
+@pytest.mark.parametrize("kind", list(EXPORTS))
+def test_a_field_of_a_type_the_readers_reject_fails_the_write_or_reads_back_as_a_field_issue(tmp_path, kind):
+    record = dict(zip(EXPORTS, EDGES.records()))[kind][-1]
+    path = tmp_path / EXPORTS[kind]
+    for index, field in enumerate(record._fields):
+        for value in WRONG_TYPES:
+            # the record's own constructor would check some of these, so it is built around it
+            wrong = tuple.__new__(type(record), (*record[:index], value, *record[index + 1:]))
+            path.write_text("old", encoding="utf-8")
+            try:
+                getattr(ingest, f"write_{kind}")(path, [wrong])
+            except (TypeError, ValueError, AttributeError, OverflowError):
+                assert path.read_text(encoding="utf-8") == "old", (field, value)
+                continue
+            _, issues = getattr(ingest, f"read_{kind}")(path)
+            # written text that parses: no line that is not JSON, no row that is not three columns
+            assert not [i for i in issues if i.message.startswith(("invalid JSON", "expected 3"))], (field, value)
+
+
+def test_write_stats_holds_no_whole_copy_of_its_file(tmp_path):
+    stats = [BuildStats(f"team-{i % 2 + 1:02d}-c{i:06d}", 60 + i / 1e6, 100 + i / 1e5) for i in range(14_400)]
+    path = tmp_path / "stats.csv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_stats(path, stats)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert read_stats(path) == (stats, [])
+    # building the whole table in a StringIO and copying it out peaked at 3.86 times this file
+    assert peak < path.stat().st_size
 
 
 def test_stats_and_commits_files_with_crlf_line_ends_read(tmp_path):

@@ -501,7 +501,7 @@ VALUES = {
     MetricConfig: lambda: MetricConfig({"huge-stories": {"weight": 5}}, {s.value: 1 for s in Severity}),
     ParseIssue: lambda: ParseIssue(3, "team", "team must be a string"),
     IngestManifest: lambda: IngestManifest({"commits": Path("c.ndjson")}, {"a": "alpha"}, {"Ann": "ann"}),
-    _Column: lambda: _Column(str, None, list, list),
+    _Column: lambda: _Column(str, list, list),
     InjectionRecord: lambda: InjectionRecord("huge-stories", TEAM, "s1", ("#1",)),
     FixtureCertificate: lambda: FixtureCertificate(42, "mt19937", 54, True, True, "0" * 64),
     Finding: lambda: Finding((_violation(),), 75.0, {"violations": 1}),
