@@ -50,7 +50,6 @@ hold one string.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from collections import deque, namedtuple
@@ -665,14 +664,32 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[
 # One line writer per export kind builds a record's JSON text straight from
 # its fields, keys in sorted order, byte for byte as `canonical_json` writes
 # its export object. A string goes through the encoder's own
-# `encode_basestring` and an integer through int's repr, as the encoder
-# writes them, so a value of another type raises TypeError rather than
-# writing text no reader parses. A timestamp is `format_iso_utc`'s text,
-# which holds no character JSON escapes; it is looked up on each call, so a
-# caller that swaps the module's copy sees it.
+# `encode_basestring`, and an integer, a boolean or an array of names is
+# written only when its value is of that exact type, so a value of another
+# type raises TypeError rather than writing text no reader parses or that
+# reads back as a different valid value. A timestamp is `format_iso_utc`'s
+# text, which holds no character JSON escapes; it is looked up on each call,
+# so a caller that swaps the module's copy sees it.
 
 _text = encode_basestring
-_int = int.__repr__
+
+
+def _wrong_type(value: object, expected: str) -> TypeError:
+    return TypeError(f"expected {expected}, got {type(value).__name__}")
+
+
+def _int(value: int) -> str:
+    if type(value) is not int:
+        raise _wrong_type(value, "an int")
+    return repr(value)
+
+
+def _bool(value: bool) -> str:
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise _wrong_type(value, "a bool")
 
 
 def _stamp(stamp: float | None) -> str:
@@ -685,6 +702,8 @@ def _names(names: Iterable[str]) -> str:
 
 def _commit_line(commit: Commit) -> str:
     commit_id, author, authored_at, parents, message, files, team = commit
+    if type(parents) is not tuple and type(parents) is not list:
+        raise _wrong_type(parents, "an array of commit ids")
     files = ",".join([f'{{"added":{_int(added)},"deleted":{_int(deleted)},"path":{_text(path)}}}'
                       for path, added, deleted in files])
     return (f'{{"author":{_text(author)},"authored_at":"{format_iso_utc(authored_at)}","files":[{files}],'
@@ -711,7 +730,7 @@ def _sprint_line(sprint: Sprint) -> str:
 def _pull_line(pull: PullRequest) -> str:
     number, opened_at, closed_at, merged, comments, team = pull
     return (f'{{"closed_at":{_stamp(closed_at)},"comments":{_int(comments)},'
-            f'"merged":{"true" if merged else "false"},"number":{_int(number)},'
+            f'"merged":{_bool(merged)},"number":{_int(number)},'
             f'"opened_at":"{format_iso_utc(opened_at)}","team":{_text(team)}}}')
 
 
@@ -738,32 +757,30 @@ def write_pulls(path: str | Path, pulls: Iterable[PullRequest]) -> None:
     _write_array(path, _pull_line, pulls)
 
 
-# the characters for which csv quotes a field (its delimiter, its quote character and the line
-# terminator), and "\r", which it may leave bare
+# an id holding one of these is quoted, its quotes doubled, as `csv.writer` writes a field holding its
+# delimiter, its quote character or its line terminator; "\r", which `csv.writer` may leave bare though a
+# reader takes it for a line break, is quoted too
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
-def _stats_lines(stats: Iterable[BuildStats]) -> Iterator[str]:
-    """The stats CSV a line at a time: a row of two floats and a string id holding none of `_CSV_SPECIAL` is
-    formatted directly, as `csv.writer` would write it, and any other row is written by `csv.writer`."""
-    yield f"{','.join(STATS_HEADER)}\n"
-    for row in stats:
-        commit_id, coverage, complexity = row
-        floats = type(coverage) is type(complexity) is float
-        if floats and type(commit_id) is str and _CSV_SPECIAL.isdisjoint(commit_id):
-            yield f"{commit_id},{coverage!r},{complexity!r}\n"
-            continue
-        out = io.StringIO()
-        if "\r" in commit_id:
-            # a bare "\r" is a line break to a reader; QUOTE_NONNUMERIC quotes only the id and writes floats by repr
-            csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerow(row)
-        else:
-            csv.writer(out, lineterminator="\n").writerow((commit_id, repr(coverage), repr(complexity)))
-        yield out.getvalue()
+def _number(value: float) -> str:
+    """A float or an int as `csv.writer` writes it: its repr."""
+    if type(value) is not float and type(value) is not int:
+        raise _wrong_type(value, "a number")
+    return repr(value)
+
+
+def _stats_line(row: BuildStats) -> str:
+    commit_id, coverage, complexity = row
+    if type(commit_id) is not str:
+        raise _wrong_type(commit_id, "a str")
+    if not _CSV_SPECIAL.isdisjoint(commit_id):
+        commit_id = '"' + commit_id.replace('"', '""') + '"'
+    return f"{commit_id},{_number(coverage)},{_number(complexity)}\n"
 
 
 def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:
-    write_text(path, _stats_lines(stats))
+    write_text(path, chain([f"{','.join(STATS_HEADER)}\n"], map(_stats_line, stats)))
 
 
 # --- snapshot (the validated single-file form the CLI passes between steps) -
