@@ -885,8 +885,9 @@ def test_each_written_object_holds_the_export_fields_its_schema_names(tmp_path):
     assert all(entries.values()), entries
 
 
-# a value of each type some field's reader rejects, the text of some holding a separator of each format
-WRONG_TYPES = [None, 1.5, True, False, 0, 2**70, "a,b\n", ("a",), ("a,b",), [1], {}, b"x"]
+# a value of each type some field's reader rejects, the text of some holding a separator of each format, and
+# an array of one file change whose line count is a boolean
+WRONG_TYPES = [None, 1.5, True, False, 0, 2**70, "a,b\n", ("a",), ("a,b",), [1], {}, {"a"}, b"x", (("a", True, 0),)]
 
 
 @pytest.mark.parametrize("kind", list(EXPORTS))
@@ -911,31 +912,6 @@ def test_a_field_of_a_type_the_readers_reject_fails_the_write_or_is_written_as_t
             _, issues = getattr(ingest, f"read_{kind}")(path)
             # written text that parses: no line that is not JSON, no row that is not three columns
             assert not [i for i in issues if i.message.startswith(("invalid JSON", "expected 3"))], (field, value)
-
-
-def _built_around(record, **fields):
-    """`record` with `fields` replaced, built around its constructor, which would check or convert them."""
-    return tuple.__new__(type(record), map(fields.get, record._fields, record))
-
-
-def test_a_boolean_number_a_merged_flag_that_is_not_a_boolean_or_parents_that_are_no_array_fail_the_write(
-        tmp_path):
-    pull, story, commit, stats = EDGES.pulls[1], EDGES.stories[-1], EDGES.commits[-1], EDGES.records()[-1][0]
-    wrong = [
-        (write_pulls, _built_around(pull, number=True)), (write_pulls, _built_around(pull, comment_count=False)),
-        *((write_pulls, _built_around(pull, merged=merged)) for merged in (1, 0, None)),
-        (write_issues, _built_around(story, number=True)),
-        (ingest.write_commits, _built_around(commit, files=(_built_around(commit.files[0], lines_added=True),))),
-        *((ingest.write_commits, _built_around(commit, parents=parents)) for parents in ({}, "ab", {"a"})),
-        (write_stats, _built_around(stats, commit_id=("a,b",))),
-        (write_stats, _built_around(stats, coverage_percent=True)),
-    ]
-    path = tmp_path / "export"
-    for write, record in wrong:
-        path.write_text("old", encoding="utf-8")
-        with pytest.raises(TypeError):
-            write(path, [record])
-        assert path.read_text(encoding="utf-8") == "old", record
 
 
 def test_write_stats_holds_no_whole_copy_of_its_file(tmp_path):
