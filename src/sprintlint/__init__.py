@@ -58,6 +58,7 @@ from .ingest import IngestManifest, load_history
 from .model import (
     BuildStats,
     Commit,
+    Diagnostic,
     FileChange,
     Finding,
     MetricDescriptor,

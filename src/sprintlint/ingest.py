@@ -20,19 +20,21 @@ text (messages, titles, bodies) and a story's state are written inline. It
 encodes and writes one column at a time, filling the table as it goes and
 writing it last, so no second whole copy of the history is held.
 
-`_SCHEMA` drives the reads of both forms and the snapshot's write: one row
-per export kind, naming each field and its column kind. Every kind comes
-from one of three factories: `_kind` for values of one exact type, `_floats`
-for numbers and epoch timestamps, and `_entries` for arrays of nested
-records. Each declares a field's check once, and that check runs both where
-an export is read (``'<field>' must be <expected>``) and where a snapshot is
-loaded (``must be <expected>, got <cell>``), a snapshot column in bulk
-first. Before that check, a snapshot column's names are resolved: each must
-be an index into ``strings``, an integer from 0 to its length less one (so
-no boolean), or the load fails with ``must be an index into strings, got
-<value>``; the string it indexes then meets the column's check. Only
-timestamps are read in two ways, as an export holds ISO-8601 text and a
-snapshot numbers.
+`_SCHEMA` drives the snapshot's load and write and the `_SCHEMA` read of
+an export: one row per export kind, naming each field and its column kind.
+Every kind comes from one of three factories: `_kind` for values of one
+exact type, `_floats` for numbers and epoch timestamps, and `_entries` for
+arrays of nested records. Each declares a field's check once, and that check
+runs both where an export is read (``'<field>' must be <expected>``) and
+where a snapshot is loaded (``must be <expected>, got <cell>``), a snapshot
+column in bulk first. Before that check, a snapshot column's names are
+resolved: each must be an index into ``strings``, an integer from 0 to its
+length less one (so no boolean), or the load fails with ``must be an index
+into strings, got <value>``; the string it indexes then meets the column's
+check. Only timestamps are read in two ways, as an export holds ISO-8601
+text and a snapshot numbers. The commits and pulls readers build each
+well-formed record directly (`_commit`, `_pull`); the `_SCHEMA` read words
+their rejections, and it still reads every story and sprint.
 
 Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
@@ -242,9 +244,8 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
     ok: a builtin true of each valid value, so a snapshot column is checked in C
     items: the exact type of each item of a valid value, for a kind of arrays
     convert: a builtin taking a valid value to the record constructor's argument
-    through: the `_maps` entry a value read from an export (each item, for arrays) is passed
-        through, with itself as the default: a manifest map's lookup, so a snapshot holds the
-        values it gave, or the commit ids' `setdefault`, so equal ids are one string
+    through: the `_maps` entry, a manifest map's lookup, that a value read from an export (each item, for
+        arrays) is passed through, with itself as the default, so a snapshot holds the values it gave
     write: a builtin taking the record's value to the snapshot cell's (the export writers write their own)
     names: each value (each item, for arrays) is a name, which a snapshot holds as its index in the string table
     """
@@ -424,7 +425,6 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
 # --- the schema --------------------------------------------------------------
 
 _ID = _kind(str, "a non-empty string", ok=len, names=True)
-_COMMIT_ID = _kind(str, "a non-empty string", ok=len, through="commit_ids", names=True)
 _TEXT = _kind(str, "a string")
 _TEAM = _kind(str, "a non-empty string", ok=len, through="team_map", names=True)
 _AUTHOR = _kind(str, "a non-empty string", ok=len, through="alias_map", names=True)
@@ -435,7 +435,7 @@ _EPOCH = _floats(epoch=True)
 _OPTIONAL_EPOCH = _floats(epoch=True, optional=True)
 _STATE = _kind(str, "'open' or 'closed'", ok=_STATES.__contains__, convert=_STATES.__getitem__,
                write=attrgetter("value"))
-_PARENTS = _kind(list, "an array of strings", items=str, through="commit_ids", names=True)
+_PARENTS = _kind(list, "an array of strings", items=str, names=True)
 _STR_SET = _kind(list, "an array of strings", items=str, write=sorted, names=True)
 _ASSIGNEES = _kind(list, "an array of strings", items=str, through="alias_map", write=sorted, names=True)
 # the export fields of each entry of a commit's files and a story's milestone history
@@ -448,7 +448,7 @@ _MEMBERSHIPS = _entries(SprintMembership, _MEMBERSHIP_FIELDS,
 # export kind -> (record class, {export field: column kind} in the order of the class's fields);
 # a snapshot's columns are named like the export fields
 _SCHEMA: dict[str, tuple[type, dict[str, _Column]]] = {
-    "commits": (Commit, {"id": _COMMIT_ID, "author": _AUTHOR, "authored_at": _EPOCH, "parents": _PARENTS,
+    "commits": (Commit, {"id": _ID, "author": _AUTHOR, "authored_at": _EPOCH, "parents": _PARENTS,
                          "message": _TEXT, "files": _FILES, "team": _TEAM}),
     "issues": (UserStory, {"number": _INT, "title": _TEXT, "body": _TEXT, "state": _STATE,
                            "labels": _STR_SET, "milestone_history": _MEMBERSHIPS, "assignees": _ASSIGNEES,
@@ -465,17 +465,13 @@ STATS_HEADER = tuple(_SCHEMA["stats"][1])
 
 # --- readers ---------------------------------------------------------------
 
+# one decoder for every commit line: `json.loads` checks a text's type and start before it decodes
+_decode = json.JSONDecoder().raw_decode
 
-def _maps(team_map: Mapping[str, str] | None, alias_map: Mapping[str, str] | None = None,
-          commit_ids: dict[str, str] | None = None) -> dict[str, Callable]:
-    """The functions a `_kind` read passes a value through, each called with the value twice.
 
-    A manifest map's lookup gives the value it maps to; `commit_ids`, which
-    maps each commit id read so far to its one copy, gives the first equal id
-    read, so a commit's id, its parents and its stats all hold one string.
-    """
-    return {"team_map": (team_map or {}).get, "alias_map": (alias_map or {}).get,
-            "commit_ids": ({} if commit_ids is None else commit_ids).setdefault}
+def _maps(team_map: Mapping[str, str] | None, alias_map: Mapping[str, str] | None = None) -> dict[str, Callable]:
+    """The manifest maps' lookups a `_kind` read passes a value through, each called with the value twice."""
+    return {"team_map": (team_map or {}).get, "alias_map": (alias_map or {}).get}
 
 
 @contextmanager
@@ -501,6 +497,41 @@ def _open_text(path: str | Path, newline: str) -> Iterator[TextIO]:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _commit(raw: Mapping, maps: Mapping, share: Callable[[str, str], str]) -> Commit | None:
+    """The commit `raw` holds, its id and parents put through `share`; None where `_SCHEMA`'s read rejects a field."""
+    commit_id, author, authored_at, parents, message, files, team = map(raw.get, _SCHEMA["commits"][1])
+    if not (type(commit_id) is str and commit_id and type(author) is str and author and type(team) is str and team
+            and type(parents) is list and _all_of(str, parents) and type(message) is str and type(files) is list):
+        return None
+    try:
+        authored_at = parse_iso_utc(authored_at)
+    except ParseError:
+        return None
+    changes = []
+    for entry in files:
+        if not isinstance(entry, dict):  # the read's `type(entry) is dict`, as decoded JSON holds only exact dicts
+            return None
+        path, added, deleted = map(entry.get, _FILE_FIELDS)
+        if not (type(path) is str and path and type(added) is int and type(deleted) is int):
+            return None
+        changes.append(FileChange(path, added, deleted))  # a negative count raises as under `_SCHEMA`'s read
+    return Commit(share(commit_id, commit_id), maps["alias_map"](author, author), authored_at,
+                  list(map(share, parents, parents)), message, changes, maps["team_map"](team, team))
+
+
+def _pull(raw: Mapping, maps: Mapping) -> PullRequest | None:
+    """The pull request the export object `raw` holds; None where `_SCHEMA`'s read rejects a field."""
+    number, opened_at, closed_at, merged, comments, team = map(raw.get, _SCHEMA["pulls"][1])
+    if not (type(number) is int and type(merged) is bool and type(comments) is int and type(team) is str and team):
+        return None
+    try:
+        opened_at = parse_iso_utc(opened_at)
+        closed_at = None if closed_at is None else parse_iso_utc(closed_at)
+    except ParseError:
+        return None
+    return PullRequest(number, opened_at, closed_at, merged, comments, maps["team_map"](team, team))
+
+
 def read_commits(
     path: str | Path,
     team_map: Mapping[str, str] | None = None,
@@ -511,10 +542,11 @@ def read_commits(
     """Read newline-delimited commit records, collecting bad lines with their numbers.
 
     The file is read a line at a time. Each commit's id and parents are put
-    through `commit_ids` (see `_maps`), a new dict if None.
+    through `commit_ids`, which maps each commit id read so far to its one
+    copy (a new dict if None), so equal ids read are one string.
     """
-    maps = _maps(team_map, alias_map, commit_ids)
-    record_class, reads = _READS["commits"]
+    maps = _maps(team_map, alias_map)
+    share = ({} if commit_ids is None else commit_ids).setdefault
     records: list[Commit] = []
     issues: list[ParseIssue] = []
     # split at "\n" only: JSON allows U+2028, U+2029 and U+0085 raw inside a string
@@ -524,11 +556,17 @@ def read_commits(
                 continue
             line = line.removesuffix("\n")
             try:
-                raw = json.loads(line)
+                try:
+                    raw, end = _decode(line)
+                    if end != len(line):
+                        raise ValueError
+                except (ValueError, RecursionError):
+                    # surrounding whitespace, a BOM, trailing data or bad JSON, read or worded as `json.loads` does
+                    raw = json.loads(line)
                 check_unicode(line, raw)
                 if not isinstance(raw, dict):
                     raise _FieldError("", "line is not a JSON object")
-                records.append(_record_from_dict(record_class, reads, raw, maps))
+                records.append(_commit(raw, maps, share) or _record_from_dict(*_READS["commits"], raw, maps))
             except json.JSONDecodeError as exc:
                 issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc.msg}"))
             except RecursionError as exc:
@@ -541,9 +579,9 @@ def read_commits(
 
 def _read_array_file(
     path: str | Path, kind: str, what: str, team_map: Mapping[str, str] | None,
-    alias_map: Mapping[str, str] | None = None,
+    alias_map: Mapping[str, str] | None = None, build: Callable[[Mapping, Mapping], tuple | None] | None = None,
 ) -> tuple[list, list[ParseIssue]]:
-    """Read each entry of a JSON array file of `what`, collecting bad ones by their index."""
+    """Read each entry of a JSON array file of `what`, by `build` if given, collecting bad ones by index."""
     rows = read_json(path)
     if not isinstance(rows, list):
         raise ParseError(f"{path} must contain a JSON array of {what}")
@@ -555,7 +593,7 @@ def _read_array_file(
         try:
             if not isinstance(raw, dict):
                 raise _FieldError("", f"{what} entry is not an object")
-            records.append(_record_from_dict(record_class, reads, raw, maps))
+            records.append(build and build(raw, maps) or _record_from_dict(record_class, reads, raw, maps))
         except (_FieldError, ValueError) as exc:
             field_name = exc.field_name if isinstance(exc, _FieldError) else None
             issues.append(ParseIssue(index, field_name or None, str(exc)))
@@ -579,7 +617,7 @@ def read_sprints(
 def read_pulls(
     path: str | Path, team_map: Mapping[str, str] | None = None
 ) -> tuple[list[PullRequest], list[ParseIssue]]:
-    return _read_array_file(path, "pulls", "pull requests", team_map)
+    return _read_array_file(path, "pulls", "pull requests", team_map, build=_pull)
 
 
 def read_stats(
@@ -588,8 +626,8 @@ def read_stats(
     """Read the per-commit stats table; rows with out-of-range coverage are rejected.
 
     The file is read a row at a time. Each row's commit id is put through
-    `commit_ids` (see `_maps`) unless it is None: a stats file names each
-    commit once, so it shares no id with itself.
+    `commit_ids` (see `read_commits`) unless it is None: a stats file names
+    each commit once, so it shares no id with itself.
     """
     records: list[BuildStats] = []
     issues: list[ParseIssue] = []

@@ -24,9 +24,9 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter, eq
 
 from .errors import HistoryError, RecordError, UnknownSprintError
@@ -280,6 +280,19 @@ class MetricResult(_Record, namedtuple(
         return tuple.__new__(cls, (metric, team, sprint, violations, score, inputs_echo, diagnostic, error_type))
 
 
+class Diagnostic(_Record, namedtuple("Diagnostic", "kind text")):
+    """One flag a history raises without rejecting a record: its kind, to count flags by, and its text.
+
+    Kinds: ``shallow-parent``, a commit's parent missing from the export;
+    ``overlapping-sprints``, two sprints of one team whose windows overlap;
+    ``no-sprint-window`` and ``many-sprint-windows``, how many of a team's
+    commits, or of its pull requests, fall in none of its sprint windows, or
+    in more than one. Reports write the text only.
+    """
+
+    __slots__ = ()
+
+
 class _TimeIndex:
     """Records sorted by a timestamp, for cutting out half-open time intervals."""
 
@@ -294,6 +307,20 @@ class _TimeIndex:
         """Records stamped within (lo, hi], in their original order."""
         cut = self._order[bisect_right(self._stamps, lo) : bisect_right(self._stamps, hi)]
         return tuple(map(self._records.__getitem__, sorted(cut)))
+
+    def outside_and_shared(self, spans: Iterable[tuple[float, float]]) -> tuple[int, int]:
+        """How many records are stamped within none of the intervals (lo, hi] of `spans`, and how many in 2 or more."""
+        # one pair of bisections per span gives the positions, in stamp order, where it opens and closes; a sweep
+        # over them counts the records between each cut and the next by how many spans are open there (at one
+        # position an opening, -1, sorts before a closing, 1, so that count never falls below 0)
+        cuts = sorted(chain.from_iterable(
+            ((bisect_right(self._stamps, lo), -1), (bisect_right(self._stamps, hi), 1)) for lo, hi in spans))
+        counts = [0, 0, 0]  # records within no span, one span, and two or more
+        depth = position = 0
+        for cut, step in cuts:
+            counts[min(depth, 2)] += cut - position
+            depth, position = depth - step, cut
+        return counts[0] + len(self._stamps) - position, counts[2]
 
 
 class SprintSlice(_Record, namedtuple(
@@ -321,6 +348,33 @@ def _sorted_unique(records: Iterable, duplicate: str, *key_fields: str) -> tuple
     return tuple(ordered)
 
 
+def _window_flags(team: str, sprints: Sequence[Sprint], indexes: tuple[_TimeIndex, _TimeIndex]) -> Iterator:
+    """The `Diagnostic`s of one team with `sprints`: each pair of them that overlaps, then how many of its
+    commits and of its pulls (`indexes`) fall in no sprint window and in more than one.
+
+    A team with no sprints has no window to miss, so its records are not flagged.
+    """
+    if not sprints:
+        return
+    ordered = sorted(sprints, key=attrgetter("starts_at", "id"))
+    for index, first in enumerate(ordered):
+        later = index + 1
+        # windows (a, b] and (c, d] with a <= c overlap when c < b
+        while later < len(ordered) and ordered[later].starts_at < first.due_on:
+            second = ordered[later]
+            yield Diagnostic("overlapping-sprints", f"sprints {first.id} and {second.id} of team {team} overlap")
+            later += 1
+    spans = [(sprint.starts_at, sprint.due_on) for sprint in sprints]
+    for what, time_index in zip(("commits", "pull requests"), indexes):
+        outside, shared = time_index.outside_and_shared(spans)
+        total = len(time_index._stamps)
+        if outside:
+            yield Diagnostic("no-sprint-window", f"team {team} has {outside} of {total} {what} in no sprint window")
+        if shared:
+            yield Diagnostic("many-sprint-windows",
+                             f"team {team} has {shared} of {total} {what} in more than one sprint window")
+
+
 def _by_team(records: Iterable, teams: Iterable[str]) -> dict[str, tuple]:
     """`records` grouped by their `team`, keeping their order; every team gets a group."""
     groups: dict[str, list] = {t: [] for t in teams}
@@ -335,8 +389,10 @@ class ProjectHistory:
     The constructor sorts each collection by its primary key, so input order
     does not matter; checks keys and cross-references; derives `teams`,
     `developers` and `diagnostics`, which flag unknown commit parents (a
-    shallow export) without rejecting them; and builds the lookups that
-    `window` reads. Histories with equal records are equal.
+    shallow export), overlapping sprints and commits and pulls in no sprint
+    window or in more than one without rejecting them, each a `Diagnostic`;
+    and builds the lookups that `window` reads. Histories with equal records
+    are equal.
     """
 
     # set in this order by `__init__`; the five record collections first, as `__repr__` names them
@@ -374,8 +430,8 @@ class ProjectHistory:
         for stat in build_stats:
             if stat.commit_id not in commit_ids:
                 raise HistoryError(f"build stats reference unknown commit {stat.commit_id!r}")
-        diagnostics = tuple(
-            f"commit {commit.id} parent {parent} not in export (shallow history?)"
+        shallow = tuple(
+            Diagnostic("shallow-parent", f"commit {commit.id} parent {parent} not in export (shallow history?)")
             for commit in commits
             for parent in commit.parents
             if parent not in commit_ids
@@ -396,6 +452,8 @@ class ProjectHistory:
         }
         sprints_by_team = _by_team(sorted(sprints, key=lambda s: (s.due_on, s.id)), teams)
         stats_by_commit = {s.commit_id: s for s in build_stats}
+        diagnostics = shallow + tuple(chain.from_iterable(
+            _window_flags(t, sprints_by_team[t], time_indexes[t]) for t in teams))
         developers = {t: frozenset(d) for t, d in developers.items()}
         for name, value in zip(self.__slots__, (
             commits, stories, sprints, pulls, build_stats, teams, developers, diagnostics, sprint_by_id,

@@ -158,7 +158,7 @@ def render_json(report: RunReport, history: ProjectHistory) -> str:
         "config_digest": [canonical_json(report.config.digest())],
         "config": [canonical_json(report.config.to_dict())],
         "now": [canonical_json(format_iso_utc(report.now))],
-        "diagnostics": array_pieces(history.diagnostics),
+        "diagnostics": array_pieces(diagnostic.text for diagnostic in history.diagnostics),
         "results": _result_pieces((r for cell in report.cells for r in cell.results), titles),
         "scores": array_pieces(scores),
         "unfinished_stories": array_pieces(c.unfinished._asdict() for c in report.cells if c.unfinished is not None),
@@ -192,7 +192,7 @@ def render_markdown(report: RunReport, history: ProjectHistory, registry: Metric
         lines.append("## Diagnostics")
         lines.append("")
         for diagnostic in history.diagnostics:
-            lines.append(f"- {_one_line(diagnostic)}")
+            lines.append(f"- {_one_line(diagnostic.text)}")
         lines.append("")
 
     current_team = None

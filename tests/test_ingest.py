@@ -28,6 +28,7 @@ from sprintlint import (
 from sprintlint.ingest import (
     EXPORTS,
     IngestManifest,
+    ParseIssue,
     load_history,
     load_snapshot,
     read_commits,
@@ -956,3 +957,239 @@ def test_each_export_and_its_snapshot_collection_name_one_field_per_record_field
             names = list(json.loads(text)[0])
         assert sorted(names) == sorted(columns[kind]), kind
         assert len(names) == len(type(records[0])._fields), kind
+
+
+# --- the commits and pulls record builders against the `_SCHEMA` read ------------
+#
+# `read_commits` and `read_pulls` build a well-formed record directly and call the `_SCHEMA` read,
+# `_record_from_dict`, only to word a rejection. The readers below are the ones they replaced, kept as the
+# reference: each line decoded by `json.loads`, each object read by `_record_from_dict` alone.
+
+SCHEMA_READ = ingest._record_from_dict
+
+
+def _schema_read_commits(path, team_map=None, alias_map=None):
+    maps = ingest._maps(team_map, alias_map)
+    records, issues = [], []
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            line = line.removesuffix("\n")
+            try:
+                raw = json.loads(line)
+                serialize.check_unicode(line, raw)
+                if not isinstance(raw, dict):
+                    raise ingest._FieldError("", "line is not a JSON object")
+                records.append(SCHEMA_READ(*ingest._READS["commits"], raw, maps))
+            except json.JSONDecodeError as exc:
+                issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc.msg}"))
+            except RecursionError as exc:
+                issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc}"))
+            except (ingest._FieldError, ValueError) as exc:
+                issues.append(ParseIssue(lineno, getattr(exc, "field_name", None) or None, str(exc)))
+    return records, issues
+
+
+def _schema_read_pulls(path, team_map=None):
+    maps = ingest._maps(team_map)
+    records, issues = [], []
+    for index, raw in enumerate(serialize.read_json(path)):
+        try:
+            if not isinstance(raw, dict):
+                raise ingest._FieldError("", "pull requests entry is not an object")
+            records.append(SCHEMA_READ(*ingest._READS["pulls"], raw, maps))
+        except (ingest._FieldError, ValueError) as exc:
+            issues.append(ParseIssue(index, getattr(exc, "field_name", None) or None, str(exc)))
+    return records, issues
+
+
+def _outcome(read, *args):
+    """What `read(*args)` returns, or the type and message of what it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:  # whatever a reader raises, the other must raise alike
+        return type(exc).__name__, str(exc)
+
+
+def _read_without_building_by_the_schema_read(read, *args):
+    """`_outcome(read, *args)`, failing if a commit or pull is ever built by `_record_from_dict`."""
+    built = []
+
+    def spy(record_class, reads, raw, maps):
+        record = SCHEMA_READ(record_class, reads, raw, maps)
+        if record_class in (Commit, PullRequest):
+            built.append(record)
+        return record
+
+    ingest._record_from_dict = spy
+    try:
+        found = _outcome(read, *args)
+    finally:
+        ingest._record_from_dict = SCHEMA_READ
+    assert built == [], "the `_SCHEMA` read built a record the builder rejected"
+    return found
+
+
+DELETE = object()
+# values a field may be set to, or deleted: those near a valid value of some field, then any JSON value
+NEAR_VALUES = [
+    DELETE, "", "x", "2015-01-12T14:03:00Z", "2015-01-12T14:03:00", "2015-01-12T14:03:00+01:00",
+    "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "yesterday", 0, -1, 1, 2**63, True, False, 1.0, 1.5,
+    None, [], ["a"], ["a", 1], ["a", True], [None], {}, [{}], [5], [{"path": "a", "added": 1, "deleted": 0}],
+    [{"path": "a", "added": -1, "deleted": 0}], [{"path": "", "added": 1, "deleted": 0}],
+    [{"path": "a", "added": True, "deleted": 0}], [{"path": "a", "added": 1}],
+]
+FIELD_VALUES = st.sampled_from(NEAR_VALUES) | JSON_VALUES
+# pieces a splice puts into a commits file: JSON's own punctuation, whitespace, a BOM, a lone surrogate's
+# escape, U+2028 and text
+PIECES = st.sampled_from(["\n", "\r", " ", "\t", "\ufeff", "{", "}", "[", "]", ",", ":", '"', "\\", "\\ud800",
+                          "null", "true", "0", "-1", "1e400", '"x"', "Z", "\u2028"]) | st.text(max_size=3)
+
+
+def _mutated(data, obj, nested):
+    """`obj`, with up to three of its fields (or, under `nested`, of its first entry's) set to a drawn value
+    or deleted."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        target = obj
+        if nested in obj and type(obj[nested]) is list and obj[nested] and type(obj[nested][0]) is dict \
+                and data.draw(st.booleans()):
+            target = obj[nested][0]
+        key = data.draw(st.sampled_from([*sorted(target), "extra"]))
+        value = data.draw(FIELD_VALUES)
+        if value is DELETE:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return obj
+
+
+def _maps_drawn(data, names):
+    """No map, or one taking some of `names` each to "" (which a record then rejects) or to another name."""
+    if not names or data.draw(st.booleans()):
+        return None
+    return {name: data.draw(st.sampled_from(["", "mapped", name.upper()])) for name in names
+            if data.draw(st.booleans())}
+
+
+@settings(max_examples=100, deadline=None)
+@given(history=histories(), data=st.data())
+def test_the_commits_and_pulls_readers_read_as_the_schema_read_alone_did(tmp_path_factory, history, data):
+    # same records, issues and messages on valid objects, mutated ones and byte splices of a commits file, with
+    # and without manifest maps; and no record is built by the `_SCHEMA` read
+    directory = tmp_path_factory.mktemp("builders")
+    commits, pulls = [*history.commits, *EDGES.commits], [*history.pulls, *EDGES.pulls]
+    write_commits(directory / "commits.ndjson", commits)
+    lines = (directory / "commits.ndjson").read_text(encoding="utf-8").split("\n")[:-1]
+    objects = [_mutated(data, json.loads(line), "files") for line in lines]
+    text = "".join(json.dumps(obj, ensure_ascii=data.draw(st.booleans())) + "\n" for obj in objects)
+    for _ in range(data.draw(st.integers(0, 2))):
+        start = data.draw(st.integers(0, len(text)))
+        end = data.draw(st.integers(start, min(len(text), start + 8)))
+        text = text[:start] + data.draw(PIECES) + text[end:]
+    path = directory / "spliced.ndjson"
+    path.write_bytes(text.encode("utf-8"))
+    team_map = _maps_drawn(data, sorted({record.team for record in [*commits, *pulls]}))
+    alias_map = _maps_drawn(data, sorted({commit.author for commit in commits}))
+    expected = _outcome(_schema_read_commits, path, team_map, alias_map)
+    assert _read_without_building_by_the_schema_read(read_commits, path, team_map, alias_map) == expected
+
+    write_pulls(directory / "pulls.json", pulls)
+    objects = [_mutated(data, obj, None) for obj in json.loads((directory / "pulls.json").read_text(encoding="utf-8"))]
+    path = directory / "mutated.json"
+    path.write_text(json.dumps([*objects, *data.draw(st.lists(JSON_VALUES, max_size=1))]), encoding="utf-8")
+    expected = _outcome(_schema_read_pulls, path, team_map)
+    assert _read_without_building_by_the_schema_read(read_pulls, path, team_map) == expected
+
+
+# manifest maps under which a record's team or author is kept, renamed, or mapped to "" (which its record rejects)
+MANIFEST_MAPS = [(None, None), ({"alpha": "beta"}, {"ann@example.org": "Bob"}), ({"alpha": ""}, None),
+                 (None, {"ann@example.org": ""})]
+
+
+def _one_change_each(base, nested=None):
+    """`base` once as it is, then once with each of its fields, an extra one and each field of its first `nested`
+    entry set to each of `NEAR_VALUES` (`DELETE` deletes it)."""
+    yield base
+    paths = [(key,) for key in [*base, "extra"]]
+    if nested:
+        paths += [(nested, 0, key) for key in [*base[nested][0], "extra"]]
+    for *parents, key in paths:
+        for value in NEAR_VALUES:
+            changed = json.loads(json.dumps(base))
+            target = changed
+            for step in parents:
+                target = target[step]
+            if value is DELETE:
+                target.pop(key, None)
+            else:
+                target[key] = value
+            yield changed
+
+
+@pytest.mark.parametrize("team_map, alias_map", MANIFEST_MAPS)
+def test_each_builder_accepts_exactly_the_objects_the_schema_read_accepts(tmp_path, team_map, alias_map):
+    # every one-field change of a valid commit and pull, each read as the `_SCHEMA` read alone read it, and
+    # none built by that read
+    commits = list(_one_change_each(_commit_line(), "files"))
+    path = tmp_path / "commits.ndjson"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in commits), encoding="utf-8")
+    expected = _schema_read_commits(path, team_map, alias_map)
+    assert _read_without_building_by_the_schema_read(read_commits, path, team_map, alias_map) == expected
+    assert 0 < len(expected[0]) < len(commits) and len(expected[1]) > len(commits) // 2
+    write_pulls(tmp_path / "pulls.json", [make_pull(1, T0, T0 + DAY, merged=True, comments=2)])
+    pulls = list(_one_change_each(json.loads((tmp_path / "pulls.json").read_text(encoding="utf-8"))[0]))
+    path.write_text(json.dumps(pulls), encoding="utf-8")
+    expected = _schema_read_pulls(path, team_map)
+    assert _read_without_building_by_the_schema_read(read_pulls, path, team_map) == expected
+    assert 0 < len(expected[0]) < len(pulls) and len(expected[1]) > len(pulls) // 2
+
+
+BASE_LINE = json.dumps(_commit_line())
+LONE_SURROGATE = BASE_LINE.replace('"first"', '"\\ud800"')
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("line, issue", [
+    (f"  {BASE_LINE}  ", None),
+    (f"{BASE_LINE}\r", None),  # the line ended "\r\n"
+    (f"\ufeff{BASE_LINE}", "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (f"{BASE_LINE} x", "invalid JSON: Extra data"),
+    (f"[{BASE_LINE}]", "line is not a JSON object"),
+    (LONE_SURROGATE, "lone surrogate \\ud800 is not valid Unicode text"),
+    (DEEP, "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+], ids=["spaces", "crlf", "bom", "trailing-data", "array", "lone-surrogate", "too-deep"])
+def test_a_commit_line_the_decoder_cannot_read_whole_is_read_or_worded_as_json_loads_does(tmp_path, line, issue):
+    path = tmp_path / "commits.ndjson"
+    path.write_text(f"{BASE_LINE}\n{line}\n", encoding="utf-8", newline="")
+    records, issues = read_commits(path)
+    assert (records, issues) == _schema_read_commits(path)
+    if issue is None:
+        assert issues == [] and len(records) == 2 and records[0] == records[1]
+    else:
+        assert issues == [ParseIssue(2, None, issue)] and len(records) == 1
+
+
+class _Recording(dict):
+    """A dict that notes each key read from it through `get`."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+def test_each_record_builder_reads_the_fields_its_schema_names_in_order(tmp_path):
+    # a field added to `_SCHEMA` fails here until the builder reads it
+    maps = ingest._maps(None)
+    entry = _Recording(_commit_line()["files"][0])
+    commit = _Recording({**_commit_line(), "files": [entry]})
+    assert ingest._commit(commit, maps, {}.setdefault) == SCHEMA_READ(*ingest._READS["commits"], _commit_line(), maps)
+    assert commit.read == list(ingest._SCHEMA["commits"][1]) and entry.read == list(ingest._FILE_FIELDS)
+    write_pulls(tmp_path / "pulls.json", [make_pull(1, T0, T0 + DAY, merged=True)])
+    pull = _Recording(json.loads((tmp_path / "pulls.json").read_text(encoding="utf-8"))[0])
+    assert ingest._pull(pull, maps) == SCHEMA_READ(*ingest._READS["pulls"], dict(pull), maps)
+    assert pull.read == list(ingest._SCHEMA["pulls"][1])

@@ -19,6 +19,7 @@ import sprintlint
 from sprintlint import (
     BuildStats,
     Commit,
+    Diagnostic,
     FileChange,
     FileEditProfile,
     Finding,
@@ -159,7 +160,38 @@ def test_stats_referencing_unknown_commit_rejected():
 def test_unknown_parent_is_flagged_not_fatal():
     commit = make_commit("c2", T0, parents=("missing",))
     history = build_history(commits=[commit])
-    assert any("missing" in d and "shallow" in d for d in history.diagnostics)
+    assert any("missing" in d.text and "shallow" in d.text for d in history.diagnostics)
+
+
+# sprint bounds and record stamps on a few whole days, so windows often meet, overlap or leave gaps
+DAYS = st.integers(0, 6).map(lambda day: T0 + day * DAY)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounds=st.lists(st.lists(DAYS, min_size=2, max_size=2, unique=True).map(sorted), max_size=4),
+       commit_days=st.lists(DAYS, max_size=6), pull_days=st.lists(DAYS, max_size=3))
+def test_window_flags_count_each_record_by_the_windows_that_hold_it(bounds, commit_days, pull_days):
+    sprints = [make_sprint(f"s{n}", start=start, days=(due - start) / DAY) for n, (start, due) in enumerate(bounds)]
+    commits = [make_commit(f"c{n}", day) for n, day in enumerate(commit_days)]
+    pulls = [make_pull(n + 1, day) for n, day in enumerate(pull_days)]
+    history = build_history(commits=commits, sprints=sprints, pulls=pulls)
+    expected = [("overlapping-sprints", f"sprints {a.id} and {b.id} of team {TEAM} overlap")
+                for a, b in sorted(((a, b) for a in sprints for b in sprints
+                                    if (a.starts_at, a.id) < (b.starts_at, b.id) and b.starts_at < a.due_on),
+                                   key=lambda pair: [(s.starts_at, s.id) for s in pair])]
+    if sprints:
+        for what, field, records in (("commits", "commits", commits), ("pull requests", "pulls", pulls)):
+            # how many of the windows `window` cuts hold each record
+            cuts = [getattr(window(history, TEAM, s.id), field) for s in sprints]
+            held = [sum(record in cut for cut in cuts) for record in records]
+            outside, shared = held.count(0), sum(n > 1 for n in held)
+            if outside:
+                expected.append(("no-sprint-window",
+                                 f"team {TEAM} has {outside} of {len(records)} {what} in no sprint window"))
+            if shared:
+                expected.append(("many-sprint-windows",
+                                 f"team {TEAM} has {shared} of {len(records)} {what} in more than one sprint window"))
+    assert [(d.kind, d.text) for d in history.diagnostics] == expected
 
 
 def test_record_order_does_not_matter():
@@ -500,6 +532,7 @@ VALUES = {
     RunReport: lambda: RunReport(MetricConfig(), T0, (_cell(),)),
     MetricConfig: lambda: MetricConfig({"huge-stories": {"weight": 5}}, {s.value: 1 for s in Severity}),
     ParseIssue: lambda: ParseIssue(3, "team", "team must be a string"),
+    Diagnostic: lambda: Diagnostic("shallow-parent", "commit c1 parent c0 not in export (shallow history?)"),
     IngestManifest: lambda: IngestManifest({"commits": Path("c.ndjson")}, {"a": "alpha"}, {"Ann": "ann"}),
     _Column: lambda: _Column(str, list, list),
     InjectionRecord: lambda: InjectionRecord("huge-stories", TEAM, "s1", ("#1",)),

@@ -25,6 +25,7 @@ from sprintlint import (
     render_json,
     render_markdown,
     run_all,
+    window,
 )
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject, injection_from_dict, spec_from_dict
 from sprintlint.report import VIOLATION_BATCH, history_horizon
@@ -208,6 +209,30 @@ def test_markdown_writes_line_breaks_in_export_text_as_escapes():
     assert "### Sprint 1\\n## Team mallory (s1)" in lines
     assert "- huge-stories: story #1\\nis huge [#1\\n## Team eve, #2\\r]" in lines
     assert "\r" not in markdown
+
+
+def test_overlapping_sprints_and_records_in_no_window_or_in_two_are_flagged_in_both_reports():
+    # s1 and s2 overlap from day 5 to 10; a commit at day 7 falls in both, at days 17 and 40 in none
+    sprints = [Sprint(f"s{n}", f"Sprint {n}", T0 + start * DAY, T0 + (start + 10) * DAY, TEAM)
+               for n, start in ((1, 0), (2, 5), (3, 20))]
+    commits = [make_commit(f"c{day}", T0 + day * DAY + 1) for day in (0, 7, 17, 40)]
+    pulls = [make_pull(1, T0 + 7 * DAY + 1), make_pull(2, T0 + 25 * DAY)]
+    history = build_history(commits=commits, sprints=sprints, pulls=pulls)
+    flags = [
+        ("overlapping-sprints", f"sprints s1 and s2 of team {TEAM} overlap"),
+        ("no-sprint-window", f"team {TEAM} has 2 of 4 commits in no sprint window"),
+        ("many-sprint-windows", f"team {TEAM} has 1 of 4 commits in more than one sprint window"),
+        ("many-sprint-windows", f"team {TEAM} has 1 of 2 pull requests in more than one sprint window"),
+    ]
+    assert [(d.kind, d.text) for d in history.diagnostics] == flags
+    # the records are flagged, not rejected: `window` still counts the day-7 commit in both sprints
+    assert [c.id for c in window(history, TEAM, "s1").commits] == ["c0", "c7"]
+    assert [c.id for c in window(history, TEAM, "s2").commits] == ["c7"]
+    report = build_report(history, REGISTRY, CONFIG)
+    assert json.loads(render_json(report, history))["diagnostics"] == [text for _, text in flags]
+    markdown = render_markdown(report, history, REGISTRY)
+    listed = "".join(f"- {text}\n" for _, text in flags)
+    assert f"## Diagnostics\n\n{listed}\n" in markdown
 
 
 def test_run_all_evaluates_only_the_requested_sprints():
