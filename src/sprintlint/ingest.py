@@ -20,21 +20,21 @@ text (messages, titles, bodies) and a story's state are written inline. It
 encodes and writes one column at a time, filling the table as it goes and
 writing it last, so no second whole copy of the history is held.
 
-`_SCHEMA` drives the snapshot's load and write and the `_SCHEMA` read of
-an export: one row per export kind, naming each field and its column kind.
-Every kind comes from one of three factories: `_kind` for values of one
-exact type, `_floats` for numbers and epoch timestamps, and `_entries` for
-arrays of nested records. Each declares a field's check once, and that check
-runs both where an export is read (``'<field>' must be <expected>``) and
-where a snapshot is loaded (``must be <expected>, got <cell>``), a snapshot
-column in bulk first. Before that check, a snapshot column's names are
-resolved: each must be an index into ``strings``, an integer from 0 to its
-length less one (so no boolean), or the load fails with ``must be an index
-into strings, got <value>``; the string it indexes then meets the column's
-check. Only timestamps are read in two ways, as an export holds ISO-8601
-text and a snapshot numbers. The commits and pulls readers build each
-well-formed record directly (`_commit`, `_pull`); the `_SCHEMA` read words
-their rejections, and it still reads every story and sprint.
+`_SCHEMA` drives the snapshot's load and write and the generic export read,
+`_record_from_dict`: one row per export kind, naming each field and its
+column kind. Every kind comes from one of three factories: `_kind` for values
+of one exact type, `_floats` for numbers and epoch timestamps, and `_entries`
+for arrays of nested records. Each declares a field's check once, and that
+check runs both where an export is read (``'<field>' must be <expected>``)
+and where a snapshot is loaded (``must be <expected>, got <cell>``), a
+snapshot column in bulk first. Before that check, a snapshot column's names
+are resolved: each must be an index into ``strings``, an integer from 0 to
+its length less one (so no boolean), or the load fails with ``must be an
+index into strings, got <value>``; the string it indexes then meets the
+column's check. Only timestamps are read in two ways, as an export holds
+ISO-8601 text and a snapshot numbers. The commits and pulls readers build
+each well-formed record directly (`_commit`, `_pull`); the `_SCHEMA` read
+path words their rejections, and it still reads every story and sprint.
 
 Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
