@@ -20,11 +20,11 @@ text (messages, titles, bodies) and a story's state are written inline. It
 encodes and writes one column at a time, filling the table as it goes and
 writing it last, so no second whole copy of the history is held.
 
-`_SCHEMA` drives the snapshot's load and write and the generic export read,
-`_record_from_dict`: one row per export kind, naming each field and its
-column kind. Every kind comes from one of three factories: `_kind` for values
-of one exact type, `_floats` for numbers and epoch timestamps, and `_entries`
-for arrays of nested records. Each declares a field's check once, and that
+`_SCHEMA` drives the snapshot's load and write and the checks of the export
+fields: one row per export kind, naming each field and its column kind.
+Every kind comes from one of three factories: `_kind` for values of one
+exact type, `_floats` for numbers and epoch timestamps, and `_entries` for
+arrays of nested records. Each declares a field's check once, and that
 check runs both where an export is read (``'<field>' must be <expected>``)
 and where a snapshot is loaded (``must be <expected>, got <cell>``), a
 snapshot column in bulk first. Before that check, a snapshot column's names
@@ -32,9 +32,12 @@ are resolved: each must be an index into ``strings``, an integer from 0 to
 its length less one (so no boolean), or the load fails with ``must be an
 index into strings, got <value>``; the string it indexes then meets the
 column's check. Only timestamps are read in two ways, as an export holds
-ISO-8601 text and a snapshot numbers. The commits and pulls readers build
-each well-formed record directly (`_commit`, `_pull`); the `_SCHEMA` read
-path words their rejections, and it still reads every story and sprint.
+ISO-8601 text and a snapshot numbers. Each JSON export kind has one builder
+(`_commit`, `_story`, `_sprint`, `_pull`), which reads its object's fields
+in `_SCHEMA` order, each through its column kind's `read` (a nested entry's
+fields in turn, where its array is read), so a rejection names the first
+field that fails; the builder puts teams and authors through the manifest's
+maps itself.
 
 Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
@@ -225,7 +228,7 @@ def _listed(values: Iterable, table: dict[str, int]) -> list:
 class _Column(_Record, namedtuple("_Column", "read load dump resolve", defaults=(_listed, None))):
     """One kind of export field: how it is read in an export, and loaded and dumped in a snapshot.
 
-    read: export value, field name, the reader's `_maps` -> the record constructor's argument; raises _FieldError
+    read: an export object, a field name -> the field's checked value, as its builder takes it; raises _FieldError
     load: the column's cells, their names resolved -> the record constructor's arguments; raises _Malformed
     dump: the records' values, the string table -> the column's cells, each name as its index in the
         table; `_listed` by default
@@ -237,15 +240,12 @@ class _Column(_Record, namedtuple("_Column", "read load dump resolve", defaults=
 
 
 def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | None = None,
-          convert: Callable | None = None, through: str | None = None, write: Callable | None = None,
-          names: bool = False) -> _Column:
+          convert: Callable | None = None, write: Callable | None = None, names: bool = False) -> _Column:
     """The column kind of values of exact type `cls` (so a bool is no integer), which must be `expected`.
 
     ok: a builtin true of each valid value, so a snapshot column is checked in C
     items: the exact type of each item of a valid value, for a kind of arrays
     convert: a builtin taking a valid value to the record constructor's argument
-    through: the `_maps` entry, a manifest map's lookup, that a value read from an export (each item, for
-        arrays) is passed through, with itself as the default, so a snapshot holds the values it gave
     write: a builtin taking the record's value to the snapshot cell's (the export writers write their own)
     names: each value (each item, for arrays) is a name, which a snapshot holds as its index in the string table
     """
@@ -254,13 +254,11 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
         return (_all_of(cls, values) and (ok is None or all(map(ok, values)))
                 and (items is None or _all_of(items, chain.from_iterable(values))))
 
-    def read(value: object, key: str, maps: Mapping) -> object:
+    def read(raw: Mapping, key: str) -> object:
+        value = raw.get(key, _ABSENT)
         if (type(value) is not cls or ok is not None and not ok(value)
                 or items is not None and not _all_of(items, value)):
             raise _rejected(value, key, f"{key!r} must be {expected}")
-        if through is not None:
-            passed = maps[through]
-            return passed(value, value) if items is None else list(map(passed, value, value))
         return value if convert is None else convert(value)
 
     def check(value: object) -> None:
@@ -296,7 +294,8 @@ def _floats(epoch: bool, optional: bool = False) -> _Column:
     """
     expected = "a number of epoch seconds" if epoch else "a number"
 
-    def read(value: object, key: str, maps: Mapping) -> float | None:
+    def read(raw: Mapping, key: str) -> float | None:
+        value = raw.get(key, _ABSENT)
         if optional and (value is None or value is _ABSENT):
             return None
         try:
@@ -332,15 +331,6 @@ def _floats(epoch: bool, optional: bool = False) -> _Column:
     return _Column(read, load) if epoch else _Column(None, load)
 
 
-def _reads(fields: Mapping[str, _Column]) -> tuple:
-    return tuple((name, column.read) for name, column in fields.items())
-
-
-def _record_from_dict(record_class: type, reads: tuple, raw: Mapping, maps: Mapping):
-    """The record that the export object `raw` holds, its fields read by `reads`."""
-    return record_class._make([read(raw.get(name, _ABSENT), name, maps) for name, read in reads])
-
-
 def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -> _Column:
     """A column whose cells are arrays of `record_class` records, each an object of `fields` in an export.
 
@@ -349,22 +339,11 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
     A field whose column holds names holds their indexes in the string
     table, which are resolved first. The entries are built lazily, as the
     records holding them are, so a constructor failure is reported at its
-    record's index.
+    record's index. In an export, `read` checks only that they are an array.
     """
-    reads = _reads(fields)
     columns = tuple(fields.values())
     name_fields = [index for index, column in enumerate(columns) if column.resolve is not None]
     entry_name = f"[{', '.join(fields)}] {({2: 'pair', 3: 'triple'})[len(fields)]}"
-
-    def read(value: object, key: str, maps: Mapping) -> list:
-        if type(value) is not list:
-            raise _rejected(value, key, f"{key!r} must be an array")
-        entries = []
-        for index, entry in enumerate(value):
-            if type(entry) is not dict:
-                raise _FieldError(key, f"{key}[{index}] must be an object")
-            entries.append(_record_from_dict(record_class, reads, entry, maps))
-        return entries
 
     def valid(entries: list) -> bool:
         if not (_all_of(list, entries) and set(map(len, entries)) <= {len(columns)}):
@@ -419,15 +398,13 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
         # each entry in turn, checked and then resolved; a cell or entry of another shape is left to `check`
         _reject_first(cells, lambda cell: type(cell) is list and _reject_first(cell, resolve_entry))
 
-    return _Column(read, load, dump, resolve)
+    return _Column(_kind(list, "an array").read, load, dump, resolve)
 
 
 # --- the schema --------------------------------------------------------------
 
 _ID = _kind(str, "a non-empty string", ok=len, names=True)
 _TEXT = _kind(str, "a string")
-_TEAM = _kind(str, "a non-empty string", ok=len, through="team_map", names=True)
-_AUTHOR = _kind(str, "a non-empty string", ok=len, through="alias_map", names=True)
 _INT = _kind(int, "an integer")
 _BOOL = _kind(bool, "a boolean")
 _NUMBER = _floats(epoch=False)
@@ -437,7 +414,6 @@ _STATE = _kind(str, "'open' or 'closed'", ok=_STATES.__contains__, convert=_STAT
                write=attrgetter("value"))
 _PARENTS = _kind(list, "an array of strings", items=str, names=True)
 _STR_SET = _kind(list, "an array of strings", items=str, write=sorted, names=True)
-_ASSIGNEES = _kind(list, "an array of strings", items=str, through="alias_map", write=sorted, names=True)
 # the export fields of each entry of a commit's files and a story's milestone history
 _FILE_FIELDS = {"path": _ID, "added": _INT, "deleted": _INT}
 _MEMBERSHIP_FIELDS = {"sprint_id": _ID, "assigned_at": _EPOCH}
@@ -448,17 +424,16 @@ _MEMBERSHIPS = _entries(SprintMembership, _MEMBERSHIP_FIELDS,
 # export kind -> (record class, {export field: column kind} in the order of the class's fields);
 # a snapshot's columns are named like the export fields
 _SCHEMA: dict[str, tuple[type, dict[str, _Column]]] = {
-    "commits": (Commit, {"id": _ID, "author": _AUTHOR, "authored_at": _EPOCH, "parents": _PARENTS,
-                         "message": _TEXT, "files": _FILES, "team": _TEAM}),
+    "commits": (Commit, {"id": _ID, "author": _ID, "authored_at": _EPOCH, "parents": _PARENTS,
+                         "message": _TEXT, "files": _FILES, "team": _ID}),
     "issues": (UserStory, {"number": _INT, "title": _TEXT, "body": _TEXT, "state": _STATE,
-                           "labels": _STR_SET, "milestone_history": _MEMBERSHIPS, "assignees": _ASSIGNEES,
-                           "created_at": _EPOCH, "closed_at": _OPTIONAL_EPOCH, "team": _TEAM}),
-    "sprints": (Sprint, {"id": _ID, "title": _TEXT, "starts_at": _EPOCH, "due_on": _EPOCH, "team": _TEAM}),
+                           "labels": _STR_SET, "milestone_history": _MEMBERSHIPS, "assignees": _STR_SET,
+                           "created_at": _EPOCH, "closed_at": _OPTIONAL_EPOCH, "team": _ID}),
+    "sprints": (Sprint, {"id": _ID, "title": _TEXT, "starts_at": _EPOCH, "due_on": _EPOCH, "team": _ID}),
     "pulls": (PullRequest, {"number": _INT, "opened_at": _EPOCH, "closed_at": _OPTIONAL_EPOCH,
-                            "merged": _BOOL, "comments": _INT, "team": _TEAM}),
+                            "merged": _BOOL, "comments": _INT, "team": _ID}),
     "stats": (BuildStats, {"commit_id": _ID, "coverage_percent": _NUMBER, "complexity": _NUMBER}),
 }
-_READS = {kind: (record_class, _reads(fields)) for kind, (record_class, fields) in _SCHEMA.items()}
 
 STATS_HEADER = tuple(_SCHEMA["stats"][1])
 
@@ -467,11 +442,6 @@ STATS_HEADER = tuple(_SCHEMA["stats"][1])
 
 # one decoder for every commit line: `json.loads` checks a text's type and start before it decodes
 _decode = json.JSONDecoder().raw_decode
-
-
-def _maps(team_map: Mapping[str, str] | None, alias_map: Mapping[str, str] | None = None) -> dict[str, Callable]:
-    """The manifest maps' lookups a `_kind` read passes a value through, each called with the value twice."""
-    return {"team_map": (team_map or {}).get, "alias_map": (alias_map or {}).get}
 
 
 @contextmanager
@@ -497,39 +467,53 @@ def _open_text(path: str | Path, newline: str) -> Iterator[TextIO]:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _commit(raw: Mapping, maps: Mapping, share: Callable[[str, str], str]) -> Commit | None:
-    """The commit `raw` holds, its id and parents put through `share`; None where `_SCHEMA`'s read rejects a field."""
-    commit_id, author, authored_at, parents, message, files, team = map(raw.get, _SCHEMA["commits"][1])
-    if not (type(commit_id) is str and commit_id and type(author) is str and author and type(team) is str and team
-            and type(parents) is list and _all_of(str, parents) and type(message) is str and type(files) is list):
-        return None
-    try:
-        authored_at = parse_iso_utc(authored_at)
-    except ParseError:
-        return None
-    changes = []
-    for entry in files:
-        if not isinstance(entry, dict):  # the read's `type(entry) is dict`, as decoded JSON holds only exact dicts
-            return None
-        path, added, deleted = map(entry.get, _FILE_FIELDS)
-        if not (type(path) is str and path and type(added) is int and type(deleted) is int):
-            return None
-        changes.append(FileChange(path, added, deleted))  # a negative count raises as under `_SCHEMA`'s read
-    return Commit(share(commit_id, commit_id), maps["alias_map"](author, author), authored_at,
-                  list(map(share, parents, parents)), message, changes, maps["team_map"](team, team))
+def _commit(raw: Mapping, team_of: Callable, alias: Callable, share: Callable[[str, str], str]) -> Commit:
+    """The commit the export object `raw` holds, each field read in `_SCHEMA` order, so the first that fails raises.
+
+    Its team goes through `team_of` and its author through `alias`, each a
+    manifest map's `get`, and its id and then each parent through `share`,
+    each called with the value as its default.
+    """
+    commit_id, author, authored_at = _ID.read(raw, "id"), _ID.read(raw, "author"), _EPOCH.read(raw, "authored_at")
+    parents, message = _PARENTS.read(raw, "parents"), _TEXT.read(raw, "message")
+    files = []
+    for index, entry in enumerate(_FILES.read(raw, "files")):
+        if not isinstance(entry, dict):  # `type(entry) is not dict`, as decoded JSON holds only exact dicts
+            raise _FieldError("files", f"files[{index}] must be an object")
+        files.append(FileChange(_ID.read(entry, "path"), _INT.read(entry, "added"), _INT.read(entry, "deleted")))
+    team = _ID.read(raw, "team")
+    return Commit(share(commit_id, commit_id), alias(author, author), authored_at,
+                  list(map(share, parents, parents)), message, files, team_of(team, team))
 
 
-def _pull(raw: Mapping, maps: Mapping) -> PullRequest | None:
-    """The pull request the export object `raw` holds; None where `_SCHEMA`'s read rejects a field."""
-    number, opened_at, closed_at, merged, comments, team = map(raw.get, _SCHEMA["pulls"][1])
-    if not (type(number) is int and type(merged) is bool and type(comments) is int and type(team) is str and team):
-        return None
-    try:
-        opened_at = parse_iso_utc(opened_at)
-        closed_at = None if closed_at is None else parse_iso_utc(closed_at)
-    except ParseError:
-        return None
-    return PullRequest(number, opened_at, closed_at, merged, comments, maps["team_map"](team, team))
+def _story(raw: Mapping, team_of: Callable, alias: Callable) -> UserStory:
+    """The user story the export object `raw` holds, read as `_commit` reads a commit; assignees go through `alias`."""
+    number, title, body = _INT.read(raw, "number"), _TEXT.read(raw, "title"), _TEXT.read(raw, "body")
+    state, labels = _STATE.read(raw, "state"), _STR_SET.read(raw, "labels")
+    milestones = []
+    for index, entry in enumerate(_MEMBERSHIPS.read(raw, "milestone_history")):
+        if not isinstance(entry, dict):  # as in `_commit`
+            raise _FieldError("milestone_history", f"milestone_history[{index}] must be an object")
+        milestones.append(SprintMembership(_ID.read(entry, "sprint_id"), _EPOCH.read(entry, "assigned_at")))
+    assignees, created_at = _STR_SET.read(raw, "assignees"), _EPOCH.read(raw, "created_at")
+    closed_at, team = _OPTIONAL_EPOCH.read(raw, "closed_at"), _ID.read(raw, "team")
+    return UserStory(number, title, body, state, labels, milestones, map(alias, assignees, assignees),
+                     created_at, closed_at, team_of(team, team))
+
+
+def _sprint(raw: Mapping, team_of: Callable) -> Sprint:
+    """The sprint the export object `raw` holds, read as `_commit` reads a commit."""
+    sprint_id, title, starts_at = _ID.read(raw, "id"), _TEXT.read(raw, "title"), _EPOCH.read(raw, "starts_at")
+    due_on, team = _EPOCH.read(raw, "due_on"), _ID.read(raw, "team")
+    return Sprint(sprint_id, title, starts_at, due_on, team_of(team, team))
+
+
+def _pull(raw: Mapping, team_of: Callable) -> PullRequest:
+    """The pull request the export object `raw` holds, read as `_commit` reads a commit."""
+    number, opened_at = _INT.read(raw, "number"), _EPOCH.read(raw, "opened_at")
+    closed_at, merged = _OPTIONAL_EPOCH.read(raw, "closed_at"), _BOOL.read(raw, "merged")
+    comments, team = _INT.read(raw, "comments"), _ID.read(raw, "team")
+    return PullRequest(number, opened_at, closed_at, merged, comments, team_of(team, team))
 
 
 def read_commits(
@@ -545,7 +529,7 @@ def read_commits(
     through `commit_ids`, which maps each commit id read so far to its one
     copy (a new dict if None), so equal ids read are one string.
     """
-    maps = _maps(team_map, alias_map)
+    team_of, alias = (team_map or {}).get, (alias_map or {}).get
     share = ({} if commit_ids is None else commit_ids).setdefault
     records: list[Commit] = []
     issues: list[ParseIssue] = []
@@ -566,7 +550,7 @@ def read_commits(
                 check_unicode(line, raw)
                 if not isinstance(raw, dict):
                     raise _FieldError("", "line is not a JSON object")
-                records.append(_commit(raw, maps, share) or _record_from_dict(*_READS["commits"], raw, maps))
+                records.append(_commit(raw, team_of, alias, share))
             except json.JSONDecodeError as exc:
                 issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc.msg}"))
             except RecursionError as exc:
@@ -578,22 +562,21 @@ def read_commits(
 
 
 def _read_array_file(
-    path: str | Path, kind: str, what: str, team_map: Mapping[str, str] | None,
-    alias_map: Mapping[str, str] | None = None, build: Callable[[Mapping, Mapping], tuple | None] | None = None,
+    build: Callable[..., tuple], path: str | Path, what: str, *maps: Mapping[str, str] | None
 ) -> tuple[list, list[ParseIssue]]:
-    """Read each entry of a JSON array file of `what`, by `build` if given, collecting bad ones by index."""
+    """Read each entry of a JSON array file of `what` by `build`, collecting bad ones by index; `build`
+    takes the entry and then the `get` of each of `maps`, an empty map for None."""
     rows = read_json(path)
     if not isinstance(rows, list):
         raise ParseError(f"{path} must contain a JSON array of {what}")
-    maps = _maps(team_map, alias_map)
-    record_class, reads = _READS[kind]
+    lookups = [(found or {}).get for found in maps]
     records = []
     issues: list[ParseIssue] = []
     for index, raw in enumerate(rows):
         try:
             if not isinstance(raw, dict):
                 raise _FieldError("", f"{what} entry is not an object")
-            records.append(build and build(raw, maps) or _record_from_dict(record_class, reads, raw, maps))
+            records.append(build(raw, *lookups))
         except (_FieldError, ValueError) as exc:
             field_name = exc.field_name if isinstance(exc, _FieldError) else None
             issues.append(ParseIssue(index, field_name or None, str(exc)))
@@ -605,19 +588,19 @@ def read_issues(
     team_map: Mapping[str, str] | None = None,
     alias_map: Mapping[str, str] | None = None,
 ) -> tuple[list[UserStory], list[ParseIssue]]:
-    return _read_array_file(path, "issues", "stories", team_map, alias_map)
+    return _read_array_file(_story, path, "stories", team_map, alias_map)
 
 
 def read_sprints(
     path: str | Path, team_map: Mapping[str, str] | None = None
 ) -> tuple[list[Sprint], list[ParseIssue]]:
-    return _read_array_file(path, "sprints", "sprints", team_map)
+    return _read_array_file(_sprint, path, "sprints", team_map)
 
 
 def read_pulls(
     path: str | Path, team_map: Mapping[str, str] | None = None
 ) -> tuple[list[PullRequest], list[ParseIssue]]:
-    return _read_array_file(path, "pulls", "pull requests", team_map, build=_pull)
+    return _read_array_file(_pull, path, "pull requests", team_map)
 
 
 def read_stats(

@@ -35,7 +35,7 @@ def _definitions(tree: ast.Module) -> list[str]:
 
 
 def _uses(tree: ast.Module) -> Counter:
-    """Each name read, called or imported, and each attribute looked up."""
+    """Each name read, called or imported, and each attribute looked up; a `_replace` is also a use of `_make`."""
     uses: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -44,6 +44,8 @@ def _uses(tree: ast.Module) -> Counter:
             uses[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             uses.update(alias.name for alias in node.names)
+    # a named tuple's `_replace` builds its result through its class's `_make`
+    uses["_make"] += uses["_replace"]
     return uses
 
 
@@ -66,6 +68,14 @@ def test_the_guard_finds_an_unused_helper():
     tree = ast.parse("def _used():\n    pass\n\n\ndef _dead():\n    _used()\n")
     uses = _uses(tree)
     assert [name for name in _definitions(tree) if not uses[name]] == ["_dead"]
+
+
+def test_the_guard_counts_a_replace_as_a_use_of_make():
+    record = "class _Record(tuple):\n    def _make(cls, iterable):\n        return cls(*iterable)\n\n\n"
+    for use, unused in [("_Record()._replace(a=1)\n", []), ("_Record()\n", ["_make"])]:
+        tree = ast.parse(record + use)
+        uses = _uses(tree)
+        assert [name for name in _definitions(tree) if not uses[name]] == unused, use
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -48,7 +49,7 @@ from sprintlint.fixtures import FixtureSpec, generate, inject
 from sprintlint.serialize import array_pieces, canonical_json, format_iso_utc, object_pieces, parse_iso_utc
 from conftest import DAY, T0, change, collector_paused, make_commit, make_pull, make_sprint, make_story
 from test_golden import ALL_DIRECTIVES
-from test_rejections import JSON_VALUES
+from test_rejections import COMMIT, JSON_VALUES, PULL, SPRINT, STORY
 
 
 def test_count_checkboxes_empty():
@@ -815,7 +816,7 @@ def _export_value(column, value):
         return None if value is None else format_iso_utc(value)
     if column is ingest._STATE:
         return value.value
-    if column is ingest._STR_SET or column is ingest._ASSIGNEES:
+    if column is ingest._STR_SET:
         return sorted(value)
     if column is ingest._FILES or column is ingest._MEMBERSHIPS:
         fields = ingest._FILE_FIELDS if column is ingest._FILES else ingest._MEMBERSHIP_FIELDS
@@ -959,17 +960,102 @@ def test_each_export_and_its_snapshot_collection_name_one_field_per_record_field
         assert len(names) == len(type(records[0])._fields), kind
 
 
-# --- the commits and pulls record builders against the `_SCHEMA` read ------------
+# --- the record builders against the `_SCHEMA` read --------------------------------
 #
-# `read_commits` and `read_pulls` build a well-formed record directly and call the `_SCHEMA` read,
-# `_record_from_dict`, only to word a rejection. The readers below are the ones they replaced, kept as the
-# reference: each line decoded by `json.loads`, each object read by `_record_from_dict` alone.
+# Each JSON reader builds its records through one builder per kind (`_commit`, `_story`, `_sprint`, `_pull`),
+# which words its own rejections. Before those, every export object was read by `_record_from_dict`, each
+# field through its `_SCHEMA` column kind's read, the manifest maps applied through each kind's `through`.
+# That read is copied below as the reference, with the readers that called it: each commits line decoded by
+# `json.loads`, each object read by `_record_from_dict` alone.
 
-SCHEMA_READ = ingest._record_from_dict
+_ABSENT = object()
+_STATES = {state.value: state for state in StoryState}
+
+
+def _rejected(value, key, message):
+    return ingest._FieldError(key, f"missing field {key!r}" if value is _ABSENT else message)
+
+
+def _kind_read(cls, expected, ok=None, items=None, convert=None, through=None):
+    def read(value, key, maps):
+        if (type(value) is not cls or ok is not None and not ok(value)
+                or items is not None and not set(map(type, value)) <= {items}):
+            raise _rejected(value, key, f"{key!r} must be {expected}")
+        if through is not None:
+            passed = maps[through]
+            return passed(value, value) if items is None else list(map(passed, value, value))
+        return value if convert is None else convert(value)
+    return read
+
+
+def _epoch_read(optional=False):
+    def read(value, key, maps):
+        if optional and (value is None or value is _ABSENT):
+            return None
+        try:
+            return parse_iso_utc(value, key)
+        except ParseError as exc:
+            raise _rejected(value, key, str(exc)) from None
+    return read
+
+
+def _reads(fields):
+    return tuple(fields.items())
+
+
+def _record_from_dict(record_class, reads, raw, maps):
+    """The record that the export object `raw` holds, its fields read by `reads`."""
+    return record_class._make([read(raw.get(name, _ABSENT), name, maps) for name, read in reads])
+
+
+def _entries_read(record_class, fields):
+    reads = _reads(fields)
+
+    def read(value, key, maps):
+        if type(value) is not list:
+            raise _rejected(value, key, f"{key!r} must be an array")
+        entries = []
+        for index, entry in enumerate(value):
+            if type(entry) is not dict:
+                raise ingest._FieldError(key, f"{key}[{index}] must be an object")
+            entries.append(_record_from_dict(record_class, reads, entry, maps))
+        return entries
+    return read
+
+
+def _maps(team_map, alias_map=None):
+    return {"team_map": (team_map or {}).get, "alias_map": (alias_map or {}).get}
+
+
+_ID = _kind_read(str, "a non-empty string", ok=len)
+_TEXT = _kind_read(str, "a string")
+_TEAM = _kind_read(str, "a non-empty string", ok=len, through="team_map")
+_AUTHOR = _kind_read(str, "a non-empty string", ok=len, through="alias_map")
+_INT = _kind_read(int, "an integer")
+_EPOCH = _epoch_read()
+_STRINGS = _kind_read(list, "an array of strings", items=str)
+# export kind -> (record class, the reads of its fields in `_SCHEMA` order)
+SCHEMA_READS = {kind: (record_class, _reads(fields)) for kind, (record_class, fields) in {
+    "commits": (Commit, {"id": _ID, "author": _AUTHOR, "authored_at": _EPOCH, "parents": _STRINGS,
+                         "message": _TEXT, "files": _entries_read(FileChange, {"path": _ID, "added": _INT,
+                                                                               "deleted": _INT}),
+                         "team": _TEAM}),
+    "issues": (UserStory, {"number": _INT, "title": _TEXT, "body": _TEXT,
+                           "state": _kind_read(str, "'open' or 'closed'", ok=_STATES.__contains__,
+                                               convert=_STATES.__getitem__),
+                           "labels": _STRINGS,
+                           "milestone_history": _entries_read(SprintMembership, {"sprint_id": _ID,
+                                                                                 "assigned_at": _EPOCH}),
+                           "assignees": _kind_read(list, "an array of strings", items=str, through="alias_map"),
+                           "created_at": _EPOCH, "closed_at": _epoch_read(optional=True), "team": _TEAM}),
+    "sprints": (Sprint, {"id": _ID, "title": _TEXT, "starts_at": _EPOCH, "due_on": _EPOCH, "team": _TEAM}),
+    "pulls": (PullRequest, {"number": _INT, "opened_at": _EPOCH, "closed_at": _epoch_read(optional=True),
+                            "merged": _kind_read(bool, "a boolean"), "comments": _INT, "team": _TEAM}),
+}.items()}
 
 
 def _schema_read_commits(path, team_map=None, alias_map=None):
-    maps = ingest._maps(team_map, alias_map)
+    maps = _maps(team_map, alias_map)
     records, issues = [], []
     with open(path, encoding="utf-8", newline="\n") as lines:
         for lineno, line in enumerate(lines, start=1):
@@ -981,7 +1067,7 @@ def _schema_read_commits(path, team_map=None, alias_map=None):
                 serialize.check_unicode(line, raw)
                 if not isinstance(raw, dict):
                     raise ingest._FieldError("", "line is not a JSON object")
-                records.append(SCHEMA_READ(*ingest._READS["commits"], raw, maps))
+                records.append(_record_from_dict(*SCHEMA_READS["commits"], raw, maps))
             except json.JSONDecodeError as exc:
                 issues.append(ParseIssue(lineno, None, f"invalid JSON: {exc.msg}"))
             except RecursionError as exc:
@@ -991,17 +1077,26 @@ def _schema_read_commits(path, team_map=None, alias_map=None):
     return records, issues
 
 
-def _schema_read_pulls(path, team_map=None):
-    maps = ingest._maps(team_map)
+def _schema_read_array(kind, what, path, team_map=None, alias_map=None):
+    maps = _maps(team_map, alias_map)
     records, issues = [], []
     for index, raw in enumerate(serialize.read_json(path)):
         try:
             if not isinstance(raw, dict):
-                raise ingest._FieldError("", "pull requests entry is not an object")
-            records.append(SCHEMA_READ(*ingest._READS["pulls"], raw, maps))
+                raise ingest._FieldError("", f"{what} entry is not an object")
+            records.append(_record_from_dict(*SCHEMA_READS[kind], raw, maps))
         except (ingest._FieldError, ValueError) as exc:
             issues.append(ParseIssue(index, getattr(exc, "field_name", None) or None, str(exc)))
     return records, issues
+
+
+# each JSON export kind -> its reader and the reference's, the manifest maps it takes, and its nested entries
+JSON_READERS = {
+    "commits": (read_commits, _schema_read_commits, 2, "files"),
+    "issues": (read_issues, lambda *args: _schema_read_array("issues", "stories", *args), 2, "milestone_history"),
+    "sprints": (read_sprints, lambda *args: _schema_read_array("sprints", "sprints", *args), 1, None),
+    "pulls": (read_pulls, lambda *args: _schema_read_array("pulls", "pull requests", *args), 1, None),
+}
 
 
 def _outcome(read, *args):
@@ -1012,33 +1107,19 @@ def _outcome(read, *args):
         return type(exc).__name__, str(exc)
 
 
-def _read_without_building_by_the_schema_read(read, *args):
-    """`_outcome(read, *args)`, failing if a commit or pull is ever built by `_record_from_dict`."""
-    built = []
-
-    def spy(record_class, reads, raw, maps):
-        record = SCHEMA_READ(record_class, reads, raw, maps)
-        if record_class in (Commit, PullRequest):
-            built.append(record)
-        return record
-
-    ingest._record_from_dict = spy
-    try:
-        found = _outcome(read, *args)
-    finally:
-        ingest._record_from_dict = SCHEMA_READ
-    assert built == [], "the `_SCHEMA` read built a record the builder rejected"
-    return found
-
-
 DELETE = object()
-# values a field may be set to, or deleted: those near a valid value of some field, then any JSON value
+STAMP = "2015-01-12T14:03:00Z"
+# values a field may be set to, or deleted: those near a valid value of some field, then any JSON value; the
+# entry arrays whose first entry fails hold a second entry that is no object, which must be found only after it
 NEAR_VALUES = [
-    DELETE, "", "x", "2015-01-12T14:03:00Z", "2015-01-12T14:03:00", "2015-01-12T14:03:00+01:00",
-    "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "yesterday", 0, -1, 1, 2**63, True, False, 1.0, 1.5,
-    None, [], ["a"], ["a", 1], ["a", True], [None], {}, [{}], [5], [{"path": "a", "added": 1, "deleted": 0}],
-    [{"path": "a", "added": -1, "deleted": 0}], [{"path": "", "added": 1, "deleted": 0}],
-    [{"path": "a", "added": True, "deleted": 0}], [{"path": "a", "added": 1}],
+    DELETE, "", "x", STAMP, "2015-01-12T14:03:00", "2015-01-12T14:03:00+01:00",
+    "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "yesterday", "open", "closed", 0, -1, 1, 2**63,
+    True, False, 1.0, 1.5, None, [], ["a"], ["a", 1], ["a", True], [None], {}, [{}], [5],
+    [{"path": "a", "added": 1, "deleted": 0}], [{"path": "a", "added": -1, "deleted": 0}, 5],
+    [{"path": "", "added": 1, "deleted": 0}, 5], [{"path": "a", "added": True, "deleted": 0}, 5],
+    [{"path": "a", "added": 1}, 5], [{"sprint_id": "s1", "assigned_at": STAMP}],
+    [{"sprint_id": "", "assigned_at": STAMP}, 5], [{"sprint_id": "s1", "assigned_at": "yesterday"}, 5],
+    [{"sprint_id": "s1"}, 5], [{"sprint_id": "s1", "assigned_at": STAMP}] * 2,
 ]
 FIELD_VALUES = st.sampled_from(NEAR_VALUES) | JSON_VALUES
 # pieces a splice puts into a commits file: JSON's own punctuation, whitespace, a BOM, a lone surrogate's
@@ -1048,8 +1129,8 @@ PIECES = st.sampled_from(["\n", "\r", " ", "\t", "\ufeff", "{", "}", "[", "]", "
 
 
 def _mutated(data, obj, nested):
-    """`obj`, with up to three of its fields (or, under `nested`, of its first entry's) set to a drawn value
-    or deleted."""
+    """`obj`, with up to three of its fields (or, under `nested`, of its first entry's) set to a copy of a
+    drawn value or deleted."""
     for _ in range(data.draw(st.integers(0, 3))):
         target = obj
         if nested in obj and type(obj[nested]) is list and obj[nested] and type(obj[nested][0]) is dict \
@@ -1060,7 +1141,7 @@ def _mutated(data, obj, nested):
         if value is DELETE:
             target.pop(key, None)
         else:
-            target[key] = value
+            target[key] = copy.deepcopy(value)  # a later change may set a field inside it
     return obj
 
 
@@ -1074,32 +1155,33 @@ def _maps_drawn(data, names):
 
 @settings(max_examples=100, deadline=None)
 @given(history=histories(), data=st.data())
-def test_the_commits_and_pulls_readers_read_as_the_schema_read_alone_did(tmp_path_factory, history, data):
-    # same records, issues and messages on valid objects, mutated ones and byte splices of a commits file, with
-    # and without manifest maps; and no record is built by the `_SCHEMA` read
+def test_each_json_reader_reads_as_the_schema_read_did(tmp_path_factory, history, data):
+    # same records, issues and messages on valid objects, mutated ones, and byte splices of a commits file or
+    # an array file's trailing entry of any JSON value, with and without manifest maps
     directory = tmp_path_factory.mktemp("builders")
-    commits, pulls = [*history.commits, *EDGES.commits], [*history.pulls, *EDGES.pulls]
-    write_commits(directory / "commits.ndjson", commits)
-    lines = (directory / "commits.ndjson").read_text(encoding="utf-8").split("\n")[:-1]
-    objects = [_mutated(data, json.loads(line), "files") for line in lines]
-    text = "".join(json.dumps(obj, ensure_ascii=data.draw(st.booleans())) + "\n" for obj in objects)
-    for _ in range(data.draw(st.integers(0, 2))):
-        start = data.draw(st.integers(0, len(text)))
-        end = data.draw(st.integers(start, min(len(text), start + 8)))
-        text = text[:start] + data.draw(PIECES) + text[end:]
-    path = directory / "spliced.ndjson"
-    path.write_bytes(text.encode("utf-8"))
-    team_map = _maps_drawn(data, sorted({record.team for record in [*commits, *pulls]}))
-    alias_map = _maps_drawn(data, sorted({commit.author for commit in commits}))
-    expected = _outcome(_schema_read_commits, path, team_map, alias_map)
-    assert _read_without_building_by_the_schema_read(read_commits, path, team_map, alias_map) == expected
-
-    write_pulls(directory / "pulls.json", pulls)
-    objects = [_mutated(data, obj, None) for obj in json.loads((directory / "pulls.json").read_text(encoding="utf-8"))]
-    path = directory / "mutated.json"
-    path.write_text(json.dumps([*objects, *data.draw(st.lists(JSON_VALUES, max_size=1))]), encoding="utf-8")
-    expected = _outcome(_schema_read_pulls, path, team_map)
-    assert _read_without_building_by_the_schema_read(read_pulls, path, team_map) == expected
+    collections = {kind: [*records, *edges] for kind, records, edges in zip(EXPORTS, history.records(),
+                                                                           EDGES.records()) if kind in JSON_READERS}
+    team_map = _maps_drawn(data, sorted({record.team for records in collections.values() for record in records}))
+    alias_map = _maps_drawn(data, sorted({*(commit.author for commit in collections["commits"]),
+                                          *(name for story in collections["issues"] for name in story.assignees)}))
+    for kind, records in collections.items():
+        read, schema_read, maps, nested = JSON_READERS[kind]
+        path = directory / EXPORTS[kind]
+        getattr(ingest, f"write_{kind}")(path, records)
+        text = path.read_text(encoding="utf-8")
+        if kind == "commits":
+            objects = [_mutated(data, json.loads(line), nested) for line in text.split("\n")[:-1]]
+            text = "".join(json.dumps(obj, ensure_ascii=data.draw(st.booleans())) + "\n" for obj in objects)
+            for _ in range(data.draw(st.integers(0, 2))):
+                start = data.draw(st.integers(0, len(text)))
+                end = data.draw(st.integers(start, min(len(text), start + 8)))
+                text = text[:start] + data.draw(PIECES) + text[end:]
+        else:
+            objects = [_mutated(data, obj, nested) for obj in json.loads(text)]
+            text = json.dumps([*objects, *data.draw(st.lists(JSON_VALUES, max_size=1))])
+        path.write_bytes(text.encode("utf-8"))
+        args = (path, team_map, alias_map)[:1 + maps]
+        assert _outcome(read, *args) == _outcome(schema_read, *args), kind
 
 
 # manifest maps under which a record's team or author is kept, renamed, or mapped to "" (which its record rejects)
@@ -1129,20 +1211,17 @@ def _one_change_each(base, nested=None):
 
 @pytest.mark.parametrize("team_map, alias_map", MANIFEST_MAPS)
 def test_each_builder_accepts_exactly_the_objects_the_schema_read_accepts(tmp_path, team_map, alias_map):
-    # every one-field change of a valid commit and pull, each read as the `_SCHEMA` read alone read it, and
-    # none built by that read
-    commits = list(_one_change_each(_commit_line(), "files"))
-    path = tmp_path / "commits.ndjson"
-    path.write_text("".join(json.dumps(obj) + "\n" for obj in commits), encoding="utf-8")
-    expected = _schema_read_commits(path, team_map, alias_map)
-    assert _read_without_building_by_the_schema_read(read_commits, path, team_map, alias_map) == expected
-    assert 0 < len(expected[0]) < len(commits) and len(expected[1]) > len(commits) // 2
-    write_pulls(tmp_path / "pulls.json", [make_pull(1, T0, T0 + DAY, merged=True, comments=2)])
-    pulls = list(_one_change_each(json.loads((tmp_path / "pulls.json").read_text(encoding="utf-8"))[0]))
-    path.write_text(json.dumps(pulls), encoding="utf-8")
-    expected = _schema_read_pulls(path, team_map)
-    assert _read_without_building_by_the_schema_read(read_pulls, path, team_map) == expected
-    assert 0 < len(expected[0]) < len(pulls) and len(expected[1]) > len(pulls) // 2
+    # every one-field change of a valid object of each JSON export kind, read as the `_SCHEMA` read read it
+    for kind, base in {"commits": COMMIT, "issues": STORY, "sprints": SPRINT, "pulls": PULL}.items():
+        read, schema_read, maps, nested = JSON_READERS[kind]
+        objects = list(_one_change_each(base, nested))
+        path = tmp_path / EXPORTS[kind]
+        text = "".join(json.dumps(obj) + "\n" for obj in objects) if kind == "commits" else json.dumps(objects)
+        path.write_text(text, encoding="utf-8")
+        args = (path, team_map, alias_map)[:1 + maps]
+        expected = schema_read(*args)
+        assert read(*args) == expected, kind
+        assert 0 < len(expected[0]) < len(objects) and len(expected[1]) > len(objects) // 2, kind
 
 
 BASE_LINE = json.dumps(_commit_line())
@@ -1170,6 +1249,21 @@ def test_a_commit_line_the_decoder_cannot_read_whole_is_read_or_worded_as_json_l
         assert issues == [ParseIssue(2, None, issue)] and len(records) == 1
 
 
+@pytest.mark.parametrize("kind, base, nested, entry, issue", [
+    ("commits", COMMIT, "files", {"path": "", "added": 1, "deleted": 0},
+     ParseIssue(1, "path", "'path' must be a non-empty string")),
+    ("commits", COMMIT, "files", {"path": "a", "added": -1, "deleted": 0}, ParseIssue(1, None, "lines_added < 0 for a")),
+    ("issues", STORY, "milestone_history", {"sprint_id": "", "assigned_at": STAMP},
+     ParseIssue(0, "sprint_id", "'sprint_id' must be a non-empty string")),
+], ids=["file-path", "file-count", "membership-sprint"])
+def test_a_bad_entry_is_named_before_a_later_entry_that_is_no_object(tmp_path, kind, base, nested, entry, issue):
+    # each entry is checked to be an object and then read, one after another, so entry 0 fails first
+    path = tmp_path / EXPORTS[kind]
+    obj = {**base, nested: [entry, 5]}
+    path.write_text(json.dumps(obj) + "\n" if kind == "commits" else json.dumps([obj]), encoding="utf-8")
+    assert JSON_READERS[kind][0](path) == ([], [issue])
+
+
 class _Recording(dict):
     """A dict that notes each key read from it through `get`."""
 
@@ -1182,14 +1276,22 @@ class _Recording(dict):
         return super().get(key, default)
 
 
-def test_each_record_builder_reads_the_fields_its_schema_names_in_order(tmp_path):
-    # a field added to `_SCHEMA` fails here until the builder reads it
-    maps = ingest._maps(None)
-    entry = _Recording(_commit_line()["files"][0])
-    commit = _Recording({**_commit_line(), "files": [entry]})
-    assert ingest._commit(commit, maps, {}.setdefault) == SCHEMA_READ(*ingest._READS["commits"], _commit_line(), maps)
-    assert commit.read == list(ingest._SCHEMA["commits"][1]) and entry.read == list(ingest._FILE_FIELDS)
-    write_pulls(tmp_path / "pulls.json", [make_pull(1, T0, T0 + DAY, merged=True)])
-    pull = _Recording(json.loads((tmp_path / "pulls.json").read_text(encoding="utf-8"))[0])
-    assert ingest._pull(pull, maps) == SCHEMA_READ(*ingest._READS["pulls"], dict(pull), maps)
-    assert pull.read == list(ingest._SCHEMA["pulls"][1])
+def test_each_record_builder_reads_the_fields_its_schema_names_in_order():
+    # a field added to `_SCHEMA` fails here until its builder reads it, and in its place
+    maps = _maps(None)
+    builders = {
+        "commits": (lambda raw: ingest._commit(raw, {}.get, {}.get, {}.setdefault), COMMIT, "files",
+                    ingest._FILE_FIELDS),
+        "issues": (lambda raw: ingest._story(raw, {}.get, {}.get), STORY, "milestone_history",
+                   ingest._MEMBERSHIP_FIELDS),
+        "sprints": (lambda raw: ingest._sprint(raw, {}.get), SPRINT, None, None),
+        "pulls": (lambda raw: ingest._pull(raw, {}.get), PULL, None, None),
+    }
+    assert list(builders) == [kind for kind in EXPORTS if kind != "stats"]
+    for kind, (build, base, nested, entry_fields) in builders.items():
+        entry = nested and _Recording(base[nested][0])
+        raw = _Recording({**base, nested: [entry]} if nested else base)
+        assert build(raw) == _record_from_dict(*SCHEMA_READS[kind], base, maps), kind
+        assert raw.read == list(ingest._SCHEMA[kind][1]), kind
+        if nested:
+            assert entry.read == list(entry_fields), kind
