@@ -166,6 +166,9 @@ def _checked(name: str, key: str, default: object, value: object) -> object:
                 raise ConfigError(f"{label}: invalid severity {value!r}") from None
     else:
         _check_number(label, value, zero_ok=key in _NON_NEGATIVE_SETTINGS)
+        # stored as the type of its default when that type holds it exactly, so `10` and `10.0` give one digest
+        exact = type(default)(value)
+        return exact if exact == value else value
     return value
 
 

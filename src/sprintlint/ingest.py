@@ -58,7 +58,7 @@ import csv
 import json
 import math
 from collections import deque, namedtuple
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from itertools import accumulate, chain, count, filterfalse, islice, repeat, starmap
 from json.encoder import encode_basestring
@@ -83,6 +83,7 @@ from .model import (
 from .serialize import (
     END_TS,
     FIRST_TS,
+    array_pieces,
     canonical_json,
     check_unicode,
     format_iso_utc,
@@ -813,22 +814,9 @@ SNAPSHOT_FORMAT = 3
 SNAPSHOT_BATCH = 1024
 
 
-def _batched_pieces(values: Sequence, dump: Callable[[Sequence], list]) -> Iterator[str]:
-    """The JSON array of `dump(values)`, in pieces: `dump` is applied to, and encoded for, a batch at a time."""
-    yield "["
-    for start in range(0, len(values), SNAPSHOT_BATCH):
-        yield f'{"," if start else ""}{canonical_json(dump(values[start:start + SNAPSHOT_BATCH]))[1:-1]}'
-    yield "]"
-
-
 def _column_pieces(column: _Column, records: tuple, index: int, table: dict[str, int]) -> Iterator[str]:
     # pieces from a generator, so a column is dumped only when its turn to be written comes
-    return _batched_pieces(records, lambda batch: column.dump(map(itemgetter(index), batch), table))
-
-
-def _table_pieces(table: dict[str, int]) -> Iterator[str]:
-    # a generator, and "strings" sorts after every collection, so the table is complete when its turn comes
-    yield from _batched_pieces([*table], list)
+    return array_pieces(map(itemgetter(index), records), SNAPSHOT_BATCH, lambda cells: column.dump(cells, table))
 
 
 def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
@@ -836,7 +824,8 @@ def write_snapshot(path: str | Path, history: ProjectHistory) -> None:
     table: dict[str, int] = {}
     members: dict[str, Iterable[str]] = {
         "format": [canonical_json(SNAPSHOT_FORMAT)],
-        "strings": _table_pieces(table),
+        # a generator, and "strings" sorts after every collection, so the table is complete when its turn comes
+        "strings": array_pieces(table, SNAPSHOT_BATCH),
     }
     for kind, records in zip(EXPORTS, history.records()):
         columns = _SCHEMA[kind][1]

@@ -32,7 +32,6 @@ def history_horizon(history: ProjectHistory) -> float:
     Raises when that instant is past the last one reports can write.
     """
     stamps = chain(
-        (0.0,),
         (sprint.due_on for sprint in history.sprints),
         (commit.authored_at for commit in history.commits),
         (story.created_at for story in history.stories),
@@ -40,7 +39,7 @@ def history_horizon(history: ProjectHistory) -> float:
         (pull.opened_at for pull in history.pulls),
         (pull.closed_at for pull in history.pulls if pull.closed_at is not None),
     )
-    horizon = max(stamps) + 1.0
+    horizon = max(stamps, default=0.0) + 1.0
     if horizon >= END_TS:
         raise SprintLintError(
             "one second past the last event is after 9999-12-31T23:59:59Z, so there is no "
@@ -107,6 +106,10 @@ def _rounded(score: float | None) -> float | None:
 VIOLATION_BATCH = 100
 
 
+def _violation_dicts(batch: list) -> list:
+    return [v._asdict() for v in batch]
+
+
 def _result_pieces(results: Iterable[MetricResult], titles: Mapping[str, str]) -> Iterator[str]:
     """The JSON array of result rows, in pieces: each row's other fields in one, then its violations in batches."""
     yield "["
@@ -116,12 +119,9 @@ def _result_pieces(results: Iterable[MetricResult], titles: Mapping[str, str]) -
         row["sprint_title"] = titles.get(result.sprint, result.sprint)
         row["score"] = _rounded(result.score)
         # "violations" sorts after every other key, so the row is left open for it
-        yield f'{"," if position else ""}{canonical_json(row)[:-1]},"violations":['
-        violations = result.violations
-        for start in range(0, len(violations), VIOLATION_BATCH):
-            batch = canonical_json([v._asdict() for v in violations[start:start + VIOLATION_BATCH]])
-            yield f'{"," if start else ""}{batch[1:-1]}'
-        yield "]}"
+        yield f'{"," if position else ""}{canonical_json(row)[:-1]},"violations":'
+        yield from array_pieces(result.violations, VIOLATION_BATCH, _violation_dicts)
+        yield "}"
     yield "]"
 
 

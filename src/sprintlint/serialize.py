@@ -9,7 +9,10 @@ pieces and encodes them in slices, so a large document can be written
 without being held whole as bytes, or as text when it comes in pieces, and
 one given as many small pieces is written in few calls. `object_pieces` and
 `array_pieces` give those pieces for a JSON object or array, each member or
-item turned to text only when its turn comes.
+item turned to text only when its turn comes; `array_pieces`, the one writer
+of a JSON array from values, encodes `batch` items to a call, as many as
+the caller that knows their size chooses, each batch first put through the
+caller's `dump` when its piece is asked for.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 from .errors import ParseError
@@ -42,13 +46,14 @@ def object_pieces(members: Mapping[str, Iterable[str]]) -> Iterator[str]:
     yield "}"
 
 
-def array_pieces(values: Iterable[object]) -> Iterator[str]:
-    """`canonical_json` of an array of `values`, in pieces: one per item and one per comma."""
+def array_pieces(values: Iterable[object], batch: int = 1, dump: Callable[[list], list] = list) -> Iterator[str]:
+    """`canonical_json(dump(list(values)))` in pieces: one per `batch` items, each but the first led by its comma."""
+    items = iter(values)
+    comma = ""
     yield "["
-    for position, value in enumerate(values):
-        if position:
-            yield ","
-        yield canonical_json(value)
+    while chunk := list(islice(items, batch)):
+        yield comma + canonical_json(dump(chunk))[1:-1]
+        comma = ","
     yield "]"
 
 

@@ -76,6 +76,14 @@ def test_digest_changes_iff_effective_value_changes():
     assert base.digest() == same.digest()
     changed = config_from_dict({"metrics": {"huge-stories": {"weight": 26.0}}})
     assert base.digest() != changed.digest()
+    # a default restated as an int for a float setting, and as a float for an int one
+    for restated in ({"weight": 10}, {"threshold_e": 10.0}):
+        config = config_from_dict({"metrics": {"collective-ownership": restated}})
+        assert config.digest() == base.digest(), restated
+        assert config.to_dict() == base.to_dict()
+    fraction = config_from_dict({"metrics": {"collective-ownership": {"threshold_e": 10.5}}})
+    assert fraction.for_metric("collective-ownership")["threshold_e"] == 10.5
+    assert fraction.digest() != base.digest()
 
 
 def test_digest_falls_back_to_hashlib_without_the_built_in_sha256(monkeypatch):
@@ -203,14 +211,24 @@ def test_unknown_severity_weight_key_rejected_in_code():
         MetricConfig(severity_weights=weights)
 
 
-# the digest of the README's example config, as computed before the checks moved
-README_CONFIG_DIGEST = "e707828f715f2488255cafd9f188357f22a87e8bb3e886e7520be7c85ddb919d"
+# the digest of the README's example config, its `10` and `120` stored as the floats of their defaults
+README_CONFIG_DIGEST = "6ca0a890e97e703d8fdcb24237c3234871511ba96f74c20d7ab6af85afef0cd0"
+
+
+def _floats(value):
+    """`value` with every number in it written as a float."""
+    if isinstance(value, dict):
+        return {key: _floats(item) for key, item in value.items()}
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return value
 
 
 def test_readme_example_config_keeps_its_digest():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     document = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
     assert config_from_dict(document).digest() == README_CONFIG_DIGEST
+    assert config_from_dict(_floats(document)).digest() == README_CONFIG_DIGEST
 
 
 def test_a_constructor_takes_what_a_document_holds():

@@ -525,8 +525,45 @@ ITEMS = {"empty": [], "one-item": [{"b": 1, "a": [2, None]}], "many": [3, "\u00e
 def test_array_pieces_join_to_the_canonical_array(values):
     pieces = list(array_pieces(iter(values)))
     assert "".join(pieces) == canonical_json(values)
-    # one piece per item, comma and bracket, so no item is joined to another before it is written
-    assert len(pieces) == 2 * len(values) + 1 + (not values)
+    # one piece per item, a comma starting each but the first, and one per bracket,
+    # so no item is joined to another before it is written
+    assert len(pieces) == len(values) + 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+CONTAINERS = {"list": list, "tuple": tuple, "generator": lambda values: (value for value in values)}
+DUMPS = {"list": list, "wrapped": lambda batch: [{"item": value, "twice": [value, value]} for value in batch]}
+
+
+@settings(deadline=None)
+@given(st.lists(JSON_VALUES, max_size=12), st.sampled_from(list(CONTAINERS)), st.sampled_from(list(DUMPS)))
+def test_array_pieces_join_to_the_canonical_array_of_the_dump_in_any_batch(values, container, dump):
+    for batch in range(1, len(values) + 3):
+        pieces = list(array_pieces(CONTAINERS[container](values), batch, DUMPS[dump]))
+        assert "".join(pieces) == canonical_json(DUMPS[dump](list(values))), batch
+        # a bracket at each end and one piece per batch between them
+        assert len(pieces) == 2 + -(-len(values) // batch), batch
+
+
+def test_array_pieces_reads_and_dumps_a_batch_only_when_its_piece_is_asked_for():
+    dumped = []
+
+    def dump(batch):
+        dumped.append(batch)
+        return batch
+
+    # as the snapshot's string table is: filled while the columns before it are written
+    table = {}
+    pieces = array_pieces(table, 2, dump)
+    table.update(dict.fromkeys("abcde", 0))
+    assert (next(pieces), dumped) == ("[", [])
+    assert (next(pieces), dumped) == ('"a","b"', [["a", "b"]])
+    assert (next(pieces), dumped) == (',"c","d"', [["a", "b"], ["c", "d"]])
+    assert list(pieces) == [',"e"', "]"] and dumped == [["a", "b"], ["c", "d"], ["e"]]
 
 
 @pytest.mark.parametrize("members", [{}, {"k\u00e9": {"b": 1, "a": "x"}}, {"b": 2, "a": [1], "c": {"y": 1}}],

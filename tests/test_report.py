@@ -30,7 +30,7 @@ from sprintlint import (
 from sprintlint.fixtures import FixtureSpec, InjectionSpec, generate, inject, injection_from_dict, spec_from_dict
 from sprintlint.report import VIOLATION_BATCH, history_horizon
 from sprintlint.scoring import Contribution, SkippedMetric, aggregate
-from sprintlint.serialize import canonical_json
+from sprintlint.serialize import canonical_json, parse_iso_utc
 from conftest import DAY, T0, TEAM, collector_paused, make_commit, make_pull, make_story
 from test_golden import ALL_DIRECTIVES
 
@@ -173,6 +173,15 @@ def _one_stamp_history(kind):
 
 def test_history_horizon_of_an_empty_history_is_one_second_past_the_epoch():
     assert history_horizon(build_history()) == 1.0
+
+
+def test_history_horizon_of_a_history_that_ends_before_1970_is_one_second_past_its_last_event():
+    due = parse_iso_utc("1960-01-15T00:00:00Z")
+    sprint = Sprint("s1", "Sprint 1", parse_iso_utc("1960-01-01T00:00:00Z"), due, TEAM)
+    history = build_history(commits=[make_commit("c1", parse_iso_utc("1960-01-05T00:00:00Z"))], sprints=[sprint])
+    # every stamp is negative, so a 0.0 floor under them would give 1970-01-01T00:00:01Z
+    assert history_horizon(history) == due + 1.0
+    assert build_report(history, REGISTRY, CONFIG).now == due + 1.0
 
 
 @pytest.mark.parametrize(
