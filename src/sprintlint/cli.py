@@ -17,24 +17,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
-from .catalog import default_registry
-from .config import MetricConfig, load_config
-from .engine import run_all
+from . import __version__, catalog, config as cfg, engine, fixtures, ingest, report, scoring
 from .errors import SprintLintError
-from .fixtures import (
-    FixtureSpec,
-    InjectionSpec,
-    generate,
-    inject,
-    injection_from_dict,
-    ledger_to_dict,
-    spec_from_dict,
-)
-from . import ingest
 from .ingest import EXPORTS, IngestManifest, load_history, load_snapshot, write_snapshot
-from .report import build_report, render_json, render_markdown
-from .scoring import aggregate_all, trend, trend_csv
 from .serialize import canonical_json, parse_iso_utc, read_json, utf8_slices, write_text
 
 CONFIG_ENV_VAR = "SPRINTLINT_CONFIG"
@@ -49,12 +34,12 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
-def _resolve_config(path_arg: str | None) -> MetricConfig:
+def _resolve_config(path_arg: str | None) -> cfg.MetricConfig:
     # an empty flag or variable counts as unset
     path = path_arg or os.environ.get(CONFIG_ENV_VAR)
     if not path:
-        return MetricConfig()
-    return load_config(path)
+        return cfg.MetricConfig()
+    return cfg.load_config(path)
 
 
 def _write_stdout(text: str) -> None:
@@ -126,19 +111,19 @@ def cmd_lint(args: argparse.Namespace) -> int:
         raise SprintLintError(f"--fail-below must be a finite number, got {args.fail_below}")
     history = load_snapshot(args.project)
     config = _resolve_config(args.config)
-    registry = default_registry()
+    registry = catalog.default_registry()
     now = parse_iso_utc(args.now, "--now") if args.now else None
-    report = build_report(history, registry, config, now=now, sprint_title=args.sprint)
+    run = report.build_report(history, registry, config, now=now, sprint_title=args.sprint)
     if args.format == "json":
-        rendered = render_json(report, history)
+        rendered = report.render_json(run, history)
     else:
-        rendered = render_markdown(report, history, registry)
+        rendered = report.render_markdown(run, history, registry)
     if args.out:
         write_text(args.out, rendered)
     else:
         _write_stdout(rendered)
     if args.fail_below is not None:
-        scores = (cell.score for cell in report.cells if cell.score is not None)
+        scores = (cell.score for cell in run.cells if cell.score is not None)
         failing = [s for s in scores if s.overall is not None and s.overall < args.fail_below]
         if failing:
             for score in failing:
@@ -154,10 +139,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     history = load_snapshot(args.project)
     config = _resolve_config(args.config)
-    registry = default_registry()
-    results = run_all(registry, history, config)
-    scores = aggregate_all(results, registry, config)
-    csv_text = trend_csv(trend(history, results, scores))
+    registry = catalog.default_registry()
+    results = engine.run_all(registry, history, config)
+    scores = scoring.aggregate_all(results, registry, config)
+    csv_text = scoring.trend_csv(scoring.trend(history, results, scores))
     if args.out:
         write_text(args.out, csv_text)
         _write_stdout(f"trend written to {args.out}\n")
@@ -167,14 +152,14 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(_read_json_file(args.spec)) if args.spec else FixtureSpec()
+    spec = fixtures.spec_from_dict(_read_json_file(args.spec)) if args.spec else fixtures.FixtureSpec()
     if args.seed is not None:
         spec = spec._replace(seed=args.seed)
     injection = (
-        injection_from_dict(_read_json_file(args.inject)) if args.inject else InjectionSpec()
+        fixtures.injection_from_dict(_read_json_file(args.inject)) if args.inject else fixtures.InjectionSpec()
     )
-    history, certificate = generate(spec)
-    history, ledger = inject(history, injection, spec.seed)
+    history, certificate = fixtures.generate(spec)
+    history, ledger = fixtures.inject(history, injection, spec.seed)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -186,7 +171,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "spec": spec.to_dict(),
         "injection": injection.to_dict(),
         "certificate": certificate.to_dict(),
-        "ledger": ledger_to_dict(ledger, spec.seed),
+        "ledger": fixtures.ledger_to_dict(ledger, spec.seed),
     }
     write_text(out_dir / "ledger.json", canonical_json(ledger_doc) + "\n")
     _write_stdout(

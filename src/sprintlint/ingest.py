@@ -186,31 +186,39 @@ def _regrouped(items: list, cells: list) -> list[list]:
     return list(map(items.__getitem__, map(slice, chain((0,), ends), ends)))
 
 
-def _indexes(values: list, strings: list) -> bool:
-    """Whether each of `values` is an index into `strings`: an exact int (so no bool) from 0 to its length less one."""
-    return _all_of(int, values) and (not values or min(values) >= 0 and max(values) < len(strings))
+def _indexes(values: list) -> bool:
+    """Whether each of `values` is an exact int (so no bool) from 0 up; looking it up in the string table bounds it."""
+    return _all_of(int, values) and (not values or min(values) >= 0)
 
 
 def _index_check(strings: list) -> Callable[[object], None]:
     def check(value: object) -> None:
-        if not _indexes([value], strings):
+        if not (_indexes([value]) and value < len(strings)):
             raise _Malformed(f"must be an index into strings, got {value!r}")
     return check
 
 
 def _resolve_names(cells: list, strings: list) -> None:
     """Replace each of `cells`, a name's index into `strings`, by the string it indexes."""
-    if not _indexes(cells, strings):
-        _reject_first(cells, _index_check(strings))
-    cells[:] = map(strings.__getitem__, cells)
+    if _indexes(cells):
+        try:
+            # the map is read to its end before `cells` changes
+            cells[:] = map(strings.__getitem__, cells)
+            return
+        except IndexError:  # an index past the table's end, named below
+            pass
+    _reject_first(cells, _index_check(strings))
 
 
 def _resolve_arrays(cells: list, strings: list) -> None:
     """Replace each item of each array of `cells`, a name's index, by its string; another cell is left to its check."""
     lookup = strings.__getitem__
-    if _all_of(list, cells) and _indexes(list(chain.from_iterable(cells)), strings):
-        cells[:] = map(list, map(map, repeat(lookup), cells))
-        return
+    if _all_of(list, cells) and _indexes(list(chain.from_iterable(cells))):
+        try:
+            cells[:] = map(list, map(map, repeat(lookup), cells))
+            return
+        except IndexError:  # an index past the table's end, named below
+            pass
     check = _index_check(strings)
 
     def resolve(cell: object) -> None:
@@ -380,11 +388,17 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
             entries = list(chain.from_iterable(cells))
             if _all_of(list, entries) and set(map(len, entries)) <= {len(columns)}:
                 found = [list(map(itemgetter(field), entries)) for field in name_fields]
-                if all(_indexes(indexes, strings) for indexes in found):
-                    for field, indexes in zip(name_fields, found):
-                        # one setitem per entry, called from C; the deque keeps none of their results
-                        deque(map(setitem, entries, repeat(field), map(strings.__getitem__, indexes)), maxlen=0)
-                    return
+                if all(map(_indexes, found)):
+                    try:
+                        # every name is looked up before any entry changes
+                        names = [list(map(strings.__getitem__, indexes)) for indexes in found]
+                    except IndexError:  # an index past the table's end, named below
+                        pass
+                    else:
+                        for field, resolved in zip(name_fields, names):
+                            # one setitem per entry, called from C; the deque keeps none of their results
+                            deque(map(setitem, entries, repeat(field), resolved), maxlen=0)
+                        return
         check = _index_check(strings)
 
         def resolve_entry(entry: object) -> None:

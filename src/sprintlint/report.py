@@ -111,7 +111,10 @@ def _violation_dicts(batch: list) -> list:
 
 
 def _result_pieces(results: Iterable[MetricResult], titles: Mapping[str, str]) -> Iterator[str]:
-    """The JSON array of result rows, in pieces: each row's other fields in one, then its violations in batches."""
+    """The JSON array of result rows, in pieces: each row's other fields in one, then its violations in batches.
+
+    A row with no violations is one piece, its `[]` written with no encoder call.
+    """
     yield "["
     for position, result in enumerate(results):
         row = result._asdict()
@@ -119,7 +122,11 @@ def _result_pieces(results: Iterable[MetricResult], titles: Mapping[str, str]) -
         row["sprint_title"] = titles.get(result.sprint, result.sprint)
         row["score"] = _rounded(result.score)
         # "violations" sorts after every other key, so the row is left open for it
-        yield f'{"," if position else ""}{canonical_json(row)[:-1]},"violations":'
+        head = f'{"," if position else ""}{canonical_json(row)[:-1]},"violations":'
+        if not result.violations:
+            yield head + "[]}"
+            continue
+        yield head
         yield from array_pieces(result.violations, VIOLATION_BATCH, _violation_dicts)
         yield "}"
     yield "]"

@@ -177,7 +177,9 @@ def parse_iso_utc(text: str, what: str = "timestamp") -> float:
     try:
         parsed = datetime.fromisoformat(raw)
     except ValueError as exc:
-        raise ParseError(f"{what} is not valid ISO-8601: {text!r} ({exc})") from None
+        # the message quotes the text as given, not as rewritten
+        reason = str(exc).replace(repr(raw), repr(text))
+        raise ParseError(f"{what} is not valid ISO-8601: {text!r} ({reason})") from None
     if parsed.tzinfo is None:
         raise ParseError(f"{what} lacks a timezone offset: {text!r}")
     # an aware datetime's timestamp() applies its offset exactly

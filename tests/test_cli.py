@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprintlint import METRIC_NAMES, FixtureSpec, MetricConfig, build_history, cli, generate
+from sprintlint import METRIC_NAMES, FixtureSpec, MetricConfig, build_history, cli, fixtures, generate
 from sprintlint.cli import main
 from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
 from sprintlint.serialize import END_TS, FIRST_TS
@@ -366,7 +366,7 @@ def test_generate_refuses_an_infeasible_document_before_building(tmp_path, capsy
     def build(spec):
         raise AssertionError(f"generate ran for {spec}")
 
-    monkeypatch.setattr(cli, "generate", build)
+    monkeypatch.setattr(fixtures, "generate", build)
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(document), encoding="utf-8")
     assert main(["generate", f"--{kind}", str(path), "--out-dir", str(tmp_path / "f")]) == 2
@@ -478,6 +478,8 @@ class _Node:
 def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypatch):
     frozen = gc.get_freeze_count()
     seen = {"generate": [], "load_history": [], "load_snapshot": [], "write_text": []}
+    # `cli` reads `generate` from its module at each call, and holds the other three itself
+    homes = {"generate": fixtures, "load_history": cli, "load_snapshot": cli, "write_text": cli}
 
     def look(name, call):
         def looked(*args, **kwargs):
@@ -485,8 +487,8 @@ def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypat
             return call(*args, **kwargs)
         return looked
 
-    for name in seen:
-        monkeypatch.setattr(cli, name, look(name, getattr(cli, name)))
+    for name, home in homes.items():
+        monkeypatch.setattr(home, name, look(name, getattr(home, name)))
     snapshot = _ingest(tmp_path, _generate(tmp_path))
     assert seen["generate"] == [False]
     assert seen["load_history"] == [False]
@@ -520,7 +522,7 @@ def test_collector_is_paused_for_the_load_and_restored_after(tmp_path, monkeypat
     def unexpected(*args, **kwargs):
         raise RuntimeError("not a SprintLintError")
 
-    monkeypatch.setattr(cli, "build_report", unexpected)
+    monkeypatch.setattr("sprintlint.report.build_report", unexpected)
     with pytest.raises(RuntimeError):
         main(lint)
     assert gc.isenabled()
@@ -600,6 +602,42 @@ def test_no_command_loads_openssl_and_lint_still_digests(tmp_path):
     assert done.stdout.splitlines()[-2:] == ["False False", "False False"]
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["config_digest"] == EXPECTED_CONFIG_DIGEST
+
+
+# one command run in a child: the sprintlint modules whose bodies never ran (`type` reads no
+# attribute, so it loads none), and which of `dataclasses` and `inspect` it imported
+CHILD_COMMAND = """
+import json, sys, types
+before = set(sys.modules)
+from sprintlint.cli import main
+assert main(sys.argv[1:]) == 0
+print(json.dumps([
+    sorted(name for name, module in sys.modules.items()
+           if name.startswith("sprintlint.") and type(module) is not types.ModuleType),
+    sorted({"dataclasses", "inspect"} & set(sys.modules) - before),
+]))
+"""
+
+
+def _child_command(argv: list[str]) -> tuple[set[str], list[str]]:
+    done = subprocess.run([sys.executable, "-c", CHILD_COMMAND, *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    unexecuted, imported = json.loads(done.stdout.splitlines()[-1])
+    return {name.removeprefix("sprintlint.") for name in unexecuted}, imported
+
+
+def test_each_command_runs_only_the_modules_it_uses(tmp_path):
+    fixture = _generate(tmp_path)
+    snapshot = tmp_path / "snap.json"
+    exports = [f"--{kind}={fixture / name}" for kind, name in EXPORTS.items()]
+    unexecuted, imported = _child_command(["ingest", *exports, f"--out={snapshot}"])
+    assert unexecuted == {"catalog", "config", "engine", "fixtures", "report", "scoring"}
+    assert imported == []
+    unexecuted, _ = _child_command(["lint", f"--project={snapshot}", f"--out={tmp_path / 'r.json'}"])
+    assert unexecuted == {"fixtures"}
+    unexecuted, _ = _child_command(["score", f"--project={snapshot}", f"--out={tmp_path / 't.csv'}"])
+    assert unexecuted == {"fixtures", "report"}
 
 
 NON_ASCII_TEAM = "t\u00ebam"

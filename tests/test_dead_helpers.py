@@ -91,8 +91,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_every_imported_name_is_used():
-    # `__init__.py` imports only to re-export
-    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    modules = sorted(SRC.glob("*.py"))
     assert modules, f"no modules under {SRC}"
     unused = [
         f"{path.name}: {name}"

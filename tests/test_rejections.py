@@ -134,6 +134,9 @@ def _timestamp(kind, *path, optional=False):
         (kind, path, "", key, f"{key} must be an ISO-8601 string, got ''"),
         (kind, path, "yesterday", key,
          f"{key} is not valid ISO-8601: 'yesterday' (Invalid isoformat string: 'yesterday')"),
+        # quoted as given: the "Z" that the parse reads as "+00:00" is not echoed rewritten
+        (kind, path, "99999-01-01T00:00:00Z", key,
+         f"{key} is not valid ISO-8601: '99999-01-01T00:00:00Z' (Invalid isoformat string: '99999-01-01T00:00:00Z')"),
         (kind, path, "2015-01-12T14:03:00", key,
          f"{key} lacks a timezone offset: '2015-01-12T14:03:00'"),
     ]
@@ -612,6 +615,7 @@ INDEX_CASES = [
     ("sprints.team", None, ": must be an index into strings, got None"),
     ("stats.commit_id", "c1", ": must be an index into strings, got 'c1'"),
     ("commits.parents", [2, -1], "[1]: must be an index into strings, got -1"),
+    ("commits.parents", [2, len(ENCODED["strings"])], f"[1]: must be an index into strings, got {len(ENCODED['strings'])}"),
     ("issues.labels", ["x"], "[0]: must be an index into strings, got 'x'"),
     ("issues.assignees", [[0]], "[0]: must be an index into strings, got [0]"),
     ("commits.files", [[1, 3, 1], [99, 1, 1]], "[1][0]: must be an index into strings, got 99"),
@@ -627,6 +631,15 @@ def test_columnar_snapshot_rejects_a_name_that_is_no_index(tmp_path, capsys, cas
     doc[kind][name][0] = value
     code, err = _lint_document(tmp_path, capsys, doc)
     assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {column}[0]{message}\n")
+
+
+def test_a_now_flag_that_is_no_timestamp_is_quoted_as_given(tmp_path, capsys):
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(ENCODED), encoding="utf-8")
+    capsys.readouterr()
+    now = "99999-01-01T00:00:00Z"
+    assert main(["lint", "--project", str(path), "--now", now, "--out", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err == f"error: --now is not valid ISO-8601: {now!r} (Invalid isoformat string: {now!r})\n"
 
 
 @pytest.mark.parametrize("case", CONSTRUCTOR_CASES, ids=_cell_id)
