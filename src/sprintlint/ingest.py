@@ -27,10 +27,11 @@ exact type, `_floats` for numbers and epoch timestamps, and `_entries` for
 arrays of nested records. Each declares a field's check once, and that
 check runs both where an export is read (``'<field>' must be <expected>``)
 and where a snapshot is loaded (``must be <expected>, got <cell>``), a
-snapshot column in bulk first. Before that check, a snapshot column's names
-are resolved: each must be an index into ``strings``, an integer from 0 to
-its length less one (so no boolean), or the load fails with ``must be an
-index into strings, got <value>``; the string it indexes then meets the
+snapshot column in bulk first. Before that check, `_lookup` resolves a
+snapshot column's names, all in one call (one per name field, for entries):
+each must be an index into ``strings``, an integer from 0 to its length less
+one (so no boolean), or the load fails with ``must be an index into strings,
+got <value>`` at the first that is not; the string it indexes then meets the
 column's check. Only timestamps are read in two ways, as an export holds
 ISO-8601 text and a snapshot numbers. Each JSON export kind has one builder
 (`_commit`, `_story`, `_sprint`, `_pull`), which reads its object's fields
@@ -180,54 +181,22 @@ def _enter(names: Iterable[str], table: dict[str, int]) -> None:
     table.update(zip(dict.fromkeys(filterfalse(table.__contains__, names)), count(len(table))))
 
 
-def _regrouped(items: list, cells: list) -> list[list]:
-    """`items`, one for each item of each of `cells` in turn, as a list for each cell."""
+def _regrouped(items: list, cells: list) -> Iterator[list]:
+    """`items`, one for each item of each of `cells` in turn, as a list for each cell, made as it is asked for."""
     ends = list(accumulate(map(len, cells)))
-    return list(map(items.__getitem__, map(slice, chain((0,), ends), ends)))
+    return map(items.__getitem__, map(slice, chain((0,), ends), ends))
 
 
-def _indexes(values: list) -> bool:
-    """Whether each of `values` is an exact int (so no bool) from 0 up; looking it up in the string table bounds it."""
-    return _all_of(int, values) and (not values or min(values) >= 0)
-
-
-def _index_check(strings: list) -> Callable[[object], None]:
-    def check(value: object) -> None:
-        if not (_indexes([value]) and value < len(strings)):
-            raise _Malformed(f"must be an index into strings, got {value!r}")
-    return check
-
-
-def _resolve_names(cells: list, strings: list) -> None:
-    """Replace each of `cells`, a name's index into `strings`, by the string it indexes."""
-    if _indexes(cells):
+def _lookup(indexes: list, strings: list) -> list:
+    """The entries of `strings` that `indexes` name; raises _Malformed at ``[k]`` for the first that names none."""
+    if _all_of(int, indexes) and (not indexes or min(indexes) >= 0):
         try:
-            # the map is read to its end before `cells` changes
-            cells[:] = map(strings.__getitem__, cells)
-            return
+            return list(map(strings.__getitem__, indexes))
         except IndexError:  # an index past the table's end, named below
             pass
-    _reject_first(cells, _index_check(strings))
-
-
-def _resolve_arrays(cells: list, strings: list) -> None:
-    """Replace each item of each array of `cells`, a name's index, by its string; another cell is left to its check."""
-    lookup = strings.__getitem__
-    if _all_of(list, cells) and _indexes(list(chain.from_iterable(cells))):
-        try:
-            cells[:] = map(list, map(map, repeat(lookup), cells))
-            return
-        except IndexError:  # an index past the table's end, named below
-            pass
-    check = _index_check(strings)
-
-    def resolve(cell: object) -> None:
-        if type(cell) is list:
-            _reject_first(cell, check)
-            cell[:] = map(lookup, cell)
-
-    # each array in turn, checked and then resolved
-    _reject_first(cells, resolve)
+    index, value = next((index, value) for index, value in enumerate(indexes)
+                        if type(value) is not int or not 0 <= value < len(strings))
+    raise _Malformed(f"must be an index into strings, got {value!r}", f"[{index}]")
 
 
 def _listed(values: Iterable, table: dict[str, int]) -> list:
@@ -242,7 +211,7 @@ class _Column(_Record, namedtuple("_Column", "read load dump resolve", defaults=
     dump: the records' values, the string table -> the column's cells, each name as its index in the
         table; `_listed` by default
     resolve: the column's cells, the snapshot's strings -> None, each name's index in the cells replaced
-        in place by its string; raises _Malformed; None for a kind that holds no names
+        in place by the string `_lookup` finds; raises _Malformed; None for a kind that holds no names
     """
 
     __slots__ = ()
@@ -289,8 +258,19 @@ def _kind(cls: type, expected: str, ok: Callable | None = None, items: type | No
         _enter(chain.from_iterable(values), table)
         return list(map(list, map(map, repeat(table.__getitem__), values)))
 
-    resolve = None if not names else _resolve_names if items is None else _resolve_arrays
-    return _Column(read, load, dump, resolve)
+    def resolve(cells: list, strings: list) -> None:
+        if items is None:
+            cells[:] = _lookup(cells, strings)
+            return
+        # every array cell's items in one lookup, then each cell refilled in place; another cell is left to `load`
+        arrays = [cell for cell in cells if type(cell) is list]
+        try:
+            found = _lookup(list(chain.from_iterable(arrays)), strings)
+        except _Malformed:  # named again by its cell and item
+            _reject_first(cells, lambda cell: type(cell) is list and _lookup(cell, strings))
+        deque(map(setitem, arrays, repeat(slice(None)), _regrouped(found, arrays)), maxlen=0)
+
+    return _Column(read, load, dump, resolve if names else None)
 
 
 def _floats(epoch: bool, optional: bool = False) -> _Column:
@@ -380,37 +360,33 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
         cells = list(cells)
         entries = list(chain.from_iterable(cells))
         fields = [column.dump(map(itemgetter(index), entries), table) for index, column in enumerate(columns)]
-        return _regrouped(list(zip(*fields)), cells)
+        return list(_regrouped(list(zip(*fields)), cells))
 
     def resolve(cells: list, strings: list) -> None:
         """Replace each name's index in each entry of `cells` by its string, in place."""
         if _all_of(list, cells):
             entries = list(chain.from_iterable(cells))
             if _all_of(list, entries) and set(map(len, entries)) <= {len(columns)}:
-                found = [list(map(itemgetter(field), entries)) for field in name_fields]
-                if all(map(_indexes, found)):
-                    try:
-                        # every name is looked up before any entry changes
-                        names = [list(map(strings.__getitem__, indexes)) for indexes in found]
-                    except IndexError:  # an index past the table's end, named below
-                        pass
-                    else:
-                        for field, resolved in zip(name_fields, names):
-                            # one setitem per entry, called from C; the deque keeps none of their results
-                            deque(map(setitem, entries, repeat(field), resolved), maxlen=0)
-                        return
-        check = _index_check(strings)
+                try:
+                    # every name is looked up before any entry changes
+                    names = [_lookup(list(map(itemgetter(field), entries)), strings) for field in name_fields]
+                except _Malformed:  # named again by its cell, entry and field
+                    pass
+                else:
+                    for field, resolved in zip(name_fields, names):
+                        # one setitem per entry, called from C; the deque keeps none of their results
+                        deque(map(setitem, entries, repeat(field), resolved), maxlen=0)
+                    return
 
         def resolve_entry(entry: object) -> None:
             for field in name_fields:
                 if type(entry) is list and field < len(entry):
                     try:
-                        check(entry[field])
+                        entry[field], = _lookup(entry[field:field + 1], strings)
                     except _Malformed as exc:
                         raise _Malformed(str(exc), f"[{field}]") from None
-                    entry[field] = strings[entry[field]]
 
-        # each entry in turn, checked and then resolved; a cell or entry of another shape is left to `check`
+        # each entry in turn, its names looked up and then set; a cell or entry of another shape is left to `check`
         _reject_first(cells, lambda cell: type(cell) is list and _reject_first(cell, resolve_entry))
 
     return _Column(_kind(list, "an array").read, load, dump, resolve)

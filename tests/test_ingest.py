@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import itertools
 import json
 import tracemalloc
 from datetime import datetime, timezone
@@ -1332,3 +1333,145 @@ def test_each_record_builder_reads_the_fields_its_schema_names_in_order():
         assert raw.read == list(ingest._SCHEMA[kind][1]), kind
         if nested:
             assert entry.read == list(entry_fields), kind
+
+
+# --- the name lookup against the resolvers it replaced -----------------------------
+#
+# A snapshot's names are resolved through one lookup, `_lookup`: one call for a name column of cells, one for the
+# items of an array column's array cells, and one per name field across an entry column's entries; a cell or an
+# entry is walked again only to position a failure. Before it, three resolvers each decided which value was an
+# index into the string table and where a bad one sat. They are copied below as the reference, with the helpers
+# they called; the entry resolver's `itemgetter` and `setitem` maps are written as a comprehension and a loop.
+
+
+def _all_of(cls, values):
+    return set(map(type, values)) <= {cls}
+
+
+def _reject_first(values, check):
+    for index, value in enumerate(values):
+        try:
+            check(value)
+        except ingest._Malformed as exc:
+            raise ingest._Malformed(str(exc), f"[{index}]{exc.where}") from None
+
+
+def _indexes(values):
+    return _all_of(int, values) and (not values or min(values) >= 0)
+
+
+def _index_check(strings):
+    def check(value):
+        if not (_indexes([value]) and value < len(strings)):
+            raise ingest._Malformed(f"must be an index into strings, got {value!r}")
+    return check
+
+
+def _resolve_names(cells, strings):
+    if _indexes(cells):
+        try:
+            cells[:] = map(strings.__getitem__, cells)
+            return
+        except IndexError:
+            pass
+    _reject_first(cells, _index_check(strings))
+
+
+def _resolve_arrays(cells, strings):
+    lookup = strings.__getitem__
+    if _all_of(list, cells) and _indexes(list(itertools.chain.from_iterable(cells))):
+        try:
+            cells[:] = map(list, map(map, itertools.repeat(lookup), cells))
+            return
+        except IndexError:
+            pass
+    check = _index_check(strings)
+
+    def resolve(cell):
+        if type(cell) is list:
+            _reject_first(cell, check)
+            cell[:] = map(lookup, cell)
+
+    _reject_first(cells, resolve)
+
+
+def _resolve_entries(fields):
+    """The resolver of an entry column of `fields`, an `_entries` field table."""
+    width = len(fields)
+    name_fields = [index for index, column in enumerate(fields.values()) if column.resolve is not None]
+
+    def resolve(cells, strings):
+        if _all_of(list, cells):
+            entries = list(itertools.chain.from_iterable(cells))
+            if _all_of(list, entries) and set(map(len, entries)) <= {width}:
+                found = [[entry[field] for entry in entries] for field in name_fields]
+                if all(map(_indexes, found)):
+                    try:
+                        names = [list(map(strings.__getitem__, indexes)) for indexes in found]
+                    except IndexError:
+                        pass
+                    else:
+                        for field, resolved in zip(name_fields, names):
+                            for entry, name in zip(entries, resolved):
+                                entry[field] = name
+                        return
+        check = _index_check(strings)
+
+        def resolve_entry(entry):
+            for field in name_fields:
+                if type(entry) is list and field < len(entry):
+                    try:
+                        check(entry[field])
+                    except ingest._Malformed as exc:
+                        raise ingest._Malformed(str(exc), f"[{field}]") from None
+                    entry[field] = strings[entry[field]]
+
+        _reject_first(cells, lambda cell: type(cell) is list and _reject_first(cell, resolve_entry))
+
+    return resolve
+
+
+# each name column kind -> the reference's resolver and the shape of its cells
+NAME_KINDS = {
+    "ids": (ingest._ID, _resolve_names, "cells"),
+    "parents": (ingest._PARENTS, _resolve_arrays, "arrays"),
+    "labels": (ingest._STR_SET, _resolve_arrays, "arrays"),
+    "files": (ingest._FILES, _resolve_entries(ingest._FILE_FIELDS), "entries"),
+    "memberships": (ingest._MEMBERSHIPS, _resolve_entries(ingest._MEMBERSHIP_FIELDS), "entries"),
+}
+# values that are no index into any table, and cells or entries of another shape than their column's
+NO_INDEXES = [-1, True, False, 3.0, 0.0, "0", "x", None, [0], {}]
+OTHER_SHAPES = [None, 5, "ab", {}, {"0": 1}]
+
+
+def _name_cells(data, shape, width):
+    """A drawn column of `shape` holding names as indexes into a table of `width` strings, with some values that are
+    no index and some cells or entries of another shape mixed in."""
+    values = st.integers(0, width - 1) if width else st.nothing()
+    values = values | st.sampled_from([*NO_INDEXES, width, width + 1])
+    other = st.sampled_from(OTHER_SHAPES)
+    if shape == "cells":
+        return data.draw(st.lists(values, max_size=6))
+    if shape == "arrays":
+        return data.draw(st.lists(st.lists(values, max_size=3) | other, max_size=6))
+    entries = st.builds(lambda name, rest: [name, *rest], values, st.lists(st.sampled_from([1, 0.0, -1, "x"]),
+                                                                           max_size=3))
+    return data.draw(st.lists(st.lists(entries | st.just([]) | other, max_size=3) | other, max_size=4))
+
+
+def _resolved(resolve, cells, strings):
+    """`cells` as `resolve` leaves them, or the position and message of the `_Malformed` it raises."""
+    cells = copy.deepcopy(cells)
+    try:
+        resolve(cells, strings)
+    except ingest._Malformed as exc:
+        return exc.where, str(exc)
+    return repr(cells)  # so 1 and True, or 1 and 1.0, differ
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(NAME_KINDS)), strings=st.lists(st.text(max_size=2), max_size=4), data=st.data())
+def test_each_name_column_resolves_as_the_resolvers_it_replaced(kind, strings, data):
+    column, reference, shape = NAME_KINDS[kind]
+    cells = _name_cells(data, shape, len(strings))
+    assert _resolved(column.resolve, cells, strings) == _resolved(reference, cells, strings)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -712,6 +713,59 @@ def test_columnar_snapshot_names_a_malformed_entry_by_cell_and_entry(tmp_path, c
     assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: "
                               "commits.files[1][1]: must be a [path, added, deleted] triple of a non-empty "
                               "string and two integers, got ['src/b.py', '2', 1]\n")
+
+
+TWO_COMMITS = _encoded(_commit_columns(2))
+PATH_INDEX = TWO_COMMITS["strings"].index("src/a.py")
+PAST_END = len(TWO_COMMITS["strings"])
+NO_INDEX = f"must be an index into strings, got {PAST_END}"
+
+# {collection.column of `TWO_COMMITS`: its new cells} -> the message after ``<path> holds a malformed snapshot: ``;
+# a column's names are looked up, and a bad one named, before its check runs, and columns run in `_SCHEMA` order
+ORDER_CASES = {
+    "bad-index-after-a-cell-that-is-no-array": ({"commits.parents": [5, [PAST_END]]},
+                                                f"commits.parents[1][0]: {NO_INDEX}"),
+    "cell-that-is-no-array-after-one-that-resolves": ({"commits.parents": [[PATH_INDEX], 5]},
+                                                      "commits.parents[1]: must be an array of strings, got 5"),
+    "short-entry-holding-a-bad-index": ({"commits.files": [[[PAST_END, 1]], [[PATH_INDEX, 3, 1]]]},
+                                        f"commits.files[0][0][0]: {NO_INDEX}"),
+    "bad-index-after-an-entry-that-is-no-array": ({"commits.files": [[5, [PAST_END, 1, 1]], [[PATH_INDEX, 3, 1]]]},
+                                                  f"commits.files[0][1][0]: {NO_INDEX}"),
+    "short-entry-shown-with-its-name": ({"commits.files": [[[PATH_INDEX, 3]], [[PATH_INDEX, 3, 1]]]},
+                                        f"commits.files[0][0]: must be a {TRIPLE}, got ['src/a.py', 3]"),
+    "bad-membership-index-after-an-entry-that-is-no-array": ({"issues.milestone_history": [[None, [PAST_END, 0.0]]]},
+                                                             f"issues.milestone_history[0][1][0]: {NO_INDEX}"),
+    "bad-epoch-before-a-bad-parent-index": ({"commits.authored_at": ["x", "x"], "commits.parents": [[PAST_END], []]},
+                                            "commits.authored_at[0]: must be a number of epoch seconds, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("edits, message", ORDER_CASES.values(), ids=list(ORDER_CASES))
+def test_columnar_snapshot_names_the_first_bad_name_in_load_order(tmp_path, capsys, edits, message):
+    doc = copy.deepcopy(TWO_COMMITS)
+    for column, cells in edits.items():
+        kind, name = column.split(".")
+        doc[kind][name] = cells
+    code, err = _lint_document(tmp_path, capsys, doc)
+    assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n")
+
+
+def test_each_snapshot_error_the_readme_quotes_is_the_loaders_text(tmp_path, capsys):
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    parents = _encoded(_commit_columns(4))
+    parents["commits"]["parents"][3] = [-1]
+    ids = _commit_columns(18)
+    ids["commits"]["id"][17] = ""
+    sprints = copy.deepcopy(COLUMNS)
+    sprints["sprints"] = {name: cells * 4 for name, cells in sprints["sprints"].items()}
+    sprints["sprints"]["id"] = ["s0", "s1", "s2", "s3"]
+    sprints["sprints"]["starts_at"][3] = sprints["sprints"]["due_on"][3]
+    for doc, message in [(parents, "commits.parents[3][0]: must be an index into strings, got -1"),
+                         (_encoded(ids), "commits.id[17]: must be a non-empty string, got ''"),
+                         (_encoded(sprints), "sprints[3]: sprint s3 must start before it is due")]:
+        assert f"`{message}`" in readme
+        code, err = _lint_document(tmp_path, capsys, doc)
+        assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n")
 
 
 def test_columnar_snapshot_reads_integer_epochs_as_floats(tmp_path):
