@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__, catalog, config as cfg, engine, fixtures, ingest, report, scoring
 from .errors import SprintLintError
 from .ingest import EXPORTS, IngestManifest, load_history, load_snapshot, write_snapshot
-from .serialize import canonical_json, parse_iso_utc, read_json, utf8_slices, write_text
+from .serialize import canonical_json, parse_iso_utc, read_json, text_slices, write_text
 
 CONFIG_ENV_VAR = "SPRINTLINT_CONFIG"
 
@@ -53,7 +53,7 @@ def _write_stdout(text: str) -> None:
         sys.stdout.write(text)
         return
     sys.stdout.flush()
-    buffer.writelines(utf8_slices(text, "surrogateescape"))
+    buffer.writelines(piece.encode("utf-8", "surrogateescape") for piece in text_slices(text))
 
 
 def _read_json_file(path: str) -> dict:

@@ -87,6 +87,7 @@ from .serialize import (
     array_pieces,
     canonical_json,
     check_unicode,
+    csv_field,
     format_iso_utc,
     object_pieces,
     parse_iso_utc,
@@ -769,14 +770,8 @@ def write_pulls(path: str | Path, pulls: Iterable[PullRequest]) -> None:
     _write_array(path, _pull_line, pulls)
 
 
-# an id holding one of these is quoted, its quotes doubled, as `csv.writer` writes a field holding its
-# delimiter, its quote character or its line terminator; "\r", which `csv.writer` may leave bare though a
-# reader takes it for a line break, is quoted too
-_CSV_SPECIAL = frozenset(',"\r\n')
-
-
 def _number(value: float) -> str:
-    """A float or an int as `csv.writer` writes it: its repr."""
+    """A float or an int as a CSV field: its repr, which never needs quoting."""
     if type(value) is not float and type(value) is not int:
         raise _wrong_type(value, "a number")
     return repr(value)
@@ -786,9 +781,7 @@ def _stats_line(row: BuildStats) -> str:
     commit_id, coverage, complexity = row
     if type(commit_id) is not str:
         raise _wrong_type(commit_id, "a str")
-    if not _CSV_SPECIAL.isdisjoint(commit_id):
-        commit_id = '"' + commit_id.replace('"', '""') + '"'
-    return f"{commit_id},{_number(coverage)},{_number(complexity)}\n"
+    return f"{csv_field(commit_id)},{_number(coverage)},{_number(complexity)}\n"
 
 
 def write_stats(path: str | Path, stats: Iterable[BuildStats]) -> None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
@@ -11,7 +9,7 @@ from .config import MetricConfig
 from .engine import MetricRegistry
 from .errors import SprintLintError
 from .model import MetricResult, ProjectHistory, Severity, _Record
-from .serialize import format_iso_utc
+from .serialize import csv_field, format_iso_utc
 
 
 class Contribution(_Record, namedtuple("Contribution", "metric score severity weight weighted_share")):
@@ -144,19 +142,10 @@ def trend(
 
 
 def trend_csv(series: Iterable[TrendSeries]) -> str:
-    """Render trend series as CSV: team,metric,sprint_title,due_on,score."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("team", "metric", "sprint_title", "due_on", "score"))
-    writer.writerows(
-        (
-            one.team,
-            one.metric,
-            point.sprint_title,
-            format_iso_utc(point.due_on),
-            "" if point.score is None else f"{point.score:.1f}",
-        )
+    """Render trend series as CSV: team,metric,sprint_title,due_on,score, each text field through `csv_field`."""
+    return "team,metric,sprint_title,due_on,score\n" + "".join(
+        f"{csv_field(one.team)},{csv_field(one.metric)},{csv_field(point.sprint_title)},"
+        f"{format_iso_utc(point.due_on)},{'' if point.score is None else f'{point.score:.1f}'}\n"
         for one in series
         for point in one.points
     )
-    return out.getvalue()

@@ -4,15 +4,16 @@ All JSON output in this package is the text `canonical_json` gives (the
 export line writers in `ingest` build that text straight from the records),
 so that identical runs produce byte-identical files. Every input file is
 read through `read_text` or `read_json`, and every output file is written
-through `write_text`, which takes either a string or its pieces, joins small
-pieces and encodes them in slices, so a large document can be written
-without being held whole as bytes, or as text when it comes in pieces, and
-one given as many small pieces is written in few calls. `object_pieces` and
-`array_pieces` give those pieces for a JSON object or array, each member or
-item turned to text only when its turn comes; `array_pieces`, the one writer
-of a JSON array from values, encodes `batch` items to a call, as many as
-the caller that knows their size chooses, each batch first put through the
-caller's `dump` when its piece is asked for.
+through `write_text`, which takes either a string or its pieces and leaves
+the encoding to a UTF-8 text file, a string a slice at a time, so a large
+document can be written without being held whole as bytes, or as text when
+it comes in pieces. `object_pieces` and `array_pieces` give those pieces for
+a JSON object or array, each member or item turned to text only when its
+turn comes; `array_pieces`, the one writer of a JSON array from values,
+encodes `batch` items to a call, as many as the caller that knows their size
+chooses, each batch first put through the caller's `dump` when its piece is
+asked for. Both CSV writers, the stats export and the trend CSV, quote a
+field through `csv_field`.
 """
 
 from __future__ import annotations
@@ -65,58 +66,38 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-# the most characters of a string encoded at once: 64 Ki, at most 256 KiB of UTF-8
+# the most characters of a string encoded at once (64 Ki, at most 256 KiB of
+# UTF-8), and the bytes a file buffers before it writes
 SLICE = 1 << 16
 
 
-def utf8_slices(text: str | Iterable[str], errors: str = "strict") -> Iterator[bytes]:
-    """The UTF-8 of `text`, a string or the pieces of one in order, at most `SLICE` characters at a time.
-
-    Consecutive pieces are joined up to `SLICE` characters before they are
-    encoded, so a text given as many small pieces (a line each, say) is
-    encoded and written in few calls; a longer piece is sliced, and a slice
-    of a string never splits a character. At most `SLICE` characters are
-    held at once, and the slices join to `text.encode("utf-8", errors)`.
-    """
-    held: list[str] = []
-    room = SLICE
-    for piece in (text,) if isinstance(text, str) else text:
-        if len(piece) > room:
-            if room < SLICE:
-                yield "".join(held).encode("utf-8", errors)
-                held = []
-            start = 0
-            while len(piece) - start > SLICE:
-                yield piece[start:start + SLICE].encode("utf-8", errors)
-                start += SLICE
-            piece = piece[start:]
-            room = SLICE
-        held.append(piece)
-        room -= len(piece)
-    if room < SLICE:
-        yield "".join(held).encode("utf-8", errors)
+def text_slices(text: str | Iterable[str]) -> Iterable[str]:
+    """`text`, a string or the pieces of one in order, as pieces: a string is cut into `SLICE`-character slices."""
+    if isinstance(text, str):
+        return (text[start:start + SLICE] for start in range(0, len(text), SLICE))
+    return text
 
 
 def write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write `text`, a string or the pieces of one in order, to `path` as UTF-8, whole or not at all.
 
-    The `utf8_slices` of `text` are written to a temporary file beside `path`
-    in turn, so only one slice at a time is held as bytes, and small pieces
-    are joined into a slice before they are encoded and written; the temporary
-    file then replaces `path`. A failed write, a piece that cannot be made
-    or encoded included, leaves an earlier file at `path` as it was and no
-    temporary file behind. A path that names something other than a regular
-    file (a device, a pipe, a symbolic link) is written through instead,
-    after every piece is encoded.
+    The `text_slices` of `text` go in turn to a temporary file beside `path`,
+    opened as UTF-8 text with a buffer of `SLICE` bytes: the file encodes
+    each piece as it is written and joins small ones into few writes, so only
+    a slice of a string is held as bytes. The temporary file then replaces
+    `path`. A failed write, a piece that cannot be made or encoded included,
+    leaves an earlier file at `path` as it was and no temporary file behind.
+    A path that names something other than a regular file (a device, a pipe,
+    a symbolic link) is written through instead, after every piece is encoded.
     """
     path = Path(path)
     if path.is_symlink() or (path.exists() and not path.is_file()):
-        path.write_bytes(b"".join(utf8_slices(text)))
+        path.write_bytes(b"".join(piece.encode("utf-8") for piece in text_slices(text)))
         return
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(temp, "xb") as out:
-            out.writelines(utf8_slices(text))
+        with open(temp, "x", encoding="utf-8", newline="", buffering=SLICE) as out:
+            out.writelines(text_slices(text))
         os.replace(temp, path)
     except BaseException as exc:
         temp.unlink(missing_ok=True)
@@ -124,6 +105,18 @@ def write_text(path: str | Path, text: str | Iterable[str]) -> None:
             # name the file the caller asked for, not the temporary
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
+
+
+# a field holding one of these is quoted: the delimiter, the quote character
+# and both line breaks, CR included, which a reader takes for a line break
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, its quotes doubled, when it holds a comma, a quote, CR or LF; else as it is."""
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 # the start of a JSON escape from \uD800 to \uDFFF, its hex digits in either case
@@ -185,7 +178,11 @@ def parse_iso_utc(text: str, what: str = "timestamp") -> float:
     # an aware datetime's timestamp() applies its offset exactly
     moment = parsed.timestamp()
     if not FIRST_TS <= moment < END_TS:
-        raise ParseError(f"{what} is out of range (years 1 to 9999 in UTC): {text!r}")
+        reason = ""
+        if moment == END_TS and parsed <= datetime.max.replace(tzinfo=timezone.utc):
+            # an instant in the last microseconds of year 9999 rounds up to END_TS as a float
+            reason = " (in year 9999, but it rounds up to 10000-01-01T00:00:00Z as epoch seconds)"
+        raise ParseError(f"{what} is out of range (years 1 to 9999 in UTC): {text!r}{reason}")
     return moment
 
 

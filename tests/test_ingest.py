@@ -430,9 +430,7 @@ def test_write_text_writes_a_string_given_in_pieces(tmp_path):
 @pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"], ids=["2-byte", "3-byte", "4-byte"])
 def test_write_text_encodes_a_string_in_slices_that_split_no_character(tmp_path, char):
     # the character is the last of the first slice and the first of the second
-    head = "x" * (serialize.SLICE - 1) + char
-    text = f"{head}{char}y"
-    assert list(serialize.utf8_slices(text)) == [head.encode("utf-8"), f"{char}y".encode("utf-8")]
+    text = "x" * (serialize.SLICE - 1) + f"{char}{char}y"
     path = tmp_path / "out.txt"
     serialize.write_text(path, text)
     assert path.read_bytes() == text.encode("utf-8")
@@ -442,14 +440,27 @@ def test_write_text_encodes_a_string_in_slices_that_split_no_character(tmp_path,
 @given(lengths=st.lists(st.sampled_from([0, 1, 7, serialize.SLICE - 1, serialize.SLICE, 2 * serialize.SLICE + 3]),
                         max_size=6))
 @example(lengths=[10] * 10_000)
-def test_utf8_slices_join_small_pieces_and_hold_at_most_a_slice(lengths):
+def test_write_text_writes_the_bytes_of_its_pieces_joined(tmp_path_factory, lengths):
     pieces = ["\u00e9" * length if position % 2 else "x" * length for position, length in enumerate(lengths)]
-    slices = list(serialize.utf8_slices(iter(pieces)))
-    assert b"".join(slices) == "".join(pieces).encode("utf-8")
-    texts = [piece.decode("utf-8") for piece in slices]
-    assert all(0 < len(text) <= serialize.SLICE for text in texts)
-    # joined, not one slice per piece: each slice and the next are more than a slice together
-    assert all(len(a) + len(b) > serialize.SLICE for a, b in zip(texts, texts[1:]))
+    path = tmp_path_factory.mktemp("pieces") / "out.txt"
+    serialize.write_text(path, iter(pieces))
+    assert path.read_bytes() == "".join(pieces).encode("utf-8")
+
+
+def test_write_text_holds_a_long_string_as_bytes_a_slice_at_a_time(tmp_path):
+    # 1 Mi characters of 4 bytes each: 4 MiB of UTF-8
+    text = "\U0001f600" * (1 << 20)
+    path = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        serialize.write_text(path, text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert path.stat().st_size == 4 << 20
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_a_failing_piece_keeps_the_old_file_and_leaves_no_temporary(tmp_path):

@@ -323,6 +323,22 @@ def test_stats_reader_rejects(tmp_path, row, message):
     assert [r.commit_id for r in records] == ["c0"]
 
 
+LATE_IN_9999 = "9999-12-31T23:59:59.999999Z"
+
+
+def test_a_stamp_that_rounds_up_to_year_10000_says_it_is_in_year_9999(tmp_path, capsys):
+    message = (f"authored_at is out of range (years 1 to 9999 in UTC): {LATE_IN_9999!r} "
+               "(in year 9999, but it rounds up to 10000-01-01T00:00:00Z as epoch seconds)")
+    with pytest.raises(ParseError) as raised:
+        parse_iso_utc(LATE_IN_9999, "authored_at")
+    assert str(raised.value) == message
+    commits = tmp_path / "commits.ndjson"
+    commits.write_text(json.dumps(COMMIT | {"authored_at": LATE_IN_9999}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["ingest", "--commits", str(commits), "--out", str(tmp_path / "snap.json")]) == 2
+    assert capsys.readouterr().err == f"error: {commits}:1: {message} (field authored_at)\n"
+
+
 # export kind of a JSON array file -> what its reader calls its entries
 ENTRY_NAMES = {"issues": "stories", "sprints": "sprints", "pulls": "pull requests"}
 

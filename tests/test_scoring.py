@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import random
 
 import pytest
@@ -25,7 +26,10 @@ from sprintlint import (
     trend_csv,
 )
 from sprintlint.catalog import CHECKS
-from sprintlint.scoring import OVERALL
+from sprintlint.cli import main
+from sprintlint.ingest import write_snapshot
+from sprintlint.scoring import OVERALL, TrendPoint, TrendSeries
+from sprintlint.serialize import format_iso_utc
 from conftest import DAY, T0, TEAM, make_sprint
 
 REGISTRY = default_registry()
@@ -243,3 +247,86 @@ def test_trend_csv_quotes_a_title_with_a_comma():
     rows = list(csv.reader(text.splitlines()))
     assert all(len(row) == 5 for row in rows)
     assert rows[1][2] == "Sprint 1, hotfix"
+
+
+def _csv_writer_trend_csv(series):
+    """`trend_csv` as it was written through `csv.writer`, whose quoting of CR and NUL depends on the Python version."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("team", "metric", "sprint_title", "due_on", "score"))
+    writer.writerows(
+        (
+            one.team,
+            one.metric,
+            point.sprint_title,
+            format_iso_utc(point.due_on),
+            "" if point.score is None else f"{point.score:.1f}",
+        )
+        for one in series
+        for point in one.points
+    )
+    return out.getvalue()
+
+
+# text of any character but CR and NUL, the two every Python's `csv.writer` writes alike
+CSV_TEXT = st.text(st.characters(exclude_characters="\r\x00"), max_size=8)
+POINTS = st.builds(
+    TrendPoint,
+    sprint_id=st.just("s1"),
+    sprint_title=CSV_TEXT,
+    due_on=st.integers(int(T0), int(T0) + 400 * DAY).map(float),
+    score=st.none() | st.floats(0.0, 100.0),
+)
+SERIES = st.lists(st.builds(TrendSeries, team=CSV_TEXT, metric=st.sampled_from([*CHECKS, OVERALL, "a,b", 'q"']),
+                            points=st.lists(POINTS, max_size=4).map(tuple)), max_size=4)
+
+
+@given(series=SERIES)
+def test_trend_csv_writes_what_csv_writer_wrote(series):
+    assert trend_csv(series) == _csv_writer_trend_csv(series)
+
+
+TREND_HEADER = "team,metric,sprint_title,due_on,score\n"
+
+
+# (team, sprint title, the row trend_csv writes for them): each of CR, LF, a comma, a quote and NUL
+PINNED_ROWS = [
+    ("alpha", "Sprint\rtwo", 'alpha,huge-stories,"Sprint\rtwo",2015-01-19T00:00:00Z,80.0\n'),
+    ("alpha", "Sprint\ntwo", 'alpha,huge-stories,"Sprint\ntwo",2015-01-19T00:00:00Z,80.0\n'),
+    ("alpha", "Sprint 1, hotfix", 'alpha,huge-stories,"Sprint 1, hotfix",2015-01-19T00:00:00Z,80.0\n'),
+    ("alpha", 'The "big" one', 'alpha,huge-stories,"The ""big"" one",2015-01-19T00:00:00Z,80.0\n'),
+    ("alpha", "Sprint\x00one", "alpha,huge-stories,Sprint\x00one,2015-01-19T00:00:00Z,80.0\n"),
+    ("al\rpha", "Sprint 1", '"al\rpha",huge-stories,Sprint 1,2015-01-19T00:00:00Z,80.0\n'),
+    ("al\npha", "Sprint 1", '"al\npha",huge-stories,Sprint 1,2015-01-19T00:00:00Z,80.0\n'),
+    ("al,pha", "Sprint 1", '"al,pha",huge-stories,Sprint 1,2015-01-19T00:00:00Z,80.0\n'),
+    ('al"pha', "Sprint 1", '"al""pha",huge-stories,Sprint 1,2015-01-19T00:00:00Z,80.0\n'),
+    ("al\x00pha", "Sprint 1", "al\x00pha,huge-stories,Sprint 1,2015-01-19T00:00:00Z,80.0\n"),
+]
+
+
+@pytest.mark.parametrize(("team", "title", "row"), PINNED_ROWS)
+def test_trend_csv_quotes_a_field_with_a_comma_a_quote_or_a_line_break(team, title, row):
+    point = TrendPoint("s1", title, T0 + 14 * DAY, 80.0)
+    text = trend_csv([TrendSeries(team, "huge-stories", (point,))])
+    assert text == TREND_HEADER + row
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["team", "metric", "sprint_title", "due_on", "score"],
+        [team, "huge-stories", title, "2015-01-19T00:00:00Z", "80.0"],
+    ]
+
+
+def test_score_writes_titles_holding_cr_and_nul_as_the_same_bytes(tmp_path, capsys):
+    sprints = [make_sprint(title="Sprint\rtwo"), make_sprint("s2", start=T0 + 14 * DAY, title="Sprint\x00one")]
+    snapshot = tmp_path / "snap.json"
+    write_snapshot(snapshot, build_history(sprints=sprints))
+    out = tmp_path / "trend.csv"
+    assert main(["score", "--project", str(snapshot), "--out", str(out)]) == 0
+    # no commits and no stories: only collective-ownership, and so the overall, has a score
+    scores = {"collective-ownership": "100.0", OVERALL: "100.0"}
+    expected = TREND_HEADER + "".join(
+        f'alpha,{metric},"Sprint\rtwo",2015-01-19T00:00:00Z,{scores.get(metric, "")}\n'
+        f'alpha,{metric},Sprint\x00one,2015-02-02T00:00:00Z,{scores.get(metric, "")}\n'
+        for metric in [*CHECKS, OVERALL]
+    )
+    assert out.read_bytes() == expected.encode("utf-8")
+    assert len(list(csv.reader(io.StringIO(expected, newline="")))) == 21
