@@ -9,15 +9,19 @@ answer.
 
 Injected violations live in their own additional team, constructed with the
 same violation-free scaffolding and then seeded with the requested bad
-artifacts. Pre-existing teams are untouched and the injection team is tuned
-(sprint lengths balance the staffing quota, injected stories keep the
-uniform size, injected commits stay clear of the deadline window) so that
-every metric other than the targeted one still scores a clean 100.
+artifacts. Each directive's row in `_DIRECTIVES` states the shape of its
+team (sprints, extra backlog stories, idle developers); `inject` scaffolds
+that team and hands it to the directive's injector, which only plants.
+Pre-existing teams are untouched and the injection team is tuned (sprint
+lengths balance the staffing quota, injected stories keep the uniform size,
+injected commits stay clear of the deadline window) so that every metric
+other than the targeted one still scores a clean 100.
 
 A spec or directive that cannot be built is refused when it is
 constructed, and so when it is read, before any record is built:
 ``InjectionSpec(tdd_regressions=61)`` raises ``InfeasibleFixtureError``, as
-coverage starts at 60% and each regression drops it a point.
+coverage starts at 60% and each regression drops it a point, and every
+injection team is checked against the calendar.
 
 Randomness comes from a single seeded Mersenne Twister stream (the stdlib
 ``random.Random``), so identical specs produce byte-identical exports on
@@ -204,7 +208,7 @@ class InjectionSpec(_Record, namedtuple(
         for name, value in zip(cls._fields, injection):
             if value is None:
                 continue
-            _, keys, _, plan, check = _DIRECTIVES[name]
+            _, keys, _, plan, check, team = _DIRECTIVES[name]
             if isinstance(value, tuple) != bool(keys) or keys and len(value) != len(keys):
                 shape = f"a tuple of {', '.join(keys)}" if keys else "a count"
                 raise InfeasibleFixtureError(f"{name} must be {shape}, got {value!r}")
@@ -219,6 +223,8 @@ class InjectionSpec(_Record, namedtuple(
             if _planted(value):
                 if check:
                     check(*args)
+                n_sprints, extra_backlog, idle_devs = team(*args)
+                _check_sprints(n_sprints, _injection_seconds(extra_backlog, idle_devs))
                 records += _INJECTION_TEAM + plan(*args)
         _check_plan("the injection", records)
         return injection
@@ -516,17 +522,9 @@ _INJECT_PULLS = 3
 _INJECTION_TEAM = _team_records(_INJECT_DEVS, 1, _INJECT_STORIES, _INJECT_COMMITS_PER_DEV, _INJECT_PULLS)
 
 
-def _injection_seconds(extra_backlog: int = 0, idle_devs: int = 0) -> float:
+def _injection_seconds(extra_backlog: int, idle_devs: int) -> float:
     """The sprint length that puts developers / backlog / days on the parabola's peak."""
     return (_INJECT_DEVS + idle_devs) * 86400.0 / (_INJECT_STORIES + extra_backlog)
-
-
-def _injection_team(rng: random.Random, metric: str, n_sprints: int = 1, extra_backlog: int = 0,
-                    idle_devs: int = 0) -> _TeamBuilder:
-    """Scaffold a one-off team for one directive."""
-    duration = _injection_seconds(extra_backlog, idle_devs)
-    return _scaffold_team(rng, f"zz-{metric}", _INJECT_DEVS, n_sprints, duration, _INJECT_STORIES,
-                          _INJECT_COMMITS_PER_DEV, _INJECT_PULLS, idle_devs)
 
 
 # --- what each directive can plant, checked when an InjectionSpec is built
@@ -569,15 +567,12 @@ def _check_neverending(count: int, sprints_each: int) -> None:
         raise InfeasibleFixtureError(
             f"neverending stories need more than {threshold} sprint memberships to violate, got {sprints_each}"
         )
-    _check_sprints(sprints_each, _injection_seconds(count))
 
 
-# --- injectors: each plants its violations in a team of its own and returns
-# the team with the planted artifact ids
+# --- injectors: each plants its violations in the scaffolded team `inject`
+# hands it, `sprint` being the team's last, and returns the planted artifact ids
 
-def _inject_hot_files(rng, metric: str, count: int, edits: int, authors: int) -> tuple[_TeamBuilder, list]:
-    builder = _injection_team(rng, metric)
-    sprint = builder.sprints[-1]
+def _inject_hot_files(builder: _TeamBuilder, sprint: Sprint, count: int, edits: int, authors: int) -> list:
     paths = []
     for i in range(count):
         path = f"hot/hotspot_{i:02d}.py"
@@ -586,12 +581,10 @@ def _inject_hot_files(rng, metric: str, count: int, edits: int, authors: int) ->
         for e in range(edits):
             builder.add_commit(builder.payload_time(sprint), builder.devs[e % authors], (change,), None,
                                advance_chain=False)
-    return builder, paths
+    return paths
 
 
-def _inject_tdd_regressions(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
-    builder = _injection_team(rng, metric)
-    sprint = builder.sprints[-1]
+def _inject_tdd_regressions(builder: _TeamBuilder, sprint: Sprint, count: int) -> list:
     head_coverage, head_complexity = builder.head_stats()
     ids = []
     for i in range(count):
@@ -599,74 +592,63 @@ def _inject_tdd_regressions(rng, metric: str, count: int) -> tuple[_TeamBuilder,
         stats = (head_coverage - (i + 1) * 1.0, head_complexity + (i + 1) * 5.0)
         ids.append(builder.add_commit(builder.payload_time(sprint), builder.devs[i % len(builder.devs)],
                                       (change,), stats, advance_chain=False).id)
-    return builder, ids
+    return ids
 
 
-def _inject_huge_stories(rng, metric: str, count: int, multiplier: float) -> tuple[_TeamBuilder, list]:
-    builder = _injection_team(rng, metric, extra_backlog=count)
-    sprint = builder.sprints[-1]
+def _inject_huge_stories(builder: _TeamBuilder, sprint: Sprint, count: int, multiplier: float) -> list:
     length = round(multiplier * BASE_STORY_LENGTH)
-    return builder, [story_ref(builder.add_story([sprint], length=length).number) for _ in range(count)]
+    return [story_ref(builder.add_story([sprint], length=length).number) for _ in range(count)]
 
 
-def _inject_neverending(rng, metric: str, count: int, sprints_each: int) -> tuple[_TeamBuilder, list]:
-    builder = _injection_team(rng, metric, n_sprints=sprints_each, extra_backlog=count)
-    return builder, [story_ref(builder.add_story(list(builder.sprints)).number) for _ in range(count)]
+def _inject_neverending(builder: _TeamBuilder, sprint: Sprint, count: int, sprints_each: int) -> list:
+    return [story_ref(builder.add_story(list(builder.sprints)).number) for _ in range(count)]
 
 
-def _inject_duplicates(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
-    label = _CONFIG.for_metric(metric)["duplicate_label"]
-    builder = _injection_team(rng, metric, extra_backlog=count)
-    sprint = builder.sprints[-1]
-    return builder, [story_ref(builder.add_story([sprint], labels=(label,)).number) for _ in range(count)]
+def _inject_duplicates(builder: _TeamBuilder, sprint: Sprint, count: int) -> list:
+    label = _CONFIG.for_metric(cfg.DUPLICATE_STORIES)["duplicate_label"]
+    return [story_ref(builder.add_story([sprint], labels=(label,)).number) for _ in range(count)]
 
 
-def _inject_last_minute(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
-    builder = _injection_team(rng, metric)
-    sprint = builder.sprints[-1]
+def _inject_last_minute(builder: _TeamBuilder, sprint: Sprint, count: int) -> list:
     ids = []
     for i in range(count):
         when = sprint.due_on - _LAST_MINUTE_SECONDS * (i + 1) / (count + 1)
         change = FileChange(path=f"rush/deadline_{i:02d}.py", lines_added=5, lines_deleted=1)
         ids.append(builder.add_commit(when, builder.devs[i % len(builder.devs)], (change,), None,
                                       advance_chain=False).id)
-    return builder, ids
+    return ids
 
 
-def _inject_idle_developers(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
-    builder = _injection_team(rng, metric, idle_devs=count)
-    return builder, sorted(builder.idle_devs)
+def _inject_idle_developers(builder: _TeamBuilder, sprint: Sprint, count: int) -> list:
+    return sorted(builder.idle_devs)
 
 
-def _inject_backlog_overflow(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
+def _inject_backlog_overflow(builder: _TeamBuilder, sprint: Sprint, count: int) -> list:
     # the sprint is balanced for the scaffold stories alone, so the extra
     # ones push the staffing quota off the peak
-    builder = _injection_team(rng, metric)
-    sprint = builder.sprints[-1]
     for _ in range(count):
         builder.add_story([sprint])
     # the quota metric emits no violation artifacts; only its score moves
-    return builder, []
+    return []
 
 
-def _inject_fast_pulls(rng, metric: str, count: int) -> tuple[_TeamBuilder, list]:
-    fast_minutes = _CONFIG.for_metric(metric)["fast_pr_window_minutes"]
-    builder = _injection_team(rng, metric)
-    sprint = builder.sprints[-1]
-    return builder, [
-        pull_ref(builder.add_pull(sprint, open_minutes=fast_minutes / 2.0, comments=0).number)
-        for _ in range(count)
-    ]
+def _inject_fast_pulls(builder: _TeamBuilder, sprint: Sprint, count: int) -> list:
+    fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS)["fast_pr_window_minutes"]
+    return [pull_ref(builder.add_pull(sprint, open_minutes=fast_minutes / 2.0, comments=0).number)
+            for _ in range(count)]
 
 
 # One row per directive, in InjectionSpec field order: the metric it
 # violates; the keys of its JSON object, or None for a plain count; its
 # injector; the records its arguments plan besides a one-sprint scaffold
-# team (`int` where it plants one per count); and the check, if any, that
-# refuses arguments it cannot plant. `inject` plants the directives in this
-# order and every injector draws from one shared random stream, so
-# reordering the rows changes every injected fixture.
-_Directive = namedtuple("_Directive", "metric keys plant plan check", defaults=(None,))
+# team (`int` where it plants one per count); the check, if any, that
+# refuses arguments it cannot plant; and the shape of the team it plants in,
+# (sprints, extra backlog stories, idle developers), which construction
+# checks against the calendar. `inject` plants the directives in this order
+# and every team draws from one shared random stream, so reordering the rows
+# changes every injected fixture.
+_Directive = namedtuple("_Directive", "metric keys plant plan check team",
+                        defaults=(None, lambda *args: (1, 0, 0)))
 _DIRECTIVES: dict[str, _Directive] = {
     "hot_files": _Directive(cfg.COLLECTIVE_OWNERSHIP, ("count", "edits", "authors"), _inject_hot_files,
                             lambda count, edits, _: count * edits, _check_hot_files),
@@ -674,15 +656,18 @@ _DIRECTIVES: dict[str, _Directive] = {
                                   _check_tdd_regressions),
     # a story counts once per base story length, which bounds its text
     "huge_stories": _Directive(cfg.HUGE_STORIES, ("count", "length_multiplier"), _inject_huge_stories,
-                               lambda count, m: count * math.ceil(m), _check_huge_stories),
+                               lambda count, m: count * math.ceil(m), _check_huge_stories,
+                               lambda count, _: (1, count, 0)),
     # a scaffold team per sprint, and a membership per story and sprint
     "neverending_stories": _Directive(cfg.MULTI_BACKLOG, ("count", "sprints_each"), _inject_neverending,
-                                      lambda count, each: each * (_INJECTION_TEAM + count), _check_neverending),
+                                      lambda count, each: each * (_INJECTION_TEAM + count), _check_neverending,
+                                      lambda count, each: (each, count, 0)),
     "duplicate_stories": _Directive(cfg.DUPLICATE_STORIES, None, _inject_duplicates, int,
-                                    lambda count: _check_sprints(1, _injection_seconds(count))),
+                                    team=lambda count: (1, count, 0)),
     "last_minute_commits": _Directive(cfg.LAST_MINUTE, None, _inject_last_minute, int),
     "idle_developers": _Directive(cfg.COMMIT_ACTIVITY, None, _inject_idle_developers, int,
-                                  lambda count: _check_idle_devs(count, _INJECT_STORIES)),
+                                  lambda count: _check_idle_devs(count, _INJECT_STORIES),
+                                  lambda count: (1, 0, count)),
     "backlog_overflow": _Directive(cfg.DAILY_STORY_LOAD, None, _inject_backlog_overflow, int),
     "silent_fast_pulls": _Directive(cfg.FAST_PULLS, None, _inject_fast_pulls, int),
 }
@@ -693,23 +678,26 @@ def inject(
 ) -> tuple[ProjectHistory, dict[str, InjectionRecord]]:
     """Plant the requested violations and return the exact expected artifact ids.
 
-    Each directive adds one self-contained team; the input history's teams
-    are carried over untouched. An empty injection returns the history as is.
+    Each directive adds one self-contained team of the shape its row states;
+    the input history's teams are carried over untouched. An empty injection
+    returns the history as is.
     """
     if injection.empty():
         return history, {}
     rng = random.Random(seed)
     builders: list[_TeamBuilder] = []
     ledger: dict[str, InjectionRecord] = {}
-    for name, directive in _DIRECTIVES.items():
+    for name, (metric, keys, plant, _, _, team) in _DIRECTIVES.items():
         value = getattr(injection, name)
         if _planted(value):
-            args = value if directive.keys else (value,)
-            builder, artifacts = directive.plant(rng, directive.metric, *args)
+            args = value if keys else (value,)
+            n_sprints, extra_backlog, idle_devs = team(*args)
+            builder = _scaffold_team(rng, f"zz-{metric}", _INJECT_DEVS, n_sprints,
+                                     _injection_seconds(extra_backlog, idle_devs), _INJECT_STORIES,
+                                     _INJECT_COMMITS_PER_DEV, _INJECT_PULLS, idle_devs)
+            sprint = builder.sprints[-1]
             builders.append(builder)
-            ledger[directive.metric] = InjectionRecord(
-                directive.metric, builder.team, builder.sprints[-1].id, tuple(artifacts)
-            )
+            ledger[metric] = InjectionRecord(metric, builder.team, sprint.id, tuple(plant(builder, sprint, *args)))
     return _assemble(builders, history), ledger
 
 

@@ -184,6 +184,8 @@ class Sprint(_Record, namedtuple("Sprint", "id title starts_at due_on team")):
             raise RecordError("sprint id must be non-empty")
         if not team:
             raise RecordError(f"sprint {id} has no team")
+        if not isinstance(title, str):
+            raise RecordError(f"sprint {id} title must be a string, got {title!r}")
         if not math.isfinite(starts_at):
             raise RecordError(f"sprint {id} starts_at must be a finite timestamp")
         if not math.isfinite(due_on):

@@ -141,6 +141,21 @@ def test_test_later_merge_commit_skipped():
     assert result.violations == ()
 
 
+def test_test_later_skips_a_commit_whose_parent_has_no_stats_but_counts_it():
+    commits = [
+        make_commit("p", T0),
+        make_commit("c", T0 + 60, parents=("p",)),
+        make_commit("d", T0 + 120, parents=("c",)),
+    ]
+    # `p` has no stats row, so `c` is compared with nothing however low its coverage
+    stats = _stats([("c", 10.0, 99.0), ("d", 5.0, 100.0)])
+    settings = _settings("test-later", weight=1.0)
+    result = detect_test_later(make_slice(make_sprint(), commits=commits, stats=stats), settings)
+    assert [v.artifacts for v in result.violations] == [("d",)]
+    assert result.inputs_echo == {"violations": 1, "commits_with_stats": 2, "weight": 1.0}
+    assert result.score == 50.0  # 100 - 1/2 * 100 * 1
+
+
 def test_test_later_without_stats_is_not_applicable():
     commits = [make_commit("c1", T0)]
     result = detect_test_later(make_slice(make_sprint(), commits=commits), TEST_LATER)

@@ -767,6 +767,29 @@ def test_manifest_with_an_unknown_key_exits_2(tmp_path, capsys):
     assert _one_error_line(capsys) == f"error: {bad}: unknown manifest key 'pull'\n"
 
 
+# (input kind, its content, the error after "error: ", with {path} for the input's path)
+REFUSED_DOCUMENTS = {
+    "config-array": ("config", "[]", "config document must be a JSON object"),
+    "config-unknown-key": ("config", '{"bogus": 1}', "unknown top-level config key(s): bogus"),
+    "config-severity-weights-array": ("config", '{"severity_weights": []}', "'severity_weights' must be an object"),
+    "spec-teams-string": ("spec", '{"teams": "2"}', "teams must be an integer, got '2'"),
+    "spec-array": ("spec", "[]", "{path} must contain a JSON object"),
+    "inject-array": ("inject", "[]", "{path} must contain a JSON object"),
+    "manifest-array": ("manifest", "[]", "{path} must contain a JSON object"),
+    "manifest-commits-number": ("manifest", '{"commits": 5}', "{path}: commits must be a file path string"),
+    "issues-object": ("issues", "{}", "{path} must contain a JSON array of stories"),
+    "snapshot-array": ("snapshot", "[]", "{path} must contain a snapshot object"),
+}
+
+
+@pytest.mark.parametrize("kind, document, message", REFUSED_DOCUMENTS.values(), ids=list(REFUSED_DOCUMENTS))
+def test_a_document_of_the_wrong_shape_exits_2_with_its_message(tmp_path, capsys, kind, document, message):
+    argv, bad = _argv_reading(tmp_path, kind, document.encode("utf-8"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: {message.format(path=bad)}\n"
+
+
 def test_manifest_naming_every_key_ingests_like_the_flags(tmp_path):
     out_dir = _generate(tmp_path)
     manifest = out_dir / "manifest.json"

@@ -40,6 +40,11 @@ def test_unknown_metric_rejected():
         config_from_dict({"metrics": {"made-up": {}}})
 
 
+def test_settings_of_an_unknown_metric_are_refused():
+    with pytest.raises(ConfigError, match="^unknown metric 'nope'$"):
+        MetricConfig().for_metric("nope")
+
+
 def test_unknown_setting_rejected():
     with pytest.raises(ConfigError, match="unknown setting"):
         config_from_dict({"metrics": {"huge-stories": {"wieght": 3}}})

@@ -127,6 +127,12 @@ def test_registry_rejects_a_check_with_no_settings_row():
         MetricRegistry().register(renamed)
 
 
+def test_registry_refuses_a_name_it_does_not_hold():
+    with pytest.raises(SprintLintError) as raised:
+        MetricRegistry().get("nope")
+    assert str(raised.value) == "metric 'nope' is not registered"
+
+
 def test_registry_iteration_order_is_registration_order():
     registry = default_registry()
     assert registry.names() == (

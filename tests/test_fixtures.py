@@ -41,6 +41,12 @@ CONFIG = MetricConfig()
 REGISTRY = default_registry()
 
 
+def test_a_team_without_developers_gets_no_commits_and_stays_violation_free():
+    history, certificate = generate(FixtureSpec(teams=1, developers_per_team=0, sprints=2))
+    assert [len(records) for records in history.records()] == [0, 6, 2, 8, 0]
+    assert certificate.violation_free
+
+
 def test_same_seed_same_history():
     a, _ = generate(FixtureSpec(seed=99, teams=1))
     b, _ = generate(FixtureSpec(seed=99, teams=1))

@@ -136,6 +136,14 @@ def test_read_commits_collects_bad_line_with_number(tmp_path):
     assert issues[0].location == 57
 
 
+def test_read_commits_skips_a_blank_line_and_still_counts_it(tmp_path):
+    path = tmp_path / "commits.ndjson"
+    path.write_text(json.dumps(_commit_line()) + "\n \t\n" + '{"id": "broken"\n', encoding="utf-8")
+    records, issues = read_commits(path)
+    assert [commit.id for commit in records] == ["c1"]
+    assert [issue.location for issue in issues] == [3]
+
+
 def test_read_commits_missing_file_raises():
     with pytest.raises(ParseError):
         read_commits("/nonexistent/commits.ndjson")

@@ -447,6 +447,37 @@ def test_records_reject_non_finite_timestamps(case, value):
         build(value)
 
 
+# (the message, a builder of the record that gets it)
+RECORD_REJECTIONS = {
+    "FileChange.path": ("file change path must be non-empty", lambda: FileChange("", 1, 0)),
+    "Commit.authored_at": ("commit c1 authored_at must be a finite timestamp",
+                           lambda: make_commit("c1", math.nan)),
+    "SprintMembership.sprint_id": ("membership has no sprint id", lambda: SprintMembership("", T0)),
+    "SprintMembership.assigned_at": ("membership assigned_at must be a finite timestamp",
+                                     lambda: SprintMembership("s1", math.inf)),
+    "Sprint.id": ("sprint id must be non-empty", lambda: Sprint("", "S", T0, T0 + DAY, TEAM)),
+    "MetricDescriptor.name": ("metric descriptor needs a name", lambda: MetricDescriptor("", Severity.LOW, "")),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_REJECTIONS))
+def test_records_reject_a_bad_field_with_its_message(case):
+    message, build = RECORD_REJECTIONS[case]
+    with pytest.raises(RecordError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("title", [None, 1, b"Sprint 1"], ids=["none", "int", "bytes"])
+def test_sprint_rejects_a_title_that_is_no_string(title):
+    # trend_csv writes every title as text
+    with pytest.raises(RecordError) as raised:
+        Sprint("s1", title, T0, T0 + DAY, TEAM)
+    assert str(raised.value) == f"sprint s1 title must be a string, got {title!r}"
+    with pytest.raises(RecordError):
+        make_sprint()._replace(title=title)
+
+
 def test_author_is_lowercased():
     commit = make_commit("c1", T0, author="MiXeD@Case.Org")
     assert commit.author == "mixed@case.org"

@@ -15,6 +15,7 @@ from sprintlint import (
     MetricRegistry,
     MetricResult,
     Severity,
+    SprintLintError,
     aggregate,
     aggregate_all,
     build_history,
@@ -149,6 +150,12 @@ def test_scaling_severity_weights_is_neutral(factor):
     assert scaled.overall == pytest.approx(base.overall, abs=1e-9)
 
 
+def test_aggregate_refuses_no_results():
+    with pytest.raises(SprintLintError) as raised:
+        aggregate([], REGISTRY, CONFIG)
+    assert str(raised.value) == "aggregate needs at least one metric result"
+
+
 def test_aggregate_rejects_mixed_cells():
     results = [_result("huge-stories", 80.0, sprint="s1"), _result("huge-stories", 80.0, sprint="s2")]
     with pytest.raises(Exception):
@@ -223,6 +230,19 @@ def test_trend_follows_first_appearance_of_metrics_and_sorts_teams():
     metrics = [*reversed(CHECKS), OVERALL]
     assert [(s.team, s.metric) for s in series] == [
         (team, metric) for team in sorted(history.teams) for metric in metrics
+    ]
+
+
+def test_trend_leaves_out_a_team_and_metric_pair_with_no_result():
+    history = build_history(sprints=[make_sprint("a1", team="alpha"), make_sprint("b1", team="beta")])
+    results = [
+        _result("huge-stories", 80.0, team="alpha", sprint="a1"),
+        _result("fast-pull-requests", 60.0, team="beta", sprint="b1"),
+    ]
+    due = T0 + 14 * DAY
+    assert trend(history, results) == [
+        TrendSeries("alpha", "huge-stories", (TrendPoint("a1", "Sprint 1", due, 80.0),)),
+        TrendSeries("beta", "fast-pull-requests", (TrendPoint("b1", "Sprint 1", due, 60.0),)),
     ]
 
 
