@@ -26,7 +26,12 @@ from .model import (
 
 
 class ZeroTotalError(SprintLintError):
-    """A ratio rating was asked to divide by a zero total; callers map this per metric."""
+    """A ratio rating was asked to divide by a zero total.
+
+    Nothing catches it by name: every built-in ratio check returns not
+    applicable before its total can be zero, and `evaluate` turns any
+    exception a detector raises into a failed cell.
+    """
 
 
 def clamp_score(value: float) -> float:

@@ -48,6 +48,7 @@ from .model import (
     FileChange,
     ProjectHistory,
     PullRequest,
+    SECONDS_PER_DAY,
     Sprint,
     SprintMembership,
     StoryState,
@@ -68,6 +69,7 @@ MAX_PLANNED_RECORDS = 10**6
 # the settings every fixture is built for and certified against
 _CONFIG = MetricConfig()
 _LAST_MINUTE_SECONDS = _CONFIG.for_metric(cfg.LAST_MINUTE)["last_minute_window_minutes"] * 60.0
+_FAST_PULL_MINUTES = _CONFIG.for_metric(cfg.FAST_PULLS)["fast_pr_window_minutes"]
 # each scaffold file is edited by more authors than own a file collectively
 _POOL_AUTHORS = _CONFIG.for_metric(cfg.COLLECTIVE_OWNERSHIP)["threshold_a"] + 1
 # a team's coverage before its first commit; scaffold commits raise it by less than 0.1 points
@@ -92,9 +94,9 @@ def _sprint_seconds(index: int, starts: float, duration_seconds: float) -> float
     """The whole seconds sprint `index` lasts; raise unless it fits the calendar and outlasts the window."""
     # no export can write an instant after year 9999, and pull requests
     # close up to a day after their sprint's deadline
-    if not starts + duration_seconds < END_TS - 86400.0:
+    if not starts + duration_seconds < END_TS - SECONDS_PER_DAY:
         raise InfeasibleFixtureError(
-            f"sprint {index + 1} ({duration_seconds / 86400.0:g} days) would end after "
+            f"sprint {index + 1} ({duration_seconds / SECONDS_PER_DAY:g} days) would end after "
             "9999-12-31T00:00:00Z, the last deadline a fixture can have"
         )
     # whole seconds keep timestamps exact through the ISO-8601 round trip
@@ -158,7 +160,7 @@ class FixtureSpec(_Record, namedtuple(
             if developers_per_team and stories_per_sprint and not commits_per_dev_per_sprint:
                 raise InfeasibleFixtureError("developers assigned to stories would never commit; the "
                                              "zero-committer guarantee needs commits_per_dev_per_sprint >= 1")
-            _check_sprints(sprints, sprint_length_days * 86400.0)
+            _check_sprints(sprints, sprint_length_days * SECONDS_PER_DAY)
             if developers_per_team and commits_per_dev_per_sprint and developers_per_team < _POOL_AUTHORS:
                 raise InfeasibleFixtureError(f"hot-file guarantee needs at least {_POOL_AUTHORS} developers "
                                              f"per team (threshold_a + 1), got {developers_per_team}")
@@ -459,9 +461,8 @@ class _TeamBuilder:
         return pull
 
     def fill_sprint_pulls(self, sprint: Sprint, count: int) -> None:
-        fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS)["fast_pr_window_minutes"]
         for _ in range(count):
-            open_minutes = fast_minutes + 60.0 + self.rng.uniform(0.0, 600.0)
+            open_minutes = _FAST_PULL_MINUTES + 60.0 + self.rng.uniform(0.0, 600.0)
             self.add_pull(sprint, open_minutes, comments=1 + self.rng.randrange(0, 4))
 
 
@@ -499,7 +500,7 @@ def self_lint(history: ProjectHistory, seed: int) -> FixtureCertificate:
 def generate(spec: FixtureSpec) -> tuple[ProjectHistory, FixtureCertificate]:
     """Build a violation-free history for `spec` plus its self-lint certificate."""
     rng = random.Random(spec.seed)
-    duration = spec.sprint_length_days * 86400.0
+    duration = spec.sprint_length_days * SECONDS_PER_DAY
     builders = [_scaffold_team(rng, f"team-{t + 1:02d}", spec.developers_per_team, spec.sprints, duration,
                                spec.stories_per_sprint, spec.commits_per_dev_per_sprint, spec.pulls_per_sprint)
                 for t in range(spec.teams)]
@@ -524,7 +525,7 @@ _INJECTION_TEAM = _team_records(_INJECT_DEVS, 1, _INJECT_STORIES, _INJECT_COMMIT
 
 def _injection_seconds(extra_backlog: int, idle_devs: int) -> float:
     """The sprint length that puts developers / backlog / days on the parabola's peak."""
-    return (_INJECT_DEVS + idle_devs) * 86400.0 / (_INJECT_STORIES + extra_backlog)
+    return (_INJECT_DEVS + idle_devs) * SECONDS_PER_DAY / (_INJECT_STORIES + extra_backlog)
 
 
 # --- what each directive can plant, checked when an InjectionSpec is built
@@ -633,8 +634,7 @@ def _inject_backlog_overflow(builder: _TeamBuilder, sprint: Sprint, count: int) 
 
 
 def _inject_fast_pulls(builder: _TeamBuilder, sprint: Sprint, count: int) -> list:
-    fast_minutes = _CONFIG.for_metric(cfg.FAST_PULLS)["fast_pr_window_minutes"]
-    return [pull_ref(builder.add_pull(sprint, open_minutes=fast_minutes / 2.0, comments=0).number)
+    return [pull_ref(builder.add_pull(sprint, open_minutes=_FAST_PULL_MINUTES / 2.0, comments=0).number)
             for _ in range(count)]
 
 

@@ -13,8 +13,10 @@ a tuple is the cheapest immutable object to build. A checked tuple equals
 only one of its own class, never a plain tuple, and `_make` and `_replace`
 run the same checks as the constructor.
 
-`ProjectHistory` is a plain immutable class instead, as a named tuple
-cannot hold its private lookups; its constructor builds every one of them.
+`ProjectHistory` is one too, of its five record collections, and keeps the
+lookups its constructor builds in its instance dict, which `copy` and
+`pickle` rebuild from the records. The one value that is no checked tuple
+is `engine.RegisteredMetric`, a dataclass the benchmark's tracer rebuilds.
 """
 
 from __future__ import annotations
@@ -385,32 +387,27 @@ def _by_team(records: Iterable, teams: Iterable[str]) -> dict[str, tuple]:
     return {t: tuple(v) for t, v in groups.items()}
 
 
-class ProjectHistory:
-    """Validated, immutable snapshot of every record in an export.
+class ProjectHistory(_Record, namedtuple("ProjectHistory", "commits stories sprints pulls build_stats")):
+    """Validated, immutable snapshot of every record in an export: a checked tuple of its five collections.
 
     The constructor sorts each collection by its primary key, so input order
     does not matter; checks keys and cross-references; derives `teams`,
     `developers` and `diagnostics`, which flag unknown commit parents (a
     shallow export), overlapping sprints and commits and pulls in no sprint
     window or in more than one without rejecting them, each a `Diagnostic`;
-    and builds the lookups that `window` reads. Histories with equal records
-    are equal.
+    and builds the lookups that `window` reads, all kept in the instance
+    dict, which `copy` and `pickle` (protocol 2 on) rebuild from the records
+    rather than copy. Histories with equal records are equal.
     """
 
-    # set in this order by `__init__`; the five record collections first, as `__repr__` names them
-    __slots__ = (
-        "commits", "stories", "sprints", "pulls", "build_stats", "teams", "developers", "diagnostics",
-        "_sprint_by_id", "_stats_by_commit", "_sprints_by_team", "_backlogs", "_time_indexes",
-    )
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         commits: Iterable[Commit] = (),
         stories: Iterable[UserStory] = (),
         sprints: Iterable[Sprint] = (),
         pulls: Iterable[PullRequest] = (),
         build_stats: Iterable[BuildStats] = (),
-    ) -> None:
+    ) -> ProjectHistory:
         # in the order duplicates are reported
         commits = _sorted_unique(commits, "duplicate commit id {0.id!r}", "id")
         sprints = _sorted_unique(sprints, "duplicate sprint id {0.id!r}", "id")
@@ -456,33 +453,26 @@ class ProjectHistory:
         stats_by_commit = {s.commit_id: s for s in build_stats}
         diagnostics = shallow + tuple(chain.from_iterable(
             _window_flags(t, sprints_by_team[t], time_indexes[t]) for t in teams))
-        developers = {t: frozenset(d) for t, d in developers.items()}
-        for name, value in zip(self.__slots__, (
-            commits, stories, sprints, pulls, build_stats, teams, developers, diagnostics, sprint_by_id,
-            stats_by_commit, sprints_by_team, {k: tuple(v) for k, v in backlogs.items()}, time_indexes,
-        )):
-            object.__setattr__(self, name, value)
+        history = tuple.__new__(cls, (commits, stories, sprints, pulls, build_stats))
+        vars(history).update(
+            teams=teams, developers={t: frozenset(d) for t, d in developers.items()}, diagnostics=diagnostics,
+            _sprint_by_id=sprint_by_id, _stats_by_commit=stats_by_commit, _sprints_by_team=sprints_by_team,
+            _backlogs={k: tuple(v) for k, v in backlogs.items()}, _time_indexes=time_indexes)
+        return history
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete {name!r}: a history is immutable")
 
     __delattr__ = __setattr__
 
-    def __eq__(self, other: object) -> bool:
-        # defining `__eq__` leaves `__hash__` None: a history holds dicts
-        return type(other) is type(self) and self.records() == other.records()
+    __hash__ = None  # a history holds dicts
 
-    def __repr__(self) -> str:
-        records = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self.records()))
-        return f"{type(self).__name__}({records})"
-
-    def __reduce__(self) -> tuple:
-        # `copy` and `pickle` rebuild a history from its records: `__setattr__` refuses to restore slots
-        return type(self), self.records()
+    def __getstate__(self) -> None:  # `copy` and `pickle` pass the records alone back to `__new__`
+        return None
 
     def records(self) -> tuple[tuple, tuple, tuple, tuple, tuple]:
         """The five collections in constructor order: ``ProjectHistory(*h.records()) == h``."""
-        return self.commits, self.stories, self.sprints, self.pulls, self.build_stats
+        return tuple(self)
 
     def sprint(self, sprint_id: str) -> Sprint:
         try:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from sprintlint import (
@@ -11,6 +14,7 @@ from sprintlint import (
     window,
 )
 from sprintlint.catalog import (
+    CHECKS,
     detect_collective_ownership,
     detect_daily_story_quota,
     detect_duplicates,
@@ -22,7 +26,7 @@ from sprintlint.catalog import (
     detect_test_later,
     file_edit_profiles,
 )
-from sprintlint.config import MetricConfig
+from sprintlint.config import METRIC_NAMES, MetricConfig
 from conftest import (
     DAY,
     T0,
@@ -510,3 +514,10 @@ def test_violation_artifacts_are_subset_of_slice():
     ):
         for violation in result.violations:
             assert set(violation.artifacts) <= known
+
+
+def test_readme_check_table_lists_each_check_and_its_default_severity_in_report_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## The checks\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|.*\| ([^|]+) \|$", section, flags=re.MULTILINE)
+    assert rows == [(name, CHECKS[name].descriptor.severity.value.replace("_", " ")) for name in METRIC_NAMES]

@@ -115,6 +115,23 @@ def test_history_is_immutable_unhashable_and_equal_by_its_records():
         assert twin == history and window(twin, TEAM, "s1") == window(history, TEAM, "s1")
 
 
+def test_copies_and_replace_rebuild_the_history_from_its_records():
+    sprint = make_sprint()
+    commits = [make_commit(f"c{i}", T0 + i) for i in range(8)]
+    history = build_history(commits=commits, stories=[make_story(1)], sprints=[sprint])
+    for twin in (copy.deepcopy(history), history._replace()):
+        assert twin == history and window(twin, TEAM, "s1") == window(history, TEAM, "s1")
+    with pytest.raises(HistoryError, match="^duplicate commit id 'c0'$"):
+        history._replace(commits=history.commits * 2)
+    with pytest.raises(HistoryError, match=r"^story #2 \(alpha\) references unknown sprint 'ghost'$"):
+        ProjectHistory._make((commits, [make_story(2, sprints=("ghost",))], [sprint], (), ()))
+    # the lookups are rebuilt on loading, never pickled
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        pickled = pickle.dumps(history, protocol)
+        assert b"_time_indexes" not in pickled and b"_backlogs" not in pickled
+        assert pickle.loads(pickled) == history
+
+
 def test_records_rebuild_the_same_history():
     spec = FixtureSpec(teams=2, sprints=2)
     history, _ = inject(generate(spec)[0], ALL_DIRECTIVES, spec.seed)
@@ -572,10 +589,14 @@ VALUES = {
     SprintSlice: lambda: window(build_history(commits=[make_commit("c1", T0)], sprints=[make_sprint()]), TEAM, "s1"),
     FixtureSpec: lambda: FixtureSpec(seed=7, teams=1, sprint_length_days=3),
     InjectionSpec: lambda: InjectionSpec(hot_files=(1, 12, 2), huge_stories=(1, 12.0), last_minute_commits=3),
+    ProjectHistory: lambda: build_history(commits=[make_commit("c1", T0)], sprints=[make_sprint()]),
 }
 CHECKED_TUPLES = RECORDS | VALUES
-# a dict field makes the whole object unhashable, as it made the frozen dataclasses it replaced
-HOLD_A_DICT = {Violation, MetricResult, ReportCell, RunReport, MetricConfig, IngestManifest, Finding, SprintSlice}
+# a dict field (or, for a history, its dict lookups) makes the whole object unhashable, as it made the frozen
+# dataclasses it replaced
+HOLD_A_DICT = {
+    Violation, MetricResult, ReportCell, RunReport, MetricConfig, IngestManifest, Finding, SprintSlice, ProjectHistory,
+}
 
 
 def field_names(cls) -> list[str]:

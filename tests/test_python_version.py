@@ -11,8 +11,11 @@ The interpreters installed beside this one (the siblings of
 `requires-python` allows each run the miniature of the violation-dense
 benchmark workload through the CLI in one child (`generate`, `ingest`, JSON
 and markdown `lint`, `score`), and every file they write must be the same
-bytes as this interpreter's. Each is named in its test's id; with none
-installed, the test is skipped and says why.
+bytes as this interpreter's. The child also loads the snapshot it wrote and
+fails unless `copy.copy`, `copy.deepcopy` and `pickle` at each protocol from
+2 give an equal history with equal windows: `object.__getstate__`, which a
+history overrides, exists only from Python 3.11. Each interpreter is named
+in its test's id; with none installed, the test is skipped and says why.
 """
 
 from __future__ import annotations
@@ -59,15 +62,19 @@ def test_the_guard_refuses_syntax_newer_than_python_3_10(source):
         ast.parse(source, feature_version=OLDEST)
 
 
-# The pipeline one interpreter runs in its child: argv is the source tree, the
-# work directory holding spec.json and inject.json, and the seed.
+# The pipeline one interpreter runs in its child, then its round trips of the
+# snapshot it wrote: argv is the source tree, the work directory holding
+# spec.json and inject.json, and the seed.
 PIPELINE = """
+import copy
+import pickle
 import sys
 from pathlib import Path
 
 sys.path.insert(0, sys.argv[1])
 from sprintlint.cli import main
-from sprintlint.ingest import EXPORTS
+from sprintlint.ingest import EXPORTS, load_snapshot
+from sprintlint.model import window
 
 work, seed = Path(sys.argv[2]), sys.argv[3]
 exports, snapshot = work / "exports", work / "snapshot.json"
@@ -81,6 +88,15 @@ for argv in (
     code = main([str(arg) for arg in argv])
     if code:
         sys.exit(f"{argv[0]} exited {code}")
+
+history = load_snapshot(snapshot)
+twins = {"copy.copy": copy.copy(history), "copy.deepcopy": copy.deepcopy(history)}
+for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    twins[f"pickle protocol {protocol}"] = pickle.loads(pickle.dumps(history, protocol))
+cells = [(team, sprint.id) for team in history.teams for sprint in history.sprints_of(team)]
+for how, twin in twins.items():
+    if twin != history or any(window(twin, *cell) != window(history, *cell) for cell in cells):
+        sys.exit(f"{how} of the loaded history differs from it")
 """
 WORKLOADS = ROOT / "perfbench" / "workloads.json"
 
