@@ -54,7 +54,6 @@ from .model import (
     StoryState,
     UserStory,
     _Record,
-    build_history,
 )
 from .serialize import END_TS
 
@@ -481,7 +480,7 @@ def _scaffold_team(rng: random.Random, team_id: str, devs: int, sprints: int, du
 def _assemble(builders: list[_TeamBuilder], base: ProjectHistory = ProjectHistory()) -> ProjectHistory:
     # per collection: the base's records, then each builder's
     collections = zip(base.records(), *(b.records() for b in builders))
-    return build_history(*(chain.from_iterable(c) for c in collections))
+    return ProjectHistory(*(chain.from_iterable(c) for c in collections))
 
 
 def self_lint(history: ProjectHistory, seed: int) -> FixtureCertificate:

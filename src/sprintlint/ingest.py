@@ -79,7 +79,6 @@ from .model import (
     StoryState,
     UserStory,
     _Record,
-    build_history,
 )
 from .serialize import (
     END_TS,
@@ -106,7 +105,7 @@ class ParseIssue(_Record, namedtuple("ParseIssue", "location field message")):
         return f"{path}:{self.location}: {self.message}{suffix}"
 
 
-# export kind -> the file name `generate` writes it under, in `build_history` argument order
+# export kind -> the file name `generate` writes it under, in `ProjectHistory` field order
 EXPORTS = {
     "commits": "commits.ndjson",
     "issues": "issues.json",
@@ -641,9 +640,10 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[
     """Read every file named by the manifest and build the validated history.
 
     Returns the history plus the rendered parse issues, each with its file
-    position; shallow-parent flags from assembly stay in the history's
-    `diagnostics`. When any record failed to parse, the history is None: its
-    cross-references are not checked, since they may name a rejected record.
+    position; its `diagnostics` keep the shallow-parent, overlapping-sprints,
+    no-sprint-window and many-sprint-windows flags. When any record failed to
+    parse, the history is None: its cross-references are not checked, since
+    they may name a rejected record.
     Raises on unreadable files or cross-reference failures.
     """
     team_map, alias_map = manifest.team_map, manifest.alias_map
@@ -669,7 +669,7 @@ def load_history(manifest: IngestManifest) -> tuple[ProjectHistory | None, list[
 
     if diagnostics:
         return None, diagnostics
-    return build_history(*records), diagnostics
+    return ProjectHistory(*records), diagnostics
 
 
 # --- writers ---------------------------------------------------------------
@@ -897,4 +897,4 @@ def load_snapshot(path: str | Path) -> ProjectHistory:
         records = _records_of_format_three(raw)
     except _Malformed as exc:
         raise ParseError(f"{path} holds a malformed snapshot: {exc}") from None
-    return build_history(*records)
+    return ProjectHistory(*records)

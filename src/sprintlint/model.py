@@ -13,10 +13,11 @@ a tuple is the cheapest immutable object to build. A checked tuple equals
 only one of its own class, never a plain tuple, and `_make` and `_replace`
 run the same checks as the constructor.
 
-`ProjectHistory` is one too, of its five record collections, and keeps the
-lookups its constructor builds in its instance dict, which `copy` and
-`pickle` rebuild from the records. The one value that is no checked tuple
-is `engine.RegisteredMetric`, a dataclass the benchmark's tracer rebuilds.
+`ProjectHistory`, also named `build_history`, is one too, of its five record
+collections, and keeps the lookups its constructor builds in its instance
+dict, which `copy` and `pickle` rebuild from the records at every protocol.
+The one value that is no checked tuple is `engine.RegisteredMetric`, a
+dataclass the benchmark's tracer rebuilds.
 """
 
 from __future__ import annotations
@@ -396,8 +397,8 @@ class ProjectHistory(_Record, namedtuple("ProjectHistory", "commits stories spri
     shallow export), overlapping sprints and commits and pulls in no sprint
     window or in more than one without rejecting them, each a `Diagnostic`;
     and builds the lookups that `window` reads, all kept in the instance
-    dict, which `copy` and `pickle` (protocol 2 on) rebuild from the records
-    rather than copy. Histories with equal records are equal.
+    dict, which `copy` and `pickle` (at every protocol) rebuild from the
+    records rather than copy. Histories with equal records are equal.
     """
 
     def __new__(
@@ -467,8 +468,8 @@ class ProjectHistory(_Record, namedtuple("ProjectHistory", "commits stories spri
 
     __hash__ = None  # a history holds dicts
 
-    def __getstate__(self) -> None:  # `copy` and `pickle` pass the records alone back to `__new__`
-        return None
+    def __reduce__(self) -> tuple[type, tuple]:  # `copy` and `pickle` pass the records alone back to `__new__`
+        return type(self), tuple(self)
 
     def records(self) -> tuple[tuple, tuple, tuple, tuple, tuple]:
         """The five collections in constructor order: ``ProjectHistory(*h.records()) == h``."""
@@ -489,15 +490,7 @@ class ProjectHistory(_Record, namedtuple("ProjectHistory", "commits stories spri
         return self._backlogs.get((team, sprint_id), ())
 
 
-def build_history(
-    commits: Iterable[Commit] = (),
-    stories: Iterable[UserStory] = (),
-    sprints: Iterable[Sprint] = (),
-    pulls: Iterable[PullRequest] = (),
-    build_stats: Iterable[BuildStats] = (),
-) -> ProjectHistory:
-    """Validate raw records and assemble the immutable snapshot; see `ProjectHistory`."""
-    return ProjectHistory(commits, stories, sprints, pulls, build_stats)
+build_history = ProjectHistory  # the name the benchmark's tracer times the constructor under
 
 
 def window(history: ProjectHistory, team: str, sprint_id: str) -> SprintSlice:

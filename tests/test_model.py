@@ -126,10 +126,12 @@ def test_copies_and_replace_rebuild_the_history_from_its_records():
     with pytest.raises(HistoryError, match=r"^story #2 \(alpha\) references unknown sprint 'ghost'$"):
         ProjectHistory._make((commits, [make_story(2, sprints=("ghost",))], [sprint], (), ()))
     # the lookups are rebuilt on loading, never pickled
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         pickled = pickle.dumps(history, protocol)
         assert b"_time_indexes" not in pickled and b"_backlogs" not in pickled
-        assert pickle.loads(pickled) == history
+        twin = pickle.loads(pickled)
+        assert twin == history and (twin.teams, twin.diagnostics) == (history.teams, history.diagnostics), protocol
+        assert window(twin, TEAM, "s1") == window(history, TEAM, "s1"), protocol
 
 
 def test_records_rebuild_the_same_history():

@@ -84,6 +84,8 @@ def test_a_traced_lint_times_every_check_once_per_cell(tracing, tmp_path):
     cells = {(r["team"], r["sprint"]) for r in results}
     spans = Counter(span.name for span in tracer.spans)
     assert len(cells) == 2
+    # the snapshot load builds the one history, timed through the `model.build_history` alias
+    assert spans["model.build_history"] == 1
     timed = {name: spans[f"catalog.{name}"] for name in CHECKS}
     assert timed == dict.fromkeys(CHECKS, len(cells))
     assert tracer.counts[(tracer.run, "engine.cells")] == len(results)
@@ -109,6 +111,8 @@ def test_a_traced_generate_and_ingest_time_every_export_kind_once(tracing, tmp_p
     for layer in ("write", "read"):
         timed = {kind: spans[f"ingest.{layer}_{kind}"] for kind in EXPORTS}
         assert timed == dict.fromkeys(EXPORTS, 1), layer
+    # `generate` assembles one history and `ingest` builds one, each through `ProjectHistory`
+    assert spans["model.build_history"] == 2
     snapshot = json.loads((tmp_path / "snap.json").read_text(encoding="utf-8"))
     # each collection is an object of equal-length columns
     records = sum(len(next(iter(snapshot[kind].values()))) for kind in EXPORTS)

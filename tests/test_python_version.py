@@ -12,10 +12,11 @@ The interpreters installed beside this one (the siblings of
 benchmark workload through the CLI in one child (`generate`, `ingest`, JSON
 and markdown `lint`, `score`), and every file they write must be the same
 bytes as this interpreter's. The child also loads the snapshot it wrote and
-fails unless `copy.copy`, `copy.deepcopy` and `pickle` at each protocol from
-2 give an equal history with equal windows: `object.__getstate__`, which a
-history overrides, exists only from Python 3.11. Each interpreter is named
-in its test's id; with none installed, the test is skipped and says why.
+fails unless `copy.copy`, `copy.deepcopy` and `pickle` at every protocol
+give an equal history with equal windows, as each interpreter's `copy`,
+`copyreg` and `pickle` reach a history's own `__reduce__` by their own
+route. Each interpreter is named in its test's id; with none installed, the
+test is skipped and says why.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ for argv in (
 
 history = load_snapshot(snapshot)
 twins = {"copy.copy": copy.copy(history), "copy.deepcopy": copy.deepcopy(history)}
-for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
     twins[f"pickle protocol {protocol}"] = pickle.loads(pickle.dumps(history, protocol))
 cells = [(team, sprint.id) for team in history.teams for sprint in history.sprints_of(team)]
 for how, twin in twins.items():
