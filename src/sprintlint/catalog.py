@@ -70,7 +70,11 @@ def file_edit_profiles(slice_: SprintSlice) -> list[FileEditProfile]:
 
 
 def detect_collective_ownership(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
-    """Flag files that absorbed many edits from too few people."""
+    """Flag files that absorbed many edits from too few people.
+
+    A file edited at least `threshold_e` times by at most `threshold_a`
+    authors is flagged: at the defaults, 10 edits by 2 authors are.
+    """
     violations = []
     for profile in file_edit_profiles(slice_):
         if profile.edits >= settings["threshold_e"] and len(profile.authors) <= settings["threshold_a"]:
@@ -99,7 +103,9 @@ def detect_collective_ownership(slice_: SprintSlice, settings: Mapping[str, Any]
 def detect_test_later(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag commits that raised complexity while coverage fell against their parent.
 
-    Merge commits and commits without stats for both sides are skipped;
+    A commit is flagged when its complexity is above its parent's and its
+    coverage below it; an equal value is neither a rise nor a drop. Merge
+    commits and commits without stats for both sides are skipped;
     comparisons only make sense along a single parent edge.
     """
     stats_by_commit = slice_.stats_by_commit
@@ -164,6 +170,9 @@ def story_text_length(title: str, body: str) -> int:
 def detect_huge_stories(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag stories far above the sprint's average size or task count.
 
+    A story is flagged when its length is more than `threshold_length`
+    times the average length, or its task count more than `threshold_check`
+    times the average task count; exactly that many times is not huge.
     Averages include the candidate stories themselves. A sprint with no
     checkboxes anywhere disables the task-count comparison.
     """
@@ -217,9 +226,10 @@ def detect_huge_stories(slice_: SprintSlice, settings: Mapping[str, Any]) -> Fin
 def detect_multi_backlog(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag stories that have been carried through too many sprint backlogs.
 
-    Membership is counted over the story's whole assignment history up to and
-    including the sprint under evaluation, so later churn never penalizes an
-    earlier sprint retroactively.
+    A story in more than `threshold_amount` backlogs is flagged. Membership
+    is counted over the story's whole assignment history up to and
+    including the sprint under evaluation, so later churn never penalizes
+    an earlier sprint retroactively.
     """
     backlog = slice_.stories
     if not backlog:
@@ -256,7 +266,11 @@ def detect_multi_backlog(slice_: SprintSlice, settings: Mapping[str, Any]) -> Fi
 
 
 def detect_duplicates(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
-    """Flag stories developers tagged with the duplicate label (case-insensitive)."""
+    """Flag stories developers tagged with the duplicate label.
+
+    A story is flagged when one of its labels is `duplicate_label` in any
+    case; a label that only contains it is not.
+    """
     stories = slice_.stories
     if not stories:
         return _not_applicable("no stories in this sprint's backlog")
@@ -282,7 +296,11 @@ def detect_duplicates(slice_: SprintSlice, settings: Mapping[str, Any]) -> Findi
 
 
 def detect_last_minute(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
-    """Flag commits crammed into the final stretch before the sprint deadline."""
+    """Flag commits crammed into the final stretch before the sprint deadline.
+
+    A commit from `last_minute_window_minutes` before the deadline up to the
+    deadline, both ends included, is flagged.
+    """
     commits = slice_.commits
     if not commits:
         return _not_applicable("no commits in this sprint")
@@ -314,8 +332,10 @@ def detect_last_minute(slice_: SprintSlice, settings: Mapping[str, Any]) -> Find
 def detect_no_committing(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Score the team's average commits per developer; name anyone who committed nothing.
 
-    The score comes from the average alone. The zero-committer list is an
-    informational violation for the humans doing context analysis.
+    The score comes from the average alone: `weight` points per commit a
+    developer, capped at 100, so at the default weight 10 commits a
+    developer score 100. The zero-committer list is an informational
+    violation for the humans doing context analysis.
     """
     team_developers = slice_.developers
     if not team_developers:
@@ -347,9 +367,11 @@ def detect_no_committing(slice_: SprintSlice, settings: Mapping[str, Any]) -> Fi
 def detect_daily_story_quota(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Rate the sprint's staffing quota (developers per backlog story per day).
 
-    The quota feeds the cut-off parabola: an optimal band scores 100, both
-    an overfull and a thin backlog fall away from it. This metric produces
-    no violation artifacts; the score and echoed quota are the signal.
+    The quota q feeds the cut-off parabola `weight_a * q - weight_b * q**2`,
+    clamped to 0..100: at the defaults it scores 100 at q = 1 and 0 from
+    q = 2, so both an overfull and a thin backlog fall away from the peak.
+    This metric produces no violation artifacts; the score and echoed
+    quota are the signal.
     """
     backlog_size = len(slice_.stories)
     if backlog_size == 0:
@@ -372,7 +394,11 @@ def detect_daily_story_quota(slice_: SprintSlice, settings: Mapping[str, Any]) -
 
 
 def detect_fast_pulls(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
-    """Flag pull requests closed quickly with nobody commenting."""
+    """Flag pull requests closed quickly with nobody commenting.
+
+    A closed pull request open for less than `fast_pr_window_minutes` with
+    no comment is flagged; one open exactly that long is not fast.
+    """
     closed = [p for p in slice_.pulls if p.closed_at is not None]
     if not closed:
         return _not_applicable("no closed pull requests in this sprint")
@@ -414,7 +440,8 @@ class UnfinishedStories(_Record, namedtuple(
 def unfinished_stories(history: ProjectHistory, sprint_id: str, now: float) -> UnfinishedStories | None:
     """Report open stories left in a past-due sprint's backlog.
 
-    Returns None while the sprint is not yet due. The percentage is the exact
+    Returns None while the sprint is not yet due: a sprint due exactly at
+    `now` is not past due. The percentage is the exact
     ratio of open to total backlog stories, or None for an empty backlog.
     """
     sprint = history.sprint(sprint_id)

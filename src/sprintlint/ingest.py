@@ -24,21 +24,21 @@ writing it last, so no second whole copy of the history is held.
 fields: one row per export kind, naming each field and its column kind.
 Every kind comes from one of three factories: `_kind` for values of one
 exact type, `_floats` for numbers and epoch timestamps, and `_entries` for
-arrays of nested records. Each declares a field's check once, and that
-check runs both where an export is read (``'<field>' must be <expected>``)
-and where a snapshot is loaded (``must be <expected>, got <cell>``), a
-snapshot column in bulk first. Before that check, `_lookup` resolves a
-snapshot column's names, all in one call (one per name field, for entries):
-each must be an index into ``strings``, an integer from 0 to its length less
-one (so no boolean), or the load fails with ``must be an index into strings,
-got <value>`` at the first that is not; the string it indexes then meets the
-column's check. Only timestamps are read in two ways, as an export holds
-ISO-8601 text and a snapshot numbers. Each JSON export kind has one builder
-(`_commit`, `_story`, `_sprint`, `_pull`), which reads its object's fields
-in `_SCHEMA` order, each through its column kind's `read` (a nested entry's
-fields in turn, where its array is read), so a rejection names the first
-field that fails; the builder puts teams and authors through the manifest's
-maps itself.
+arrays of nested records. Each declares a field's check once, and that check
+runs both where an export is read (``'<field>' must be <expected>``) and
+where a snapshot is loaded (``must be <expected>, got <cell>``), a snapshot
+column in bulk first. Before that check, `_lookup` resolves a snapshot
+column's names, all in one call (for entries, each one's first field, which
+holds its only name): each must be an index into ``strings``, an integer
+from 0 to its length less one (so no boolean), or the load fails with ``must
+be an index into strings, got <value>`` at the first that is not; the string
+it indexes then meets the column's check. Only timestamps are read in two
+ways, as an export holds ISO-8601 text and a snapshot numbers. Each JSON
+export kind has one builder (`_commit`, `_story`, `_sprint`, `_pull`), which
+reads its object's fields in `_SCHEMA` order, each through its column kind's
+`read` (a nested entry's fields in turn, where its array is read), so a
+rejection names the first field that fails; the builder puts teams and
+authors through the manifest's maps itself.
 
 Readers collect malformed records as positioned issues instead of aborting,
 so one bad line does not hide the rest of a file. Unknown extra fields in
@@ -87,6 +87,7 @@ from .serialize import (
     canonical_json,
     check_unicode,
     csv_field,
+    decode_json,
     format_iso_utc,
     object_pieces,
     parse_iso_utc,
@@ -325,13 +326,12 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
 
     In a snapshot each entry is the array of its fields' values, each
     checked by its field's column; `entry_types` names what they must be.
-    A field whose column holds names holds their indexes in the string
-    table, which are resolved first. The entries are built lazily, as the
-    records holding them are, so a constructor failure is reported at its
-    record's index. In an export, `read` checks only that they are an array.
+    Its first field holds its only name, as an index into the string table,
+    which is resolved first. The entries are built lazily, as the records
+    holding them are, so a constructor failure is reported at its record's
+    index. In an export, `read` checks only that they are an array.
     """
     columns = tuple(fields.values())
-    name_fields = [index for index, column in enumerate(columns) if column.resolve is not None]
     entry_name = f"[{', '.join(fields)}] {({2: 'pair', 3: 'triple'})[len(fields)]}"
 
     def valid(entries: list) -> bool:
@@ -363,31 +363,14 @@ def _entries(record_class: type, fields: dict[str, _Column], entry_types: str) -
         return list(_regrouped(list(zip(*fields)), cells))
 
     def resolve(cells: list, strings: list) -> None:
-        """Replace each name's index in each entry of `cells` by its string, in place."""
-        if _all_of(list, cells):
-            entries = list(chain.from_iterable(cells))
-            if _all_of(list, entries) and set(map(len, entries)) <= {len(columns)}:
-                try:
-                    # every name is looked up before any entry changes
-                    names = [_lookup(list(map(itemgetter(field), entries)), strings) for field in name_fields]
-                except _Malformed:  # named again by its cell, entry and field
-                    pass
-                else:
-                    for field, resolved in zip(name_fields, names):
-                        # one setitem per entry, called from C; the deque keeps none of their results
-                        deque(map(setitem, entries, repeat(field), resolved), maxlen=0)
-                    return
-
-        def resolve_entry(entry: object) -> None:
-            for field in name_fields:
-                if type(entry) is list and field < len(entry):
-                    try:
-                        entry[field], = _lookup(entry[field:field + 1], strings)
-                    except _Malformed as exc:
-                        raise _Malformed(str(exc), f"[{field}]") from None
-
-        # each entry in turn, its names looked up and then set; a cell or entry of another shape is left to `check`
-        _reject_first(cells, lambda cell: type(cell) is list and _reject_first(cell, resolve_entry))
+        # every array entry's first field in one lookup, then set in place; another cell or entry is left to `load`
+        entries = [entry for cell in cells if type(cell) is list for entry in cell if type(entry) is list and entry]
+        try:
+            found = _lookup([entry[0] for entry in entries], strings)
+        except _Malformed:  # named again by its cell, entry and field
+            _reject_first(cells, lambda cell: type(cell) is list and _reject_first(
+                cell, lambda entry: type(entry) is list and _lookup(entry[:1], strings)))
+        deque(map(setitem, entries, repeat(0), found), maxlen=0)
 
     return _Column(_kind(list, "an array").read, load, dump, resolve)
 
@@ -537,7 +520,7 @@ def read_commits(
                         raise ValueError
                 except (ValueError, RecursionError):
                     # surrounding whitespace, a BOM, trailing data or bad JSON, read or worded as `json.loads` does
-                    raw = json.loads(line)
+                    raw = decode_json(line)
                 check_unicode(line, raw)
                 if not isinstance(raw, dict):
                     raise _FieldError("", "line is not a JSON object")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from datetime import datetime, timezone
 from itertools import islice
@@ -138,11 +139,22 @@ def check_unicode(text: str, value: object) -> None:
         raise ValueError(f"lone surrogate \\u{code:04x} is not valid Unicode text") from None
 
 
+def decode_json(text: str) -> object:
+    """`json.loads(text)`, but an integer past the interpreter's digit limit raises a ValueError worded the same
+    under every Python version, not the interpreter's own advice to call `sys.set_int_max_str_digits`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the one other ValueError `json.loads` raises, whatever its text
+        raise ValueError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def read_json(path: str | Path) -> object:
     """Read one UTF-8 JSON document; any failure to read or decode it is a ParseError."""
     text = read_text(path)
     try:
-        value = json.loads(text)
+        value = decode_json(text)
         check_unicode(text, value)
     # ValueError covers JSONDecodeError, integers over the digit limit and
     # lone surrogates; RecursionError, documents nested too deeply for the decoder

@@ -487,6 +487,122 @@ def test_unfinished_stories_empty_backlog_percent_not_applicable():
     assert block.total == 0 and block.percent is None
 
 
+# --- each check's line: a value at it and one unit either side -----------------------
+#
+# Each table pins the rule its detector's docstring and README state at the line a
+# default setting draws; windows are in minutes.
+
+
+# edits and authors of one file, and whether it is flagged at the defaults threshold_e 10 and threshold_a 2
+OWNERSHIP_LINE = [(9, 2, False), (10, 2, True), (11, 2, True), (10, 1, True), (10, 3, False)]
+
+
+@pytest.mark.parametrize("edits, authors, flagged", OWNERSHIP_LINE)
+def test_ownership_line(edits, authors, flagged):
+    commits = [make_commit(f"c{i}", T0 + i, author=f"d{i % authors}@a", files=[change("p.py")]) for i in range(edits)]
+    result = detect_collective_ownership(make_slice(make_sprint(), commits=commits), OWNERSHIP)
+    assert [v.artifacts for v in result.violations] == ([("p.py",)] if flagged else [])
+
+
+# coverage and complexity of a commit whose parent has coverage 50 and complexity 10, and whether it is flagged
+TEST_LATER_LINE = [(49.0, 11.0, True), (50.0, 11.0, False), (51.0, 11.0, False), (49.0, 10.0, False),
+                   (49.0, 9.0, False)]
+
+
+@pytest.mark.parametrize("coverage, complexity, flagged", TEST_LATER_LINE)
+def test_test_later_line(coverage, complexity, flagged):
+    commits = [make_commit("p", T0), make_commit("c", T0 + 60, parents=("p",))]
+    stats = _stats([("p", 50.0, 10.0), ("c", coverage, complexity)])
+    result = detect_test_later(make_slice(make_sprint(), commits=commits, stats=stats), TEST_LATER)
+    assert [v.artifacts for v in result.violations] == ([("c",)] if flagged else [])
+
+
+# (the other four stories' length and tasks, the fifth story's length and tasks) -> whether the fifth is flagged;
+# at the default thresholds of 3, a fifth story of length 600 among four of 100 is exactly 3 times the average
+HUGE_LINE = [
+    ((100, 0), (599, 0), False), ((100, 0), (600, 0), False), ((100, 0), (601, 0), True),
+    ((400, 1), (400, 5), False), ((400, 1), (400, 6), False), ((400, 1), (400, 7), True),
+    # no task anywhere turns the task comparison off; one task is above 3 times an average of 0.2
+    ((400, 0), (400, 0), False), ((400, 0), (400, 1), True),
+]
+
+
+@pytest.mark.parametrize("others, fifth, flagged", HUGE_LINE)
+def test_huge_stories_line(others, fifth, flagged):
+    stories = [sized_story(number, others[0], checkboxes=others[1]) for number in range(1, 5)]
+    stories.append(sized_story(5, fifth[0], checkboxes=fifth[1]))
+    result = detect_huge_stories(make_slice(make_sprint(), stories=stories), HUGE)
+    assert [v.artifacts for v in result.violations] == ([("#5",)] if flagged else [])
+
+
+@pytest.mark.parametrize("backlogs, flagged", [(1, False), (2, False), (3, True)])
+def test_multi_backlog_line(backlogs, flagged):
+    history, sprint = _membership_history([backlogs])
+    settings = _settings("multi-backlog-stories", threshold_amount=2)
+    result = detect_multi_backlog(window(history, TEAM, sprint.id), settings)
+    assert [v.artifacts for v in result.violations] == ([("#1",)] if flagged else [])
+
+
+@pytest.mark.parametrize("label, flagged", [("duplicate", True), ("DUPLICATE", True), ("duplicates", False),
+                                            ("not a duplicate", False)])
+def test_duplicates_line(label, flagged):
+    stories = [make_story(1, labels=(label,))]
+    result = detect_duplicates(make_slice(make_sprint(), stories=stories), DUPLICATES)
+    assert [v.artifacts for v in result.violations] == ([("#1",)] if flagged else [])
+
+
+# minutes before the deadline a commit lands -> whether it is flagged, with the default window of 120 minutes
+LAST_MINUTE_LINE = [(121, False), (120, True), (119, True), (1, True), (0, True), (-1, False)]
+
+
+@pytest.mark.parametrize("minutes, flagged", LAST_MINUTE_LINE)
+def test_last_minute_line(minutes, flagged):
+    sprint = make_sprint(days=14.0)
+    commits = [make_commit("c", sprint.due_on - minutes * 60.0)]
+    result = detect_last_minute(make_slice(sprint, commits=commits), LAST_MINUTE)
+    assert [v.detail for v in result.violations] == (
+        [f"commit c landed {minutes} min before the deadline"] if flagged else [])
+
+
+# commits by the one developer -> the score at the default weight of 10 a commit, capped at 100
+@pytest.mark.parametrize("commits, score", [(0, 0.0), (1, 10.0), (9, 90.0), (10, 100.0), (11, 100.0)])
+def test_commit_activity_line(commits, score):
+    slice_ = make_slice(make_sprint(), commits=[make_commit(f"c{i}", T0 + i, author="d@a") for i in range(commits)],
+                        developers={"d@a"})
+    result = detect_no_committing(slice_, ACTIVITY)
+    assert result.score == score
+    assert [v.artifacts for v in result.violations] == ([] if commits else [("d@a",)])
+
+
+# developers for a backlog of 4 stories in a 1-day sprint -> the score, 200 q - 100 q² for the quota q, clamped
+@pytest.mark.parametrize("developers, score", [(3, 93.75), (4, 100.0), (5, 93.75), (7, 43.75), (8, 0.0), (9, 0.0)])
+def test_daily_story_load_line(developers, score):
+    stories = [make_story(i + 1) for i in range(4)]
+    slice_ = make_slice(make_sprint(days=1.0), stories=stories, developers=_devs(developers))
+    assert detect_daily_story_quota(slice_, DAILY_LOAD).score == score
+
+
+# minutes a pull is open and its comments, and whether it is flagged with the default window of 60 minutes
+FAST_PULLS_LINE = [(59, 0, True), (60, 0, False), (61, 0, False), (59, 1, False)]
+
+
+@pytest.mark.parametrize("minutes, comments, flagged", FAST_PULLS_LINE)
+def test_fast_pulls_line(minutes, comments, flagged):
+    pulls = [make_pull(1, T0, closed=T0 + minutes * 60.0, comments=comments)]
+    result = detect_fast_pulls(make_slice(make_sprint(), pulls=pulls), FAST_PULLS)
+    assert [v.detail for v in result.violations] == (
+        [f"pull request #1 was closed after {minutes} min without any comments"] if flagged else [])
+
+
+# seconds from the deadline to now -> whether the sprint is past due, so that its open stories are listed
+@pytest.mark.parametrize("seconds, past_due", [(-1.0, False), (0.0, False), (1.0, True)])
+def test_unfinished_stories_line(seconds, past_due):
+    sprint = make_sprint()
+    history = build_history(stories=[make_story(1, state="open")], sprints=[sprint])
+    block = unfinished_stories(history, "s1", sprint.due_on + seconds)
+    assert (block and block.story_numbers) == ((1,) if past_due else None)
+
+
 # --- cross-cutting: violations reference only slice artifacts ------------------------
 
 

@@ -1357,7 +1357,7 @@ def test_each_record_builder_reads_the_fields_its_schema_names_in_order():
 # --- the name lookup against the resolvers it replaced -----------------------------
 #
 # A snapshot's names are resolved through one lookup, `_lookup`: one call for a name column of cells, one for the
-# items of an array column's array cells, and one per name field across an entry column's entries; a cell or an
+# items of an array column's array cells, and one for the first fields of an entry column's entries; a cell or an
 # entry is walked again only to position a failure. Before it, three resolvers each decided which value was an
 # index into the string table and where a bad one sat. They are copied below as the reference, with the helpers
 # they called; the entry resolver's `itemgetter` and `setitem` maps are written as a comprehension and a loop.
@@ -1494,3 +1494,18 @@ def test_each_name_column_resolves_as_the_resolvers_it_replaced(kind, strings, d
     column, reference, shape = NAME_KINDS[kind]
     cells = _name_cells(data, shape, len(strings))
     assert _resolved(column.resolve, cells, strings) == _resolved(reference, cells, strings)
+
+
+def test_every_entry_kind_holds_its_only_name_in_its_first_field():
+    """An entry column resolves only each entry's first field, so no other field of an `_entries` kind holds a name:
+    dumping an entry enters its first field alone in the string table, and resolving gives the entry back."""
+    kinds = {column for _, fields in ingest._SCHEMA.values() for column in fields.values()
+             if column.resolve is not None and column.resolve.__qualname__.startswith("_entries.")}
+    assert {ingest._FILES, ingest._MEMBERSHIPS} <= kinds
+    for kind in kinds:
+        entry, table = ["n0", "n1", "n2", "n3"], {}
+        cells = json.loads(json.dumps(kind.dump([[entry]], table)))
+        assert list(table) == ["n0"]
+        kind.resolve(cells, list(table))
+        [[resolved]] = cells
+        assert resolved == entry[:len(resolved)]

@@ -15,7 +15,9 @@ bytes as this interpreter's. The child also loads the snapshot it wrote and
 fails unless `copy.copy`, `copy.deepcopy` and `pickle` at every protocol
 give an equal history with equal windows, as each interpreter's `copy`,
 `copyreg` and `pickle` reach a history's own `__reduce__` by their own
-route. Each interpreter is named in its test's id; with none installed, the
+route. Last it runs a command on each of three inputs that must be
+rejected, and the exit codes and error lines it writes down must be the same
+bytes too. Each interpreter is named in its test's id; with none installed, the
 test is skipped and says why.
 """
 
@@ -64,10 +66,14 @@ def test_the_guard_refuses_syntax_newer_than_python_3_10(source):
 
 
 # The pipeline one interpreter runs in its child, then its round trips of the
-# snapshot it wrote: argv is the source tree, the work directory holding
-# spec.json and inject.json, and the seed.
+# snapshot it wrote, then a command on each of the `REJECTED` inputs, whose exit
+# codes and standard error it writes to rejections.txt with the work directory
+# as ".": argv is the source tree, the work directory holding spec.json,
+# inject.json and the `REJECTED` files, and the seed.
 PIPELINE = """
+import contextlib
 import copy
+import io
 import pickle
 import sys
 from pathlib import Path
@@ -98,7 +104,25 @@ cells = [(team, sprint.id) for team in history.teams for sprint in history.sprin
 for how, twin in twins.items():
     if twin != history or any(window(twin, *cell) != window(history, *cell) for cell in cells):
         sys.exit(f"{how} of the loaded history differs from it")
+
+with open(work / "rejections.txt", "w", encoding="utf-8", newline="\\n") as out:
+    for argv in (
+        ["lint", "--project", snapshot, "--config", work / "digits.json", "--out", work / "rejected.json"],
+        ["ingest", "--commits", work / "digits.ndjson", "--out", work / "rejected.json"],
+        ["lint", "--project", snapshot, "--config", work / "deep.json", "--out", work / "rejected.json"],
+    ):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([str(arg) for arg in argv])
+        out.write(f"{argv[0]} exited {code}: {err.getvalue().replace(str(work), '.')}")
 """
+# inputs every interpreter must reject alike: an integer past the digit limit
+# in a config and on a commits line, and a config nested too deep to decode
+DIGITS = "1" * 5000
+REJECTED = {
+    "digits.json": f'{{"metrics": {{"test-later": {{"weight": {DIGITS}}}}}}}',
+    "digits.ndjson": f'{{"id": {DIGITS}}}\n',
+    "deep.json": "[" * 200_000 + "]" * 200_000,
+}
 WORKLOADS = ROOT / "perfbench" / "workloads.json"
 
 
@@ -122,6 +146,8 @@ def _run_pipeline(python: str | Path, work: Path) -> dict[str, bytes]:
     work.mkdir()
     (work / "spec.json").write_text(json.dumps(tiny["spec"]), encoding="utf-8")
     (work / "inject.json").write_text(json.dumps(tiny["injection"]), encoding="utf-8")
+    for name, text in REJECTED.items():
+        (work / name).write_text(text, encoding="utf-8")
     inputs = {path.relative_to(work).as_posix() for path in work.iterdir()}
     env = {key: value for key, value in os.environ.items() if key != "SPRINTLINT_CONFIG"}
     # -I keeps the caller's PYTHONPATH and site-packages out; -B leaves no bytecode in src/

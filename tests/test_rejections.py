@@ -745,14 +745,22 @@ ORDER_CASES = {
                                                       "commits.parents[1]: must be an array of strings, got 5"),
     "short-entry-holding-a-bad-index": ({"commits.files": [[[PAST_END, 1]], [[PATH_INDEX, 3, 1]]]},
                                         f"commits.files[0][0][0]: {NO_INDEX}"),
+    "bad-index-after-a-files-cell-that-is-no-array": ({"commits.files": [5, [[PAST_END, 1, 1]]]},
+                                                      f"commits.files[1][0][0]: {NO_INDEX}"),
     "bad-index-after-an-entry-that-is-no-array": ({"commits.files": [[5, [PAST_END, 1, 1]], [[PATH_INDEX, 3, 1]]]},
                                                   f"commits.files[0][1][0]: {NO_INDEX}"),
+    "empty-entry-left-to-the-check": ({"commits.files": [[[]], [[PATH_INDEX, 3, 1]]]},
+                                      f"commits.files[0][0]: must be a {TRIPLE}, got []"),
     "short-entry-shown-with-its-name": ({"commits.files": [[[PATH_INDEX, 3]], [[PATH_INDEX, 3, 1]]]},
                                         f"commits.files[0][0]: must be a {TRIPLE}, got ['src/a.py', 3]"),
     "bad-membership-index-after-an-entry-that-is-no-array": ({"issues.milestone_history": [[None, [PAST_END, 0.0]]]},
                                                              f"issues.milestone_history[0][1][0]: {NO_INDEX}"),
     "bad-epoch-before-a-bad-parent-index": ({"commits.authored_at": ["x", "x"], "commits.parents": [[PAST_END], []]},
                                             "commits.authored_at[0]: must be a number of epoch seconds, got 'x'"),
+    # only an entry's first field is a name: a count that is no index into the table is left to the check
+    "bad-index-after-an-entry-whose-count-is-no-index": ({"commits.files": [[[PATH_INDEX, 1000000, 0]], [[-1, 1, 0]]]},
+                                                         "commits.files[1][0][0]: must be an index into strings, "
+                                                         "got -1"),
 }
 
 
@@ -764,6 +772,26 @@ def test_columnar_snapshot_names_the_first_bad_name_in_load_order(tmp_path, caps
         doc[kind][name] = cells
     code, err = _lint_document(tmp_path, capsys, doc)
     assert (code, err) == (2, f"error: {tmp_path / 'snap.json'} holds a malformed snapshot: {message}\n")
+
+
+# an integer past the interpreter's digit limit, which every interpreter names in the same words
+HUGE_INTEGER = "1" * 5000
+TOO_MANY_DIGITS = "an integer has more than 4300 digits"
+
+
+def test_an_integer_past_the_digit_limit_is_named_in_one_message(tmp_path, capsys):
+    snapshot, config, commits = tmp_path / "snap.json", tmp_path / "config.json", tmp_path / "commits.ndjson"
+    snapshot.write_text(json.dumps(ENCODED), encoding="utf-8")
+    config.write_text(f'{{"metrics": {{"test-later": {{"weight": {HUGE_INTEGER}}}}}}}', encoding="utf-8")
+    commits.write_text(json.dumps(COMMIT | {"id": "c0"}) + "\n" + json.dumps(COMMIT)[:-1]
+                       + f', "extra": {HUGE_INTEGER}}}\n', encoding="utf-8")
+    assert read_commits(commits)[1] == [ParseIssue(2, None, TOO_MANY_DIGITS)]
+    capsys.readouterr()
+    assert main(["lint", "--project", str(snapshot), "--config", str(config),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err == f"error: config file {config} is not valid JSON: {TOO_MANY_DIGITS}\n"
+    assert main(["ingest", "--commits", str(commits), "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == f"error: {commits}:2: {TOO_MANY_DIGITS}\n"
 
 
 def test_each_snapshot_error_the_readme_quotes_is_the_loaders_text(tmp_path, capsys):

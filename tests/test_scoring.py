@@ -173,6 +173,22 @@ def test_informational_contributions_have_zero_weight_but_appear():
     assert weights["commit-activity"] == 0.0
 
 
+# (each scored metric's score, the metrics made informational) -> (overall, each contribution's weight and share)
+ZERO_WEIGHT_CASES = {
+    "every-metric-weighs-zero": ({"fast-pull-requests": 100.0, "huge-stories": 50.0},
+                                 ["fast-pull-requests", "huge-stories"], (None, [(0.0, 0.0), (0.0, 0.0)])),
+    "one-metric-weighs-more-than-zero": ({"fast-pull-requests": 80.0, "commit-activity": 10.0}, ["commit-activity"],
+                                         (80.0, [(8.0, 80.0), (0.0, 0.0)])),
+}
+
+
+@pytest.mark.parametrize("scores, informational, expected", ZERO_WEIGHT_CASES.values(), ids=list(ZERO_WEIGHT_CASES))
+def test_a_metric_weighing_zero_has_no_share(scores, informational, expected):
+    config = MetricConfig({metric: {"severity_override": Severity.INFORMATIONAL} for metric in informational})
+    score = aggregate([_result(metric, value) for metric, value in scores.items()], REGISTRY, config)
+    assert (score.overall, [(c.weight, c.weighted_share) for c in score.contributions]) == expected
+
+
 # --- trend ---------------------------------------------------------------------
 
 
