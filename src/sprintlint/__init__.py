@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # each lazily loaded submodule -> the public names the package reads from it
 _PUBLIC = {
     "catalog": (
-        "FileEditProfile", "UnfinishedStories", "count_checkboxes", "default_registry",
+        "UnfinishedStories", "count_checkboxes", "default_registry",
         "detect_collective_ownership", "detect_daily_story_quota", "detect_duplicates",
         "detect_fast_pulls", "detect_huge_stories", "detect_last_minute", "detect_multi_backlog",
         "detect_no_committing", "detect_test_later", "story_text_length", "unfinished_stories",

@@ -50,42 +50,27 @@ def _not_applicable(reason: str) -> Finding:
     return Finding(violations=(), score=None, diagnostic=reason)
 
 
-class FileEditProfile(_Record, namedtuple("FileEditProfile", "path edits authors")):
-    """Edit pressure on one file within a sprint: how often (`edits`), by whom (a frozenset of `authors`)."""
-
-    __slots__ = ()
-
-
-def file_edit_profiles(slice_: SprintSlice) -> list[FileEditProfile]:
-    edits: dict[str, int] = {}
-    authors: dict[str, set[str]] = {}
-    for commit in slice_.commits:
-        for change in commit.files:
-            edits[change.path] = edits.get(change.path, 0) + 1
-            authors.setdefault(change.path, set()).add(commit.author)
-    return [
-        FileEditProfile(path=path, edits=edits[path], authors=frozenset(authors[path]))
-        for path in sorted(edits)
-    ]
-
-
 def detect_collective_ownership(slice_: SprintSlice, settings: Mapping[str, Any]) -> Finding:
     """Flag files that absorbed many edits from too few people.
 
     A file edited at least `threshold_e` times by at most `threshold_a`
     authors is flagged: at the defaults, 10 edits by 2 authors are.
     """
+    edits: dict[str, int] = {}
+    authors: dict[str, set[str]] = {}
+    for commit in slice_.commits:
+        for change in commit.files:
+            edits[change.path] = edits.get(change.path, 0) + 1
+            authors.setdefault(change.path, set()).add(commit.author)
     violations = []
-    for profile in file_edit_profiles(slice_):
-        if profile.edits >= settings["threshold_e"] and len(profile.authors) <= settings["threshold_a"]:
+    for path in sorted(edits):
+        count, owners = edits[path], len(authors[path])
+        if count >= settings["threshold_e"] and owners <= settings["threshold_a"]:
             violations.append(
                 Violation(
-                    artifacts=(profile.path,),
-                    detail=(
-                        f"{profile.path} was edited {profile.edits} times by only "
-                        f"{len(profile.authors)} author(s)"
-                    ),
-                    numeric_detail={"edits": profile.edits, "authors": len(profile.authors)},
+                    artifacts=(path,),
+                    detail=f"{path} was edited {count} times by only {owners} author(s)",
+                    numeric_detail={"edits": count, "authors": owners},
                 )
             )
     return Finding(
@@ -173,8 +158,9 @@ def detect_huge_stories(slice_: SprintSlice, settings: Mapping[str, Any]) -> Fin
     A story is flagged when its length is more than `threshold_length`
     times the average length, or its task count more than `threshold_check`
     times the average task count; exactly that many times is not huge.
-    Averages include the candidate stories themselves. A sprint with no
-    checkboxes anywhere disables the task-count comparison.
+    Averages include the candidate stories themselves. In a sprint with no
+    checkboxes the average is 0 and no count is above 0, so no story is
+    flagged for its tasks.
     """
     stories = slice_.stories
     if not stories:
@@ -186,10 +172,7 @@ def detect_huge_stories(slice_: SprintSlice, settings: Mapping[str, Any]) -> Fin
     violations = []
     for story in stories:
         too_long = lengths[story.number] > settings["threshold_length"] * avg_length
-        too_many_tasks = (
-            avg_checkboxes > 0
-            and checkboxes[story.number] > settings["threshold_check"] * avg_checkboxes
-        )
+        too_many_tasks = checkboxes[story.number] > settings["threshold_check"] * avg_checkboxes
         if too_long or too_many_tasks:
             reasons = []
             if too_long:

@@ -34,10 +34,6 @@ class ZeroTotalError(SprintLintError):
     """
 
 
-def clamp_score(value: float) -> float:
-    return min(100.0, max(0.0, value))
-
-
 def threshold_linear(count: float, weight: float) -> float:
     """Score 100 minus `weight` per violation, floored at 0."""
     return max(0.0, 100.0 - count * weight)
@@ -61,7 +57,7 @@ def cutoff_parabola(quota: float, weight_a: float, weight_b: float) -> float:
     The upper cap keeps an optimal band at 100; the lower clamp keeps far-off
     quotas from going negative.
     """
-    return clamp_score(weight_a * quota - weight_b * quota * quota)
+    return min(100.0, max(0.0, weight_a * quota - weight_b * quota * quota))
 
 
 # a detector sees one team-sprint slice and its own check's settings, `config.for_metric(name)`

@@ -111,10 +111,7 @@ def _violation_dicts(batch: list) -> list:
 
 
 def _result_pieces(results: Iterable[MetricResult], titles: Mapping[str, str]) -> Iterator[str]:
-    """The JSON array of result rows, in pieces: each row's other fields in one, then its violations in batches.
-
-    A row with no violations is one piece, its `[]` written with no encoder call.
-    """
+    """The JSON array of result rows, in pieces: each row's other fields in one, then its violations in batches."""
     yield "["
     for position, result in enumerate(results):
         row = result._asdict()
@@ -122,11 +119,7 @@ def _result_pieces(results: Iterable[MetricResult], titles: Mapping[str, str]) -
         row["sprint_title"] = titles.get(result.sprint, result.sprint)
         row["score"] = _rounded(result.score)
         # "violations" sorts after every other key, so the row is left open for it
-        head = f'{"," if position else ""}{canonical_json(row)[:-1]},"violations":'
-        if not result.violations:
-            yield head + "[]}"
-            continue
-        yield head
+        yield f'{"," if position else ""}{canonical_json(row)[:-1]},"violations":'
         yield from array_pieces(result.violations, VIOLATION_BATCH, _violation_dicts)
         yield "}"
     yield "]"

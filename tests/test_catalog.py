@@ -24,7 +24,6 @@ from sprintlint.catalog import (
     detect_multi_backlog,
     detect_no_committing,
     detect_test_later,
-    file_edit_profiles,
 )
 from sprintlint.config import METRIC_NAMES, MetricConfig
 from conftest import (
@@ -87,15 +86,17 @@ def test_ownership_enough_authors_is_clean():
     assert result.violations == () and result.score == 100.0
 
 
-def test_file_edit_profiles_aggregates_by_path():
+def test_ownership_counts_edits_and_authors_per_path_in_path_order():
+    settings = _settings("collective-ownership", threshold_e=1, threshold_a=2)
     commits = [
-        make_commit("c1", T0, author="a@x", files=[change("p.py"), change("q.py")]),
+        make_commit("c1", T0, author="a@x", files=[change("q.py"), change("p.py")]),
         make_commit("c2", T0 + 1, author="b@x", files=[change("p.py")]),
     ]
-    profiles = {p.path: p for p in file_edit_profiles(make_slice(make_sprint(), commits=commits))}
-    assert profiles["p.py"].edits == 2
-    assert profiles["p.py"].authors == frozenset({"a@x", "b@x"})
-    assert profiles["q.py"].edits == 1
+    result = detect_collective_ownership(make_slice(make_sprint(), commits=commits), settings)
+    assert [(v.artifacts, v.numeric_detail) for v in result.violations] == [
+        (("p.py",), {"edits": 2, "authors": 2}),
+        (("q.py",), {"edits": 1, "authors": 1}),
+    ]
 
 
 # --- test-later development (complexity up, coverage down) --------------------
@@ -206,9 +207,11 @@ def test_huge_stories_checkbox_branch():
 
 def test_huge_stories_no_checkboxes_disables_branch():
     stories = [sized_story(1, 300), sized_story(2, 300)]
-    result = detect_huge_stories(make_slice(make_sprint(), stories=stories), HUGE)
-    assert result.inputs_echo["avg_checkboxes"] == 0.0
-    assert result.violations == ()
+    # an average of 0 times any positive threshold is 0, and no story's count of 0 is above it
+    for settings in (HUGE, _settings("huge-stories", threshold_check=0.001)):
+        result = detect_huge_stories(make_slice(make_sprint(), stories=stories), settings)
+        assert result.inputs_echo["avg_checkboxes"] == 0.0
+        assert result.violations == ()
 
 
 def test_huge_stories_empty_backlog_not_applicable():
@@ -522,7 +525,7 @@ def test_test_later_line(coverage, complexity, flagged):
 HUGE_LINE = [
     ((100, 0), (599, 0), False), ((100, 0), (600, 0), False), ((100, 0), (601, 0), True),
     ((400, 1), (400, 5), False), ((400, 1), (400, 6), False), ((400, 1), (400, 7), True),
-    # no task anywhere turns the task comparison off; one task is above 3 times an average of 0.2
+    # with no task anywhere no count is above 3 times an average of 0; one task is above 3 times an average of 0.2
     ((400, 0), (400, 0), False), ((400, 0), (400, 1), True),
 ]
 

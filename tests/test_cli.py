@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from sprintlint import METRIC_NAMES, FixtureSpec, MetricConfig, build_history, cli, fixtures, generate
 from sprintlint.cli import main
-from sprintlint.ingest import EXPORTS, load_snapshot, write_snapshot
+from sprintlint.ingest import EXPORTS, write_snapshot
 from sprintlint.serialize import END_TS, FIRST_TS
 from conftest import T0, collector_paused, make_commit, make_sprint, make_story
 from test_golden import EXPECTED_CONFIG_DIGEST

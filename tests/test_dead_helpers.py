@@ -1,10 +1,11 @@
-"""Guard against dead private helpers and unused imports in the package.
+"""Guard against dead private helpers and unused imports.
 
 Every module-level private name (an ``_x`` function, class or constant) and
 every private ``_method`` in `src/sprintlint` must be used somewhere in the
-package besides its own definition, and every name a module imports must be
-read in that module, so a refactor that leaves a helper or an import behind
-fails here rather than leaving code nothing runs.
+package besides its own definition, and every name a module of the package,
+the tests or the demos imports must be read in that module, unless its
+import is marked ``# noqa: F401``. So a refactor that leaves a helper or an
+import behind fails here rather than leaving code nothing runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sprintlint"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sprintlint"
+# the directories whose modules may import no name they do not read
+IMPORTING = (SRC, ROOT / "tests", ROOT / "demos")
 
 
 def _is_private(name: str) -> bool:
@@ -78,10 +82,18 @@ def test_the_guard_counts_a_replace_as_a_use_of_make():
         assert [name for name in _definitions(tree) if not uses[name]] == unused, use
 
 
-def _unused_imports(tree: ast.Module) -> list[str]:
-    """Each name the module imports and never reads; `from __future__` imports are directives, not names."""
+def _unused_imports(source: str) -> list[str]:
+    """Each name the module imports and never reads.
+
+    `from __future__` imports are directives, not names, and an import whose
+    first line is marked `# noqa: F401` is kept for its side effect.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
     imported = []
     for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" in lines[node.lineno - 1]:
+            continue
         if isinstance(node, ast.Import):
             imported.extend(alias.asname or alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -91,20 +103,24 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_every_imported_name_is_used():
-    modules = sorted(SRC.glob("*.py"))
-    assert modules, f"no modules under {SRC}"
+    modules = []
+    for directory in IMPORTING:
+        found = sorted(directory.glob("*.py"))
+        assert found, f"no modules under {directory}"
+        modules += found
     unused = [
-        f"{path.name}: {name}"
+        f"{path.relative_to(ROOT)}: {name}"
         for path in modules
-        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
 
 
 def test_the_guard_finds_an_unused_import():
-    tree = ast.parse(
+    source = (
         "from __future__ import annotations\n"
-        "import os.path\nimport json as j\nfrom .a import b, c as d\n\n"
+        "import os.path\nimport json as j\nfrom .a import b, c as d\n"
+        "import sys  # noqa: F401  (kept for its side effect)\n\n"
         "def f() -> b:\n    return os.path.sep\n"
     )
-    assert _unused_imports(tree) == ["j", "d"]
+    assert _unused_imports(source) == ["j", "d"]

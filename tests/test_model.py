@@ -21,7 +21,6 @@ from sprintlint import (
     Commit,
     Diagnostic,
     FileChange,
-    FileEditProfile,
     Finding,
     FixtureCertificate,
     HistoryError,
@@ -571,7 +570,6 @@ VALUES = {
     MetricDescriptor: lambda: MetricDescriptor("huge-stories", Severity.LOW, "pitfalls"),
     Violation: _violation,
     MetricResult: _result,
-    FileEditProfile: lambda: FileEditProfile("src/a.py", 3, frozenset({"ann"})),
     UnfinishedStories: lambda: UnfinishedStories(TEAM, "s1", "Sprint 1", 1, (2,), 4, 0.25),
     Contribution: lambda: _score().contributions[0],
     SkippedMetric: lambda: _score().skipped[0],

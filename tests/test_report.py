@@ -101,18 +101,23 @@ def _reports():
     yield "clean", clean, build_report(clean, REGISTRY, CONFIG)
     yield "injected", injected, build_report(injected, REGISTRY, CONFIG)
     yield "narrowed", injected, build_report(injected, REGISTRY, CONFIG, sprint_title=title)
-    # more violations in one result than one batch holds, and a last batch that is not full
+    # one violation, exactly one full batch, and more than one batch holds with a last batch that is not full
+    yield "one-violation", *_one_cell_report(1)
+    yield "one-batch", *_one_cell_report(VIOLATION_BATCH)
     yield "batched", *_one_cell_report(2 * VIOLATION_BATCH + 1)
     empty = build_history()
     yield "no-results", empty, build_report(empty, REGISTRY, CONFIG)
 
 
 def test_render_json_writes_canonical_json():
+    row_sizes = set()
     for name, history, report in _reports():
         rendered = render_json(report, history)
         assert canonical_json(json.loads(rendered)) + "\n" == rendered, name
         assert any(cell.results for cell in report.cells) == (name != "no-results"), name
+        row_sizes.update(len(result.violations) for cell in report.cells for result in cell.results)
     assert '"results":[],"scores":[],"tool"' in rendered and '"unfinished_stories":[],' in rendered
+    assert {0, 1, VIOLATION_BATCH, 2 * VIOLATION_BATCH + 1} <= row_sizes
 
 
 def test_each_json_row_holds_its_value_objects_fields():
